@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes fuzz chaos diskchaos soak adversary strategy-chaos grayfail hedge weights bench bench-robustness bench-obs bench-store bench-core bench-core-update bench-adversary bench-adversary-update bench-gray bench-gray-update bench-strategy bench-strategy-update bench-strategy-adversity bench-strategy-adversity-update bench-weights bench-weights-update strategy study
+.PHONY: check vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes fuzz chaos diskchaos soak adversary strategy-chaos grayfail hedge weights bench bench-robustness bench-obs bench-store bench-core bench-core-update bench-adversary bench-adversary-update bench-gray bench-gray-update bench-strategy bench-strategy-update bench-strategy-adversity bench-strategy-adversity-update bench-weights bench-weights-update strategy study e2e e2e-smoke
 
 check: vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes bench-strategy-adversity
 
@@ -143,6 +143,17 @@ strategy-chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The repository's one end-to-end benchmark (bench/README.md): five
+# workloads, four gated metrics each, ~15 timed seconds per workload.
+e2e:
+	$(GO) run ./bench
+
+# The same at 5% scale and one timed second per workload (~8 s): checks
+# that every workload builds, runs and passes its output checks. Its
+# numbers are not comparable with a full run's.
+e2e-smoke:
+	$(GO) run ./bench -scale 0.05 -seconds 1
 
 # Regenerate the committed robustness benchmark snapshot.
 bench-robustness:

@@ -1,22 +1,22 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"quorumkit/internal/dist"
+	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/stats"
-	"quorumkit/internal/store"
 )
 
-// Async is a concurrent implementation of the same protocol as Cluster:
-// every node runs as a goroutine draining an inbox, and a client operation
-// is a scatter/gather round — the coordinator fans vote requests out to the
-// peers reachable in its component and gathers their replies in parallel.
+// Async is the concurrent runtime: the same coordinator as Cluster over a
+// goroutine-per-node transport. Every node runs as a goroutine draining an
+// inbox, and a protocol round is a scatter/gather — the coordinator fans a
+// request out to the peers reachable in its component and gathers their
+// replies in parallel.
 //
 // Concurrency model: one client operation is in flight at a time (the
 // paper's accesses are instantaneous and never overlap), but within an
@@ -25,8 +25,19 @@ import (
 // are excluded only during the reachability snapshot. The implementation is
 // exercised under -race, and its observable behaviour is cross-checked
 // against the deterministic Cluster.
+//
+// How the fault plan maps onto a real concurrent transport: a dropped
+// request is never delivered; a dropped reply leaves the request delivered
+// (the peer's state changes!) with nowhere to answer; a duplicate is
+// delivered twice (coordinators dedup by sender); a delay is forwarded by a
+// goroutine after delay×tick of real time; and since arrival order is
+// already nondeterministic here, a reorder is modeled as one extra delay
+// slot. Message-level counters therefore legitimately differ from the
+// deterministic runtime's, while every decision — a function of the
+// delivered message set, never of arrival order — is identical under
+// delay-free plans (see the cross-check tests).
 type Async struct {
-	st *graph.State
+	coordinator
 	// topoMu guards the network state: operations take RLock to snapshot
 	// reachability; topology mutations take Lock.
 	topoMu sync.RWMutex
@@ -35,85 +46,55 @@ type Async struct {
 	nodes []*asyncNode
 	wg    sync.WaitGroup
 
-	sent      atomic.Int64
-	delivered atomic.Int64
+	msgs atomic.Int64 // messages sent
 
-	// disks/stores are the per-node durable engines (see durable.go);
-	// nil after DisablePersistence. Set once at construction.
-	disks  []*store.MemDisk
-	stores []*store.NodeStore
-
-	// chaos, when non-nil, interposes the fault plan on every fan-out and
-	// enables the hardened ChaosRead/ChaosWrite/ChaosReassign operations
-	// (see chaos_async.go).
-	chaos *asyncChaos
-
-	// health, when non-nil, holds the failure detector, adaptive
-	// reassignment daemon, and degradation gate (see health_async.go).
-	health *healthState
-
-	// strat, when non-nil, holds the installed randomized quorum strategy
-	// the serving layer samples from (see strategy_async.go).
-	strat *strategyState
-
-	// parts, when non-nil, holds the partition schedule and clock that
-	// cut message directions at the transport (see partition.go).
-	parts *asyncPartitions
-	// gray, when non-nil, holds the gray latency schedule, per-link
-	// latency estimators, and hedged-read configuration (see gray.go).
-	gray *grayState
 	// daemonStop, when non-nil, stops the background daemon goroutine
 	// started by StartDaemon; Close closes it.
 	daemonStop chan struct{}
 	daemonDone chan struct{}
-
-	// obs, when non-nil, receives counters, histograms, and — at the
-	// serialized decision level only — trace events (see obs.go). The
-	// concurrent runtime emits no per-message events because its delivery
-	// order is scheduler-dependent.
-	obs *obs.Registry
 }
 
-// asyncNode is one site's goroutine-owned state.
+// asyncChaosTick is the real duration of one abstract delay slot or
+// backoff tick.
+const asyncChaosTick = 50 * time.Microsecond
+
+// asyncNode is one site's goroutine-owned replica.
 type asyncNode struct {
-	id       int
-	mu       sync.Mutex
-	state    node
-	histBins int              // T+1, for lazy histogram allocation
-	store    *store.NodeStore // durable state; nil when persistence is off
-	amnesiac bool             // durable state lost; must rejoin by state sync
-	inbox    chan asyncMsg
-	quit     chan struct{}
-	wg       *sync.WaitGroup
+	mu    sync.Mutex
+	rep   replica
+	inbox chan asyncMsg
+	quit  chan struct{}
 }
 
-// asyncMsg is a delivered message plus an optional reply sink.
+// asyncMsg is one delivery: the payload (nil for a pure barrier), where to
+// put the reply when the sender awaits one, and the group to release once
+// the delivery has been processed.
 type asyncMsg struct {
 	body  payload
-	reply chan<- payload // non-nil when the sender awaits a response
+	reply chan<- payload
 	ack   *sync.WaitGroup
 }
 
 // NewAsync starts one goroutine per site. Call Close to stop them.
 func NewAsync(st *graph.State, initial quorum.Assignment) (*Async, error) {
-	if err := initial.Validate(st.TotalVotes()); err != nil {
-		return nil, fmt.Errorf("cluster: initial assignment: %w", err)
-	}
-	a := &Async{st: st, nodes: make([]*asyncNode, st.Graph().N())}
+	a := &Async{nodes: make([]*asyncNode, st.Graph().N())}
 	for i := range a.nodes {
-		n := &asyncNode{
-			id:       i,
-			state:    node{id: i, votes: st.Votes(i), version: 1, assign: initial},
-			histBins: st.TotalVotes() + 1,
-			inbox:    make(chan asyncMsg, 64),
-			quit:     make(chan struct{}),
-			wg:       &a.wg,
+		a.nodes[i] = &asyncNode{
+			// One operation is in flight at a time, so a node never has
+			// more than a duplicated request queued; the slack only keeps
+			// a fan-out from blocking on a node that is still busy.
+			inbox: make(chan asyncMsg, 64),
+			quit:  make(chan struct{}),
 		}
-		a.nodes[i] = n
-		a.wg.Add(1)
-		go n.run()
 	}
-	a.initStores()
+	a.tick = asyncChaosTick
+	if err := a.init(a, st, initial); err != nil {
+		return nil, err
+	}
+	for _, n := range a.nodes {
+		a.wg.Add(1)
+		go n.run(&a.wg)
+	}
 	return a, nil
 }
 
@@ -131,112 +112,25 @@ func (a *Async) Close() {
 	a.wg.Wait()
 }
 
-// run is the node goroutine: drain the inbox until quit.
-func (n *asyncNode) run() {
-	defer n.wg.Done()
+// run is the node goroutine: hand each delivery to the replica under the
+// node lock, route its reply, and release the sender's group.
+func (n *asyncNode) run(wg *sync.WaitGroup) {
+	defer wg.Done()
 	for {
 		select {
 		case <-n.quit:
 			return
 		case m := <-n.inbox:
-			n.handle(m)
-		}
-	}
-}
-
-// handle processes one message under the node lock.
-func (n *asyncNode) handle(m asyncMsg) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch b := m.body.(type) {
-	case voteRequest:
-		if n.amnesiac {
-			// An amnesiac copy must not vote — its reply could cover a
-			// committed write through the copy that forgot it.
-			if m.reply != nil {
-				m.reply <- lostMark{from: n.id}
-			}
-			break
-		}
-		// The sync barrier belongs to handling the request, not to the reply
-		// sink: when the fault plan drops only the reply, the request still
-		// lands (m.reply == nil) and must leave the same durable bytes as in
-		// the deterministic runtime.
-		n.syncStore() // durable before the vote is externalized
-		if m.reply != nil {
-			m.reply <- voteReply{
-				from: n.id, votes: n.state.votes,
-				value: n.state.value, stamp: n.state.stamp,
-				version: n.state.version, assign: n.state.assign,
-			}
-		}
-	case syncState:
-		if n.state.adopt(b.assign, b.version, b.stamp, b.value) {
-			n.persistState()
-		}
-		if b.votesSeen > 0 && b.votesSeen < n.histBins {
-			if n.state.hist == nil {
-				n.state.hist = stats.NewHistogram(n.histBins)
-			}
-			n.state.hist.Add(b.votesSeen, 1)
-			n.persistObs(b.votesSeen)
-		}
-	case applyWrite:
-		if b.stamp > n.state.stamp {
-			n.state.stamp, n.state.value = b.stamp, b.value
-			n.persistState()
-		}
-		if b.wantAck {
-			if n.amnesiac {
-				// An amnesiac ack must not count toward a write quorum.
-				if m.reply != nil {
-					m.reply <- lostMark{from: n.id}
+			if m.body != nil {
+				n.mu.Lock()
+				reply := n.rep.receive(m.body)
+				n.mu.Unlock()
+				if reply != nil && m.reply != nil {
+					m.reply <- reply
 				}
-				break
 			}
-			n.syncStore() // durable before the apply is acknowledged
-			if m.reply != nil {
-				m.reply <- applyAck{from: n.id, stamp: n.state.stamp}
-			}
+			m.ack.Done()
 		}
-	case installAssign:
-		if n.state.adopt(b.assign, b.version, b.stamp, b.value) {
-			n.persistState()
-		}
-	case histRequest:
-		if m.reply != nil {
-			if n.amnesiac {
-				// No trustworthy observations to gossip.
-				m.reply <- lostMark{from: n.id}
-			} else {
-				var weights []float64
-				if h := n.state.hist; h != nil {
-					weights = make([]float64, n.histBins)
-					for v := range weights {
-						weights[v] = h.Weight(v)
-					}
-				}
-				m.reply <- histReply{from: n.id, weights: weights}
-			}
-		}
-	case heartbeat:
-		if n.amnesiac {
-			// Silent until readmitted; peers accrue a miss.
-			if m.reply != nil {
-				m.reply <- lostMark{from: n.id}
-			}
-			break
-		}
-		n.syncStore() // durable before the version is externalized
-		if m.reply != nil {
-			m.reply <- heartbeatAck{
-				from: n.id, seq: b.seq,
-				votes: n.state.votes, version: n.state.version,
-			}
-		}
-	}
-	if m.ack != nil {
-		m.ack.Done()
 	}
 }
 
@@ -270,194 +164,308 @@ func (a *Async) RepairLink(l int) {
 }
 
 // MessagesSent returns the cumulative message count.
-func (a *Async) MessagesSent() int64 { return a.sent.Load() }
+func (a *Async) MessagesSent() int64 { return a.sent() }
 
-// LocalDensity returns node x's §4.2 on-line density estimate, built from
-// the vote totals it observed during rounds it joined (nil before any
-// observation). Thread-safe.
-func (a *Async) LocalDensity(x int) dist.PMF {
-	n := a.nodes[x]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state.hist == nil || n.state.hist.Total() == 0 {
-		return nil
-	}
-	return dist.PMF(n.state.hist.Normalize())
-}
+// ---- The concurrent transport ---------------------------------------------
 
-// peersOf snapshots the up peers reachable from x (excluding x).
-func (a *Async) peersOf(x int) []int {
+func (a *Async) sent() int64 { return a.msgs.Load() }
+
+func (a *Async) siteUp(x int) bool {
 	a.topoMu.RLock()
 	defer a.topoMu.RUnlock()
-	if !a.st.SiteUp(x) {
-		return nil
-	}
-	rep := a.st.ComponentOf(x)
-	members := a.st.Members(rep, nil)
-	peers := members[:0]
-	for _, m := range members {
-		if m != x {
-			peers = append(peers, m)
-		}
-	}
-	return peers
+	return a.st.SiteUp(x)
 }
 
-// collect is the scatter/gather round: request votes from every reachable
-// peer concurrently, gather all replies, merge, and push the merged view
-// back (awaiting acknowledgement so the round is complete on return).
-// ok is false when the coordinator is down.
-func (a *Async) collect(x int) (votes int, peers []int, eff node, ok bool) {
+func (a *Async) lock(x int) *replica {
+	a.nodes[x].mu.Lock()
+	return &a.nodes[x].rep
+}
+
+func (a *Async) unlock(x int) { a.nodes[x].mu.Unlock() }
+
+// reachable snapshots which targets the topology lets x reach: up and in
+// x's component (none when x itself is down).
+func (a *Async) reachable(x int, targets []int) []int {
 	a.topoMu.RLock()
-	up := a.st.SiteUp(x)
-	a.topoMu.RUnlock()
-	if !up {
-		return 0, nil, node{}, false
+	defer a.topoMu.RUnlock()
+	var out []int
+	for _, p := range targets {
+		if p != x && a.st.SiteUp(x) && a.st.SiteUp(p) && a.st.SameComponent(x, p) {
+			out = append(out, p)
+		}
 	}
-	// Peers cut by an active partition in either direction cannot complete
-	// the request/reply round and are excluded up front (the reliable
-	// baseline transport has no per-message loss path to absorb them).
-	peers = a.partitionReachable(x, a.peersOf(x))
+	return out
+}
 
-	replies := make(chan payload, len(peers))
-	a.obs.Add(obs.CMsgSent, int64(len(peers)))
-	for _, p := range peers {
-		a.sent.Add(1)
-		a.nodes[p].inbox <- asyncMsg{body: voteRequest{op: OpRead}, reply: replies}
+// admit decides the fate of one message in one direction: how many copies
+// the fault plan and the partition schedule let through (0 when lost), and
+// by how many slots their delivery is delayed.
+func (a *Async) admit(from, to int, stage uint8) (copies, slots int) {
+	copies = 1
+	if ch := a.chaos; ch != nil {
+		d := ch.plan.Message(ch.op, stage, from, to, ch.attempt)
+		if d.Drop {
+			ch.bump(func(c *stats.ChaosCounters) { c.MsgDropped++ })
+			a.obs.Inc(obs.CMsgDropped)
+			return 0, 0
+		}
+		if d.Duplicate {
+			copies = 2
+			ch.bump(func(c *stats.ChaosCounters) { c.MsgDuplicated++ })
+		}
+		slots = d.Delay
+		if d.Delay > 0 {
+			ch.bump(func(c *stats.ChaosCounters) { c.MsgDelayed++ })
+		}
+		if d.Reorder {
+			slots++
+			ch.bump(func(c *stats.ChaosCounters) { c.MsgReordered++ })
+		}
 	}
+	if a.partBlocked(from, to) {
+		return 0, 0
+	}
+	return copies, slots
+}
 
-	self := a.nodes[x]
-	self.mu.Lock()
-	eff = self.state
-	self.mu.Unlock()
-	votes = eff.votes
+// deliver hands one message copy to peer p, after slots ticks of real delay
+// when positive. A delayed copy is forwarded by a goroutine; either way the
+// copy is released unprocessed if the runtime shuts down first.
+func (a *Async) deliver(p int, m asyncMsg, slots int) {
+	// Sent and delivered are counted together: the transport call does not
+	// return before the copy has been processed.
+	a.msgs.Add(1)
+	a.obs.Inc(obs.CMsgSent)
+	a.obs.Inc(obs.CMsgDelivered)
+	m.ack.Add(1)
+	n := a.nodes[p]
+	if slots <= 0 {
+		n.enqueue(m)
+		return
+	}
+	go func() {
+		t := time.NewTimer(time.Duration(slots) * a.tick)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			n.enqueue(m)
+		case <-n.quit:
+			m.ack.Done()
+		}
+	}()
+}
 
-	a.obs.Add(obs.CMsgDelivered, int64(len(peers)))
-	for range peers {
-		pl := <-replies
-		a.delivered.Add(1)
-		r, isReply := pl.(voteReply)
-		if !isReply { // lostMark: an amnesiac peer abstaining
+// enqueue puts one delivery in the node's inbox, or releases it unprocessed
+// when the node has shut down.
+func (n *asyncNode) enqueue(m asyncMsg) {
+	select {
+	case n.inbox <- m:
+	case <-n.quit:
+		m.ack.Done()
+	}
+}
+
+// exchange is the scatter/gather round. Each reachable peer's request and
+// reply directions are admitted independently, so a request whose reply is
+// lost — to the plan or to a one-way cut — still lands and leaves the same
+// durable bytes as in the deterministic runtime; a duplicate on either leg
+// delivers the request twice. A heartbeat additionally sleeps through the
+// gray schedule's slots, so a gray-degraded peer really answers late. The
+// round ends when every admitted delivery has been processed.
+func (a *Async) exchange(x int, targets []int, req payload) ([]payload, int) {
+	reach := a.reachable(x, targets)
+	replies := make(chan payload, 2*len(reach))
+	var done sync.WaitGroup
+	for _, p := range reach {
+		copies, slots := a.admit(x, p, stageOf(req))
+		if copies == 0 {
 			continue
 		}
-		votes += r.votes
-		if r.version > eff.version {
-			eff.version, eff.assign = r.version, r.assign
+		m := asyncMsg{body: req, ack: &done}
+		if back, backSlots := a.admit(p, x, replyStage(req)); back > 0 {
+			m.reply = replies
+			slots += backSlots
+			if back > copies {
+				copies = back
+			}
 		}
-		if r.stamp > eff.stamp {
-			eff.stamp, eff.value = r.stamp, r.value
+		if _, probe := req.(heartbeat); probe {
+			slots += a.graySlots(x, p)
+		}
+		for ; copies > 0; copies-- {
+			a.deliver(p, m, slots)
 		}
 	}
-
-	// Push the merged view back, including to self, and wait for all acks.
-	// The sync carries the round's vote total, so every participant records
-	// the §4.2 observation.
-	var ack sync.WaitGroup
-	sync1 := syncState{value: eff.value, stamp: eff.stamp, version: eff.version,
-		assign: eff.assign, votesSeen: votes}
-	targets := append([]int{x}, peers...)
-	ack.Add(len(targets))
-	a.obs.Add(obs.CMsgSent, int64(len(targets)))
-	for _, p := range targets {
-		a.sent.Add(1)
-		a.nodes[p].inbox <- asyncMsg{body: sync1, ack: &ack}
+	done.Wait()
+	out := make([]payload, len(replies))
+	for i := range out {
+		out[i] = <-replies
 	}
-	ack.Wait()
-	a.delivered.Add(int64(len(targets)))
-	a.obs.Add(obs.CMsgDelivered, int64(len(targets)))
-	return votes, peers, eff, true
+	a.msgs.Add(int64(len(out)))
+	a.obs.Add(obs.CMsgSent, int64(len(out)))
+	a.obs.Add(obs.CMsgDelivered, int64(len(out)))
+	return out, len(reach)
 }
+
+// post fans msg out to the reachable targets and returns once every
+// admitted copy has been processed.
+func (a *Async) post(x int, targets []int, msg payload) {
+	var done sync.WaitGroup
+	for _, p := range a.reachable(x, targets) {
+		copies, slots := a.admit(x, p, stageOf(msg))
+		for ; copies > 0; copies-- {
+			a.deliver(p, asyncMsg{body: msg, ack: &done}, slots)
+		}
+	}
+	done.Wait()
+}
+
+// replyStage is the fault-decision stage of the reply a request is
+// answered with: it keys the decision of the return leg.
+func replyStage(req payload) uint8 {
+	switch req.(type) {
+	case voteRequest:
+		return faults.StageVoteReply
+	case applyWrite:
+		return faults.StageApplyAck
+	case histRequest:
+		return faults.StageHistReply
+	case heartbeat:
+		return faults.StageHeartbeatAck
+	default:
+		panic("cluster: exchange of a payload that has no reply")
+	}
+}
+
+// ---- Operations: the coordinator's, serialized on the operation slot ------
 
 // Read performs a quorum read at node x.
 func (a *Async) Read(x int) (value int64, stamp int64, granted bool) {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	votes, peers, eff, ok := a.collect(x)
-	if !ok {
-		return 0, 0, false
-	}
-	a.obs.Observe(obs.HReadMsgs, int64(2*len(peers)+1))
-	if votes < eff.assign.QR {
-		observeDecision(a.obs, OpRead, x, votes, false, int64(eff.assign.QR))
-		return 0, 0, false
-	}
-	observeDecision(a.obs, OpRead, x, votes, true, eff.stamp)
-	return eff.value, eff.stamp, true
+	return a.coordinator.Read(x)
 }
 
-// Write performs a quorum write at node x, applying the new value at every
-// reachable node concurrently.
+// Write performs a quorum write at node x.
 func (a *Async) Write(x int, value int64) bool {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	_, ok := a.writeLocked(x, value)
-	return ok
-}
-
-// writeLocked is Write's body, exposed with the chosen stamp so the serving
-// layer can record it into histories. Caller holds opMu.
-func (a *Async) writeLocked(x int, value int64) (int64, bool) {
-	votes, peers, eff, ok := a.collect(x)
-	if !ok {
-		return 0, false
-	}
-	if votes < eff.assign.QW {
-		a.obs.Observe(obs.HWriteMsgs, int64(2*len(peers)+1))
-		observeDecision(a.obs, OpWrite, x, votes, false, int64(eff.assign.QW))
-		return 0, false
-	}
-	stamp := eff.stamp + 1
-	var ack sync.WaitGroup
-	targets := append([]int{x}, peers...)
-	ack.Add(len(targets))
-	msg := applyWrite{value: value, stamp: stamp}
-	a.obs.Add(obs.CMsgSent, int64(len(targets)))
-	for _, p := range targets {
-		a.sent.Add(1)
-		a.nodes[p].inbox <- asyncMsg{body: msg, ack: &ack}
-	}
-	ack.Wait()
-	a.delivered.Add(int64(len(targets)))
-	a.obs.Add(obs.CMsgDelivered, int64(len(targets)))
-	a.obs.Observe(obs.HWriteMsgs, int64(3*len(peers)+2))
-	observeDecision(a.obs, OpWrite, x, votes, true, stamp)
-	return stamp, true
+	return a.coordinator.Write(x, value)
 }
 
 // Reassign installs a new assignment through the QR protocol.
 func (a *Async) Reassign(x int, newAssign quorum.Assignment) error {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	return a.reassignLocked(x, newAssign)
+	return a.coordinator.Reassign(x, newAssign)
 }
 
-// reassignLocked is Reassign's body; caller holds opMu (the adaptive daemon
-// calls it from inside its own operation slot).
-func (a *Async) reassignLocked(x int, newAssign quorum.Assignment) error {
-	if err := newAssign.Validate(a.st.TotalVotes()); err != nil {
-		return fmt.Errorf("cluster: reassign: %w", err)
+// ChaosRead performs a fault-hardened read at node x with retries.
+func (a *Async) ChaosRead(x int) Outcome {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.ChaosRead(x)
+}
+
+// ChaosWrite performs a fault-hardened write at node x with retries.
+func (a *Async) ChaosWrite(x int, value int64) Outcome {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.ChaosWrite(x, value)
+}
+
+// ChaosReassign installs a new assignment through the hardened QR protocol
+// with retries.
+func (a *Async) ChaosReassign(x int, newAssign quorum.Assignment) Outcome {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.ChaosReassign(x, newAssign)
+}
+
+// Recover brings a crashed node back up (see coordinator.Recover); the
+// state-transfer rejoin it may run takes the operation slot.
+func (a *Async) Recover(x int) bool {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.Recover(x)
+}
+
+// TryRejoin attempts the amnesiac state transfer at node x.
+func (a *Async) TryRejoin(x int) bool {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.TryRejoin(x)
+}
+
+// DaemonStep runs one failure-detector tick and daemon decision at node x.
+// It occupies one client-operation slot, so the detector's probes and any
+// resulting installation serialize with reads and writes.
+func (a *Async) DaemonStep(x int) DaemonReport {
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
+	return a.coordinator.DaemonStep(x)
+}
+
+// begin takes the operation slot for one serving-layer operation; the
+// function it returns releases the slot and records the operation's
+// wall-clock latency.
+func (a *Async) begin() (end func()) {
+	start := time.Now()
+	a.opMu.Lock()
+	return func() {
+		a.opMu.Unlock()
+		a.obs.Observe(obs.HOpNanos, time.Since(start).Nanoseconds())
 	}
-	votes, peers, eff, ok := a.collect(x)
-	if !ok {
-		return fmt.Errorf("cluster: reassign: node %d is down", x)
+}
+
+// ServeRead is the serving-layer read at node x.
+func (a *Async) ServeRead(x int) Outcome {
+	defer a.begin()()
+	return a.coordinator.ServeRead(x)
+}
+
+// ServeWrite is the serving-layer write at node x.
+func (a *Async) ServeWrite(x int, value int64) Outcome {
+	defer a.begin()()
+	return a.coordinator.ServeWrite(x, value)
+}
+
+// ServeReadGray runs ServeRead and models its completion latency under the
+// gray schedule and the active hedging configuration.
+func (a *Async) ServeReadGray(x int) (Outcome, GrayReadStats) {
+	defer a.begin()()
+	return a.coordinator.ServeReadGray(x)
+}
+
+// StartDaemon launches a background goroutine that sweeps DaemonStep over
+// every node each interval until Close. It is the deployment shape of the
+// daemon; tests and the soak harness call DaemonStep directly for
+// schedulable, reproducible ticks.
+func (a *Async) StartDaemon(interval time.Duration) {
+	a.mustHealth()
+	if a.daemonStop != nil {
+		return // already running
 	}
-	if votes < eff.assign.QW {
-		observeDecision(a.obs, OpReassign, x, votes, false, int64(eff.assign.QW))
-		return fmt.Errorf("cluster: reassign: collected %d votes, need %d", votes, eff.assign.QW)
-	}
-	var ack sync.WaitGroup
-	targets := append([]int{x}, peers...)
-	ack.Add(len(targets))
-	version := eff.version + 1
-	msg := installAssign{assign: newAssign, version: version, value: eff.value, stamp: eff.stamp}
-	a.obs.Add(obs.CMsgSent, int64(len(targets)))
-	for _, p := range targets {
-		a.sent.Add(1)
-		a.nodes[p].inbox <- asyncMsg{body: msg, ack: &ack}
-	}
-	ack.Wait()
-	a.delivered.Add(int64(len(targets)))
-	a.obs.Add(obs.CMsgDelivered, int64(len(targets)))
-	observeInstall(a.obs, x, version, newAssign)
-	return nil
+	a.daemonStop = make(chan struct{})
+	a.daemonDone = make(chan struct{})
+	go func() {
+		defer close(a.daemonDone)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-a.daemonStop:
+				return
+			case <-t.C:
+				for x := range a.nodes {
+					select {
+					case <-a.daemonStop:
+						return
+					default:
+					}
+					a.DaemonStep(x)
+				}
+			}
+		}
+	}()
 }

@@ -100,7 +100,7 @@ func BenchmarkGossipEstimates(b *testing.B) {
 	c := benchCluster(b, 9)
 	for x := 0; x < 9; x++ {
 		for i := 0; i < 50; i++ {
-			c.recordObservation(x, 1+i%9)
+			c.nodes[x].observe(1 + i%9)
 		}
 	}
 	b.ReportAllocs()

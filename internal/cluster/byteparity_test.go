@@ -10,17 +10,68 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
+	"quorumkit/internal/strategy"
 )
 
 // The two runtimes must leave bit-identical durable media when driven by
 // the same schedule and fault plans — a far stronger claim than outcome
 // equality, and the invariant the disk fault injector depends on (bitflip
 // offsets are pure functions of durable content, so any byte divergence
-// desynchronizes all subsequent damage). This lockstep test replays the
-// cross-runtime chaos schedule one step at a time and diffs every node's
-// disk after each step.
+// desynchronizes all subsequent damage). This lockstep test replays a
+// schedule one step at a time and diffs every node's disk after each step:
+// the cross-runtime chaos schedule under two disk fault mixes, and the
+// serving layer fault-free, with and without an installed strategy (the
+// paths whose sync barriers the concurrent runtime used to skip).
 func TestCrossRuntimeByteParity(t *testing.T) {
-	const n, steps = 5, 400
+	const n = 5
+	g := graph.Complete(n)
+	build := func(t *testing.T) (*Cluster, *Async) {
+		c, err := New(graph.NewState(g, nil), quorum.Majority(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewAsync(graph.NewState(g, nil), quorum.Majority(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		return c, a
+	}
+	// lockstep applies each step to both runtimes and then requires every
+	// node's disk to match byte for byte, synced and unsynced.
+	lockstep := func(t *testing.T, c *Cluster, a *Async, steps int, step func(step int, rt parityRuntime)) {
+		for s := 0; s < steps; s++ {
+			step(s, c)
+			step(s, a)
+			// Quiesce the async inboxes: FIFO order means an acked no-op
+			// flushes everything delivered before the disks are dumped.
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				select {
+				case a.nodes[i].inbox <- asyncMsg{ack: &wg}:
+				case <-a.nodes[i].quit:
+					wg.Done()
+				}
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				dc := c.disks[i].Dump()
+				da := a.disks[i].Dump()
+				if !reflect.DeepEqual(dc, da) {
+					for name, fc := range dc {
+						if fa := da[name]; !reflect.DeepEqual(fc, fa) {
+							t.Logf("file %q: det synced=%d unsynced=%d, async synced=%d unsynced=%d",
+								name, len(fc.Synced), len(fc.Unsynced), len(fa.Synced), len(fa.Unsynced))
+						}
+					}
+					t.Fatalf("step %d: node %d durable bytes diverged; det crashed=%v async crashed=%v",
+						s, i, fmt.Sprint(c.Crashed()), fmt.Sprint(a.Crashed()))
+				}
+			}
+		}
+	}
+
 	mix, _ := faults.Named("crash")
 	for _, dname := range []string{"disk-torn", "disk-all"} {
 		t.Run(dname, func(t *testing.T) {
@@ -29,82 +80,77 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 				t.Fatalf("unknown disk mix %q: %v", dname, err)
 			}
 			plan := faults.NewPlan(4242, mix)
-
-			g := graph.Complete(n)
-			c, _ := New(graph.NewState(g, nil), quorum.Majority(n))
-			c.EnableChaos(plan, DefaultRetryPolicy())
-			c.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
-
-			a, _ := NewAsync(graph.NewState(g, nil), quorum.Majority(n))
-			defer a.Close()
-			a.EnableChaos(plan, DefaultRetryPolicy())
-			a.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
-
+			c, a := build(t)
+			for _, rt := range []parityRuntime{c, a} {
+				rt.EnableChaos(plan, DefaultRetryPolicy())
+				rt.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
+			}
 			src := rng.New(13)
-			for step := 0; step < steps; step++ {
-				for _, node := range c.Crashed() {
+			sched := make([][3]int, 400)
+			for i := range sched {
+				sched[i] = [3]int{src.Intn(100), src.Intn(n), src.Intn(1 << 30)}
+			}
+			lockstep(t, c, a, len(sched), func(step int, rt parityRuntime) {
+				for _, node := range rt.Crashed() {
 					if plan.RecoverNow(uint64(step), node) {
-						c.Recover(node)
+						rt.Recover(node)
 					}
 				}
-				for _, node := range a.Crashed() {
-					if plan.RecoverNow(uint64(step), node) {
-						a.Recover(node)
-					}
-				}
-				action := src.Intn(100)
-				site := src.Intn(n)
-				extra := src.Intn(1 << 30)
+				action, site, extra := sched[step][0], sched[step][1], sched[step][2]
 				switch {
 				case action < 50:
-					c.ChaosRead(site)
-					a.ChaosRead(site)
+					rt.ChaosRead(site)
 				case action < 85:
-					c.ChaosWrite(site, int64(step)+1)
-					a.ChaosWrite(site, int64(step)+1)
+					rt.ChaosWrite(site, int64(step)+1)
 				case action < 90:
 					qr := 1 + extra%((n+1)/2)
-					as := quorum.Assignment{QR: qr, QW: n + 1 - qr}
-					c.ChaosReassign(site, as)
-					a.ChaosReassign(site, as)
+					rt.ChaosReassign(site, quorum.Assignment{QR: qr, QW: n + 1 - qr})
 				default:
-					l := extra % g.M()
-					if extra>>16&1 == 0 {
-						c.FailLink(l)
-						a.FailLink(l)
+					if l := extra % g.M(); extra>>16&1 == 0 {
+						rt.FailLink(l)
 					} else {
-						c.RepairLink(l)
-						a.RepairLink(l)
+						rt.RepairLink(l)
 					}
 				}
-				// Quiesce the async inboxes: FIFO order means an acked
-				// no-op flushes all prior fire-and-forget gossip before
-				// the disks are dumped.
-				var wg sync.WaitGroup
-				for i := 0; i < n; i++ {
-					wg.Add(1)
-					select {
-					case a.nodes[i].inbox <- asyncMsg{ack: &wg}:
-					case <-a.nodes[i].quit:
-						wg.Done()
-					}
-				}
-				wg.Wait()
-				for i := 0; i < n; i++ {
-					dc := c.disks[i].Dump()
-					da := a.disks[i].Dump()
-					if !reflect.DeepEqual(dc, da) {
-						for name, fc := range dc {
-							if fa := da[name]; !reflect.DeepEqual(fc, fa) {
-								t.Logf("file %q: det synced=%d unsynced=%d, async synced=%d unsynced=%d",
-									name, len(fc.Synced), len(fc.Unsynced), len(fa.Synced), len(fa.Unsynced))
-							}
-						}
-						t.Fatalf("step %d: node %d durable bytes diverged; det crashed=%v async crashed=%v",
-							step, i, fmt.Sprint(c.Crashed()), fmt.Sprint(a.Crashed()))
-					}
-				}
-			}
+			})
 		})
 	}
+
+	// Fault-free serving: every grant must leave the coordinator's own log
+	// as durable on one runtime as on the other.
+	serve := func(step int, rt parityRuntime) {
+		if site := step % n; step%3 == 0 {
+			rt.ServeWrite(site, int64(step)+1)
+		} else {
+			rt.ServeRead(site)
+		}
+	}
+	t.Run("serve", func(t *testing.T) {
+		c, a := build(t)
+		lockstep(t, c, a, 200, serve)
+	})
+	t.Run("serve-strategy", func(t *testing.T) {
+		c, a := build(t)
+		for _, rt := range []parityRuntime{c, a} {
+			if err := rt.InstallStrategy(handStrategy5(), quorum.Majority(n), rt.NodeVersion(0), 3, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lockstep(t, c, a, 200, serve)
+		if ct := a.StrategyCounters(); ct.SampledReads == 0 || ct.SampledWrites == 0 || ct != c.StrategyCounters() {
+			t.Fatalf("strategy never served, or the ladders diverged: det %+v async %+v", c.StrategyCounters(), ct)
+		}
+	})
+}
+
+// parityRuntime is the surface the byte-parity lockstep drives on both
+// runtimes.
+type parityRuntime interface {
+	ChaosRuntime
+	EnableChaos(plan *faults.Plan, policy RetryPolicy)
+	EnableDiskChaos(plan *faults.DiskPlan)
+	ServeRead(x int) Outcome
+	ServeWrite(x int, value int64) Outcome
+	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
+	NodeVersion(x int) int64
 }

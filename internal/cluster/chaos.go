@@ -3,7 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
+	"time"
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/obs"
@@ -11,16 +12,16 @@ import (
 	"quorumkit/internal/stats"
 )
 
-// This file hardens the deterministic Cluster against an unreliable
-// transport. The baseline protocol (cluster.go) inherits the paper's
+// This file hardens the protocol against an unreliable transport. The
+// baseline protocol (coordinator.go) inherits the paper's
 // idealized fault model: within a component every message is delivered
 // exactly once, in order, instantly, and a coordinator never fails during
 // a round. Under those assumptions "quorum granted" implies "update
 // installed at every responder", so the baseline can report a write as
 // committed the moment the votes are counted.
 //
-// A fault-injecting transport (faults.Plan) breaks every one of those
-// assumptions: messages are dropped, duplicated, reordered and delayed,
+// A fault-injecting transport (faults.Plan, consulted by both transports
+// per message) breaks every one of those assumptions: messages are dropped, duplicated, reordered and delayed,
 // and the coordinator can crash before quorum, after quorum but before
 // apply, or mid-apply. The hardened operations below keep the protocol
 // safe — never stale reads, never two values under one stamp — by adding:
@@ -52,7 +53,7 @@ import (
 //
 // Crash-recovery: a crashed coordinator keeps its copy state (value,
 // stamp, assignment, version — the node's durable state), and Recover
-// simply marks the site up again. The recovered node re-learns newer
+// reloads it from the store. The recovered node re-learns newer
 // assignments through the existing syncState/installAssign paths, which is
 // the paper's version-number safety argument exercised end to end.
 
@@ -136,56 +137,64 @@ type Outcome struct {
 	BackoffTicks int64
 }
 
-// chaosState is the fault-injection context attached to a Cluster.
+// chaosState is the fault-injection context of one runtime: the plan both
+// transports consult per message, the retry policy, and the counters. The
+// mutex makes counter and crash-set snapshots safe against the concurrent
+// runtime's node and daemon goroutines.
 type chaosState struct {
-	plan     *faults.Plan
-	policy   RetryPolicy
+	plan   *faults.Plan
+	policy RetryPolicy
+
+	mu       sync.Mutex
 	counters stats.ChaosCounters
+	crashed  []bool
 
-	op      uint64 // client operation sequence (keys fault decisions)
+	// op/attempt key the fault decisions for the operation in flight; only
+	// touched by the one operation the runtime admits at a time.
+	op      uint64
 	attempt int
-
-	heap    []chaosMsg // rank-ordered delivery queue
-	seq     uint64
-	crashed []bool
 }
 
-// chaosMsg is a queued message with its delivery rank.
-type chaosMsg struct {
-	rank int64
-	seq  uint64
-	m    message
+// bump applies one counter mutation under the chaos lock.
+func (ch *chaosState) bump(f func(c *stats.ChaosCounters)) {
+	ch.mu.Lock()
+	f(&ch.counters)
+	ch.mu.Unlock()
 }
 
-// EnableChaos attaches a fault plan and retry policy to the cluster. All
-// subsequent message deliveries pass through the fault-injecting
-// transport, and the hardened ChaosRead/ChaosWrite/ChaosReassign
-// operations become available. The baseline Read/Write/Reassign methods
-// stay callable but keep their idealized-transport assumptions — driving
-// them under chaos demonstrably violates one-copy serializability (see
+// EnableChaos attaches a fault plan and retry policy. All subsequent
+// message deliveries pass through the fault-injecting transport, and the
+// hardened ChaosRead/ChaosWrite/ChaosReassign operations become available.
+// The baseline Read/Write/Reassign methods stay callable but keep their
+// idealized-transport assumptions — driving them under chaos demonstrably
+// violates one-copy serializability (see
 // TestUnhardenedProtocolViolatesUnderChaos).
-func (c *Cluster) EnableChaos(plan *faults.Plan, policy RetryPolicy) {
+func (k *coordinator) EnableChaos(plan *faults.Plan, policy RetryPolicy) {
 	if policy.MaxAttempts < 1 {
 		policy.MaxAttempts = 1
 	}
-	c.chaos = &chaosState{plan: plan, policy: policy, crashed: make([]bool, len(c.nodes))}
+	k.chaos = &chaosState{plan: plan, policy: policy, crashed: make([]bool, len(k.all))}
 }
 
 // ChaosCounters returns a snapshot of the fault-injection counters.
-func (c *Cluster) ChaosCounters() stats.ChaosCounters {
-	if c.chaos == nil {
+func (k *coordinator) ChaosCounters() stats.ChaosCounters {
+	if k.chaos == nil {
 		return stats.ChaosCounters{}
 	}
-	return c.chaos.counters
+	k.chaos.mu.Lock()
+	defer k.chaos.mu.Unlock()
+	return k.chaos.counters
 }
 
 // Crashed lists nodes currently down due to an injected crash.
-func (c *Cluster) Crashed() []int {
+func (k *coordinator) Crashed() []int {
 	var out []int
-	if c.chaos == nil {
+	if k.chaos == nil {
 		return out
 	}
-	for i, down := range c.chaos.crashed {
+	k.chaos.mu.Lock()
+	defer k.chaos.mu.Unlock()
+	for i, down := range k.chaos.crashed {
 		if down {
 			out = append(out, i)
 		}
@@ -201,45 +210,51 @@ func (c *Cluster) Crashed() []int {
 // immediate rejoin attempt fails the node stays down for a later retry. It
 // reports whether the node is back up as a member (full or recovering).
 // With persistence disabled, recovery keeps the in-memory state as before.
-func (c *Cluster) Recover(x int) bool {
-	ch := c.chaos
-	if ch == nil || !ch.crashed[x] {
+func (k *coordinator) Recover(x int) bool {
+	ch := k.chaos
+	if ch == nil {
 		return false
 	}
-	c.st.RepairSite(x)
-	if c.stores != nil {
-		st, hist, err := c.stores[x].Recover()
-		if err != nil {
-			c.beginAmnesia(x, err)
-			if !c.tryRejoin(x) {
-				// Still amnesiac with no rejoin quorum of peers reachable:
-				// stay down until the harness retries the recovery.
-				c.st.FailSite(x)
-				return false
-			}
-		} else {
-			n := &c.nodes[x]
-			n.value, n.stamp, n.version = st.Value, st.Stamp, st.Version
-			n.assign = quorum.Assignment{QR: st.QR, QW: st.QW}
-			n.hist = histogramFrom(hist, c.st.TotalVotes()+1)
+	ch.mu.Lock()
+	wasCrashed := ch.crashed[x]
+	ch.mu.Unlock()
+	if !wasCrashed {
+		return false
+	}
+	k.tr.RepairSite(x)
+	err := k.tr.lock(x).reload()
+	k.tr.unlock(x)
+	if err != nil {
+		k.beginAmnesia(x, err)
+		if !k.tryRejoin(x) {
+			// Still amnesiac with no rejoin quorum of peers reachable:
+			// stay down until the harness retries the recovery.
+			k.tr.FailSite(x)
+			return false
 		}
 	}
+	ch.mu.Lock()
 	ch.crashed[x] = false
 	ch.counters.Recoveries++
-	observeRecover(c.obs, x)
+	ch.mu.Unlock()
+	observeRecover(k.obs, x)
 	return true
 }
 
 // crash fails the coordinator mid-round. Its store loses every unsynced
 // append (plus whatever damage a FaultDisk injects).
-func (c *Cluster) crash(x int) {
-	c.st.FailSite(x)
-	if c.stores != nil {
-		c.stores[x].Crash()
+func (k *coordinator) crash(x int) {
+	k.tr.FailSite(x)
+	r := k.tr.lock(x)
+	if r.store != nil {
+		r.store.Crash()
 	}
-	c.chaos.crashed[x] = true
-	c.chaos.counters.Crashes++
-	observeCrash(c.obs, x)
+	k.tr.unlock(x)
+	k.chaos.mu.Lock()
+	k.chaos.crashed[x] = true
+	k.chaos.counters.Crashes++
+	k.chaos.mu.Unlock()
+	observeCrash(k.obs, x)
 }
 
 // stageOf maps a payload to its fault-decision stage.
@@ -270,188 +285,14 @@ func stageOf(p payload) uint8 {
 	}
 }
 
-// admit passes one sent message through the fault plan and, unless it is
-// dropped, pushes it (and a possible duplicate) onto the delivery heap.
-func (ch *chaosState) admit(c *Cluster, m message) {
-	d := ch.plan.Message(ch.op, stageOf(m.body), m.from, m.to, ch.attempt)
-	if d.Drop {
-		ch.counters.MsgDropped++
-		c.stats.Dropped++
-		c.observeMsg(obs.EvMsgDrop, obs.CMsgDropped, m)
-		return
-	}
-	ch.push(m, d)
-	if d.Duplicate {
-		ch.counters.MsgDuplicated++
-		c.stats.Sent++ // the twin is an extra transmission
-		c.observeMsg(obs.EvMsgSend, obs.CMsgSent, m)
-		ch.push(m, d)
-	}
-}
-
-// push enqueues one message copy with its delivery rank. Ranks are spaced
-// by 16 so a delay of k slots moves a message past k later sends, and a
-// reorder jumps it ahead of the previous send without colliding with it.
-func (ch *chaosState) push(m message, d faults.Decision) {
-	rank := int64(ch.seq) * 16
-	if d.Delay > 0 {
-		rank += int64(d.Delay) * 16
-		ch.counters.MsgDelayed++
-	}
-	if d.Reorder {
-		rank -= 24
-		ch.counters.MsgReordered++
-	}
-	ch.heap = append(ch.heap, chaosMsg{rank: rank, seq: ch.seq, m: m})
-	ch.seq++
-	// Sift up.
-	i := len(ch.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ch.less(i, p) {
-			break
-		}
-		ch.heap[i], ch.heap[p] = ch.heap[p], ch.heap[i]
-		i = p
-	}
-}
-
-func (ch *chaosState) less(i, j int) bool {
-	a, b := ch.heap[i], ch.heap[j]
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
-}
-
-// pop removes the minimum-rank message.
-func (ch *chaosState) pop() message {
-	top := ch.heap[0].m
-	last := len(ch.heap) - 1
-	ch.heap[0] = ch.heap[last]
-	ch.heap = ch.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(ch.heap) && ch.less(l, s) {
-			s = l
-		}
-		if r < len(ch.heap) && ch.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		ch.heap[i], ch.heap[s] = ch.heap[s], ch.heap[i]
-		i = s
-	}
-	return top
-}
-
-// drainChaos is the fault-injecting delivery loop: newly sent messages are
-// admitted through the fault plan, then delivered in rank order until both
-// the send queue and the delivery heap are empty. Partition filtering
-// still applies at delivery time, as in the baseline drain.
-func (c *Cluster) drainChaos(coordinator int) {
-	ch := c.chaos
-	for {
-		for _, m := range c.queue {
-			ch.admit(c, m)
-		}
-		c.queue = c.queue[:0]
-		if len(ch.heap) == 0 {
-			return
-		}
-		m := ch.pop()
-		if !c.deliverable(m) {
-			c.stats.Dropped++
-			c.observeMsg(obs.EvMsgDrop, obs.CMsgDropped, m)
-			continue
-		}
-		c.stats.Delivered++
-		c.observeMsg(obs.EvMsgRecv, obs.CMsgDelivered, m)
-		if c.wireMode {
-			m.body = roundTrip(m.body)
-		}
-		c.handle(coordinator, m)
-	}
-}
-
-// chaosCollect runs a hardened vote-collection round: broadcast, drain
-// through the fault transport, dedup replies per sender, merge, and push
-// the merged view back as best-effort gossip. It returns the deduplicated
-// replies, the merged effective state, the vote total, the number of
-// responders expected from the reachability snapshot, and the votes held
-// by copies confirmed to hold the merged (freshest) stamp.
-func (c *Cluster) chaosCollect(x int, op OpKind) (replies []voteReply, eff node, votes, expected, support int) {
-	self := &c.nodes[x]
-	expected = 0
-	for to := range c.nodes {
-		if to != x && c.st.SiteUp(to) && c.st.SameComponent(x, to) {
-			expected++
-		}
-	}
-	c.replies = c.replies[:0]
-	c.broadcast(x, voteRequest{op: op})
-	c.drain(x)
-
-	votes = self.votes
-	eff = *self
-	seen := make(map[int]bool, len(c.replies))
-	for _, r := range c.replies {
-		if seen[r.from] {
-			continue // duplicated reply: count each sender once
-		}
-		seen[r.from] = true
-		replies = append(replies, r)
-		votes += r.votes
-		if r.version > eff.version {
-			eff.version, eff.assign = r.version, r.assign
-		}
-		if r.stamp > eff.stamp {
-			eff.stamp, eff.value = r.stamp, r.value
-		}
-	}
-	// Canonical responder order: delivery order depends on injected
-	// reordering, but downstream decisions (notably the mid-apply crash
-	// prefix) must be a function of the responder *set* so the concurrent
-	// runtime reproduces them.
-	sort.Slice(replies, func(i, j int) bool { return replies[i].from < replies[j].from })
-	if self.adopt(eff.assign, eff.version, eff.stamp, eff.value) {
-		c.persistState(x)
-	}
-	c.recordObservation(x, votes)
-	c.syncStore(x) // merged view durable before it is gossiped
-
-	// Stamps are unique under chaos, so holding eff.stamp pins the value.
-	// The coordinator counts itself: adopt just installed the merged state.
-	support = self.votes
-	for _, r := range replies {
-		if r.stamp == eff.stamp {
-			support += r.votes
-		}
-	}
-
-	// Best-effort gossip so responders keep learning newer assignments and
-	// values; correctness never depends on these arriving.
-	sync := syncState{value: eff.value, stamp: eff.stamp, version: eff.version,
-		assign: eff.assign, votesSeen: votes}
-	for _, r := range replies {
-		c.send(x, r.from, sync)
-	}
-	c.drain(x)
-	return replies, eff, votes, expected, support
-}
-
 // classifyShort distinguishes a clean quorum denial from a round that lost
 // replies to the transport.
-func (c *Cluster) classifyShort(got, expected int) error {
+func (k *coordinator) classifyShort(got, expected int) error {
 	if got < expected {
-		c.chaos.counters.Timeouts++
+		k.chaos.bump(func(c *stats.ChaosCounters) { c.Timeouts++ })
 		return ErrTimeout
 	}
-	c.chaos.counters.NoQuorum++
+	k.chaos.bump(func(c *stats.ChaosCounters) { c.NoQuorum++ })
 	return ErrNoQuorum
 }
 
@@ -464,27 +305,30 @@ func nextChaosStamp(prev int64, coordinator int) int64 {
 	return (prev>>chaosStampShift+1)<<chaosStampShift | int64(coordinator)
 }
 
-// collectAcks drains pending apply acknowledgements and returns the votes
-// of distinct senders confirming stamp (or newer) plus the count of
-// distinct acks received.
-func (c *Cluster) collectAcks(stamp int64) (votes, count int) {
-	seen := make(map[int]bool, len(c.ackReplies))
-	for _, a := range c.ackReplies {
+// pushApplies fans an acknowledged applyWrite out to targets and returns
+// the votes of distinct senders confirming stamp (or newer) plus the count
+// of distinct acks received. A delivered apply whose ack is lost still
+// mutates the peer, but contributes nothing to the count.
+func (k *coordinator) pushApplies(x int, targets []voteReply, value, stamp int64) (votes, count int) {
+	acks, _ := k.tr.exchange(x, senders(targets), applyWrite{value: value, stamp: stamp, wantAck: true})
+	seen := make(map[int]bool, len(acks))
+	for _, p := range acks {
+		a := p.(applyAck)
 		if seen[a.from] || a.stamp < stamp {
 			continue
 		}
 		seen[a.from] = true
-		votes += c.nodes[a.from].votes
+		votes += k.st.Votes(a.from)
 		count++
 	}
 	return votes, count
 }
 
 // chaosReadOnce is one hardened read attempt.
-func (c *Cluster) chaosReadOnce(x int) (value, stamp int64, err error) {
-	replies, eff, votes, expected, support := c.chaosCollect(x, OpRead)
+func (k *coordinator) chaosReadOnce(x int) (value, stamp int64, err error) {
+	replies, eff, votes, expected, support := k.collect(x, OpRead, true)
 	if votes < eff.assign.QR {
-		return 0, 0, c.classifyShort(len(replies), expected)
+		return 0, 0, k.classifyShort(len(replies), expected)
 	}
 	if eff.stamp == 0 || support >= eff.assign.QW {
 		// Initial state (trivially on every copy) or already confirmed on
@@ -495,85 +339,66 @@ func (c *Cluster) chaosReadOnce(x int) (value, stamp int64, err error) {
 	// responders and return it only once copies holding it cover a write
 	// quorum. Without this, a partially applied write observed by one read
 	// could vanish from the next — a one-copy serializability violation.
-	var targets int
+	var stale []voteReply
 	for _, r := range replies {
 		if r.stamp != eff.stamp {
-			c.send(x, r.from, applyWrite{value: eff.value, stamp: eff.stamp, wantAck: true})
-			targets++
+			stale = append(stale, r)
 		}
 	}
-	c.ackReplies = c.ackReplies[:0]
-	c.drain(x)
-	ackVotes, ackCount := c.collectAcks(eff.stamp)
+	ackVotes, ackCount := k.pushApplies(x, stale, eff.value, eff.stamp)
 	if support+ackVotes >= eff.assign.QW {
 		return eff.value, eff.stamp, nil
 	}
-	if ackCount < targets {
-		c.chaos.counters.Timeouts++
-		return 0, 0, ErrTimeout
-	}
-	c.chaos.counters.NoQuorum++
-	return 0, 0, ErrNoQuorum
+	return 0, 0, k.classifyShort(ackCount, len(stale))
 }
 
 // chaosWriteOnce is one hardened write attempt. A non-nil residue reports
 // a partial apply (indeterminate or crash mid-apply).
-func (c *Cluster) chaosWriteOnce(x int, value int64) (stamp int64, residue *Residue, err error) {
-	ch := c.chaos
+func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *Residue, err error) {
+	ch := k.chaos
 	cp, kSel := ch.plan.Crash(ch.op, ch.attempt)
 	if cp == faults.CrashBeforeQuorum {
 		// The coordinator dies before counting a single vote. Nothing was
 		// applied anywhere: a clean failure.
-		c.crash(x)
+		k.crash(x)
 		return 0, nil, ErrCrashed
 	}
-	replies, eff, votes, expected, _ := c.chaosCollect(x, OpWrite)
+	replies, eff, votes, expected, _ := k.collect(x, OpWrite, true)
 	if votes < eff.assign.QW {
-		return 0, nil, c.classifyShort(len(replies), expected)
+		return 0, nil, k.classifyShort(len(replies), expected)
 	}
 	if cp == faults.CrashAfterQuorum {
 		// Quorum reached, coordinator dies before the first apply: the new
 		// value exists nowhere, so this too is a clean failure.
-		c.crash(x)
+		k.crash(x)
 		return 0, nil, ErrCrashed
 	}
 	stamp = nextChaosStamp(eff.stamp, x)
-	self := &c.nodes[x]
-	self.value, self.stamp = value, stamp // local apply before any send
-	c.persistState(x)
-	c.syncStore(x) // durable before any apply leaves the node
+	k.applyLocal(x, value, stamp) // local apply before any send
 	if cp == faults.CrashMidApply {
 		// Only a prefix of the responders receives the update, then the
 		// coordinator dies: the write is partially applied and must be
 		// reported as indeterminate, never as success.
-		k := kSel % (len(replies) + 1)
-		spread := 0
-		for _, r := range replies[:k] {
-			// Re-draw the (pure) admission decision to count applies the
-			// plan lets toward peers; see Residue.Spread.
-			if !ch.plan.Message(ch.op, faults.StageApply, x, r.from, ch.attempt).Drop {
-				spread++
-			}
-			c.send(x, r.from, applyWrite{value: value, stamp: stamp})
-		}
-		c.drain(x)
-		c.crash(x)
-		return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrCrashed
+		replies = replies[:kSel%(len(replies)+1)]
 	}
+	// Re-draw the (pure) admission decisions to count the applies the plan
+	// lets toward peers; see Residue.Spread.
 	spread := 0
 	for _, r := range replies {
 		if !ch.plan.Message(ch.op, faults.StageApply, x, r.from, ch.attempt).Drop {
 			spread++
 		}
-		c.send(x, r.from, applyWrite{value: value, stamp: stamp, wantAck: true})
 	}
-	c.ackReplies = c.ackReplies[:0]
-	c.drain(x)
-	ackVotes, _ := c.collectAcks(stamp)
-	if self.votes+ackVotes >= eff.assign.QW {
+	if cp == faults.CrashMidApply {
+		k.tr.post(x, senders(replies), applyWrite{value: value, stamp: stamp})
+		k.crash(x)
+		return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrCrashed
+	}
+	ackVotes, _ := k.pushApplies(x, replies, value, stamp)
+	if k.st.Votes(x)+ackVotes >= eff.assign.QW {
 		return stamp, nil, nil
 	}
-	ch.counters.Indeterminate++
+	ch.bump(func(c *stats.ChaosCounters) { c.Indeterminate++ })
 	return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrIndeterminate
 }
 
@@ -584,90 +409,71 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrIndeterminate)
 }
 
-// ChaosRead performs a fault-hardened read at node x with retries under
-// the configured policy. Requires EnableChaos.
-func (c *Cluster) ChaosRead(x int) Outcome {
-	out := c.chaosReadOp(x)
-	observeOutcome(c.obs, OpRead, x, out)
-	return out
-}
-
-func (c *Cluster) chaosReadOp(x int) Outcome {
-	ch := c.mustChaos()
+// hardened runs one fault-hardened client operation at node x: attempt is
+// tried under the retry policy, each try keyed into the fault schedule by
+// (operation, attempt), until it succeeds, fails for good, or runs out of
+// attempts. attempt fills in the outcome's value, stamp and residues.
+func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome {
+	ch := k.mustChaos()
 	ch.op++
 	var out Outcome
-	for attempt := 0; ; attempt++ {
-		ch.attempt = attempt
-		out.Attempts = attempt + 1
-		if !c.st.SiteUp(x) {
+	for try := 0; ; try++ {
+		ch.attempt = try
+		out.Attempts = try + 1
+		if !k.tr.siteUp(x) {
 			out.Err = ErrCoordinatorDown
-			ch.counters.Aborts++
-			return out
-		}
-		if c.Amnesiac(x) && !c.tryRejoin(x) {
+		} else if k.Amnesiac(x) && !k.tryRejoin(x) {
 			// An amnesiac node must not coordinate: its own votes could fill
 			// a quorum through the copy that forgot the committed state.
 			out.Err = ErrAmnesiac
-			ch.counters.Aborts++
+		} else if out.Err = attempt(&out); out.Err == nil {
+			out.Granted = true
 			return out
 		}
-		v, s, err := c.chaosReadOnce(x)
-		if err == nil {
-			out.Granted, out.Value, out.Stamp, out.Err = true, v, s, nil
+		if !retryable(out.Err) || try+1 >= ch.policy.MaxAttempts {
+			ch.bump(func(c *stats.ChaosCounters) { c.Aborts++ })
 			return out
 		}
-		out.Err = err
-		if !retryable(err) || attempt+1 >= ch.policy.MaxAttempts {
-			ch.counters.Aborts++
-			return out
-		}
-		c.retryBackoff(x, &out, attempt)
+		// Account the retry and its deterministically jittered backoff,
+		// which the concurrent runtime also sleeps through.
+		d := ch.policy.backoff(try, ch.plan.Jitter(ch.op, try))
+		out.BackoffTicks += d
+		ch.bump(func(c *stats.ChaosCounters) {
+			c.Retries++
+			c.BackoffTicks += d
+		})
+		observeRetry(k.obs, x, try, d)
+		time.Sleep(time.Duration(d) * k.tick)
 	}
+}
+
+// ChaosRead performs a fault-hardened read at node x with retries under
+// the configured policy. Requires EnableChaos.
+func (k *coordinator) ChaosRead(x int) Outcome {
+	out := k.hardened(x, func(out *Outcome) (err error) {
+		out.Value, out.Stamp, err = k.chaosReadOnce(x)
+		return err
+	})
+	observeOutcome(k.obs, OpRead, x, out)
+	return out
 }
 
 // ChaosWrite performs a fault-hardened write at node x with retries.
 // Failed attempts that left the value on some copies are reported in
 // Outcome.Residue so history checkers can treat them as indeterminate.
-func (c *Cluster) ChaosWrite(x int, value int64) Outcome {
-	out := c.chaosWriteOp(x, value)
-	observeOutcome(c.obs, OpWrite, x, out)
-	return out
-}
-
-func (c *Cluster) chaosWriteOp(x int, value int64) Outcome {
-	ch := c.mustChaos()
-	ch.op++
-	var out Outcome
-	for attempt := 0; ; attempt++ {
-		ch.attempt = attempt
-		out.Attempts = attempt + 1
-		if !c.st.SiteUp(x) {
-			out.Err = ErrCoordinatorDown
-			ch.counters.Aborts++
-			return out
-		}
-		if c.Amnesiac(x) && !c.tryRejoin(x) {
-			// An amnesiac node must not coordinate: its own votes could fill
-			// a quorum through the copy that forgot the committed state.
-			out.Err = ErrAmnesiac
-			ch.counters.Aborts++
-			return out
-		}
-		stamp, residue, err := c.chaosWriteOnce(x, value)
+func (k *coordinator) ChaosWrite(x int, value int64) Outcome {
+	out := k.hardened(x, func(out *Outcome) error {
+		stamp, residue, err := k.chaosWriteOnce(x, value)
 		if residue != nil {
 			out.Residue = append(out.Residue, *residue)
 		}
 		if err == nil {
-			out.Granted, out.Value, out.Stamp, out.Err = true, value, stamp, nil
-			return out
+			out.Value, out.Stamp = value, stamp
 		}
-		out.Err = err
-		if !retryable(err) || attempt+1 >= ch.policy.MaxAttempts {
-			ch.counters.Aborts++
-			return out
-		}
-		c.retryBackoff(x, &out, attempt)
-	}
+		return err
+	})
+	observeOutcome(k.obs, OpWrite, x, out)
+	return out
 }
 
 // ChaosReassign installs a new assignment through the hardened QR
@@ -676,78 +482,32 @@ func (c *Cluster) chaosWriteOp(x int, value int64) Outcome {
 // (StageInstall is exempt, see the faults package doc), because the QR
 // safety argument needs the new assignment at every responder it was
 // granted against.
-func (c *Cluster) ChaosReassign(x int, a quorum.Assignment) Outcome {
-	out := c.chaosReassignOp(x, a)
-	if !out.Granted && c.obs != nil {
-		c.obs.Inc(obs.CReassignDeny)
-		c.obs.Emit(obs.EvQuorumDeny, int32(x), int32(OpReassign), -1, 0)
+func (k *coordinator) ChaosReassign(x int, a quorum.Assignment) Outcome {
+	var out Outcome
+	if err := a.Validate(k.st.TotalVotes()); err != nil {
+		k.mustChaos().op++ // a rejected request still takes its slot in the fault schedule
+		out.Err = fmt.Errorf("cluster: reassign: %w", err)
+	} else {
+		out = k.hardened(x, func(*Outcome) error {
+			replies, eff, votes, expected, _ := k.collect(x, OpReassign, true)
+			if votes < eff.assign.QW {
+				return k.classifyShort(len(replies), expected)
+			}
+			k.install(x, a, eff, replies)
+			return nil
+		})
+	}
+	if !out.Granted && k.obs != nil {
+		k.obs.Inc(obs.CReassignDeny)
+		k.obs.Emit(obs.EvQuorumDeny, int32(x), int32(OpReassign), -1, 0)
 	}
 	return out
 }
 
-func (c *Cluster) chaosReassignOp(x int, a quorum.Assignment) Outcome {
-	ch := c.mustChaos()
-	ch.op++
-	var out Outcome
-	if err := a.Validate(c.st.TotalVotes()); err != nil {
-		out.Err = fmt.Errorf("cluster: reassign: %w", err)
-		return out
-	}
-	for attempt := 0; ; attempt++ {
-		ch.attempt = attempt
-		out.Attempts = attempt + 1
-		if !c.st.SiteUp(x) {
-			out.Err = ErrCoordinatorDown
-			ch.counters.Aborts++
-			return out
-		}
-		if c.Amnesiac(x) && !c.tryRejoin(x) {
-			// An amnesiac node must not coordinate: its own votes could fill
-			// a quorum through the copy that forgot the committed state.
-			out.Err = ErrAmnesiac
-			ch.counters.Aborts++
-			return out
-		}
-		replies, eff, votes, expected, _ := c.chaosCollect(x, OpReassign)
-		if votes >= eff.assign.QW {
-			version := eff.version + 1
-			self := &c.nodes[x]
-			self.assign, self.version = a, version
-			c.persistState(x)
-			c.syncStore(x) // durable before the installs fan out
-			inst := installAssign{assign: a, version: version,
-				value: eff.value, stamp: eff.stamp}
-			for _, r := range replies {
-				c.send(x, r.from, inst)
-			}
-			c.drain(x)
-			out.Granted, out.Err = true, nil
-			observeInstall(c.obs, x, version, a)
-			return out
-		}
-		out.Err = c.classifyShort(len(replies), expected)
-		if !retryable(out.Err) || attempt+1 >= ch.policy.MaxAttempts {
-			ch.counters.Aborts++
-			return out
-		}
-		c.retryBackoff(x, &out, attempt)
-	}
-}
-
-// retryBackoff accounts one retry and its deterministic backoff.
-func (c *Cluster) retryBackoff(x int, out *Outcome, attempt int) {
-	ch := c.chaos
-	ch.counters.Retries++
-	d := ch.policy.backoff(attempt, ch.plan.Jitter(ch.op, attempt))
-	out.BackoffTicks += d
-	ch.counters.BackoffTicks += d
-	observeRetry(c.obs, x, attempt, d)
-}
-
 // mustChaos asserts that EnableChaos was called.
-func (c *Cluster) mustChaos() *chaosState {
-	if c.chaos == nil {
+func (k *coordinator) mustChaos() *chaosState {
+	if k.chaos == nil {
 		panic("cluster: chaos operation without EnableChaos")
 	}
-	return c.chaos
+	return k.chaos
 }

@@ -12,20 +12,23 @@
 // collected. The two implementations are cross-checked operation-for-
 // operation in the tests.
 //
-// The runtime is deterministic: an operation drains its own message queue
-// to completion (the paper's events are instantaneous, so an access never
-// overlaps a failure), and delivery order is the enqueue order.
+// The protocol is written once — replica (replica.go) is the per-site
+// receiver, coordinator (coordinator.go and the feature files beside it)
+// runs every round — over a small transport interface with two
+// implementations. Cluster, in this file, is the deterministic one: an
+// operation drains its own message queue to completion (the paper's events
+// are instantaneous, so an access never overlaps a failure), and delivery
+// order is the enqueue order. Async (async.go) is the concurrent one.
 package cluster
 
 import (
 	"fmt"
 
+	"quorumkit/internal/core"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
-	"quorumkit/internal/store"
 )
 
 // OpKind distinguishes the three vote-collection rounds.
@@ -108,6 +111,11 @@ type installAssign struct {
 	stamp   int64
 }
 
+// copy is the copy state a vote reply carries.
+func (r voteReply) copy() copyState {
+	return copyState{r.value, r.stamp, r.version, r.assign}
+}
+
 func (voteRequest) kind() string   { return "voteRequest" }
 func (voteReply) kind() string     { return "voteReply" }
 func (syncState) kind() string     { return "syncState" }
@@ -121,37 +129,6 @@ type message struct {
 	body     payload
 }
 
-// node is the per-site state machine. It holds only local state; everything
-// else arrives by message.
-type node struct {
-	id      int
-	votes   int
-	value   int64
-	stamp   int64
-	version int64
-	assign  quorum.Assignment
-
-	// hist accumulates the component vote totals this node has witnessed
-	// (the §4.2 on-line record); allocated lazily.
-	hist *stats.Histogram
-}
-
-// adopt merges newer remote state into the local copy, reporting whether
-// anything changed. The durability layer persists only on change, so a
-// duplicated delivery leaves the durable log byte-identical.
-func (n *node) adopt(assign quorum.Assignment, version, stamp, value int64) bool {
-	changed := false
-	if version > n.version {
-		n.version, n.assign = version, assign
-		changed = true
-	}
-	if stamp > n.stamp {
-		n.stamp, n.value = stamp, value
-		changed = true
-	}
-	return changed
-}
-
 // Stats counts message traffic.
 type Stats struct {
 	Sent      int64
@@ -159,84 +136,45 @@ type Stats struct {
 	Dropped   int64 // lost to partitions or down nodes
 }
 
-// Cluster is the deterministic message-passing runtime. Reachability is
+// Cluster is the deterministic message-passing runtime: the shared
+// coordinator over a single-threaded queue transport. Reachability is
 // delegated to a graph.State shared with the failure generator.
 type Cluster struct {
-	st    *graph.State
-	nodes []node
+	coordinator
+	nodes []replica
 	queue []message
+	inbox []payload // replies delivered to the coordinator of the round in flight
 	stats Stats
 
 	// wireMode round-trips every delivered payload through the binary
 	// codec (see wire.go).
 	wireMode bool
 
-	// collected replies for the operation in flight
-	replies       []voteReply
-	ackReplies    []applyAck
-	gossipReplies []histReply
-	hbReplies     []heartbeatAck
+	// heap is the rank-ordered delivery queue the fault-injecting drain
+	// uses when a fault plan is attached (see EnableChaos).
+	heap []chaosMsg
+	seq  uint64
+}
 
-	// chaos, when non-nil, interposes a fault-injecting transport between
-	// send and delivery and switches the operations exposed through
-	// ChaosRead/ChaosWrite/ChaosReassign to the hardened two-phase
-	// protocol (see chaos.go).
-	chaos *chaosState
-
-	// health, when non-nil, holds the failure detector, adaptive
-	// reassignment daemon, and degradation gate (see health.go).
-	health *healthState
-
-	// strat, when non-nil, holds the installed randomized quorum strategy
-	// the serving layer samples from (see strategy.go).
-	strat *strategyState
-
-	// Partition transport (see partition.go): a schedule of network cuts
-	// evaluated per message direction at the current partition time.
-	partSched *faults.PartitionSchedule
-	partNow   int64
-	partDrops int64
-
-	// gray, when non-nil, holds the gray latency schedule, per-link
-	// latency estimators, and hedged-read configuration (see gray.go).
-	gray *grayState
-
-	// obs, when non-nil, receives counters, histograms, and trace events
-	// (see obs.go); observation is write-only and never affects behaviour.
-	obs *obs.Registry
-
-	// The durability layer (see durable.go): one deterministic in-memory
-	// disk and storage engine per node, plus the amnesiac flags for nodes
-	// whose durable state was lost to a disk fault.
-	disks    []*store.MemDisk
-	stores   []*store.NodeStore
-	amnesiac []bool
+// chaosMsg is a queued message with its delivery rank.
+type chaosMsg struct {
+	rank int64
+	seq  uint64
+	m    message
 }
 
 // New creates a cluster over the network state with the given initial
 // assignment at version 1. Votes are taken from the state.
 func New(st *graph.State, initial quorum.Assignment) (*Cluster, error) {
-	if err := initial.Validate(st.TotalVotes()); err != nil {
-		return nil, fmt.Errorf("cluster: initial assignment: %w", err)
+	c := &Cluster{nodes: make([]replica, st.Graph().N())}
+	if err := c.init(c, st, initial); err != nil {
+		return nil, err
 	}
-	c := &Cluster{st: st, nodes: make([]node, st.Graph().N())}
-	for i := range c.nodes {
-		c.nodes[i] = node{id: i, votes: st.Votes(i), version: 1, assign: initial}
-	}
-	c.amnesiac = make([]bool, len(c.nodes))
-	c.initStores()
 	return c, nil
 }
 
 // Stats returns cumulative message statistics.
 func (c *Cluster) Stats() Stats { return c.stats }
-
-// NodeVersion returns node i's assignment version (for invariant checks).
-func (c *Cluster) NodeVersion(i int) int64 { return c.nodes[i].version }
-
-// NodeAssignment returns node i's locally installed assignment without
-// running a round (the adversary's public knowledge of the system).
-func (c *Cluster) NodeAssignment(i int) quorum.Assignment { return c.nodes[i].assign }
 
 // NodeStamp returns node i's value stamp.
 func (c *Cluster) NodeStamp(i int) int64 { return c.nodes[i].stamp }
@@ -244,260 +182,6 @@ func (c *Cluster) NodeStamp(i int) int64 { return c.nodes[i].stamp }
 // NodeValue returns node i's locally stored value (for state-equality
 // checks; a read round may return a newer value from a peer).
 func (c *Cluster) NodeValue(i int) int64 { return c.nodes[i].value }
-
-// send enqueues a message.
-func (c *Cluster) send(from, to int, body payload) {
-	c.stats.Sent++
-	m := message{from: from, to: to, body: body}
-	c.observeMsg(obs.EvMsgSend, obs.CMsgSent, m)
-	c.queue = append(c.queue, m)
-}
-
-// broadcast enqueues a message to every other node. Partition filtering
-// happens at delivery time.
-func (c *Cluster) broadcast(from int, body payload) {
-	for to := range c.nodes {
-		if to != from {
-			c.send(from, to, body)
-		}
-	}
-}
-
-// deliverable reports whether a message can currently be delivered: both
-// endpoints up, in the same component, and the direction not cut by an
-// active partition.
-func (c *Cluster) deliverable(m message) bool {
-	if !c.st.SiteUp(m.from) || !c.st.SiteUp(m.to) || !c.st.SameComponent(m.from, m.to) {
-		return false
-	}
-	return !c.partBlocked(m.from, m.to)
-}
-
-// drain delivers queued messages until the queue is empty. Undeliverable
-// messages are dropped (the partition ate them).
-func (c *Cluster) drain(coordinator int) {
-	if c.chaos != nil {
-		c.drainChaos(coordinator)
-		return
-	}
-	for len(c.queue) > 0 {
-		m := c.queue[0]
-		c.queue = c.queue[1:]
-		if !c.deliverable(m) {
-			c.stats.Dropped++
-			c.observeMsg(obs.EvMsgDrop, obs.CMsgDropped, m)
-			continue
-		}
-		c.stats.Delivered++
-		c.observeMsg(obs.EvMsgRecv, obs.CMsgDelivered, m)
-		if c.wireMode {
-			m.body = roundTrip(m.body)
-		}
-		c.handle(coordinator, m)
-	}
-}
-
-// handle processes one delivered message.
-func (c *Cluster) handle(coordinator int, m message) {
-	n := &c.nodes[m.to]
-	switch b := m.body.(type) {
-	case voteRequest:
-		if c.Amnesiac(m.to) {
-			return // an amnesiac copy must not vote
-		}
-		c.syncStore(m.to) // durable before the vote is externalized
-		c.send(m.to, m.from, voteReply{
-			from: m.to, votes: n.votes,
-			value: n.value, stamp: n.stamp,
-			version: n.version, assign: n.assign,
-		})
-	case voteReply:
-		if m.to == coordinator {
-			c.replies = append(c.replies, b)
-		}
-	case syncState:
-		if n.adopt(b.assign, b.version, b.stamp, b.value) {
-			c.persistState(m.to)
-		}
-		if b.votesSeen > 0 {
-			c.recordObservation(m.to, b.votesSeen)
-		}
-	case applyWrite:
-		if b.stamp > n.stamp {
-			n.stamp, n.value = b.stamp, b.value
-			c.persistState(m.to)
-		}
-		if b.wantAck {
-			if c.Amnesiac(m.to) {
-				return // an amnesiac ack must not count toward a write quorum
-			}
-			c.syncStore(m.to) // durable before the apply is acknowledged
-			c.send(m.to, m.from, applyAck{from: m.to, stamp: n.stamp})
-		}
-	case applyAck:
-		if m.to == coordinator {
-			c.ackReplies = append(c.ackReplies, b)
-		}
-	case installAssign:
-		if n.adopt(b.assign, b.version, b.stamp, b.value) {
-			c.persistState(m.to)
-		}
-	case histRequest:
-		if c.Amnesiac(m.to) {
-			return // no trustworthy observations to gossip
-		}
-		var weights []float64
-		if h := n.hist; h != nil {
-			weights = make([]float64, c.st.TotalVotes()+1)
-			for v := range weights {
-				weights[v] = h.Weight(v)
-			}
-		}
-		c.send(m.to, m.from, histReply{from: m.to, weights: weights})
-	case histReply:
-		if m.to == coordinator {
-			c.gossipReplies = append(c.gossipReplies, b)
-		}
-	case heartbeat:
-		if c.Amnesiac(m.to) {
-			return // silent until readmitted; peers accrue a miss
-		}
-		c.syncStore(m.to) // durable before the version is externalized
-		c.send(m.to, m.from, heartbeatAck{
-			from: m.to, seq: b.seq, votes: n.votes, version: n.version,
-		})
-	case heartbeatAck:
-		if m.to == coordinator {
-			c.hbReplies = append(c.hbReplies, b)
-		}
-	default:
-		panic(fmt.Sprintf("cluster: unknown payload %T", m.body))
-	}
-}
-
-// collect runs a vote-collection round from coordinator x and returns the
-// votes gathered (including x's own), the responding peers, and the merged
-// effective state. It also pushes the merged view back to all responders.
-func (c *Cluster) collect(x int, op OpKind) (votes int, responders []int, eff node) {
-	self := &c.nodes[x]
-	c.replies = c.replies[:0]
-	c.broadcast(x, voteRequest{op: op})
-	c.drain(x)
-
-	votes = self.votes
-	eff = *self
-	responders = responders[:0]
-	// NOTE: deliberately no duplicate-reply filtering here. This is the
-	// paper's idealized protocol, which assumes exactly-once delivery; the
-	// hardened chaos path (chaos.go) dedups, and the contrast is what
-	// TestUnhardenedProtocolViolatesUnderChaos demonstrates.
-	for _, r := range c.replies {
-		votes += r.votes
-		responders = append(responders, r.from)
-		if r.version > eff.version {
-			eff.version, eff.assign = r.version, r.assign
-		}
-		if r.stamp > eff.stamp {
-			eff.stamp, eff.value = r.stamp, r.value
-		}
-	}
-	// Merge into self and push the merged view to the responders, so every
-	// contacted node ends the round with the newest assignment and value.
-	if self.adopt(eff.assign, eff.version, eff.stamp, eff.value) {
-		c.persistState(x)
-	}
-	c.recordObservation(x, votes)
-	c.syncStore(x) // merged view durable before it is gossiped
-	sync := syncState{value: eff.value, stamp: eff.stamp, version: eff.version,
-		assign: eff.assign, votesSeen: votes}
-	for _, to := range responders {
-		c.send(x, to, sync)
-	}
-	c.drain(x)
-	return votes, responders, eff
-}
-
-// Read submits a read at node x: collect votes from the component, grant if
-// they meet the effective read quorum, and return the freshest collected
-// value.
-func (c *Cluster) Read(x int) (value int64, stamp int64, granted bool) {
-	if !c.st.SiteUp(x) {
-		return 0, 0, false
-	}
-	sentBefore := c.stats.Sent
-	votes, _, eff := c.collect(x, OpRead)
-	c.obs.Observe(obs.HReadMsgs, c.stats.Sent-sentBefore)
-	if votes < eff.assign.QR {
-		observeDecision(c.obs, OpRead, x, votes, false, int64(eff.assign.QR))
-		return 0, 0, false
-	}
-	observeDecision(c.obs, OpRead, x, votes, true, eff.stamp)
-	return eff.value, eff.stamp, true
-}
-
-// Write submits a write at node x. When the effective write quorum is met,
-// the new value is applied at every responding node.
-func (c *Cluster) Write(x int, value int64) bool {
-	_, ok := c.writeOp(x, value)
-	return ok
-}
-
-// writeOp is Write exposing the stamp the write committed under, which the
-// serving layer records into operation histories.
-func (c *Cluster) writeOp(x int, value int64) (stamp int64, ok bool) {
-	if !c.st.SiteUp(x) {
-		return 0, false
-	}
-	sentBefore := c.stats.Sent
-	votes, responders, eff := c.collect(x, OpWrite)
-	if votes < eff.assign.QW {
-		c.obs.Observe(obs.HWriteMsgs, c.stats.Sent-sentBefore)
-		observeDecision(c.obs, OpWrite, x, votes, false, int64(eff.assign.QW))
-		return 0, false
-	}
-	stamp = eff.stamp + 1
-	self := &c.nodes[x]
-	self.value, self.stamp = value, stamp
-	c.persistState(x)
-	c.syncStore(x) // durable before the applies fan out
-	for _, to := range responders {
-		c.send(x, to, applyWrite{value: value, stamp: stamp})
-	}
-	c.drain(x)
-	c.obs.Observe(obs.HWriteMsgs, c.stats.Sent-sentBefore)
-	observeDecision(c.obs, OpWrite, x, votes, true, stamp)
-	return stamp, true
-}
-
-// Reassign attempts to install a new assignment from node x under the QR
-// protocol: permitted only when the component meets the effective (old)
-// write quorum. The new assignment and the current value are installed at
-// every responding node.
-func (c *Cluster) Reassign(x int, a quorum.Assignment) error {
-	if err := a.Validate(c.st.TotalVotes()); err != nil {
-		return fmt.Errorf("cluster: reassign: %w", err)
-	}
-	if !c.st.SiteUp(x) {
-		return fmt.Errorf("cluster: reassign: node %d is down", x)
-	}
-	votes, responders, eff := c.collect(x, OpReassign)
-	if votes < eff.assign.QW {
-		observeDecision(c.obs, OpReassign, x, votes, false, int64(eff.assign.QW))
-		return fmt.Errorf("cluster: reassign: collected %d votes, need %d", votes, eff.assign.QW)
-	}
-	version := eff.version + 1
-	self := &c.nodes[x]
-	self.assign, self.version = a, version
-	c.persistState(x)
-	c.syncStore(x) // durable before the installs fan out
-	inst := installAssign{assign: a, version: version, value: eff.value, stamp: eff.stamp}
-	for _, to := range responders {
-		c.send(x, to, inst)
-	}
-	c.drain(x)
-	observeInstall(c.obs, x, version, a)
-	return nil
-}
 
 // FailSite marks site i down in the shared network state.
 func (c *Cluster) FailSite(i int) { c.st.FailSite(i) }
@@ -514,9 +198,211 @@ func (c *Cluster) RepairLink(l int) { c.st.RepairLink(l) }
 // EffectiveAssignment runs a vote round to discover the assignment in
 // effect at node x's component.
 func (c *Cluster) EffectiveAssignment(x int) (quorum.Assignment, int64, bool) {
-	if !c.st.SiteUp(x) {
-		return quorum.Assignment{}, 0, false
+	return c.effectiveAssignment(x)
+}
+
+// GossipEstimates runs a histogram-collection round from node x: every
+// reachable peer ships its observation row, and x assembles a network-wide
+// estimator. Unreachable sites are simply absent, which the assembled
+// estimator represents as a conservative point mass at zero (the paper's
+// §4.3 options are to approximate f_j, use an old value, or wait).
+func (c *Cluster) GossipEstimates(x int) (*core.Estimator, error) {
+	return c.gossipEstimates(x)
+}
+
+// OptimizeLocal runs the Figure-1 algorithm at node x from gossiped
+// estimates, with an optional §5.4 write floor (minWrite > 0).
+func (c *Cluster) OptimizeLocal(x int, alpha, minWrite float64) (core.Result, error) {
+	_, want, err := c.optimizeLocal(x, alpha, minWrite)
+	return want, err
+}
+
+// ReassignOptimal performs the full §4.3 loop at node x: gossip the
+// on-line estimates, compute the optimal assignment, and install it via
+// the QR protocol when it differs from the one in effect and predicts an
+// improvement of at least hysteresis. It reports whether a reassignment
+// was installed.
+func (c *Cluster) ReassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
+	return c.reassignOptimal(x, alpha, minWrite, hysteresis)
+}
+
+// ---- The deterministic transport -----------------------------------------
+
+func (c *Cluster) siteUp(x int) bool   { return c.st.SiteUp(x) }
+func (c *Cluster) lock(x int) *replica { return &c.nodes[x] }
+func (c *Cluster) unlock(int)          {}
+func (c *Cluster) sent() int64         { return c.stats.Sent }
+
+// exchange enqueues req to every target and drains the queue to
+// completion; the replies addressed to x accumulate in the inbox.
+func (c *Cluster) exchange(x int, targets []int, req payload) ([]payload, int) {
+	c.inbox = c.inbox[:0]
+	expected := 0
+	for _, to := range targets {
+		if to == x {
+			continue
+		}
+		if c.st.SiteUp(to) && c.st.SameComponent(x, to) {
+			expected++
+		}
+		c.send(x, to, req)
 	}
-	_, _, eff := c.collect(x, OpRead)
-	return eff.assign, eff.version, true
+	c.drain(x)
+	return c.inbox, expected
+}
+
+// post enqueues msg to every target and drains the queue to completion.
+func (c *Cluster) post(x int, targets []int, msg payload) {
+	for _, to := range targets {
+		if to != x {
+			c.send(x, to, msg)
+		}
+	}
+	c.drain(x)
+}
+
+// send enqueues a message. Partition filtering happens at delivery time.
+func (c *Cluster) send(from, to int, body payload) {
+	c.stats.Sent++
+	m := message{from: from, to: to, body: body}
+	c.observeMsg(obs.EvMsgSend, obs.CMsgSent, m)
+	c.queue = append(c.queue, m)
+}
+
+// deliver hands one message to its destination, or drops it when it cannot
+// currently be delivered: both endpoints must be up, in the same component,
+// and the direction not cut by an active partition. A reply is collected
+// for the coordinator of the round in flight; a request goes to the
+// replica, and whatever it answers is enqueued in turn.
+func (c *Cluster) deliver(coordinator int, m message) {
+	if !c.st.SiteUp(m.from) || !c.st.SiteUp(m.to) || !c.st.SameComponent(m.from, m.to) ||
+		c.partBlocked(m.from, m.to) {
+		c.stats.Dropped++
+		c.observeMsg(obs.EvMsgDrop, obs.CMsgDropped, m)
+		return
+	}
+	c.stats.Delivered++
+	c.observeMsg(obs.EvMsgRecv, obs.CMsgDelivered, m)
+	if c.wireMode {
+		m.body = roundTrip(m.body)
+	}
+	switch m.body.(type) {
+	case voteReply, applyAck, histReply, heartbeatAck:
+		if m.to == coordinator {
+			c.inbox = append(c.inbox, m.body)
+		}
+	default:
+		if reply := c.nodes[m.to].receive(m.body); reply != nil {
+			c.send(m.to, m.from, reply)
+		}
+	}
+}
+
+// drain delivers queued messages, and whatever they trigger, until the
+// queue is empty.
+func (c *Cluster) drain(coordinator int) {
+	if c.chaos != nil {
+		c.drainChaos(coordinator)
+		return
+	}
+	for head := 0; head < len(c.queue); head++ {
+		c.deliver(coordinator, c.queue[head])
+	}
+	c.queue = c.queue[:0]
+}
+
+// drainChaos is the fault-injecting delivery loop: newly sent messages are
+// admitted through the fault plan, then delivered in rank order until both
+// the send queue and the delivery heap are empty.
+func (c *Cluster) drainChaos(coordinator int) {
+	for {
+		for _, m := range c.queue {
+			c.admit(m)
+		}
+		c.queue = c.queue[:0]
+		if len(c.heap) == 0 {
+			return
+		}
+		c.deliver(coordinator, c.pop())
+	}
+}
+
+// admit passes one sent message through the fault plan and, unless it is
+// dropped, pushes it (and a possible duplicate) onto the delivery heap.
+func (c *Cluster) admit(m message) {
+	ch := c.chaos
+	d := ch.plan.Message(ch.op, stageOf(m.body), m.from, m.to, ch.attempt)
+	if d.Drop {
+		ch.counters.MsgDropped++
+		c.stats.Dropped++
+		c.observeMsg(obs.EvMsgDrop, obs.CMsgDropped, m)
+		return
+	}
+	c.push(m, d)
+	if d.Duplicate {
+		ch.counters.MsgDuplicated++
+		c.stats.Sent++ // the twin is an extra transmission
+		c.observeMsg(obs.EvMsgSend, obs.CMsgSent, m)
+		c.push(m, d)
+	}
+}
+
+// push enqueues one message copy with its delivery rank. Ranks are spaced
+// by 16 so a delay of k slots moves a message past k later sends, and a
+// reorder jumps it ahead of the previous send without colliding with it.
+func (c *Cluster) push(m message, d faults.Decision) {
+	rank := int64(c.seq) * 16
+	if d.Delay > 0 {
+		rank += int64(d.Delay) * 16
+		c.chaos.counters.MsgDelayed++
+	}
+	if d.Reorder {
+		rank -= 24
+		c.chaos.counters.MsgReordered++
+	}
+	c.heap = append(c.heap, chaosMsg{rank: rank, seq: c.seq, m: m})
+	c.seq++
+	// Sift up.
+	i := len(c.heap) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !c.less(i, p) {
+			break
+		}
+		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
+		i = p
+	}
+}
+
+func (c *Cluster) less(i, j int) bool {
+	a, b := c.heap[i], c.heap[j]
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
+}
+
+// pop removes the minimum-rank message.
+func (c *Cluster) pop() message {
+	top := c.heap[0].m
+	last := len(c.heap) - 1
+	c.heap[0] = c.heap[last]
+	c.heap = c.heap[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		s := i
+		if l < len(c.heap) && c.less(l, s) {
+			s = l
+		}
+		if r < len(c.heap) && c.less(r, s) {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		c.heap[i], c.heap[s] = c.heap[s], c.heap[i]
+		i = s
+	}
+	return top
 }

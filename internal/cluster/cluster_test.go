@@ -5,7 +5,7 @@ import (
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/replica"
+	oracle "quorumkit/internal/replica"
 	"quorumkit/internal/rng"
 )
 
@@ -155,7 +155,7 @@ func TestAgreesWithReplicaOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ob, err := replica.NewObject(stR, quorum.Majority(n))
+		ob, err := oracle.NewObject(stR, quorum.Majority(n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,20 +2,19 @@ package cluster
 
 import (
 	"errors"
-	"sync"
-	"time"
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/obs"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/stats"
 	"quorumkit/internal/store"
 )
 
-// Durability layer shared by both runtimes. Every node owns a store.NodeStore
-// on a deterministic in-memory disk; all protocol-critical mutations (value,
-// stamp, assignment, version) and estimator observations are routed through
-// it, and the engine's Sync barrier runs before any state is externalized —
+// Durability layer. Every replica owns a store.NodeStore on a deterministic
+// in-memory disk (persistence is on by default so every code path —
+// idealized, chaos, soak — exercises the same store interface); all
+// protocol-critical mutations (value, stamp, assignment, version) and
+// estimator observations are routed through it (see replica.go), and the
+// engine's Sync barrier runs before any state is externalized —
 // before a vote reply, a write acknowledgement, a heartbeat answer, or a
 // granted return. That discipline is what makes crash-recovery honest: a
 // crashed node recovers exactly the state it could have promised to anyone,
@@ -68,30 +67,6 @@ func rejoinQuorum(totalVotes int) int {
 	return (totalVotes + 1) / 2
 }
 
-// durableState snapshots a node's protocol-critical state in durable form.
-func durableState(n *node) store.State {
-	return store.State{Value: n.value, Stamp: n.stamp, Version: n.version,
-		QR: n.assign.QR, QW: n.assign.QW}
-}
-
-// histogramFrom rebuilds an estimator histogram from recovered weights.
-// Returns nil when nothing was recorded, mirroring the lazy allocation the
-// runtimes use. Out-of-range bins (a vote total the current topology cannot
-// produce) are dropped rather than trusted.
-func histogramFrom(weights []float64, bins int) *stats.Histogram {
-	var h *stats.Histogram
-	for v, w := range weights {
-		if v >= bins || w <= 0 {
-			continue
-		}
-		if h == nil {
-			h = stats.NewHistogram(bins)
-		}
-		h.Add(v, w)
-	}
-	return h
-}
-
 // observeAmnesia records a recovery that found durable state lost or
 // corrupt. A = 1 when the state was corrupt, 0 when it was absent entirely.
 func observeAmnesia(r *obs.Registry, x int, cause error) {
@@ -118,122 +93,87 @@ func observeRejoin(r *obs.Registry, x int, version int64, votes int) {
 	r.Emit(obs.EvRejoin, int32(x), -1, version, int64(votes))
 }
 
-// ---- Deterministic runtime ----------------------------------------------
-
-// initStores bootstraps one durable engine per node, each persisting the
-// node's initial identity. Persistence is on by default so every code path —
-// idealized, chaos, soak — exercises the same store interface; see
-// DisablePersistence for the benchmark baseline.
-func (c *Cluster) initStores() {
-	n := len(c.nodes)
-	c.disks = make([]*store.MemDisk, n)
-	c.stores = make([]*store.NodeStore, n)
-	for i := range c.nodes {
-		c.disks[i] = store.NewMemDisk()
-		s := store.Open(c.disks[i], 0)
-		s.Reset(durableState(&c.nodes[i]), nil)
-		c.stores[i] = s
-	}
-}
-
 // DisablePersistence detaches the durable engines, restoring the purely
 // in-memory seed behaviour. Intended for A/B overhead measurement (see
 // cmd/quorumsim -benchstore); crash recovery degrades to the pretend
 // durability of keeping in-memory state.
-func (c *Cluster) DisablePersistence() {
-	c.disks, c.stores = nil, nil
+func (k *coordinator) DisablePersistence() {
+	k.disks = nil
+	for x := range k.all {
+		k.tr.lock(x).store = nil
+		k.tr.unlock(x)
+	}
 }
 
 // EnableDiskChaos interposes a fault-injecting disk under every node's
 // store: each injected crash consults plan for seed-planned damage (torn
 // unsynced writes, flipped bits in durable content, or a wiped medium).
-func (c *Cluster) EnableDiskChaos(plan *faults.DiskPlan) {
-	if c.stores == nil {
+func (k *coordinator) EnableDiskChaos(plan *faults.DiskPlan) {
+	if k.disks == nil {
 		panic("cluster: EnableDiskChaos without persistence")
 	}
-	for i, s := range c.stores {
-		s.SetDisk(store.NewFaultDisk(c.disks[i], plan, i))
+	for x, disk := range k.disks {
+		k.tr.lock(x).store.SetDisk(store.NewFaultDisk(disk, plan, x))
+		k.tr.unlock(x)
 	}
 }
 
 // StoreCounters returns node x's storage-engine metrics (zero when
 // persistence is disabled).
-func (c *Cluster) StoreCounters(x int) store.Counters {
-	if c.stores == nil {
+func (k *coordinator) StoreCounters(x int) store.Counters {
+	r := k.tr.lock(x)
+	defer k.tr.unlock(x)
+	if r.store == nil {
 		return store.Counters{}
 	}
-	return c.stores[x].Counters()
+	return r.store.Counters()
 }
 
 // Amnesiac reports whether node x is awaiting a state-transfer rejoin.
-func (c *Cluster) Amnesiac(x int) bool {
-	return c.amnesiac != nil && c.amnesiac[x]
+func (k *coordinator) Amnesiac(x int) bool {
+	r := k.tr.lock(x)
+	defer k.tr.unlock(x)
+	return r.amnesiac
 }
 
-// persistState appends node i's current state to its log (volatile until
-// the next sync barrier). Amnesiac nodes have no durable identity to append
-// to; rejoin re-establishes one via Reset.
-func (c *Cluster) persistState(i int) {
-	if c.stores != nil && !c.amnesiac[i] {
-		c.stores[i].PutState(durableState(&c.nodes[i]))
-	}
-}
-
-// persistObs appends one estimator observation to node i's log.
-func (c *Cluster) persistObs(i, votes int) {
-	if c.stores != nil && !c.amnesiac[i] {
-		c.stores[i].PutObservation(votes)
-	}
-}
-
-// syncStore is the externalization barrier: nothing derived from node i's
-// state may leave the node before its durable log is flushed and sealed.
-func (c *Cluster) syncStore(i int) {
-	if c.stores != nil && !c.amnesiac[i] {
-		c.stores[i].Sync()
-	}
-}
-
-// beginAmnesia zeroes node x's protocol state and marks it amnesiac: its
-// durable state is gone, so everything it "knows" is untrustworthy.
+// beginAmnesia zeroes node x's protocol state and marks it amnesiac.
 // Idempotent, so a retried recovery does not double-count.
-func (c *Cluster) beginAmnesia(x int, cause error) {
-	n := &c.nodes[x]
-	n.value, n.stamp, n.version, n.assign, n.hist = 0, 0, 0, quorum.Assignment{}, nil
-	if c.amnesiac[x] {
+func (k *coordinator) beginAmnesia(x int, cause error) {
+	already := k.tr.lock(x).forget()
+	k.tr.unlock(x)
+	if already {
 		return
 	}
-	c.amnesiac[x] = true
-	if c.chaos != nil {
-		c.chaos.counters.Amnesias++
+	if ch := k.chaos; ch != nil {
+		ch.bump(func(c *stats.ChaosCounters) { c.Amnesias++ })
 	}
-	observeAmnesia(c.obs, x, cause)
+	observeAmnesia(k.obs, x, cause)
 }
 
 // WipeState models a site returning from repair with a blank disk (a
 // replaced machine): the medium is lost and the node must rejoin by state
 // transfer before it may vote again.
-func (c *Cluster) WipeState(x int) {
-	if c.stores != nil {
-		c.disks[x].Wipe()
-		_, _, err := c.stores[x].Recover() // reopens handles; reports ErrNoState
-		c.beginAmnesia(x, err)
-		return
+func (k *coordinator) WipeState(x int) {
+	err := store.ErrNoState
+	if k.disks != nil {
+		k.disks[x].Wipe()
+		err = k.tr.lock(x).reload() // reopens handles; reports ErrNoState
+		k.tr.unlock(x)
 	}
-	c.beginAmnesia(x, store.ErrNoState)
+	k.beginAmnesia(x, err)
 }
 
 // TryRejoin attempts the amnesiac state transfer at node x and reports
 // whether x is a full member afterwards (trivially true when it never lost
 // its state).
-func (c *Cluster) TryRejoin(x int) bool {
-	if !c.Amnesiac(x) {
+func (k *coordinator) TryRejoin(x int) bool {
+	if !k.Amnesiac(x) {
 		return true
 	}
-	if !c.st.SiteUp(x) {
+	if !k.tr.siteUp(x) {
 		return false
 	}
-	return c.tryRejoin(x)
+	return k.tryRejoin(x)
 }
 
 // tryRejoin runs one state-transfer round from amnesiac node x: gather copy
@@ -242,278 +182,36 @@ func (c *Cluster) TryRejoin(x int) bool {
 // in the package comment. The round runs through the normal transport, so an
 // attached fault plan drops and duplicates rejoin traffic like any other; a
 // failed transfer leaves the node amnesiac for a later retry.
-func (c *Cluster) tryRejoin(x int) bool {
-	if ch := c.chaos; ch != nil {
+func (k *coordinator) tryRejoin(x int) bool {
+	if ch := k.chaos; ch != nil {
 		// Rejoin rounds key fault decisions like a fresh client operation so
 		// retries see fresh (and cross-runtime identical) decisions.
 		ch.op++
 		ch.attempt = 0
 	}
-	c.replies = c.replies[:0]
-	c.broadcast(x, voteRequest{op: OpRead})
-	c.drain(x)
-	seen := make(map[int]bool, len(c.replies))
+	replies, _ := k.tr.exchange(x, k.all, voteRequest{op: OpRead})
+	seen := make(map[int]bool, len(replies))
 	votes := 0
-	var eff node
-	for _, r := range c.replies {
+	var eff copyState
+	for _, p := range replies {
+		r := p.(voteReply)
 		if seen[r.from] || r.from == x {
 			continue
 		}
 		seen[r.from] = true
 		votes += r.votes
-		if r.version > eff.version {
-			eff.version, eff.assign = r.version, r.assign
-		}
-		if r.stamp > eff.stamp {
-			eff.stamp, eff.value = r.stamp, r.value
-		}
+		eff.adopt(r.copy())
 	}
 	// eff.version >= 1 guarantees at least one real reply carried an
 	// assignment (every full member holds version >= 1).
-	if eff.version < 1 || votes < rejoinQuorum(c.st.TotalVotes()) {
+	if eff.version < 1 || votes < rejoinQuorum(k.st.TotalVotes()) {
 		return false
 	}
-	n := &c.nodes[x]
-	n.value, n.stamp, n.version, n.assign = eff.value, eff.stamp, eff.version, eff.assign
-	n.hist = nil
-	c.amnesiac[x] = false
-	if c.stores != nil {
-		c.stores[x].Reset(durableState(n), nil)
-	}
-	if c.chaos != nil {
-		c.chaos.counters.Rejoins++
-	}
-	observeRejoin(c.obs, x, eff.version, votes)
-	return true
-}
-
-// ---- Concurrent runtime --------------------------------------------------
-
-// initStores mirrors the deterministic bootstrap for the concurrent runtime.
-func (a *Async) initStores() {
-	n := len(a.nodes)
-	a.disks = make([]*store.MemDisk, n)
-	a.stores = make([]*store.NodeStore, n)
-	for i, nd := range a.nodes {
-		a.disks[i] = store.NewMemDisk()
-		s := store.Open(a.disks[i], 0)
-		s.Reset(durableState(&nd.state), nil)
-		a.stores[i] = s
-		nd.store = s
-	}
-}
-
-// DisablePersistence detaches the durable engines (benchmark baseline).
-func (a *Async) DisablePersistence() {
-	a.disks, a.stores = nil, nil
-	for _, n := range a.nodes {
-		n.mu.Lock()
-		n.store = nil
-		n.mu.Unlock()
-	}
-}
-
-// EnableDiskChaos interposes a fault-injecting disk under every node's
-// store (see the deterministic variant).
-func (a *Async) EnableDiskChaos(plan *faults.DiskPlan) {
-	if a.stores == nil {
-		panic("cluster: EnableDiskChaos without persistence")
-	}
-	for i, s := range a.stores {
-		s.SetDisk(store.NewFaultDisk(a.disks[i], plan, i))
-	}
-}
-
-// StoreCounters returns node x's storage-engine metrics.
-func (a *Async) StoreCounters(x int) store.Counters {
-	if a.stores == nil {
-		return store.Counters{}
-	}
-	return a.stores[x].Counters()
-}
-
-// Amnesiac reports whether node x is awaiting a state-transfer rejoin.
-// Thread-safe.
-func (a *Async) Amnesiac(x int) bool {
-	n := a.nodes[x]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.amnesiac
-}
-
-// persistState appends the node's current state to its log. Caller holds
-// n.mu.
-func (n *asyncNode) persistState() {
-	if n.store != nil && !n.amnesiac {
-		n.store.PutState(durableState(&n.state))
-	}
-}
-
-// persistObs appends one estimator observation. Caller holds n.mu.
-func (n *asyncNode) persistObs(votes int) {
-	if n.store != nil && !n.amnesiac {
-		n.store.PutObservation(votes)
-	}
-}
-
-// syncStore is the externalization barrier. Caller holds n.mu.
-func (n *asyncNode) syncStore() {
-	if n.store != nil && !n.amnesiac {
-		n.store.Sync()
-	}
-}
-
-// beginAmnesia zeroes node x's protocol state and marks it amnesiac.
-// Idempotent.
-func (a *Async) beginAmnesia(x int, cause error) {
-	n := a.nodes[x]
-	n.mu.Lock()
-	n.state.value, n.state.stamp, n.state.version = 0, 0, 0
-	n.state.assign, n.state.hist = quorum.Assignment{}, nil
-	was := n.amnesiac
-	n.amnesiac = true
-	n.mu.Unlock()
-	if was {
-		return
-	}
-	if ch := a.chaos; ch != nil {
-		ch.bump(func(c *stats.ChaosCounters) { c.Amnesias++ })
-	}
-	observeAmnesia(a.obs, x, cause)
-}
-
-// WipeState models a site returning from repair with a blank disk.
-func (a *Async) WipeState(x int) {
-	if a.stores != nil {
-		a.disks[x].Wipe()
-		_, _, err := a.stores[x].Recover()
-		a.beginAmnesia(x, err)
-		return
-	}
-	a.beginAmnesia(x, store.ErrNoState)
-}
-
-// TryRejoin attempts the amnesiac state transfer at node x; see the
-// deterministic variant for the safety argument. Takes the operation slot.
-func (a *Async) TryRejoin(x int) bool {
-	if !a.Amnesiac(x) {
-		return true
-	}
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
-	return a.tryRejoinLocked(x)
-}
-
-// tryRejoinLocked runs one state-transfer round. Caller holds opMu.
-func (a *Async) tryRejoinLocked(x int) bool {
-	self := a.nodes[x]
-	self.mu.Lock()
-	am := self.amnesiac
-	self.mu.Unlock()
-	if !am {
-		return true
-	}
-	if !a.siteUpAny(x) {
-		return false
-	}
-	peers := a.peersOf(x)
-	replies := make(chan payload, 2*len(peers)+1)
-	var lost sync.WaitGroup // reply-less deliveries: side effects before return
-	if ch := a.chaos; ch != nil {
-		ch.op++
-		ch.attempt = 0
-		for _, p := range peers {
-			dreq := ch.plan.Message(ch.op, faults.StageVoteRequest, x, p, 0)
-			drep := ch.plan.Message(ch.op, faults.StageVoteReply, p, x, 0)
-			if dreq.Drop {
-				ch.bump(func(c *stats.ChaosCounters) { c.MsgDropped++ })
-				a.obs.Inc(obs.CMsgDropped)
-				replies <- lostMark{from: p}
-				continue
-			}
-			slots := ch.slotsOf(dreq, drep)
-			if drep.Drop {
-				// Request delivered (the peer runs its pre-reply sync
-				// barrier, as in the deterministic runtime), reply lost.
-				ch.bump(func(c *stats.ChaosCounters) { c.MsgDropped++ })
-				a.obs.Inc(obs.CMsgDropped)
-				lost.Add(1)
-				a.chaosDeliver(p, asyncMsg{body: voteRequest{op: OpRead}, ack: &lost}, slots)
-				if dreq.Duplicate {
-					ch.bump(func(c *stats.ChaosCounters) { c.MsgDuplicated++ })
-					lost.Add(1)
-					a.chaosDeliver(p, asyncMsg{body: voteRequest{op: OpRead}, ack: &lost}, slots)
-				}
-				replies <- lostMark{from: p}
-				continue
-			}
-			a.chaosDeliver(p, asyncMsg{body: voteRequest{op: OpRead}, reply: replies}, slots)
-			if dreq.Duplicate || drep.Duplicate {
-				ch.bump(func(c *stats.ChaosCounters) { c.MsgDuplicated++ })
-				a.chaosDeliver(p, asyncMsg{body: voteRequest{op: OpRead}, reply: replies}, slots)
-			}
-		}
-	} else {
-		for _, p := range peers {
-			a.sent.Add(1)
-			a.obs.Inc(obs.CMsgSent)
-			a.nodes[p].inbox <- asyncMsg{body: voteRequest{op: OpRead}, reply: replies}
-		}
-	}
-
-	seen := make(map[int]bool, len(peers))
-	votes := 0
-	var eff node
-	deadline := time.NewTimer(asyncChaosDeadline)
-	defer deadline.Stop()
-	for pending := len(peers); pending > 0; {
-		select {
-		case pl := <-replies:
-			if lm, lost := pl.(lostMark); lost {
-				// Dropped, or an amnesiac peer abstaining; dedup like a reply.
-				if seen[lm.from] {
-					continue
-				}
-				seen[lm.from] = true
-				pending--
-				continue
-			}
-			r := pl.(voteReply)
-			a.delivered.Add(1)
-			a.obs.Inc(obs.CMsgDelivered)
-			if seen[r.from] {
-				continue
-			}
-			seen[r.from] = true
-			pending--
-			votes += r.votes
-			if r.version > eff.version {
-				eff.version, eff.assign = r.version, r.assign
-			}
-			if r.stamp > eff.stamp {
-				eff.stamp, eff.value = r.stamp, r.value
-			}
-		case <-deadline.C:
-			pending = 0
-		}
-	}
-	lost.Wait() // reply-less side effects land before the round concludes
-	if eff.version < 1 || votes < rejoinQuorum(a.st.TotalVotes()) {
-		return false
-	}
-	self.mu.Lock()
-	self.state.value, self.state.stamp = eff.value, eff.stamp
-	self.state.version, self.state.assign = eff.version, eff.assign
-	self.state.hist = nil
-	self.amnesiac = false
-	st := durableState(&self.state)
-	self.mu.Unlock()
-	if a.stores != nil {
-		a.stores[x].Reset(st, nil)
-	}
-	if ch := a.chaos; ch != nil {
+	k.tr.lock(x).readmit(eff)
+	k.tr.unlock(x)
+	if ch := k.chaos; ch != nil {
 		ch.bump(func(c *stats.ChaosCounters) { c.Rejoins++ })
 	}
-	observeRejoin(a.obs, x, eff.version, votes)
+	observeRejoin(k.obs, x, eff.version, votes)
 	return true
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"quorumkit/internal/core"
-	"quorumkit/internal/dist"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
 )
 
 // This file realizes §4.2–4.3 at message level: each node records the vote
@@ -29,64 +27,44 @@ type histReply struct {
 func (histRequest) kind() string { return "histRequest" }
 func (histReply) kind() string   { return "histReply" }
 
-// recordObservation stores a vote-total observation at a node. Lazily
-// allocates the histogram (T+1 bins). Totals outside [0, T] are impossible
-// in a correct round and are discarded: an unreliable transport can
-// duplicate vote replies into the unhardened collection path, and a forged
-// total must corrupt neither the estimator nor the process.
-func (c *Cluster) recordObservation(nodeID, votes int) {
-	if votes < 0 || votes > c.st.TotalVotes() {
-		return
+// effectiveAssignment runs a vote round to discover the assignment in
+// effect at node x's component.
+func (k *coordinator) effectiveAssignment(x int) (quorum.Assignment, int64, bool) {
+	if !k.tr.siteUp(x) {
+		return quorum.Assignment{}, 0, false
 	}
-	n := &c.nodes[nodeID]
-	if n.hist == nil {
-		n.hist = stats.NewHistogram(c.st.TotalVotes() + 1)
-	}
-	n.hist.Add(votes, 1)
-	c.persistObs(nodeID, votes)
+	_, eff, _, _, _ := k.collect(x, OpRead, false)
+	return eff.assign, eff.version, true
 }
 
-// LocalDensity returns node x's own on-line estimate of f_x — built purely
-// from the vote totals it saw during rounds it took part in. Returns nil
-// when the node has no observations yet.
-func (c *Cluster) LocalDensity(x int) dist.PMF {
-	h := c.nodes[x].hist
-	if h == nil || h.Total() == 0 {
-		return nil
-	}
-	return dist.PMF(h.Normalize())
-}
-
-// GossipEstimates runs a histogram-collection round from node x: every
-// reachable peer ships its observation row, and x assembles a network-wide
-// estimator. Unreachable sites contribute their last state only if x has
-// cached nothing — here they are simply absent, which the assembled
-// estimator represents as a conservative point mass at zero (the paper's
-// §4.3 options are to approximate f_j, use an old value, or wait).
-func (c *Cluster) GossipEstimates(x int) (*core.Estimator, error) {
-	if !c.st.SiteUp(x) {
+// gossipEstimates runs a histogram-collection round from node x and
+// assembles a network-wide estimator from x's own row and the rows of the
+// peers that answered; each site contributes once.
+func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
+	if !k.tr.siteUp(x) {
 		return nil, fmt.Errorf("cluster: gossip: node %d is down", x)
 	}
-	est := core.NewEstimator(len(c.nodes), c.st.TotalVotes())
-	// Own row.
-	if h := c.nodes[x].hist; h != nil {
-		for v := 0; v <= c.st.TotalVotes(); v++ {
+	T := k.st.TotalVotes()
+	est := core.NewEstimator(len(k.all), T)
+	self := k.tr.lock(x)
+	if h := self.hist; h != nil {
+		for v := 0; v <= T; v++ {
 			if w := h.Weight(v); w > 0 {
 				est.ObserveFor(x, v, w)
 			}
 		}
 	}
-	c.gossipReplies = c.gossipReplies[:0]
-	c.broadcast(x, histRequest{})
-	c.drain(x)
-	seen := make(map[int]bool, len(c.gossipReplies))
-	for _, r := range c.gossipReplies {
-		if seen[r.from] || r.from == x || r.from < 0 || r.from >= len(c.nodes) {
+	k.tr.unlock(x)
+	replies, _ := k.tr.exchange(x, k.all, histRequest{})
+	seen := make(map[int]bool, len(replies))
+	for _, p := range replies {
+		r := p.(histReply)
+		if seen[r.from] || r.from == x || r.from < 0 || r.from >= len(k.all) {
 			continue // duplicated or forged row: each site contributes once
 		}
 		seen[r.from] = true
 		for v, w := range r.weights {
-			if w > 0 && v <= c.st.TotalVotes() {
+			if w > 0 && v <= T {
 				est.ObserveFor(r.from, v, w)
 			}
 		}
@@ -94,50 +72,38 @@ func (c *Cluster) GossipEstimates(x int) (*core.Estimator, error) {
 	return est, nil
 }
 
-// OptimizeLocal runs the Figure-1 algorithm at node x from gossiped
+// optimizeLocal runs the Figure-1 algorithm at node x from gossiped
 // estimates, with an optional §5.4 write floor (minWrite > 0).
-func (c *Cluster) OptimizeLocal(x int, alpha, minWrite float64) (core.Result, error) {
-	est, err := c.GossipEstimates(x)
+func (k *coordinator) optimizeLocal(x int, alpha, minWrite float64) (core.Model, core.Result, error) {
+	est, err := k.gossipEstimates(x)
 	if err != nil {
-		return core.Result{}, err
+		return core.Model{}, core.Result{}, err
 	}
 	model, err := est.Model(nil, nil)
 	if err != nil {
-		return core.Result{}, err
+		return core.Model{}, core.Result{}, err
 	}
 	if minWrite > 0 {
-		return model.OptimizeConstrained(alpha, minWrite)
+		want, err := model.OptimizeConstrained(alpha, minWrite)
+		return model, want, err
 	}
-	return model.Optimize(alpha), nil
+	return model, model.Optimize(alpha), nil
 }
 
-// ReassignOptimal performs the full §4.3 loop at node x: gossip the
+// reassignOptimal performs the full §4.3 loop at node x: gossip the
 // on-line estimates, compute the optimal assignment, and install it via
 // the QR protocol when it differs from the one in effect and predicts an
 // improvement of at least hysteresis. It reports whether a reassignment
 // was installed.
-func (c *Cluster) ReassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
-	if !c.st.SiteUp(x) {
+func (k *coordinator) reassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
+	if !k.tr.siteUp(x) {
 		return false, fmt.Errorf("cluster: reassign-optimal: node %d is down", x)
 	}
-	est, err := c.GossipEstimates(x)
+	model, want, err := k.optimizeLocal(x, alpha, minWrite)
 	if err != nil {
 		return false, err
 	}
-	model, err := est.Model(nil, nil)
-	if err != nil {
-		return false, err
-	}
-	var want core.Result
-	if minWrite > 0 {
-		want, err = model.OptimizeConstrained(alpha, minWrite)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		want = model.Optimize(alpha)
-	}
-	current, _, ok := c.EffectiveAssignment(x)
+	current, _, ok := k.effectiveAssignment(x)
 	if !ok {
 		return false, fmt.Errorf("cluster: reassign-optimal: node %d lost its component", x)
 	}
@@ -149,7 +115,7 @@ func (c *Cluster) ReassignOptimal(x int, alpha, minWrite, hysteresis float64) (b
 	if predicted-incumbent < hysteresis {
 		return false, nil
 	}
-	if err := c.Reassign(x, want.Assignment); err != nil {
+	if err := k.Reassign(x, want.Assignment); err != nil {
 		return false, nil // component lacks the write quorum right now
 	}
 	return true, nil

@@ -25,10 +25,10 @@ func newEstimatorCluster(t *testing.T) *Cluster {
 	}
 	for x := 0; x < 7; x++ {
 		for i := 0; i < 60; i++ {
-			c.recordObservation(x, 2)
+			c.nodes[x].observe(2)
 		}
 		for i := 0; i < 40; i++ {
-			c.recordObservation(x, 7)
+			c.nodes[x].observe(7)
 		}
 	}
 	return c

@@ -11,14 +11,14 @@ import (
 	"quorumkit/internal/stats"
 )
 
-// Gray-failure layer for both runtimes: a pure faults.LatencySchedule
+// Gray-failure layer: a pure faults.LatencySchedule
 // stretches message round trips without dropping anything, and a hedged
 // read path spends extra probes to route around the slowness.
 //
-// Enforcement differs by runtime on purpose. The concurrent Async adds the
-// schedule's delay slots to real deliveries (heartbeat probes sleep through
-// them like any chaos delay), so gray slowness is experienced end to end.
-// The deterministic Cluster keeps its synchronous drain untouched — folding
+// Enforcement differs by transport on purpose. The concurrent Async adds
+// the schedule's delay slots to real deliveries (heartbeat probes sleep
+// through them like any chaos delay), so gray slowness is experienced end to
+// end. The deterministic Cluster keeps its synchronous drain untouched — folding
 // delays into the drain order would perturb delivery interleavings and
 // break the delay-only metamorphic guarantee (a schedule with no drops must
 // leave the final states byte-identical) — and instead reports each ack's
@@ -202,71 +202,64 @@ func hedgeModel(need int, peers []grayPeer, hedge bool, k float64) (latency, unh
 	return latency, unhedged, probes, win
 }
 
-// ---- Deterministic runtime ----------------------------------------------
-
-// EnableGrayLatency attaches a gray latency schedule to the deterministic
-// runtime. The schedule must not be mutated afterwards except from the
-// single harness goroutine between steps. Pass nil to detach.
-func (c *Cluster) EnableGrayLatency(ls *faults.LatencySchedule) {
-	c.gray = newGrayState(ls, len(c.nodes))
+// EnableGrayLatency attaches a gray latency schedule. Call before any
+// concurrent operations; the schedule must not be mutated afterwards except
+// from the single harness goroutine between steps.
+func (k *coordinator) EnableGrayLatency(ls *faults.LatencySchedule) {
+	k.gray = newGrayState(ls, len(k.all))
 }
 
 // ConfigureHedge switches hedged gray reads on or off and sets the budget
 // multiplier K (budget = mean + K·sigma slots; K<=0 keeps the default 3).
 // Requires EnableGrayLatency.
-func (c *Cluster) ConfigureHedge(on bool, k float64) {
-	g := c.mustGray()
+func (k *coordinator) ConfigureHedge(on bool, mult float64) {
+	g := k.mustGray()
 	g.mu.Lock()
 	g.hedge = on
-	if k > 0 {
-		g.hedgeK = k
+	if mult > 0 {
+		g.hedgeK = mult
 	}
 	g.mu.Unlock()
 }
 
-// grayRTT is the round trip of a heartbeat from x to p at the current gray
-// clock (the fault-free base when no schedule is attached).
-func (c *Cluster) grayRTT(x, p int) int64 {
-	if c.gray == nil {
-		return grayBaseRTT
-	}
-	return c.gray.rtt(x, p)
+// graySlots is the extra delivery delay, in slots, that the gray schedule
+// imposes on one x→p probe and its ack (0 without a schedule).
+func (k *coordinator) graySlots(x, p int) int {
+	return int(k.gray.rtt(x, p) - grayBaseRTT)
 }
 
 // HedgeStats returns the cumulative (backup probes, hedge wins).
-func (c *Cluster) HedgeStats() (probes, wins int64) {
-	if c.gray == nil {
+func (k *coordinator) HedgeStats() (probes, wins int64) {
+	if k.gray == nil {
 		return 0, 0
 	}
-	c.gray.mu.Lock()
-	defer c.gray.mu.Unlock()
-	return c.gray.probes, c.gray.wins
+	k.gray.mu.Lock()
+	defer k.gray.mu.Unlock()
+	return k.gray.probes, k.gray.wins
 }
 
 // ServeReadGray runs ServeRead and models its completion latency under the
 // gray schedule and the active hedging configuration. Requires
 // EnableGrayLatency.
-func (c *Cluster) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	c.mustGray()
-	out := c.ServeRead(x)
+func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
+	g := k.mustGray()
+	out := k.ServeRead(x)
 	gs := GrayReadStats{Latency: -1, Unhedged: -1}
 	if !out.Granted {
 		return out, gs
 	}
-	n := &c.nodes[x]
-	need := n.assign.QR - n.votes
-	peers := make([]grayPeer, 0, len(c.nodes))
-	for p := range c.nodes {
-		if p == x || !c.st.SiteUp(p) {
+	votes, self := k.view(x)
+	peers := make([]grayPeer, 0, len(k.all))
+	for _, p := range k.all {
+		if p == x || !k.tr.siteUp(p) {
 			continue
 		}
-		if c.partSched != nil &&
-			(c.partSched.Blocked(c.partNow, x, p) || c.partSched.Blocked(c.partNow, p, x)) {
+		if k.cut(x, p) || k.cut(p, x) {
 			continue // cut either way: no round trip exists to hedge
 		}
-		peers = append(peers, grayPeer{id: p, votes: c.nodes[p].votes, rtt: c.gray.rtt(x, p)})
+		peers = append(peers, grayPeer{id: p, votes: k.st.Votes(p), rtt: g.rtt(x, p)})
 	}
-	c.gray.observeRead(c.obs, &gs, need, peers, x)
+	g.observeRead(k.obs, &gs, self.assign.QR-votes, peers, x)
 	return out, gs
 }
 
@@ -313,105 +306,9 @@ func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, 
 }
 
 // mustGray asserts that EnableGrayLatency was called.
-func (c *Cluster) mustGray() *grayState {
-	if c.gray == nil {
+func (k *coordinator) mustGray() *grayState {
+	if k.gray == nil {
 		panic("cluster: gray operation without EnableGrayLatency")
 	}
-	return c.gray
-}
-
-// ---- Concurrent runtime -------------------------------------------------
-
-// EnableGrayLatency attaches a gray latency schedule to the concurrent
-// runtime. Heartbeat deliveries sleep through the schedule's delay slots
-// like chaos delays; call before any concurrent operations and do not
-// mutate the schedule afterwards.
-func (a *Async) EnableGrayLatency(ls *faults.LatencySchedule) {
-	a.gray = newGrayState(ls, len(a.nodes))
-}
-
-// ConfigureHedge switches hedged gray reads on or off and sets the budget
-// multiplier K. Requires EnableGrayLatency.
-func (a *Async) ConfigureHedge(on bool, k float64) {
-	g := a.mustGrayAsync()
-	g.mu.Lock()
-	g.hedge = on
-	if k > 0 {
-		g.hedgeK = k
-	}
-	g.mu.Unlock()
-}
-
-// grayRTT is the round trip of a heartbeat from x to p at the current gray
-// clock.
-func (a *Async) grayRTT(x, p int) int64 {
-	if a.gray == nil {
-		return grayBaseRTT
-	}
-	return a.gray.rtt(x, p)
-}
-
-// graySlots is the extra delivery delay, in slots, that the gray schedule
-// imposes on one x→p probe and its ack (0 without a schedule).
-func (a *Async) graySlots(x, p int) int {
-	if a.gray == nil {
-		return 0
-	}
-	return int(a.gray.delay(x, p) + a.gray.delay(p, x))
-}
-
-// HedgeStats returns the cumulative (backup probes, hedge wins).
-func (a *Async) HedgeStats() (probes, wins int64) {
-	if a.gray == nil {
-		return 0, 0
-	}
-	a.gray.mu.Lock()
-	defer a.gray.mu.Unlock()
-	return a.gray.probes, a.gray.wins
-}
-
-// ServeReadGray runs ServeRead and models its completion latency under the
-// gray schedule and the active hedging configuration. Requires
-// EnableGrayLatency.
-func (a *Async) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	g := a.mustGrayAsync()
-	out := a.ServeRead(x)
-	gs := GrayReadStats{Latency: -1, Unhedged: -1}
-	if !out.Granted {
-		return out, gs
-	}
-	self := a.nodes[x]
-	self.mu.Lock()
-	need := self.state.assign.QR - self.state.votes
-	self.mu.Unlock()
-	cut := func(p int) bool {
-		if a.parts == nil || a.parts.sched == nil {
-			return false
-		}
-		t := a.parts.now.Load()
-		return a.parts.sched.Blocked(t, x, p) || a.parts.sched.Blocked(t, p, x)
-	}
-	a.topoMu.RLock()
-	peers := make([]grayPeer, 0, len(a.nodes))
-	for p := range a.nodes {
-		if p == x || !a.st.SiteUp(p) || cut(p) {
-			continue
-		}
-		np := a.nodes[p]
-		np.mu.Lock()
-		votes := np.state.votes
-		np.mu.Unlock()
-		peers = append(peers, grayPeer{id: p, votes: votes, rtt: a.gray.rtt(x, p)})
-	}
-	a.topoMu.RUnlock()
-	g.observeRead(a.obs, &gs, need, peers, x)
-	return out, gs
-}
-
-// mustGrayAsync asserts that EnableGrayLatency was called.
-func (a *Async) mustGrayAsync() *grayState {
-	if a.gray == nil {
-		panic("cluster: gray operation without EnableGrayLatency")
-	}
-	return a.gray
+	return k.gray
 }

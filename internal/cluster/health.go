@@ -16,9 +16,9 @@ import (
 // failure detector feeds each node's view of its component, an adaptive
 // daemon re-runs the §4.2 on-line estimator and the Figure-1 optimizer when
 // that view shifts, and a degradation gate keeps the serving surface
-// non-blocking when no quorum is reachable. The same state machine drives
-// both runtimes; the deterministic Cluster implements the message rounds
-// here, the concurrent Async in health_async.go.
+// non-blocking when no quorum is reachable. Heartbeat rounds and optimizer
+// gossip travel through the runtime's transport, so an attached fault plan
+// or partition schedule faults them like any other traffic.
 //
 // Failure detector. Node x periodically broadcasts a heartbeat; every peer
 // that can be reached answers with its votes and assignment version. Two
@@ -311,14 +311,6 @@ type DaemonReport struct {
 	Err            error
 }
 
-// reassignRunner abstracts the runtime operations the shared daemon step
-// needs: the §4.3 gossip-optimize-install loop and a plain vote-collection
-// round (whose sync push repairs version divergence).
-type reassignRunner interface {
-	runReassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error)
-	runSyncRound(x int)
-}
-
 // recordGrant feeds one operation outcome into node x's grant window.
 func (h *healthState) recordGrant(x int, granted bool) {
 	h.mu.Lock()
@@ -482,10 +474,10 @@ func (h *healthState) applyAcks(x int, acks []heartbeatAck, rtts []int64, assign
 	return reachable, changed
 }
 
-// daemonStep runs the shared daemon state machine for node x after a
-// heartbeat round. The runtime r performs the optimize/install and sync
-// rounds; h.mu must NOT be held by the caller.
-func (h *healthState) daemonStep(r reassignRunner, x int, acks []heartbeatAck, rtts []int64, assign quorum.Assignment, selfVotes int, version int64) DaemonReport {
+// daemonDecide runs the daemon state machine for node x after a heartbeat
+// round, performing the optimize/install and sync rounds it decides on.
+func (k *coordinator) daemonDecide(x int, acks []heartbeatAck, rtts []int64, assign quorum.Assignment, selfVotes int, version int64) DaemonReport {
+	h := k.health
 	h.mu.Lock()
 	v := h.views[x]
 	v.tick++
@@ -528,7 +520,7 @@ func (h *healthState) daemonStep(r reassignRunner, x int, acks []heartbeatAck, r
 			h.counters.SyncRounds++
 			h.mu.Unlock()
 			h.obs.Inc(obs.CSyncRound)
-			r.runSyncRound(x)
+			k.syncRound(x)
 			rep.Synced = true
 		}
 		return rep
@@ -567,7 +559,7 @@ func (h *healthState) daemonStep(r reassignRunner, x int, acks []heartbeatAck, r
 	h.mu.Unlock()
 
 	rep.Attempted = true
-	changed, err := r.runReassignOptimal(x, cfg.Alpha, cfg.MinWrite, cfg.Hysteresis)
+	changed, err := k.reassignOptimal(x, cfg.Alpha, cfg.MinWrite, cfg.Hysteresis)
 	rep.Reassigned, rep.Err = changed, err
 
 	h.mu.Lock()
@@ -587,9 +579,7 @@ func (h *healthState) daemonStep(r reassignRunner, x int, acks []heartbeatAck, r
 		// to the survivors and install only a certified result. Runs whether
 		// or not the assignment changed — the suspicion edge that triggered
 		// the attempt is exactly the signal the strategy must re-price.
-		if sr, isResolver := r.(strategyResolver); isResolver {
-			sr.runStrategyResolve(x, rep.Suspected)
-		}
+		k.strategyResolve(x, rep.Suspected)
 	}
 	if !changed && err == nil && staleVersion {
 		// The optimizer kept the incumbent without a full install round;
@@ -598,7 +588,7 @@ func (h *healthState) daemonStep(r reassignRunner, x int, acks []heartbeatAck, r
 		h.counters.SyncRounds++
 		h.mu.Unlock()
 		h.obs.Inc(obs.CSyncRound)
-		r.runSyncRound(x)
+		k.syncRound(x)
 		rep.Synced = true
 	}
 	return rep
@@ -644,75 +634,63 @@ func (h *healthState) modeOf(x int) Mode {
 	return h.views[x].mode
 }
 
-// ---- Deterministic runtime implementation -------------------------------
-
 // EnableSelfHealing attaches the failure detector, adaptive reassignment
-// daemon, and degradation gate to the cluster. Heartbeat rounds and
-// optimizer gossip travel through the normal message queue, so an attached
-// chaos transport faults them like any other traffic.
-func (c *Cluster) EnableSelfHealing(cfg HealthConfig) {
-	c.health = newHealthState(cfg, len(c.nodes))
-	c.health.obs = c.obs
+// daemon, and degradation gate.
+func (k *coordinator) EnableSelfHealing(cfg HealthConfig) {
+	k.health = newHealthState(cfg, len(k.all))
+	k.health.obs = k.obs
 }
 
 // HealthCounters returns a snapshot of the self-healing counters.
-func (c *Cluster) HealthCounters() stats.HealthCounters {
-	if c.health == nil {
+func (k *coordinator) HealthCounters() stats.HealthCounters {
+	if k.health == nil {
 		return stats.HealthCounters{}
 	}
-	return c.health.snapshot()
+	return k.health.snapshot()
 }
 
 // Mode returns node x's current service mode (ModeHealthy when self-healing
 // is disabled).
-func (c *Cluster) Mode(x int) Mode {
-	if c.health == nil {
+func (k *coordinator) Mode(x int) Mode {
+	if k.health == nil {
 		return ModeHealthy
 	}
-	return c.health.modeOf(x)
+	return k.health.modeOf(x)
 }
 
 // heartbeatRound broadcasts one probe from node x and gathers the
 // deduplicated acknowledgements of the current sequence number, along with
-// each ack's round-trip latency in delivery slots from the gray latency
-// schedule (the fault-free 2 when none is attached). A down coordinator
-// probes nothing and hears nothing — every peer accrues a miss.
-func (c *Cluster) heartbeatRound(x int) ([]heartbeatAck, []int64) {
-	h := c.health
+// each ack's round-trip latency in delivery slots. The detector judges an
+// ack by the gray schedule's round trip (the fault-free 2 when none is
+// attached) — the same pure function on both runtimes — rather than a
+// wall-clock measurement the scheduler could perturb.
+func (k *coordinator) heartbeatRound(x int) ([]heartbeatAck, []int64) {
+	h := k.health
 	h.mu.Lock()
 	h.views[x].hbSeq++
 	seq := h.views[x].hbSeq
 	h.mu.Unlock()
-	c.hbReplies = c.hbReplies[:0]
-	if c.st.SiteUp(x) {
-		c.broadcast(x, heartbeat{from: x, seq: seq})
-		c.drain(x)
-	}
-	seen := make(map[int]bool, len(c.hbReplies))
-	acks := make([]heartbeatAck, 0, len(c.hbReplies))
-	rtts := make([]int64, 0, len(c.hbReplies))
-	for _, a := range c.hbReplies {
+	replies, _ := k.tr.exchange(x, k.all, heartbeat{from: x, seq: seq})
+	seen := make(map[int]bool, len(replies))
+	acks := make([]heartbeatAck, 0, len(replies))
+	rtts := make([]int64, 0, len(replies))
+	for _, p := range replies {
+		a := p.(heartbeatAck)
 		if a.seq != seq || seen[a.from] {
 			continue // stale or duplicated ack
 		}
 		seen[a.from] = true
 		acks = append(acks, a)
-		rtts = append(rtts, c.grayRTT(x, a.from))
+		rtts = append(rtts, k.gray.rtt(x, a.from))
 	}
 	return acks, rtts
 }
 
-// runReassignOptimal implements reassignRunner for the deterministic
-// runtime.
-func (c *Cluster) runReassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
-	return c.ReassignOptimal(x, alpha, minWrite, hysteresis)
-}
-
-// runSyncRound implements reassignRunner: one ordinary vote-collection
-// round, whose merged-state push refreshes every reachable member.
-func (c *Cluster) runSyncRound(x int) {
-	if c.st.SiteUp(x) {
-		c.collect(x, OpRead)
+// syncRound is one ordinary vote-collection round, whose merged-state push
+// refreshes every reachable member.
+func (k *coordinator) syncRound(x int) {
+	if k.tr.siteUp(x) {
+		k.collect(x, OpRead, false)
 	}
 }
 
@@ -721,133 +699,108 @@ func (c *Cluster) runSyncRound(x int) {
 // by the rate limiter, leading its component, and holding a write quorum —
 // run the on-line estimator and optimizer and install the result through
 // the QR protocol. Requires EnableSelfHealing.
-func (c *Cluster) DaemonStep(x int) DaemonReport {
-	h := c.mustHealth()
-	if c.Amnesiac(x) {
+func (k *coordinator) DaemonStep(x int) DaemonReport {
+	h := k.mustHealth()
+	up := k.tr.siteUp(x)
+	if k.Amnesiac(x) {
 		// The daemon doubles as the rejoin retry loop: each tick at an
 		// amnesiac node attempts the state transfer before anything else.
-		if !c.st.SiteUp(x) || !c.tryRejoin(x) {
+		if !up || !k.tryRejoin(x) {
 			return DaemonReport{Node: x, Err: ErrAmnesiac}
 		}
 	}
-	if !c.st.SiteUp(x) {
-		// A down node cannot probe; its detector accrues misses for every
-		// peer so that, on recovery, it re-learns the world before acting.
-		// The §4.2 estimator counts down time as a component of zero votes.
-		c.recordObservation(x, 0)
-		return h.daemonStep(c, x, nil, nil, c.nodes[x].assign, c.nodes[x].votes, c.nodes[x].version)
-	}
-	acks, rtts := c.heartbeatRound(x)
-	n := &c.nodes[x]
-	// Each probe is a free, unbiased periodic sample of the component's
-	// vote total — exactly the §4.2 recording the paper prescribes. The
-	// samples taken during ordinary collect rounds over-weight large
-	// components (a site in a component of size k responds to ~k rounds per
-	// step), which skews the optimizer toward large quorums; the detector's
-	// fixed-rate samples correct that bias. The sample is the *belief*, not
-	// the truth: in miss-count mode a late ack's votes are excluded here
-	// exactly as the detector excludes them, so the estimator and the
-	// detector misjudge gray slowness consistently.
-	reach := n.votes
-	for i, a := range acks {
-		if h.lateAck(rtts[i]) {
-			continue
+	// A down node cannot probe; its detector accrues misses for every peer
+	// so that, on recovery, it re-learns the world before acting. The §4.2
+	// estimator counts down time as a component of zero votes.
+	var acks []heartbeatAck
+	var rtts []int64
+	reach := 0
+	if up {
+		acks, rtts = k.heartbeatRound(x)
+		// Each probe is a free, unbiased periodic sample of the component's
+		// vote total — exactly the §4.2 recording the paper prescribes. The
+		// samples taken during ordinary collect rounds over-weight large
+		// components (a site in a component of size k responds to ~k rounds
+		// per step), which skews the optimizer toward large quorums; the
+		// detector's fixed-rate samples correct that bias. The sample is the
+		// *belief*, not the truth: in miss-count mode a late ack's votes are
+		// excluded here exactly as the detector excludes them, so the
+		// estimator and the detector misjudge gray slowness consistently.
+		reach = k.st.Votes(x)
+		for i, a := range acks {
+			if !h.lateAck(rtts[i]) {
+				reach += a.votes
+			}
 		}
-		reach += a.votes
 	}
-	c.recordObservation(x, reach)
-	return h.daemonStep(c, x, acks, rtts, n.assign, n.votes, n.version)
+	self := k.tr.lock(x)
+	self.observe(reach)
+	votes, s := self.votes, self.copyState
+	k.tr.unlock(x)
+	return k.daemonDecide(x, acks, rtts, s.assign, votes, s.version)
 }
 
-// ServeRead is the serving-layer read at node x: it fails fast with a typed
-// error when the degradation gate rejects reads, and otherwise runs the
-// fault-hardened read when a chaos transport is attached or the baseline
-// read when not. The outcome feeds the daemon's grant-rate window.
-func (c *Cluster) ServeRead(x int) Outcome {
-	if !c.st.SiteUp(x) {
+// serve is the serving-layer ladder shared by reads and writes at node x:
+// fail fast with a typed error when the coordinator is down, amnesiac, or
+// rejected by the degradation gate; serve off a sampled quorum when a
+// strategy is installed; otherwise run the fault-hardened operation when a
+// fault plan is attached or the baseline one when not. The outcome feeds
+// the daemon's grant-rate window.
+func (k *coordinator) serve(x int, write bool, value int64) Outcome {
+	if !k.tr.siteUp(x) {
 		return Outcome{Err: ErrCoordinatorDown}
 	}
-	if c.Amnesiac(x) && !c.tryRejoin(x) {
+	if k.Amnesiac(x) && !k.tryRejoin(x) {
 		return Outcome{Err: ErrAmnesiac}
 	}
-	if c.health != nil {
-		if err := c.health.gate(x, false); err != nil {
-			c.health.recordGrant(x, false)
+	if k.health != nil {
+		if err := k.health.gate(x, write); err != nil {
+			k.health.recordGrant(x, false)
 			return Outcome{Err: err}
 		}
 	}
-	if c.strat != nil && c.chaos == nil {
-		if out, served := c.strategyServe(x, false, 0); served {
-			if c.health != nil {
-				c.health.recordGrant(x, out.Granted)
-			}
-			return out
-		}
-		// Fallback ladder: the sampled path could not grant (stale strategy
-		// or resample budget exhausted); the deterministic round below is
-		// the authoritative answer.
+	out, served := Outcome{}, false
+	if k.strat != nil && k.chaos == nil {
+		// When the sampled path cannot grant (stale strategy or resample
+		// budget exhausted) the component-wide round below is the
+		// authoritative answer.
+		out, served = k.strategyServe(x, write, value)
 	}
-	var out Outcome
-	if c.chaos != nil {
-		out = c.ChaosRead(x)
-	} else {
-		v, s, ok := c.Read(x)
-		out = Outcome{Granted: ok, Value: v, Stamp: s, Attempts: 1}
-		if !ok {
+	switch {
+	case served:
+	case k.chaos == nil:
+		out = Outcome{Value: value, Attempts: 1}
+		if write {
+			out.Stamp, out.Granted = k.writeOp(x, value)
+		} else {
+			out.Value, out.Stamp, out.Granted = k.Read(x)
+		}
+		if !out.Granted {
 			out.Err = ErrNoQuorum
 		}
+	case write:
+		out = k.ChaosWrite(x, value)
+	default:
+		out = k.ChaosRead(x)
 	}
-	if c.health != nil {
-		c.health.recordGrant(x, out.Granted)
+	if k.health != nil {
+		k.health.recordGrant(x, out.Granted)
 	}
 	return out
 }
 
-// ServeWrite is the serving-layer write at node x, with the same gating as
-// ServeRead: a read-only or unavailable node rejects the write immediately
-// with ErrDegradedWrites or ErrUnavailable rather than running a doomed
-// round.
-func (c *Cluster) ServeWrite(x int, value int64) Outcome {
-	if !c.st.SiteUp(x) {
-		return Outcome{Err: ErrCoordinatorDown}
-	}
-	if c.Amnesiac(x) && !c.tryRejoin(x) {
-		return Outcome{Err: ErrAmnesiac}
-	}
-	if c.health != nil {
-		if err := c.health.gate(x, true); err != nil {
-			c.health.recordGrant(x, false)
-			return Outcome{Err: err}
-		}
-	}
-	if c.strat != nil && c.chaos == nil {
-		if out, served := c.strategyServe(x, true, value); served {
-			if c.health != nil {
-				c.health.recordGrant(x, out.Granted)
-			}
-			return out
-		}
-	}
-	var out Outcome
-	if c.chaos != nil {
-		out = c.ChaosWrite(x, value)
-	} else {
-		stamp, ok := c.writeOp(x, value)
-		out = Outcome{Granted: ok, Value: value, Stamp: stamp, Attempts: 1}
-		if !ok {
-			out.Err = ErrNoQuorum
-		}
-	}
-	if c.health != nil {
-		c.health.recordGrant(x, out.Granted)
-	}
-	return out
-}
+// ServeRead is the serving-layer read at node x (see serve).
+func (k *coordinator) ServeRead(x int) Outcome { return k.serve(x, false, 0) }
+
+// ServeWrite is the serving-layer write at node x: a read-only or
+// unavailable node rejects the write immediately with ErrDegradedWrites or
+// ErrUnavailable rather than running a doomed round.
+func (k *coordinator) ServeWrite(x int, value int64) Outcome { return k.serve(x, true, value) }
 
 // mustHealth asserts that EnableSelfHealing was called.
-func (c *Cluster) mustHealth() *healthState {
-	if c.health == nil {
+func (k *coordinator) mustHealth() *healthState {
+	if k.health == nil {
 		panic("cluster: self-healing operation without EnableSelfHealing")
 	}
-	return c.health
+	return k.health
 }

@@ -127,10 +127,10 @@ func TestDaemonReassignsOnSuspicionTrigger(t *testing.T) {
 	// Seed every site's §4.2 histogram: components are usually tiny.
 	for x := 0; x < 5; x++ {
 		for i := 0; i < 80; i++ {
-			c.recordObservation(x, 1)
+			c.nodes[x].observe(1)
 		}
 		for i := 0; i < 20; i++ {
-			c.recordObservation(x, 5)
+			c.nodes[x].observe(5)
 		}
 	}
 

@@ -5,7 +5,7 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-// Observability wiring for both runtimes. A nil registry (the default)
+// Observability wiring. A nil registry (the default)
 // keeps every hot path on a single predictable branch; attaching one adds
 // counters, per-round message histograms, and — when the registry traces —
 // structured protocol events. Instrumentation is strictly write-only:
@@ -24,33 +24,21 @@ import (
 // SetObserver attaches (or, with nil, detaches) an observability registry.
 // Call it before driving operations; it also rewires an already-enabled
 // self-healing layer.
-func (c *Cluster) SetObserver(r *obs.Registry) {
-	c.obs = r
-	if c.health != nil {
-		c.health.obs = r
+func (k *coordinator) SetObserver(r *obs.Registry) {
+	k.obs = r
+	if k.health != nil {
+		k.health.obs = r
 	}
-	for _, s := range c.stores {
-		s.SetObserver(r)
-	}
-}
-
-// Observer returns the attached registry (nil when instrumentation is off).
-func (c *Cluster) Observer() *obs.Registry { return c.obs }
-
-// SetObserver attaches (or detaches) an observability registry to the
-// concurrent runtime.
-func (a *Async) SetObserver(r *obs.Registry) {
-	a.obs = r
-	if a.health != nil {
-		a.health.obs = r
-	}
-	for _, s := range a.stores {
-		s.SetObserver(r)
+	for x := range k.all {
+		if s := k.tr.lock(x).store; s != nil {
+			s.SetObserver(r)
+		}
+		k.tr.unlock(x)
 	}
 }
 
 // Observer returns the attached registry (nil when instrumentation is off).
-func (a *Async) Observer() *obs.Registry { return a.obs }
+func (k *coordinator) Observer() *obs.Registry { return k.obs }
 
 // observeMsg accounts one message transport event in the deterministic
 // runtime: counter always, trace event only when tracing (computing the

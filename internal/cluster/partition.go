@@ -7,8 +7,9 @@ import (
 	"quorumkit/internal/obs"
 )
 
-// Partition transport for both runtimes. A faults.PartitionSchedule is a
-// pure timetable of cuts keyed by a logical partition clock; the harness
+// Partition schedule, enforced by both transports. A
+// faults.PartitionSchedule is a pure timetable of cuts keyed by a logical
+// partition clock; the harness
 // advances the clock with SetPartitionTime once per step, and every
 // message whose (from, to) direction is cut at the current time is
 // silently lost in transit. Because the schedule is consulted per
@@ -29,101 +30,48 @@ import (
 // (the deterministic runtime admits duplicates before the partition eats
 // them; the concurrent one suppresses the send).
 
-// EnablePartitions attaches a partition schedule to the deterministic
-// runtime. Pass nil to detach. The schedule must not be mutated afterwards.
-func (c *Cluster) EnablePartitions(ps *faults.PartitionSchedule) {
-	c.partSched = ps
-}
-
-// SetPartitionTime advances the partition clock (and the gray latency
-// clock, which shares it). Call once per harness step, before the step's
-// operations.
-func (c *Cluster) SetPartitionTime(t int64) {
-	c.partNow = t
-	if c.gray != nil {
-		c.gray.now.Store(t)
-	}
-}
-
-// PartitionDrops returns how many messages the partition schedule has
-// eaten so far.
-func (c *Cluster) PartitionDrops() int64 { return c.partDrops }
-
-// partBlocked reports whether the partition schedule cuts the (from, to)
-// direction right now, counting the loss when it does.
-func (c *Cluster) partBlocked(from, to int) bool {
-	if c.partSched == nil || !c.partSched.Blocked(c.partNow, from, to) {
-		return false
-	}
-	c.partDrops++
-	c.obs.Inc(obs.CPartitionDrop)
-	return true
-}
-
-// asyncPartitions is the concurrent runtime's partition state. The clock
-// and drop counter are atomics because the daemon goroutine and delayed
-// chaos deliveries may race harness steps.
-type asyncPartitions struct {
+// partitions is a runtime's partition state. The clock and drop counter are
+// atomics because the concurrent runtime's background daemon may race
+// harness steps.
+type partitions struct {
 	sched *faults.PartitionSchedule
 	now   atomic.Int64
 	drops atomic.Int64
 }
 
-// EnablePartitions attaches a partition schedule to the concurrent
-// runtime. Call before any concurrent operations; the schedule must not be
-// mutated afterwards.
-func (a *Async) EnablePartitions(ps *faults.PartitionSchedule) {
-	a.parts = &asyncPartitions{sched: ps}
+// EnablePartitions attaches a partition schedule. Pass nil to detach. Call
+// before any concurrent operations; the schedule must not be mutated
+// afterwards except from the single harness goroutine between steps.
+func (k *coordinator) EnablePartitions(ps *faults.PartitionSchedule) {
+	k.parts.sched = ps
 }
 
-// SetPartitionTime advances the partition clock and the gray latency clock
-// (no-op for whichever is not enabled).
-func (a *Async) SetPartitionTime(t int64) {
-	if a.parts != nil {
-		a.parts.now.Store(t)
-	}
-	if a.gray != nil {
-		a.gray.now.Store(t)
+// SetPartitionTime advances the partition clock (and the gray latency
+// clock, which shares it). Call once per harness step, before the step's
+// operations.
+func (k *coordinator) SetPartitionTime(t int64) {
+	k.parts.now.Store(t)
+	if k.gray != nil {
+		k.gray.now.Store(t)
 	}
 }
 
 // PartitionDrops returns how many messages the partition schedule has
 // eaten so far.
-func (a *Async) PartitionDrops() int64 {
-	if a.parts == nil {
-		return 0
-	}
-	return a.parts.drops.Load()
+func (k *coordinator) PartitionDrops() int64 { return k.parts.drops.Load() }
+
+// cut reports whether the partition schedule cuts the (from, to) direction
+// right now.
+func (k *coordinator) cut(from, to int) bool {
+	return k.parts.sched != nil && k.parts.sched.Blocked(k.parts.now.Load(), from, to)
 }
 
-// partBlocked reports whether the partition schedule cuts the (from, to)
-// direction right now, counting the loss when it does.
-func (a *Async) partBlocked(from, to int) bool {
-	p := a.parts
-	if p == nil || !p.sched.Blocked(p.now.Load(), from, to) {
+// partBlocked is cut for a message in transit: it counts the loss.
+func (k *coordinator) partBlocked(from, to int) bool {
+	if !k.cut(from, to) {
 		return false
 	}
-	p.drops.Add(1)
-	a.obs.Inc(obs.CPartitionDrop)
+	k.parts.drops.Add(1)
+	k.obs.Inc(obs.CPartitionDrop)
 	return true
-}
-
-// partitionReachable filters a peer snapshot down to the peers with both
-// directions open, for the baseline (reliable-transport) fan-outs whose
-// rounds are request/reply pairs: a peer cut in either direction cannot
-// contribute a reply, so it is excluded from the round up front. The
-// chaos fan-outs instead fold the two directions into their per-message
-// loss handling, preserving one-way side effects.
-func (a *Async) partitionReachable(x int, peers []int) []int {
-	if a.parts == nil || a.parts.sched == nil {
-		return peers
-	}
-	kept := peers[:0]
-	for _, p := range peers {
-		if a.partBlocked(x, p) || a.partBlocked(p, x) {
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept
 }

@@ -11,7 +11,7 @@ import (
 	"quorumkit/internal/strategy"
 )
 
-// Strategy serving: both runtimes can serve reads and writes off an
+// Strategy serving: the coordinator can serve reads and writes off an
 // installed randomized quorum strategy (internal/strategy) instead of
 // probing the whole component. A sampled quorum holds at least the
 // assignment's threshold votes by construction, so an operation that
@@ -188,13 +188,6 @@ func capAt(caps []float64, i int) float64 {
 	return 1
 }
 
-// strategyResolver is implemented by runtimes that can re-solve the
-// installed strategy after a daemon tick; the shared daemonStep invokes it
-// through a type assertion, mirroring reassignRunner.
-type strategyResolver interface {
-	runStrategyResolve(x int, suspected []int)
-}
-
 // resolve re-runs the resilient capacity LP restricted to the surviving
 // (unsuspected) sites at coordinator x's current thresholds and installs
 // the certified result at x's current version. Any failure — thresholds
@@ -266,52 +259,51 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 	return true, nil
 }
 
-// ---- Deterministic runtime implementation -------------------------------
-
-// InstallStrategy arms sampled-quorum serving on the deterministic runtime:
-// st is validated against the given assignment's thresholds over the
-// cluster's votes and tied to the given assignment version. ServeRead and
-// ServeWrite consult the sampler only while the coordinator's installed
-// version matches; any reassignment disarms it until a re-solve.
-func (c *Cluster) InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error {
-	if c.strat == nil {
-		c.strat = &strategyState{}
+// InstallStrategy arms sampled-quorum serving: st is validated against the
+// given assignment's thresholds over the cluster's votes and tied to the
+// given assignment version. ServeRead and ServeWrite consult the sampler
+// only while the coordinator's installed version matches; any reassignment
+// disarms it until a re-solve.
+func (k *coordinator) InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error {
+	if k.strat == nil {
+		k.strat = &strategyState{}
 	}
-	return c.strat.install(st, c.voteVector(), assign, version, budget, seed)
+	return k.strat.install(st, k.voteVector(), assign, version, budget, seed)
 }
 
 // ClearStrategy disarms sampled-quorum serving.
-func (c *Cluster) ClearStrategy() {
-	if c.strat != nil {
-		c.strat.clear()
+func (k *coordinator) ClearStrategy() {
+	if k.strat != nil {
+		k.strat.clear()
 	}
 }
 
 // StrategyCounters returns a snapshot of the strategy-serving counters.
-func (c *Cluster) StrategyCounters() stats.StrategyCounters {
-	if c.strat == nil {
+func (k *coordinator) StrategyCounters() stats.StrategyCounters {
+	if k.strat == nil {
 		return stats.StrategyCounters{}
 	}
-	return c.strat.snapshot()
+	return k.strat.snapshot()
 }
 
 // voteVector snapshots the per-site votes.
-func (c *Cluster) voteVector() []int {
-	votes := make([]int, len(c.nodes))
-	for i := range c.nodes {
-		votes[i] = c.nodes[i].votes
+func (k *coordinator) voteVector() []int {
+	votes := make([]int, len(k.all))
+	for i := range votes {
+		votes[i] = k.st.Votes(i)
 	}
 	return votes
 }
 
-// runStrategyResolve implements strategyResolver for the deterministic
-// runtime. A no-op until a strategy has been installed.
-func (c *Cluster) runStrategyResolve(x int, suspected []int) {
-	if c.strat == nil || c.health == nil {
+// strategyResolve re-solves the installed strategy after a daemon attempt
+// at node x. A no-op until a strategy has been installed; pure LP work plus
+// an install, no message rounds.
+func (k *coordinator) strategyResolve(x int, suspected []int) {
+	if k.strat == nil {
 		return
 	}
-	n := &c.nodes[x]
-	c.strat.resolve(c.health.cfg.Strategy, c.voteVector(), suspected, n.assign, n.version, c.obs)
+	_, s := k.view(x)
+	k.strat.resolve(k.health.cfg.Strategy, k.voteVector(), suspected, s.assign, s.version, k.obs)
 }
 
 // strategyServe runs the sampled-quorum ladder for one operation at
@@ -319,15 +311,15 @@ func (c *Cluster) runStrategyResolve(x int, suspected []int) {
 // deterministic path (stale strategy, newer version discovered mid-round,
 // or resample budget exhausted); when served is true the operation was
 // granted off a sampled quorum.
-func (c *Cluster) strategyServe(x int, write bool, value int64) (Outcome, bool) {
-	s := c.strat
-	budget, stale, active := s.armed(c.nodes[x].version)
+func (k *coordinator) strategyServe(x int, write bool, value int64) (Outcome, bool) {
+	s := k.strat
+	budget, stale, active := s.armed(k.NodeVersion(x))
 	if !active {
 		return Outcome{}, false
 	}
 	if stale {
 		s.bump(func(ct *stats.StrategyCounters) { ct.StaleFallbacks++; ct.Fallbacks++ })
-		c.obs.Inc(obs.CStrategyFallback)
+		k.obs.Inc(obs.CStrategyFallback)
 		return Outcome{}, false
 	}
 	for attempt := 1; attempt <= budget; attempt++ {
@@ -335,107 +327,92 @@ func (c *Cluster) strategyServe(x int, write bool, value int64) (Outcome, bool) 
 		if !ok {
 			return Outcome{}, false
 		}
-		out, granted, newer := c.strategyRound(x, q, version, write, value)
+		out, granted, newer := k.strategyRound(x, q, version, write, value)
 		if newer {
 			// A member answered from a newer assignment: the installed
 			// strategy no longer matches the thresholds in force.
 			s.bump(func(ct *stats.StrategyCounters) { ct.StaleFallbacks++; ct.Fallbacks++ })
-			c.obs.Inc(obs.CStrategyFallback)
+			k.obs.Inc(obs.CStrategyFallback)
 			return Outcome{}, false
 		}
 		if granted {
 			out.Attempts = attempt
 			if write {
 				s.bump(func(ct *stats.StrategyCounters) { ct.SampledWrites++ })
-				c.obs.Inc(obs.CStrategyWrite)
+				k.obs.Inc(obs.CStrategyWrite)
 			} else {
 				s.bump(func(ct *stats.StrategyCounters) { ct.SampledReads++ })
-				c.obs.Inc(obs.CStrategyRead)
+				k.obs.Inc(obs.CStrategyRead)
 			}
 			return out, true
 		}
 		if attempt < budget {
 			// The final failed attempt is the fallback, not a redraw.
 			s.bump(func(ct *stats.StrategyCounters) { ct.Resamples++ })
-			c.obs.Inc(obs.CStrategyResample)
+			k.obs.Inc(obs.CStrategyResample)
 		}
 	}
 	s.bump(func(ct *stats.StrategyCounters) { ct.Fallbacks++ })
-	c.obs.Inc(obs.CStrategyFallback)
+	k.obs.Inc(obs.CStrategyFallback)
 	return Outcome{}, false
 }
 
 // strategyRound probes exactly the members of one sampled quorum from
-// coordinator x and grants iff every member answered. newer reports that a
-// reply carried an assignment version beyond the installed one (adopted
-// into x before returning). The round never feeds the §4.2 estimator: its
-// sync push carries votesSeen 0.
-func (c *Cluster) strategyRound(x int, q strategy.Quorum, version int64, write bool, value int64) (out Outcome, granted, newer bool) {
-	self := &c.nodes[x]
+// coordinator x and grants iff every member answered; a member that is
+// down, partitioned away or amnesiac counts as unanswered. newer reports
+// that a reply carried an assignment version beyond the installed one
+// (adopted into x before returning). The round never feeds the §4.2
+// estimator: its sync push carries votesSeen 0.
+func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, write bool, value int64) (out Outcome, granted, newer bool) {
 	op := OpRead
 	if write {
 		op = OpWrite
 	}
-	c.replies = c.replies[:0]
+	k.obs.Add(obs.CStrategyProbe, int64(len(q)))
+	replies, _ := k.tr.exchange(x, q, voteRequest{op: op})
+
+	_, eff := k.view(x)
+	missing := len(q) // members yet to answer; x, when sampled, answers itself
 	for _, m := range q {
-		if m != x {
-			c.send(x, m, voteRequest{op: op})
+		if m == x {
+			missing--
 		}
 	}
-	c.obs.Add(obs.CStrategyProbe, int64(len(q)))
-	c.drain(x)
-
-	eff := *self
-	answered := make(map[int]bool, len(q))
-	for _, r := range c.replies {
-		if answered[r.from] {
+	seen := make(map[int]bool, len(q))
+	for _, p := range replies {
+		r := p.(voteReply)
+		if seen[r.from] {
 			continue
 		}
-		answered[r.from] = true
-		if r.version > eff.version {
-			eff.version, eff.assign = r.version, r.assign
-		}
-		if r.stamp > eff.stamp {
-			eff.stamp, eff.value = r.stamp, r.value
-		}
+		seen[r.from] = true
+		missing--
+		eff.adopt(r.copy())
 	}
 	if eff.version > version {
-		if self.adopt(eff.assign, eff.version, eff.stamp, eff.value) {
-			c.persistState(x)
+		self := k.tr.lock(x)
+		if self.adopt(eff) {
+			self.persistState()
 		}
+		k.tr.unlock(x)
 		return Outcome{}, false, true
 	}
-	for _, m := range q {
-		if m != x && !answered[m] {
-			return Outcome{}, false, false // unreachable member: redraw
-		}
+	if missing > 0 {
+		return Outcome{}, false, false // unreachable member: redraw
 	}
 
 	if !write {
-		if self.adopt(eff.assign, eff.version, eff.stamp, eff.value) {
-			c.persistState(x)
+		self := k.tr.lock(x)
+		if self.adopt(eff) {
+			self.persistState()
 		}
-		c.syncStore(x)
-		sync := syncState{value: eff.value, stamp: eff.stamp, version: eff.version,
-			assign: eff.assign, votesSeen: 0}
-		for _, m := range q {
-			if m != x && answered[m] {
-				c.send(x, m, sync)
-			}
-		}
-		c.drain(x)
+		self.syncStore()
+		k.tr.unlock(x)
+		k.tr.post(x, q, syncState{value: eff.value, stamp: eff.stamp,
+			version: eff.version, assign: eff.assign, votesSeen: 0})
 		return Outcome{Granted: true, Value: eff.value, Stamp: eff.stamp}, true, false
 	}
-
 	stamp := eff.stamp + 1
-	self.value, self.stamp = value, stamp
-	c.persistState(x)
-	c.syncStore(x) // durable before the applies fan out
-	for _, m := range q {
-		if m != x && answered[m] {
-			c.send(x, m, applyWrite{value: value, stamp: stamp})
-		}
-	}
-	c.drain(x)
+	k.applyLocal(x, value, stamp)
+	k.tr.post(x, q, applyWrite{value: value, stamp: stamp})
 	return Outcome{Granted: true, Value: value, Stamp: stamp}, true, false
 }

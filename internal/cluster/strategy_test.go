@@ -203,10 +203,10 @@ func TestStrategyResolveReinstallsAfterSuspicion(t *testing.T) {
 	// Seed every site's §4.2 histogram so the optimizer attempt has data.
 	for x := 0; x < 5; x++ {
 		for i := 0; i < 80; i++ {
-			c.recordObservation(x, 1)
+			c.nodes[x].observe(1)
 		}
 		for i := 0; i < 20; i++ {
-			c.recordObservation(x, 5)
+			c.nodes[x].observe(5)
 		}
 	}
 
@@ -264,7 +264,7 @@ func TestStrategyResolveDegradesWhenInfeasible(t *testing.T) {
 	}
 	for x := 0; x < 5; x++ {
 		for i := 0; i < 100; i++ {
-			c.recordObservation(x, 5)
+			c.nodes[x].observe(5)
 		}
 	}
 
