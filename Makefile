@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes fuzz chaos diskchaos soak adversary strategy-chaos grayfail hedge weights bench bench-robustness bench-obs bench-store bench-core bench-core-update bench-adversary bench-adversary-update bench-gray bench-gray-update bench-strategy bench-strategy-update bench-strategy-adversity bench-strategy-adversity-update bench-weights bench-weights-update strategy study e2e e2e-smoke
+.PHONY: check vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes fuzz chaos diskchaos soak adversary strategy-chaos grayfail hedge weights bench bench-robustness bench-obs bench-store bench-core bench-core-update bench-adversary bench-adversary-update bench-gray bench-gray-update bench-strategy bench-strategy-update bench-solver bench-strategy-adversity bench-strategy-adversity-update bench-weights bench-weights-update strategy study e2e e2e-smoke
 
 check: vet build test race cover-obs cover-store cover-sim cover-workload cover-faults cover-strategy cover-votes bench-strategy-adversity
 
@@ -258,6 +258,13 @@ bench-strategy:
 # Regenerate the committed strategy baseline (run on an idle machine).
 bench-strategy-update:
 	$(GO) run ./cmd/quorumsim -benchstrategy BENCH_strategy.json -seed 1
+
+# Per-rung solver micro-benchmarks: one certified resilient-capacity solve
+# at 9, 11 (enumeration) and 31 sites (column generation), ns/op and
+# allocs/op in seconds — the quick read while working on the solver; the
+# gated numbers are bench-strategy's and the end-to-end solve-ladder's.
+bench-solver:
+	$(GO) test ./internal/strategy/ -run xxx -bench Ladder -benchmem -count 3
 
 # Large-N study smoke: a reduced chords × α grid at paper scale.
 study:

@@ -129,12 +129,12 @@ func runBenchStrategy(path, base string, seed uint64) int {
 	file.SimAgreement.Batches = m.Batches
 
 	// Large N: a system far past the enumeration cutoff, solved by column
-	// generation to a certified bound gap. 151 sites keeps the dense-master
-	// solve around a minute of single-core time (the gate runs per push);
-	// the same machinery runs at 1000+ sites via `quorumopt -strategy
-	// -stratn 1001 -gap 0.05`, but closing the gap there is tens of
-	// minutes of degenerate pivoting — dual stabilization is the known
-	// fix and a roadmap item.
+	// generation to a certified bound gap. 151 sites keeps the solve
+	// around ten seconds of single-core time (the gate runs per push); the
+	// same machinery runs at 1000+ sites via `quorumopt -strategy -stratn
+	// 1001 -gap 0.05`, but closing the gap there takes many minutes of
+	// pivoting over the nJ load rows — dual stabilization is the known fix
+	// and a roadmap item.
 	const sites = 151
 	const targetGap = 0.05
 	large := heteroStrategySystem(sites, seed)

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
+	"slices"
 	"sort"
 
 	"quorumkit/internal/core"
 	"quorumkit/internal/dist"
 )
-
-var genDebug = os.Getenv("STRATEGY_GEN_DEBUG") != ""
 
 // Strategy optimizers. All three objectives are linear programs over the
 // product of two simplices (the read-quorum and write-quorum
@@ -27,8 +25,10 @@ var genDebug = os.Getenv("STRATEGY_GEN_DEBUG") != ""
 // tolerances are meaningful. When the minimal-quorum pool is too large to
 // enumerate, the capacity objectives switch to column generation: solve
 // over a seeded pool, then repeatedly price the most-violating quorum
-// column with a min-cost vote-knapsack DP (O(n·q) per round) and warm-start
-// the simplex with it, until pricing proves no quorum anywhere has negative
+// column with a min-cost vote-knapsack DP (O(n·q) per round, on one pricer
+// per side that owns its vote order and DP table for the whole run) and
+// append it to the sparse revised simplex, which warm-starts from its
+// optimal basis, until pricing proves no quorum anywhere has negative
 // reduced cost. That proof is what keeps strategy search tractable — and
 // still *certified* — at 1000+ sites.
 
@@ -228,19 +228,20 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 	opts = opts.norm()
 	scale := capScale(sys)
 
-	readPool, rOK := minimalResilientQuorums(sys.Votes, sys.QR, f, opts.MaxEnumerate)
-	writePool, wOK := minimalResilientQuorums(sys.Votes, sys.QW, f, opts.MaxEnumerate)
-	if rOK && wOK {
+	// An overflowing read pool sends both sides to column generation, so
+	// the write pool is only enumerated when the read pool is complete.
+	readPool, ok := minimalResilientQuorums(sys.Votes, sys.QR, f, opts.MaxEnumerate)
+	var writePool []Quorum
+	if ok {
+		writePool, ok = minimalResilientQuorums(sys.Votes, sys.QW, f, opts.MaxEnumerate)
+	}
+	if ok {
 		if len(readPool) == 0 || len(writePool) == 0 {
 			return nil, fmt.Errorf("%w (f=%d)", ErrResilienceInfeasible, f)
 		}
-		lp := buildCapacityLP(sys, d, readPool, writePool, scale)
-		sol, err := Solve(lp)
+		lp, _, sol, err := solveCapacityLP(sys, d, readPool, writePool, scale)
 		if err != nil {
 			return nil, err
-		}
-		if sol.Status != StatusOptimal {
-			return nil, fmt.Errorf("strategy: capacity LP ended %v", sol.Status)
 		}
 		res := assembleCapacity(sys, lp, sol, readPool, writePool, scale)
 		res.PoolComplete, res.Priced = true, true
@@ -250,13 +251,62 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 	return generateCapacity(sys, d, f, scale, opts)
 }
 
+// crashPlan builds a feasible starting basis for a capacity LP that skips
+// phase 1: put all mass on the first quorum of each pool, set each L_j to
+// that pair's bottleneck load, and park slacks everywhere else. Pivoting the
+// L columns first (at zero) and the two σ columns after keeps b ≥ 0 exactly
+// at every step, so no artificial ever has to climb out of the 2+nJ
+// degenerate load rows — the stall that kills a cold phase 1 here.
+func crashPlan(sys System, d FrDist, readPool, writePool []Quorum, scale float64) [][2]int {
+	n, nR, nW := sys.N(), len(readPool), len(writePool)
+	loads := make([]float64, n)
+	pairs := make([][2]int, 0, len(d.Fr)+2)
+	for j, fr := range d.Fr {
+		for i := range loads {
+			loads[i] = 0
+		}
+		for _, x := range readPool[0] {
+			loads[x] += readCoef(sys, scale, fr, x)
+		}
+		for _, x := range writePool[0] {
+			loads[x] += writeCoef(sys, scale, fr, x)
+		}
+		best := 0
+		for x := 1; x < n; x++ {
+			if loads[x] > loads[best] {
+				best = x
+			}
+		}
+		pairs = append(pairs, [2]int{loadRow(n, j, best), nR + nW + j})
+	}
+	return append(pairs, [2]int{0, 0}, [2]int{1, nR})
+}
+
+// solveCapacityLP builds the capacity LP over the given pools and solves it
+// cold from the crash basis, returning the solver for warm continuation.
+func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale float64) (LP, *simplex, Solution, error) {
+	lp := buildCapacityLP(sys, d, readPool, writePool, scale)
+	sx, err := newSimplex(lp)
+	if err != nil {
+		return lp, nil, Solution{}, err
+	}
+	if err := sx.crash(crashPlan(sys, d, readPool, writePool, scale)); err != nil {
+		return lp, nil, Solution{}, err
+	}
+	sol := sx.solve()
+	if sol.Status != StatusOptimal {
+		return lp, nil, sol, fmt.Errorf("strategy: capacity LP ended %v", sol.Status)
+	}
+	return lp, sx, sol, nil
+}
+
 // generateCapacity runs restricted-master column generation: solve over a
 // seeded pool, price the worst-reduced-cost quorums on each side with the
-// knapsack DP, warm-start them into the tableau, and repeat until no
+// knapsack DP, warm-start them into the solver, and repeat until no
 // violating column exists (or the certified Lagrangian bound gap falls
 // under Options.TargetGap). To keep the master narrow and the arithmetic
 // fresh, the pool is periodically *purged* to its basic support and the
-// tableau rebuilt cold; convergence is only declared on a cold tableau, so
+// solver rebuilt cold; convergence is only declared on a cold solve, so
 // the final certificate never inherits warm-pivot drift.
 func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) (*Result, error) {
 	n := sys.N()
@@ -275,62 +325,16 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		sol        Solution
 		seen       map[string]bool
 		colR, colW []int // simplex column of each active pool member
-		pivots     int   // pivots in fully retired tableaux
+		pivots     int   // pivots in fully retired solvers
 	)
-	// crashPlan builds a feasible starting basis that skips phase 1: put
-	// all mass on the first quorum of each pool, set each L_j to that
-	// pair's bottleneck load, and park slacks everywhere else. Pivoting the
-	// L columns first (at zero) and the two σ columns after keeps b ≥ 0
-	// exactly at every step, so no artificial ever has to climb out of the
-	// 2+nJ degenerate load rows — the stall that kills a cold phase 1 here.
-	crashPlan := func() [][2]int {
-		r0, w0 := actR[0], actW[0]
-		nR, nW := len(actR), len(actW)
-		loads := make([]float64, n)
-		pairs := make([][2]int, 0, len(d.Fr)+2)
-		for j, fr := range d.Fr {
-			for i := range loads {
-				loads[i] = 0
-			}
-			for _, x := range r0 {
-				loads[x] += readCoef(sys, scale, fr, x)
-			}
-			for _, x := range w0 {
-				loads[x] += writeCoef(sys, scale, fr, x)
-			}
-			best := 0
-			for x := 1; x < n; x++ {
-				if loads[x] > loads[best] {
-					best = x
-				}
-			}
-			pairs = append(pairs, [2]int{loadRow(n, j, best), nR + nW + j})
-		}
-		return append(pairs, [2]int{0, 0}, [2]int{1, nR})
-	}
-	// rebuild solves the active pool cold: pristine tableau, exact layout
+	// rebuild solves the active pool cold: pristine basis, exact layout
 	// [actR | actW | L].
 	rebuild := func() error {
-		if sx != nil {
-			pivots += sol.Pivots // retire the old tableau's count
-		}
-		lp = buildCapacityLP(sys, d, actR, actW, scale)
-		s2, err := newSimplex(lp)
-		if err != nil {
+		pivots += sol.Pivots // retire the old solver's count (0 at first)
+		var err error
+		if lp, sx, sol, err = solveCapacityLP(sys, d, actR, actW, scale); err != nil {
 			return err
 		}
-		if err := s2.crash(crashPlan()); err != nil {
-			return err
-		}
-		sol = s2.solve()
-		if genDebug {
-			fmt.Printf("[gen] rebuild pools=%d/%d status=%v pivots=%d obj=%.9g\n",
-				len(actR), len(actW), sol.Status, sol.Pivots, sol.Obj)
-		}
-		if sol.Status != StatusOptimal {
-			return fmt.Errorf("strategy: capacity master ended %v", sol.Status)
-		}
-		sx = s2
 		colR, colW = colR[:0], colW[:0]
 		for i := range actR {
 			colR = append(colR, i)
@@ -351,19 +355,15 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 	// actually uses. Support is never empty on either side: each convexity
 	// row forces total mass 1.
 	purge := func() {
-		vals := map[int]float64{}
-		for i, bj := range sx.basis {
-			vals[bj] = sx.b[i]
-		}
 		keepR := actR[:0:0]
 		for i, q := range actR {
-			if vals[colR[i]] > 1e-9 {
+			if sx.value(colR[i]) > 1e-9 {
 				keepR = append(keepR, q)
 			}
 		}
 		keepW := actW[:0:0]
 		for i, q := range actW {
-			if vals[colW[i]] > 1e-9 {
+			if sx.value(colW[i]) > 1e-9 {
 				keepW = append(keepW, q)
 			}
 		}
@@ -376,12 +376,27 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 	const priceTol = 1e-7
 	priced, rounds, generated := false, 0, 0
 	// dirty: columns were warm-added since the last cold rebuild, so the
-	// tableau may carry drift and convergence cannot be declared from it.
+	// basis inverse may carry drift and convergence cannot be declared from it.
 	dirty := false
 	adds := 0 // warm columns since last rebuild
 	maxAdds := 4 * (n + len(d.Fr))
 	rcost := make([]float64, n)
 	wcost := make([]float64, n)
+	priceR := newPricer(sys.Votes, sys.QR, f)
+	priceW := newPricer(sys.Votes, sys.QW, f)
+	// addQuorum appends one quorum column: its convexity row, then one load
+	// row per (fr-atom, member).
+	rows := make([]int, 0, 1+n*len(d.Fr))
+	vals := make([]float64, 0, 1+n*len(d.Fr))
+	addQuorum := func(side int, q Quorum, coef func(System, float64, float64, int) float64) int {
+		rows, vals = append(rows[:0], side), append(vals[:0], 1)
+		for j, fr := range d.Fr {
+			for _, x := range q {
+				rows, vals = append(rows, loadRow(n, j, x)), append(vals, coef(sys, scale, fr, x))
+			}
+		}
+		return sx.addColumn(0, rows, vals)
+	}
 	bound := math.Inf(-1)
 	for ; rounds < opts.MaxRounds; rounds++ {
 		// Per-site pricing costs from the load-row duals λ ≤ 0: a quorum
@@ -395,8 +410,8 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 				wcost[x] -= lam * writeCoef(sys, scale, fr, x)
 			}
 		}
-		candR := priceCandidates(sys.Votes, sys.QR, f, rcost, opts.Candidates)
-		candW := priceCandidates(sys.Votes, sys.QW, f, wcost, opts.Candidates)
+		candR := priceR.candidates(rcost, opts.Candidates)
+		candW := priceW.candidates(wcost, opts.Candidates)
 		vR, vW := 0.0, 0.0
 		if len(candR) > 0 {
 			vR = math.Max(0, y[0]-candR[0].cost)
@@ -415,7 +430,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		early := !converged && opts.TargetGap > 0 && gap <= opts.TargetGap*math.Abs(sol.Obj)
 		if converged || early {
 			if dirty {
-				// Convergence seen on a warm tableau: purge, re-solve cold,
+				// Convergence seen on a warm solve: purge, re-solve cold,
 				// and let the next round re-verify pricing against exact
 				// duals before declaring victory.
 				purge()
@@ -460,7 +475,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		adds += len(newR) + len(newW)
 		if adds > maxAdds {
 			// Master grew too wide: purge to support plus the new columns
-			// and restart cold. This bounds the tableau width by the row
+			// and restart cold. This bounds the master's width by the row
 			// count and resets accumulated pivot error.
 			purge()
 			actR = append(actR, newR...)
@@ -471,26 +486,14 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 			dirty, adds = false, 0
 			continue
 		}
-		// Warm path: price the new columns through B⁻¹ and continue the
-		// current tableau from its optimal basis. Warm columns land after
-		// the slack/artificial block, so track their indices for purge.
+		// Warm path: append the new columns and continue the current solver
+		// from its optimal basis. Warm columns land after the
+		// slack/artificial block, so track their indices for purge.
 		for _, q := range newR {
-			coef := map[int]float64{0: 1}
-			for j, fr := range d.Fr {
-				for _, x := range q {
-					coef[loadRow(n, j, x)] = readCoef(sys, scale, fr, x)
-				}
-			}
-			colR = append(colR, sx.addColumn(0, coef))
+			colR = append(colR, addQuorum(0, q, readCoef))
 		}
 		for _, q := range newW {
-			coef := map[int]float64{1: 1}
-			for j, fr := range d.Fr {
-				for _, x := range q {
-					coef[loadRow(n, j, x)] = writeCoef(sys, scale, fr, x)
-				}
-			}
-			colW = append(colW, sx.addColumn(0, coef))
+			colW = append(colW, addQuorum(1, q, writeCoef))
 		}
 		actR = append(actR, newR...)
 		actW = append(actW, newW...)
@@ -501,7 +504,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		}
 	}
 	if dirty {
-		// MaxRounds exhausted mid-warm: finish on a cold tableau so the
+		// MaxRounds exhausted mid-warm: finish on a cold solve so the
 		// returned certificate is pristine.
 		purge()
 		if err := rebuild(); err != nil {
@@ -526,19 +529,19 @@ type priceCand struct {
 	cost float64
 }
 
-// priceCandidates returns up to k candidate columns: the exact
-// minimum-cost quorum first, then diversified near-minima obtained by
-// banning the heaviest member of the previous candidate and repricing.
-func priceCandidates(votes []int, q, f int, cost []float64, k int) []priceCand {
-	work := append([]float64(nil), cost...)
+// candidates returns up to k candidate columns: the exact minimum-cost
+// quorum first, then diversified near-minima obtained by banning the
+// heaviest member of the previous candidate and repricing.
+func (p *pricer) candidates(cost []float64, k int) []priceCand {
+	work := p.work
+	copy(work, cost)
 	bigM := 1.0
 	for _, c := range cost {
 		bigM += c
 	}
-	var out []priceCand
-	seen := map[string]bool{}
+	out := make([]priceCand, 0, k)
 	for len(out) < k {
-		set, _, ok := priceQuorum(votes, q, f, work)
+		set, _, ok := p.price(work)
 		if !ok {
 			break
 		}
@@ -552,8 +555,7 @@ func priceCandidates(votes []int, q, f int, cost []float64, k int) []priceCand {
 				heavy, heavyC = x, cost[x]
 			}
 		}
-		if kk := keyOf(set); !seen[kk] {
-			seen[kk] = true
+		if !slices.ContainsFunc(out, func(c priceCand) bool { return slices.Equal(c.q, set) }) {
 			out = append(out, priceCand{set, trueCost})
 		}
 		if heavy < 0 || work[heavy] >= bigM {
@@ -820,12 +822,13 @@ func seedQuorums(sys System, q, f int, caps []float64, rotations int) ([]Quorum,
 	}
 	seen := map[string]bool{}
 	var out []Quorum
+	scratch := make([]int, n)
 	for _, order := range orders {
 		set := fillQuorum(sys.Votes, q, f, order)
 		if set == nil {
 			return nil, fmt.Errorf("no %d-resilient set reaches %d votes", f, q)
 		}
-		set = minimalizeQuorum(sys.Votes, q, f, set, caps)
+		set = minimalizeQuorum(sys.Votes, q, f, set, caps, scratch)
 		if k := keyOf(set); !seen[k] {
 			seen[k] = true
 			out = append(out, set)
@@ -848,89 +851,122 @@ func fillQuorum(votes []int, q, f int, order []int) Quorum {
 	return nil
 }
 
-// resilientVotes is votes(S) minus the f largest member votes.
+// resilientVotes is votes(S) minus the f largest member votes. Members are
+// totally ordered by (vote descending, position ascending); each pass
+// selects the next one in that order, so no scratch is needed.
 func resilientVotes(votes []int, set Quorum, f int) int {
-	if f == 0 {
-		return set.votes(votes)
-	}
-	vs := make([]int, len(set))
-	for i, x := range set {
-		vs[i] = votes[x]
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(vs)))
-	t := 0
-	for i := f; i < len(vs); i++ {
-		t += vs[i]
+	t := set.votes(votes)
+	prevV, prevI := math.MaxInt, -1
+	for k := 0; k < f && k < len(set); k++ {
+		bestV, bestI := -1, -1
+		for i, x := range set {
+			if v := votes[x]; v > bestV && (v < prevV || (v == prevV && i > prevI)) {
+				bestV, bestI = v, i
+			}
+		}
+		t -= bestV
+		prevV, prevI = bestV, bestI
 	}
 	return t
 }
 
-// minimalizeQuorum drops removable members — lowest capacity first — until
-// the set is a minimal f-resilient quorum.
-func minimalizeQuorum(votes []int, q, f int, set Quorum, caps []float64) Quorum {
-	order := append(Quorum(nil), set...)
-	sort.SliceStable(order, func(a, b int) bool { return caps[order[a]] < caps[order[b]] })
-	cur := append(Quorum(nil), set...)
-	for _, x := range order {
-		trial := cur[:0:0]
-		for _, m := range cur {
-			if m != x {
-				trial = append(trial, m)
-			}
+// minimalizeQuorum drops removable members of the sorted set in place —
+// lowest capacity first — until it is a minimal f-resilient quorum. scratch
+// needs room for len(set) ints.
+func minimalizeQuorum(votes []int, q, f int, set Quorum, caps []float64, scratch []int) Quorum {
+	// Stable insertion sort of the members by capacity: sets are small and
+	// sort.SliceStable allocates.
+	order := scratch[:len(set)]
+	for i, x := range set {
+		j := i
+		for ; j > 0 && caps[order[j-1]] > caps[x]; j-- {
+			order[j] = order[j-1]
 		}
-		if resilientVotes(votes, trial, f) >= q {
-			cur = trial
+		order[j] = x
+	}
+	for _, x := range order {
+		// Try the set without x; put x back if that loses the quorum.
+		i, _ := slices.BinarySearch(set, x)
+		copy(set[i:], set[i+1:])
+		if trial := set[:len(set)-1]; resilientVotes(votes, trial, f) >= q {
+			set = trial
+		} else {
+			copy(set[i+1:], set[i:])
+			set[i] = x
 		}
 	}
-	sort.Ints(cur)
-	return cur
+	return set
 }
 
-// priceQuorum finds the quorum minimizing Σ_{x∈Q} cost[x] subject to the
+// pricer is the column-generation pricing oracle for one threshold of one
+// run: it finds the quorum minimizing Σ_{x∈Q} cost[x] subject to the
 // f-resilient vote constraint, by dynamic programming over sites in
 // descending vote order with state (members chosen capped at f, resilient
-// votes capped at q): O(n·f·q) time. Used as the column-generation pricing
-// oracle; costs must be ≥ 0. ok is false when no f-resilient quorum
-// exists.
-func priceQuorum(votes []int, q, f int, cost []float64) (Quorum, float64, bool) {
-	n := len(votes)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return votes[order[a]] > votes[order[b]] })
+// votes capped at q): O(n·f·q) time. The vote order, the DP table and every
+// scratch slice are allocated once, so a call allocates only the quorum it
+// returns.
+type pricer struct {
+	votes []int
+	q, f  int
+	order []int     // sites by descending vote
+	dp    []float64 // n+1 layers of (f+1)·(q+1) states
+	work  []float64 // candidates' perturbed costs
+	drop  []float64 // minimalization keys
+	set   []int     // the argmin before minimalization
+	ord   []int     // minimalizeQuorum scratch
+}
 
-	ks, ss := f+1, q+1
+func newPricer(votes []int, q, f int) *pricer {
+	n := len(votes)
+	p := &pricer{
+		votes: votes, q: q, f: f,
+		order: make([]int, n),
+		dp:    make([]float64, (n+1)*(f+1)*(q+1)),
+		work:  make([]float64, n),
+		drop:  make([]float64, n),
+		set:   make([]int, 0, n),
+		ord:   make([]int, n),
+	}
+	for i := range p.order {
+		p.order[i] = i
+	}
+	sort.SliceStable(p.order, func(a, b int) bool { return votes[p.order[a]] > votes[p.order[b]] })
+	return p
+}
+
+// price returns the minimum-cost minimal quorum and its cost; costs must be
+// ≥ 0. ok is false when no f-resilient quorum exists.
+func (p *pricer) price(cost []float64) (Quorum, float64, bool) {
+	votes, order, q, f := p.votes, p.order, p.q, p.f
+	n := len(votes)
+	ss := q + 1
+	layer := (f + 1) * ss
 	// dp[i][k][s]: min cost among the first i sites with min(chosen, f) = k
 	// and resilient votes min(sum, q) = s. Layered so an exact backward walk
 	// recovers the argmin.
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, ks*ss)
-		for j := range dp[i] {
-			dp[i][j] = math.Inf(1)
-		}
+	dp := func(i int) []float64 { return p.dp[i*layer:][:layer] }
+	inf := math.Inf(1)
+	first := dp(0)
+	for j := range first {
+		first[j] = inf
 	}
-	dp[0][0] = 0
+	first[0] = 0
 	at := func(k, s int) int { return k*ss + s }
 	for i := 0; i < n; i++ {
 		v, c := votes[order[i]], cost[order[i]]
-		cur, next := dp[i], dp[i+1]
+		cur, next := dp(i), dp(i+1)
 		copy(next, cur) // skip site i
-		for k := 0; k < ks; k++ {
+		for k := 0; k <= f; k++ {
 			for s := 0; s < ss; s++ {
 				from := cur[at(k, s)]
-				if math.IsInf(from, 1) {
+				if from == inf {
 					continue
 				}
 				var k2, s2 int
 				if k < f {
 					k2, s2 = k+1, s // lands in the top-f slots
 				} else {
-					k2, s2 = f, s+v
-					if s2 > q {
-						s2 = q
-					}
+					k2, s2 = f, min(s+v, q)
 				}
 				if t := from + c; t < next[at(k2, s2)] {
 					next[at(k2, s2)] = t
@@ -938,16 +974,16 @@ func priceQuorum(votes []int, q, f int, cost []float64) (Quorum, float64, bool) 
 			}
 		}
 	}
-	best := dp[n][at(f, q)]
-	if math.IsInf(best, 1) {
+	if dp(n)[at(f, q)] == inf {
 		return nil, 0, false
 	}
 	// Walk back through the layers; float comparisons are exact because the
 	// same sums are recomputed from the same operands.
-	var set Quorum
+	set := p.set[:0]
 	k, s := f, q
 	for i := n; i > 0; i-- {
-		if dp[i][at(k, s)] == dp[i-1][at(k, s)] {
+		here, prev := dp(i)[at(k, s)], dp(i-1)
+		if here == prev[at(k, s)] {
 			continue // skipped
 		}
 		v, c := votes[order[i-1]], cost[order[i-1]]
@@ -957,21 +993,18 @@ func priceQuorum(votes []int, q, f int, cost []float64) (Quorum, float64, bool) 
 			// min(q, sp+v) = s, or the site filled the last top-f slot
 			// (transition from (f-1, s)). The capped state s = q admits a
 			// window of predecessors; s < q pins sp = s−v exactly.
-			lo, hi := s-v, s-v
+			lo, hi := max(s-v, 0), s-v
 			if s == q {
 				hi = q
 			}
-			if lo < 0 {
-				lo = 0
-			}
 			found := false
 			for sp := lo; sp <= hi; sp++ {
-				if dp[i-1][at(f, sp)]+c == dp[i][at(k, s)] {
+				if prev[at(f, sp)]+c == here {
 					s, found = sp, true
 					break
 				}
 			}
-			if !found && f > 0 && dp[i-1][at(f-1, s)]+c == dp[i][at(k, s)] {
+			if !found && f > 0 && prev[at(f-1, s)]+c == here {
 				k, found = f-1, true
 			}
 			if !found {
@@ -984,14 +1017,13 @@ func priceQuorum(votes []int, q, f int, cost []float64) (Quorum, float64, bool) 
 	sort.Ints(set)
 	// Minimalize, shedding the most expensive removable members first (the
 	// DP can carry zero-cost riders).
-	drop := make([]float64, n)
 	for _, x := range set {
-		drop[x] = -cost[x]
+		p.drop[x] = -cost[x]
 	}
-	set = minimalizeQuorum(votes, q, f, set, drop)
+	set = minimalizeQuorum(votes, q, f, set, p.drop, p.ord)
 	total := 0.0
 	for _, x := range set {
 		total += cost[x]
 	}
-	return set, total, true
+	return append(Quorum(nil), set...), total, true
 }

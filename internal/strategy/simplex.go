@@ -3,29 +3,34 @@ package strategy
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// A pure-Go dense two-phase primal simplex. No external dependencies: the
-// optimizers need exact control over determinism (golden fixtures), dual
-// extraction (certificates) and warm starts (column generation), none of
-// which an external solver binding would give us.
+// A pure-Go two-phase primal revised simplex with sparse columns. No
+// external dependencies: the optimizers need exact control over determinism
+// (golden fixtures), dual extraction (certificates) and warm starts (column
+// generation), none of which an external solver binding would give us.
 //
 // The LP is stated in natural form — min c·x subject to rows of sense
 // ≤ / = / ≥ with x ≥ 0 — and converted internally to standard form with
-// slack and artificial columns. Artificial columns are kept in the tableau
-// for every row (banned from ever entering the basis once phase 1 ends):
-// since each starts as the identity column e_i, its current tableau column
-// is always B⁻¹e_i, which gives
+// slack and artificial columns. Every column keeps its original sparse form
+// and is never updated; the only state a pivot touches is the explicit m×m
+// B⁻¹, the basic values b and the duals y = c_B·B⁻¹, so a pivot costs
+// O(m² + nnz priced) however many columns the LP has. Column i of B⁻¹ is
+// the column the artificial of row i (originally e_i) would have in a full
+// tableau, and c_art − y_i is that artificial's reduced cost, which gives
 //
-//   - dual values y = c_B·B⁻¹ read directly off the objective row, and
-//   - warm-started column generation: a new column a enters as B⁻¹a,
-//     computed from the artificial columns without refactorization.
+//   - dual values read directly off y, for optimality certificates and
+//     (with the phase-1 costs loaded) Farkas witnesses, and
+//   - warm-started column generation: a new column is appended in sparse
+//     form and priced like any other, with no refactorization.
 //
-// Pivoting is Dantzig's rule (most negative reduced cost) until a run of
-// degenerate pivots suggests cycling, after which the solver switches
-// permanently to Bland's rule (smallest index entering, smallest basic
-// variable leaving on ties), which guarantees termination.
+// Pricing is Dantzig's rule (most negative reduced cost) over a candidate
+// list: the columns found attractive in the last full pass are re-priced
+// against the fresh duals until none is, then a full pass refills the list.
+// A run of degenerate pivots suggesting cycling switches to Bland's rule
+// (smallest index entering over a full scan, smallest basic variable
+// leaving on ties), which guarantees termination, until the objective next
+// makes strict progress.
 
 // RowSense is the comparison direction of an LP row.
 type RowSense int8
@@ -137,33 +142,39 @@ const (
 	blandTrip = 40    // degenerate pivots in a row before Bland's rule
 )
 
-// simplex is the internal standard-form tableau.
+// simplex is the internal standard-form revised simplex. Columns are indexed
+// [structural | slack | artificial | generated…]; the artificial of row i is
+// column artBase+i. An artificial never enters the basis: it is either basic
+// in its own row from the start (GE/EQ rows) or out for good, so it cannot
+// migrate rows and survive into phase 2 with a nonzero ray component.
 type simplex struct {
-	lp      LP
 	m       int       // rows
 	rowMult []float64 // ±1: applied to make every RHS non-negative
-	sense   []RowSense
-	ncols   int
 	nStruct int
-	slackOf []int // row → slack column (-1 if EQ)
-	artOf   []int // row → artificial column (always present)
-	isArt   []bool
+	artBase int
+	ncols   int
 
-	cols      [][]float64 // column-major tableau, cols[j][i]
-	b         []float64
-	cost      []float64 // phase-2 cost per column
-	banned    []bool    // artificial columns, once phase 1 ends
-	basis     []int     // row → basic column
-	obj       []float64 // reduced costs (current phase)
+	// Original columns in compressed sparse form (rows already multiplied
+	// by rowMult): column j holds colRow/colVal[colPtr[j]:colPtr[j+1]].
+	colPtr []int
+	colRow []int
+	colVal []float64
+	cost   []float64 // phase-2 cost per column
+	basic  []bool
+
+	binv  []float64 // B⁻¹, column-major: binv[k*m+i] = (B⁻¹)_ik
+	b     []float64 // basic variable values, B⁻¹·rhs
+	y     []float64 // duals c_B·B⁻¹ for the current phase's costs
+	basis []int     // row → basic column
+	d     []float64 // B⁻¹·a_e for the entering column (ftran scratch)
+	cand  []int     // Dantzig candidate list, ascending column index
+
+	feasPhase bool // phase 1: cost 1 on artificials, 0 elsewhere
 	objVal    float64
 	pivots    int
 	pivotBase int // pivots at the start of the current phase
 	bland     bool
 	degen     int
-	// banArtLeave: during phase 1, permanently ban an artificial the moment
-	// it leaves the basis — re-entry would let it migrate rows and survive
-	// into phase 2 with a nonzero ray component.
-	banArtLeave bool
 	// crashing suspends the b ≥ 0 clamp during crash pivots: intermediate
 	// values may dip negative exactly and cancel by the final crash pivot,
 	// and clamping mid-sequence would corrupt them.
@@ -184,131 +195,187 @@ func newSimplex(lp LP) (*simplex, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
-	m := len(lp.Rows)
+	m, nv := len(lp.Rows), lp.NumVars
 	s := &simplex{
-		lp:      lp,
 		m:       m,
 		rowMult: make([]float64, m),
-		sense:   make([]RowSense, m),
-		nStruct: lp.NumVars,
-		slackOf: make([]int, m),
-		artOf:   make([]int, m),
+		nStruct: nv,
+		binv:    make([]float64, m*m),
 		b:       make([]float64, m),
+		y:       make([]float64, m),
 		basis:   make([]int, m),
+		d:       make([]float64, m),
 	}
-	// Standard form: flip rows with negative RHS (which flips LE↔GE), then
-	// count columns: structural + one slack per inequality + one artificial
-	// per row.
-	ncols := s.nStruct
+	// Standard form: flip rows with negative RHS (which flips LE↔GE); one
+	// slack per inequality and one artificial per row follow the
+	// structural columns.
+	sense := make([]RowSense, m)
+	nSlack, nnz := 0, 0
 	for i, r := range lp.Rows {
-		s.rowMult[i] = 1
-		s.sense[i] = r.Sense
-		s.b[i] = r.RHS
+		s.rowMult[i], s.b[i], sense[i] = 1, r.RHS, r.Sense
 		if r.RHS < 0 {
-			s.rowMult[i] = -1
-			s.b[i] = -r.RHS
+			s.rowMult[i], s.b[i] = -1, -r.RHS
 			switch r.Sense {
 			case LE:
-				s.sense[i] = GE
+				sense[i] = GE
 			case GE:
-				s.sense[i] = LE
+				sense[i] = LE
 			}
 		}
-		s.slackOf[i] = -1
-		if s.sense[i] != EQ {
-			s.slackOf[i] = ncols
-			ncols++
+		if sense[i] != EQ {
+			nSlack++
+		}
+		for _, c := range r.Coef {
+			if c != 0 {
+				nnz++
+			}
 		}
 	}
-	for i := range lp.Rows {
-		s.artOf[i] = ncols
-		ncols++
-	}
-	s.ncols = ncols
-	s.cols = make([][]float64, ncols)
-	for j := range s.cols {
-		s.cols[j] = make([]float64, m)
-	}
-	s.cost = make([]float64, ncols)
-	s.banned = make([]bool, ncols)
-	s.isArt = make([]bool, ncols)
-	s.obj = make([]float64, ncols)
-	for j := 0; j < s.nStruct; j++ {
+	s.artBase = nv + nSlack
+	s.ncols = s.artBase + m
+	s.colPtr = make([]int, 1, s.ncols+1)
+	s.colRow = make([]int, 0, nnz+nSlack+m)
+	s.colVal = make([]float64, 0, nnz+nSlack+m)
+	s.cost = make([]float64, s.ncols)
+	s.basic = make([]bool, s.ncols)
+	copy(s.cost, lp.Cost)
+	for j := 0; j < nv; j++ {
 		for i := range lp.Rows {
-			s.cols[j][i] = s.rowMult[i] * lp.Rows[i].Coef[j]
-		}
-		s.cost[j] = lp.Cost[j]
-	}
-	for i := range lp.Rows {
-		if sc := s.slackOf[i]; sc >= 0 {
-			if s.sense[i] == LE {
-				s.cols[sc][i] = 1
-			} else {
-				s.cols[sc][i] = -1
+			if c := lp.Rows[i].Coef[j]; c != 0 {
+				s.colRow = append(s.colRow, i)
+				s.colVal = append(s.colVal, s.rowMult[i]*c)
 			}
 		}
-		s.cols[s.artOf[i]][i] = 1
-		s.isArt[s.artOf[i]] = true
+		s.colPtr = append(s.colPtr, len(s.colRow))
 	}
-	// Initial basis: the slack for LE rows, the artificial otherwise. LE
-	// artificials are never usable — they exist only as B⁻¹ readout.
+	unit := func(i int, v float64) {
+		s.colRow = append(s.colRow, i)
+		s.colVal = append(s.colVal, v)
+		s.colPtr = append(s.colPtr, len(s.colRow))
+	}
+	// Initial basis, B = I: the slack for LE rows, the artificial otherwise.
 	for i := range lp.Rows {
-		if s.sense[i] == LE {
-			s.basis[i] = s.slackOf[i]
-			s.banned[s.artOf[i]] = true
-		} else {
-			s.basis[i] = s.artOf[i]
+		switch sense[i] {
+		case LE:
+			s.basis[i] = len(s.colPtr) - 1
+			unit(i, 1)
+		case GE:
+			unit(i, -1)
+			s.basis[i] = s.artBase + i
+		default:
+			s.basis[i] = s.artBase + i
 		}
+	}
+	for i := range lp.Rows {
+		unit(i, 1)
+		s.binv[i*m+i] = 1
+		s.basic[s.basis[i]] = true
 	}
 	return s, nil
 }
 
-// setPhaseObjective loads the reduced-cost row for the given per-column
-// cost vector: obj[j] = c_j − c_B·(B⁻¹A_j), objVal = c_B·b.
-func (s *simplex) setPhaseObjective(c []float64) {
+func (s *simplex) isArt(j int) bool { return j >= s.artBase && j < s.artBase+s.m }
+
+// loadObjective recomputes the duals and objective of the current phase
+// from the basis: y = c_B·B⁻¹, objVal = c_B·b.
+func (s *simplex) loadObjective() {
 	s.objVal = 0
-	cb := make([]float64, s.m)
-	for i, bj := range s.basis {
-		cb[i] = c[bj]
-		s.objVal += cb[i] * s.b[i]
+	for k := range s.y {
+		s.y[k] = 0
 	}
-	for j := 0; j < s.ncols; j++ {
-		r := c[j]
-		col := s.cols[j]
-		for i := 0; i < s.m; i++ {
-			if cb[i] != 0 {
-				r -= cb[i] * col[i]
+	for i, bj := range s.basis {
+		cb := s.cost[bj]
+		if s.feasPhase {
+			cb = 0
+			if s.isArt(bj) {
+				cb = 1
 			}
 		}
-		s.obj[j] = r
+		if cb == 0 {
+			continue
+		}
+		s.objVal += cb * s.b[i]
+		for k := range s.y {
+			s.y[k] += cb * s.binv[k*s.m+i]
+		}
 	}
 }
 
-// entering picks the entering column, or -1 at optimality.
-func (s *simplex) entering() int {
+// reduced prices a non-artificial column against the current duals:
+// c_j − y·a_j over the column's nonzeros.
+func (s *simplex) reduced(j int) float64 {
+	r := 0.0
+	if !s.feasPhase {
+		r = s.cost[j]
+	}
+	for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {
+		r -= s.y[s.colRow[p]] * s.colVal[p]
+	}
+	return r
+}
+
+// entering picks the entering column and its reduced cost, or -1 at
+// optimality.
+func (s *simplex) entering() (int, float64) {
 	if s.bland {
 		for j := 0; j < s.ncols; j++ {
-			if !s.banned[j] && s.obj[j] < -pivTol {
-				return j
+			if s.basic[j] || s.isArt(j) {
+				continue
+			}
+			if r := s.reduced(j); r < -pivTol {
+				return j, r
 			}
 		}
-		return -1
+		return -1, 0
 	}
-	best, bestVal := -1, -pivTol
-	for j := 0; j < s.ncols; j++ {
-		if !s.banned[j] && s.obj[j] < bestVal {
-			best, bestVal = j, s.obj[j]
+	for refilled := false; ; refilled = true {
+		best, bestVal := -1, -pivTol
+		keep := s.cand[:0]
+		for _, j := range s.cand {
+			if s.basic[j] {
+				continue
+			}
+			if r := s.reduced(j); r < -pivTol {
+				keep = append(keep, j)
+				if r < bestVal {
+					best, bestVal = j, r
+				}
+			}
+		}
+		s.cand = keep
+		if best >= 0 || refilled {
+			return best, bestVal
+		}
+		// No candidate is attractive any more: the next pass prices every
+		// nonbasic column.
+		for j := 0; j < s.ncols; j++ {
+			if !s.basic[j] && !s.isArt(j) {
+				s.cand = append(s.cand, j)
+			}
 		}
 	}
-	return best
 }
 
-// leaving runs the ratio test for entering column e, or -1 if unbounded.
-// Ties are broken by the largest pivot element (fewer degenerate rows
-// downstream, better conditioning), except in Bland mode where the
+// ftran loads d = B⁻¹·a_e from column e's nonzeros.
+func (s *simplex) ftran(e int) {
+	d := s.d
+	for i := range d {
+		d[i] = 0
+	}
+	for p := s.colPtr[e]; p < s.colPtr[e+1]; p++ {
+		a, col := s.colVal[p], s.binv[s.colRow[p]*s.m:][:s.m]
+		for i, v := range col {
+			d[i] += a * v
+		}
+	}
+}
+
+// leaving runs the ratio test on the loaded entering column d, or -1 if
+// unbounded. Ties are broken by the largest pivot element (fewer degenerate
+// rows downstream, better conditioning), except in Bland mode where the
 // lowest-index rule is what guarantees termination.
-func (s *simplex) leaving(e int) int {
-	col := s.cols[e]
+func (s *simplex) leaving() int {
+	col := s.d
 	row, bestRatio := -1, math.Inf(1)
 	for i := 0; i < s.m; i++ {
 		if col[i] <= pivTol {
@@ -336,9 +403,11 @@ func (s *simplex) leaving(e int) int {
 	return row
 }
 
-// pivot brings column e into the basis at row r.
-func (s *simplex) pivot(r, e int) {
-	pe := s.cols[e][r]
+// pivot brings column e, loaded in d with reduced cost de, into the basis
+// at row r: an elementary row operation on B⁻¹, b and y.
+func (s *simplex) pivot(r, e int, de float64) {
+	d := s.d
+	pe := d[r]
 	theta := s.b[r] / pe
 	if theta < degenTol {
 		s.degen++
@@ -352,42 +421,36 @@ func (s *simplex) pivot(r, e int) {
 		s.degen = 0
 		s.bland = false
 	}
-	s.objVal += s.obj[e] * theta
-
-	// Save the pivot column before it is overwritten.
-	d := make([]float64, s.m)
-	copy(d, s.cols[e])
-	objE := s.obj[e]
+	s.objVal += de * theta
 
 	s.b[r] = theta
-	for i := 0; i < s.m; i++ {
-		if i != r && d[i] != 0 {
-			s.b[i] -= d[i] * theta
+	for i, v := range d {
+		if i != r && v != 0 {
+			s.b[i] -= v * theta
 			if s.b[i] < 0 && !s.crashing {
 				s.b[i] = 0 // clamp rounding; b stays feasible by construction
 			}
 		}
 	}
-	for j := 0; j < s.ncols; j++ {
-		col := s.cols[j]
+	// Row r of B⁻¹ is scaled by 1/pe and d_i times it is subtracted from
+	// every other row. Past the first few pivots d is dense, so the inner
+	// loop runs over all of it with d_r zeroed rather than skipping zeros;
+	// columns with a zero in row r (basic slacks, mostly) are untouched.
+	d[r] = 0
+	for k := 0; k < s.m; k++ {
+		col := s.binv[k*s.m:][:len(d)]
 		vr := col[r] / pe
-		if vr == 0 && s.obj[j] == 0 {
+		if vr == 0 {
 			continue
 		}
-		col[r] = vr
-		if vr != 0 {
-			for i := 0; i < s.m; i++ {
-				if i != r && d[i] != 0 {
-					col[i] -= d[i] * vr
-				}
-			}
+		for i, v := range d {
+			col[i] -= v * vr
 		}
-		s.obj[j] -= objE * vr
+		col[r] = vr
+		s.y[k] += de * vr
 	}
-	s.obj[e] = 0 // exact: entering column's reduced cost vanishes
-	if old := s.basis[r]; s.banArtLeave && s.isArt[old] {
-		s.banned[old] = true
-	}
+	d[r] = pe
+	s.basic[s.basis[r]], s.basic[e] = false, true
 	s.basis[r] = e
 	s.pivots++
 }
@@ -395,22 +458,22 @@ func (s *simplex) pivot(r, e int) {
 // crash pivots a caller-supplied starting basis in, bypassing the ratio
 // test: each pair is (row, entering column). The caller must order the
 // pairs so that b stays nonnegative after every pivot — crash verifies
-// only that each pivot element is numerically usable. Artificials
-// displaced by the crash are banned exactly as in phase 1; if the crash
-// leaves no artificial basic, phase 1 reduces to a no-op and the solve
-// proceeds straight to phase 2 from the crashed vertex.
+// only that each pivot element is numerically usable. If the crash leaves
+// no artificial basic, phase 1 reduces to a no-op and the solve proceeds
+// straight to phase 2 from the crashed vertex.
 func (s *simplex) crash(pairs [][2]int) error {
-	s.banArtLeave, s.crashing = true, true
-	defer func() { s.banArtLeave, s.crashing = false, false }()
+	s.crashing = true
+	defer func() { s.crashing = false }()
 	for _, p := range pairs {
 		r, e := p[0], p[1]
-		if r < 0 || r >= s.m || e < 0 || e >= s.ncols {
+		if r < 0 || r >= s.m || e < 0 || e >= s.ncols || s.isArt(e) {
 			return fmt.Errorf("strategy: crash pivot (%d,%d) out of range", r, e)
 		}
-		if math.Abs(s.cols[e][r]) <= pivTol {
-			return fmt.Errorf("strategy: crash pivot (%d,%d) element %g too small", r, e, s.cols[e][r])
+		s.ftran(e)
+		if math.Abs(s.d[r]) <= pivTol {
+			return fmt.Errorf("strategy: crash pivot (%d,%d) element %g too small", r, e, s.d[r])
 		}
-		s.pivot(r, e)
+		s.pivot(r, e, 0) // no objective is loaded yet
 	}
 	for i := 0; i < s.m; i++ {
 		if s.b[i] < 0 {
@@ -429,54 +492,49 @@ func (s *simplex) maxPivots() int {
 	return 20000 + 50*(s.m+s.ncols)
 }
 
-// beginPhase resets the per-phase pivot base and the anti-cycling state.
-func (s *simplex) beginPhase() {
+// beginPhase loads the phase's objective and resets the per-phase pivot
+// base, the candidate list and the anti-cycling state.
+func (s *simplex) beginPhase(feas bool) {
+	s.feasPhase = feas
+	s.loadObjective()
 	s.pivotBase = s.pivots
+	s.cand = s.cand[:0]
 	s.bland = false
 	s.degen = 0
 }
 
-// iterate runs pivots until optimality (true) or unboundedness/iteration
-// cap (false, with status set by the caller from enter).
+// iterate runs pivots to a terminal status; on StatusUnbounded the
+// improving column is returned and left loaded in d.
 func (s *simplex) iterate() (Status, int) {
 	for {
 		if s.pivots-s.pivotBase > s.maxPivots() {
 			return StatusIterLimit, -1
 		}
-		e := s.entering()
+		e, de := s.entering()
 		if e < 0 {
 			return StatusOptimal, -1
 		}
-		r := s.leaving(e)
+		s.ftran(e)
+		r := s.leaving()
 		if r < 0 {
 			return StatusUnbounded, e
 		}
-		s.pivot(r, e)
+		s.pivot(r, e, de)
 	}
 }
 
 // phase1 drives the artificial variables to zero. Returns false when the
 // LP is infeasible (or the pivot cap was hit, with st telling which).
 func (s *simplex) phase1() (ok bool, st Status) {
-	c := make([]float64, s.ncols)
+	// Cost 1 on the artificials: if the minimum stays positive, the optimal
+	// duals y are the Farkas witness.
+	s.beginPhase(true)
 	needed := false
-	for i := range s.basis {
-		if s.basis[i] == s.artOf[i] && !s.banned[s.artOf[i]] {
-			needed = true
-		}
+	for _, bj := range s.basis {
+		needed = needed || s.isArt(bj)
 	}
-	// Cost 1 on every artificial — including the banned LE ones, which can
-	// never be basic — so the Farkas duals read uniformly as 1 − obj[art].
-	for i := 0; i < s.m; i++ {
-		c[s.artOf[i]] = 1
-	}
-	s.setPhaseObjective(c)
 	if needed {
-		s.beginPhase()
-		s.banArtLeave = true
-		st, _ := s.iterate()
-		s.banArtLeave = false
-		if st == StatusIterLimit {
+		if st, _ := s.iterate(); st == StatusIterLimit {
 			return false, st
 		}
 		if s.objVal > feasTol {
@@ -484,33 +542,36 @@ func (s *simplex) phase1() (ok bool, st Status) {
 		}
 	}
 	// Drive any basic artificial out of its (degenerate) row; rows with no
-	// nonzero real entry are redundant and keep the artificial at zero.
+	// nonzero real entry are redundant and keep the artificial at zero,
+	// where the ratio test can never pick it again.
 	for i := 0; i < s.m; i++ {
-		if !s.isArt[s.basis[i]] {
+		if !s.isArt(s.basis[i]) {
 			continue
 		}
 		for j := 0; j < s.ncols; j++ {
-			if !s.isArt[j] && math.Abs(s.cols[j][i]) > pivTol {
-				s.pivot(i, j)
+			if s.isArt(j) {
+				continue
+			}
+			a := 0.0 // (B⁻¹a_j)_i, summed exactly as ftran would
+			for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {
+				a += s.colVal[p] * s.binv[s.colRow[p]*s.m+i]
+			}
+			if math.Abs(a) > pivTol {
+				s.ftran(j)
+				s.pivot(i, j, s.reduced(j))
 				break
 			}
 		}
 	}
-	// Ban every artificial from here on; basic ones in redundant rows stay
-	// pinned at zero because their rows are zero in every other column.
-	for i := 0; i < s.m; i++ {
-		s.banned[s.artOf[i]] = true
-	}
 	return true, StatusOptimal
 }
 
-// duals extracts y = c_B·B⁻¹ in the caller's row convention for the
-// currently loaded objective, using the artificial columns' reduced costs
-// (their original column is e_i, so obj[art_i] = c_art − y_i).
-func (s *simplex) duals(artCost float64) []float64 {
+// duals returns y = c_B·B⁻¹ in the caller's row convention for the
+// currently loaded objective.
+func (s *simplex) duals() []float64 {
 	y := make([]float64, s.m)
-	for i := 0; i < s.m; i++ {
-		y[i] = s.rowMult[i] * (artCost - s.obj[s.artOf[i]])
+	for i := range y {
+		y[i] = s.rowMult[i] * s.y[i]
 	}
 	return y
 }
@@ -528,6 +589,9 @@ func (s *simplex) extractX() []float64 {
 
 // value reads the current value of any column (generated ones included).
 func (s *simplex) value(j int) float64 {
+	if !s.basic[j] {
+		return 0
+	}
 	for i, bj := range s.basis {
 		if bj == j {
 			return s.b[i]
@@ -543,7 +607,7 @@ func (s *simplex) solve() Solution {
 		sol := Solution{Status: st, Pivots: s.pivots}
 		if st == StatusInfeasible {
 			// Farkas certificate from the phase-1 duals (artificial cost 1).
-			sol.Y = s.duals(1)
+			sol.Y = s.duals()
 			sol.Obj = s.objVal
 		}
 		return sol
@@ -555,15 +619,14 @@ func (s *simplex) solve() Solution {
 // status; separated so column generation can resume without re-running
 // phase 1.
 func (s *simplex) solvePhase2() Solution {
-	s.beginPhase()
-	s.setPhaseObjective(s.cost)
+	s.beginPhase(false)
 	st, enter := s.iterate()
 	sol := Solution{Status: st, Pivots: s.pivots}
 	switch st {
 	case StatusOptimal:
 		sol.X = s.extractX()
 		sol.Obj = s.objVal
-		sol.Y = s.duals(0)
+		sol.Y = s.duals()
 	case StatusUnbounded:
 		sol.X = s.extractX()
 		sol.Obj = s.objVal
@@ -573,7 +636,7 @@ func (s *simplex) solvePhase2() Solution {
 		}
 		for i, bj := range s.basis {
 			if bj < s.nStruct {
-				if d := -s.cols[enter][i]; d > 0 {
+				if d := -s.d[i]; d > 0 {
 					ray[bj] = d
 				}
 			}
@@ -583,41 +646,20 @@ func (s *simplex) solvePhase2() Solution {
 	return sol
 }
 
-// addColumn appends a structural column (given in the caller's row
-// convention) with the given cost, priced through the current basis via
-// the artificial columns (B⁻¹), and returns its index. The current basis
-// stays feasible, so a subsequent solvePhase2 warm-starts.
-func (s *simplex) addColumn(cost float64, coef map[int]float64) int {
-	col := make([]float64, s.m)
-	// Accumulate in sorted row order: float addition is not associative, so
-	// map-order iteration would make the column — and every downstream pivot
-	// choice — vary run to run.
-	rows := make([]int, 0, len(coef))
-	for r := range coef {
-		rows = append(rows, r)
+// addColumn appends a column with the given cost and nonzeros (rows and
+// vals in the caller's row convention, accumulated by ftran in the order
+// given) and returns its index. Nothing else changes: the current basis
+// stays feasible, so a subsequent solvePhase2 warm-starts. Generated
+// columns land after the artificial block and are not structural for
+// extractX; the caller tracks its own column → quorum mapping.
+func (s *simplex) addColumn(cost float64, rows []int, vals []float64) int {
+	for p, r := range rows {
+		s.colRow = append(s.colRow, r)
+		s.colVal = append(s.colVal, vals[p]*s.rowMult[r])
 	}
-	sort.Ints(rows)
-	for _, r := range rows {
-		a := coef[r] * s.rowMult[r]
-		if a == 0 {
-			continue
-		}
-		art := s.cols[s.artOf[r]]
-		for i := 0; i < s.m; i++ {
-			col[i] += a * art[i]
-		}
-	}
-	j := s.ncols
-	// Grow every per-column slice. Insert before nothing — columns are
-	// ordered [struct | slack | art | generated…]; generated columns are
-	// structural for extraction purposes, so extend nStruct bookkeeping via
-	// structMap instead: we simply treat indices ≥ ncols as non-structural
-	// here and let the optimizer track its own column→quorum mapping.
-	s.cols = append(s.cols, col)
+	s.colPtr = append(s.colPtr, len(s.colRow))
 	s.cost = append(s.cost, cost)
-	s.banned = append(s.banned, false)
-	s.isArt = append(s.isArt, false)
-	s.obj = append(s.obj, 0)
+	s.basic = append(s.basic, false)
 	s.ncols++
-	return j
+	return s.ncols - 1
 }
