@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"quorumkit/internal/rng"
 	"quorumkit/internal/strategy"
 )
 
@@ -143,7 +142,7 @@ func strategySystem(n int, frSpec string, seed uint64) (strategy.System, strateg
 		if n < 3 {
 			return sys, d, fmt.Errorf("-n %d: need at least 3 sites", n)
 		}
-		sys = heteroSystem(n, seed)
+		sys = strategy.HeteroSystem(n, seed)
 		d, err = strategy.NewFrDist(map[float64]float64{0.8: 2, 0.5: 1})
 		if err != nil {
 			return sys, d, err
@@ -156,26 +155,6 @@ func strategySystem(n int, frSpec string, seed uint64) (strategy.System, strateg
 		}
 	}
 	return sys, d, nil
-}
-
-// heteroSystem draws an n-site majority system with heterogeneous
-// capacities and latencies, deterministic in the seed. Mirrors the study
-// system used by `quorumsim -benchstrategy`.
-func heteroSystem(n int, seed uint64) strategy.System {
-	src := rng.New(seed)
-	sys := strategy.System{
-		Votes: make([]int, n), QR: n/2 + 1, QW: n/2 + 1,
-		ReadCap:  make([]float64, n),
-		WriteCap: make([]float64, n),
-		Latency:  make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		sys.Votes[i] = 1
-		sys.ReadCap[i] = 1000 + 3000*src.Float64()
-		sys.WriteCap[i] = 500 + 1500*src.Float64()
-		sys.Latency[i] = 1 + 9*src.Float64()
-	}
-	return sys
 }
 
 // parseFrDist parses "0.7:100,0.5:50"-style read-fraction distributions.

@@ -1,25 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/workload"
 )
 
-// Adversary mode: replay the three canonical adversarial scenarios —
-// drifting diurnal workload, flash crowds, and a partition storm layered
-// on correlated regional shocks — with the self-healing daemon on and off
-// on the identical seeded stimulus, and report each run's cumulative
-// regret against the epoch oracle (the optimizer re-run with hindsight).
-// The verdicts: one-copy serializability on every run, zero writes
-// granted from minority components, and strictly less daemon-on regret
-// than daemon-off on every scenario.
+// The three canonical adversarial scenarios — drifting diurnal workload,
+// flash crowds, and a partition storm layered on correlated regional
+// shocks — that the adversary and strategy-adversity suites replay
+// (regret.go) and score against the epoch oracle (the optimizer re-run
+// with hindsight).
 
 // advRegions carves the 9-site ring into three 3-site regions.
 func advRegions() [][]int {
@@ -71,154 +63,4 @@ func advScenarios(seed uint64, steps int) []advScenario {
 		{"flash-crowd", flash},
 		{"partition-storm", storm},
 	}
-}
-
-// advResult is one run's entry in BENCH_adversary.json.
-type advResult struct {
-	Scenario       string  `json:"scenario"`
-	Daemon         bool    `json:"daemon"`
-	Ops            int     `json:"ops"`
-	GrantRate      float64 `json:"grant_rate"`
-	Oracle         float64 `json:"oracle"`
-	Regret         float64 `json:"regret"`
-	RegretPerOp    float64 `json:"regret_per_op"`
-	MinorityWrites int     `json:"minority_writes"`
-	PartitionDrops int64   `json:"partition_drops"`
-	SettleAvail    float64 `json:"settle_avail"`
-	OneSR          bool    `json:"one_sr"`
-	Converged      bool    `json:"converged"`
-}
-
-type advFile struct {
-	Suite   string      `json:"suite"`
-	Seed    uint64      `json:"seed"`
-	Steps   int         `json:"steps"`
-	Results []advResult `json:"results"`
-}
-
-// advRegretTolerance bounds how far a daemon-on run's regret-per-op may
-// drift above the committed baseline. The replay is deterministic in the
-// seed, so the slack only absorbs cross-architecture floating-point
-// variation, not real regressions.
-const advRegretTolerance = 0.02
-
-// runAdversary replays every scenario daemon-off then daemon-on on the
-// deterministic runtime, writes BENCH_adversary.json-style output to
-// path, and — when base names a committed baseline — gates daemon-on
-// regret-per-op against it. Exit status is non-zero when any verdict or
-// the gate fails.
-func runAdversary(path, base string, steps int, seed uint64, sink *obsSink) int {
-	status := 0
-	file := advFile{Suite: "adversary", Seed: seed, Steps: steps}
-	for _, sc := range advScenarios(seed, steps) {
-		var runs [2]*cluster.AdversaryRun
-		for i, daemon := range []bool{false, true} {
-			g := graph.Ring(sc.cfg.Sites)
-			rt, err := cluster.New(graph.NewState(g, nil), quorum.Majority(sc.cfg.Sites))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			sink.attach(rt)
-			cfg := sc.cfg
-			cfg.Daemon = daemon
-			run := cluster.RunAdversary(rt, graph.NewState(g, nil), cfg)
-			runs[i] = run
-
-			res := advResult{
-				Scenario: sc.name, Daemon: daemon, Ops: run.Ops,
-				GrantRate: run.Availability(), Oracle: run.OracleAvailability(),
-				Regret: run.Regret, RegretPerOp: run.RegretPerOp(),
-				MinorityWrites: run.MinorityWrites, PartitionDrops: run.PartitionDrops,
-				SettleAvail: run.SettleAvailability(),
-				OneSR:       run.ViolationErr == nil, Converged: run.Converged,
-			}
-			file.Results = append(file.Results, res)
-			fmt.Printf("scenario=%-16s daemon=%-5v %v\n", sc.name, daemon, run)
-
-			if run.ViolationErr != nil {
-				fmt.Printf("  FAIL: one-copy serializability violated: %v\n", run.ViolationErr)
-				status = 1
-			}
-			if run.MinorityWrites != 0 {
-				fmt.Printf("  FAIL: %d writes granted from minority components\n", run.MinorityWrites)
-				status = 1
-			}
-		}
-		off, on := runs[0], runs[1]
-		if on.Regret >= off.Regret {
-			fmt.Printf("  FAIL: %s: daemon-on regret %.1f not below daemon-off %.1f\n",
-				sc.name, on.Regret, off.Regret)
-			status = 1
-		}
-		if !on.Converged {
-			fmt.Printf("  FAIL: %s: assignment versions diverged after healing: %v\n",
-				sc.name, on.FinalVersions)
-			status = 1
-		}
-	}
-
-	out, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("wrote %s (%d runs)\n", path, len(file.Results))
-
-	if base != "" {
-		if err := gateAdversary(file, base); err != nil {
-			fmt.Fprintf(os.Stderr, "adversary gate: %v\n", err)
-			status = 1
-		} else {
-			fmt.Printf("adversary gate vs %s: OK\n", base)
-		}
-	}
-	if status == 0 {
-		fmt.Println("adversary: all verdicts OK (1SR, minority writes, regret, convergence)")
-	}
-	return status
-}
-
-// gateAdversary compares daemon-on regret-per-op against the committed
-// baseline: a scenario may not drift above its baseline by more than the
-// tolerance, and no baseline scenario may disappear.
-func gateAdversary(cur advFile, basePath string) error {
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	var base advFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	if base.Seed != cur.Seed || base.Steps != cur.Steps {
-		return fmt.Errorf("baseline (seed=%d steps=%d) does not match run (seed=%d steps=%d)",
-			base.Seed, base.Steps, cur.Seed, cur.Steps)
-	}
-	onOf := func(f advFile) map[string]advResult {
-		m := make(map[string]advResult)
-		for _, r := range f.Results {
-			if r.Daemon {
-				m[r.Scenario] = r
-			}
-		}
-		return m
-	}
-	curOn, baseOn := onOf(cur), onOf(base)
-	for name, b := range baseOn {
-		c, ok := curOn[name]
-		if !ok {
-			return fmt.Errorf("scenario %q missing from this run", name)
-		}
-		if c.RegretPerOp > b.RegretPerOp+advRegretTolerance {
-			return fmt.Errorf("scenario %q: regret/op %.4f regressed past baseline %.4f (+%.2f allowed)",
-				name, c.RegretPerOp, b.RegretPerOp, advRegretTolerance)
-		}
-	}
-	return nil
 }

@@ -1,139 +1,57 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"time"
 
 	"quorumkit/internal/core"
 	"quorumkit/internal/dist"
+	"quorumkit/internal/gate"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 	"quorumkit/internal/sim"
 )
 
-// coreBench is one timed kernel in BENCH_core.json. The ratio normalizes
-// the wall-clock figure by a per-host RNG calibration loop, so the
-// committed baseline can gate regressions across machines of different
-// speeds: a kernel that slows down relative to the same host's raw
-// arithmetic throughput has genuinely regressed.
-type coreBench struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Ratio       float64 `json:"ratio"`
-}
-
-type coreBenchFile struct {
-	CalibrationNs float64     `json:"calibration_ns_per_op"`
-	Results       []coreBench `json:"results"`
-	SweepSpeedupX float64     `json:"sweep_speedup_x"`
-	SweepBitEqual bool        `json:"sweep_bit_identical"`
-}
-
-// runBenchCore measures the large-N study engine's two hot kernels and the
-// family-sweep speedup at the paper-style scale of 1001 sites, writes the
-// results to path, and — when base names a committed BENCH_core.json —
-// gates against it: steady-state access must stay allocation-free, the
-// sweep must stay ≥ 5× faster than the per-assignment reference (and
-// bit-identical to it), and neither kernel's calibrated ratio may exceed
-// its baseline by more than 10%.
-func runBenchCore(path, base string, seed uint64) int {
+// benchCore measures the large-N study engine's two hot kernels and the
+// family-sweep speedup at the paper-style scale of 1001 sites (-suite
+// core). Steady-state access must stay allocation-free, the sweep must
+// stay ≥ 5× faster than the per-assignment reference (and bit-identical to
+// it), and neither kernel's calibrated ratio may exceed its baseline by
+// more than 10%. The ratio normalizes the wall-clock figure by a per-host
+// RNG calibration loop, so the committed baseline can gate regressions
+// across machines of different speeds: a kernel that slows down relative
+// to the same host's raw arithmetic throughput has genuinely regressed.
+func benchCore(seed uint64) (gate.File, error) {
 	const sites = 1001
 
 	// Calibration: the host's raw sequential throughput, measured as the
 	// cost of one xoshiro draw. Kernel ratios are in units of this.
-	calNs := calibrateRNG(seed)
+	file := gate.File{Suite: "core", Seed: seed, CalibrationNs: calibrateRNG(seed)}
 
-	kernelNs, kernelAllocs := benchAssignmentKernel(sites, seed)
-	accessNs, accessAllocs := benchSteadyStateAccess(sites, seed)
+	kernel := func(name string, ns, allocs float64) {
+		fmt.Printf("%-22s %10.1f ns/op  %6.1f allocs/op  ratio %.2f\n", name, ns, allocs, ns/file.CalibrationNs)
+		file.Rows = append(file.Rows,
+			gate.Row{Name: name + ".ns_per_op", Value: ns, Unit: "ns"},
+			gate.Row{Name: name + ".allocs_per_op", Value: allocs, Unit: "1/op", Max: gate.Bound(0)},
+			gate.Row{Name: name + ".ratio", Value: ns / file.CalibrationNs, Unit: "ratio", Better: "lower", RelTol: 0.10})
+	}
+	ns, allocs := benchAssignmentKernel(sites, seed)
+	kernel("assignment_kernel", ns, allocs)
+	ns, allocs = benchSteadyStateAccess(sites, seed)
+	kernel("steady_state_access", ns, allocs)
+
 	speedup, bitEqual, err := benchSweepSpeedup(sites, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	file := coreBenchFile{
-		CalibrationNs: calNs,
-		Results: []coreBench{
-			{Name: "assignment_kernel", NsPerOp: kernelNs, AllocsPerOp: kernelAllocs, Ratio: kernelNs / calNs},
-			{Name: "steady_state_access", NsPerOp: accessNs, AllocsPerOp: accessAllocs, Ratio: accessNs / calNs},
-		},
-		SweepSpeedupX: speedup,
-		SweepBitEqual: bitEqual,
-	}
-
-	out, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for _, r := range file.Results {
-		fmt.Printf("%-22s %10.1f ns/op  %6.1f allocs/op  ratio %.2f\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.Ratio)
+		return file, err
 	}
 	fmt.Printf("%-22s %10.1f×          bit-identical: %v\n", "sweep_speedup", speedup, bitEqual)
-
-	if base == "" {
-		return 0
-	}
-	return gateBenchCore(file, base)
-}
-
-// gateBenchCore compares a fresh run against the committed baseline.
-func gateBenchCore(cur coreBenchFile, base string) int {
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var b coreBenchFile
-	if err := json.Unmarshal(raw, &b); err != nil {
-		fmt.Fprintf(os.Stderr, "parsing baseline %s: %v\n", base, err)
-		return 2
-	}
-	baseline := make(map[string]coreBench, len(b.Results))
-	for _, r := range b.Results {
-		baseline[r.Name] = r
-	}
-
-	status := 0
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "BENCH GATE FAIL: "+format+"\n", args...)
-		status = 1
-	}
-	for _, r := range cur.Results {
-		if r.AllocsPerOp > 0 {
-			fail("%s allocates (%.2f allocs/op, want 0)", r.Name, r.AllocsPerOp)
-		}
-		bl, ok := baseline[r.Name]
-		if !ok {
-			fail("%s missing from baseline %s", r.Name, base)
-			continue
-		}
-		if bl.Ratio > 0 && r.Ratio > bl.Ratio*1.10 {
-			fail("%s calibrated ratio %.3f exceeds baseline %.3f by >10%%", r.Name, r.Ratio, bl.Ratio)
-		}
-	}
-	if !cur.SweepBitEqual {
-		fail("family sweep is not bit-identical to the per-assignment reference")
-	}
-	if cur.SweepSpeedupX < 5 {
-		fail("sweep speedup %.1f× below the 5× floor", cur.SweepSpeedupX)
-	}
-	if status == 0 {
-		fmt.Printf("bench gate OK against %s\n", base)
-	}
-	return status
+	file.Rows = append(file.Rows,
+		gate.Row{Name: "sweep.speedup_x", Value: speedup, Unit: "x", Min: gate.Bound(5)},
+		gate.Row{Name: "sweep.bit_identical", Value: gate.Bool(bitEqual), Min: gate.Bound(1)})
+	return file, nil
 }
 
 // calibrateRNG returns the best-of-3 cost of one RNG draw in nanoseconds.

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
@@ -132,96 +130,4 @@ func runChurn(seeds, ops, sites int, alpha float64, baseSeed uint64, sink *obsSi
 		fmt.Println("churn soak: all verdicts OK (1SR, convergence, availability)")
 	}
 	return status
-}
-
-// benchResult is one entry of the BENCH_robustness.json report.
-type benchResult struct {
-	Name      string  `json:"name"`
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	GrantRate float64 `json:"grant_rate,omitempty"`
-}
-
-// runBenchJSON times the robustness hot paths — the vote-collection round
-// (collect/drain), the failure-detector tick, and the full daemon step —
-// plus a short churn soak for an end-to-end ops/sec and grant-rate figure,
-// and writes the results as JSON. Mirrors the Go benchmarks in
-// internal/cluster/bench_robustness_test.go in a form CI can archive.
-func runBenchJSON(path string, seed uint64) int {
-	const sites = 9
-	var results []benchResult
-
-	time1 := func(name string, ops int, granted int, f func()) {
-		start := time.Now()
-		f()
-		el := time.Since(start).Seconds()
-		r := benchResult{Name: name, Ops: ops, OpsPerSec: float64(ops) / el}
-		if granted >= 0 {
-			r.GrantRate = float64(granted) / float64(ops)
-		}
-		results = append(results, r)
-	}
-
-	// collect/drain: baseline quorum reads on a healthy ring.
-	{
-		rt, closer, _ := newSoakRuntime(sites, false)
-		c := rt.(*cluster.Cluster)
-		const ops = 20000
-		granted := 0
-		time1("deterministic/read-collect-drain", ops, 0, func() {
-			for i := 0; i < ops; i++ {
-				if _, _, ok := c.Read(i % sites); ok {
-					granted++
-				}
-			}
-		})
-		results[len(results)-1].GrantRate = float64(granted) / float64(ops)
-		closer()
-	}
-
-	// detector tick: heartbeat round + suspicion update, healthy ring.
-	{
-		rt, closer, _ := newSoakRuntime(sites, false)
-		rt.EnableSelfHealing(cluster.DefaultHealthConfig())
-		const ops = 20000
-		time1("deterministic/daemon-step", ops, -1, func() {
-			for i := 0; i < ops; i++ {
-				rt.DaemonStep(i % sites)
-			}
-		})
-		closer()
-	}
-
-	// end-to-end churn soak, daemon on.
-	{
-		rt, closer, _ := newSoakRuntime(sites, false)
-		const ops = 4000
-		var run *cluster.SoakRun
-		time1("deterministic/churn-soak", ops, 0, func() {
-			run = cluster.RunSoak(rt, cluster.SoakConfig{
-				Seed: seed, Steps: ops, Sites: sites, Links: graph.Ring(sites).M(),
-				Alpha: 0.9, Churn: soakChurn(),
-				Daemon: true, Health: soakHealth(0.9),
-			})
-		})
-		results[len(results)-1].GrantRate = run.Availability()
-		closer()
-	}
-
-	out, err := json.MarshalIndent(map[string]any{
-		"suite":   "robustness",
-		"seed":    seed,
-		"results": results,
-	}, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(results))
-	return 0
 }

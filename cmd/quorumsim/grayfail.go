@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -10,19 +9,17 @@ import (
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/workload"
 )
 
-// Gray-failure mode: replay scenarios where the network degrades without
-// dying — heavy-tailed latency spikes, flapping slow sites, and an
-// adaptive adversary that targets whatever the installed assignment
-// depends on — and compare three postures on the identical seeded
-// stimulus: no daemon, the miss-count detector (which misreads slow as
-// dead), and the φ-accrual detector (which does not). The regret harness
-// also decomposes each run's regret into detection-latency, policy-slack,
-// and residual buckets, and the slow-replica scenario gates the hedged
-// read path's tail-latency win.
+// The gray-failure scenarios: the network degrades without dying —
+// heavy-tailed latency spikes, flapping slow sites, and an adaptive
+// adversary that targets whatever the installed assignment depends on.
+// The gray suite (regret.go) replays them under three postures on the
+// identical seeded stimulus: no daemon, the miss-count detector (which
+// misreads slow as dead), and the φ-accrual detector (which does not);
+// the slow-replica scenario carries the hedged read path's tail-latency
+// win instead.
 
 // grayScenario names one gray configuration. Regret scenarios run the
 // off/miss/φ triple; the hedge scenario runs the unhedged/hedged pair.
@@ -121,44 +118,6 @@ func grayScenarios(seed uint64, steps int) []grayScenario {
 	}
 }
 
-// grayResult is one run's entry in BENCH_gray.json.
-type grayResult struct {
-	Scenario       string  `json:"scenario"`
-	Mode           string  `json:"mode"` // off | miss | phi | unhedged | hedged
-	Ops            int     `json:"ops"`
-	GrantRate      float64 `json:"grant_rate"`
-	Oracle         float64 `json:"oracle"`
-	Regret         float64 `json:"regret"`
-	RegretPerOp    float64 `json:"regret_per_op"`
-	DetectRegret   float64 `json:"detect_regret"`
-	PolicyRegret   float64 `json:"policy_regret"`
-	ResidualRegret float64 `json:"residual_regret"`
-	FalsePositives int64   `json:"false_positives"`
-	LateAcks       int64   `json:"late_acks"`
-	HedgeProbes    int64   `json:"hedge_probes"`
-	HedgeWins      int64   `json:"hedge_wins"`
-	ReadP50        float64 `json:"read_p50_slots"`
-	ReadP99        float64 `json:"read_p99_slots"`
-	MinorityWrites int     `json:"minority_writes"`
-	OneSR          bool    `json:"one_sr"`
-	Converged      bool    `json:"converged"`
-}
-
-type grayFile struct {
-	Suite   string       `json:"suite"`
-	Seed    uint64       `json:"seed"`
-	Steps   int          `json:"steps"`
-	Results []grayResult `json:"results"`
-}
-
-// grayRegretTolerance bounds baseline drift for φ-mode regret-per-op,
-// matching the adversary gate's rationale.
-const grayRegretTolerance = 0.02
-
-// grayHedgeRatio is the required tail win: hedged p99 must be at or below
-// this fraction of the unhedged p99 (a ≥20% improvement).
-const grayHedgeRatio = 0.8
-
 // percentile returns the p-quantile of the latencies (slots) by rank.
 func percentile(lat []int64, p float64) float64 {
 	if len(lat) == 0 {
@@ -174,204 +133,6 @@ func percentile(lat []int64, p float64) float64 {
 	return float64(s[idx])
 }
 
-// grayReplay runs one scenario config on a fresh deterministic ring.
-func grayReplay(sc grayScenario, cfg cluster.AdversaryConfig, sink *obsSink) (*cluster.AdversaryRun, error) {
-	g := graph.Ring(cfg.Sites)
-	rt, err := cluster.New(graph.NewState(g, nil), quorum.Majority(cfg.Sites))
-	if err != nil {
-		return nil, err
-	}
-	sink.attach(rt)
-	return cluster.RunAdversary(rt, graph.NewState(g, nil), cfg), nil
-}
-
-// runGrayfail replays the gray-failure suite, writes BENCH_gray.json-style
-// output to path, and — when base names a committed baseline — gates
-// against it. Verdicts on every run: 1SR, zero minority writes, exact
-// regret decomposition. Ordering gates per regret scenario: φ-on regret <
-// miss-count-on regret < daemon-off regret. Hedge gate: hedged p99 at or
-// below 80% of unhedged p99. Non-zero exit on any failure.
-func runGrayfail(path, base string, steps int, seed uint64, sink *obsSink) int {
-	status := 0
-	file := grayFile{Suite: "grayfail", Seed: seed, Steps: steps}
-
-	record := func(sc grayScenario, mode string, run *cluster.AdversaryRun) grayResult {
-		res := grayResult{
-			Scenario: sc.name, Mode: mode, Ops: run.Ops,
-			GrantRate: run.Availability(), Oracle: run.OracleAvailability(),
-			Regret: run.Regret, RegretPerOp: run.RegretPerOp(),
-			DetectRegret: run.DetectRegret, PolicyRegret: run.PolicyRegret,
-			ResidualRegret: run.ResidualRegret,
-			FalsePositives: run.FalsePositives, LateAcks: run.Health.LateAcks,
-			HedgeProbes: run.HedgeProbes, HedgeWins: run.HedgeWins,
-			ReadP50: percentile(run.ReadLatencies, 0.50),
-			ReadP99: percentile(run.ReadLatencies, 0.99),
-			MinorityWrites: run.MinorityWrites,
-			OneSR:          run.ViolationErr == nil, Converged: run.Converged,
-		}
-		file.Results = append(file.Results, res)
-		fmt.Printf("scenario=%-14s mode=%-8s %v\n", sc.name, mode, run)
-		if len(run.ReadLatencies) > 0 {
-			fmt.Printf("  reads: %d modeled, p50=%.0f p99=%.0f slots, %d hedge probes, %d wins\n",
-				len(run.ReadLatencies), res.ReadP50, res.ReadP99, res.HedgeProbes, res.HedgeWins)
-		}
-		if run.ViolationErr != nil {
-			fmt.Printf("  FAIL: one-copy serializability violated: %v\n", run.ViolationErr)
-			status = 1
-		}
-		if run.MinorityWrites != 0 {
-			fmt.Printf("  FAIL: %d writes granted from minority components\n", run.MinorityWrites)
-			status = 1
-		}
-		if diff := math.Abs(run.DetectRegret + run.PolicyRegret + run.ResidualRegret - run.Regret); diff > 1e-9 {
-			fmt.Printf("  FAIL: regret decomposition off by %g (detect %.4f + policy %.4f + residual %.4f != %.4f)\n",
-				diff, run.DetectRegret, run.PolicyRegret, run.ResidualRegret, run.Regret)
-			status = 1
-		}
-		return res
-	}
-
-	for _, sc := range grayScenarios(seed, steps) {
-		if sc.hedge {
-			var p99 [2]float64
-			for i, hedged := range []bool{false, true} {
-				cfg := sc.cfg
-				cfg.Hedge = hedged
-				run, err := grayReplay(sc, cfg, sink)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 2
-				}
-				mode := "unhedged"
-				if hedged {
-					mode = "hedged"
-				}
-				res := record(sc, mode, run)
-				p99[i] = res.ReadP99
-			}
-			if p99[1] > p99[0]*grayHedgeRatio {
-				fmt.Printf("  FAIL: %s: hedged p99 %.0f not ≤ %.0f%% of unhedged p99 %.0f\n",
-					sc.name, p99[1], grayHedgeRatio*100, p99[0])
-				status = 1
-			} else {
-				fmt.Printf("  hedge gate: p99 %.0f → %.0f slots (%.0f%% win)\n",
-					p99[0], p99[1], 100*(1-p99[1]/p99[0]))
-			}
-			continue
-		}
-
-		// Detector triple: daemon off, miss-count on, φ on.
-		modes := []struct {
-			mode     string
-			daemon   bool
-			detector cluster.DetectorKind
-		}{
-			{"off", false, cluster.DetectorMissCount},
-			{"miss", true, cluster.DetectorMissCount},
-			{"phi", true, cluster.DetectorPhi},
-		}
-		regrets := make(map[string]float64, 3)
-		for _, m := range modes {
-			cfg := sc.cfg
-			cfg.Daemon = m.daemon
-			cfg.Health.Detector = m.detector
-			run, err := grayReplay(sc, cfg, sink)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			record(sc, m.mode, run)
-			regrets[m.mode] = run.Regret
-			if m.daemon && !run.Converged {
-				fmt.Printf("  FAIL: %s/%s: assignment versions diverged after healing: %v\n",
-					sc.name, m.mode, run.FinalVersions)
-				status = 1
-			}
-		}
-		if !(regrets["phi"] < regrets["miss"] && regrets["miss"] < regrets["off"]) {
-			fmt.Printf("  FAIL: %s: regret ordering φ(%.1f) < miss(%.1f) < off(%.1f) does not hold\n",
-				sc.name, regrets["phi"], regrets["miss"], regrets["off"])
-			status = 1
-		} else {
-			fmt.Printf("  regret gate: φ %.1f < miss %.1f < off %.1f\n",
-				regrets["phi"], regrets["miss"], regrets["off"])
-		}
-	}
-
-	out, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("wrote %s (%d runs)\n", path, len(file.Results))
-
-	if base != "" {
-		if err := gateGray(file, base); err != nil {
-			fmt.Fprintf(os.Stderr, "gray gate: %v\n", err)
-			status = 1
-		} else {
-			fmt.Printf("gray gate vs %s: OK\n", base)
-		}
-	}
-	if status == 0 {
-		fmt.Println("grayfail: all verdicts OK (1SR, minority writes, decomposition, regret ordering, hedge p99)")
-	}
-	return status
-}
-
-// gateGray compares φ-mode regret-per-op against the committed baseline
-// and re-checks the hedge ratio from the baseline's own numbers (so a
-// committed baseline that no longer meets the bar fails loudly).
-func gateGray(cur grayFile, basePath string) error {
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	var base grayFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	if base.Seed != cur.Seed || base.Steps != cur.Steps {
-		return fmt.Errorf("baseline (seed=%d steps=%d) does not match run (seed=%d steps=%d)",
-			base.Seed, base.Steps, cur.Seed, cur.Steps)
-	}
-	pick := func(f grayFile, scenario, mode string) (grayResult, bool) {
-		for _, r := range f.Results {
-			if r.Scenario == scenario && r.Mode == mode {
-				return r, true
-			}
-		}
-		return grayResult{}, false
-	}
-	for _, b := range base.Results {
-		if b.Mode != "phi" {
-			continue
-		}
-		c, ok := pick(cur, b.Scenario, "phi")
-		if !ok {
-			return fmt.Errorf("scenario %q (phi) missing from this run", b.Scenario)
-		}
-		if c.RegretPerOp > b.RegretPerOp+grayRegretTolerance {
-			return fmt.Errorf("scenario %q: φ regret/op %.4f regressed past baseline %.4f (+%.2f allowed)",
-				b.Scenario, c.RegretPerOp, b.RegretPerOp, grayRegretTolerance)
-		}
-	}
-	bu, okU := pick(base, "slow-replica", "unhedged")
-	bh, okH := pick(base, "slow-replica", "hedged")
-	if !okU || !okH {
-		return fmt.Errorf("baseline missing the slow-replica hedge pair")
-	}
-	if bh.ReadP99 > bu.ReadP99*grayHedgeRatio {
-		return fmt.Errorf("baseline hedge ratio %.2f above %.2f", bh.ReadP99/bu.ReadP99, grayHedgeRatio)
-	}
-	return nil
-}
-
 // runHedgeDemo is the -hedge quick look: the slow-replica scenario
 // unhedged then hedged, printing the read latency distribution shift.
 func runHedgeDemo(steps int, seed uint64, sink *obsSink) int {
@@ -379,20 +140,16 @@ func runHedgeDemo(steps int, seed uint64, sink *obsSink) int {
 	if !sc.hedge {
 		panic("grayfail: first scenario must be the hedge scenario")
 	}
-	for _, hedged := range []bool{false, true} {
+	for _, m := range hedgeModes {
 		cfg := sc.cfg
-		cfg.Hedge = hedged
-		run, err := grayReplay(sc, cfg, sink)
+		m.apply(&cfg)
+		run, err := replay(cfg, sink)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		mode := "unhedged"
-		if hedged {
-			mode = "hedged  "
-		}
-		fmt.Printf("%s: %5d reads  p50=%4.0f  p99=%4.0f slots  probes=%d wins=%d\n",
-			mode, len(run.ReadLatencies),
+		fmt.Printf("%-8s: %5d reads  p50=%4.0f  p99=%4.0f slots  probes=%d wins=%d\n",
+			m.name, len(run.ReadLatencies),
 			percentile(run.ReadLatencies, 0.50), percentile(run.ReadLatencies, 0.99),
 			run.HedgeProbes, run.HedgeWins)
 	}

@@ -26,34 +26,17 @@
 // serializability, post-churn assignment-version convergence, and an
 // availability win for the daemon.
 //
-// With -adversary it replays the adversarial scenario suite — diurnal
-// workload drift, flash crowds with rate × α shifts, and a partition storm
-// layered on correlated regional shocks — with the self-healing daemon on
-// and off on the identical seeded stimulus. Each run is scored against an
-// epoch oracle (the paper's optimizer re-run with hindsight on the epoch's
-// realized workload and fault pattern); the cumulative oracle gap is the
-// run's regret, written as BENCH_adversary.json-style output and gated
-// against a committed baseline with -adversarybase. Every run must keep
+// With -suite it runs one of the gate suites and emits its figures as
+// rows in the one BENCH_*.json schema (internal/gate, DESIGN §19): -out
+// writes them, -baseline gates them against a committed file, and a
+// suite's own bounds are checked either way. core measures the study
+// engine's hot kernels; strategy the optimizer's case study, simulator
+// agreement and large-N solve; adversary, strategy-adversity and gray
+// replay the adversarial and gray-failure scenarios once per mode on the
+// identical seeded stimulus, scored against the epoch oracle — daemon off
+// vs on, a certified strategy frozen vs re-solved by the daemon, and
+// daemon off vs miss-count vs φ-accrual detection. Every run must keep
 // one-copy serializability and grant zero writes from minority partitions.
-//
-// With -strategychaos it replays the same adversarial suite with a
-// certified randomized quorum strategy installed at boot, frozen (daemon
-// off, strategy pinned to the boot assignment version) versus re-solving
-// (daemon on, every suspicion edge re-running the resilient capacity LP
-// over the surviving sites, installing only KKT-certified results). Output
-// is BENCH_strategy_adversity.json-style and gated against a committed
-// baseline with -strategyadversitybase; every run must keep one-copy
-// serializability, grant zero minority writes, and the re-solving run must
-// beat the frozen run's regret on the identical stimulus.
-//
-// With -benchjson it times the robustness hot paths and writes
-// BENCH_robustness.json-style output; -benchobs measures the observability
-// layer's own overhead and writes BENCH_obs.json-style output; -benchstore
-// measures the durable storage engine's overhead on the write path against
-// its 5% budget and writes BENCH_store.json-style output; -benchcore
-// measures the study engine's hot kernels (assignment curve, steady-state
-// access, family-sweep speedup) and writes BENCH_core.json-style output,
-// gating against a committed baseline when -benchbase is given.
 //
 // Observability flags compose with every mode: -metrics writes a Prometheus
 // text snapshot of the run's counters, gauges, and histograms; -trace writes
@@ -65,24 +48,24 @@
 //	quorumsim -topology 2 -qr 28 -alpha 0.75
 //	quorumsim -topology 0 -qr 50 -alpha 0.5 -batch 1000000 -paper
 //	quorumsim -study -sites 1001 -chords 0,4 -alphas 0.75 -parallel 4
-//	quorumsim -benchcore BENCH_core.json -benchbase BENCH_core.json
+//	quorumsim -suite core -baseline BENCH_core.json
 //	quorumsim -chaos -chaosmix all -ops 5000 -seed 7
 //	quorumsim -diskchaos -diskmix disk-all -ops 2000 -seed 7
 //	quorumsim -churn -seeds 3 -soakops 4000
 //	quorumsim -weightcheck -weightsites 9 -alpha 0.75 -seed 1
-//	quorumsim -adversary BENCH_adversary.json -adversarybase BENCH_adversary.json
+//	quorumsim -suite adversary -out /tmp/adversary.json -baseline BENCH_adversary.json
 //	quorumsim -churn -metrics metrics.prom -trace trace.jsonl -pprof churn
-//	quorumsim -benchjson BENCH_robustness.json
-//	quorumsim -benchobs BENCH_obs.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
+	"quorumkit/internal/gate"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -109,45 +92,30 @@ func main() {
 		studyAlphas = flag.String("alphas", "", "study: comma-separated read fractions (empty = the paper's levels)")
 		parallel    = flag.Int("parallel", 0, "study: worker pool size (0 = GOMAXPROCS); results are identical for every value")
 
-		benchCore = flag.String("benchcore", "", "write core-kernel benchmark results (assignment kernel, steady-state access, sweep speedup) to this JSON file and exit")
-		benchBase = flag.String("benchbase", "", "with -benchcore: gate against this committed baseline (fail on allocs, <5× sweep speedup, or >10% calibrated slowdown)")
-
-		benchStrategy = flag.String("benchstrategy", "", "write strategy-optimizer benchmark results (case-study gain, sim agreement, 1001-site column generation) to this JSON file and exit")
-		strategyBase  = flag.String("strategybase", "", "with -benchstrategy: gate against this committed BENCH_strategy.json baseline (certificates, 2% sim agreement, bound gap, calibrated solve time)")
+		suite    = flag.String("suite", "", "run a gate suite and check its bounds: "+suiteNames)
+		out      = flag.String("out", "", "with -suite: write the suite's rows to this JSON file")
+		baseline = flag.String("baseline", "", "with -suite: gate the rows against this committed BENCH_*.json (same suite, seed and steps)")
+		steps    = flag.Int("steps", 0, "steps per scenario run of a regret suite or of -hedge (0 = the suite's default, which its baseline was run at)")
 
 		chaos    = flag.Bool("chaos", false, "run the chaos harness against the protocol runtimes instead")
-		chaosMix = flag.String("chaosmix", "all", "fault mix name, or 'all' (one of: "+joinNames()+")")
+		chaosMix = flag.String("chaosmix", "all", "fault mix name, or 'all' (one of: "+strings.Join(faults.Names(), " ")+")")
 		ops      = flag.Int("ops", 2000, "scheduled operations per chaos run")
 		nodes    = flag.Int("nodes", 7, "sites in the chaos cluster (complete graph)")
 		async    = flag.Bool("async", false, "use the concurrent runtime for the chaos run")
 
 		diskChaos = flag.Bool("diskchaos", false, "run the chaos harness with disk-fault injection under the crash mix")
-		diskMix   = flag.String("diskmix", "all", "disk fault mix name, or 'all' (one of: "+joinDiskNames()+")")
+		diskMix   = flag.String("diskmix", "all", "disk fault mix name, or 'all' (one of: "+strings.Join(faults.DiskNames(), " ")+")")
 
-		adversary     = flag.String("adversary", "", "run the adversarial scenario suite (diurnal drift, flash crowds, partition storms) and write regret results to this JSON file")
-		adversaryBase = flag.String("adversarybase", "", "with -adversary: gate daemon-on regret/op against this committed BENCH_adversary.json baseline")
-		advOps        = flag.Int("advops", 2500, "adversary: churn-phase steps per scenario")
-
-		strategyChaos    = flag.String("strategychaos", "", "run the adversarial suite with a certified randomized strategy installed, frozen vs daemon re-solving, and write regret results to this JSON file")
-		strategyAdvBase  = flag.String("strategyadversitybase", "", "with -strategychaos: gate re-solve regret/op against this committed BENCH_strategy_adversity.json baseline")
-		strategyChaosOps = flag.Int("strategyops", 2500, "strategychaos: churn-phase steps per scenario")
-
-		grayfail  = flag.String("grayfail", "", "run the gray-failure suite (slow replicas, gray storms, adaptive adversary) and write regret/latency results to this JSON file")
-		benchGray = flag.String("benchgray", "", "with -grayfail: gate φ-detector regret/op and the hedge ratio against this committed BENCH_gray.json baseline")
-		grayOps   = flag.Int("grayops", 2000, "grayfail: steps per scenario run")
-		hedge     = flag.Bool("hedge", false, "run the hedged-read demo: slow-replica scenario unhedged vs hedged, printing the p50/p99 read-latency shift")
+		hedge = flag.Bool("hedge", false, "run the hedged-read demo: slow-replica scenario unhedged vs hedged, printing the p50/p99 read-latency shift")
 
 		weightCheck = flag.Bool("weightcheck", false, "anneal weighted votes on a star and crosscheck the scenario engine's predicted availability against the discrete-event simulator")
 		weightSites = flag.Int("weightsites", 9, "weightcheck: star size")
 
-		churn      = flag.Bool("churn", false, "run the churn soak: self-healing daemon on vs off under site/link churn")
-		soakSeeds  = flag.Int("seeds", 3, "churn soak: seeds per configuration")
-		soakOps    = flag.Int("soakops", 4000, "churn soak: churn-phase operations per run")
-		sites      = flag.Int("sites", 0, "ring size: study grid (0 = the paper's 101) or churn soak (0 = 9)")
-		soakAlpha  = flag.Float64("soakalpha", 0.9, "churn soak: read fraction")
-		benchJSON  = flag.String("benchjson", "", "write robustness micro-benchmark results (ops/sec, grant rate) to this JSON file and exit")
-		benchObs   = flag.String("benchobs", "", "write observability overhead benchmark results to this JSON file and exit")
-		benchStore = flag.String("benchstore", "", "write storage-engine overhead benchmark results to this JSON file and exit")
+		churn     = flag.Bool("churn", false, "run the churn soak: self-healing daemon on vs off under site/link churn")
+		soakSeeds = flag.Int("seeds", 3, "churn soak: seeds per configuration")
+		soakOps   = flag.Int("soakops", 4000, "churn soak: churn-phase operations per run")
+		sites     = flag.Int("sites", 0, "ring size: study grid (0 = the paper's 101) or churn soak (0 = 9)")
+		soakAlpha = flag.Float64("soakalpha", 0.9, "churn soak: read fraction")
 
 		metricsOut  = flag.String("metrics", "", "write a Prometheus text metrics snapshot to this file after the run ('-' for stdout)")
 		traceOut    = flag.String("trace", "", "write the structured protocol event trace as JSONL to this file after the run ('-' for stdout)")
@@ -164,10 +132,8 @@ func main() {
 
 	var status int
 	switch {
-	case *benchCore != "":
-		status = runBenchCore(*benchCore, *benchBase, *seed)
-	case *benchStrategy != "":
-		status = runBenchStrategy(*benchStrategy, *strategyBase, *seed)
+	case *suite != "":
+		status = runSuite(*suite, *out, *baseline, *steps, *seed, sink)
 	case *study:
 		cfg := sim.StudyConfig{
 			Warmup:        *warmup,
@@ -179,20 +145,8 @@ func main() {
 			Obs:           sink.registry(),
 		}
 		status = runStudy(*sites, *parallel, *studyChords, *studyAlphas, cfg)
-	case *benchStore != "":
-		status = runBenchStore(*benchStore, *seed)
-	case *benchObs != "":
-		status = runBenchObs(*benchObs, *seed)
-	case *benchJSON != "":
-		status = runBenchJSON(*benchJSON, *seed)
-	case *grayfail != "":
-		status = runGrayfail(*grayfail, *benchGray, *grayOps, *seed, sink)
 	case *hedge:
-		status = runHedgeDemo(*grayOps, *seed, sink)
-	case *strategyChaos != "":
-		status = runStrategyChaos(*strategyChaos, *strategyAdvBase, *strategyChaosOps, *seed, sink)
-	case *adversary != "":
-		status = runAdversary(*adversary, *adversaryBase, *advOps, *seed, sink)
+		status = runHedgeDemo(firstNonZero(*steps, graySteps), *seed, sink)
 	case *weightCheck:
 		status = runWeightCheck(*weightSites, *alpha, *seed)
 	case *churn:
@@ -224,6 +178,40 @@ func main() {
 		}
 	}
 	os.Exit(status)
+}
+
+// suiteNames lists what -suite accepts.
+const suiteNames = "core | strategy | adversary | strategy-adversity | gray"
+
+// runSuite runs one gate suite and hands its rows to the one gate: written
+// to out and checked against baseline when those are given. Exit status 1
+// on any verdict or gate failure, 2 when the suite could not run.
+func runSuite(name, out, baseline string, steps int, seed uint64, sink *obsSink) int {
+	var (
+		file gate.File
+		err  error
+	)
+	ok := true
+	switch name {
+	case "core":
+		file, err = benchCore(seed)
+	case "strategy":
+		file, err = benchStrategy(seed)
+	default:
+		var s regretSuite
+		if s, err = regretSuiteNamed(name); err == nil {
+			file, ok, err = s.run(name, steps, seed, sink)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	status := gate.Finish(file, out, baseline)
+	if status == 0 && !ok {
+		status = 1
+	}
+	return status
 }
 
 // runMeasure runs the direct availability measurement (the default mode):
@@ -268,28 +256,6 @@ func runMeasure(topology, qr int, alpha float64, sweep bool, cfg sim.StudyConfig
 		fmt.Printf("write availability: %v\n", meas.Write)
 	}
 	return 0
-}
-
-func joinNames() string {
-	out := ""
-	for i, n := range faults.Names() {
-		if i > 0 {
-			out += " "
-		}
-		out += n
-	}
-	return out
-}
-
-func joinDiskNames() string {
-	out := ""
-	for i, n := range faults.DiskNames() {
-		if i > 0 {
-			out += " "
-		}
-		out += n
-	}
-	return out
 }
 
 // runChaos drives the message-level chaos harness for each requested mix

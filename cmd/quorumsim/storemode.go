@@ -1,16 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/store"
 )
 
 // runDiskChaos drives the chaos harness with disk-fault injection layered
@@ -76,115 +73,4 @@ func runDiskChaos(diskMixName string, steps, n int, seed uint64, async bool, sin
 			name, runtimeName, seed, n, run, run.Counters, verdict)
 	}
 	return status
-}
-
-// runBenchStore measures what the durable storage engine costs on the
-// write path and writes BENCH_store.json-style output.
-//
-// Two figures come out of it. The budgeted one is the log append itself —
-// encode, checksum, and buffer the record — which must stay under 5% of a
-// seed (in-memory) protocol write op: the engine adds one append per
-// durable mutation, so a cheap append is what keeps the discipline viable
-// as a default. It is measured directly against the engine (PutState in a
-// loop at the production compaction cadence) and kept allocation-free by
-// the store's scratch-buffer reuse.
-//
-// The second, informational figure is the whole-path overhead: the same
-// quorum-write loop on the identical ring with the engine attached versus
-// persistence disabled. That cost is dominated not by appends but by the
-// sync barriers the recovery argument requires (one fsync-and-seal before
-// every vote reply, ack, and granted return — ~9 per 9-site quorum write),
-// and in this in-memory simulator a protocol "op" is microseconds of
-// function calls, so the barriers loom far larger than they would over a
-// real network. It is reported, not budgeted.
-func runBenchStore(path string, seed uint64) int {
-	const (
-		sites     = 9
-		ops       = 20_000
-		reps      = 3
-		budgetPct = 5.0
-	)
-
-	best := func(n int, f func()) float64 {
-		bestSec := 0.0
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			f()
-			if s := float64(n) / time.Since(start).Seconds(); s > bestSec {
-				bestSec = s
-			}
-		}
-		return bestSec
-	}
-
-	writeLoop := func(persist bool) float64 {
-		rt, closer, err := newSoakRuntime(sites, false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return -1
-		}
-		defer closer()
-		c := rt.(*cluster.Cluster)
-		if !persist {
-			c.DisablePersistence()
-		}
-		return best(ops, func() {
-			for i := 0; i < ops; i++ {
-				c.Write(i%sites, int64(i)+1)
-			}
-		})
-	}
-
-	// The budgeted unit: one PutState append against the engine, synced at
-	// the compaction cadence so the log cycles as it does in production.
-	const appendOps = 500_000
-	disk := store.NewMemDisk()
-	s := store.Open(disk, 0)
-	s.Reset(store.State{QR: 1, QW: sites}, nil)
-	appendsPerSec := best(appendOps, func() {
-		for i := 0; i < appendOps; i++ {
-			s.PutState(store.State{Value: int64(i), Stamp: int64(i), Version: 1, QR: 1, QW: sites})
-			if i%64 == 63 {
-				s.Sync()
-			}
-		}
-	})
-
-	durablePerSec := writeLoop(true)
-	memoryPerSec := writeLoop(false)
-	if durablePerSec < 0 || memoryPerSec < 0 {
-		return 2
-	}
-	totalOverheadPct := 100 * (memoryPerSec/durablePerSec - 1)
-	appendNs := 1e9 / appendsPerSec
-	seedOpNs := 1e9 / memoryPerSec
-	appendPctOfOp := 100 * appendNs / seedOpNs
-
-	out, err := json.MarshalIndent(map[string]any{
-		"suite": "store",
-		"seed":  seed,
-		"ops":   ops,
-		"results": []benchResult{
-			{Name: "store/append", Ops: appendOps, OpsPerSec: appendsPerSec},
-			{Name: "deterministic/write/durable", Ops: ops, OpsPerSec: durablePerSec},
-			{Name: "deterministic/write/memory", Ops: ops, OpsPerSec: memoryPerSec},
-		},
-		"append_ns":               appendNs,
-		"append_pct_of_seed_op":   appendPctOfOp,
-		"append_budget_pct":       budgetPct,
-		"append_within_budget":    appendPctOfOp <= budgetPct,
-		"whole_path_overhead_pct": totalOverheadPct,
-	}, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fmt.Printf("wrote %s (append %.0fns = %.2f%% of a seed op, budget %.0f%%; whole-path overhead %.1f%%)\n",
-		path, appendNs, appendPctOfOp, budgetPct, totalOverheadPct)
-	return 0
 }

@@ -1,70 +1,33 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
+	"quorumkit/internal/gate"
 	"quorumkit/internal/graph"
-	"quorumkit/internal/rng"
 	"quorumkit/internal/sim"
 	"quorumkit/internal/strategy"
 )
 
-// strategyBenchFile is BENCH_strategy.json: the strategy optimizer's
-// headline numbers — case-study optimality and randomization gain, LP-vs-
-// simulator capacity agreement, and the large-N column-generation solve —
-// with enough raw figures to gate regressions. Solve times are normalized
-// by the same per-host RNG calibration as BENCH_core.json so the committed
-// baseline transfers across machines.
-type strategyBenchFile struct {
-	CalibrationNs float64 `json:"calibration_ns_per_op"`
-
-	CaseStudy struct {
-		Capacity              float64 `json:"capacity"`
-		DeterministicCapacity float64 `json:"deterministic_capacity"`
-		RandomizationGainX    float64 `json:"randomization_gain_x"`
-		ResilientCapacity     float64 `json:"resilient_capacity_f1"`
-		LatencyValue          float64 `json:"latency_value"`
-		Certified             bool    `json:"certified"`
-		SolveMs               float64 `json:"solve_ms"`
-	} `json:"case_study"`
-
-	SimAgreement struct {
-		Fr          float64 `json:"fr"`
-		LPCapacity  float64 `json:"lp_capacity"`
-		SimCapacity float64 `json:"sim_capacity"`
-		RelErr      float64 `json:"rel_err"`
-		Batches     int     `json:"batches"`
-	} `json:"sim_agreement"`
-
-	LargeN struct {
-		Sites     int     `json:"sites"`
-		TargetGap float64 `json:"target_gap"`
-		Value     float64 `json:"value"`
-		Bound     float64 `json:"bound"`
-		Gap       float64 `json:"gap"`
-		Rounds    int     `json:"rounds"`
-		Generated int     `json:"generated"`
-		Pivots    int     `json:"pivots"`
-		Certified bool    `json:"certified"`
-		SolveSec  float64 `json:"solve_sec"`
-		Ratio     float64 `json:"ratio"`
-	} `json:"large_n"`
-}
-
-// runBenchStrategy solves the strategy suite, writes the results to path,
-// and — when base names a committed BENCH_strategy.json — gates against
-// it: every certificate must validate, the randomized case-study optimum
-// must strictly beat the best deterministic assignment, simulated capacity
-// must agree with the LP within 2%, the large-N solve must certify
-// within its target gap, and its calibrated solve-time ratio may not
-// exceed the baseline's by more than 50%.
-func runBenchStrategy(path, base string, seed uint64) int {
-	var file strategyBenchFile
-	file.CalibrationNs = calibrateRNG(seed)
+// benchStrategy solves the strategy suite (-suite strategy): the strategy
+// optimizer's headline numbers — case-study optimality and randomization
+// gain, LP-vs-simulator capacity agreement, and the large-N
+// column-generation solve. Every certificate must validate, the randomized
+// case-study optimum must strictly beat the best deterministic assignment,
+// simulated capacity must agree with the LP within 2%, the large-N solve
+// must certify within its target gap, and its solve time — normalized by
+// the same per-host RNG calibration as the core suite — may not exceed the
+// baseline's by more than 50%.
+func benchStrategy(seed uint64) (gate.File, error) {
+	file := gate.File{Suite: "strategy", Seed: seed, CalibrationNs: calibrateRNG(seed)}
+	section := ""
+	add := func(r gate.Row) {
+		r.Name = section + "." + r.Name
+		file.Rows = append(file.Rows, r)
+	}
+	info := func(name string, v float64, unit string) { add(gate.Row{Name: name, Value: v, Unit: unit}) }
 
 	// Case study: the paper-style 5-node system under the nonuniform
 	// read-fraction distribution, all three objectives.
@@ -73,44 +36,43 @@ func runBenchStrategy(path, base string, seed uint64) int {
 	start := time.Now()
 	capRes, err := strategy.OptimizeCapacity(sys, d, strategy.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
-	file.CaseStudy.SolveMs = float64(time.Since(start).Microseconds()) / 1000
+	solveMs := float64(time.Since(start).Microseconds()) / 1000
 	certified := strategy.CertifyGlobalCapacity(sys, d, 0, capRes, 1e-9) == nil
 
 	_, detCap, err := strategy.BestDeterministic(sys, d, strategy.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
 	res1, err := strategy.OptimizeResilientCapacity(sys, d, 1, strategy.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
 	certified = certified && strategy.CertifyGlobalCapacity(sys, d, 1, res1, 1e-9) == nil
 	lat, err := strategy.OptimizeLatency(sys, d, strategy.CaseStudyLoadLimit(), strategy.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
 	certified = certified && lat.Certify(1e-9) == nil
 
-	file.CaseStudy.Capacity = capRes.Capacity
-	file.CaseStudy.DeterministicCapacity = detCap
-	file.CaseStudy.RandomizationGainX = capRes.Capacity / detCap
-	file.CaseStudy.ResilientCapacity = res1.Capacity
-	file.CaseStudy.LatencyValue = lat.Value
-	file.CaseStudy.Certified = certified
+	section = "case_study"
+	add(gate.Row{Name: "capacity", Value: capRes.Capacity, Unit: "ops/s", Better: "higher", RelTol: 0.001})
+	info("deterministic_capacity", detCap, "ops/s")
+	add(gate.Row{Name: "randomization_gain_x", Value: capRes.Capacity / detCap, Unit: "x", Min: gate.Bound(1.01)})
+	info("resilient_capacity_f1", res1.Capacity, "ops/s")
+	info("latency_value", lat.Value, "")
+	add(gate.Row{Name: "certified", Value: gate.Bool(certified), Min: gate.Bound(1)})
+	info("solve_ms", solveMs, "ms")
+	fmt.Printf("case study: capacity %.1f vs deterministic %.1f (gain %.2f×), certified=%v, %.1f ms\n",
+		capRes.Capacity, detCap, capRes.Capacity/detCap, certified, solveMs)
 
 	// Simulator agreement: measure the optimal strategy's empirical
 	// capacity on a failure-free network and compare to the LP closed form.
 	const fr = 0.7
 	frRes, err := strategy.OptimizeCapacity(sys, strategy.SingleFr(fr), strategy.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
 	m, err := sim.MeasureStrategyLoad(graph.Complete(5), sys,
 		sim.Params{AccessMean: 1, FailMean: 1e12, RepairMean: 1e-6},
@@ -119,14 +81,17 @@ func runBenchStrategy(path, base string, seed uint64) int {
 			MinBatches: 5, MaxBatches: 5, CIHalfWidth: 0.001, Seed: seed,
 		})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
-	file.SimAgreement.Fr = fr
-	file.SimAgreement.LPCapacity = frRes.Capacity
-	file.SimAgreement.SimCapacity = m.Capacity.Mean
-	file.SimAgreement.RelErr = math.Abs(m.Capacity.Mean-frRes.Capacity) / frRes.Capacity
-	file.SimAgreement.Batches = m.Batches
+	relErr := math.Abs(m.Capacity.Mean-frRes.Capacity) / frRes.Capacity
+	section = "sim_agreement"
+	info("fr", fr, "ratio")
+	info("lp_capacity", frRes.Capacity, "ops/s")
+	info("sim_capacity", m.Capacity.Mean, "ops/s")
+	add(gate.Row{Name: "rel_err", Value: relErr, Unit: "ratio", Max: gate.Bound(0.02)})
+	info("batches", float64(m.Batches), "count")
+	fmt.Printf("sim agreement: LP %.1f vs sim %.1f (rel err %.4f) over %d batches\n",
+		frRes.Capacity, m.Capacity.Mean, relErr, m.Batches)
 
 	// Large N: a system far past the enumeration cutoff, solved by column
 	// generation to a certified bound gap. 151 sites keeps the solve
@@ -137,119 +102,31 @@ func runBenchStrategy(path, base string, seed uint64) int {
 	// and a roadmap item.
 	const sites = 151
 	const targetGap = 0.05
-	large := heteroStrategySystem(sites, seed)
 	ld, err := strategy.NewFrDist(map[float64]float64{0.8: 2, 0.5: 1})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
 	start = time.Now()
-	lres, err := strategy.OptimizeCapacity(large, ld, strategy.Options{TargetGap: targetGap})
+	lres, err := strategy.OptimizeCapacity(strategy.HeteroSystem(sites, seed), ld, strategy.Options{TargetGap: targetGap})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return file, err
 	}
-	file.LargeN.SolveSec = time.Since(start).Seconds()
-	file.LargeN.Sites = sites
-	file.LargeN.TargetGap = targetGap
-	file.LargeN.Value = lres.Value
-	file.LargeN.Bound = lres.Bound
-	file.LargeN.Gap = (lres.Value - lres.Bound) / lres.Value
-	file.LargeN.Rounds = lres.Rounds
-	file.LargeN.Generated = lres.Generated
-	file.LargeN.Pivots = lres.Sol.Pivots
-	file.LargeN.Certified = lres.Certify(1e-6) == nil
-	file.LargeN.Ratio = file.LargeN.SolveSec * 1e9 / file.CalibrationNs
-
-	out, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	fmt.Printf("case study: capacity %.1f vs deterministic %.1f (gain %.2f×), certified=%v, %.1f ms\n",
-		file.CaseStudy.Capacity, file.CaseStudy.DeterministicCapacity,
-		file.CaseStudy.RandomizationGainX, file.CaseStudy.Certified, file.CaseStudy.SolveMs)
-	fmt.Printf("sim agreement: LP %.1f vs sim %.1f (rel err %.4f) over %d batches\n",
-		file.SimAgreement.LPCapacity, file.SimAgreement.SimCapacity,
-		file.SimAgreement.RelErr, file.SimAgreement.Batches)
+	solveSec := time.Since(start).Seconds()
+	gap := (lres.Value - lres.Bound) / lres.Value
+	largeCertified := lres.Certify(1e-6) == nil
+	section = "large_n"
+	info("sites", sites, "count")
+	info("target_gap", targetGap, "ratio")
+	info("value", lres.Value, "")
+	info("bound", lres.Bound, "")
+	add(gate.Row{Name: "gap", Value: gap, Unit: "ratio", Max: gate.Bound(targetGap + 1e-9)})
+	info("rounds", float64(lres.Rounds), "count")
+	info("generated", float64(lres.Generated), "count")
+	info("pivots", float64(lres.Sol.Pivots), "count")
+	add(gate.Row{Name: "certified", Value: gate.Bool(largeCertified), Min: gate.Bound(1)})
+	info("solve_sec", solveSec, "s")
+	add(gate.Row{Name: "ratio", Value: solveSec * 1e9 / file.CalibrationNs, Unit: "ratio", Better: "lower", RelTol: 0.5})
 	fmt.Printf("large N: %d sites, gap %.4f (target %.2f), %d rounds, %d columns, certified=%v, %.1f s\n",
-		file.LargeN.Sites, file.LargeN.Gap, targetGap, file.LargeN.Rounds,
-		file.LargeN.Generated, file.LargeN.Certified, file.LargeN.SolveSec)
-
-	if base == "" {
-		return 0
-	}
-	return gateBenchStrategy(file, base)
-}
-
-// gateBenchStrategy enforces the strategy acceptance criteria against the
-// committed baseline.
-func gateBenchStrategy(cur strategyBenchFile, base string) int {
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var b strategyBenchFile
-	if err := json.Unmarshal(raw, &b); err != nil {
-		fmt.Fprintf(os.Stderr, "parsing baseline %s: %v\n", base, err)
-		return 2
-	}
-	status := 0
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "BENCH GATE FAIL: "+format+"\n", args...)
-		status = 1
-	}
-	if !cur.CaseStudy.Certified {
-		fail("case-study certificates did not validate")
-	}
-	if cur.CaseStudy.RandomizationGainX <= 1.01 {
-		fail("randomized capacity gain %.3f× does not strictly beat deterministic",
-			cur.CaseStudy.RandomizationGainX)
-	}
-	if cur.CaseStudy.Capacity < b.CaseStudy.Capacity*0.999 {
-		fail("case-study capacity %.3f below baseline %.3f", cur.CaseStudy.Capacity, b.CaseStudy.Capacity)
-	}
-	if cur.SimAgreement.RelErr > 0.02 {
-		fail("sim capacity disagrees with LP by %.4f (limit 0.02)", cur.SimAgreement.RelErr)
-	}
-	if !cur.LargeN.Certified {
-		fail("large-N certificate did not validate")
-	}
-	if cur.LargeN.Gap > cur.LargeN.TargetGap+1e-9 {
-		fail("large-N bound gap %.4f exceeds target %.2f", cur.LargeN.Gap, cur.LargeN.TargetGap)
-	}
-	if b.LargeN.Ratio > 0 && cur.LargeN.Ratio > b.LargeN.Ratio*1.5 {
-		fail("large-N calibrated solve ratio %.3g exceeds baseline %.3g by >50%%",
-			cur.LargeN.Ratio, b.LargeN.Ratio)
-	}
-	if status == 0 {
-		fmt.Printf("bench gate OK against %s\n", base)
-	}
-	return status
-}
-
-// heteroStrategySystem draws the benchmark's n-site heterogeneous majority
-// system, deterministic in the seed (mirrors `quorumopt -strategy -stratn`).
-func heteroStrategySystem(n int, seed uint64) strategy.System {
-	src := rng.New(seed)
-	sys := strategy.System{
-		Votes: make([]int, n), QR: n/2 + 1, QW: n/2 + 1,
-		ReadCap:  make([]float64, n),
-		WriteCap: make([]float64, n),
-		Latency:  make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		sys.Votes[i] = 1
-		sys.ReadCap[i] = 1000 + 3000*src.Float64()
-		sys.WriteCap[i] = 500 + 1500*src.Float64()
-		sys.Latency[i] = 1 + 9*src.Float64()
-	}
-	return sys
+		sites, gap, targetGap, lres.Rounds, lres.Generated, largeCertified, solveSec)
+	return file, nil
 }

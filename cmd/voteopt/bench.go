@@ -1,50 +1,27 @@
 package main
 
-// The weights benchmark: certified annealing runs at representative scales,
+// The weights suite: certified annealing runs at representative scales,
 // written as BENCH_weights.json and gated against the committed baseline in
-// CI. The gate asserts the search's quality contract, not wall-clock alone:
-// every accepted candidate carried an intersection certificate, the weighted
-// result never fell below the uniform baseline, an in-process rerun with the
-// same seed reproduced the result bit-for-bit, and the objective values
-// match the committed baseline to 1e-9 relative (values are deterministic
-// across machines up to last-ulp differences in math.Exp; the trajectory
-// hash is recorded for forensics but only compared within one host's
-// double run).
+// CI (internal/gate, DESIGN §19). The rows assert the search's quality
+// contract, not wall-clock alone: every accepted candidate carried an
+// intersection certificate, the weighted result never fell below the
+// uniform baseline, an in-process rerun with the same seed reproduced the
+// result bit-for-bit, and the objective values match the committed baseline
+// to 1e-9 relative (values are deterministic across machines up to last-ulp
+// differences in math.Exp; the trajectory hash rides in the value row's
+// note for forensics but is only compared within one host's double run).
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
+	"slices"
 	"time"
 
+	"quorumkit/internal/gate"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/votes"
 )
-
-// weightsBench is one annealing run in BENCH_weights.json.
-type weightsBench struct {
-	Name          string  `json:"name"`
-	Sites         int     `json:"sites"`
-	Objective     string  `json:"objective"`
-	Value         float64 `json:"value"`
-	UniformValue  float64 `json:"uniform_value"`
-	Votes         []int   `json:"votes"`
-	QR            int     `json:"qr"`
-	QW            int     `json:"qw"`
-	Evaluations   int     `json:"evaluations"`
-	Accepted      int     `json:"accepted"`
-	AllCertified  bool    `json:"all_certified"`
-	Deterministic bool    `json:"deterministic"`
-	Trajectory    string  `json:"trajectory_hash"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-}
-
-type weightsBenchFile struct {
-	Seed    uint64         `json:"seed"`
-	Results []weightsBench `json:"results"`
-}
 
 // weightsCase is one benchmark scenario: a builder for the objective (fresh
 // per run — objectives reuse internal buffers) and the search configuration.
@@ -98,10 +75,12 @@ func weightsCases(seed uint64) []weightsCase {
 	}
 }
 
-// runBenchWeights executes every weights case twice (the determinism check),
-// writes the results to path, and gates against base when given.
+// runBenchWeights executes every weights case twice (the determinism
+// check), emits the suite's rows, and hands them to the one gate: written
+// to path and checked against base when given.
 func runBenchWeights(path, base string, seed uint64) int {
-	file := weightsBenchFile{Seed: seed}
+	file := gate.File{Suite: "weights", Seed: seed}
+	totalSec := 0.0
 	for _, c := range weightsCases(seed) {
 		obj, err := c.obj()
 		if err != nil {
@@ -120,6 +99,7 @@ func runBenchWeights(path, base string, seed uint64) int {
 			return 1
 		}
 		elapsed := time.Since(start).Seconds()
+		totalSec += elapsed
 
 		// Rerun on a FRESH objective: same seed must reproduce the entire
 		// SearchResult, trajectory hash included.
@@ -136,116 +116,28 @@ func runBenchWeights(path, base string, seed uint64) int {
 		deterministic := res.Value == res2.Value &&
 			res.TrajectoryHash == res2.TrajectoryHash &&
 			res.Evaluations == res2.Evaluations &&
-			votesEqual(res.Votes, res2.Votes)
+			slices.Equal(res.Votes, res2.Votes)
+		allCertified := res.Accepted == res.CertifiedAccepts && res.Cert.Intersects()
 
-		file.Results = append(file.Results, weightsBench{
-			Name:          c.name,
-			Sites:         c.n,
-			Objective:     obj.Name(),
-			Value:         res.Value,
-			UniformValue:  uni.Value,
-			Votes:         res.Votes,
-			QR:            res.Assignment.QR,
-			QW:            res.Assignment.QW,
-			Evaluations:   res.Evaluations,
-			Accepted:      res.Accepted,
-			AllCertified:  res.Accepted == res.CertifiedAccepts && res.Cert.Intersects(),
-			Deterministic: deterministic,
-			Trajectory:    fmt.Sprintf("%016x", res.TrajectoryHash),
-			ElapsedSec:    elapsed,
-		})
-	}
-
-	out, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for _, r := range file.Results {
+		for _, r := range []gate.Row{
+			{Name: "sites", Value: float64(c.n), Unit: "count"},
+			{Name: "value", Value: res.Value, Better: "equal", RelTol: 1e-9,
+				Note: fmt.Sprintf("%s objective, votes %v, qr %d, qw %d, trajectory %016x",
+					obj.Name(), res.Votes, res.Assignment.QR, res.Assignment.QW, res.TrajectoryHash)},
+			{Name: "uniform_value", Value: uni.Value},
+			{Name: "gain_over_uniform", Value: res.Value - uni.Value, Min: gate.Bound(0)},
+			{Name: "evaluations", Value: float64(res.Evaluations), Unit: "count"},
+			{Name: "accepted", Value: float64(res.Accepted), Unit: "count"},
+			{Name: "all_certified", Value: gate.Bool(allCertified), Min: gate.Bound(1)},
+			{Name: "deterministic", Value: gate.Bool(deterministic), Min: gate.Bound(1)},
+			{Name: "elapsed_sec", Value: elapsed, Unit: "s"},
+		} {
+			r.Name = c.name + "." + r.Name
+			file.Rows = append(file.Rows, r)
+		}
 		fmt.Printf("%-20s n=%-4d %-8s value %.6f (uniform %.6f)  %d evals  %.2fs  certified=%v deterministic=%v\n",
-			r.Name, r.Sites, r.Objective, r.Value, r.UniformValue, r.Evaluations, r.ElapsedSec, r.AllCertified, r.Deterministic)
+			c.name, c.n, obj.Name(), res.Value, uni.Value, res.Evaluations, elapsed, allCertified, deterministic)
 	}
-
-	if base == "" {
-		return 0
-	}
-	return gateBenchWeights(file, base)
-}
-
-// gateBenchWeights enforces the quality contract against the committed
-// baseline.
-func gateBenchWeights(cur weightsBenchFile, base string) int {
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var b weightsBenchFile
-	if err := json.Unmarshal(raw, &b); err != nil {
-		fmt.Fprintf(os.Stderr, "parsing baseline %s: %v\n", base, err)
-		return 2
-	}
-	baseline := make(map[string]weightsBench, len(b.Results))
-	for _, r := range b.Results {
-		baseline[r.Name] = r
-	}
-
-	status := 0
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "WEIGHTS GATE FAIL: "+format+"\n", args...)
-		status = 1
-	}
-	totalSec := 0.0
-	for _, r := range cur.Results {
-		totalSec += r.ElapsedSec
-		if !r.AllCertified {
-			fail("%s accepted an uncertified candidate", r.Name)
-		}
-		if !r.Deterministic {
-			fail("%s is not deterministic across same-seed reruns", r.Name)
-		}
-		if r.Value < r.UniformValue {
-			fail("%s weighted value %.9f below uniform %.9f", r.Name, r.Value, r.UniformValue)
-		}
-		bl, ok := baseline[r.Name]
-		if !ok {
-			fail("%s missing from baseline %s", r.Name, base)
-			continue
-		}
-		if relDiff(r.Value, bl.Value) > 1e-9 {
-			fail("%s value %.12f drifted from baseline %.12f", r.Name, r.Value, bl.Value)
-		}
-	}
-	if totalSec > 60 {
-		fail("benchmark took %.1fs, over the 60s budget", totalSec)
-	}
-	if status == 0 {
-		fmt.Printf("weights gate OK against %s\n", base)
-	}
-	return status
-}
-
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d == 0 {
-		return 0
-	}
-	return d / math.Max(math.Abs(a), math.Abs(b))
-}
-
-func votesEqual(a, b quorum.VoteAssignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	file.Rows = append(file.Rows, gate.Row{Name: "total.elapsed_sec", Value: totalSec, Unit: "s", Max: gate.Bound(60)})
+	return gate.Finish(file, path, base)
 }

@@ -9,8 +9,8 @@ import (
 
 // Micro-benchmarks for the robustness hot paths: the collect/drain round
 // that every client operation takes, the write round (collect + apply
-// fan-out), and the self-healing daemon's detector tick. The CLI's
-// -benchjson flag reports the same paths as ops/sec for BENCH_robustness.json.
+// fan-out), and the self-healing daemon's detector tick. The end-to-end
+// benchmark (bench/) times the same paths under a served workload.
 
 func benchCluster(b *testing.B, sites int) *Cluster {
 	b.Helper()

@@ -1,5 +1,7 @@
 package strategy
 
+import "quorumkit/internal/rng"
+
 // The quoracle paper's case study (Whittaker et al., §Case Study; Snippet 2
 // in SNIPPETS.md): five nodes a..e with heterogeneous capacities and
 // latencies, a majority quorum system, and a nonuniform distribution over
@@ -54,3 +56,24 @@ func CaseStudyFrDist() FrDist {
 // CaseStudyLoadLimit is the latency objective's per-site load cap from the
 // case study: at most 1/2000 of unit throughput per site.
 func CaseStudyLoadLimit() float64 { return 1.0 / 2000 }
+
+// HeteroSystem draws an n-site unit-vote majority system with
+// heterogeneous capacities and latencies, deterministic in the seed: the
+// large-N system of `quorumopt -strategy -stratn` and of the strategy
+// gate suite, which must agree draw for draw.
+func HeteroSystem(n int, seed uint64) System {
+	src := rng.New(seed)
+	sys := System{
+		Votes: make([]int, n), QR: n/2 + 1, QW: n/2 + 1,
+		ReadCap:  make([]float64, n),
+		WriteCap: make([]float64, n),
+		Latency:  make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		sys.Votes[i] = 1
+		sys.ReadCap[i] = 1000 + 3000*src.Float64()
+		sys.WriteCap[i] = 500 + 1500*src.Float64()
+		sys.Latency[i] = 1 + 9*src.Float64()
+	}
+	return sys
+}
