@@ -5,7 +5,7 @@
 
 GO ?= go
 
-COVER_PKGS = obs store sim workload faults strategy votes
+COVER_PKGS = obs store sim workload faults strategy votes quorum coterie
 COVER = $(addprefix cover-,$(COVER_PKGS))
 
 # The gate suites, each checked against its committed BENCH_<suite>.json in
@@ -15,7 +15,7 @@ COVER = $(addprefix cover-,$(COVER_PKGS))
 SUITE ?= core strategy adversary strategy-adversity gray weights
 
 .PHONY: check vet build test race $(COVER) \
-	fuzz fuzz-store fuzz-simplex fuzz-strategy chaos diskchaos soak hedge weights strategy study \
+	fuzz chaos diskchaos soak hedge weights strategy study \
 	bench bench-solver e2e e2e-smoke gate gate-update
 
 check: vet build test race $(COVER)
@@ -36,11 +36,14 @@ race:
 # what everything above it asserts on, and whose own oracle tests only bind
 # the paths they exercise: obs (every harness reads its counters), store
 # (recovery correctness is what the chaos harnesses assume), sim (the
-# measurement instrument; sweep-vs-reference and parallel-vs-serial proofs),
+# measurement instrument; sweep-vs-reference and grid worker-invariance proofs),
 # workload and faults (the stimulus side of every regret and robustness
 # claim), strategy (certificates only bind the simplex, pricing and
-# column-generation paths that run) and votes (nothing is accepted without
-# a pigeonhole certificate; brute-force and exhaustive oracles).
+# column-generation paths that run), votes (nothing is accepted without a
+# pigeonhole certificate; brute-force and exhaustive oracles), quorum (the
+# single home of the intersection rule, the minimal-quorum enumerator and
+# System.Validate) and coterie (the families every Validate claim is tested
+# on, against their explicit-set oracles).
 $(COVER): cover-%:
 	$(GO) test -coverprofile=/tmp/$*.cover ./internal/$*/ >/dev/null
 	@$(GO) tool cover -func=/tmp/$*.cover | awk '/^total:/ { \
@@ -48,25 +51,21 @@ $(COVER): cover-%:
 		printf "internal/$* coverage: %s (gate: 90%%)\n", $$3; \
 		if (pct < 90) { print "FAIL: internal/$* coverage below 90%"; exit 1 } }'
 
-# Short continuous fuzz of the wire codec (the committed corpus always
-# replays as part of `make test`).
+# Short continuous fuzz, FUZZTIME per target (each committed corpus also
+# replays as part of `make test`): the wire codec; the store record decoder
+# against arbitrary log damage; the simplex solver — random LPs must always
+# yield a verifiable certificate (optimality, Farkas, or unbounded ray); the
+# strategy decoder — a corrupted serialized strategy must always be rejected
+# with a typed DecodeError, never armed; and random quorum expressions —
+# Holds, MinimalQuorums and System.Validate against the all-subsets oracle.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = cluster:FuzzUnmarshalPayload store:FuzzFoldLog \
+	strategy:FuzzSimplex strategy:FuzzStrategyDecode quorum:FuzzExpr
+
 fuzz:
-	$(GO) test ./internal/cluster/ -run FuzzUnmarshalPayload -fuzz FuzzUnmarshalPayload -fuzztime 30s
-
-# Short continuous fuzz of the store record decoder against arbitrary log
-# damage (the committed corpus replays in `make test`).
-fuzz-store:
-	$(GO) test ./internal/store/ -run FuzzFoldLog -fuzz FuzzFoldLog -fuzztime 30s
-
-# Short continuous fuzz of the simplex solver: random LPs must always yield
-# a verifiable certificate (optimality, Farkas, or unbounded ray).
-fuzz-simplex:
-	$(GO) test ./internal/strategy/ -run FuzzSimplex -fuzz FuzzSimplex -fuzztime 30s
-
-# Short continuous fuzz of the strategy decoder: a corrupted serialized
-# strategy must always be rejected with a typed DecodeError, never armed.
-fuzz-strategy:
-	$(GO) test ./internal/strategy/ -run FuzzStrategyDecode -fuzz FuzzStrategyDecode -fuzztime 30s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./internal/$${t%%:*}/ -run "^$${t##*:}$$" -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Seeded fault-injection sweep over every mix on both runtimes.
 chaos:

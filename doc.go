@@ -33,7 +33,8 @@
 //
 //   - internal/core: availability model, optimizers, on-line estimator
 //   - internal/dist: closed-form and Monte-Carlo component-size densities
-//   - internal/quorum: assignments, validity conditions, coteries
+//   - internal/quorum: assignments, validity conditions, the quorum-
+//     expression algebra (coteries and vote thresholds in one type)
 //   - internal/graph, internal/topo: dynamic connectivity and the paper's
 //     ring-plus-chords topology family
 //   - internal/sim: the §5.2 discrete-event simulator and batch studies

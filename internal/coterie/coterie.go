@@ -5,9 +5,11 @@
 // systems (the grid protocol below, for example) are not induced by any
 // vote assignment, and they can dominate voting.
 //
-// Availability is evaluated exactly on small topologies by enumerating
-// failure configurations: an access at site i is granted when i's
-// component contains some quorum group of the relevant coterie. This is
+// A system here is a quorum.System — a read and a write quorum.Expr — and
+// this package only builds the classic families as expressions and
+// evaluates them. Availability is evaluated exactly on small topologies by
+// enumerating failure configurations: an access at site i is granted when
+// i's component satisfies the relevant expression (Expr.Holds). This is
 // the set-valued generalization of the paper's vote-count criterion, and
 // it reduces to the paper's model under vote-induced systems (verified in
 // the tests).
@@ -20,169 +22,55 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-// System is a read/write pair of quorum-group sets. Correctness requires:
-//
-//	(w-w) every two write groups intersect (no concurrent writes), and
-//	(r-w) every read group intersects every write group (reads see the
-//	      most recent write).
-//
-// Read groups need not intersect each other.
-type System struct {
-	Read  []quorum.Group
-	Write []quorum.Group
-}
-
-// Validate checks the two intersection properties and non-emptiness.
-func (s System) Validate() error {
-	if len(s.Read) == 0 || len(s.Write) == 0 {
-		return fmt.Errorf("coterie: empty read or write group set")
-	}
-	for i, w := range s.Write {
-		if w == 0 {
-			return fmt.Errorf("coterie: write group %d empty", i)
-		}
-		for j := i + 1; j < len(s.Write); j++ {
-			if !w.Intersects(s.Write[j]) {
-				return fmt.Errorf("coterie: write groups %d and %d disjoint", i, j)
-			}
-		}
-	}
-	for i, r := range s.Read {
-		if r == 0 {
-			return fmt.Errorf("coterie: read group %d empty", i)
-		}
-		for j, w := range s.Write {
-			if !r.Intersects(w) {
-				return fmt.Errorf("coterie: read group %d misses write group %d", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-// GrantRead reports whether a component (as a site set) contains a read
-// group.
-func (s System) GrantRead(component quorum.Group) bool {
-	for _, g := range s.Read {
-		if g.Subset(component) {
-			return true
-		}
-	}
-	return false
-}
-
-// GrantWrite reports whether a component contains a write group.
-func (s System) GrantWrite(component quorum.Group) bool {
-	for _, g := range s.Write {
-		if g.Subset(component) {
-			return true
-		}
-	}
-	return false
-}
-
 // FromQuorums returns the system induced by a vote assignment and a
-// (q_r, q_w) pair: read groups are the minimal sets holding q_r votes,
-// write groups the minimal sets holding q_w votes.
-func FromQuorums(votes quorum.VoteAssignment, a quorum.Assignment) (System, error) {
+// (q_r, q_w) pair: read quorums are the sets holding q_r votes, write
+// quorums the sets holding q_w votes. Nothing is enumerated, so any number
+// of sites is accepted.
+func FromQuorums(votes quorum.VoteAssignment, a quorum.Assignment) (quorum.System, error) {
+	if err := votes.Validate(); err != nil {
+		return quorum.System{}, err
+	}
 	if err := a.Validate(votes.Total()); err != nil {
-		return System{}, err
+		return quorum.System{}, err
 	}
-	s := System{
-		Read:  quorum.FromVotes(votes, a.QR),
-		Write: quorum.FromVotes(votes, a.QW),
-	}
-	if err := s.Validate(); err != nil {
-		return System{}, fmt.Errorf("coterie: induced system invalid: %w", err)
-	}
-	return s, nil
+	return quorum.System{Read: quorum.Threshold(votes, a.QR), Write: quorum.Threshold(votes, a.QW)}, nil
 }
 
 // Grid returns the grid protocol system for rows×cols sites laid out in
-// row-major order (site r·cols+c): a read group is one site from every
-// column; a write group is a full column plus one site from every other
+// row-major order (site r·cols+c): a read quorum is one site from every
+// column; a write quorum is a full column plus one site from every other
 // column. The system is valid but not induced by any vote assignment for
 // grids of at least 3×3.
-func Grid(rows, cols int) (System, error) {
-	n := rows * cols
-	if rows < 1 || cols < 1 || n > 16 {
-		// 16 keeps cols^rows enumeration and the exact evaluator tractable.
-		return System{}, fmt.Errorf("coterie: grid %dx%d unsupported (need ≤ 16 sites)", rows, cols)
+func Grid(rows, cols int) (quorum.System, error) {
+	if rows < 1 || cols < 1 || rows*cols > 16 {
+		// 16 keeps the exact evaluator and Validate's pairwise check (at
+		// most 2·8·2⁷ sets, for 2×8) tractable.
+		return quorum.System{}, fmt.Errorf("coterie: grid %dx%d unsupported (need ≤ 16 sites)", rows, cols)
 	}
-	site := func(r, c int) int { return r*cols + c }
-
-	// All column covers: one site per column → cols choices per column...
-	// rows^cols combinations.
-	var covers []quorum.Group
-	var buildCover func(c int, acc quorum.Group)
-	buildCover = func(c int, acc quorum.Group) {
-		if c == cols {
-			covers = append(covers, acc)
-			return
+	anyOf, allOf := make([]quorum.Expr, cols), make([]quorum.Expr, cols)
+	for c := range anyOf {
+		column := make([]quorum.Expr, rows)
+		for r := range column {
+			column[r] = quorum.Site(r*cols + c)
 		}
-		for r := 0; r < rows; r++ {
-			buildCover(c+1, acc|quorum.NewGroup(site(r, c)))
-		}
+		anyOf[c], allOf[c] = quorum.Or(column...), quorum.And(column...)
 	}
-	buildCover(0, 0)
-
-	var s System
-	s.Read = append(s.Read, covers...)
-	for c := 0; c < cols; c++ {
-		var column quorum.Group
-		for r := 0; r < rows; r++ {
-			column |= quorum.NewGroup(site(r, c))
-		}
-		for _, cover := range covers {
-			s.Write = append(s.Write, column|cover)
-		}
-	}
-	s.Write = Minimize(s.Write)
+	cover := quorum.And(anyOf...)
+	s := quorum.System{Read: cover, Write: quorum.And(quorum.Or(allOf...), cover)}
 	if err := s.Validate(); err != nil {
-		return System{}, err
+		return quorum.System{}, err
 	}
 	return s, nil
-}
-
-// Minimize removes duplicate groups and groups that are supersets of other
-// groups, returning the minimal antichain with identical grant behaviour.
-func Minimize(groups []quorum.Group) []quorum.Group {
-	seen := map[quorum.Group]bool{}
-	var uniq []quorum.Group
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			uniq = append(uniq, g)
-		}
-	}
-	var out []quorum.Group
-	for i, g := range uniq {
-		minimal := true
-		for j, h := range uniq {
-			if i != j && h.Subset(g) && h != g {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // ReadOneWriteAll returns the ROWA system over n sites: any single site
 // reads, only the full set writes.
-func ReadOneWriteAll(n int) System {
-	var all quorum.Group
-	s := System{}
-	for i := 0; i < n; i++ {
-		g := quorum.NewGroup(i)
-		s.Read = append(s.Read, g)
-		all |= g
+func ReadOneWriteAll(n int) quorum.System {
+	sites := make([]quorum.Expr, n)
+	for i := range sites {
+		sites[i] = quorum.Site(i)
 	}
-	s.Write = []quorum.Group{all}
-	return s
+	return quorum.System{Read: quorum.Or(sites...), Write: quorum.And(sites...)}
 }
 
 // ComponentDist is the exact distribution, for every site, over the site
@@ -244,10 +132,7 @@ func Components(g *graph.Graph, p, r float64) (*ComponentDist, error) {
 		reps = st.Representatives(reps)
 		for _, rep := range reps {
 			members = st.Members(rep, members[:0])
-			var comp quorum.Group
-			for _, site := range members {
-				comp |= quorum.NewGroup(site)
-			}
+			comp := quorum.NewGroup(members...)
 			for _, site := range members {
 				d.per[site][comp] += prob
 			}
@@ -259,7 +144,7 @@ func Components(g *graph.Graph, p, r float64) (*ComponentDist, error) {
 // SiteAvailability returns, for each site, the probability that an access
 // submitted there is granted under the system (reads with probability
 // alpha, writes otherwise). Down sites deny everything.
-func (d *ComponentDist) SiteAvailability(s System, alpha float64) ([]float64, error) {
+func (d *ComponentDist) SiteAvailability(s quorum.System, alpha float64) ([]float64, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("coterie: α=%g out of [0,1]", alpha)
 	}
@@ -270,10 +155,10 @@ func (d *ComponentDist) SiteAvailability(s System, alpha float64) ([]float64, er
 	for i, dist := range d.per {
 		for comp, prob := range dist {
 			grant := 0.0
-			if s.GrantRead(comp) {
+			if s.Read.Holds(comp) {
 				grant += alpha
 			}
-			if s.GrantWrite(comp) {
+			if s.Write.Holds(comp) {
 				grant += 1 - alpha
 			}
 			out[i] += prob * grant
@@ -283,7 +168,7 @@ func (d *ComponentDist) SiteAvailability(s System, alpha float64) ([]float64, er
 }
 
 // Availability returns the uniform-access ACC availability of the system.
-func (d *ComponentDist) Availability(s System, alpha float64) (float64, error) {
+func (d *ComponentDist) Availability(s quorum.System, alpha float64) (float64, error) {
 	per, err := d.SiteAvailability(s, alpha)
 	if err != nil {
 		return 0, err
@@ -298,7 +183,7 @@ func (d *ComponentDist) Availability(s System, alpha float64) (float64, error) {
 // Availability computes the exact ACC availability of a coterie system on
 // a topology in one call; use Components directly to evaluate several
 // systems against one topology.
-func Availability(g *graph.Graph, p, r float64, s System, alpha float64) (float64, error) {
+func Availability(g *graph.Graph, p, r float64, s quorum.System, alpha float64) (float64, error) {
 	d, err := Components(g, p, r)
 	if err != nil {
 		return 0, err
@@ -307,7 +192,7 @@ func Availability(g *graph.Graph, p, r float64, s System, alpha float64) (float6
 }
 
 // SiteAvailability is the one-call per-site variant of Availability.
-func SiteAvailability(g *graph.Graph, p, r float64, s System, alpha float64) ([]float64, error) {
+func SiteAvailability(g *graph.Graph, p, r float64, s quorum.System, alpha float64) ([]float64, error) {
 	d, err := Components(g, p, r)
 	if err != nil {
 		return nil, err
@@ -319,42 +204,33 @@ func SiteAvailability(g *graph.Graph, p, r float64, s System, alpha float64) ([]
 // by some vote assignment with per-site votes in [0, maxVotes] and a write
 // quorum — a brute-force check used to certify that a coterie (like the
 // grid) genuinely escapes the voting framework.
-func VoteInducible(s System, n, maxVotes int) bool {
+func VoteInducible(s quorum.System, n, maxVotes int) bool {
 	if n > 9 {
 		panic(fmt.Sprintf("coterie: VoteInducible supports ≤ 9 sites, got %d", n))
 	}
-	target := Minimize(s.Write)
+	sets, _ := s.Write.MinimalQuorums(0)
 	votes := make(quorum.VoteAssignment, n)
 	var try func(i int) bool
 	try = func(i int) bool {
 		if i == n {
 			total := votes.Total()
-			if total == 0 {
-				return false
-			}
+		thresholds:
 			for q := total/2 + 1; q <= total; q++ {
-				// Cheap necessary conditions before the exponential
-				// FromVotes: every target group must meet q and be minimal
-				// (dropping its lightest member falls below q).
-				ok := true
-				for _, g := range target {
+				// Every target quorum must be a minimal quorum at q: meet
+				// q, and fall below it without its lightest member.
+				for _, set := range sets {
 					sum, minV := 0, 1<<30
-					for _, site := range g.Sites() {
+					for _, site := range set {
 						sum += votes[site]
-						if votes[site] < minV {
-							minV = votes[site]
-						}
+						minV = min(minV, votes[site])
 					}
 					if sum < q || sum-minV >= q {
-						ok = false
-						break
+						continue thresholds
 					}
 				}
-				if !ok {
-					continue
-				}
-				induced := quorum.FromVotes(votes, q)
-				if sameGroups(induced, target) {
+				// The target is then part of the induced coterie, and equal
+				// to it iff the induced one has no further member.
+				if induced, _ := quorum.Threshold(votes, q).MinimalQuorums(len(sets) + 1); len(induced) == len(sets) {
 					return true
 				}
 			}
@@ -370,20 +246,4 @@ func VoteInducible(s System, n, maxVotes int) bool {
 		return false
 	}
 	return try(0)
-}
-
-func sameGroups(a quorum.Coterie, b []quorum.Group) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := map[quorum.Group]bool{}
-	for _, g := range a {
-		set[g] = true
-	}
-	for _, g := range b {
-		if !set[g] {
-			return false
-		}
-	}
-	return true
 }

@@ -11,33 +11,27 @@ import (
 )
 
 func TestSystemValidate(t *testing.T) {
-	good := System{
-		Read:  []quorum.Group{quorum.NewGroup(0), quorum.NewGroup(1)},
-		Write: []quorum.Group{quorum.NewGroup(0, 1)},
+	good := quorum.System{
+		Read:  quorum.Or(quorum.Site(0), quorum.Site(1)),
+		Write: quorum.And(quorum.Site(0), quorum.Site(1)),
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	disjointWrites := System{
-		Read:  []quorum.Group{quorum.NewGroup(0, 1)},
-		Write: []quorum.Group{quorum.NewGroup(0), quorum.NewGroup(1)},
-	}
+	disjointWrites := quorum.System{Read: good.Write, Write: good.Read}
 	if err := disjointWrites.Validate(); err == nil {
 		t.Fatal("disjoint write groups accepted")
 	}
-	readMisses := System{
-		Read:  []quorum.Group{quorum.NewGroup(2)},
-		Write: []quorum.Group{quorum.NewGroup(0, 1)},
-	}
+	readMisses := quorum.System{Read: quorum.Site(2), Write: good.Write}
 	if err := readMisses.Validate(); err == nil {
 		t.Fatal("read group missing writes accepted")
 	}
-	if err := (System{}).Validate(); err == nil {
+	if err := (quorum.System{}).Validate(); err == nil {
 		t.Fatal("empty system accepted")
 	}
-	empty := System{Read: []quorum.Group{0}, Write: []quorum.Group{quorum.NewGroup(0)}}
-	if err := empty.Validate(); err == nil {
-		t.Fatal("empty read group accepted")
+	noReads := quorum.System{Write: quorum.Site(0)}
+	if err := noReads.Validate(); err == nil {
+		t.Fatal("system without a read expression accepted")
 	}
 }
 
@@ -48,20 +42,29 @@ func TestFromQuorums(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read groups: all 2-subsets (10); write groups: all 4-subsets (5).
-	if len(s.Read) != 10 || len(s.Write) != 5 {
-		t.Fatalf("groups %d/%d", len(s.Read), len(s.Write))
+	if r, w := minimalGroups(t, s.Read), minimalGroups(t, s.Write); len(r) != 10 || len(w) != 5 {
+		t.Fatalf("groups %d/%d", len(r), len(w))
 	}
-	if !s.GrantRead(quorum.NewGroup(1, 3)) || s.GrantRead(quorum.NewGroup(2)) {
+	if !s.Read.Holds(quorum.NewGroup(1, 3)) || s.Read.Holds(quorum.NewGroup(2)) {
 		t.Fatal("read grant logic")
 	}
-	if !s.GrantWrite(quorum.NewGroup(0, 1, 2, 3)) || s.GrantWrite(quorum.NewGroup(0, 1, 2)) {
+	if !s.Write.Holds(quorum.NewGroup(0, 1, 2, 3)) || s.Write.Holds(quorum.NewGroup(0, 1, 2)) {
 		t.Fatal("write grant logic")
 	}
 	if _, err := FromQuorums(votes, quorum.Assignment{QR: 1, QW: 3}); err == nil {
 		t.Fatal("invalid quorum pair accepted")
 	}
+	if _, err := FromQuorums(votes, quorum.Assignment{QR: 0, QW: 5}); err == nil {
+		t.Fatal("zero read quorum accepted")
+	}
+	if _, err := FromQuorums(quorum.VoteAssignment{2, -1, 1}, quorum.Assignment{QR: 1, QW: 2}); err == nil {
+		t.Fatal("negative votes accepted")
+	}
 }
 
+// TestMinimize: writing a quorum twice, or a superset of another, changes
+// nothing — enumeration returns the minimal antichain, the same one the
+// explicit-list oracle computes.
 func TestMinimize(t *testing.T) {
 	gs := []quorum.Group{
 		quorum.NewGroup(0, 1),
@@ -69,10 +72,18 @@ func TestMinimize(t *testing.T) {
 		quorum.NewGroup(0, 1),    // duplicate: dropped
 		quorum.NewGroup(2),
 	}
-	min := Minimize(gs)
-	if len(min) != 2 {
+	alts := make([]quorum.Expr, len(gs))
+	for i, g := range gs {
+		sites := make([]quorum.Expr, 0, g.Size())
+		for _, s := range g.Sites() {
+			sites = append(sites, quorum.Site(s))
+		}
+		alts[i] = quorum.And(sites...)
+	}
+	if min := minimalGroups(t, quorum.Or(alts...)); len(min) != 2 {
 		t.Fatalf("minimized to %v", min)
 	}
+	assertMatchesOracle(t, "explicit list", quorum.Or(alts...), gs, 3)
 }
 
 func TestGridSystem(t *testing.T) {
@@ -81,11 +92,11 @@ func TestGridSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads: one site per column → 3^3 = 27 covers.
-	if len(s.Read) != 27 {
-		t.Fatalf("read groups %d", len(s.Read))
+	if reads := minimalGroups(t, s.Read); len(reads) != 27 {
+		t.Fatalf("read groups %d", len(reads))
 	}
 	// Write groups: column ∪ cover, minimized. Each has 3 + 2 sites.
-	for _, w := range s.Write {
+	for _, w := range minimalGroups(t, s.Write) {
 		if w.Size() != 5 {
 			t.Fatalf("write group size %d: %v", w.Size(), w.Sites())
 		}
@@ -93,19 +104,19 @@ func TestGridSystem(t *testing.T) {
 	// Full grid grants everything; a single row grants reads only.
 	full := quorum.NewGroup(0, 1, 2, 3, 4, 5, 6, 7, 8)
 	row := quorum.NewGroup(3, 4, 5)
-	if !s.GrantRead(full) || !s.GrantWrite(full) {
+	if !s.Read.Holds(full) || !s.Write.Holds(full) {
 		t.Fatal("full grid must grant all")
 	}
-	if !s.GrantRead(row) {
+	if !s.Read.Holds(row) {
 		t.Fatal("a full row covers every column: read must be granted")
 	}
-	if s.GrantWrite(row) {
+	if s.Write.Holds(row) {
 		t.Fatal("a row contains no full column: write must be denied")
 	}
 	// A full column alone cannot even read... it can: column covers only
 	// its own column. 3 columns needed. Check denial:
 	col := quorum.NewGroup(0, 3, 6)
-	if s.GrantRead(col) {
+	if s.Read.Holds(col) {
 		t.Fatal("a single column does not cover all columns")
 	}
 }
@@ -119,12 +130,15 @@ func TestGridNotVoteInducible(t *testing.T) {
 		t.Fatal("the 3x3 grid write coterie should not be vote-inducible (votes ≤ 3)")
 	}
 	// Control: a majority coterie IS vote-inducible.
-	maj := System{
-		Read:  quorum.MajorityCoterie(3),
-		Write: quorum.MajorityCoterie(3),
-	}
+	e := quorum.Threshold(quorum.UniformVotes(3), 2)
+	maj := quorum.System{Read: e, Write: e}
 	if !VoteInducible(maj, 3, 2) {
 		t.Fatal("majority coterie should be vote-inducible")
+	}
+	// Every Fano line is a minimal quorum of 3-of-7 voting, but so are 28
+	// other triples: part of an induced coterie is not the coterie.
+	if VoteInducible(FanoSystem(), 7, 2) {
+		t.Fatal("the Fano plane should not be vote-inducible")
 	}
 }
 
@@ -202,18 +216,21 @@ func TestGridVsMajorityOnGridTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aGrid, err := d.Availability(grid, 0.9)
-	if err != nil {
-		t.Fatal(err)
+	// (EXPERIMENTS.md "Coteries against voting" reproduces these rows.)
+	for _, alpha := range []float64{0, 0.5, 0.9, 1} {
+		aGrid, err := d.Availability(grid, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aMaj, err := d.Availability(maj, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aGrid <= 0 || aGrid >= 1 || aMaj <= 0 || aMaj >= 1 {
+			t.Fatalf("implausible availabilities grid=%g majority=%g", aGrid, aMaj)
+		}
+		t.Logf("3x3 grid topology, α=%g: grid protocol %.4f vs majority %.4f", alpha, aGrid, aMaj)
 	}
-	aMaj, err := d.Availability(maj, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aGrid <= 0 || aGrid >= 1 || aMaj <= 0 || aMaj >= 1 {
-		t.Fatalf("implausible availabilities grid=%g majority=%g", aGrid, aMaj)
-	}
-	t.Logf("3x3 grid topology, α=0.9: grid protocol %.4f vs majority %.4f", aGrid, aMaj)
 }
 
 func TestAvailabilitySizeLimit(t *testing.T) {

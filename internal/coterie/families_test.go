@@ -8,10 +8,11 @@ import (
 )
 
 func TestTreeQuorumsDepth0(t *testing.T) {
-	qs, err := TreeQuorums(0)
+	e, err := TreeQuorums(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	qs := minimalGroups(t, e)
 	if len(qs) != 1 || qs[0] != quorum.NewGroup(0) {
 		t.Fatalf("depth 0 quorums %v", qs)
 	}
@@ -19,15 +20,14 @@ func TestTreeQuorumsDepth0(t *testing.T) {
 
 func TestTreeQuorumsDepth1(t *testing.T) {
 	// 3 sites: quorums {0,1}, {0,2}, {1,2} — the majority coterie.
-	qs, err := TreeQuorums(1)
+	e, err := TreeQuorums(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qs) != 3 {
+	if qs := minimalGroups(t, e); len(qs) != 3 {
 		t.Fatalf("depth 1: %d quorums", len(qs))
 	}
-	c := quorum.Coterie(qs)
-	if err := c.Validate(); err != nil {
+	if err := (quorum.System{Read: e, Write: e}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,14 +35,14 @@ func TestTreeQuorumsDepth1(t *testing.T) {
 func TestTreeQuorumsDepth2Properties(t *testing.T) {
 	// 7 sites. The minimal failure-free quorum is a root-to-leaf path of
 	// 3 sites; quorums avoiding the root have 4.
-	qs, err := TreeQuorums(2)
+	e, err := TreeQuorums(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := quorum.Coterie(qs)
-	if err := c.Validate(); err != nil {
+	if err := (quorum.System{Read: e, Write: e}).Validate(); err != nil {
 		t.Fatalf("tree coterie invalid: %v", err)
 	}
+	qs := minimalGroups(t, e)
 	minSize, maxSize := 64, 0
 	rootPath := false
 	for _, g := range qs {
@@ -73,17 +73,17 @@ func TestTreeSystemGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Root + left child + its left child: a path quorum.
-	if !s.GrantWrite(quorum.NewGroup(0, 1, 3)) {
+	if !s.Write.Holds(quorum.NewGroup(0, 1, 3)) {
 		t.Fatal("path quorum denied")
 	}
 	// All four leaves: contains a quorum of both subtrees ({3,4} and
 	// {5,6} quorums need their subtree roots... leaves alone: left
 	// subtree quorum without node 1 is {3,4}; right without 2 is {5,6}.
-	if !s.GrantWrite(quorum.NewGroup(3, 4, 5, 6)) {
+	if !s.Write.Holds(quorum.NewGroup(3, 4, 5, 6)) {
 		t.Fatal("all-leaves quorum denied")
 	}
 	// Two leaves of the same subtree cannot form a quorum.
-	if s.GrantWrite(quorum.NewGroup(3, 4)) {
+	if s.Write.Holds(quorum.NewGroup(3, 4)) {
 		t.Fatal("left-subtree leaves alone granted")
 	}
 	if err := s.Validate(); err != nil {
@@ -101,7 +101,7 @@ func TestTreeDepthLimit(t *testing.T) {
 }
 
 func TestFanoPlaneProperties(t *testing.T) {
-	lines := FanoPlane()
+	lines := minimalGroups(t, FanoPlane())
 	if len(lines) != 7 {
 		t.Fatalf("%d lines", len(lines))
 	}
@@ -127,7 +127,7 @@ func TestFanoPlaneProperties(t *testing.T) {
 			t.Fatalf("site %d lies on %d lines", s, c)
 		}
 	}
-	if err := quorum.Coterie(lines).Validate(); err != nil {
+	if err := FanoSystem().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,42 +143,45 @@ func TestFanoAvailabilityOnK7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fano, err := d.Availability(FanoSystem(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	maj, err := FromQuorums(quorum.UniformVotes(7), quorum.Majority(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	majA, err := d.Availability(maj, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fano <= 0.8 || fano >= 1 || majA <= 0.8 || majA >= 1 {
-		t.Fatalf("implausible availabilities fano=%g majority=%g", fano, majA)
+	// (EXPERIMENTS.md "Coteries against voting" reproduces these rows.)
+	for _, alpha := range []float64{0, 0.5, 0.9, 1} {
+		fano, err := d.Availability(FanoSystem(), alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		majA, err := d.Availability(maj, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fano <= 0.8 || fano >= 1 || majA <= 0.8 || majA >= 1 {
+			t.Fatalf("implausible availabilities fano=%g majority=%g", fano, majA)
+		}
+		t.Logf("K7, p=0.9, α=%g: Fano %.4f vs majority %.4f", alpha, fano, majA)
 	}
 	// Neither dominates structurally. Write side: a full line of 3 grants
 	// under Fano, while valid (3,5)-voting needs 5 votes. Read side: any
 	// 3-set reads under voting, but Fano reads need a line.
 	fs := FanoSystem()
 	line := quorum.NewGroup(0, 1, 2)
-	if !fs.GrantWrite(line) || maj.GrantWrite(line) {
+	if !fs.Write.Holds(line) || maj.Write.Holds(line) {
 		t.Fatal("3-site line should grant writes only under Fano")
 	}
 	nonLine := quorum.NewGroup(0, 1, 3)
-	if fs.GrantRead(nonLine) || !maj.GrantRead(nonLine) {
+	if fs.Read.Holds(nonLine) || !maj.Read.Holds(nonLine) {
 		t.Fatal("non-line 3-set should grant reads only under voting")
 	}
-	t.Logf("K7, p=0.9, α=0.5: Fano %.4f vs majority %.4f", fano, majA)
 }
 
 func TestTreeVsMajorityQuorumSize(t *testing.T) {
 	// The tree protocol's selling point: min quorum size 3 vs majority's 4
 	// on 7 sites (fewer messages in the common case).
-	qs, _ := TreeQuorums(2)
+	e, _ := TreeQuorums(2)
 	minTree := 64
-	for _, g := range qs {
+	for _, g := range minimalGroups(t, e) {
 		if g.Size() < minTree {
 			minTree = g.Size()
 		}

@@ -7,12 +7,12 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-// Object is a replicated data object whose grant rule is a general coterie
-// System rather than a vote count — the executable counterpart of the
+// Object is a replicated data object whose grant rule is a general
+// quorum.System rather than a vote count — the executable counterpart of the
 // availability analysis in this package. Within a component, copies
 // synchronize on every operation (the same §5.1 instantaneous-exchange
 // model as the vote-based replica.Object); a read or write is granted iff
-// the component's site set contains a read or write group.
+// the component's site set satisfies the read or write expression.
 //
 // Coterie systems have no dynamic reassignment here: unlike vote/quorum
 // pairs they carry no natural version-ordered family, which is exactly the
@@ -20,7 +20,7 @@ import (
 // and ordering quorums).
 type Object struct {
 	st     *graph.State
-	sys    System
+	sys    quorum.System
 	stamps []int64
 	values []int64
 
@@ -32,7 +32,7 @@ type Object struct {
 
 // NewObject creates the coterie-governed object. The system must be valid
 // and the network must have at most 64 sites (Group limit).
-func NewObject(st *graph.State, sys System) (*Object, error) {
+func NewObject(st *graph.State, sys quorum.System) (*Object, error) {
 	if st.Graph().N() > 64 {
 		return nil, fmt.Errorf("coterie: object supports ≤ 64 sites, got %d", st.Graph().N())
 	}
@@ -56,9 +56,8 @@ func (o *Object) LatestStamp() int64 { return o.latest }
 func (o *Object) sync(x int) (members []int, comp quorum.Group, stamp, value int64) {
 	rep := o.st.ComponentOf(x)
 	o.memberBuf = o.st.Members(rep, o.memberBuf[:0])
-	members = o.memberBuf
+	members, comp = o.memberBuf, quorum.NewGroup(o.memberBuf...)
 	for _, m := range members {
-		comp |= quorum.NewGroup(m)
 		if o.stamps[m] > stamp {
 			stamp, value = o.stamps[m], o.values[m]
 		}
@@ -75,7 +74,7 @@ func (o *Object) Read(x int) (value int64, stamp int64, granted bool) {
 		return 0, 0, false
 	}
 	_, comp, stamp, value := o.sync(x)
-	if !o.sys.GrantRead(comp) {
+	if !o.sys.Read.Holds(comp) {
 		return 0, 0, false
 	}
 	return value, stamp, true
@@ -88,7 +87,7 @@ func (o *Object) Write(x int, value int64) bool {
 		return false
 	}
 	members, comp, _, _ := o.sync(x)
-	if !o.sys.GrantWrite(comp) {
+	if !o.sys.Write.Holds(comp) {
 		return false
 	}
 	o.next++
@@ -107,13 +106,7 @@ func (o *Object) WriteCapableComponents() int {
 	var reps []int
 	reps = o.st.Representatives(reps)
 	for _, rep := range reps {
-		var comp quorum.Group
-		var members []int
-		members = o.st.Members(rep, members)
-		for _, m := range members {
-			comp |= quorum.NewGroup(m)
-		}
-		if o.sys.GrantWrite(comp) {
+		if o.sys.Write.Holds(quorum.NewGroup(o.st.Members(rep, nil)...)) {
 			count++
 		}
 	}

@@ -178,7 +178,7 @@ func TestCoterieObjectGridSafety(t *testing.T) {
 
 func TestCoterieObjectValidation(t *testing.T) {
 	st := graph.NewState(graph.Ring(5), nil)
-	bad := System{Read: []quorum.Group{quorum.NewGroup(0)}, Write: []quorum.Group{quorum.NewGroup(1)}}
+	bad := quorum.System{Read: quorum.Site(0), Write: quorum.Site(1)}
 	if _, err := NewObject(st, bad); err == nil {
 		t.Fatal("invalid system accepted")
 	}

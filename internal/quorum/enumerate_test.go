@@ -1,18 +1,36 @@
-package strategy
+package quorum
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"quorumkit/internal/rng"
 )
 
+// resilientVotes is votes(S) minus the f largest member votes, by the
+// definition: sort the member votes and drop the top f.
+func resilientVotes(votes []int, set []int, f int) int {
+	member := make([]int, len(set))
+	for i, x := range set {
+		member[i] = votes[x]
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(member)))
+	t := 0
+	for i, v := range member {
+		if i >= f {
+			t += v
+		}
+	}
+	return t
+}
+
 // bruteMinimalQuorums enumerates minimal f-resilient quorums by checking
 // every subset, the slow-but-obviously-correct oracle for enumerate.go.
-func bruteMinimalQuorums(votes []int, q, f int) []Quorum {
+func bruteMinimalQuorums(votes []int, q, f int) [][]int {
 	n := len(votes)
 	isQuorum := func(mask int) bool {
-		set := make(Quorum, 0, n)
+		set := make([]int, 0, n)
 		for x := 0; x < n; x++ {
 			if mask&(1<<x) != 0 {
 				set = append(set, x)
@@ -20,7 +38,7 @@ func bruteMinimalQuorums(votes []int, q, f int) []Quorum {
 		}
 		return resilientVotes(votes, set, f) >= q
 	}
-	var out []Quorum
+	var out [][]int
 	for mask := 1; mask < 1<<n; mask++ {
 		if !isQuorum(mask) {
 			continue
@@ -34,7 +52,7 @@ func bruteMinimalQuorums(votes []int, q, f int) []Quorum {
 		if !minimal {
 			continue
 		}
-		set := make(Quorum, 0, n)
+		set := make([]int, 0, n)
 		for x := 0; x < n; x++ {
 			if mask&(1<<x) != 0 {
 				set = append(set, x)
@@ -42,26 +60,18 @@ func bruteMinimalQuorums(votes []int, q, f int) []Quorum {
 		}
 		out = append(out, set)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return sortPool(out)
+}
+
+// sortPool returns the pool in lexicographic order (shorter prefix first).
+func sortPool(pool [][]int) [][]int {
+	out := append([][]int(nil), pool...)
+	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i], out[j]) < 0 })
 	return out
 }
 
-func sortPool(pool []Quorum) []Quorum {
-	out := append([]Quorum(nil), pool...)
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
-}
-
-func poolsEqual(a, b []Quorum) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if keyOf(a[i]) != keyOf(b[i]) {
-			return false
-		}
-	}
-	return true
+func poolsEqual(a, b [][]int) bool {
+	return slices.EqualFunc(a, b, func(x, y []int) bool { return slices.Equal(x, y) })
 }
 
 // TestMinimalQuorumsOracle cross-checks the DFS enumerator against the
@@ -84,7 +94,7 @@ func TestMinimalQuorumsOracle(t *testing.T) {
 		q := 1 + src.Intn(T)
 		f := src.Intn(3)
 		want := bruteMinimalQuorums(votes, q, f)
-		got, complete := MinimalResilientQuorums(votes, q, f, 0)
+		got, complete := ThresholdQuorums[[]int](votes, q, f, 0)
 		if !complete {
 			t.Fatalf("trial %d: unlimited enumeration reported incomplete", trial)
 		}
@@ -92,9 +102,9 @@ func TestMinimalQuorumsOracle(t *testing.T) {
 			t.Fatalf("trial %d: votes=%v q=%d f=%d\n got %v\nwant %v", trial, votes, q, f, got, want)
 		}
 		if f == 0 {
-			plain, _ := MinimalQuorums(votes, q, 0)
+			plain, _ := Threshold(votes, q).MinimalQuorums(0)
 			if !poolsEqual(sortPool(plain), want) {
-				t.Fatalf("trial %d: MinimalQuorums disagrees with f=0 resilient pool", trial)
+				t.Fatalf("trial %d: Threshold.MinimalQuorums disagrees with f=0 resilient pool", trial)
 			}
 		}
 	}
@@ -104,18 +114,18 @@ func TestMinimalQuorumsOracle(t *testing.T) {
 // report incompleteness exactly when the pool exceeds it.
 func TestMinimalQuorumsTruncation(t *testing.T) {
 	votes := []int{1, 1, 1, 1, 1, 1, 1} // majority of 7: C(7,4) = 35 minimal quorums
-	full, complete := MinimalQuorums(votes, 4, 0)
+	full, complete := Threshold(votes, 4).MinimalQuorums(0)
 	if !complete || len(full) != 35 {
 		t.Fatalf("full enumeration: got %d quorums, complete=%v, want 35, true", len(full), complete)
 	}
-	part, complete := MinimalQuorums(votes, 4, 10)
+	part, complete := Threshold(votes, 4).MinimalQuorums(10)
 	if complete {
 		t.Fatalf("cap 10 on a 35-quorum pool reported complete")
 	}
 	if len(part) > 10 {
 		t.Fatalf("cap 10 returned %d quorums", len(part))
 	}
-	exact, complete := MinimalQuorums(votes, 4, 35)
+	exact, complete := Threshold(votes, 4).MinimalQuorums(35)
 	if !complete || len(exact) != 35 {
 		t.Fatalf("cap exactly 35: got %d, complete=%v", len(exact), complete)
 	}
@@ -125,15 +135,14 @@ func TestMinimalQuorumsTruncation(t *testing.T) {
 // comparison already implies, on a weighted example small enough to read.
 func TestMinimalQuorumsProperties(t *testing.T) {
 	votes := []int{3, 2, 2, 1, 1} // T = 9
-	pool, _ := MinimalQuorums(votes, 5, 0)
+	pool, _ := Threshold(votes, 5).MinimalQuorums(0)
 	for _, q := range pool {
-		if q.votes(votes) < 5 {
-			t.Errorf("quorum %v holds %d votes, need 5", q, q.votes(votes))
+		if got := resilientVotes(votes, q, 0); got < 5 {
+			t.Errorf("quorum %v holds %d votes, need 5", q, got)
 		}
 		for drop := range q {
-			sub := append(Quorum(nil), q[:drop]...)
-			sub = append(sub, q[drop+1:]...)
-			if sub.votes(votes) >= 5 {
+			sub := slices.Delete(slices.Clone(q), drop, drop+1)
+			if resilientVotes(votes, sub, 0) >= 5 {
 				t.Errorf("quorum %v is not minimal: dropping %d keeps a quorum", q, q[drop])
 			}
 		}
@@ -142,7 +151,7 @@ func TestMinimalQuorumsProperties(t *testing.T) {
 		}
 	}
 	// f=1 resilient quorums survive losing their largest member.
-	res, _ := MinimalResilientQuorums(votes, 5, 1, 0)
+	res, _ := ThresholdQuorums[[]int](votes, 5, 1, 0)
 	if len(res) == 0 {
 		t.Fatalf("no 1-resilient quorums for votes=%v q=5", votes)
 	}

@@ -22,8 +22,10 @@ func FuzzAssignmentValidate(f *testing.F) {
 	})
 }
 
-// FuzzFromVotes checks that coterie induction never panics within its
-// supported domain and that induced write coteries always validate.
+// FuzzFromVotes checks that vote-induced expressions never panic within
+// their supported domain, that an induced write coterie always validates
+// (pairwise, over its minimal quorums), and that the pruned enumerator
+// returns exactly the minimal quorums of the 2ⁿ subset oracle.
 func FuzzFromVotes(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1}, uint8(3))
 	f.Add([]byte{2, 1, 1}, uint8(3))
@@ -45,12 +47,10 @@ func FuzzFromVotes(f *testing.F) {
 		if q > total {
 			q = total
 		}
-		c := FromVotes(votes, q)
-		if c == nil {
-			return
-		}
-		if err := c.Validate(); err != nil {
+		e := Threshold(votes, q)
+		if err := coterie(Or(e)).Validate(); err != nil {
 			t.Fatalf("votes %v q=%d: induced coterie invalid: %v", votes, q, err)
 		}
+		assertSameGroups(t, e, fromVotesOracle(votes, q))
 	})
 }

@@ -1,8 +1,9 @@
 // Package quorum implements the voting machinery of the quorum consensus
 // protocol (Gifford 1979) as used by the paper: vote assignments, read/write
 // quorum pairs and their consistency conditions, the named special cases
-// (majority consensus, read-one/write-all, primary copy), and coteries as a
-// more general mechanism for specifying mutual exclusion.
+// (majority consensus, read-one/write-all, primary copy), and quorum
+// expressions (Expr) as the more general mechanism for specifying mutual
+// exclusion — vote thresholds are one leaf of that algebra.
 //
 // Consistency conditions (paper §2.1), for total votes T:
 //
@@ -12,6 +13,10 @@
 // Condition 2 implies T/2 < q_w ≤ T, and together they make q_r ≤ T/2
 // sufficient, so the paper treats q_r ∈ [1, ⌊T/2⌋] as the primary variable
 // with q_w = T − q_r + 1.
+//
+// These two inequalities are stated once, in Assignment; every other
+// threshold-shaped validator in the repository (System.Validate here,
+// strategy.System.Validate, votes.Certify) takes its verdicts from it.
 package quorum
 
 import (
@@ -36,14 +41,23 @@ func (a Assignment) Validate(T int) error {
 	if a.QW < 1 || a.QW > T {
 		return fmt.Errorf("quorum: write quorum %d out of [1,%d]", a.QW, T)
 	}
-	if a.QR+a.QW <= T {
+	if !a.ReadsSeeWrites(T) {
 		return fmt.Errorf("quorum: q_r+q_w = %d does not exceed T = %d (reads may miss writes)", a.QR+a.QW, T)
 	}
-	if 2*a.QW <= T {
+	if !a.WritesExclude(T) {
 		return fmt.Errorf("quorum: 2·q_w = %d does not exceed T = %d (simultaneous writes possible)", 2*a.QW, T)
 	}
 	return nil
 }
+
+// ReadsSeeWrites reports condition 1, q_r + q_w > T: two disjoint site sets
+// hold at most T votes between them, so every read quorum shares a site
+// with every write quorum (pigeonhole).
+func (a Assignment) ReadsSeeWrites(T int) bool { return a.QR+a.QW > T }
+
+// WritesExclude reports condition 2, 2·q_w > T: write quorums pairwise
+// intersect, by the same pigeonhole argument.
+func (a Assignment) WritesExclude(T int) bool { return 2*a.QW > T }
 
 // GrantRead reports whether a read succeeds in a component holding votes.
 func (a Assignment) GrantRead(votes int) bool { return votes >= a.QR }

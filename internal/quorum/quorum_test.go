@@ -219,49 +219,107 @@ func TestGroupPanics(t *testing.T) {
 	NewGroup(64)
 }
 
+// anyOf is the expression whose quorums are exactly the given site sets
+// (before minimization): the explicit-list form of a coterie.
+func anyOf(gs ...Group) Expr {
+	alts := make([]Expr, len(gs))
+	for i, g := range gs {
+		sites := make([]Expr, 0, g.Size())
+		for _, s := range g.Sites() {
+			sites = append(sites, Site(s))
+		}
+		alts[i] = And(sites...)
+	}
+	return Or(alts...)
+}
+
+// coterie is the system that uses one expression for reads and writes, so
+// Validate checks exactly the coterie intersection property.
+func coterie(e Expr) System { return System{Read: e, Write: e} }
+
 func TestCoterieValidate(t *testing.T) {
-	good := Coterie{NewGroup(0, 1), NewGroup(1, 2), NewGroup(0, 2)}
-	if err := good.Validate(); err != nil {
+	good := anyOf(NewGroup(0, 1), NewGroup(1, 2), NewGroup(0, 2))
+	if err := coterie(good).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	noIntersect := Coterie{NewGroup(0), NewGroup(1)}
-	if err := noIntersect.Validate(); err == nil {
+	if err := coterie(anyOf(NewGroup(0), NewGroup(1))).Validate(); err == nil {
 		t.Fatal("disjoint quorums should fail")
 	}
-	notMinimal := Coterie{NewGroup(0, 1), NewGroup(0, 1, 2)}
-	if err := notMinimal.Validate(); err == nil {
-		t.Fatal("superset quorum should fail")
+	// A superset quorum is not an error in the algebra: it is simply not
+	// minimal, and enumeration drops it.
+	notMinimal := anyOf(NewGroup(0, 1), NewGroup(0, 1, 2), NewGroup(0, 1))
+	if qs, ok := notMinimal.MinimalQuorums(0); !ok || len(qs) != 1 || NewGroup(qs[0]...) != NewGroup(0, 1) {
+		t.Fatalf("minimal quorums %v, want [[0 1]]", qs)
 	}
-	if err := (Coterie{}).Validate(); err == nil {
-		t.Fatal("empty coterie should fail")
+	if err := (System{}).Validate(); err == nil {
+		t.Fatal("empty system should fail")
 	}
-	if err := (Coterie{0}).Validate(); err == nil {
-		t.Fatal("empty quorum should fail")
+	if err := (System{Read: good}).Validate(); err == nil {
+		t.Fatal("system without a write expression should fail")
+	}
+	// An empty quorum cannot be written down.
+	for name, build := range map[string]func(){
+		"And()":       func() { And() },
+		"Choose(0)":   func() { Choose(0, Site(0)) },
+		"Choose(3/2)": func() { Choose(3, Site(0), Site(1)) },
+		"Site(64)":    func() { Site(64) },
+		"q=0":         func() { Threshold(UniformVotes(3), 0) },
+		"votes<0":     func() { Threshold(VoteAssignment{1, -1}, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s should panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
 func TestCoterieCanProceed(t *testing.T) {
-	c := MajorityCoterie(5)
-	if !c.CanProceed(NewGroup(0, 1, 2)) {
+	c := Threshold(UniformVotes(5), 3)
+	if !c.Holds(NewGroup(0, 1, 2)) {
 		t.Fatal("majority of 5 present")
 	}
-	if c.CanProceed(NewGroup(0, 1)) {
+	if c.Holds(NewGroup(0, 1)) {
 		t.Fatal("2 of 5 is not a majority")
 	}
-	if !c.CanProceed(NewGroup(0, 1, 2, 3, 4)) {
+	if !c.Holds(NewGroup(0, 1, 2, 3, 4)) {
 		t.Fatal("full set must proceed")
+	}
+	if (Expr{}).Holds(NewGroup(0, 1, 2, 3, 4)) {
+		t.Fatal("the zero expression has no quorum")
 	}
 }
 
+// groupsOf returns an expression's minimal quorums as a Group set.
+func groupsOf(t *testing.T, e Expr) map[Group]bool {
+	t.Helper()
+	qs, ok := e.MinimalQuorums(0)
+	if !ok {
+		t.Fatal("unlimited enumeration reported incomplete")
+	}
+	out := map[Group]bool{}
+	for _, q := range qs {
+		out[NewGroup(q...)] = true
+	}
+	if len(out) != len(qs) {
+		t.Fatalf("duplicate minimal quorums in %v", qs)
+	}
+	return out
+}
+
 func TestFromVotesUniformMajority(t *testing.T) {
-	c := FromVotes(UniformVotes(5), 3)
-	if err := c.Validate(); err != nil {
+	e := Threshold(UniformVotes(5), 3)
+	if err := coterie(Or(e)).Validate(); err != nil { // Or(e): the pairwise back-end
 		t.Fatal(err)
 	}
+	c := groupsOf(t, e)
 	if len(c) != 10 { // C(5,3)
 		t.Fatalf("expected 10 quorums, got %d", len(c))
 	}
-	for _, g := range c {
+	for g := range c {
 		if g.Size() != 3 {
 			t.Fatalf("quorum %v has size %d", g.Sites(), g.Size())
 		}
@@ -270,69 +328,55 @@ func TestFromVotesUniformMajority(t *testing.T) {
 
 func TestFromVotesWeighted(t *testing.T) {
 	// Votes (2,1,1), q=2: minimal groups are {0}, {1,2}.
-	c := FromVotes(VoteAssignment{2, 1, 1}, 2)
-	if len(c) != 2 {
-		t.Fatalf("got %d quorums: %v", len(c), c)
-	}
-	want := map[Group]bool{NewGroup(0): true, NewGroup(1, 2): true}
-	for _, g := range c {
-		if !want[g] {
-			t.Fatalf("unexpected quorum %v", g.Sites())
-		}
+	e := Threshold(VoteAssignment{2, 1, 1}, 2)
+	c := groupsOf(t, e)
+	if len(c) != 2 || !c[NewGroup(0)] || !c[NewGroup(1, 2)] {
+		t.Fatalf("got quorums %v", c)
 	}
 	// q=2 of total 4 is not a write quorum (needs > T/2), so the induced
-	// groups need not pairwise intersect — and indeed {0} ∩ {1,2} = ∅.
-	if err := c.Validate(); err == nil {
+	// groups need not pairwise intersect — and indeed {0} ∩ {1,2} = ∅. Both
+	// back-ends must say so.
+	if err := coterie(e).Validate(); err == nil {
+		t.Fatal("pigeonhole accepted a sub-majority write quorum")
+	}
+	if err := coterie(Or(e)).Validate(); err == nil {
 		t.Fatal("sub-majority quorum groups should not form a coterie")
 	}
 	// With a genuine write quorum q=3 the induced groups form a coterie:
 	// {0,1}, {0,2} (2+1 votes each) and {1,2} has only 2 < 3 votes... so
 	// minimal groups are {0,1}, {0,2}.
-	cw := FromVotes(VoteAssignment{2, 1, 1}, 3)
-	if err := cw.Validate(); err != nil {
+	ew := Threshold(VoteAssignment{2, 1, 1}, 3)
+	if err := coterie(Or(ew)).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(cw) != 2 {
+	if cw := groupsOf(t, ew); len(cw) != 2 || !cw[NewGroup(0, 1)] || !cw[NewGroup(0, 2)] {
 		t.Fatalf("write coterie %v", cw)
 	}
 }
 
 func TestFromVotesPrimaryCopy(t *testing.T) {
-	c := FromVotes(PrimaryCopyVotes(4, 1), 1)
-	if len(c) != 1 || c[0] != NewGroup(1) {
+	c := groupsOf(t, Threshold(PrimaryCopyVotes(4, 1), 1))
+	if len(c) != 1 || !c[NewGroup(1)] {
 		t.Fatalf("primary-copy coterie %v", c)
 	}
 }
 
 func TestFromVotesUnreachable(t *testing.T) {
-	if c := FromVotes(UniformVotes(3), 4); c != nil {
-		t.Fatalf("q beyond total should give nil, got %v", c)
+	e := Threshold(UniformVotes(3), 4)
+	if qs, ok := e.MinimalQuorums(0); !ok || len(qs) != 0 {
+		t.Fatalf("q beyond total should give no quorum, got %v", qs)
 	}
-}
-
-func TestDominates(t *testing.T) {
-	// {{0}} dominates {{0,1}}: every quorum of the latter contains {0}.
-	single := Coterie{NewGroup(0)}
-	pair := Coterie{NewGroup(0, 1)}
-	if !single.Dominates(pair) {
-		t.Fatal("{{0}} should dominate {{0,1}}")
+	if e.Holds(NewGroup(0, 1, 2)) {
+		t.Fatal("q beyond total granted")
 	}
-	if pair.Dominates(single) {
-		t.Fatal("{{0,1}} should not dominate {{0}}")
-	}
-	maj := MajorityCoterie(3)
-	if maj.Dominates(MajorityCoterie(3)) {
-		t.Fatal("coterie must not dominate itself")
-	}
-	// The majority coterie of 3 is not dominated by the singleton: quorum
-	// {1,2} contains no quorum of {{0}}.
-	if single.Dominates(maj) {
-		t.Fatal("{{0}} should not dominate the 3-site majority coterie")
+	if err := coterie(Or(e)).Validate(); err == nil {
+		t.Fatal("a system with no quorum validated")
 	}
 }
 
 // TestQuickVoteCoterieIntersection: coteries induced by a write quorum
-// always satisfy the intersection property (they are valid coteries).
+// always satisfy the intersection property — by the pigeonhole rule, and
+// by the pairwise check over their minimal quorums.
 func TestQuickVoteCoterieIntersection(t *testing.T) {
 	f := func(votesRaw []uint8, seed uint8) bool {
 		n := len(votesRaw)
@@ -348,21 +392,17 @@ func TestQuickVoteCoterieIntersection(t *testing.T) {
 		if total == 0 {
 			return true
 		}
-		qw := total/2 + 1
-		c := FromVotes(votes, qw)
-		if c == nil {
-			return true
-		}
-		return c.Validate() == nil
+		e := Threshold(votes, total/2+1)
+		return coterie(e).Validate() == nil && coterie(Or(e)).Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkFromVotes12(b *testing.B) {
+func BenchmarkThresholdQuorums12(b *testing.B) {
 	votes := UniformVotes(12)
 	for i := 0; i < b.N; i++ {
-		_ = FromVotes(votes, 7)
+		_, _ = ThresholdQuorums[[]int](votes, 7, 0, 0)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -112,5 +113,45 @@ func TestSweepValidation(t *testing.T) {
 	g := graph.Ring(5)
 	if _, err := Sweep(g, nil, PaperParams(), 0.5, StudyConfig{}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+func TestSweepCurveShape(t *testing.T) {
+	// A direct-measurement sweep over the full family on a small network:
+	// pure-write availability must be non-decreasing in q_r and pure-read
+	// non-increasing.
+	g := graph.Ring(11)
+	p := Params{AccessMean: 1, FailMean: 16, RepairMean: 2}
+	cfg := StudyConfig{
+		Warmup: 500, BatchAccesses: 15_000,
+		MinBatches: 3, MaxBatches: 3, CIHalfWidth: 1, Seed: 5,
+	}
+	wr, err := Sweep(g, nil, p, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wr) != 5 {
+		t.Fatalf("family size %d", len(wr))
+	}
+	for i := 1; i < len(wr); i++ {
+		if wr[i].Overall.Mean < wr[i-1].Overall.Mean-0.03 {
+			t.Fatalf("write availability decreased: %g → %g",
+				wr[i-1].Overall.Mean, wr[i].Overall.Mean)
+		}
+	}
+	rd, err := Sweep(g, nil, p, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(rd); i++ {
+		if rd[i].Overall.Mean > rd[i-1].Overall.Mean+0.03 {
+			t.Fatalf("read availability increased: %g → %g",
+				rd[i-1].Overall.Mean, rd[i].Overall.Mean)
+		}
+	}
+	// Endpoint identity: pure reads at q_r=1 ≈ site reliability.
+	rel := p.Reliability()
+	if math.Abs(rd[0].Overall.Mean-rel) > 0.03 {
+		t.Fatalf("A(1,1) = %g, want ≈ %g", rd[0].Overall.Mean, rel)
 	}
 }

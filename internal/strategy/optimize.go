@@ -230,10 +230,10 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 
 	// An overflowing read pool sends both sides to column generation, so
 	// the write pool is only enumerated when the read pool is complete.
-	readPool, ok := minimalResilientQuorums(sys.Votes, sys.QR, f, opts.MaxEnumerate)
+	readPool, ok := MinimalResilientQuorums(sys.Votes, sys.QR, f, opts.MaxEnumerate)
 	var writePool []Quorum
 	if ok {
-		writePool, ok = minimalResilientQuorums(sys.Votes, sys.QW, f, opts.MaxEnumerate)
+		writePool, ok = MinimalResilientQuorums(sys.Votes, sys.QW, f, opts.MaxEnumerate)
 	}
 	if ok {
 		if len(readPool) == 0 || len(writePool) == 0 {
@@ -765,8 +765,8 @@ func CertifyGlobalCapacity(sys System, d FrDist, f int, res *Result, tol float64
 		}
 		return nil
 	}
-	reads, rOK := minimalResilientQuorums(sys.Votes, sys.QR, f, 0)
-	writes, wOK := minimalResilientQuorums(sys.Votes, sys.QW, f, 0)
+	reads, rOK := MinimalResilientQuorums(sys.Votes, sys.QR, f, 0)
+	writes, wOK := MinimalResilientQuorums(sys.Votes, sys.QW, f, 0)
 	if !rOK || !wOK {
 		return fmt.Errorf("strategy: exhaustive enumeration failed") // max=0 is unlimited; unreachable
 	}

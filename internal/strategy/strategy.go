@@ -31,6 +31,7 @@ import (
 	"math"
 	"sort"
 
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 )
 
@@ -131,8 +132,9 @@ func (s System) T() int {
 }
 
 // Validate checks the consistency conditions (every read quorum intersects
-// every write quorum; write quorums pairwise intersect) and positivity of
-// the capacities and latencies.
+// every write quorum; write quorums pairwise intersect — the pigeonhole
+// rule of quorum.Assignment) and positivity of the capacities and
+// latencies.
 func (s System) Validate() error {
 	n := s.N()
 	if n == 0 {
@@ -152,14 +154,8 @@ func (s System) Validate() error {
 	if T == 0 {
 		return fmt.Errorf("strategy: vote total is zero")
 	}
-	if s.QR < 1 || s.QR > T || s.QW < 1 || s.QW > T {
-		return fmt.Errorf("strategy: thresholds (%d, %d) out of [1, %d]", s.QR, s.QW, T)
-	}
-	if s.QR+s.QW <= T {
-		return fmt.Errorf("strategy: q_r+q_w = %d does not exceed T = %d (reads may miss writes)", s.QR+s.QW, T)
-	}
-	if 2*s.QW <= T {
-		return fmt.Errorf("strategy: 2·q_w = %d does not exceed T = %d (simultaneous writes possible)", 2*s.QW, T)
+	if err := (quorum.Assignment{QR: s.QR, QW: s.QW}).Validate(T); err != nil {
+		return fmt.Errorf("strategy: %w", err)
 	}
 	for i := 0; i < n; i++ {
 		bad := s.ReadCap[i] <= 0 || s.WriteCap[i] <= 0 || s.Latency[i] < 0

@@ -30,6 +30,8 @@ package votes
 import (
 	"fmt"
 	"sort"
+
+	"quorumkit/internal/quorum"
 )
 
 // Certificate is the outcome of certifying a weighted vote assignment
@@ -93,12 +95,13 @@ func Certify(votes []int, qr, qw int) (Certificate, error) {
 	}
 	sorted := append([]int(nil), votes...)
 	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	a := quorum.Assignment{QR: qr, QW: qw}
 	return Certificate{
 		T:             T,
 		QR:            qr,
 		QW:            qw,
-		ReadWrite:     qr+qw > T,
-		WriteWrite:    2*qw > T,
+		ReadWrite:     a.ReadsSeeWrites(T),
+		WriteWrite:    a.WritesExclude(T),
 		ReadSurvives:  maxSurvivableSorted(sorted, T, qr),
 		WriteSurvives: maxSurvivableSorted(sorted, T, qw),
 	}, nil

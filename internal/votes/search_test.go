@@ -257,7 +257,7 @@ func TestHillClimbMatchesSeedEngine(t *testing.T) {
 		if err != nil {
 			return Evaluation{}, err
 		}
-		budget := cfg.budget(n)
+		budget := n * cfg.MaxVotesPerSite // TotalBudget unset
 		for {
 			best := cur
 			improved := false

@@ -19,7 +19,6 @@ import (
 	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/rng"
 )
 
 // Config parameterizes the evaluation and search.
@@ -34,7 +33,7 @@ type Config struct {
 	TotalBudget int
 }
 
-func (c Config) validate(n int) error {
+func (c Config) validate() error {
 	if c.P < 0 || c.P > 1 || c.R < 0 || c.R > 1 {
 		return fmt.Errorf("votes: reliabilities (%g, %g) out of [0,1]", c.P, c.R)
 	}
@@ -47,15 +46,7 @@ func (c Config) validate(n int) error {
 	if c.TotalBudget < 0 {
 		return fmt.Errorf("votes: TotalBudget=%d", c.TotalBudget)
 	}
-	_ = n
 	return nil
-}
-
-func (c Config) budget(n int) int {
-	if c.TotalBudget > 0 {
-		return c.TotalBudget
-	}
-	return n * c.MaxVotesPerSite
 }
 
 // Evaluation is the outcome of evaluating one vote assignment: the optimal
@@ -72,7 +63,7 @@ type Evaluation struct {
 // Evaluate computes the exact availability of a vote assignment under its
 // optimal quorum pair. The topology must satisfy dist.Exact's size limit.
 func Evaluate(g *graph.Graph, v quorum.VoteAssignment, cfg Config) (Evaluation, error) {
-	if err := cfg.validate(g.N()); err != nil {
+	if err := cfg.validate(); err != nil {
 		return Evaluation{}, err
 	}
 	if len(v) != g.N() {
@@ -134,14 +125,31 @@ func DegreeHeuristic(g *graph.Graph, maxVotes int) quorum.VoteAssignment {
 // incumbent is never re-scored when a round revisits it — and the number of
 // objective evaluations actually spent is reported in Evaluations.
 func HillClimb(g *graph.Graph, cfg Config) (Evaluation, error) {
-	if err := cfg.validate(g.N()); err != nil {
+	if err := cfg.validate(); err != nil {
 		return Evaluation{}, err
 	}
 	n := g.N()
-	res, err := HillClimbObjective(n, ExactObjective{G: g, Cfg: cfg}, quorum.UniformVotes(n), SearchConfig{
-		MaxVotesPerSite: cfg.MaxVotesPerSite,
-		TotalBudget:     cfg.TotalBudget,
-	})
+	return searchEvaluation(HillClimbObjective(n, ExactObjective{G: g, Cfg: cfg}, quorum.UniformVotes(n), cfg.search()))
+}
+
+// Exhaustive enumerates every vote vector with entries in [0, Max] and
+// total in [1, budget], returning the best. Exponential (Max+1)^n — use
+// only for tiny systems, as in the literature this reproduces.
+func Exhaustive(g *graph.Graph, cfg Config) (Evaluation, error) {
+	if err := cfg.validate(); err != nil {
+		return Evaluation{}, err
+	}
+	return searchEvaluation(ExhaustiveObjective(g.N(), ExactObjective{G: g, Cfg: cfg}, cfg.search()))
+}
+
+// search is the exact engines' SearchConfig: the two bounds, nothing random.
+func (c Config) search() SearchConfig {
+	return SearchConfig{MaxVotesPerSite: c.MaxVotesPerSite, TotalBudget: c.TotalBudget}
+}
+
+// searchEvaluation reports an objective-generic search result in the seed
+// engine's Evaluation shape.
+func searchEvaluation(res SearchResult, err error) (Evaluation, error) {
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -151,119 +159,4 @@ func HillClimb(g *graph.Graph, cfg Config) (Evaluation, error) {
 		Availability: res.Value,
 		Evaluations:  res.Evaluations,
 	}, nil
-}
-
-// EvaluateMC is Evaluate with the exact enumeration replaced by a
-// Monte-Carlo density estimate, lifting the small-system limit of
-// dist.Exact. The returned availability carries sampling noise of order
-// 1/√samples; searches using it should use a margin accordingly.
-func EvaluateMC(g *graph.Graph, v quorum.VoteAssignment, cfg Config, samples int, src *rng.Source) (Evaluation, error) {
-	if err := cfg.validate(g.N()); err != nil {
-		return Evaluation{}, err
-	}
-	if len(v) != g.N() {
-		return Evaluation{}, fmt.Errorf("votes: %d votes for %d sites", len(v), g.N())
-	}
-	if err := v.Validate(); err != nil {
-		return Evaluation{}, err
-	}
-	if samples <= 0 {
-		return Evaluation{}, fmt.Errorf("votes: samples=%d", samples)
-	}
-	fs := dist.MonteCarloParallel(g, v, cfg.P, cfg.R, samples, src)
-	m, err := core.NewModel(nil, nil, fs)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	res := m.Optimize(cfg.Alpha)
-	return Evaluation{
-		Votes:        append(quorum.VoteAssignment(nil), v...),
-		Assignment:   res.Assignment,
-		Availability: res.Availability,
-	}, nil
-}
-
-// RandomSearch samples `tries` random vote vectors (entries uniform in
-// [1, Max], respecting the budget) and returns the best under Monte-Carlo
-// evaluation. Usable on systems too large for Exact; the uniform
-// assignment is always included as a baseline candidate.
-func RandomSearch(g *graph.Graph, cfg Config, tries, samples int, src *rng.Source) (Evaluation, error) {
-	if err := cfg.validate(g.N()); err != nil {
-		return Evaluation{}, err
-	}
-	if tries <= 0 {
-		return Evaluation{}, fmt.Errorf("votes: tries=%d", tries)
-	}
-	n := g.N()
-	budget := cfg.budget(n)
-	best, err := EvaluateMC(g, quorum.UniformVotes(n), cfg, samples, src)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	for k := 0; k < tries; k++ {
-		cand := make(quorum.VoteAssignment, n)
-		total := 0
-		for i := range cand {
-			cand[i] = 1 + src.Intn(cfg.MaxVotesPerSite)
-			total += cand[i]
-		}
-		if total > budget {
-			continue
-		}
-		ev, err := EvaluateMC(g, cand, cfg, samples, src)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if ev.Availability > best.Availability {
-			best = ev
-		}
-	}
-	return best, nil
-}
-
-// Exhaustive enumerates every vote vector with entries in [0, Max] and
-// total in [1, budget], returning the best. Exponential (Max+1)^n — use
-// only for tiny systems, as in the literature this reproduces.
-func Exhaustive(g *graph.Graph, cfg Config) (Evaluation, error) {
-	if err := cfg.validate(g.N()); err != nil {
-		return Evaluation{}, err
-	}
-	n := g.N()
-	if n > 8 {
-		return Evaluation{}, fmt.Errorf("votes: Exhaustive supports at most 8 sites, got %d", n)
-	}
-	budget := cfg.budget(n)
-	best := Evaluation{Availability: -1}
-	v := make(quorum.VoteAssignment, n)
-	var rec func(i, total int) error
-	rec = func(i, total int) error {
-		if i == n {
-			if total == 0 {
-				return nil
-			}
-			ev, err := Evaluate(g, v, cfg)
-			if err != nil {
-				return err
-			}
-			if ev.Availability > best.Availability {
-				best = ev
-			}
-			return nil
-		}
-		for x := 0; x <= cfg.MaxVotesPerSite && total+x <= budget; x++ {
-			v[i] = x
-			if err := rec(i+1, total+x); err != nil {
-				return err
-			}
-		}
-		v[i] = 0
-		return nil
-	}
-	if err := rec(0, 0); err != nil {
-		return Evaluation{}, err
-	}
-	if best.Availability < 0 {
-		return Evaluation{}, fmt.Errorf("votes: no feasible vote assignment")
-	}
-	return best, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/rng"
 )
 
 func cfg(alpha float64) Config {
@@ -150,52 +149,6 @@ func TestExhaustiveRespectsBudget(t *testing.T) {
 func TestExhaustiveSizeLimit(t *testing.T) {
 	if _, err := Exhaustive(graph.Ring(9), cfg(0.5)); err == nil {
 		t.Fatal("9 sites should be rejected")
-	}
-}
-
-func TestEvaluateMCAgreesWithExact(t *testing.T) {
-	g := graph.Star(5)
-	v := quorum.VoteAssignment{3, 1, 1, 1, 1}
-	c := cfg(0.5)
-	exact, err := Evaluate(g, v, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := EvaluateMC(g, v, c, 150000, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact.Availability-mc.Availability) > 0.02 {
-		t.Fatalf("MC %g vs exact %g", mc.Availability, exact.Availability)
-	}
-}
-
-func TestEvaluateMCValidation(t *testing.T) {
-	g := graph.Star(5)
-	if _, err := EvaluateMC(g, quorum.UniformVotes(5), cfg(0.5), 0, rng.New(1)); err == nil {
-		t.Fatal("zero samples accepted")
-	}
-	if _, err := EvaluateMC(g, quorum.VoteAssignment{1}, cfg(0.5), 10, rng.New(1)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestRandomSearchOnLargerSystem(t *testing.T) {
-	// A 13-site star — beyond dist.Exact's limit — is searchable with MC.
-	g := graph.Star(13)
-	c := Config{P: 0.9, R: 0.6, Alpha: 0.5, MaxVotesPerSite: 3}
-	best, err := RandomSearch(g, c, 10, 20000, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := best.Assignment.Validate(best.Votes.Total()); err != nil {
-		t.Fatal(err)
-	}
-	if best.Availability <= 0 || best.Availability >= 1 {
-		t.Fatalf("availability %g", best.Availability)
-	}
-	if _, err := RandomSearch(g, c, 0, 100, rng.New(1)); err == nil {
-		t.Fatal("zero tries accepted")
 	}
 }
 

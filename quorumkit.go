@@ -23,8 +23,9 @@ type (
 	Assignment = quorum.Assignment
 	// VoteAssignment maps sites to vote counts.
 	VoteAssignment = quorum.VoteAssignment
-	// Coterie is a set of pairwise-intersecting minimal quorum groups.
-	Coterie = quorum.Coterie
+	// QuorumExpr is a quorum system written as a monotone expression over
+	// sites (site, k-of, vote threshold); a coterie is one such expression.
+	QuorumExpr = quorum.Expr
 	// PMF is a probability mass function over component vote counts.
 	PMF = dist.PMF
 	// Model is the availability model of the paper's Figure 1.
@@ -52,8 +53,8 @@ type (
 	Cluster = cluster.Cluster
 	// AsyncCluster is the concurrent (goroutine-per-node) runtime.
 	AsyncCluster = cluster.Async
-	// CoterieSystem is a general read/write coterie pair.
-	CoterieSystem = coterie.System
+	// CoterieSystem is a general read/write coterie pair: two QuorumExprs.
+	CoterieSystem = quorum.System
 	// HistoryLog records operations for one-copy serializability checking.
 	HistoryLog = history.Log
 	// Trace is a serializable failure/repair schedule.
