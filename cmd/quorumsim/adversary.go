@@ -18,15 +18,9 @@ func advRegions() [][]int {
 	return [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
 }
 
-// advScenario names one adversarial configuration.
-type advScenario struct {
-	name string
-	cfg  cluster.AdversaryConfig
-}
-
 // advScenarios builds the scenario suite. Each config is pure in (seed,
 // steps): the daemon-on and daemon-off replays see identical stimuli.
-func advScenarios(seed uint64, steps int) []advScenario {
+func advScenarios(seed uint64, steps int) []scenario {
 	const sites = 9
 	links := graph.Ring(sites).M()
 	base := func(mean float64) cluster.AdversaryConfig {
@@ -58,9 +52,9 @@ func advScenarios(seed uint64, steps int) []advScenario {
 		MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
 	})
 
-	return []advScenario{
-		{"diurnal-alpha", diurnal},
-		{"flash-crowd", flash},
-		{"partition-storm", storm},
+	return []scenario{
+		{"diurnal-alpha", false, diurnal},
+		{"flash-crowd", false, flash},
+		{"partition-storm", false, storm},
 	}
 }

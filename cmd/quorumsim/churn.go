@@ -7,7 +7,6 @@ import (
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
-	"quorumkit/internal/quorum"
 )
 
 // soakChurn is the churn regime the soak CLI exercises: links flap hard
@@ -30,46 +29,23 @@ func soakHealth(alpha float64) cluster.HealthConfig {
 	return cfg
 }
 
-// newSoakRuntime builds a fresh runtime on a fresh ring. The async runtime
-// must be Closed by the caller.
-func newSoakRuntime(sites int, async bool) (cluster.SoakRuntime, func(), error) {
+// soakOnce runs one soak on a fresh ring runtime, observed through sink.
+// On the deterministic runtime with the daemon on it is the reproducible
+// slice of what churn runs, which is what the golden artifact tests pin
+// down.
+func soakOnce(sink *obsSink, async, daemon bool, seed uint64, ops, sites int, alpha float64) (*cluster.SoakRun, error) {
 	g := graph.Ring(sites)
-	st := graph.NewState(g, nil)
-	if async {
-		a, err := cluster.NewAsync(st, quorum.Majority(sites))
-		if err != nil {
-			return nil, nil, err
-		}
-		return a, a.Close, nil
-	}
-	c, err := cluster.New(st, quorum.Majority(sites))
+	rt, stop, err := newRuntime(g, async)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return c, func() {}, nil
-}
-
-// churnSoakOnce runs a single deterministic-runtime soak with the daemon
-// on, observed through sink. It is the reproducible slice of what -churn
-// runs, which is what the golden artifact tests pin down.
-func churnSoakOnce(sink *obsSink, seed uint64, ops, sites int, alpha float64) int {
-	rt, closer, err := newSoakRuntime(sites, false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer closer()
+	defer stop()
 	sink.attach(rt)
-	run := cluster.RunSoak(rt, cluster.SoakConfig{
-		Seed: seed, Steps: ops, Sites: sites, Links: graph.Ring(sites).M(),
+	return cluster.RunSoak(rt, cluster.SoakConfig{
+		Seed: seed, Steps: ops, Sites: sites, Links: g.M(),
 		Alpha: alpha, Churn: soakChurn(),
-		Daemon: true, Health: soakHealth(alpha),
-	})
-	if run.ViolationErr != nil {
-		fmt.Fprintln(os.Stderr, run.ViolationErr)
-		return 1
-	}
-	return 0
+		Daemon: daemon, Health: soakHealth(alpha),
+	}), nil
 }
 
 // runChurn runs the churn soak for both runtimes over several seeds, daemon
@@ -79,7 +55,6 @@ func churnSoakOnce(sink *obsSink, seed uint64, ops, sites int, alpha float64) in
 // daemon-on availability at or above daemon-off on every seed (strictly
 // above in aggregate). Exit status is non-zero when any verdict fails.
 func runChurn(seeds, ops, sites int, alpha float64, baseSeed uint64, sink *obsSink) int {
-	links := graph.Ring(sites).M()
 	status := 0
 	for _, rtName := range []string{"deterministic", "async"} {
 		var sumOn, sumOff float64
@@ -88,18 +63,11 @@ func runChurn(seeds, ops, sites int, alpha float64, baseSeed uint64, sink *obsSi
 			seed := baseSeed + uint64(s)
 			var runs [2]*cluster.SoakRun
 			for i, daemon := range []bool{false, true} {
-				rt, closer, err := newSoakRuntime(sites, rtName == "async")
-				if err != nil {
+				var err error
+				if runs[i], err = soakOnce(sink, rtName == "async", daemon, seed, ops, sites, alpha); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					return 2
 				}
-				sink.attach(rt)
-				runs[i] = cluster.RunSoak(rt, cluster.SoakConfig{
-					Seed: seed, Steps: ops, Sites: sites, Links: links,
-					Alpha: alpha, Churn: soakChurn(),
-					Daemon: daemon, Health: soakHealth(alpha),
-				})
-				closer()
 			}
 			off, on := runs[0], runs[1]
 			fmt.Printf("runtime=%-13s seed=%d daemon=off %v\n", rtName, seed, off)

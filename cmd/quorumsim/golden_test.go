@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func TestChaosObsArtifactsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status := runChaos("crash", 120, 5, 42, false, sink); status != 0 {
+	if status := runChaos("crash", "", 120, 5, 42, false, sink); status != 0 {
 		t.Fatalf("chaos run exited %d", status)
 	}
 	if err := sink.finish(); err != nil {
@@ -36,6 +37,23 @@ func TestChaosObsArtifactsGolden(t *testing.T) {
 	}
 	compareGolden(t, metrics, filepath.Join("testdata", "chaos_crash_metrics.prom"))
 	compareGolden(t, trace, filepath.Join("testdata", "chaos_crash_trace.jsonl"))
+}
+
+// TestChaosStopsEachAsyncRuntime: every async run must stop its site
+// goroutines before the next mix starts, not when the whole sweep returns
+// (`chaos -async -mix all` used to hold all five runtimes open).
+func TestChaosStopsEachAsyncRuntime(t *testing.T) {
+	before := runtime.NumGoroutine()
+	run, err := chaosOnce("drop", "disk-torn", 40, 5, 7, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Log.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the run, %d after it returned", before, after)
+	}
 }
 
 // TestChurnObsArtifactsGolden does the same for the richer self-healing
@@ -52,9 +70,11 @@ func TestChurnObsArtifactsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One runtime, one seed, daemon on: the deterministic slice of what
-	// `quorumsim -churn` runs.
-	if status := churnSoakOnce(sink, 42, 600, 9, 0.9); status != 0 {
-		t.Fatalf("soak exited %d", status)
+	// `quorumsim churn` runs.
+	if run, err := soakOnce(sink, false, true, 42, 600, 9, 0.9); err != nil {
+		t.Fatal(err)
+	} else if run.ViolationErr != nil {
+		t.Fatal(run.ViolationErr)
 	}
 	if err := sink.finish(); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/faults"
@@ -21,16 +21,8 @@ import (
 // the slow-replica scenario carries the hedged read path's tail-latency
 // win instead.
 
-// grayScenario names one gray configuration. Regret scenarios run the
-// off/miss/φ triple; the hedge scenario runs the unhedged/hedged pair.
-type grayScenario struct {
-	name  string
-	hedge bool // hedging pair instead of detector triple
-	cfg   cluster.AdversaryConfig
-}
-
 // grayScenarios builds the suite. Each config is pure in (seed, steps).
-func grayScenarios(seed uint64, steps int) []grayScenario {
+func grayScenarios(seed uint64, steps int) []scenario {
 	const sites = 9
 	links := graph.Ring(sites).M()
 
@@ -111,7 +103,7 @@ func grayScenarios(seed uint64, steps int) []grayScenario {
 		}),
 	}
 
-	return []grayScenario{
+	return []scenario{
 		{"slow-replica", true, slow},
 		{"gray-storm", false, stormCfg},
 		{"adaptive-qr", false, adaptive},
@@ -123,17 +115,12 @@ func percentile(lat []int64, p float64) float64 {
 	if len(lat) == 0 {
 		return 0
 	}
-	s := make([]int64, len(lat))
-	copy(s, lat)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return float64(s[idx])
+	s := slices.Clone(lat)
+	slices.Sort(s)
+	return float64(s[max(0, int(math.Ceil(p*float64(len(s))))-1)])
 }
 
-// runHedgeDemo is the -hedge quick look: the slow-replica scenario
+// runHedgeDemo is the hedge quick look: the slow-replica scenario
 // unhedged then hedged, printing the read latency distribution shift.
 func runHedgeDemo(steps int, seed uint64, sink *obsSink) int {
 	sc := grayScenarios(seed, steps)[0]

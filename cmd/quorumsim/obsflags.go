@@ -81,16 +81,8 @@ func (s *obsSink) finish() error {
 		if err := s.cpu.Close(); err != nil {
 			return err
 		}
-		hf, err := os.Create(s.heap)
-		if err != nil {
-			return err
-		}
 		runtime.GC() // fold transient garbage so the heap profile shows live data
-		err = pprof.WriteHeapProfile(hf)
-		if cerr := hf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeArtifact(s.heap, pprof.WriteHeapProfile); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"quorumkit/internal/strategy"
 )
 
-// The regret suites (-suite adversary | strategy-adversity | gray): every
+// The regret suites (suite adversary | strategy-adversity | gray): every
 // scenario is replayed once per mode on the identical seeded stimulus on a
 // fresh deterministic 9-site ring and scored against the epoch oracle. The
 // suites differ only in their scenarios, their mode list and a few extra
@@ -25,6 +25,15 @@ import (
 //   - the gated mode's regret/op may not drift above the committed
 //     baseline by more than regretTolerance.
 
+// scenario names one seeded stimulus. Regret scenarios are replayed once
+// per mode of their suite; a hedge scenario runs the unhedged/hedged pair
+// instead.
+type scenario struct {
+	name  string
+	hedge bool
+	cfg   cluster.AdversaryConfig
+}
+
 // regretMode is one posture a scenario is replayed under.
 type regretMode struct {
 	name  string
@@ -34,7 +43,7 @@ type regretMode struct {
 // regretSuite is one row of the suite table.
 type regretSuite struct {
 	steps     int // default -steps, and what the committed baseline was run at
-	scenarios func(seed uint64, steps int) []grayScenario
+	scenarios func(seed uint64, steps int) []scenario
 	modes     []regretMode
 	gated     string // the mode whose regret/op is held to the baseline
 	extra     func(run *cluster.AdversaryRun, cfg cluster.AdversaryConfig) []gate.Row
@@ -46,7 +55,7 @@ type regretSuite struct {
 // not real regressions.
 const regretTolerance = 0.02
 
-// graySteps is the gray suite's (and -hedge's) default run length.
+// graySteps is the gray suite's (and hedge's) default run length.
 const graySteps = 2000
 
 // hedgeRatio is the required tail win on a hedge scenario: hedged p99 at
@@ -65,19 +74,12 @@ var hedgeModes = []regretMode{
 
 // regretSuiteNamed resolves one of the three regret suites.
 func regretSuiteNamed(name string) (regretSuite, error) {
-	adversarial := func(seed uint64, steps int) []grayScenario {
-		var out []grayScenario
-		for _, sc := range advScenarios(seed, steps) {
-			out = append(out, grayScenario{sc.name, false, sc.cfg})
-		}
-		return out
-	}
 	count := func(name string, v int64) gate.Row { return gate.Row{Name: name, Value: float64(v), Unit: "count"} }
 	switch name {
 	case "adversary":
 		// Self-healing daemon off vs on.
 		return regretSuite{
-			steps: 2500, scenarios: adversarial, gated: "on",
+			steps: 2500, scenarios: advScenarios, gated: "on",
 			modes: []regretMode{{"off", asIs}, {"on", daemonOn}},
 			extra: func(run *cluster.AdversaryRun, _ cluster.AdversaryConfig) []gate.Row {
 				return []gate.Row{
@@ -103,7 +105,7 @@ func regretSuiteNamed(name string) (regretSuite, error) {
 			c.StrategySeed = c.Seed ^ 0x57a7
 		}
 		return regretSuite{
-			steps: 2500, scenarios: adversarial, gated: "resolve",
+			steps: 2500, scenarios: advScenarios, gated: "resolve",
 			modes: []regretMode{{"frozen", install}, {"resolve", func(c *cluster.AdversaryConfig) {
 				install(c)
 				c.Daemon = true
@@ -144,7 +146,7 @@ func regretSuiteNamed(name string) (regretSuite, error) {
 			},
 		}, nil
 	}
-	return regretSuite{}, fmt.Errorf("unknown -suite %q (%s)", name, suiteNames)
+	return regretSuite{}, fmt.Errorf("no regret suite %q", name)
 }
 
 // strategyAdvSeed solves and certifies the boot strategy the

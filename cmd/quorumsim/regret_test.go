@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,21 +12,24 @@ import (
 )
 
 // TestRegretSuitesMatchBaselines runs the three deterministic regret suites
-// in-process at their committed seed and steps: every verdict must hold,
-// the rows must pass the gate against the committed BENCH file, a second
-// same-seed run must be byte-identical to the first, and the gate must
-// bite — a baseline whose gated regret/op is lowered by 0.05 (past the
-// 0.02 tolerance) or that loses a gated row must fail naming that row.
+// and the weights suite in-process at their committed seed and steps: every
+// verdict must hold, the rows must pass the gate against the committed BENCH
+// file, a second same-seed run must be byte-identical to the first, and the
+// gate must bite — a baseline whose first compared row (the gated mode's
+// regret/op, held to 0.02; a weighted-vote value, held to 1e-9) is lowered
+// by 0.05 or deleted must fail naming that row. (strategy, ~15 s a run, is
+// held to the same contract by `make gate` only.)
 func TestRegretSuitesMatchBaselines(t *testing.T) {
-	for name, committed := range map[string]string{
-		"adversary":          "BENCH_adversary.json",
-		"strategy-adversity": "BENCH_strategy_adversity.json",
-		"gray":               "BENCH_gray.json",
+	for name, tc := range map[string]struct{ committed, gated string }{
+		"adversary":          {"BENCH_adversary.json", "/on.regret_per_op"},
+		"strategy-adversity": {"BENCH_strategy_adversity.json", "/resolve.regret_per_op"},
+		"gray":               {"BENCH_gray.json", "/phi.regret_per_op"},
+		"weights":            {"BENCH_weights.json", "star-100-avail.value"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			committed = filepath.Join("..", "..", committed)
-			suite, err := regretSuiteNamed(name)
+			committed := filepath.Join("..", "..", tc.committed)
+			suite, err := suiteNamed(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +38,7 @@ func TestRegretSuitesMatchBaselines(t *testing.T) {
 			var file gate.File
 			for i := range written {
 				var ok bool
-				if file, ok, err = suite.run(name, 0, 1, nil); err != nil || !ok {
+				if file, ok, err = suite(0, 1, nil); err != nil || !ok {
 					t.Fatalf("run %d: verdicts ok=%v err=%v", i, ok, err)
 				}
 				path := filepath.Join(dir, "out.json")
@@ -66,8 +70,8 @@ func TestRegretSuitesMatchBaselines(t *testing.T) {
 					gated = i
 				}
 			}
-			if gated < 0 || !strings.HasSuffix(base.Rows[gated].Name, "/"+suite.gated+".regret_per_op") {
-				t.Fatalf("first compared row of %s is %d, want a %s regret_per_op row", committed, gated, suite.gated)
+			if gated < 0 || !strings.HasSuffix(base.Rows[gated].Name, tc.gated) {
+				t.Fatalf("first compared row of %s is %d, want a %s row", committed, gated, tc.gated)
 			}
 			mutated := filepath.Join(dir, "mutated.json")
 			check := func(what string) {
@@ -81,16 +85,26 @@ func TestRegretSuitesMatchBaselines(t *testing.T) {
 				}
 			}
 			base.Rows[gated].Value -= 0.05
-			check("baseline regret/op lowered by 0.05")
+			check("baseline value lowered by 0.05")
 			base.Rows = append(base.Rows[:gated:gated], base.Rows[gated+1:]...)
 			check("gated row deleted from the baseline")
 		})
 	}
 }
 
-// TestUnknownSuite: a misspelt -suite is an error listing the valid names.
+// TestUnknownSuite: a misspelt suite name is an error (exit 2) listing all
+// five valid names.
 func TestUnknownSuite(t *testing.T) {
-	if _, err := regretSuiteNamed("grey"); err == nil || !strings.Contains(err.Error(), suiteNames) {
-		t.Fatalf("err = %v", err)
+	_, err := suiteNamed("grey")
+	for _, name := range []string{"strategy", "adversary", "strategy-adversity", "gray", "weights"} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("err = %v, want it to list %s", err, name)
+		}
+		if _, err := suiteNamed(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if status := run([]string{"suite", "grey"}, io.Discard); status != 2 {
+		t.Fatalf("suite grey exited %d, want 2", status)
 	}
 }

@@ -11,17 +11,17 @@ import (
 	"quorumkit/internal/strategy"
 )
 
-// benchStrategy solves the strategy suite (-suite strategy): the strategy
-// optimizer's headline numbers — case-study optimality and randomization
-// gain, LP-vs-simulator capacity agreement, and the large-N
-// column-generation solve. Every certificate must validate, the randomized
-// case-study optimum must strictly beat the best deterministic assignment,
-// simulated capacity must agree with the LP within 2%, the large-N solve
-// must certify within its target gap, and its solve time — normalized by
-// the same per-host RNG calibration as the core suite — may not exceed the
-// baseline's by more than 50%.
+// benchStrategy solves the strategy suite: the strategy optimizer's
+// headline numbers — case-study optimality and randomization gain,
+// LP-vs-simulator capacity agreement, and the large-N column-generation
+// solve. Every certificate must validate, the randomized case-study optimum
+// must strictly beat the best deterministic assignment, simulated capacity
+// must agree with the LP within 2%, and the large-N solve must certify
+// within its target gap. Solve times are printed, not written: the rows
+// (pivot, round and column counts included) are pure in the seed, and
+// solve time is bench/'s strategy.solve_*_ms.
 func benchStrategy(seed uint64) (gate.File, error) {
-	file := gate.File{Suite: "strategy", Seed: seed, CalibrationNs: calibrateRNG(seed)}
+	file := gate.File{Suite: "strategy", Seed: seed}
 	section := ""
 	add := func(r gate.Row) {
 		r.Name = section + "." + r.Name
@@ -63,7 +63,6 @@ func benchStrategy(seed uint64) (gate.File, error) {
 	info("resilient_capacity_f1", res1.Capacity, "ops/s")
 	info("latency_value", lat.Value, "")
 	add(gate.Row{Name: "certified", Value: gate.Bool(certified), Min: gate.Bound(1)})
-	info("solve_ms", solveMs, "ms")
 	fmt.Printf("case study: capacity %.1f vs deterministic %.1f (gain %.2f×), certified=%v, %.1f ms\n",
 		capRes.Capacity, detCap, capRes.Capacity/detCap, certified, solveMs)
 
@@ -124,8 +123,6 @@ func benchStrategy(seed uint64) (gate.File, error) {
 	info("generated", float64(lres.Generated), "count")
 	info("pivots", float64(lres.Sol.Pivots), "count")
 	add(gate.Row{Name: "certified", Value: gate.Bool(largeCertified), Min: gate.Bound(1)})
-	info("solve_sec", solveSec, "s")
-	add(gate.Row{Name: "ratio", Value: solveSec * 1e9 / file.CalibrationNs, Unit: "ratio", Better: "lower", RelTol: 0.5})
 	fmt.Printf("large N: %d sites, gap %.4f (target %.2f), %d rounds, %d columns, certified=%v, %.1f s\n",
 		sites, gap, targetGap, lres.Rounds, lres.Generated, largeCertified, solveSec)
 	return file, nil

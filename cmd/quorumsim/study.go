@@ -16,11 +16,11 @@ import (
 func runStudy(sites, workers int, chordsCSV, alphasCSV string, cfg sim.StudyConfig) int {
 	spec := sim.GridSpec{Sites: sites, Workers: workers}
 	var err error
-	if spec.Chords, err = parseInts(chordsCSV); err != nil {
+	if spec.Chords, err = parseCSV(chordsCSV, strconv.Atoi); err != nil {
 		fmt.Fprintf(os.Stderr, "-chords: %v\n", err)
 		return 2
 	}
-	if spec.Alphas, err = parseFloats(alphasCSV); err != nil {
+	if spec.Alphas, err = parseCSV(alphasCSV, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err != nil {
 		fmt.Fprintf(os.Stderr, "-alphas: %v\n", err)
 		return 2
 	}
@@ -31,7 +31,7 @@ func runStudy(sites, workers int, chordsCSV, alphasCSV string, cfg sim.StudyConf
 		return 1
 	}
 
-	fmt.Printf("study: %d sites, %d cells, seed %d\n", firstNonZero(sites, 101), len(cells), cfg.Seed)
+	fmt.Printf("study: %d sites, %d cells, seed %d\n", sites, len(cells), cfg.Seed)
 	fmt.Printf("%-8s %-6s %-6s %-28s %s\n", "chords", "α", "q_r*", "best availability (95% CI)", "batches")
 	for _, cell := range cells {
 		best := cell.Family[cell.BestQR-1]
@@ -41,43 +41,18 @@ func runStudy(sites, workers int, chordsCSV, alphasCSV string, cfg sim.StudyConf
 	return 0
 }
 
-func firstNonZero(v, fallback int) int {
-	if v != 0 {
-		return v
-	}
-	return fallback
-}
-
-// parseInts parses a comma-separated integer list; empty means defaults.
-func parseInts(csv string) ([]int, error) {
+// parseCSV parses a comma-separated list; empty means defaults.
+func parseCSV[T any](csv string, parse func(string) (T, error)) ([]T, error) {
 	if csv == "" {
 		return nil, nil
 	}
 	parts := strings.Split(csv, ",")
-	out := make([]int, len(parts))
+	out := make([]T, len(parts))
 	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
+		var err error
+		if out[i], err = parse(strings.TrimSpace(p)); err != nil {
 			return nil, err
 		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated float list; empty means defaults.
-func parseFloats(csv string) ([]float64, error) {
-	if csv == "" {
-		return nil, nil
-	}
-	parts := strings.Split(csv, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
 	}
 	return out, nil
 }

@@ -19,7 +19,9 @@
 //	voteopt -net path -n 5 -search exhaustive
 //	voteopt -net star -n 100 -search anneal -scenarios 1000 -steps 800
 //	voteopt -objective capacity -n 12 -search anneal
-//	voteopt -benchweights BENCH_weights.json [-weightsbase BENCH_weights.json]
+//
+// The gated annealing runs behind BENCH_weights.json are quorumsim's
+// weights suite (`quorumsim suite weights`).
 package main
 
 import (
@@ -52,20 +54,14 @@ func main() {
 		steps     = flag.Int("steps", 0, "annealing steps per restart (0 = default)")
 		restarts  = flag.Int("restarts", 0, "annealing restarts (0 = default)")
 		budget    = flag.Int("budget", 0, "total vote budget (0 = n·max)")
-		benchOut  = flag.String("benchweights", "", "write BENCH_weights.json to this path and exit")
-		benchBase = flag.String("weightsbase", "", "gate -benchweights against this committed baseline")
 	)
 	flag.Parse()
 
-	if *benchOut != "" {
-		os.Exit(runBenchWeights(*benchOut, *benchBase, *seed))
+	build, ok := nets[*net]
+	if !ok {
+		fatal(2, fmt.Errorf("unknown -net %q", *net))
 	}
-
-	g, err := buildGraph(*net, *n)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	g := build(*n)
 	nn := g.N()
 	scfg := votes.SearchConfig{
 		MaxVotesPerSite: *maxV,
@@ -85,31 +81,21 @@ func main() {
 			}}
 		} else {
 			sc, err := votes.SampleScenarios(g, *p, *r, *scenarios, *seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			fatal(1, err)
 			obj, err = votes.NewAvailObjective(sc, *alpha)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			fatal(1, err)
 		}
 	case "capacity":
 		obj = capacityObjective(nn)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -objective %q\n", *objective)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("unknown -objective %q", *objective))
 	}
 
 	fmt.Printf("topology %s (n=%d, m=%d), p=%g, r=%g, α=%g, objective %s (%s)\n",
 		*net, nn, g.M(), *p, *r, *alpha, *objective, obj.Name())
 
 	uni, err := obj.Eval(quorum.UniformVotes(nn))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fatal(1, err)
 	fmt.Printf("uniform baseline: %v  value = %.6f\n", uni.Assignment, uni.Value)
 
 	var res votes.SearchResult
@@ -121,13 +107,9 @@ func main() {
 	case "anneal":
 		res, err = votes.Anneal(nn, obj, scfg)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -search %q\n", *search)
-		os.Exit(2)
+		fatal(2, fmt.Errorf("unknown -search %q", *search))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fatal(1, err)
 
 	fmt.Printf("%s votes %v\n", *search, res.Votes)
 	fmt.Printf("  %v  value = %.6f  (evaluations %d)\n", res.Assignment, res.Value, res.Evaluations)
@@ -142,21 +124,18 @@ func main() {
 	}
 }
 
-func buildGraph(net string, n int) (*graph.Graph, error) {
-	switch net {
-	case "star":
-		return graph.Star(n), nil
-	case "path":
-		return graph.Path(n), nil
-	case "ring":
-		return graph.Ring(n), nil
-	case "complete":
-		return graph.Complete(n), nil
-	case "grid2x3":
-		return graph.Grid(2, 3), nil
-	default:
-		return nil, fmt.Errorf("unknown -net %q", net)
+// fatal exits with status when err is non-nil.
+func fatal(status int, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(status)
 	}
+}
+
+// nets are the -net topologies by name.
+var nets = map[string]func(n int) *graph.Graph{
+	"star": graph.Star, "path": graph.Path, "ring": graph.Ring, "complete": graph.Complete,
+	"grid2x3": func(int) *graph.Graph { return graph.Grid(2, 3) },
 }
 
 // capacityObjective builds the tiered synthetic capacity model used when no
@@ -164,18 +143,9 @@ func buildGraph(net string, n int) (*graph.Graph, error) {
 // unit time) and slow (2000/1000) sites, a 90%-read workload. The capacity
 // LP and its KKT certificate come from internal/strategy.
 func capacityObjective(n int) votes.CapacityObjective {
-	readCap := make([]float64, n)
-	writeCap := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			readCap[i], writeCap[i] = 4000, 2000
-		} else {
-			readCap[i], writeCap[i] = 2000, 1000
-		}
+	readCap, writeCap := make([]float64, n), make([]float64, n)
+	for i := range readCap {
+		readCap[i], writeCap[i] = 4000-2000*float64(i%2), 2000-1000*float64(i%2)
 	}
-	fr, err := strategy.NewFrDist(map[float64]float64{0.9: 1})
-	if err != nil {
-		panic(err) // constant input; unreachable
-	}
-	return votes.CapacityObjective{ReadCap: readCap, WriteCap: writeCap, Dist: fr}
+	return votes.CapacityObjective{ReadCap: readCap, WriteCap: writeCap, Dist: strategy.SingleFr(0.9)}
 }

@@ -120,7 +120,3 @@ func (k *coordinator) reassignOptimal(x int, alpha, minWrite, hysteresis float64
 	}
 	return true, nil
 }
-
-// AssignmentCandidates exposes the family the local optimizer searches
-// (for diagnostics).
-func AssignmentCandidates(T int) []quorum.Assignment { return quorum.Enumerate(T) }

@@ -198,9 +198,3 @@ func TestEstimationSurvivesWireMode(t *testing.T) {
 		}
 	}
 }
-
-func TestAssignmentCandidates(t *testing.T) {
-	if got := len(AssignmentCandidates(101)); got != 50 {
-		t.Fatalf("%d candidates", got)
-	}
-}

@@ -125,7 +125,7 @@ type LanWanRow struct {
 func LanWanStudy(clusters, size int, alpha float64, accesses int64, seed uint64) ([]LanWanRow, error) {
 	n := clusters * size
 	lanwan := topo.Clusters(clusters, size)
-	ring := graphRing(n)
+	ring := graph.Ring(n)
 	params := sim.PaperParams()
 	var out []LanWanRow
 	for _, tc := range []struct {
@@ -152,8 +152,6 @@ func LanWanStudy(clusters, size int, alpha float64, accesses int64, seed uint64)
 	}
 	return out, nil
 }
-
-func graphRing(n int) *graph.Graph { return graph.Ring(n) }
 
 // OmegaRow is one point of the §5.4 weighted-objective sweep.
 type OmegaRow struct {

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"quorumkit/internal/core"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/sim"
 	"quorumkit/internal/topo"
 )
@@ -75,18 +74,6 @@ type FigureResult struct {
 	Name   string // paper's topology name
 	Model  core.Model
 	Series []Series
-}
-
-// DefaultCollect returns a collection horizon that resolves the curves well
-// beyond the paper's ±0.5% target in a few seconds per topology. The
-// paper-faithful full batch sizes are available via sim.PaperStudy.
-func DefaultCollect(seed uint64) sim.CollectConfig {
-	return sim.CollectConfig{
-		Mode:     sim.TimeWeighted,
-		Accesses: 400_000,
-		Warmup:   20_000,
-		Seed:     seed,
-	}
 }
 
 // RunFigure simulates the figure's topology once, estimates the per-site
@@ -264,12 +251,4 @@ func OptimaTable(results []FigureResult) []OptimaRow {
 		}
 	}
 	return out
-}
-
-// MeasureAssignment cross-validates the model-predicted availability of an
-// assignment by direct grant/deny measurement (the §5.2 batched study).
-func MeasureAssignment(chords int, a quorum.Assignment, alpha float64,
-	params sim.Params, cfg sim.StudyConfig) (sim.Measurement, error) {
-	g := topo.Paper(chords)
-	return sim.MeasureAvailability(g, nil, params, a, alpha, cfg)
 }

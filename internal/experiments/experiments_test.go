@@ -7,6 +7,7 @@ import (
 
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/sim"
+	"quorumkit/internal/topo"
 )
 
 // quickCollect is a small horizon for unit tests; the figure-quality runs
@@ -149,7 +150,7 @@ func TestMeasureAssignmentAgreesWithModel(t *testing.T) {
 	}
 	const alpha = 0.5
 	a := quorum.Assignment{QR: 10, QW: 92}
-	meas, err := MeasureAssignment(0, a, alpha, sim.PaperParams(), sim.StudyConfig{
+	meas, err := sim.MeasureAvailability(topo.Paper(0), nil, sim.PaperParams(), a, alpha, sim.StudyConfig{
 		Warmup: 5_000, BatchAccesses: 50_000,
 		MinBatches: 3, MaxBatches: 6, CIHalfWidth: 0.01, Seed: 9,
 	})
@@ -194,12 +195,5 @@ func TestSeriesBest(t *testing.T) {
 	qr, a := s.Best()
 	if qr != 2 || a != 0.8 {
 		t.Fatalf("best (%d, %g)", qr, a)
-	}
-}
-
-func TestDefaultCollect(t *testing.T) {
-	c := DefaultCollect(7)
-	if c.Mode != sim.TimeWeighted || c.Accesses <= 0 || c.Seed != 7 {
-		t.Fatalf("%+v", c)
 	}
 }

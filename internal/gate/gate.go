@@ -18,9 +18,10 @@ import (
 // direction (Better: compared against the baseline's row of the same name
 // within AbsTol + RelTol·|baseline|) or an absolute bound (Min/Max,
 // inclusive: checked on the run and on the baseline file). Everything
-// else is informational. Bools are 0/1; calibrated timings are rows whose
-// value is the ratio; forensics (vote vectors, hashes, error text) ride in
-// Note.
+// else is informational. Bools are 0/1; forensics (vote vectors, hashes,
+// error text) ride in Note. Every committed row is a pure function of the
+// code and the seed: wall-clock figures are printed by the suites, never
+// written (timings are bench/'s per-layer metrics).
 type Row struct {
 	Name   string   `json:"name"`
 	Value  float64  `json:"value"`
@@ -36,11 +37,10 @@ type Row struct {
 // File is the one BENCH_*.json shape. Seed and Steps identify the
 // stimulus: a baseline only gates a run of the same suite, seed and steps.
 type File struct {
-	Suite         string  `json:"suite"`
-	Seed          uint64  `json:"seed"`
-	Steps         int     `json:"steps"`
-	CalibrationNs float64 `json:"calibration_ns_per_op"`
-	Rows          []Row   `json:"rows"`
+	Suite string `json:"suite"`
+	Seed  uint64 `json:"seed"`
+	Steps int    `json:"steps"`
+	Rows  []Row  `json:"rows"`
 }
 
 // Bound returns a Min/Max value.
@@ -58,11 +58,10 @@ func Bool(b bool) float64 {
 // diffs row by row. The bytes are a pure function of f.
 func Write(path string, f File) error {
 	head, err := json.Marshal(struct {
-		Suite         string  `json:"suite"`
-		Seed          uint64  `json:"seed"`
-		Steps         int     `json:"steps"`
-		CalibrationNs float64 `json:"calibration_ns_per_op"`
-	}{f.Suite, f.Seed, f.Steps, f.CalibrationNs})
+		Suite string `json:"suite"`
+		Seed  uint64 `json:"seed"`
+		Steps int    `json:"steps"`
+	}{f.Suite, f.Seed, f.Steps})
 	if err != nil {
 		return err
 	}

@@ -103,7 +103,7 @@ func TestCheckWithoutBaseline(t *testing.T) {
 // TestWriteReadRoundTrip: Write → Read → Write is byte-stable, one row per
 // line, and unwritable values are an error rather than a corrupt file.
 func TestWriteReadRoundTrip(t *testing.T) {
-	f := File{Suite: "s", Seed: 1<<63 + 1, Steps: 7, CalibrationNs: 2.5, Rows: []Row{
+	f := File{Suite: "s", Seed: 1<<63 + 1, Steps: 7, Rows: []Row{
 		{Name: "a/b.c", Value: -1.199040866595169e-14, Unit: "ops", Better: "lower", AbsTol: 0.02, RelTol: 1e-9,
 			Min: Bound(-1), Max: Bound(0.050000001), Note: `votes [1 2] "φ" <x>`},
 		{Name: "d", Value: 3870975160.1133685},

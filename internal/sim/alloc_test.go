@@ -12,9 +12,8 @@ import (
 // TestSteadyStateAccessZeroAlloc: after construction and warm-up, driving
 // accesses through the simulator must not touch the heap — the event heap
 // is pre-sized, RNG scratch is embedded, and observability counters are
-// batched into plain fields. This is the allocation contract the committed
-// BENCH_core.json enforces at 1001 sites; here it is a hard test at a size
-// fast enough for every `go test` run.
+// batched into plain fields. A hard test, at a size fast enough for every
+// `go test` run; bench/'s sim.access_ns times the same path from outside.
 func TestSteadyStateAccessZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
-
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/stats"
@@ -19,9 +16,10 @@ import (
 // the paper's family at once: tally accesses per vote total into read and
 // write histograms, then a single O(T) suffix-sum pass yields
 // ReadsGranted(q_r) = Σ_{v≥q_r} reads(v) and WritesGranted(q_w) likewise
-// for all ⌊T/2⌋ family members. The seed path (SweepReference) instead runs
-// a full simulation per family member — O(T) simulations of the identical
-// trajectory — which is what made thousand-site sweeps intractable.
+// for all ⌊T/2⌋ family members. The seed path (kept as the test oracle
+// sweepReference) instead ran a full simulation per family member — O(T)
+// simulations of the identical trajectory — which is what made
+// thousand-site sweeps intractable.
 
 // familyTally accumulates one batch's accesses by component vote total,
 // split by the read/write coin. Index v ∈ [0, T]; v = 0 is a down site.
@@ -150,55 +148,6 @@ func Sweep(g *graph.Graph, votes []int, p Params, alpha float64,
 	out := make([]Measurement, len(accs))
 	for i := range accs {
 		out[i] = accs[i].measurement()
-	}
-	return out, nil
-}
-
-// SweepReference runs MeasureAvailability for every assignment in the
-// paper's family concurrently (one goroutine per read quorum, capped at
-// GOMAXPROCS) and returns the measurements indexed by q_r−1.
-//
-// This is the seed implementation of the family sweep: it simulates the
-// identical trajectory once per family member, costing ⌊T/2⌋ full
-// measurement runs where Sweep costs one. It is retained as the oracle for
-// the sweep-equivalence tests and as the baseline the committed
-// BENCH_core.json speedup figure is measured against; new callers should
-// use Sweep.
-func SweepReference(g *graph.Graph, votes []int, p Params, alpha float64,
-	cfg StudyConfig) ([]Measurement, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	st := graph.NewState(g, votes)
-	T := st.TotalVotes()
-	family := quorum.Enumerate(T)
-	out := make([]Measurement, len(family))
-	errs := make([]error, len(family))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(family) {
-		workers = len(family)
-	}
-	next := make(chan int, len(family))
-	for i := range family {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = MeasureAvailability(g, votes, p, family[i], alpha, cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

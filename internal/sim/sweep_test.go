@@ -4,11 +4,30 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/topo"
 )
+
+// sweepReference is the seed implementation of the family sweep and the
+// oracle Sweep is held to: MeasureAvailability once per assignment in the
+// paper's family, indexed by q_r−1. It simulates the identical trajectory
+// once per family member, ⌊T/2⌋ full measurement runs where Sweep costs one.
+func sweepReference(g *graph.Graph, votes []int, p Params, alpha float64,
+	cfg StudyConfig) ([]Measurement, error) {
+	family := quorum.Enumerate(graph.NewState(g, votes).TotalVotes())
+	out := make([]Measurement, len(family))
+	for i, a := range family {
+		var err error
+		if out[i], err = MeasureAvailability(g, votes, p, a, alpha, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // TestSweepMatchesPerAssignment is the central equivalence theorem of the
 // suffix-sum sweep: for every assignment in the family, the one-simulation
@@ -38,7 +57,7 @@ func TestSweepMatchesPerAssignment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := SweepReference(tc.g, nil, p, tc.alpha, cfg)
+			ref, err := sweepReference(tc.g, nil, p, tc.alpha, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,6 +77,31 @@ func TestSweepMatchesPerAssignment(t *testing.T) {
 				t.Logf("note: every assignment converged at the same batch count")
 			}
 		})
+	}
+}
+
+// TestSweepFasterThanReference is the tripwire on what the sweep is for:
+// at the paper's 101 sites one shared trajectory serves 50 assignments, so
+// Sweep should beat the per-assignment reference ~50×; a Sweep that quietly
+// re-simulates per assignment would read ~1×. Both sides are timed in this
+// process back to back, so host speed cancels out of the ratio.
+func TestSweepFasterThanReference(t *testing.T) {
+	g := graph.Ring(101)
+	cfg := StudyConfig{
+		Warmup: 500, BatchAccesses: 10_000,
+		MinBatches: 2, MaxBatches: 2, CIHalfWidth: 0.005, Seed: 5,
+	}
+	timed := func(sweep func(*graph.Graph, []int, Params, float64, StudyConfig) ([]Measurement, error)) time.Duration {
+		start := time.Now()
+		if _, err := sweep(g, nil, PaperParams(), 0.75, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	fast, ref := timed(Sweep), timed(sweepReference)
+	t.Logf("sweep %v, reference %v: %.0f×", fast, ref, float64(ref)/float64(fast))
+	if ref < 5*fast {
+		t.Fatalf("Sweep took %v against the per-assignment reference's %v: want at least 5× faster", fast, ref)
 	}
 }
 
