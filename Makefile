@@ -17,7 +17,7 @@ SUITE = strategy adversary strategy-adversity gray weights
 
 .PHONY: check vet build test race $(COVER) \
 	fuzz chaos diskchaos soak hedge weights strategy study \
-	bench bench-solver e2e e2e-smoke gate gate-update
+	bench bench-solver bench-serve e2e e2e-smoke gate gate-update
 
 check: vet build test race $(COVER)
 
@@ -137,6 +137,16 @@ strategy:
 # counts and the end-to-end solve-ladder's timings.
 bench-solver:
 	$(GO) test ./internal/strategy/ -run xxx -bench Ladder -benchmem -count 3
+
+# The serving twin: ns/op and allocs/op of the message path — the sampled
+# read bench/ serves, the gated read, the baseline read and write rounds, a
+# healthy detector tick and the codec as the runtime drives it. allocs/op
+# is the number to watch (TestMessagePathZeroAlloc holds the bench's
+# configuration at 0); the gated timings are bench/'s serve-* workloads.
+bench-serve:
+	$(GO) test ./internal/cluster -run xxx \
+		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|CodecVoteReply' \
+		-benchmem -count 3
 
 # Large-N study smoke: a reduced chords × α grid at paper scale.
 study:

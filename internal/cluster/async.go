@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -46,7 +45,8 @@ type Async struct {
 	nodes []*asyncNode
 	wg    sync.WaitGroup
 
-	msgs atomic.Int64 // messages sent
+	msgs  atomic.Int64 // messages sent
+	inbox []msg        // the replies of the round in flight (under opMu)
 
 	// daemonStop, when non-nil, stops the background daemon goroutine
 	// started by StartDaemon; Close closes it.
@@ -66,12 +66,12 @@ type asyncNode struct {
 	quit  chan struct{}
 }
 
-// asyncMsg is one delivery: the payload (nil for a pure barrier), where to
+// asyncMsg is one delivery: the message (tag 0 for a pure barrier), where to
 // put the reply when the sender awaits one, and the group to release once
 // the delivery has been processed.
 type asyncMsg struct {
-	body  payload
-	reply chan<- payload
+	body  msg
+	reply chan<- msg
 	ack   *sync.WaitGroup
 }
 
@@ -91,9 +91,9 @@ func NewAsync(st *graph.State, initial quorum.Assignment) (*Async, error) {
 	if err := a.init(a, st, initial); err != nil {
 		return nil, err
 	}
-	for _, n := range a.nodes {
+	for i := range a.nodes {
 		a.wg.Add(1)
-		go n.run(&a.wg)
+		go a.run(i)
 	}
 	return a, nil
 }
@@ -112,20 +112,28 @@ func (a *Async) Close() {
 	a.wg.Wait()
 }
 
-// run is the node goroutine: hand each delivery to the replica under the
-// node lock, route its reply, and release the sender's group.
-func (n *asyncNode) run(wg *sync.WaitGroup) {
-	defer wg.Done()
+// run is site i's goroutine: hand each delivery to the replica under the
+// node lock, route its reply, and release the sender's group. As in the
+// deterministic transport, a reply that claims a sender other than the site
+// it comes from is lost rather than gathered.
+func (a *Async) run(i int) {
+	defer a.wg.Done()
+	n := a.nodes[i]
 	for {
 		select {
 		case <-n.quit:
 			return
 		case m := <-n.inbox:
-			if m.body != nil {
+			if m.body.tag != 0 {
+				var reply msg
 				n.mu.Lock()
-				reply := n.rep.receive(m.body)
+				n.rep.receive(&m.body, &reply)
 				n.mu.Unlock()
-				if reply != nil && m.reply != nil {
+				switch {
+				case reply.tag == 0 || m.reply == nil:
+				case int(reply.from) != i:
+					a.obs.Inc(obs.CMsgDropped)
+				default:
 					m.reply <- reply
 				}
 			}
@@ -272,24 +280,24 @@ func (n *asyncNode) enqueue(m asyncMsg) {
 // delivers the request twice. A heartbeat additionally sleeps through the
 // gray schedule's slots, so a gray-degraded peer really answers late. The
 // round ends when every admitted delivery has been processed.
-func (a *Async) exchange(x int, targets []int, req payload) ([]payload, int) {
+func (a *Async) exchange(x int, targets []int, req msg) ([]msg, int) {
 	reach := a.reachable(x, targets)
-	replies := make(chan payload, 2*len(reach))
+	replies := make(chan msg, 2*len(reach))
 	var done sync.WaitGroup
 	for _, p := range reach {
-		copies, slots := a.admit(x, p, stageOf(req))
+		copies, slots := a.admit(x, p, stageOf(req.tag))
 		if copies == 0 {
 			continue
 		}
 		m := asyncMsg{body: req, ack: &done}
-		if back, backSlots := a.admit(p, x, replyStage(req)); back > 0 {
+		if back, backSlots := a.admit(p, x, replyStage(req.tag)); back > 0 {
 			m.reply = replies
 			slots += backSlots
 			if back > copies {
 				copies = back
 			}
 		}
-		if _, probe := req.(heartbeat); probe {
+		if req.tag == tagHeartbeat {
 			slots += a.graySlots(x, p)
 		}
 		for ; copies > 0; copies-- {
@@ -297,44 +305,28 @@ func (a *Async) exchange(x int, targets []int, req payload) ([]payload, int) {
 		}
 	}
 	done.Wait()
-	out := make([]payload, len(replies))
-	for i := range out {
-		out[i] = <-replies
+	a.inbox = a.inbox[:0]
+	for n := len(replies); n > 0; n-- {
+		a.inbox = append(a.inbox, <-replies)
 	}
-	a.msgs.Add(int64(len(out)))
-	a.obs.Add(obs.CMsgSent, int64(len(out)))
-	a.obs.Add(obs.CMsgDelivered, int64(len(out)))
-	return out, len(reach)
+	got := int64(len(a.inbox))
+	a.msgs.Add(got)
+	a.obs.Add(obs.CMsgSent, got)
+	a.obs.Add(obs.CMsgDelivered, got)
+	return a.inbox, len(reach)
 }
 
-// post fans msg out to the reachable targets and returns once every
-// admitted copy has been processed.
-func (a *Async) post(x int, targets []int, msg payload) {
+// post fans m out to the reachable targets and returns once every admitted
+// copy has been processed.
+func (a *Async) post(x int, targets []int, m msg) {
 	var done sync.WaitGroup
 	for _, p := range a.reachable(x, targets) {
-		copies, slots := a.admit(x, p, stageOf(msg))
+		copies, slots := a.admit(x, p, stageOf(m.tag))
 		for ; copies > 0; copies-- {
-			a.deliver(p, asyncMsg{body: msg, ack: &done}, slots)
+			a.deliver(p, asyncMsg{body: m, ack: &done}, slots)
 		}
 	}
 	done.Wait()
-}
-
-// replyStage is the fault-decision stage of the reply a request is
-// answered with: it keys the decision of the return leg.
-func replyStage(req payload) uint8 {
-	switch req.(type) {
-	case voteRequest:
-		return faults.StageVoteReply
-	case applyWrite:
-		return faults.StageApplyAck
-	case histRequest:
-		return faults.StageHistReply
-	case heartbeat:
-		return faults.StageHeartbeatAck
-	default:
-		panic("cluster: exchange of a payload that has no reply")
-	}
 }
 
 // ---- Operations: the coordinator's, serialized on the operation slot ------

@@ -93,6 +93,21 @@ func BenchmarkServeReadHealthy(b *testing.B) {
 	}
 }
 
+// BenchmarkServeReadSampled times the read bench/ serves: the gated client
+// path on the bench's cluster (benchConfigCluster), where a read probes one
+// sampled quorum through the wire codec and the durable store.
+func BenchmarkServeReadSampled(b *testing.B) {
+	c := benchConfigCluster(b)
+	c.ServeWrite(0, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := c.ServeRead(i % 9); out.Err != nil {
+			b.Fatal(out.Err)
+		}
+	}
+}
+
 // BenchmarkGossipEstimates times the histogram exchange that feeds the
 // optimizer: a histRequest broadcast, histReply drain, and the per-site
 // density merge.

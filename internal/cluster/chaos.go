@@ -257,34 +257,6 @@ func (k *coordinator) crash(x int) {
 	observeCrash(k.obs, x)
 }
 
-// stageOf maps a payload to its fault-decision stage.
-func stageOf(p payload) uint8 {
-	switch p.(type) {
-	case voteRequest:
-		return faults.StageVoteRequest
-	case voteReply:
-		return faults.StageVoteReply
-	case syncState:
-		return faults.StageSync
-	case applyWrite:
-		return faults.StageApply
-	case applyAck:
-		return faults.StageApplyAck
-	case installAssign:
-		return faults.StageInstall
-	case histRequest:
-		return faults.StageHistRequest
-	case histReply:
-		return faults.StageHistReply
-	case heartbeat:
-		return faults.StageHeartbeat
-	case heartbeatAck:
-		return faults.StageHeartbeatAck
-	default:
-		panic(fmt.Sprintf("cluster: unknown payload %T", p))
-	}
-}
-
 // classifyShort distinguishes a clean quorum denial from a round that lost
 // replies to the transport.
 func (k *coordinator) classifyShort(got, expected int) error {
@@ -309,17 +281,14 @@ func nextChaosStamp(prev int64, coordinator int) int64 {
 // the votes of distinct senders confirming stamp (or newer) plus the count
 // of distinct acks received. A delivered apply whose ack is lost still
 // mutates the peer, but contributes nothing to the count.
-func (k *coordinator) pushApplies(x int, targets []voteReply, value, stamp int64) (votes, count int) {
-	acks, _ := k.tr.exchange(x, senders(targets), applyWrite{value: value, stamp: stamp, wantAck: true})
-	seen := make(map[int]bool, len(acks))
-	for _, p := range acks {
-		a := p.(applyAck)
-		if seen[a.from] || a.stamp < stamp {
-			continue
+func (k *coordinator) pushApplies(x int, targets []int, value, stamp int64) (votes, count int) {
+	acks, _ := k.tr.exchange(x, targets, msg{tag: tagApplyWrite, value: value, stamp: stamp, wantAck: true})
+	k.seen.reset(len(k.all))
+	for i := range acks {
+		if a := &acks[i]; a.stamp >= stamp && k.seen.add(a.from) {
+			votes += k.st.Votes(int(a.from))
+			count++
 		}
-		seen[a.from] = true
-		votes += k.st.Votes(a.from)
-		count++
 	}
 	return votes, count
 }
@@ -339,12 +308,13 @@ func (k *coordinator) chaosReadOnce(x int) (value, stamp int64, err error) {
 	// responders and return it only once copies holding it cover a write
 	// quorum. Without this, a partially applied write observed by one read
 	// could vanish from the next — a one-copy serializability violation.
-	var stale []voteReply
-	for _, r := range replies {
-		if r.stamp != eff.stamp {
-			stale = append(stale, r)
+	stale := k.targets[:0]
+	for i := range replies {
+		if replies[i].stamp != eff.stamp {
+			stale = append(stale, int(replies[i].from))
 		}
 	}
+	k.targets = stale
 	ackVotes, ackCount := k.pushApplies(x, stale, eff.value, eff.stamp)
 	if support+ackVotes >= eff.assign.QW {
 		return eff.value, eff.stamp, nil
@@ -384,17 +354,18 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 	// Re-draw the (pure) admission decisions to count the applies the plan
 	// lets toward peers; see Residue.Spread.
 	spread := 0
-	for _, r := range replies {
-		if !ch.plan.Message(ch.op, faults.StageApply, x, r.from, ch.attempt).Drop {
+	targets := k.senders(replies)
+	for _, p := range targets {
+		if !ch.plan.Message(ch.op, faults.StageApply, x, p, ch.attempt).Drop {
 			spread++
 		}
 	}
 	if cp == faults.CrashMidApply {
-		k.tr.post(x, senders(replies), applyWrite{value: value, stamp: stamp})
+		k.tr.post(x, targets, msg{tag: tagApplyWrite, value: value, stamp: stamp})
 		k.crash(x)
 		return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrCrashed
 	}
-	ackVotes, _ := k.pushApplies(x, replies, value, stamp)
+	ackVotes, _ := k.pushApplies(x, targets, value, stamp)
 	if k.st.Votes(x)+ackVotes >= eff.assign.QW {
 		return stamp, nil, nil
 	}

@@ -29,10 +29,12 @@ type transport interface {
 	// exchange sends req from x to each target and returns the replies that
 	// made it back, in arrival order and without deduplication, plus how
 	// many targets the topology let x reach (up and in x's component). The
-	// replies are valid until the next exchange.
-	exchange(x int, targets []int, req payload) (replies []payload, expected int)
-	// post sends msg from x to each target and expects no reply.
-	post(x int, targets []int, msg payload)
+	// replies are the caller's to reorder and valid until the next exchange;
+	// each one's from is the site it came from (a reply claiming another
+	// sender is dropped in transit), so rounds may index by it.
+	exchange(x int, targets []int, req msg) (replies []msg, expected int)
+	// post sends m from x to each target and expects no reply.
+	post(x int, targets []int, m msg)
 	// siteUp reports whether site x is up.
 	siteUp(x int) bool
 	// lock returns site x's replica for exclusive access until unlock.
@@ -83,6 +85,50 @@ type coordinator struct {
 	// obs, when non-nil, receives counters, histograms, and trace events
 	// (see obs.go); observation is write-only and never affects behaviour.
 	obs *obs.Registry
+
+	// Per-round scratch, reused because rounds are serialized (one goroutine
+	// in the deterministic runtime, Async.opMu in the concurrent one) and
+	// none of it outlives the round that filled it: the set of senders
+	// already counted, a target list, and the heartbeat round trips.
+	seen    bitset
+	targets []int
+	rtts    []int64
+}
+
+// bitset is a set of site ids.
+type bitset []uint64
+
+// reset empties the set and sizes it for ids below n.
+func (b *bitset) reset(n int) {
+	if words := (n + 63) / 64; cap(*b) < words {
+		*b = make(bitset, words)
+	} else {
+		*b = (*b)[:words]
+		clear(*b)
+	}
+}
+
+// add inserts id and reports whether it was absent.
+func (b bitset) add(id int32) bool {
+	w, bit := &b[id>>6], uint64(1)<<(id&63)
+	absent := *w&bit == 0
+	*w |= bit
+	return absent
+}
+
+// dedup keeps the first reply of each sender, in place.
+func (k *coordinator) dedup(replies []msg) []msg {
+	k.seen.reset(len(k.all))
+	n := 0
+	for i := range replies {
+		if k.seen.add(replies[i].from) {
+			if n != i {
+				replies[n] = replies[i]
+			}
+			n++
+		}
+	}
+	return replies[:n]
 }
 
 // init wires the coordinator to its transport and gives every replica its
@@ -143,9 +189,10 @@ func (k *coordinator) LocalDensity(x int) dist.PMF {
 // from the whole component, merge the replies into the effective state,
 // adopt it, and push the merged view back to the responders so every
 // contacted node ends the round with the newest assignment and value. It
-// returns the replies, the effective state, the votes gathered (x's own
-// included), the number of responders the topology promised, and the votes
-// of copies confirmed to hold the effective stamp.
+// returns the replies (the transport's, so valid until the next exchange),
+// the effective state, the votes gathered (x's own included), the number of
+// responders the topology promised, and the votes of copies confirmed to
+// hold the effective stamp.
 //
 // The idealized operations (hardened false) deliberately do not filter
 // duplicate replies: that is the paper's protocol, which assumes
@@ -155,29 +202,17 @@ func (k *coordinator) LocalDensity(x int) dist.PMF {
 // (sender) order — delivery order depends on injected reordering and on
 // the transport, but downstream decisions, notably the mid-apply crash
 // prefix, must be a function of the responder set.
-func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []voteReply, eff copyState, votes, expected, support int) {
-	raw, expected := k.tr.exchange(x, k.all, voteRequest{op: op})
+func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, eff copyState, votes, expected, support int) {
+	replies, expected = k.tr.exchange(x, k.all, msg{tag: tagVoteRequest, op: op})
+	if hardened {
+		replies = k.dedup(replies)
+		sort.Slice(replies, func(i, j int) bool { return replies[i].from < replies[j].from })
+	}
 	selfVotes, eff := k.view(x)
 	votes = selfVotes
-	replies = make([]voteReply, 0, len(raw))
-	var seen map[int]bool
-	if hardened {
-		seen = make(map[int]bool, len(raw))
-	}
-	for _, p := range raw {
-		r := p.(voteReply)
-		if hardened {
-			if seen[r.from] {
-				continue
-			}
-			seen[r.from] = true
-		}
-		replies = append(replies, r)
-		votes += r.votes
-		eff.adopt(r.copy())
-	}
-	if hardened {
-		sort.Slice(replies, func(i, j int) bool { return replies[i].from < replies[j].from })
+	for i := range replies {
+		votes += int(replies[i].votes)
+		eff.adopt(replies[i].copy())
 	}
 
 	self := k.tr.lock(x)
@@ -191,26 +226,28 @@ func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []voteRe
 	// Stamps are unique under chaos, so holding eff.stamp pins the value.
 	// The coordinator counts itself: adopt just installed the merged state.
 	support = selfVotes
-	for _, r := range replies {
-		if r.stamp == eff.stamp {
-			support += r.votes
+	for i := range replies {
+		if replies[i].stamp == eff.stamp {
+			support += int(replies[i].votes)
 		}
 	}
 	// The push also carries the round's vote total, so every participant
 	// records the §4.2 observation. Under a fault plan it is best-effort
 	// gossip; correctness never depends on it arriving.
-	k.tr.post(x, senders(replies), syncState{value: eff.value, stamp: eff.stamp,
-		version: eff.version, assign: eff.assign, votesSeen: votes})
+	sync := stateMsg(tagSyncState, eff)
+	sync.votesSeen = int32(votes)
+	k.tr.post(x, k.senders(replies), sync)
 	return replies, eff, votes, expected, support
 }
 
-// senders lists the sites a set of vote replies came from.
-func senders(replies []voteReply) []int {
-	out := make([]int, len(replies))
-	for i, r := range replies {
-		out[i] = r.from
+// senders lists the sites a set of replies came from, in the round's
+// target scratch.
+func (k *coordinator) senders(replies []msg) []int {
+	k.targets = k.targets[:0]
+	for i := range replies {
+		k.targets = append(k.targets, int(replies[i].from))
 	}
-	return out
+	return k.targets
 }
 
 // Read submits a read at node x: collect votes from the component, grant if
@@ -253,7 +290,7 @@ func (k *coordinator) writeOp(x int, value int64) (stamp int64, ok bool) {
 	}
 	stamp = eff.stamp + 1
 	k.applyLocal(x, value, stamp)
-	k.tr.post(x, senders(replies), applyWrite{value: value, stamp: stamp})
+	k.tr.post(x, k.senders(replies), msg{tag: tagApplyWrite, value: value, stamp: stamp})
 	k.obs.Observe(obs.HWriteMsgs, k.tr.sent()-sentBefore)
 	observeDecision(k.obs, OpWrite, x, votes, true, stamp)
 	return stamp, true
@@ -293,14 +330,14 @@ func (k *coordinator) Reassign(x int, a quorum.Assignment) error {
 // the new assignment at the next version, makes it durable, and installs it
 // — together with the current value, the refresh that makes extreme
 // reassignments safe — at every responder it was granted against.
-func (k *coordinator) install(x int, a quorum.Assignment, eff copyState, replies []voteReply) {
+func (k *coordinator) install(x int, a quorum.Assignment, eff copyState, replies []msg) {
 	version := eff.version + 1
 	self := k.tr.lock(x)
 	self.assign, self.version = a, version
 	self.persistState()
 	self.syncStore() // durable before the installs fan out
 	k.tr.unlock(x)
-	k.tr.post(x, senders(replies), installAssign{assign: a, version: version,
-		value: eff.value, stamp: eff.stamp})
+	eff.assign, eff.version = a, version
+	k.tr.post(x, k.senders(replies), stateMsg(tagInstallAssign, eff))
 	observeInstall(k.obs, x, version, a)
 }

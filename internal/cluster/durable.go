@@ -189,17 +189,11 @@ func (k *coordinator) tryRejoin(x int) bool {
 		ch.op++
 		ch.attempt = 0
 	}
-	replies, _ := k.tr.exchange(x, k.all, voteRequest{op: OpRead})
-	seen := make(map[int]bool, len(replies))
+	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagVoteRequest, op: OpRead})
 	votes := 0
 	var eff copyState
-	for _, p := range replies {
-		r := p.(voteReply)
-		if seen[r.from] || r.from == x {
-			continue
-		}
-		seen[r.from] = true
-		votes += r.votes
+	for _, r := range k.dedup(replies) { // never from x: a site never messages itself
+		votes += int(r.votes)
 		eff.adopt(r.copy())
 	}
 	// eff.version >= 1 guarantees at least one real reply carried an

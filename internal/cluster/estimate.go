@@ -15,18 +15,6 @@ import (
 // Figure-1 optimization and install the result through the QR protocol —
 // the complete distributed on-line pipeline.
 
-// histRequest asks a peer for its local observation histogram.
-type histRequest struct{}
-
-// histReply carries the peer's histogram row.
-type histReply struct {
-	from    int
-	weights []float64
-}
-
-func (histRequest) kind() string { return "histRequest" }
-func (histReply) kind() string   { return "histReply" }
-
 // effectiveAssignment runs a vote round to discover the assignment in
 // effect at node x's component.
 func (k *coordinator) effectiveAssignment(x int) (quorum.Assignment, int64, bool) {
@@ -55,17 +43,11 @@ func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 		}
 	}
 	k.tr.unlock(x)
-	replies, _ := k.tr.exchange(x, k.all, histRequest{})
-	seen := make(map[int]bool, len(replies))
-	for _, p := range replies {
-		r := p.(histReply)
-		if seen[r.from] || r.from == x || r.from < 0 || r.from >= len(k.all) {
-			continue // duplicated or forged row: each site contributes once
-		}
-		seen[r.from] = true
+	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagHistRequest})
+	for _, r := range k.dedup(replies) { // each site contributes once
 		for v, w := range r.weights {
 			if w > 0 && v <= T {
-				est.ObserveFor(r.from, v, w)
+				est.ObserveFor(int(r.from), v, w)
 			}
 		}
 	}

@@ -219,24 +219,6 @@ func (cfg HealthConfig) normalize() HealthConfig {
 	return cfg
 }
 
-// heartbeat is a failure-detector probe.
-type heartbeat struct {
-	from int
-	seq  int64
-}
-
-// heartbeatAck answers a probe with the peer's votes (the quorum-probe
-// half) and assignment version (the convergence-check half).
-type heartbeatAck struct {
-	from    int
-	seq     int64
-	votes   int
-	version int64
-}
-
-func (heartbeat) kind() string    { return "heartbeat" }
-func (heartbeatAck) kind() string { return "heartbeatAck" }
-
 // healthView is one node's local detector and service state.
 type healthView struct {
 	misses      []int
@@ -273,13 +255,18 @@ type healthState struct {
 	views    []*healthView
 	counters stats.HealthCounters
 
+	// acked and ackRTT are applyAcks' per-peer scratch (under mu).
+	acked  []bool
+	ackRTT []int64
+
 	// obs mirrors the owning runtime's registry (nil when off); detector
 	// edges, mode transitions, and daemon verdicts are reported through it.
 	obs *obs.Registry
 }
 
 func newHealthState(cfg HealthConfig, n int) *healthState {
-	h := &healthState{cfg: cfg.normalize(), views: make([]*healthView, n)}
+	h := &healthState{cfg: cfg.normalize(), views: make([]*healthView, n),
+		acked: make([]bool, n), ackRTT: make([]int64, n)}
 	for i := range h.views {
 		v := &healthView{
 			misses:      make([]int, n),
@@ -365,14 +352,15 @@ func (v *healthView) phiOf(p, window int) *stats.PhiEstimator {
 // mode every ack feeds the peer's latency window and silence is judged by
 // φ against the windowed fit. Returns the probe's reachable-vote bound and
 // whether the suspected set changed. Callers hold h.mu.
-func (h *healthState) applyAcks(x int, acks []heartbeatAck, rtts []int64, assign quorum.Assignment, selfVotes int) (reachable int, changed bool) {
+func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.Assignment, selfVotes int) (reachable int, changed bool) {
 	v := h.views[x]
 	n := len(h.views)
-	acked := make([]bool, n)
-	ackRTT := make([]int64, n)
+	acked, ackRTT := h.acked, h.ackRTT
+	clear(acked)
 	reachable = selfVotes
-	for i, a := range acks {
-		if a.from < 0 || a.from >= n || a.from == x {
+	for i := range acks {
+		a := &acks[i]
+		if a.from < 0 || int(a.from) >= n || int(a.from) == x {
 			continue
 		}
 		rtt := int64(grayBaseRTT)
@@ -386,7 +374,7 @@ func (h *healthState) applyAcks(x int, acks []heartbeatAck, rtts []int64, assign
 		}
 		acked[a.from] = true
 		ackRTT[a.from] = rtt
-		reachable += a.votes
+		reachable += int(a.votes)
 		v.peerVersion[a.from] = a.version
 	}
 	h.counters.HeartbeatsSent += int64(n - 1)
@@ -476,7 +464,7 @@ func (h *healthState) applyAcks(x int, acks []heartbeatAck, rtts []int64, assign
 
 // daemonDecide runs the daemon state machine for node x after a heartbeat
 // round, performing the optimize/install and sync rounds it decides on.
-func (k *coordinator) daemonDecide(x int, acks []heartbeatAck, rtts []int64, assign quorum.Assignment, selfVotes int, version int64) DaemonReport {
+func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quorum.Assignment, selfVotes int, version int64) DaemonReport {
 	h := k.health
 	h.mu.Lock()
 	v := h.views[x]
@@ -664,26 +652,26 @@ func (k *coordinator) Mode(x int) Mode {
 // ack by the gray schedule's round trip (the fault-free 2 when none is
 // attached) — the same pure function on both runtimes — rather than a
 // wall-clock measurement the scheduler could perturb.
-func (k *coordinator) heartbeatRound(x int) ([]heartbeatAck, []int64) {
+func (k *coordinator) heartbeatRound(x int) ([]msg, []int64) {
 	h := k.health
 	h.mu.Lock()
 	h.views[x].hbSeq++
 	seq := h.views[x].hbSeq
 	h.mu.Unlock()
-	replies, _ := k.tr.exchange(x, k.all, heartbeat{from: x, seq: seq})
-	seen := make(map[int]bool, len(replies))
-	acks := make([]heartbeatAck, 0, len(replies))
-	rtts := make([]int64, 0, len(replies))
-	for _, p := range replies {
-		a := p.(heartbeatAck)
-		if a.seq != seq || seen[a.from] {
+	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagHeartbeat, from: int32(x), seq: seq})
+	k.seen.reset(len(k.all))
+	k.rtts = k.rtts[:0]
+	for i := range replies {
+		a := &replies[i]
+		if a.seq != seq || !k.seen.add(a.from) {
 			continue // stale or duplicated ack
 		}
-		seen[a.from] = true
-		acks = append(acks, a)
-		rtts = append(rtts, k.gray.rtt(x, a.from))
+		if n := len(k.rtts); n != i {
+			replies[n] = *a // kept acks are compacted in place
+		}
+		k.rtts = append(k.rtts, k.gray.rtt(x, int(a.from)))
 	}
-	return acks, rtts
+	return replies[:len(k.rtts)], k.rtts
 }
 
 // syncRound is one ordinary vote-collection round, whose merged-state push
@@ -712,7 +700,7 @@ func (k *coordinator) DaemonStep(x int) DaemonReport {
 	// A down node cannot probe; its detector accrues misses for every peer
 	// so that, on recovery, it re-learns the world before acting. The §4.2
 	// estimator counts down time as a component of zero votes.
-	var acks []heartbeatAck
+	var acks []msg
 	var rtts []int64
 	reach := 0
 	if up {
@@ -727,9 +715,9 @@ func (k *coordinator) DaemonStep(x int) DaemonReport {
 		// excluded here exactly as the detector excludes them, so the
 		// estimator and the detector misjudge gray slowness consistently.
 		reach = k.st.Votes(x)
-		for i, a := range acks {
+		for i := range acks {
 			if !h.lateAck(rtts[i]) {
-				reach += a.votes
+				reach += int(acks[i].votes)
 			}
 		}
 	}

@@ -40,16 +40,13 @@ func (k *coordinator) SetObserver(r *obs.Registry) {
 // Observer returns the attached registry (nil when instrumentation is off).
 func (k *coordinator) Observer() *obs.Registry { return k.obs }
 
-// observeMsg accounts one message transport event in the deterministic
-// runtime: counter always, trace event only when tracing (computing the
-// stage tag costs a type switch, so it is skipped otherwise).
-func (c *Cluster) observeMsg(ev obs.EventType, ctr obs.CounterID, m message) {
-	if c.obs == nil {
-		return
-	}
-	c.obs.Inc(ctr)
+// observeMsg traces one message transport event in the deterministic
+// runtime. The message counters are not touched here: the runtime keeps
+// them in its own Stats and drain publishes the difference once, so that
+// after every operation the obs counters equal Stats field for field.
+func (c *Cluster) observeMsg(ev obs.EventType, m *message) {
 	if c.obs.Tracing() {
-		c.obs.Emit(ev, int32(m.from), int32(m.to), int64(stageOf(m.body)), 0)
+		c.obs.Emit(ev, int32(m.from), int32(m.to), int64(stageOf(m.body.tag)), 0)
 	}
 }
 

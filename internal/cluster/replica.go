@@ -37,7 +37,7 @@ func (s *copyState) adopt(o copyState) bool {
 // replica is one site's protocol state machine: its copy, its durable
 // store, the §4.2 on-line histogram and the amnesiac flag. It is the single
 // receiver both runtimes deliver to. A replica touches no queue, channel,
-// lock or runtime — receive maps one delivered payload to at most one reply
+// lock or runtime — receive maps one delivered message to at most one reply
 // — so whoever delivers to it decides how messages travel and how access is
 // serialized.
 type replica struct {
@@ -54,64 +54,61 @@ type replica struct {
 	amnesiac bool             // durable state lost; must rejoin by state sync
 }
 
-// receive processes one delivered request and returns the reply it
-// externalizes, or nil when the payload wants none or the replica abstains.
-// An amnesiac replica abstains from every quorum-bearing exchange (votes,
-// acknowledged applies, heartbeats, histogram gossip) while still passively
-// adopting newer state. Every reply is preceded by the store's sync
-// barrier: nothing derived from the copy leaves the site before it is
-// durable.
-func (r *replica) receive(p payload) payload {
-	switch b := p.(type) {
-	case voteRequest:
+// receive processes one delivered request and writes the reply it
+// externalizes into reply, which the transport owns (a queue slot, so the
+// reply is built where it travels from); reply.tag 0 is no reply — the
+// request wants none or the replica abstains. An amnesiac replica abstains
+// from every quorum-bearing exchange (votes, acknowledged applies,
+// heartbeats, histogram gossip) while still passively adopting newer state.
+// Every reply is preceded by the store's sync barrier: nothing derived from
+// the copy leaves the site before it is durable.
+func (r *replica) receive(m, reply *msg) {
+	*reply = msg{}
+	switch m.tag {
+	case tagVoteRequest:
 		if r.amnesiac {
-			return nil // its reply could cover a committed write through the copy that forgot it
+			return // its reply could cover a committed write through the copy that forgot it
 		}
 		r.syncStore()
-		return voteReply{from: r.id, votes: r.votes, value: r.value, stamp: r.stamp,
-			version: r.version, assign: r.assign}
-	case syncState:
-		if r.adopt(copyState{b.value, b.stamp, b.version, b.assign}) {
+		reply.tag, reply.from, reply.votes = tagVoteReply, int32(r.id), int32(r.votes)
+		reply.setCopy(r.copyState)
+	case tagSyncState, tagInstallAssign:
+		if r.adopt(m.copy()) {
 			r.persistState()
 		}
-		if b.votesSeen > 0 {
-			r.observe(b.votesSeen)
+		if m.votesSeen > 0 { // a syncState's; an installAssign carries none
+			r.observe(int(m.votesSeen))
 		}
-	case applyWrite:
-		if b.stamp > r.stamp {
-			r.stamp, r.value = b.stamp, b.value
+	case tagApplyWrite:
+		if m.stamp > r.stamp {
+			r.stamp, r.value = m.stamp, m.value
 			r.persistState()
 		}
-		if b.wantAck && !r.amnesiac { // an amnesiac ack must not count toward a write quorum
+		if m.wantAck && !r.amnesiac { // an amnesiac ack must not count toward a write quorum
 			r.syncStore()
-			return applyAck{from: r.id, stamp: r.stamp}
+			reply.tag, reply.from, reply.stamp = tagApplyAck, int32(r.id), r.stamp
 		}
-	case installAssign:
-		if r.adopt(copyState{b.value, b.stamp, b.version, b.assign}) {
-			r.persistState()
-		}
-	case histRequest:
+	case tagHistRequest:
 		if r.amnesiac {
-			return nil // no trustworthy observations to gossip
+			return // no trustworthy observations to gossip
 		}
-		var weights []float64
+		reply.tag, reply.from = tagHistReply, int32(r.id)
 		if r.hist != nil {
-			weights = make([]float64, r.bins)
-			for v := range weights {
-				weights[v] = r.hist.Weight(v)
+			reply.weights = make([]float64, r.bins)
+			for v := range reply.weights {
+				reply.weights[v] = r.hist.Weight(v)
 			}
 		}
-		return histReply{from: r.id, weights: weights}
-	case heartbeat:
+	case tagHeartbeat:
 		if r.amnesiac {
-			return nil // silent until readmitted; peers accrue a miss
+			return // silent until readmitted; peers accrue a miss
 		}
 		r.syncStore()
-		return heartbeatAck{from: r.id, seq: b.seq, votes: r.votes, version: r.version}
+		reply.tag, reply.from, reply.seq = tagHeartbeatAck, int32(r.id), m.seq
+		reply.votes, reply.version = int32(r.votes), r.version
 	default:
-		panic(fmt.Sprintf("cluster: unknown payload %T", p))
+		panic(fmt.Sprintf("cluster: replica received message tag %d", m.tag))
 	}
-	return nil
 }
 
 // observe records one vote-total observation for the §4.2 estimator.

@@ -23,43 +23,43 @@ func TestReplicaReceive(t *testing.T) {
 
 	cases := []struct {
 		name           string
-		in             payload
-		full           payload   // a full member's reply (nil: none); an amnesiac always stays silent
+		in             msg
+		full           msg       // a full member's reply (tag 0: none); an amnesiac always stays silent
 		after          copyState // the copy afterwards, on either kind of member
 		appends, syncs int64     // on a full member; an amnesiac's disk is never touched
 		observed       int       // vote total recorded for the §4.2 estimator, 0 for none
 	}{
-		{name: "voteRequest", in: voteRequest{op: OpWrite},
-			full:  voteReply{from: 1, votes: 2, value: 10, stamp: 3, version: 2, assign: old},
+		{name: "voteRequest", in: msg{tag: tagVoteRequest, op: OpWrite},
+			full:  msg{tag: tagVoteReply, from: 1, votes: 2, value: 10, stamp: 3, version: 2, qr: 2, qw: 4},
 			after: start, syncs: 1},
-		{name: "syncState newer", in: syncState{value: 20, stamp: 4, version: 3, assign: newer, votesSeen: 4},
+		{name: "syncState newer", in: msg{tag: tagSyncState, value: 20, stamp: 4, version: 3, qr: 1, qw: 5, votesSeen: 4},
 			after: pushed, appends: 2, observed: 4},
-		{name: "syncState stale", in: syncState{value: 9, stamp: 2, version: 1, assign: newer},
+		{name: "syncState stale", in: msg{tag: tagSyncState, value: 9, stamp: 2, version: 1, qr: 1, qw: 5},
 			after: start},
-		{name: "applyWrite", in: applyWrite{value: 20, stamp: 4},
+		{name: "applyWrite", in: msg{tag: tagApplyWrite, value: 20, stamp: 4},
 			after: applied, appends: 1},
-		{name: "applyWrite stale", in: applyWrite{value: 9, stamp: 3},
+		{name: "applyWrite stale", in: msg{tag: tagApplyWrite, value: 9, stamp: 3},
 			after: start},
-		{name: "applyWrite wantAck", in: applyWrite{value: 20, stamp: 4, wantAck: true},
-			full:  applyAck{from: 1, stamp: 4},
+		{name: "applyWrite wantAck", in: msg{tag: tagApplyWrite, value: 20, stamp: 4, wantAck: true},
+			full:  msg{tag: tagApplyAck, from: 1, stamp: 4},
 			after: applied, appends: 1, syncs: 1},
-		{name: "applyWrite wantAck duplicate", in: applyWrite{value: 10, stamp: 3, wantAck: true},
-			full:  applyAck{from: 1, stamp: 3},
+		{name: "applyWrite wantAck duplicate", in: msg{tag: tagApplyWrite, value: 10, stamp: 3, wantAck: true},
+			full:  msg{tag: tagApplyAck, from: 1, stamp: 3},
 			after: start, syncs: 1},
-		{name: "installAssign", in: installAssign{assign: newer, version: 3, value: 20, stamp: 4},
+		{name: "installAssign", in: msg{tag: tagInstallAssign, qr: 1, qw: 5, version: 3, value: 20, stamp: 4},
 			after: pushed, appends: 1},
-		{name: "histRequest", in: histRequest{},
-			full:  histReply{from: 1, weights: []float64{0, 0, 0, 0, 0, 1}},
+		{name: "histRequest", in: msg{tag: tagHistRequest},
+			full:  msg{tag: tagHistReply, from: 1, weights: []float64{0, 0, 0, 0, 0, 1}},
 			after: start},
-		{name: "heartbeat", in: heartbeat{from: 0, seq: 7},
-			full:  heartbeatAck{from: 1, seq: 7, votes: 2, version: 2},
+		{name: "heartbeat", in: msg{tag: tagHeartbeat, from: 0, seq: 7},
+			full:  msg{tag: tagHeartbeatAck, from: 1, seq: 7, votes: 2, version: 2},
 			after: start, syncs: 1},
 	}
 	for _, tc := range cases {
 		for _, amnesiac := range []bool{false, true} {
 			name, want := tc.name+"/full", tc.full
 			if amnesiac {
-				name, want = tc.name+"/amnesiac", nil
+				name, want = tc.name+"/amnesiac", msg{}
 			}
 			t.Run(name, func(t *testing.T) {
 				disk := store.NewMemDisk()
@@ -69,7 +69,8 @@ func TestReplicaReceive(t *testing.T) {
 				r.amnesiac = amnesiac
 				before, bytesBefore := r.store.Counters(), disk.Dump()
 
-				if got := r.receive(tc.in); !reflect.DeepEqual(got, want) {
+				got := msg{tag: tagVoteReply, votes: 9, weights: []float64{1}} // a reused slot
+				if r.receive(&tc.in, &got); !reflect.DeepEqual(got, want) {
 					t.Fatalf("reply %#v, want %#v", got, want)
 				}
 				if r.copyState != tc.after {
@@ -108,5 +109,5 @@ func TestReplicaReceive(t *testing.T) {
 			t.Fatal("receive accepted a reply payload")
 		}
 	}()
-	(&replica{}).receive(voteReply{})
+	(&replica{}).receive(&msg{tag: tagVoteReply}, &msg{})
 }

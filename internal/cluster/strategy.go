@@ -101,28 +101,45 @@ func (s *strategyState) clear() {
 	s.mu.Unlock()
 }
 
-// armed reports whether the sampler is active and whether it is stale
-// against the coordinator's assignment version, along with the budget.
-func (s *strategyState) armed(nodeVersion int64) (budget int, stale, active bool) {
+// draw opens one attempt of the serving ladder under a single lock: it
+// accounts the redraw when a previous attempt failed, checks that the
+// sampler is armed and not stale against the coordinator's assignment
+// version, and samples a quorum (the RNG is shared). ok is false when the
+// caller must leave the ladder.
+func (s *strategyState) draw(write, redraw bool, nodeVersion int64) (q strategy.Quorum, budget int, stale, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sampler == nil {
-		return 0, false, false
+	if redraw {
+		s.counters.Resamples++
 	}
-	return s.budget, s.version != nodeVersion, true
+	switch {
+	case s.sampler == nil:
+		return nil, 0, false, false
+	case s.version != nodeVersion:
+		return nil, 0, true, false
+	case write:
+		return s.sampler.SampleWrite(s.src), s.budget, false, true
+	}
+	return s.sampler.SampleRead(s.src), s.budget, false, true
 }
 
-// sample draws one quorum under the lock (the RNG is shared).
-func (s *strategyState) sample(write bool) (strategy.Quorum, int64, bool) {
+// settle accounts how the ladder ended: with a sampled grant, or with a
+// fallback to the deterministic path (a stale one when the strategy no
+// longer matches the assignment in force).
+func (s *strategyState) settle(granted, write, stale bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sampler == nil {
-		return nil, 0, false
+	switch {
+	case !granted:
+		s.counters.Fallbacks++
+		if stale {
+			s.counters.StaleFallbacks++
+		}
+	case write:
+		s.counters.SampledWrites++
+	default:
+		s.counters.SampledReads++
 	}
-	if write {
-		return s.sampler.SampleWrite(s.src), s.version, true
-	}
-	return s.sampler.SampleRead(s.src), s.version, true
 }
 
 // bump applies one counter mutation under the lock.
@@ -313,63 +330,57 @@ func (k *coordinator) strategyResolve(x int, suspected []int) {
 // granted off a sampled quorum.
 func (k *coordinator) strategyServe(x int, write bool, value int64) (Outcome, bool) {
 	s := k.strat
-	budget, stale, active := s.armed(k.NodeVersion(x))
-	if !active {
-		return Outcome{}, false
-	}
-	if stale {
-		s.bump(func(ct *stats.StrategyCounters) { ct.StaleFallbacks++; ct.Fallbacks++ })
+	version := k.NodeVersion(x)
+	fallback := func(stale bool) (Outcome, bool) {
+		s.settle(false, write, stale)
 		k.obs.Inc(obs.CStrategyFallback)
 		return Outcome{}, false
 	}
-	for attempt := 1; attempt <= budget; attempt++ {
-		q, version, ok := s.sample(write)
+	for attempt := 1; ; attempt++ {
+		q, budget, stale, ok := s.draw(write, attempt > 1, version)
+		if stale {
+			return fallback(true)
+		}
 		if !ok {
 			return Outcome{}, false
 		}
-		out, granted, newer := k.strategyRound(x, q, version, write, value)
+		val, stamp, granted, newer := k.strategyRound(x, q, version, write, value)
 		if newer {
 			// A member answered from a newer assignment: the installed
 			// strategy no longer matches the thresholds in force.
-			s.bump(func(ct *stats.StrategyCounters) { ct.StaleFallbacks++; ct.Fallbacks++ })
-			k.obs.Inc(obs.CStrategyFallback)
-			return Outcome{}, false
+			return fallback(true)
 		}
 		if granted {
-			out.Attempts = attempt
+			s.settle(true, write, false)
 			if write {
-				s.bump(func(ct *stats.StrategyCounters) { ct.SampledWrites++ })
 				k.obs.Inc(obs.CStrategyWrite)
 			} else {
-				s.bump(func(ct *stats.StrategyCounters) { ct.SampledReads++ })
 				k.obs.Inc(obs.CStrategyRead)
 			}
-			return out, true
+			return Outcome{Granted: true, Value: val, Stamp: stamp, Attempts: attempt}, true
 		}
-		if attempt < budget {
+		if attempt >= budget {
 			// The final failed attempt is the fallback, not a redraw.
-			s.bump(func(ct *stats.StrategyCounters) { ct.Resamples++ })
-			k.obs.Inc(obs.CStrategyResample)
+			return fallback(false)
 		}
+		k.obs.Inc(obs.CStrategyResample) // counted by the next draw
 	}
-	s.bump(func(ct *stats.StrategyCounters) { ct.Fallbacks++ })
-	k.obs.Inc(obs.CStrategyFallback)
-	return Outcome{}, false
 }
 
 // strategyRound probes exactly the members of one sampled quorum from
-// coordinator x and grants iff every member answered; a member that is
-// down, partitioned away or amnesiac counts as unanswered. newer reports
+// coordinator x and grants — returning the value read or written and its
+// stamp — iff every member answered; a member that is down, partitioned
+// away or amnesiac counts as unanswered. newer reports
 // that a reply carried an assignment version beyond the installed one
 // (adopted into x before returning). The round never feeds the §4.2
 // estimator: its sync push carries votesSeen 0.
-func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, write bool, value int64) (out Outcome, granted, newer bool) {
+func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, write bool, value int64) (val, stamp int64, granted, newer bool) {
 	op := OpRead
 	if write {
 		op = OpWrite
 	}
 	k.obs.Add(obs.CStrategyProbe, int64(len(q)))
-	replies, _ := k.tr.exchange(x, q, voteRequest{op: op})
+	replies, _ := k.tr.exchange(x, q, msg{tag: tagVoteRequest, op: op})
 
 	_, eff := k.view(x)
 	missing := len(q) // members yet to answer; x, when sampled, answers itself
@@ -378,15 +389,10 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 			missing--
 		}
 	}
-	seen := make(map[int]bool, len(q))
-	for _, p := range replies {
-		r := p.(voteReply)
-		if seen[r.from] {
-			continue
-		}
-		seen[r.from] = true
-		missing--
-		eff.adopt(r.copy())
+	replies = k.dedup(replies)
+	missing -= len(replies)
+	for i := range replies {
+		eff.adopt(replies[i].copy())
 	}
 	if eff.version > version {
 		self := k.tr.lock(x)
@@ -394,10 +400,10 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 			self.persistState()
 		}
 		k.tr.unlock(x)
-		return Outcome{}, false, true
+		return 0, 0, false, true
 	}
 	if missing > 0 {
-		return Outcome{}, false, false // unreachable member: redraw
+		return 0, 0, false, false // unreachable member: redraw
 	}
 
 	if !write {
@@ -407,12 +413,11 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 		}
 		self.syncStore()
 		k.tr.unlock(x)
-		k.tr.post(x, q, syncState{value: eff.value, stamp: eff.stamp,
-			version: eff.version, assign: eff.assign, votesSeen: 0})
-		return Outcome{Granted: true, Value: eff.value, Stamp: eff.stamp}, true, false
+		k.tr.post(x, q, stateMsg(tagSyncState, eff))
+		return eff.value, eff.stamp, true, false
 	}
-	stamp := eff.stamp + 1
+	stamp = eff.stamp + 1
 	k.applyLocal(x, value, stamp)
-	k.tr.post(x, q, applyWrite{value: value, stamp: stamp})
-	return Outcome{Granted: true, Value: value, Stamp: stamp}, true, false
+	k.tr.post(x, q, msg{tag: tagApplyWrite, value: value, stamp: stamp})
+	return value, stamp, true, false
 }

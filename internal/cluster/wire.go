@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 
-	"quorumkit/internal/quorum"
+	"quorumkit/internal/faults"
 )
 
 // Binary wire format for the protocol messages. The deterministic runtime
-// does not need serialization (payloads are delivered in-process), but a
+// does not need serialization (messages are delivered in-process), but a
 // deployable implementation does; the codec here is exercised on every
 // delivered message when wire mode is enabled, so the protocol tests also
 // certify the encoding.
@@ -32,253 +32,197 @@ const (
 	tagHeartbeatAck
 )
 
-// marshalPayload encodes a payload to bytes.
-func marshalPayload(p payload) ([]byte, error) {
-	switch b := p.(type) {
-	case voteRequest:
-		return []byte{tagVoteRequest, byte(b.op)}, nil
-	case voteReply:
-		buf := make([]byte, 0, 1+4+4+8+8+8+4+4)
-		buf = append(buf, tagVoteReply)
-		buf = appendU32(buf, uint32(b.from))
-		buf = appendU32(buf, uint32(b.votes))
-		buf = appendI64(buf, b.value)
-		buf = appendI64(buf, b.stamp)
-		buf = appendI64(buf, b.version)
-		buf = appendU32(buf, uint32(b.assign.QR))
-		buf = appendU32(buf, uint32(b.assign.QW))
-		return buf, nil
-	case syncState:
-		buf := make([]byte, 0, 1+8+8+8+4+4+4)
-		buf = append(buf, tagSyncState)
-		buf = appendI64(buf, b.value)
-		buf = appendI64(buf, b.stamp)
-		buf = appendI64(buf, b.version)
-		buf = appendU32(buf, uint32(b.assign.QR))
-		buf = appendU32(buf, uint32(b.assign.QW))
-		buf = appendU32(buf, uint32(b.votesSeen))
-		return buf, nil
-	case histRequest:
-		return []byte{tagHistRequest}, nil
-	case histReply:
-		buf := make([]byte, 0, 1+4+4+8*len(b.weights))
-		buf = append(buf, tagHistReply)
-		buf = appendU32(buf, uint32(b.from))
-		buf = appendU32(buf, uint32(len(b.weights)))
-		for _, w := range b.weights {
-			buf = appendI64(buf, int64(math.Float64bits(w)))
+// kinds describes each message kind by tag: its name in errors, the size of
+// its fixed-length body, its fault-decision stage, and the kind it is
+// answered with (0: none).
+var kinds = [...]struct {
+	name  string
+	size  int
+	stage uint8
+	reply byte
+}{
+	tagVoteRequest:   {"voteRequest", 1, faults.StageVoteRequest, tagVoteReply},
+	tagVoteReply:     {"voteReply", 4 + 4 + 8 + 8 + 8 + 4 + 4, faults.StageVoteReply, 0},
+	tagSyncState:     {"syncState", 8 + 8 + 8 + 4 + 4 + 4, faults.StageSync, 0},
+	tagApplyWrite:    {"applyWrite", 8 + 8 + 1, faults.StageApply, tagApplyAck},
+	tagInstallAssign: {"installAssign", 4 + 4 + 8 + 8 + 8, faults.StageInstall, 0},
+	tagHistRequest:   {"histRequest", 0, faults.StageHistRequest, tagHistReply},
+	tagHistReply:     {"histReply", 4 + 4, faults.StageHistReply, 0}, // plus 8 per weight
+	tagApplyAck:      {"applyAck", 4 + 8, faults.StageApplyAck, 0},
+	tagHeartbeat:     {"heartbeat", 4 + 8, faults.StageHeartbeat, tagHeartbeatAck},
+	tagHeartbeatAck:  {"heartbeatAck", 4 + 8 + 4 + 8, faults.StageHeartbeatAck, 0},
+}
+
+// stageOf maps a message tag to its fault-decision stage.
+func stageOf(tag byte) uint8 {
+	if tag == 0 || int(tag) >= len(kinds) {
+		panic(fmt.Sprintf("cluster: unknown message tag %d", tag))
+	}
+	return kinds[tag].stage
+}
+
+// replyStage is the fault-decision stage of the reply a request is
+// answered with: it keys the decision of the return leg.
+func replyStage(req byte) uint8 {
+	stageOf(req)
+	if kinds[req].reply == 0 {
+		panic("cluster: exchange of a " + kinds[req].name + ", which has no reply")
+	}
+	return kinds[kinds[req].reply].stage
+}
+
+// appendMsg appends the encoding of m to buf.
+func appendMsg(buf []byte, m *msg) ([]byte, error) {
+	le := binary.LittleEndian
+	buf = append(buf, m.tag)
+	switch m.tag {
+	case tagVoteRequest:
+		buf = append(buf, byte(m.op))
+	case tagVoteReply:
+		buf = le.AppendUint32(buf, uint32(m.from))
+		buf = le.AppendUint32(buf, uint32(m.votes))
+		buf = le.AppendUint64(buf, uint64(m.value))
+		buf = le.AppendUint64(buf, uint64(m.stamp))
+		buf = le.AppendUint64(buf, uint64(m.version))
+		buf = le.AppendUint32(buf, uint32(m.qr))
+		buf = le.AppendUint32(buf, uint32(m.qw))
+	case tagSyncState:
+		buf = le.AppendUint64(buf, uint64(m.value))
+		buf = le.AppendUint64(buf, uint64(m.stamp))
+		buf = le.AppendUint64(buf, uint64(m.version))
+		buf = le.AppendUint32(buf, uint32(m.qr))
+		buf = le.AppendUint32(buf, uint32(m.qw))
+		buf = le.AppendUint32(buf, uint32(m.votesSeen))
+	case tagHistRequest:
+	case tagHistReply:
+		buf = le.AppendUint32(buf, uint32(m.from))
+		buf = le.AppendUint32(buf, uint32(len(m.weights)))
+		for _, w := range m.weights {
+			buf = le.AppendUint64(buf, math.Float64bits(w))
 		}
-		return buf, nil
-	case applyWrite:
-		buf := make([]byte, 0, 1+8+8+1)
-		buf = append(buf, tagApplyWrite)
-		buf = appendI64(buf, b.value)
-		buf = appendI64(buf, b.stamp)
-		if b.wantAck {
+	case tagApplyWrite:
+		buf = le.AppendUint64(buf, uint64(m.value))
+		buf = le.AppendUint64(buf, uint64(m.stamp))
+		if m.wantAck {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-		return buf, nil
-	case applyAck:
-		buf := make([]byte, 0, 1+4+8)
-		buf = append(buf, tagApplyAck)
-		buf = appendU32(buf, uint32(b.from))
-		buf = appendI64(buf, b.stamp)
-		return buf, nil
-	case heartbeat:
-		buf := make([]byte, 0, 1+4+8)
-		buf = append(buf, tagHeartbeat)
-		buf = appendU32(buf, uint32(b.from))
-		buf = appendI64(buf, b.seq)
-		return buf, nil
-	case heartbeatAck:
-		buf := make([]byte, 0, 1+4+8+4+8)
-		buf = append(buf, tagHeartbeatAck)
-		buf = appendU32(buf, uint32(b.from))
-		buf = appendI64(buf, b.seq)
-		buf = appendU32(buf, uint32(b.votes))
-		buf = appendI64(buf, b.version)
-		return buf, nil
-	case installAssign:
-		buf := make([]byte, 0, 1+4+4+8+8+8)
-		buf = append(buf, tagInstallAssign)
-		buf = appendU32(buf, uint32(b.assign.QR))
-		buf = appendU32(buf, uint32(b.assign.QW))
-		buf = appendI64(buf, b.version)
-		buf = appendI64(buf, b.value)
-		buf = appendI64(buf, b.stamp)
-		return buf, nil
+	case tagApplyAck:
+		buf = le.AppendUint32(buf, uint32(m.from))
+		buf = le.AppendUint64(buf, uint64(m.stamp))
+	case tagHeartbeat:
+		buf = le.AppendUint32(buf, uint32(m.from))
+		buf = le.AppendUint64(buf, uint64(m.seq))
+	case tagHeartbeatAck:
+		buf = le.AppendUint32(buf, uint32(m.from))
+		buf = le.AppendUint64(buf, uint64(m.seq))
+		buf = le.AppendUint32(buf, uint32(m.votes))
+		buf = le.AppendUint64(buf, uint64(m.version))
+	case tagInstallAssign:
+		buf = le.AppendUint32(buf, uint32(m.qr))
+		buf = le.AppendUint32(buf, uint32(m.qw))
+		buf = le.AppendUint64(buf, uint64(m.version))
+		buf = le.AppendUint64(buf, uint64(m.value))
+		buf = le.AppendUint64(buf, uint64(m.stamp))
 	default:
-		return nil, fmt.Errorf("cluster: cannot marshal %T", p)
+		return nil, fmt.Errorf("cluster: cannot marshal message tag %d", m.tag)
 	}
+	return buf, nil
 }
 
-// unmarshalPayload decodes bytes produced by marshalPayload. Every field
-// read is bounds-checked; a short or oversized buffer yields a wrapped
-// error naming the message tag, never a panic. Decoding is canonical: a
-// buffer that decodes successfully re-encodes to the same bytes.
-func unmarshalPayload(data []byte) (payload, error) {
+// errShortBuffer reports a message body shorter than its kind's fields.
+var errShortBuffer = errors.New("short buffer")
+
+// decodeMsg decodes bytes produced by appendMsg into m, which it zeroes
+// first: a field the kind does not carry never survives from the previous
+// use of the struct. The body length is checked against the kind's before
+// any field is read; a short or oversized buffer yields a wrapped error
+// naming the message kind, never a panic. Decoding is canonical: a buffer
+// that decodes successfully re-encodes to the same bytes. The histogram of a
+// histReply is copied out of data, which the caller may reuse.
+func decodeMsg(data []byte, m *msg) error {
+	*m = msg{}
 	if len(data) == 0 {
-		return nil, fmt.Errorf("cluster: empty message")
+		return errors.New("cluster: empty message")
 	}
-	d := decoder{buf: data[1:]}
-	switch data[0] {
+	tag, b := data[0], data[1:]
+	if tag == 0 || int(tag) >= len(kinds) {
+		return fmt.Errorf("cluster: unknown message tag %d", tag)
+	}
+	k := &kinds[tag]
+	fail := func(err error) error { return fmt.Errorf("cluster: decode %s: %w", k.name, err) }
+	if len(b) < k.size {
+		return fail(errShortBuffer)
+	}
+	m.tag = tag
+	want := k.size
+	le := binary.LittleEndian
+	switch tag {
 	case tagVoteRequest:
-		op := d.u8()
-		return d.finish("voteRequest", voteRequest{op: OpKind(op)})
+		m.op = OpKind(b[0])
 	case tagVoteReply:
-		v := voteReply{
-			from:  int(d.u32()),
-			votes: int(d.u32()),
-			value: d.i64(),
-			stamp: d.i64(),
-		}
-		v.version = d.i64()
-		v.assign = quorum.Assignment{QR: int(d.u32()), QW: int(d.u32())}
-		return d.finish("voteReply", v)
+		m.from, m.votes = int32(le.Uint32(b)), int32(le.Uint32(b[4:]))
+		m.value, m.stamp, m.version = int64(le.Uint64(b[8:])), int64(le.Uint64(b[16:])), int64(le.Uint64(b[24:]))
+		m.qr, m.qw = int32(le.Uint32(b[32:])), int32(le.Uint32(b[36:]))
 	case tagSyncState:
-		s := syncState{value: d.i64(), stamp: d.i64(), version: d.i64()}
-		s.assign = quorum.Assignment{QR: int(d.u32()), QW: int(d.u32())}
-		s.votesSeen = int(d.u32())
-		return d.finish("syncState", s)
+		m.value, m.stamp, m.version = int64(le.Uint64(b)), int64(le.Uint64(b[8:])), int64(le.Uint64(b[16:]))
+		m.qr, m.qw, m.votesSeen = int32(le.Uint32(b[24:])), int32(le.Uint32(b[28:])), int32(le.Uint32(b[32:]))
 	case tagHistRequest:
-		return d.finish("histRequest", histRequest{})
 	case tagHistReply:
-		h := histReply{from: int(d.u32())}
-		count := d.u32()
-		if d.err != nil {
-			return d.finish("histReply", nil)
-		}
+		m.from = int32(le.Uint32(b))
+		count := le.Uint32(b[4:])
 		if count > 1<<20 {
-			return nil, fmt.Errorf("cluster: decode histReply: histogram too large (%d bins)", count)
+			return fail(fmt.Errorf("histogram too large (%d bins)", count))
 		}
 		// Check the remaining length before allocating, so a forged count
 		// cannot demand a large allocation backed by a short buffer.
-		if uint64(len(d.buf)) < 8*uint64(count) {
-			d.err = errShortBuffer
-			return d.finish("histReply", nil)
+		want += 8 * int(count)
+		if len(b) < want {
+			return fail(errShortBuffer)
 		}
 		if count > 0 {
-			h.weights = make([]float64, count)
-			for i := range h.weights {
-				h.weights[i] = math.Float64frombits(uint64(d.i64()))
+			m.weights = make([]float64, count)
+			for i := range m.weights {
+				m.weights[i] = math.Float64frombits(le.Uint64(b[8+8*i:]))
 			}
 		}
-		return d.finish("histReply", h)
 	case tagApplyWrite:
-		a := applyWrite{value: d.i64(), stamp: d.i64()}
-		wa := d.u8()
-		if d.err == nil && wa > 1 {
-			return nil, fmt.Errorf("cluster: decode applyWrite: invalid wantAck byte %d", wa)
+		m.value, m.stamp = int64(le.Uint64(b)), int64(le.Uint64(b[8:]))
+		if b[16] > 1 {
+			return fail(fmt.Errorf("invalid wantAck byte %d", b[16]))
 		}
-		a.wantAck = wa == 1
-		return d.finish("applyWrite", a)
+		m.wantAck = b[16] == 1
 	case tagApplyAck:
-		a := applyAck{from: int(d.u32()), stamp: d.i64()}
-		return d.finish("applyAck", a)
+		m.from, m.stamp = int32(le.Uint32(b)), int64(le.Uint64(b[4:]))
 	case tagHeartbeat:
-		h := heartbeat{from: int(d.u32()), seq: d.i64()}
-		return d.finish("heartbeat", h)
+		m.from, m.seq = int32(le.Uint32(b)), int64(le.Uint64(b[4:]))
 	case tagHeartbeatAck:
-		h := heartbeatAck{from: int(d.u32()), seq: d.i64()}
-		h.votes = int(d.u32())
-		h.version = d.i64()
-		return d.finish("heartbeatAck", h)
+		m.from, m.seq = int32(le.Uint32(b)), int64(le.Uint64(b[4:]))
+		m.votes, m.version = int32(le.Uint32(b[12:])), int64(le.Uint64(b[16:]))
 	case tagInstallAssign:
-		i := installAssign{}
-		i.assign = quorum.Assignment{QR: int(d.u32()), QW: int(d.u32())}
-		i.version = d.i64()
-		i.value = d.i64()
-		i.stamp = d.i64()
-		return d.finish("installAssign", i)
-	default:
-		return nil, fmt.Errorf("cluster: unknown message tag %d", data[0])
+		m.qr, m.qw = int32(le.Uint32(b)), int32(le.Uint32(b[4:]))
+		m.version, m.value, m.stamp = int64(le.Uint64(b[8:])), int64(le.Uint64(b[16:])), int64(le.Uint64(b[24:]))
 	}
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, v)
-}
-
-func appendI64(buf []byte, v int64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, uint64(v))
-}
-
-// errShortBuffer reports a field read past the end of the message body.
-var errShortBuffer = errors.New("short buffer")
-
-// decoder is a bounds-checked cursor over a message body.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-// finish wraps any field-read error with the message tag name and rejects
-// trailing bytes, so every accepted buffer is a canonical encoding.
-func (d *decoder) finish(tag string, p payload) (payload, error) {
-	if d.err != nil {
-		return nil, fmt.Errorf("cluster: decode %s: %w", tag, d.err)
+	if len(b) != want {
+		return fail(fmt.Errorf("%d trailing bytes", len(b)-want))
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("cluster: decode %s: %d trailing bytes", tag, len(d.buf))
-	}
-	return p, nil
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.err = errShortBuffer
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 4 {
-		d.err = errShortBuffer
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *decoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.err = errShortBuffer
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
+	return nil
 }
 
 // SetWireMode makes the cluster round-trip every delivered message through
 // the binary codec, so protocol runs exercise serialization end to end.
 func (c *Cluster) SetWireMode(on bool) { c.wireMode = on }
 
-// roundTrip encodes and decodes a payload, panicking on any mismatch —
-// a codec bug must not silently corrupt a protocol run.
-func roundTrip(p payload) payload {
-	data, err := marshalPayload(p)
+// roundTrip encodes m into the cluster's wire buffer and decodes it back in
+// place, panicking on any error — a codec bug must not silently corrupt a
+// protocol run.
+func (c *Cluster) roundTrip(m *msg) {
+	var err error
+	if c.wire, err = appendMsg(c.wire[:0], m); err == nil {
+		err = decodeMsg(c.wire, m)
+	}
 	if err != nil {
 		panic(err)
 	}
-	out, err := unmarshalPayload(data)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,26 +13,87 @@ import (
 )
 
 func TestCodecRoundTripAll(t *testing.T) {
-	payloads := []payload{
-		voteRequest{op: OpWrite},
-		voteReply{from: 7, votes: 3, value: -42, stamp: 99, version: 5,
-			assign: quorum.Assignment{QR: 28, QW: 74}},
-		syncState{value: 1, stamp: 2, version: 3,
-			assign: quorum.Assignment{QR: 1, QW: 101}, votesSeen: 64},
-		applyWrite{value: -1, stamp: 1 << 40},
-		applyWrite{value: 12, stamp: 34, wantAck: true},
-		applyAck{from: 6, stamp: 1<<40 + 3},
-		installAssign{assign: quorum.Assignment{QR: 50, QW: 52}, version: 9, value: 4, stamp: 8},
-		histRequest{},
-		histReply{from: 3, weights: []float64{0, 1.5, 0, 2.25}},
-		histReply{from: 5}, // empty histogram
-		heartbeat{from: 4, seq: 1<<40 + 7},
-		heartbeatAck{from: 8, seq: 1<<40 + 7, votes: 3, version: 12},
+	payloads := []msg{
+		{tag: tagVoteRequest, op: OpWrite},
+		{tag: tagVoteReply, from: 7, votes: 3, value: -42, stamp: 99, version: 5, qr: 28, qw: 74},
+		{tag: tagSyncState, value: 1, stamp: 2, version: 3, qr: 1, qw: 101, votesSeen: 64},
+		{tag: tagApplyWrite, value: -1, stamp: 1 << 40},
+		{tag: tagApplyWrite, value: 12, stamp: 34, wantAck: true},
+		{tag: tagApplyAck, from: 6, stamp: 1<<40 + 3},
+		{tag: tagInstallAssign, qr: 50, qw: 52, version: 9, value: 4, stamp: 8},
+		{tag: tagHistRequest},
+		{tag: tagHistReply, from: 3, weights: []float64{0, 1.5, 0, 2.25}},
+		{tag: tagHistReply, from: 5}, // empty histogram
+		{tag: tagHeartbeat, from: 4, seq: 1<<40 + 7},
+		{tag: tagHeartbeatAck, from: 8, seq: 1<<40 + 7, votes: 3, version: 12},
 	}
 	for _, p := range payloads {
 		got := roundTrip(p)
 		if !reflect.DeepEqual(got, p) {
 			t.Fatalf("round trip changed %#v to %#v", p, got)
+		}
+	}
+}
+
+// marshalPayload, unmarshalPayload and roundTrip are the by-value faces of
+// the codec the tests and the fuzz target drive; the runtime itself encodes
+// into a reused buffer and decodes in place (Cluster.roundTrip).
+func marshalPayload(m msg) ([]byte, error) { return appendMsg(nil, &m) }
+
+func unmarshalPayload(data []byte) (m msg, err error) {
+	err = decodeMsg(data, &m)
+	return m, err
+}
+
+func roundTrip(m msg) msg {
+	out, err := unmarshalPayload(mustMarshal(m))
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestWireFormatPinned holds the byte format still: one message of each of
+// the ten kinds against the encoding the boxed-payload codec (before the one
+// in-place msg) produced for it, so "the format did not change" is a test
+// and not a promise. The committed fuzz corpus pins the same bytes from the
+// decoding side.
+func TestWireFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		m   msg
+		hex string
+	}{
+		{msg{tag: tagVoteRequest, op: OpWrite}, "0101"},
+		{msg{tag: tagVoteReply, from: 7, votes: 3, value: -42, stamp: 99, version: 5, qr: 28, qw: 74},
+			"020700000003000000d6ffffffffffffff630000000000000005000000000000001c0000004a000000"},
+		{msg{tag: tagSyncState, value: 1, stamp: 2, version: 3, qr: 1, qw: 101, votesSeen: 64},
+			"03010000000000000002000000000000000300000000000000010000006500000040000000"},
+		{msg{tag: tagApplyWrite, value: 12, stamp: 1<<40 + 34, wantAck: true}, "040c00000000000000220000000001000001"},
+		{msg{tag: tagInstallAssign, qr: 50, qw: 52, version: 9, value: 4, stamp: 8},
+			"053200000034000000090000000000000004000000000000000800000000000000"},
+		{msg{tag: tagHistRequest}, "06"},
+		{msg{tag: tagHistReply, from: 3, weights: []float64{0, 1.5, 2.25}},
+			"0703000000030000000000000000000000000000000000f83f0000000000000240"},
+		{msg{tag: tagApplyAck, from: 6, stamp: 1<<40 + 3}, "08060000000300000000010000"},
+		{msg{tag: tagHeartbeat, from: 4, seq: 1<<40 + 7}, "09040000000700000000010000"},
+		{msg{tag: tagHeartbeatAck, from: 8, seq: 1<<40 + 7, votes: 3, version: 12},
+			"0a080000000700000000010000030000000c00000000000000"},
+	} {
+		want, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Into a non-empty buffer: appendMsg must append, not overwrite.
+		got, err := appendMsg([]byte{0xee}, &tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
+			t.Errorf("%s encodes as %x, want %s", kinds[tc.m.tag].name, got[1:], tc.hex)
+		}
+		if len(want) != 1+kinds[tc.m.tag].size+8*len(tc.m.weights) {
+			t.Errorf("%s: the kinds table says %d body bytes, the wire has %d",
+				kinds[tc.m.tag].name, kinds[tc.m.tag].size, len(want)-1)
 		}
 	}
 }
@@ -53,9 +115,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		{tagHeartbeat},         // truncated body
 		{tagHeartbeat, 1, 2},   // still truncated
 		{tagHeartbeatAck, 1},   // truncated body
-		append(mustMarshal(applyAck{from: 1, stamp: 2}), 0xff), // trailing bytes
-		append(mustMarshal(heartbeat{from: 1, seq: 2}), 0),     // trailing bytes
-		append(mustMarshal(heartbeatAck{from: 1, seq: 2, votes: 1, version: 3}), 7),
+		append(mustMarshal(msg{tag: tagApplyAck, from: 1, stamp: 2}), 0xff), // trailing bytes
+		append(mustMarshal(msg{tag: tagHeartbeat, from: 1, seq: 2}), 0),     // trailing bytes
+		append(mustMarshal(msg{tag: tagHeartbeatAck, from: 1, seq: 2, votes: 1, version: 3}), 7),
 		// histReply whose bin count promises far more data than the buffer
 		// holds: must be rejected before the weights allocation.
 		{tagHistReply, 1, 0, 0, 0, 0xff, 0xff, 0x0f, 0, 1, 2, 3},
@@ -66,7 +128,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-func mustMarshal(p payload) []byte {
+func mustMarshal(p msg) []byte {
 	data, err := marshalPayload(p)
 	if err != nil {
 		panic(err)
@@ -98,9 +160,10 @@ func TestDecodeErrorsNameTag(t *testing.T) {
 }
 
 func TestMarshalUnknownPayload(t *testing.T) {
-	type bogus struct{ payload }
-	if _, err := marshalPayload(bogus{}); err == nil {
-		t.Fatal("unknown payload marshaled")
+	for _, tag := range []byte{0, tagHeartbeatAck + 1, 0xff} {
+		if _, err := marshalPayload(msg{tag: tag}); err == nil {
+			t.Fatalf("unknown message tag %d marshaled", tag)
+		}
 	}
 }
 
@@ -172,19 +235,17 @@ func TestWireModeProtocolEquivalence(t *testing.T) {
 // comparison (rather than DeepEqual) also covers NaN histogram weights,
 // which round-trip bit-exactly.
 func FuzzUnmarshalPayload(f *testing.F) {
-	seeds := []payload{
-		voteRequest{op: OpWrite},
-		voteReply{from: 1, votes: 2, value: 3, stamp: 4, version: 5,
-			assign: quorum.Assignment{QR: 1, QW: 5}},
-		syncState{value: 1, stamp: 2, version: 3,
-			assign: quorum.Assignment{QR: 2, QW: 6}, votesSeen: 7},
-		applyWrite{value: -9, stamp: 11, wantAck: true},
-		applyAck{from: 3, stamp: 17},
-		installAssign{assign: quorum.Assignment{QR: 3, QW: 5}, version: 2, value: 1, stamp: 6},
-		histRequest{},
-		histReply{from: 2, weights: []float64{0, 1.5, 2.25}},
-		heartbeat{from: 5, seq: 42},
-		heartbeatAck{from: 6, seq: 42, votes: 2, version: 9},
+	seeds := []msg{
+		{tag: tagVoteRequest, op: OpWrite},
+		{tag: tagVoteReply, from: 1, votes: 2, value: 3, stamp: 4, version: 5, qr: 1, qw: 5},
+		{tag: tagSyncState, value: 1, stamp: 2, version: 3, qr: 2, qw: 6, votesSeen: 7},
+		{tag: tagApplyWrite, value: -9, stamp: 11, wantAck: true},
+		{tag: tagApplyAck, from: 3, stamp: 17},
+		{tag: tagInstallAssign, qr: 3, qw: 5, version: 2, value: 1, stamp: 6},
+		{tag: tagHistRequest},
+		{tag: tagHistReply, from: 2, weights: []float64{0, 1.5, 2.25}},
+		{tag: tagHeartbeat, from: 5, seq: 42},
+		{tag: tagHeartbeatAck, from: 6, seq: 42, votes: 2, version: 9},
 	}
 	for _, p := range seeds {
 		f.Add(mustMarshal(p))
@@ -217,11 +278,13 @@ func FuzzUnmarshalPayload(f *testing.F) {
 	})
 }
 
+// BenchmarkCodecVoteReply is the codec as the runtime drives it: encode
+// into the reused buffer, decode in place.
 func BenchmarkCodecVoteReply(b *testing.B) {
-	p := voteReply{from: 7, votes: 3, value: -42, stamp: 99, version: 5,
-		assign: quorum.Assignment{QR: 28, QW: 74}}
+	c := &Cluster{}
+	p := msg{tag: tagVoteReply, from: 7, votes: 3, value: -42, stamp: 99, version: 5, qr: 28, qw: 74}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = roundTrip(p)
+		c.roundTrip(&p)
 	}
 }
