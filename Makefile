@@ -17,7 +17,7 @@ SUITE = strategy adversary strategy-adversity gray weights
 
 .PHONY: check vet build test race $(COVER) \
 	fuzz chaos diskchaos soak hedge weights strategy study \
-	bench bench-solver bench-serve e2e e2e-smoke gate gate-update
+	bench bench-solver bench-serve e2e e2e-smoke gate gate-update loc
 
 check: vet build test race $(COVER)
 
@@ -112,6 +112,15 @@ gate:
 gate-update:
 	@set -e; for s in $(SUITE); do f=BENCH_$$(echo $$s | tr - _).json; \
 		$(GO) run ./cmd/quorumsim suite $$s -seed 1 -out $$f; done
+
+# The one definition of "lines of code" (ROADMAP: net non-test line count
+# goes down): non-blank, non-comment lines of *.go minus *_test.go, for the
+# protocol package, the CLIs, and the repository outside bench/.
+LOC = xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+loc:
+	@printf 'internal/cluster      %6d\n' $$(find internal/cluster -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'cmd/                  %6d\n' $$(find cmd -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'repo outside bench/   %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | $(LOC))
 
 # Hedged-read demo: the slow-replica scenario unhedged vs hedged.
 hedge:

@@ -10,19 +10,10 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-// clusterRuntime is what the chaos and churn harnesses drive; both the
-// deterministic Cluster and the concurrent Async implement it.
-type clusterRuntime interface {
-	cluster.ChaosRuntime
-	cluster.SoakRuntime
-	EnableChaos(*faults.Plan, cluster.RetryPolicy)
-	EnableDiskChaos(*faults.DiskPlan)
-}
-
 // newRuntime builds a fresh runtime over g at the majority assignment. The
 // caller must call stop when done: the async runtime holds one goroutine
 // per site until then.
-func newRuntime(g *graph.Graph, async bool) (rt clusterRuntime, stop func(), err error) {
+func newRuntime(g *graph.Graph, async bool) (rt cluster.Runtime, stop func(), err error) {
 	st := graph.NewState(g, nil)
 	if async {
 		a, err := cluster.NewAsync(st, quorum.Majority(g.N()))

@@ -29,23 +29,32 @@ func soakHealth(alpha float64) cluster.HealthConfig {
 	return cfg
 }
 
-// soakOnce runs one soak on a fresh ring runtime, observed through sink.
-// On the deterministic runtime with the daemon on it is the reproducible
-// slice of what churn runs, which is what the golden artifact tests pin
-// down.
-func soakOnce(sink *obsSink, async, daemon bool, seed uint64, ops, sites int, alpha float64) (*cluster.SoakRun, error) {
-	g := graph.Ring(sites)
-	rt, stop, err := newRuntime(g, async)
-	if err != nil {
-		return nil, err
+// soakOnce replays the soak scenario on a fresh ring runtime, observed
+// through sink. On the deterministic runtime with the daemon on it is the
+// reproducible slice of what churn runs, which is what the golden artifact
+// tests pin down.
+func soakOnce(sink *obsSink, async, daemon bool, seed uint64, ops, sites int, alpha float64) (*cluster.AdversaryRun, error) {
+	return replay(cluster.SoakScenario(seed, ops, sites, graph.Ring(sites).M(), alpha,
+		soakChurn(), daemon, soakHealth(alpha)), async, sink)
+}
+
+// soakLine is the churn report's one line per run: what the soak asks of a
+// run (availability, post-heal recovery, convergence, 1SR), not the regret
+// accounting AdversaryRun.String leads with.
+func soakLine(r *cluster.AdversaryRun) string {
+	verdict := "1SR OK"
+	if r.ViolationErr != nil {
+		verdict = "VIOLATION: " + r.ViolationErr.Error()
 	}
-	defer stop()
-	sink.attach(rt)
-	return cluster.RunSoak(rt, cluster.SoakConfig{
-		Seed: seed, Steps: ops, Sites: sites, Links: g.M(),
-		Alpha: alpha, Churn: soakChurn(),
-		Daemon: daemon, Health: soakHealth(alpha),
-	}), nil
+	conv := "converged"
+	if !r.Converged {
+		conv = "DIVERGED " + fmt.Sprint(r.FinalVersions)
+	}
+	return fmt.Sprintf(
+		"churn %d ops %.3f avail (%d/%d reads, %d/%d writes, %d degraded-fastfail, %d site / %d link events, %d amnesias); settle %d ops %.3f avail; %s; %s",
+		r.Ops, r.Availability(), r.GrantedReads, r.Reads, r.GrantedWrites, r.Writes,
+		r.DegradedRejects, r.SiteEvents, r.LinkEvents, r.Amnesias,
+		r.SettleOps, r.SettleAvailability(), conv, verdict)
 }
 
 // runChurn runs the churn soak for both runtimes over several seeds, daemon
@@ -61,7 +70,7 @@ func runChurn(seeds, ops, sites int, alpha float64, baseSeed uint64, sink *obsSi
 		perSeedOK := true
 		for s := 0; s < seeds; s++ {
 			seed := baseSeed + uint64(s)
-			var runs [2]*cluster.SoakRun
+			var runs [2]*cluster.AdversaryRun
 			for i, daemon := range []bool{false, true} {
 				var err error
 				if runs[i], err = soakOnce(sink, rtName == "async", daemon, seed, ops, sites, alpha); err != nil {
@@ -70,11 +79,15 @@ func runChurn(seeds, ops, sites int, alpha float64, baseSeed uint64, sink *obsSi
 				}
 			}
 			off, on := runs[0], runs[1]
-			fmt.Printf("runtime=%-13s seed=%d daemon=off %v\n", rtName, seed, off)
-			fmt.Printf("runtime=%-13s seed=%d daemon=on  %v\n", rtName, seed, on)
+			fmt.Printf("runtime=%-13s seed=%d daemon=off %s\n", rtName, seed, soakLine(off))
+			fmt.Printf("runtime=%-13s seed=%d daemon=on  %s\n", rtName, seed, soakLine(on))
 			fmt.Printf("  health: %v\n", on.Health)
 			if off.ViolationErr != nil || on.ViolationErr != nil {
 				fmt.Printf("  FAIL: one-copy serializability violated\n")
+				status = 1
+			}
+			if n := off.MinorityWrites + on.MinorityWrites; n > 0 {
+				fmt.Printf("  FAIL: %d writes granted from a minority of votes\n", n)
 				status = 1
 			}
 			if !on.Converged {

@@ -183,13 +183,25 @@ func TestCommandTable(t *testing.T) {
 		{"suite -seed 1", 2, "missing <name>"},
 		{"suite gray extra", 2, `unexpected argument "extra"`},
 		{"measure -qr many", 2, "invalid value"},
+		// Numbers no constructor accepts are usage errors, not panics.
+		{"churn -sites 2", 2, "-sites must be at least 3"},
+		{"churn -sites 0", 2, "-sites must be at least 3"},
+		{"churn -alpha 7", 2, "-alpha must be in [0, 1]"},
+		{"churn -seeds 0", 2, "-seeds must be at least 1"},
+		{"churn -ops 0", 2, "-ops must be at least 1"},
+		{"chaos -sites 0", 2, "-sites must be at least 2"},
+		{"hedge -steps 0", 2, "-steps must be at least 2"},
+		{"suite gray -steps -5", 2, "-steps must be 0 or at least 2"},
+		{"weightcheck -sites 1", 2, "-sites must be at least 2"},
+		{"measure -topology 99", 2, "-topology must be one of the paper's chord counts"},
+		{"measure -alpha 7", 2, "-alpha must be in [0, 1]"},
 	} {
 		var stderr bytes.Buffer
 		if status := run(strings.Fields(tc.args), &stderr); status != tc.status || !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("quorumsim %s: exit %d, want %d with %q on stderr:\n%s", tc.args, status, tc.status, tc.stderr, &stderr)
 		}
-		if !strings.Contains(stderr.String(), "usage: quorumsim") {
-			t.Errorf("quorumsim %s: no usage on stderr:\n%s", tc.args, &stderr)
+		if !strings.Contains(stderr.String(), "usage: quorumsim") || strings.Contains(stderr.String(), "goroutine") {
+			t.Errorf("quorumsim %s: no usage, or a stack trace, on stderr:\n%s", tc.args, &stderr)
 		}
 	}
 	var list bytes.Buffer

@@ -130,7 +130,7 @@ func runHedgeDemo(steps int, seed uint64, sink *obsSink) int {
 	for _, m := range hedgeModes {
 		cfg := sc.cfg
 		m.apply(&cfg)
-		run, err := replay(cfg, sink)
+		run, err := replay(cfg, false, sink)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

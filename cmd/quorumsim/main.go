@@ -89,7 +89,39 @@ type command struct {
 	name    string
 	operand string // name of the one positional argument, "" for none
 	summary string
-	bind    func(fs *flag.FlagSet) func(env) int
+	bind    func(fs *flagSet) func(env) int
+}
+
+// flagSet is a flag.FlagSet whose flags may declare the range their value
+// must lie in. parse checks the ranges after parsing, so a number no
+// constructor below accepts is a usage error and nothing runs.
+type flagSet struct {
+	*flag.FlagSet
+	checks []func() error
+}
+
+// check adds a condition on the parsed values.
+func (fs *flagSet) check(ok func() bool, format string, args ...any) {
+	fs.checks = append(fs.checks, func() error {
+		if ok() {
+			return nil
+		}
+		return fmt.Errorf(format, args...)
+	})
+}
+
+// intMin is fs.Int for a flag whose value must be at least min.
+func (fs *flagSet) intMin(name string, value, min int, usage string) *int {
+	p := fs.Int(name, value, usage)
+	fs.check(func() bool { return *p >= min }, "-%s must be at least %d", name, min)
+	return p
+}
+
+// fraction is fs.Float64 for a flag whose value must lie in [0, 1].
+func (fs *flagSet) fraction(name string, value float64, usage string) *float64 {
+	p := fs.Float64(name, value, usage)
+	fs.check(func() bool { return *p >= 0 && *p <= 1 }, "-%s must be in [0, 1]", name)
+	return p
 }
 
 var commands = []command{
@@ -143,19 +175,26 @@ func parse(args []string, stderr io.Writer) (func() int, int) {
 		}
 	}
 
-	fs := flag.NewFlagSet("quorumsim "+cmd.name, flag.ContinueOnError)
+	fs := &flagSet{FlagSet: flag.NewFlagSet("quorumsim "+cmd.name, flag.ContinueOnError)}
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: quorumsim %s [flags]\n  %s\n", synopsis, cmd.summary)
 		fs.PrintDefaults()
 	}
 	bound := cmd.bind(fs)
-	newEnv := sharedFlags(fs)
-	switch err := fs.Parse(args); {
+	newEnv := sharedFlags(fs.FlagSet)
+	err := fs.Parse(args)
+	for i := 0; err == nil && i < len(fs.checks); i++ {
+		if err = fs.checks[i](); err != nil {
+			fmt.Fprintln(stderr, err)
+			fs.Usage()
+		}
+	}
+	switch {
 	case err == flag.ErrHelp:
 		return nil, 0
 	case err != nil:
-		return nil, 2 // fs has printed the error and the usage
+		return nil, 2 // the error and the usage are printed
 	case fs.NArg() > 0:
 		fmt.Fprintf(stderr, "unexpected argument %q\n", fs.Arg(0))
 	case cmd.operand != "" && operand == "":
@@ -213,12 +252,14 @@ func batchFlags(fs *flag.FlagSet) func(env) sim.StudyConfig {
 	}
 }
 
-func bindMeasure(fs *flag.FlagSet) func(env) int {
+func bindMeasure(fs *flagSet) func(env) int {
 	topology := fs.Int("topology", 0, "chord count (0,1,2,4,16,256,4949)")
+	fs.check(func() bool { return slices.Contains(topo.ChordCounts, *topology) },
+		"-topology must be one of the paper's chord counts %v", topo.ChordCounts)
 	qr := fs.Int("qr", 50, "read quorum; write quorum is T−q_r+1")
-	alpha := fs.Float64("alpha", 0.75, "fraction of accesses that are reads")
+	alpha := fs.fraction("alpha", 0.75, "fraction of accesses that are reads")
 	paper := fs.Bool("paper", false, "use the paper's full batch sizes (overrides the batching flags)")
-	batching := batchFlags(fs)
+	batching := batchFlags(fs.FlagSet)
 	return func(e env) int {
 		cfg := batching(e)
 		if *paper {
@@ -229,47 +270,48 @@ func bindMeasure(fs *flag.FlagSet) func(env) int {
 	}
 }
 
-func bindStudy(fs *flag.FlagSet) func(env) int {
+func bindStudy(fs *flagSet) func(env) int {
 	sites := fs.Int("sites", 101, "ring size")
 	chords := fs.String("chords", "", "comma-separated chord counts (empty = the paper's axis)")
 	alphas := fs.String("alphas", "", "comma-separated read fractions (empty = the paper's levels)")
 	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS); results are identical for every value")
-	batching := batchFlags(fs)
+	batching := batchFlags(fs.FlagSet)
 	return func(e env) int { return runStudy(*sites, *parallel, *chords, *alphas, batching(e)) }
 }
 
-func bindChaos(fs *flag.FlagSet) func(env) int {
+func bindChaos(fs *flagSet) func(env) int {
 	mix := fs.String("mix", "", "message fault mix, or 'all' (one of: "+strings.Join(faults.Names(), " ")+"; default all, or crash under -disk)")
 	disk := fs.String("disk", "", "layer this disk fault mix, or 'all', under the one message mix (one of: "+strings.Join(faults.DiskNames(), " ")+")")
-	ops := fs.Int("ops", 2000, "scheduled operations per run")
-	sites := fs.Int("sites", 7, "sites in the cluster (complete graph)")
+	ops := fs.intMin("ops", 2000, 1, "scheduled operations per run")
+	sites := fs.intMin("sites", 7, 2, "sites in the cluster (complete graph)")
 	async := fs.Bool("async", false, "use the concurrent runtime")
 	return func(e env) int { return runChaos(*mix, *disk, *ops, *sites, e.seed, *async, e.sink) }
 }
 
-func bindChurn(fs *flag.FlagSet) func(env) int {
-	seeds := fs.Int("seeds", 3, "seeds per configuration")
-	ops := fs.Int("ops", 4000, "churn-phase operations per run")
-	sites := fs.Int("sites", 9, "ring size")
-	alpha := fs.Float64("alpha", 0.9, "fraction of accesses that are reads")
+func bindChurn(fs *flagSet) func(env) int {
+	seeds := fs.intMin("seeds", 3, 1, "seeds per configuration")
+	ops := fs.intMin("ops", 4000, 1, "churn-phase operations per run")
+	sites := fs.intMin("sites", 9, 3, "ring size")
+	alpha := fs.fraction("alpha", 0.9, "fraction of accesses that are reads")
 	return func(e env) int { return runChurn(*seeds, *ops, *sites, *alpha, e.seed, e.sink) }
 }
 
-func bindSuite(fs *flag.FlagSet) func(env) int {
+func bindSuite(fs *flagSet) func(env) int {
 	out := fs.String("out", "", "write the suite's rows to this JSON file")
 	baseline := fs.String("baseline", "", "gate the rows against this committed BENCH_*.json (same suite, seed and steps)")
 	steps := fs.Int("steps", 0, "steps per scenario run of a regret suite (0 = the suite's default, which its baseline was run at)")
+	fs.check(func() bool { return *steps == 0 || *steps >= minSteps }, "-steps must be 0 or at least %d", minSteps)
 	return func(e env) int { return runSuite(e.operand, *out, *baseline, *steps, e.seed, e.sink) }
 }
 
-func bindWeightCheck(fs *flag.FlagSet) func(env) int {
-	sites := fs.Int("sites", 9, "star size")
-	alpha := fs.Float64("alpha", 0.75, "fraction of accesses that are reads")
+func bindWeightCheck(fs *flagSet) func(env) int {
+	sites := fs.intMin("sites", 9, 2, "star size")
+	alpha := fs.fraction("alpha", 0.75, "fraction of accesses that are reads")
 	return func(e env) int { return runWeightCheck(*sites, *alpha, e.seed) }
 }
 
-func bindHedge(fs *flag.FlagSet) func(env) int {
-	steps := fs.Int("steps", graySteps, "steps of the scenario run")
+func bindHedge(fs *flagSet) func(env) int {
+	steps := fs.intMin("steps", graySteps, minSteps, "steps of the scenario run")
 	return func(e env) int { return runHedgeDemo(*steps, e.seed, e.sink) }
 }
 

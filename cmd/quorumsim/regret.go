@@ -55,8 +55,13 @@ type regretSuite struct {
 // not real regressions.
 const regretTolerance = 0.02
 
-// graySteps is the gray suite's (and hedge's) default run length.
-const graySteps = 2000
+// graySteps is the gray suite's (and hedge's) default run length. minSteps
+// is the shortest run a scenario can be built for: the storm scenarios cut
+// during the first 3/4 of the run, and that window must not be empty.
+const (
+	graySteps = 2000
+	minSteps  = 2
+)
 
 // hedgeRatio is the required tail win on a hedge scenario: hedged p99 at
 // or below this fraction of the unhedged p99 (a ≥20% improvement).
@@ -173,13 +178,15 @@ func strategyAdvSeed(alpha float64) (strategy.Strategy, error) {
 	return res.Strategy, nil
 }
 
-// replay runs one scenario config on a fresh deterministic ring.
-func replay(cfg cluster.AdversaryConfig, sink *obsSink) (*cluster.AdversaryRun, error) {
+// replay runs one scenario config on a fresh ring runtime — every suite and
+// the churn soak go through here — observed through sink.
+func replay(cfg cluster.AdversaryConfig, async bool, sink *obsSink) (*cluster.AdversaryRun, error) {
 	g := graph.Ring(cfg.Sites)
-	rt, err := cluster.New(graph.NewState(g, nil), quorum.Majority(cfg.Sites))
+	rt, stop, err := newRuntime(g, async)
 	if err != nil {
 		return nil, err
 	}
+	defer stop()
 	sink.attach(rt)
 	return cluster.RunAdversary(rt, graph.NewState(g, nil), cfg), nil
 }
@@ -207,7 +214,7 @@ func (s regretSuite) run(name string, steps int, seed uint64, sink *obsSink) (fi
 		for i, m := range modes {
 			cfg := sc.cfg
 			m.apply(&cfg)
-			run, err := replay(cfg, sink)
+			run, err := replay(cfg, false, sink)
 			if err != nil {
 				return file, false, err
 			}

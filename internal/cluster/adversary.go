@@ -7,7 +7,6 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/history"
 	"quorumkit/internal/obs"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 	"quorumkit/internal/sim"
 	"quorumkit/internal/stats"
@@ -15,9 +14,13 @@ import (
 	"quorumkit/internal/workload"
 )
 
-// Adversarial scenario harness: replay one seeded scenario — partition
-// storms, correlated regional failures, a nonstationary workload — against
-// a runtime and measure its cumulative regret against an epoch oracle.
+// Scenario driver: replay one seeded scenario — site and link churn,
+// amnesiac repairs, partition storms, correlated regional failures, gray
+// slowness, a nonstationary workload — against a runtime, and answer two
+// questions about the one run: did the self-healing loop stay live (1SR,
+// version convergence and availability recovered after healing — the churn
+// soak, SoakScenario), and how far did it fall short of the best it could
+// have done (cumulative regret against an epoch oracle).
 //
 // The oracle is the paper's optimizer re-run with hindsight: each epoch,
 // an EpochTally records the realized read fraction and the empirical
@@ -26,8 +29,12 @@ import (
 // the optimizer could have installed for exactly that epoch. The gap
 // between that and the realized grant rate, weighted by the epoch's
 // operation count and summed, is the run's regret. Because the scenario is
-// pure in the seed, a daemon-on and a daemon-off run replay the identical
-// stimulus, so "self-healing lowers regret" is a like-for-like comparison.
+// pure in the seed — churn events from the churn seed, amnesia from its own
+// stream, the operation schedule from the schedule's streams, daemon sweeps
+// at fixed step indices consuming no randomness — a daemon-on and a
+// daemon-off run, both runtimes and repeated runs all replay the identical
+// stimulus, so "self-healing raises availability" and "lowers regret" are
+// like-for-like comparisons.
 //
 // The mirror graph.State tracks the true topology (the runtime's own view
 // is what is being judged, so it cannot also be the referee): churn events
@@ -39,42 +46,10 @@ import (
 // forked timeline, so it is counted (and must stay zero — Validate forces
 // every write quorum to a strict majority).
 
-// AdversaryRuntime is the surface the adversary harness drives: the soak
-// serving surface plus the partition transport. Both runtimes implement it.
-type AdversaryRuntime interface {
-	SoakRuntime
-	EnablePartitions(ps *faults.PartitionSchedule)
-	SetPartitionTime(t int64)
-	PartitionDrops() int64
-	Observer() *obs.Registry
-}
-
-// GrayRuntime extends AdversaryRuntime with the gray-failure surface:
-// latency schedules, hedged reads, and the local-assignment getter the
-// adaptive adversary targets. Both runtimes implement it.
-type GrayRuntime interface {
-	AdversaryRuntime
-	EnableGrayLatency(ls *faults.LatencySchedule)
-	ConfigureHedge(on bool, k float64)
-	ServeReadGray(x int) (Outcome, GrayReadStats)
-	HedgeStats() (probes, wins int64)
-	NodeAssignment(x int) quorum.Assignment
-}
-
-// StrategyRuntime extends AdversaryRuntime with the randomized-strategy
-// serving surface (see strategy.go). Both runtimes implement it.
-type StrategyRuntime interface {
-	AdversaryRuntime
-	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
-	ClearStrategy()
-	StrategyCounters() stats.StrategyCounters
-	NodeAssignment(x int) quorum.Assignment
-}
-
-// AdversaryConfig parameterizes one adversarial scenario replay.
+// AdversaryConfig parameterizes one scenario replay.
 type AdversaryConfig struct {
 	Seed  uint64
-	Steps int // churn-phase steps (each draws a Poisson batch of ops)
+	Steps int // churn-phase steps (each serves one batch of the schedule's ops)
 	Sites int // must match the runtime's and mirror's topology
 	Links int
 
@@ -91,13 +66,23 @@ type AdversaryConfig struct {
 	Churn      faults.ChurnConfig
 	Partitions *faults.PartitionSchedule
 
+	// AmnesiaFraction is the probability that a site repaired by churn comes
+	// back with wiped storage (a replaced machine) and must rejoin by state
+	// transfer. Zero (the default) consumes no randomness, so schedules of
+	// amnesia-free configs are unchanged. It composes with every other
+	// field: partitions, gray latency and installed strategies included. The
+	// mirror tracks topology only, and an amnesiac peer is reachable but
+	// silent until readmitted: its votes still count as reachable (the
+	// oracle overstates, the minority-write tripwire stays sound) and a
+	// suspicion raised against it counts in FalsePositives.
+	AmnesiaFraction float64
+
 	// Latency (optional) is the gray slowdown timetable, keyed by the same
 	// step clock as Partitions. Adaptive (optional) is an adversary whose
 	// next move is a function of the installed assignment and suspicion
 	// set; its cuts append to Partitions and its slowdowns to Latency at
 	// step boundaries, so it requires the deterministic runtime (the
 	// concurrent one consults both schedules from delivery goroutines).
-	// Any gray feature requires rt to implement GrayRuntime.
 	Latency  *faults.LatencySchedule
 	Adaptive faults.AdaptiveAdversary
 
@@ -111,16 +96,16 @@ type AdversaryConfig struct {
 	// Strategy (optional) is a randomized quorum strategy installed before
 	// the scenario starts, served through the sampled-quorum ladder with
 	// resample budget StrategyBudget (default 3) and sampling seed
-	// StrategySeed. Requires rt to implement StrategyRuntime. With Daemon
-	// and Health.Strategy.Enabled set, the daemon re-solves it on suspicion
-	// edges; without, the strategy is frozen and version drift disarms it.
+	// StrategySeed. With Daemon and Health.Strategy.Enabled set, the daemon
+	// re-solves it on suspicion edges; without, the strategy is frozen and
+	// version drift disarms it.
 	Strategy       *strategy.Strategy
 	StrategyBudget int
 	StrategySeed   uint64
 
 	// Daemon enables self-healing, swept every DaemonEvery steps. When
-	// false the run is the static baseline the regret comparison judges
-	// against.
+	// false the run is the static baseline the availability and regret
+	// comparisons judge against.
 	Daemon      bool
 	DaemonEvery int
 	Health      HealthConfig
@@ -130,6 +115,11 @@ type AdversaryConfig struct {
 
 	// SettleSteps is the post-heal measurement window (default Steps/10).
 	SettleSteps int
+
+	// schedule builds the run's operation stream; nil means poissonOps. It is
+	// the one thing SoakScenario changes, and not an option: a scenario is
+	// either the soak (soakOps) or it is not.
+	schedule func(AdversaryConfig) opSchedule
 }
 
 // normalized fills defaults.
@@ -146,6 +136,9 @@ func (cfg AdversaryConfig) normalized() AdversaryConfig {
 	if cfg.EpochSteps < 1 {
 		cfg.EpochSteps = 50
 	}
+	if cfg.schedule == nil {
+		cfg.schedule = poissonOps
+	}
 	if cfg.SettleSteps < 1 {
 		cfg.SettleSteps = cfg.Steps / 10
 		if cfg.SettleSteps < 1 {
@@ -153,6 +146,58 @@ func (cfg AdversaryConfig) normalized() AdversaryConfig {
 		}
 	}
 	return cfg
+}
+
+// opSchedule is a scenario's operation stream, drawn purely from the seed
+// and never from outcomes: how many operations churn step t serves (a
+// settle step always serves one), and each operation's coordinator and kind.
+type opSchedule struct {
+	batch func(t float64) int
+	next  func(t float64) (site int, read bool)
+}
+
+// poissonOps is the default stream: the coordinator from seed^0xad5e, the
+// kind from a workload.Generator on seed^0x9ead following α(t), and a
+// Poisson batch size from seed^0xf1a5 following the rate pattern.
+func poissonOps(cfg AdversaryConfig) opSchedule {
+	src := rng.New(cfg.Seed ^ 0xad5e)
+	gen := workload.NewGenerator(cfg.Workload, cfg.Seed^0x9ead)
+	arrivals := workload.NewArrivals(cfg.Rate, cfg.MeanOpsPerStep, cfg.Seed^0xf1a5)
+	return opSchedule{
+		batch: arrivals.At,
+		next:  func(t float64) (int, bool) { return src.Intn(cfg.Sites), gen.IsRead(t) },
+	}
+}
+
+// soakOps is the churn soak's stream: exactly one operation a step, its
+// coordinator and then its kind drawn interleaved from seed^0x50ac.
+func soakOps(cfg AdversaryConfig) opSchedule {
+	src := rng.New(cfg.Seed ^ 0x50ac)
+	return opSchedule{
+		batch: func(float64) int { return 1 },
+		next: func(t float64) (int, bool) {
+			site := src.Intn(cfg.Sites)
+			return site, src.Float64() < cfg.Workload.Alpha(t)
+		},
+	}
+}
+
+// SoakScenario is the churn soak as a scenario: steps serving-layer
+// operations at read fraction alpha, one per step, while seeded renewal
+// processes fail and repair sites and links, with the self-healing daemon
+// (optionally) sweeping in the background. The caller asserts the liveness
+// properties the daemon promises on the returned run — Converged,
+// SettleAvailability back at the healed-topology optimum, Availability at
+// or above the daemon-off replay of the same config — on top of
+// ViolationErr == nil and MinorityWrites == 0. Set AmnesiaFraction (or any
+// other field) on the result to compose.
+func SoakScenario(seed uint64, steps, sites, links int, alpha float64, churn faults.ChurnConfig, daemon bool, health HealthConfig) AdversaryConfig {
+	return AdversaryConfig{
+		Seed: seed, Steps: steps, Sites: sites, Links: links,
+		Workload: workload.Constant(alpha), Churn: churn,
+		Daemon: daemon, Health: health,
+		schedule: soakOps,
+	}
 }
 
 // EpochStat is one closed oracle epoch.
@@ -182,6 +227,7 @@ type AdversaryRun struct {
 	Writes, GrantedWrites  int
 	DegradedRejects        int
 	SiteEvents, LinkEvents int
+	Amnesias               int // repairs that came back with wiped storage
 	PartitionDrops         int64
 
 	Epochs    []EpochStat
@@ -267,68 +313,61 @@ func (r *AdversaryRun) String() string {
 		r.SettleOps, r.SettleAvailability(), conv, verdict)
 }
 
-// RunAdversary replays one adversarial scenario against rt, which must
-// have been built on a fresh topology matching cfg.Sites/cfg.Links. The
-// mirror must be a fresh all-up graph.State over the same topology and
-// votes; the harness owns it for the duration of the run. The phases:
+// RunAdversary replays one scenario against rt, which must have been built
+// on a fresh topology matching cfg.Sites/cfg.Links. The mirror must be a
+// fresh all-up graph.State over the same topology and votes; the harness
+// owns it for the duration of the run. The phases:
 //
 //  1. Adversity: cfg.Steps steps. Each step advances the partition clock,
-//     applies the churn (and shock) events to runtime and mirror, sweeps
-//     the daemon on schedule, then serves a Poisson batch of operations
-//     whose kind follows α(t) and whose volume follows the rate pattern.
-//     Every operation feeds the history log and the epoch tally; every
-//     EpochSteps steps the epoch closes against the hindsight oracle.
+//     applies the churn (and shock) events to runtime and mirror — a
+//     repair wiping the site first with probability AmnesiaFraction —
+//     sweeps the daemon on schedule, then serves the schedule's batch of
+//     operations (by default Poisson in the rate pattern, kinds following
+//     α(t)). Every operation — including indeterminate residues — feeds
+//     the history log and the epoch tally; every EpochSteps steps the
+//     epoch closes against the hindsight oracle.
 //  2. Heal: the partition clock jumps past the schedule horizon, every
-//     site and link is repaired, and the daemon (when enabled) sweeps
-//     until its views recover.
+//     site and link is repaired, nodes still amnesiac are readmitted, and
+//     the daemon (when enabled) sweeps until its views recover.
 //  3. Settle: cfg.SettleSteps single-op steps on the healed topology, then
 //     per-node assignment versions are recorded for the convergence check.
 //
-// Safety (Log.Check, MinorityWrites == 0) is asserted by the caller.
-func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig) *AdversaryRun {
+// Safety (ViolationErr == nil, MinorityWrites == 0) is asserted by the
+// caller; liveness and regret are reported in the returned run.
+func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *AdversaryRun {
 	cfg = cfg.normalized()
 	if cfg.Daemon {
 		rt.EnableSelfHealing(cfg.Health)
 	}
 	grayOn := cfg.Latency != nil || cfg.Adaptive != nil || cfg.Hedge || cfg.RecordLatency
-	var gr GrayRuntime
 	if grayOn {
-		g, ok := rt.(GrayRuntime)
-		if !ok {
-			panic("cluster: gray scenario features require a GrayRuntime")
-		}
-		gr = g
 		if cfg.Latency == nil {
 			cfg.Latency = faults.NewLatencySchedule()
 		}
 		if cfg.Adaptive != nil && cfg.Partitions == nil {
 			cfg.Partitions = faults.NewPartitionSchedule()
 		}
-		gr.EnableGrayLatency(cfg.Latency)
-		gr.ConfigureHedge(cfg.Hedge, cfg.HedgeK)
+		rt.EnableGrayLatency(cfg.Latency)
+		rt.ConfigureHedge(cfg.Hedge, cfg.HedgeK)
 	}
 	if cfg.Partitions != nil {
 		rt.EnablePartitions(cfg.Partitions)
 	}
-	var srt StrategyRuntime
 	if cfg.Strategy != nil {
-		s, ok := rt.(StrategyRuntime)
-		if !ok {
-			panic("cluster: an installed strategy requires a StrategyRuntime")
-		}
-		srt = s
 		budget := cfg.StrategyBudget
 		if budget < 1 {
 			budget = 3
 		}
-		if err := srt.InstallStrategy(*cfg.Strategy, srt.NodeAssignment(0), rt.NodeVersion(0), budget, cfg.StrategySeed); err != nil {
+		if err := rt.InstallStrategy(*cfg.Strategy, rt.NodeAssignment(0), rt.NodeVersion(0), budget, cfg.StrategySeed); err != nil {
 			panic("cluster: install scenario strategy: " + err.Error())
 		}
 	}
 	churn := faults.NewChurn(cfg.Seed, cfg.Sites, cfg.Links, cfg.Churn)
-	src := rng.New(cfg.Seed ^ 0xad5e)
-	gen := workload.NewGenerator(cfg.Workload, cfg.Seed^0x9ead)
-	arrivals := workload.NewArrivals(cfg.Rate, cfg.MeanOpsPerStep, cfg.Seed^0xf1a5)
+	ops := cfg.schedule(cfg)
+	var amnesia *rng.Source
+	if cfg.AmnesiaFraction > 0 {
+		amnesia = rng.New(cfg.Seed ^ 0xa31e)
+	}
 	tally := sim.NewEpochTally(mirror.TotalVotes())
 	// Every valid write quorum satisfies 2·q_w > T, so a coordinator that
 	// can reach at most ⌊T/2⌋ votes must never get a write granted.
@@ -395,29 +434,24 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 
 	value := int64(0)
 	doOp := func(t float64, pt int64, settling bool) {
-		site := src.Intn(cfg.Sites)
-		read := gen.IsRead(t)
+		site, read := ops.next(t)
 		votes := reachable(site, pt)
 		var out Outcome
 		if read {
 			if grayOn && cfg.RecordLatency {
 				var gs GrayReadStats
-				out, gs = gr.ServeReadGray(site)
+				out, gs = rt.ServeReadGray(site)
 				if !settling && out.Granted && gs.Latency >= 0 {
 					run.ReadLatencies = append(run.ReadLatencies, gs.Latency)
 				}
 			} else {
 				out = rt.ServeRead(site)
 			}
-			run.Log.RecordRead(site, out.Granted, out.Value, out.Stamp, t)
 		} else {
 			value++
 			out = rt.ServeWrite(site, value)
-			for _, res := range out.Residue {
-				run.Log.RecordIndeterminateWrite(site, res.Value, res.Stamp, t)
-			}
-			run.Log.RecordWrite(site, out.Granted, value, out.Stamp, t)
 		}
+		record(run.Log, site, read, value, out, t)
 		if out.Err == ErrDegradedWrites || out.Err == ErrUnavailable {
 			run.DegradedRejects++
 		}
@@ -534,7 +568,7 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 				Votes:     make([]int, cfg.Sites),
 				Suspected: make([]bool, cfg.Sites),
 			}
-			asn := gr.NodeAssignment(best)
+			asn := rt.NodeAssignment(best)
 			view.QR, view.QW = asn.QR, asn.QW
 			for p := 0; p < cfg.Sites; p++ {
 				view.Votes[p] = mirror.Votes(p)
@@ -579,6 +613,13 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 				downSites[ev.Index] = true
 				run.SiteEvents++
 			case faults.SiteRepair:
+				if amnesia != nil && amnesia.Float64() < cfg.AmnesiaFraction {
+					// The machine came back blank: wipe before the repair so
+					// the node rejoins by state transfer, never with stale
+					// (here: vanished) state.
+					rt.WipeState(ev.Index)
+					run.Amnesias++
+				}
 				rt.RepairSite(ev.Index)
 				mirror.RepairSite(ev.Index)
 				downSites[ev.Index] = false
@@ -596,7 +637,7 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 		if cfg.Daemon && step%cfg.DaemonEvery == 0 {
 			daemonSweep(pt)
 		}
-		for n := arrivals.At(t); n > 0; n-- {
+		for n := ops.batch(t); n > 0; n-- {
 			doOp(t, pt, false)
 		}
 		if (step+1)%cfg.EpochSteps == 0 {
@@ -627,9 +668,26 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 		rt.RepairLink(l)
 		mirror.RepairLink(l)
 	}
+	// Readmit any node still amnesiac: with the topology healed a write
+	// quorum of full members is reachable, so each node needs at most one
+	// successful transfer; the bounded passes cover transfers racing the
+	// fault plan. Without amnesia every call is trivially true.
+	for pass := 0; pass <= cfg.Sites; pass++ {
+		all := true
+		for x := 0; x < cfg.Sites; x++ {
+			if !rt.TryRejoin(x) {
+				all = false
+			}
+		}
+		if all {
+			break
+		}
+	}
 	if cfg.Daemon {
-		// Bounded like the soak heal: SuspectAfter misses to suspect, one
-		// ack to clear, plus the cooldown before the convergence sweep.
+		// Sweep until every view is back to healthy — bounded by the number
+		// of sweeps it takes to unsuspect (SuspectAfter misses to suspect,
+		// one ack to clear) plus the cooldown before the convergence
+		// reassign/sync may run.
 		h := cfg.Health.normalize()
 		sweeps := h.SuspectAfter + int(h.CooldownTicks) + 4
 		for s := 0; s < sweeps; s++ {
@@ -656,11 +714,11 @@ func RunAdversary(rt AdversaryRuntime, mirror *graph.State, cfg AdversaryConfig)
 		}
 	}
 	run.Health = rt.HealthCounters()
-	if srt != nil {
-		run.Strategy = srt.StrategyCounters()
+	if cfg.Strategy != nil {
+		run.Strategy = rt.StrategyCounters()
 	}
 	if grayOn {
-		run.HedgeProbes, run.HedgeWins = gr.HedgeStats()
+		run.HedgeProbes, run.HedgeWins = rt.HedgeStats()
 	}
 	run.ViolationErr = run.Log.Check()
 	return run

@@ -260,3 +260,67 @@ func TestAdversaryAsyncRuntime(t *testing.T) {
 		t.Fatalf("diverged: %v", run.FinalVersions)
 	}
 }
+
+// TestAdversaryAmnesiaUnderStormWithStrategy is the combination the one
+// driver makes possible: amnesiac repairs (the fraction
+// TestSoakAmnesiaConvergence uses) under a partition storm with an f = 1
+// strategy installed and the daemon re-solving it, on both runtimes. Safety
+// must hold, every ingredient must actually bite, every wiped node must be
+// readmitted and converge after healing, and — the stimulus being pure in
+// the seed and the outcome a function of the delivered message set — the
+// two runtimes must tally identically.
+//
+// The storm ends at 3/4 of the run and the amnesia fraction is moderate for
+// the reason TestSoakAmnesiaConvergence gives: a majority of copies
+// amnesiac at once is terminal, and convergence is asserted here.
+func TestAdversaryAmnesiaUnderStormWithStrategy(t *testing.T) {
+	const steps = 1500
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg := advTestConfig(seed, steps, true)
+		cfg.AmnesiaFraction = 0.2
+		cfg.Health.Strategy = StrategyResolveConfig{Enabled: true}
+		cfg.Partitions = faults.Storm(seed, faults.StormConfig{
+			Sites: 9, Regions: advRegions(), Start: 0, End: steps * 3 / 4,
+			MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
+		})
+		st := advSeedStrategy(t)
+		cfg.Strategy = &st
+		cfg.StrategySeed = seed
+
+		det, mirror := newAdvCluster(t)
+		a, err := NewAsync(graph.NewState(graph.Ring(9), nil), quorum.Majority(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]*AdversaryRun{"deterministic": RunAdversary(det, mirror, cfg)}
+		runs["async"] = RunAdversary(a, graph.NewState(graph.Ring(9), nil), cfg)
+		a.Close()
+
+		for name, run := range runs {
+			if run.ViolationErr != nil {
+				t.Fatalf("seed %d %s: 1SR violated: %v", seed, name, run.ViolationErr)
+			}
+			if run.MinorityWrites != 0 {
+				t.Fatalf("seed %d %s: %d minority writes", seed, name, run.MinorityWrites)
+			}
+			if run.Amnesias == 0 || run.PartitionDrops == 0 || run.Strategy.SampledReads == 0 {
+				t.Fatalf("seed %d %s: scenario is vacuous: %d amnesias, %d partition drops, %+v",
+					seed, name, run.Amnesias, run.PartitionDrops, run.Strategy)
+			}
+			if !run.Converged {
+				t.Fatalf("seed %d %s: versions diverged after healing wiped nodes: %v",
+					seed, name, run.FinalVersions)
+			}
+		}
+		// Everything the driver tallies must agree, the history included.
+		// Partition-drop totals legitimately differ between the transports
+		// (partition.go): the concurrent one decides a reply leg's fate
+		// before the peer answers, so it counts a cut reply an abstaining
+		// amnesiac never sent.
+		d, as := runs["deterministic"], runs["async"]
+		as.PartitionDrops = d.PartitionDrops
+		if !reflect.DeepEqual(d, as) {
+			t.Fatalf("seed %d: runtimes diverge:\n det %v %+v\n asy %v %+v", seed, d, d.Strategy, as, as.Strategy)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
-	"quorumkit/internal/strategy"
 )
 
 // The two runtimes must leave bit-identical durable media when driven by
@@ -39,7 +38,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 	}
 	// lockstep applies each step to both runtimes and then requires every
 	// node's disk to match byte for byte, synced and unsynced.
-	lockstep := func(t *testing.T, c *Cluster, a *Async, steps int, step func(step int, rt parityRuntime)) {
+	lockstep := func(t *testing.T, c *Cluster, a *Async, steps int, step func(step int, rt Runtime)) {
 		for s := 0; s < steps; s++ {
 			step(s, c)
 			step(s, a)
@@ -81,7 +80,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 			}
 			plan := faults.NewPlan(4242, mix)
 			c, a := build(t)
-			for _, rt := range []parityRuntime{c, a} {
+			for _, rt := range []Runtime{c, a} {
 				rt.EnableChaos(plan, DefaultRetryPolicy())
 				rt.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
 			}
@@ -90,7 +89,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 			for i := range sched {
 				sched[i] = [3]int{src.Intn(100), src.Intn(n), src.Intn(1 << 30)}
 			}
-			lockstep(t, c, a, len(sched), func(step int, rt parityRuntime) {
+			lockstep(t, c, a, len(sched), func(step int, rt Runtime) {
 				for _, node := range rt.Crashed() {
 					if plan.RecoverNow(uint64(step), node) {
 						rt.Recover(node)
@@ -118,7 +117,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 
 	// Fault-free serving: every grant must leave the coordinator's own log
 	// as durable on one runtime as on the other.
-	serve := func(step int, rt parityRuntime) {
+	serve := func(step int, rt Runtime) {
 		if site := step % n; step%3 == 0 {
 			rt.ServeWrite(site, int64(step)+1)
 		} else {
@@ -131,7 +130,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 	})
 	t.Run("serve-strategy", func(t *testing.T) {
 		c, a := build(t)
-		for _, rt := range []parityRuntime{c, a} {
+		for _, rt := range []Runtime{c, a} {
 			if err := rt.InstallStrategy(handStrategy5(), quorum.Majority(n), rt.NodeVersion(0), 3, 7); err != nil {
 				t.Fatal(err)
 			}
@@ -141,16 +140,4 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 			t.Fatalf("strategy never served, or the ladders diverged: det %+v async %+v", c.StrategyCounters(), ct)
 		}
 	})
-}
-
-// parityRuntime is the surface the byte-parity lockstep drives on both
-// runtimes.
-type parityRuntime interface {
-	ChaosRuntime
-	EnableChaos(plan *faults.Plan, policy RetryPolicy)
-	EnableDiskChaos(plan *faults.DiskPlan)
-	ServeRead(x int) Outcome
-	ServeWrite(x int, value int64) Outcome
-	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
-	NodeVersion(x int) int64
 }

@@ -272,10 +272,10 @@ func TestSoakAmnesiaConvergence(t *testing.T) {
 
 		for _, rt := range []struct {
 			name string
-			mk   func() SoakRuntime
+			mk   func() Runtime
 		}{
-			{"deterministic", func() SoakRuntime { return newSoakCluster(t) }},
-			{"async", func() SoakRuntime {
+			{"deterministic", func() Runtime { return newSoakCluster(t) }},
+			{"async", func() Runtime {
 				a, err := NewAsync(graph.NewState(graph.Ring(9), nil), quorum.Majority(9))
 				if err != nil {
 					t.Fatal(err)
@@ -284,7 +284,7 @@ func TestSoakAmnesiaConvergence(t *testing.T) {
 				return a
 			}},
 		} {
-			run := RunSoak(rt.mk(), cfg)
+			run := runSoak(t, rt.mk(), cfg)
 			if run.ViolationErr != nil {
 				t.Fatalf("seed %d %s: 1SR violated: %v", seed, rt.name, run.ViolationErr)
 			}

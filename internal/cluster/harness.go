@@ -6,23 +6,74 @@ import (
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/history"
+	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 	"quorumkit/internal/stats"
+	"quorumkit/internal/strategy"
 )
 
-// ChaosRuntime is the operation surface the chaos harness drives. Both the
-// deterministic Cluster and the concurrent Async implement it.
-type ChaosRuntime interface {
+// SoakRuntime is the serving subset of Runtime: self-healing, the serving
+// ladder, topology events and amnesia. The name survives only because
+// bench/serve.go embeds it in its own "what a serving repetition needs"
+// interface. It is a subset Runtime embeds, not an alias of Runtime, so that
+// interface keeps asking for the serving surface alone and every method is
+// still declared exactly once.
+type SoakRuntime interface {
+	EnableSelfHealing(cfg HealthConfig)
+	ServeRead(x int) Outcome
+	ServeWrite(x int, value int64) Outcome
+	DaemonStep(x int) DaemonReport
+	Mode(x int) Mode
+	NodeVersion(x int) int64
+	HealthCounters() stats.HealthCounters
+	FailSite(i int)
+	RepairSite(i int)
+	FailLink(l int)
+	RepairLink(l int)
+	WipeState(x int)
+	TryRejoin(x int) bool
+	Amnesiac(x int) bool
+}
+
+// Runtime is the one surface the harnesses (RunChaos, RunAdversary, the
+// CLI and the cross-runtime tests) drive. Exactly two types implement it,
+// both in full: the deterministic Cluster and the concurrent Async.
+type Runtime interface {
+	SoakRuntime
+
+	// The fault-hardened protocol under a message and a disk fault plan.
+	EnableChaos(plan *faults.Plan, policy RetryPolicy)
+	EnableDiskChaos(plan *faults.DiskPlan)
 	ChaosRead(x int) Outcome
 	ChaosWrite(x int, value int64) Outcome
 	ChaosReassign(x int, a quorum.Assignment) Outcome
 	Recover(x int) bool
 	Crashed() []int
 	ChaosCounters() stats.ChaosCounters
-	FailLink(l int)
-	RepairLink(l int)
+
+	// The partition transport and the gray-latency clock it shares.
+	EnablePartitions(ps *faults.PartitionSchedule)
+	SetPartitionTime(t int64)
+	PartitionDrops() int64
+	EnableGrayLatency(ls *faults.LatencySchedule)
+	ConfigureHedge(on bool, k float64)
+	ServeReadGray(x int) (Outcome, GrayReadStats)
+	HedgeStats() (probes, wins int64)
+
+	// Randomized-strategy serving (strategy.go).
+	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
+	ClearStrategy()
+	StrategyCounters() stats.StrategyCounters
+	NodeAssignment(x int) quorum.Assignment
+
+	Observer() *obs.Registry
 }
+
+var (
+	_ Runtime = (*Cluster)(nil)
+	_ Runtime = (*Async)(nil)
+)
 
 // OpResult is one scheduled step's outcome in a comparable form: errors
 // are flattened to strings so two runs (or two runtimes) can be compared
@@ -70,7 +121,7 @@ type ChaosRun struct {
 // the amnesiac coordinator reissuing the stamp it has forgotten. A clean
 // recovery instead forgets the tracking entry — the copy survived and may
 // yet surface.
-func RunChaos(rt ChaosRuntime, plan *faults.Plan, schedSeed uint64, steps, totalVotes, links int) *ChaosRun {
+func RunChaos(rt Runtime, plan *faults.Plan, schedSeed uint64, steps, totalVotes, links int) *ChaosRun {
 	src := rng.New(schedSeed)
 	run := &ChaosRun{Log: &history.Log{}}
 	n := totalVotes                    // harness topologies use one vote per site
@@ -107,7 +158,7 @@ func RunChaos(rt ChaosRuntime, plan *faults.Plan, schedSeed uint64, steps, total
 			res.Kind = "read"
 			out := rt.ChaosRead(site)
 			res.fill(out)
-			run.Log.RecordRead(site, out.Granted, out.Value, out.Stamp, t)
+			record(run.Log, site, true, 0, out, t)
 			if out.Granted {
 				run.GrantedReads++
 			}
@@ -117,9 +168,7 @@ func RunChaos(rt ChaosRuntime, plan *faults.Plan, schedSeed uint64, steps, total
 			value := int64(step) + 1 // unique per write, required by the checker
 			out := rt.ChaosWrite(site, value)
 			res.fill(out)
-			for _, r := range out.Residue {
-				run.Log.RecordIndeterminateWrite(site, r.Value, r.Stamp, t)
-			}
+			record(run.Log, site, false, value, out, t)
 			if errors.Is(out.Err, ErrCrashed) && len(out.Residue) > 0 {
 				// A crash mid-apply ends the op, so the crashing attempt's
 				// residue is the last one recorded.
@@ -127,7 +176,6 @@ func RunChaos(rt ChaosRuntime, plan *faults.Plan, schedSeed uint64, steps, total
 					soleResidue[site] = last.Stamp
 				}
 			}
-			run.Log.RecordWrite(site, out.Granted, value, out.Stamp, t)
 			if out.Granted {
 				run.GrantedWrites++
 			}
@@ -152,6 +200,20 @@ func RunChaos(rt ChaosRuntime, plan *faults.Plan, schedSeed uint64, steps, total
 	}
 	run.Counters = rt.ChaosCounters()
 	return run
+}
+
+// record feeds one completed read or write into the history log: the
+// outcome as itself, and every residue a failed write attempt left behind
+// as an indeterminate write.
+func record(log *history.Log, site int, read bool, value int64, out Outcome, t float64) {
+	if read {
+		log.RecordRead(site, out.Granted, out.Value, out.Stamp, t)
+		return
+	}
+	for _, r := range out.Residue {
+		log.RecordIndeterminateWrite(site, r.Value, r.Stamp, t)
+	}
+	log.RecordWrite(site, out.Granted, value, out.Stamp, t)
 }
 
 // fill copies an Outcome into the comparable result form.

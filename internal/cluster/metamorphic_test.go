@@ -74,7 +74,7 @@ func TestMetamorphicChaos(t *testing.T) {
 	}
 }
 
-func soakRunDet(t *testing.T, daemon bool, seed uint64, reg *obs.Registry) (*SoakRun, []int64) {
+func soakRunDet(t *testing.T, daemon bool, seed uint64, reg *obs.Registry) (*AdversaryRun, []int64) {
 	t.Helper()
 	const sites = 9
 	g := graph.Ring(sites)
@@ -86,12 +86,8 @@ func soakRunDet(t *testing.T, daemon bool, seed uint64, reg *obs.Registry) (*Soa
 	c.SetObserver(reg)
 	hc := DefaultHealthConfig()
 	hc.Alpha = 0.9
-	run := RunSoak(c, SoakConfig{
-		Seed: seed, Steps: 800, Sites: sites, Links: g.M(),
-		Alpha:  0.9,
-		Churn:  faults.ChurnConfig{SiteMTBF: 250, SiteMTTR: 25, LinkMTBF: 60, LinkMTTR: 25},
-		Daemon: daemon, Health: hc,
-	})
+	run := runSoak(t, c, SoakScenario(seed, 800, sites, g.M(), 0.9,
+		faults.ChurnConfig{SiteMTBF: 250, SiteMTTR: 25, LinkMTBF: 60, LinkMTTR: 25}, daemon, hc))
 	var stamps []int64
 	for i := 0; i < sites; i++ {
 		stamps = append(stamps, c.NodeStamp(i))

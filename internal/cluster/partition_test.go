@@ -83,20 +83,11 @@ func TestAsymmetricCutConsistentSuspicion(t *testing.T) {
 	}
 }
 
-// partitionChaosRuntime is the surface the partition crosscheck drives:
-// the chaos protocol plus the partition transport.
-type partitionChaosRuntime interface {
-	ChaosRuntime
-	EnablePartitions(ps *faults.PartitionSchedule)
-	SetPartitionTime(t int64)
-	PartitionDrops() int64
-}
-
 // runPartitionOps drives a pure partition scenario (fault-plan mix "none",
 // all loss from the cut timetable) with a shared seeded schedule,
 // advancing the partition clock each step. Mirrors RunChaos's schedule
 // structure minus crash recovery (the "none" mix never crashes).
-func runPartitionOps(rt partitionChaosRuntime, ps *faults.PartitionSchedule, schedSeed uint64, steps, totalVotes int) *ChaosRun {
+func runPartitionOps(rt Runtime, ps *faults.PartitionSchedule, schedSeed uint64, steps, totalVotes int) *ChaosRun {
 	rt.EnablePartitions(ps)
 	src := rng.New(schedSeed)
 	run := &ChaosRun{Log: &history.Log{}}
@@ -113,7 +104,7 @@ func runPartitionOps(rt partitionChaosRuntime, ps *faults.PartitionSchedule, sch
 			res.Kind = "read"
 			out := rt.ChaosRead(site)
 			res.fill(out)
-			run.Log.RecordRead(site, out.Granted, out.Value, out.Stamp, t)
+			record(run.Log, site, true, 0, out, t)
 			if out.Granted {
 				run.GrantedReads++
 			}
@@ -123,10 +114,7 @@ func runPartitionOps(rt partitionChaosRuntime, ps *faults.PartitionSchedule, sch
 			value := int64(step) + 1
 			out := rt.ChaosWrite(site, value)
 			res.fill(out)
-			for _, r := range out.Residue {
-				run.Log.RecordIndeterminateWrite(site, r.Value, r.Stamp, t)
-			}
-			run.Log.RecordWrite(site, out.Granted, value, out.Stamp, t)
+			record(run.Log, site, false, value, out, t)
 			if out.Granted {
 				run.GrantedWrites++
 			}

@@ -19,13 +19,21 @@ func soakTestChurn() faults.ChurnConfig {
 	}
 }
 
-func soakTestConfig(seed uint64, steps int, daemon bool) SoakConfig {
+func soakTestConfig(seed uint64, steps int, daemon bool) AdversaryConfig {
 	h := DefaultHealthConfig()
 	h.Alpha = 0.9
-	return SoakConfig{
-		Seed: seed, Steps: steps, Sites: 9, Links: 9, Alpha: 0.9,
-		Churn: soakTestChurn(), Daemon: daemon, Health: h,
+	return SoakScenario(seed, steps, 9, 9, 0.9, soakTestChurn(), daemon, h)
+}
+
+// runSoak replays a 9-site ring scenario against rt and holds the safety
+// tripwires every soak must keep.
+func runSoak(t *testing.T, rt Runtime, cfg AdversaryConfig) *AdversaryRun {
+	t.Helper()
+	run := RunAdversary(rt, graph.NewState(graph.Ring(9), nil), cfg)
+	if run.MinorityWrites != 0 {
+		t.Fatalf("seed %d daemon=%v: %d minority writes", cfg.Seed, cfg.Daemon, run.MinorityWrites)
 	}
+	return run
 }
 
 func newSoakCluster(t *testing.T) *Cluster {
@@ -46,10 +54,10 @@ func newSoakCluster(t *testing.T) *Cluster {
 func TestSoakDeterministicSelfHealing(t *testing.T) {
 	const steps = 2500
 	for seed := uint64(1); seed <= 3; seed++ {
-		off := RunSoak(newSoakCluster(t), soakTestConfig(seed, steps, false))
-		on := RunSoak(newSoakCluster(t), soakTestConfig(seed, steps, true))
+		off := runSoak(t, newSoakCluster(t), soakTestConfig(seed, steps, false))
+		on := runSoak(t, newSoakCluster(t), soakTestConfig(seed, steps, true))
 
-		for name, run := range map[string]*SoakRun{"off": off, "on": on} {
+		for name, run := range map[string]*AdversaryRun{"off": off, "on": on} {
 			if run.ViolationErr != nil {
 				t.Fatalf("seed %d daemon=%s: 1SR violated: %v", seed, name, run.ViolationErr)
 			}
@@ -83,14 +91,14 @@ func TestSoakAsyncMatchesDeterministic(t *testing.T) {
 	for _, daemon := range []bool{false, true} {
 		cfg := soakTestConfig(2, steps, daemon)
 
-		det := RunSoak(newSoakCluster(t), cfg)
+		det := runSoak(t, newSoakCluster(t), cfg)
 
 		g := graph.Ring(9)
 		a, err := NewAsync(graph.NewState(g, nil), quorum.Majority(9))
 		if err != nil {
 			t.Fatal(err)
 		}
-		asy := RunSoak(a, cfg)
+		asy := runSoak(t, a, cfg)
 		a.Close()
 
 		type flatRun struct {
@@ -100,7 +108,7 @@ func TestSoakAsyncMatchesDeterministic(t *testing.T) {
 			FinalVersions                                            []int64
 			Converged                                                bool
 		}
-		flat := func(r *SoakRun) flatRun {
+		flat := func(r *AdversaryRun) flatRun {
 			return flatRun{r.Ops, r.Granted, r.Reads, r.GrantedReads, r.Writes,
 				r.GrantedWrites, r.DegradedRejects, r.SettleOps, r.SettleGranted,
 				r.SiteEvents, r.LinkEvents, r.FinalVersions, r.Converged}
@@ -130,7 +138,7 @@ func TestSoakAsyncSelfHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	run := RunSoak(a, soakTestConfig(5, steps, true))
+	run := runSoak(t, a, soakTestConfig(5, steps, true))
 	if run.ViolationErr != nil {
 		t.Fatalf("1SR violated: %v", run.ViolationErr)
 	}
@@ -178,8 +186,8 @@ func TestStartDaemonBackground(t *testing.T) {
 // events, op mix) must be identical whether or not the daemon runs — that
 // independence is what makes the on-vs-off availability comparison valid.
 func TestChurnScheduleIsOutcomeIndependent(t *testing.T) {
-	off := RunSoak(newSoakCluster(t), soakTestConfig(7, 800, false))
-	on := RunSoak(newSoakCluster(t), soakTestConfig(7, 800, true))
+	off := runSoak(t, newSoakCluster(t), soakTestConfig(7, 800, false))
+	on := runSoak(t, newSoakCluster(t), soakTestConfig(7, 800, true))
 	if off.SiteEvents != on.SiteEvents || off.LinkEvents != on.LinkEvents {
 		t.Fatalf("churn schedule diverged: off %d/%d on %d/%d events",
 			off.SiteEvents, off.LinkEvents, on.SiteEvents, on.LinkEvents)

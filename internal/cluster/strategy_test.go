@@ -293,19 +293,6 @@ func TestStrategyResolveDegradesWhenInfeasible(t *testing.T) {
 	}
 }
 
-// strategyServeRuntime is the surface the cross-runtime strategy
-// crosscheck drives: strategy serving over the partition transport.
-type strategyServeRuntime interface {
-	ServeRead(x int) Outcome
-	ServeWrite(x int, value int64) Outcome
-	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
-	StrategyCounters() stats.StrategyCounters
-	EnablePartitions(ps *faults.PartitionSchedule)
-	SetPartitionTime(t int64)
-	PartitionDrops() int64
-	NodeVersion(i int) int64
-}
-
 // handStrategy7 is valid for Majority(7) = (q_r=3, q_w=5) over unit votes.
 func handStrategy7() strategy.Strategy {
 	return strategy.Strategy{
@@ -321,7 +308,7 @@ func handStrategy7() strategy.Strategy {
 // runStrategyOps drives a shared seeded read/write schedule through
 // strategy serving while a partition storm advances, recording every
 // outcome and the 1SR history.
-func runStrategyOps(t *testing.T, rt strategyServeRuntime, ps *faults.PartitionSchedule, steps, sites int) ([]OpResult, *history.Log, stats.StrategyCounters) {
+func runStrategyOps(t *testing.T, rt Runtime, ps *faults.PartitionSchedule, steps, sites int) ([]OpResult, *history.Log, stats.StrategyCounters) {
 	t.Helper()
 	rt.EnablePartitions(ps)
 	if err := rt.InstallStrategy(handStrategy7(), quorum.Majority(sites), rt.NodeVersion(0), 3, 99); err != nil {
