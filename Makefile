@@ -17,7 +17,7 @@ SUITE = strategy adversary strategy-adversity gray weights
 
 .PHONY: check vet build test race $(COVER) \
 	fuzz chaos diskchaos soak hedge weights strategy study \
-	bench bench-solver bench-serve e2e e2e-smoke gate gate-update loc
+	bench bench-solver bench-serve bench-sim e2e e2e-smoke gate gate-update loc
 
 check: vet build test race $(COVER)
 
@@ -57,11 +57,14 @@ $(COVER): cover-%:
 # against arbitrary log damage; the simplex solver — random LPs must always
 # yield a verifiable certificate (optimality, Farkas, or unbounded ray); the
 # strategy decoder — a corrupted serialized strategy must always be rejected
-# with a typed DecodeError, never armed; and random quorum expressions —
-# Holds, MinimalQuorums and System.Validate against the all-subsets oracle.
+# with a typed DecodeError, never armed; random quorum expressions —
+# Holds, MinimalQuorums and System.Validate against the all-subsets oracle;
+# and site/link flap streams — graph.State's early-exit connectivity updates
+# against Recompute after every operation.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = cluster:FuzzUnmarshalPayload store:FuzzFoldLog \
-	strategy:FuzzSimplex strategy:FuzzStrategyDecode quorum:FuzzExpr
+	strategy:FuzzSimplex strategy:FuzzStrategyDecode quorum:FuzzExpr \
+	graph:FuzzStateFlaps
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -156,6 +159,15 @@ bench-serve:
 	$(GO) test ./internal/cluster -run xxx \
 		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|CodecVoteReply' \
 		-benchmem -count 3
+
+# The simulator twin: ns/op and allocs/op of one paper-study cell exactly as
+# bench/ runs it (Collect 3000 → Optimize → MeasureAvailability 5 × 600 at
+# 101 sites, the chords × α grid in bench/'s order) — the quick read while
+# working on the event queue, graph.State or the estimator; add
+# `-cpuprofile` by hand for the per-function split. The gated timings are
+# bench/'s paper-study workload; TestCellAllocBudget holds allocs/op.
+bench-sim:
+	$(GO) test ./internal/sim -run xxx -bench PaperCell -benchmem -count 3
 
 # Large-N study smoke: a reduced chords × α grid at paper scale.
 study:

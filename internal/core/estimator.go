@@ -27,9 +27,12 @@ import (
 // tracks shifting system characteristics — the property that lets the
 // algorithm drive the dynamic quorum reassignment protocol of §4.3.
 type Estimator struct {
-	t     int
-	sites []*stats.Histogram
-	decay float64 // multiplicative aging per decay step; 1 = keep everything
+	t int
+	// One slab holds every site's histogram: site i's weight for v votes is
+	// weights[i*(t+1)+v], its total totals[i].
+	weights []float64
+	totals  []float64
+	decay   float64 // multiplicative aging per decay step; 1 = keep everything
 }
 
 // NewEstimator creates an estimator for n sites in a system with T total
@@ -38,11 +41,23 @@ func NewEstimator(n, T int) *Estimator {
 	if n <= 0 || T <= 0 {
 		panic(fmt.Sprintf("core: NewEstimator(n=%d, T=%d)", n, T))
 	}
-	e := &Estimator{t: T, sites: make([]*stats.Histogram, n), decay: 1}
-	for i := range e.sites {
-		e.sites[i] = stats.NewHistogram(T + 1)
+	return &Estimator{t: T, weights: make([]float64, n*(T+1)), totals: make([]float64, n), decay: 1}
+}
+
+// site returns site i's histogram row.
+func (e *Estimator) site(i int) []float64 {
+	return e.weights[i*(e.t+1) : (i+1)*(e.t+1)]
+}
+
+// add records weight w for a site's component holding `votes` votes; the
+// row's bounds reject votes outside [0, T]. Small enough to inline into the
+// simulator's per-site loop.
+func (e *Estimator) add(site, votes int, w float64) {
+	if w < 0 {
+		panic("core: negative observation weight")
 	}
-	return e
+	e.site(site)[votes] += w
+	e.totals[site] += w
 }
 
 // SetDecay sets the aging factor applied by Age: weights are multiplied by
@@ -59,8 +74,11 @@ func (e *Estimator) Age() {
 	if e.decay == 1 {
 		return
 	}
-	for _, h := range e.sites {
-		h.Scale(e.decay)
+	for i := range e.weights {
+		e.weights[i] *= e.decay
+	}
+	for i := range e.totals {
+		e.totals[i] *= e.decay
 	}
 }
 
@@ -68,31 +86,42 @@ func (e *Estimator) Age() {
 // votes in its component (0 when the site was down — the paper regards a
 // down site as a component of size zero).
 func (e *Estimator) Observe(site, votes int) {
-	e.sites[site].Add(votes, 1)
+	e.add(site, votes, 1)
 }
 
 // ObserveFor records that the site's component held `votes` votes for a
 // duration dt of simulated time (time-weighted mode).
 func (e *Estimator) ObserveFor(site, votes int, dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("core: negative duration %g", dt))
-	}
-	e.sites[site].Add(votes, dt)
+	e.add(site, votes, dt)
 }
 
 // N returns the number of sites.
-func (e *Estimator) N() int { return len(e.sites) }
+func (e *Estimator) N() int { return len(e.totals) }
 
 // T returns the vote total.
 func (e *Estimator) T() int { return e.t }
 
 // Weight returns the total observation weight recorded for a site.
-func (e *Estimator) Weight(site int) float64 { return e.sites[site].Total() }
+func (e *Estimator) Weight(site int) float64 { return e.totals[site] }
 
 // Density returns the estimated f_i for a site. With no observations the
 // result is the zero PMF (callers should check Weight first).
 func (e *Estimator) Density(site int) dist.PMF {
-	return dist.PMF(e.sites[site].Normalize())
+	f := make(dist.PMF, e.t+1)
+	e.densityInto(f, site)
+	return f
+}
+
+// densityInto writes site's normalized histogram into the zeroed f, leaving
+// it zero when nothing has been recorded.
+func (e *Estimator) densityInto(f dist.PMF, site int) {
+	total := e.totals[site]
+	if total == 0 {
+		return
+	}
+	for v, w := range e.site(site) {
+		f[v] = w / total
+	}
 }
 
 // OperationalDensity returns the estimate of f_i conditioned on the site
@@ -126,12 +155,15 @@ func (e *Estimator) OperationalDensity(site int, p float64) dist.PMF {
 // Sites with no recorded history contribute a point mass at zero votes,
 // the conservative choice (they deny everything) until data arrives.
 func (e *Estimator) Model(rWeights, wWeights []float64) (Model, error) {
-	fs := make([]dist.PMF, len(e.sites))
-	for i := range e.sites {
-		f := e.Density(i)
-		if e.sites[i].Total() == 0 {
-			f = make(dist.PMF, e.t+1)
+	bins := e.t + 1
+	slab := make(dist.PMF, len(e.totals)*bins)
+	fs := make([]dist.PMF, len(e.totals))
+	for i := range fs {
+		f := slab[i*bins : (i+1)*bins : (i+1)*bins]
+		if e.totals[i] == 0 {
 			f[0] = 1
+		} else {
+			e.densityInto(f, i)
 		}
 		fs[i] = f
 	}
@@ -140,9 +172,8 @@ func (e *Estimator) Model(rWeights, wWeights []float64) (Model, error) {
 
 // Reset clears all recorded history.
 func (e *Estimator) Reset() {
-	for _, h := range e.sites {
-		h.Reset()
-	}
+	clear(e.weights)
+	clear(e.totals)
 }
 
 // Merge adds another estimator's observations into e. Both must cover the
@@ -150,14 +181,14 @@ func (e *Estimator) Reset() {
 // maintains its own row; Merge aggregates the rows exchanged during the
 // vote-collection rounds into the network-wide view the optimizer needs.
 func (e *Estimator) Merge(o *Estimator) error {
-	if e.t != o.t || len(e.sites) != len(o.sites) {
+	if e.t != o.t || e.N() != o.N() {
 		return fmt.Errorf("core: merge shape mismatch: (%d sites, T=%d) vs (%d, T=%d)",
-			len(e.sites), e.t, len(o.sites), o.t)
+			e.N(), e.t, o.N(), o.t)
 	}
-	for i, h := range o.sites {
-		for v := 0; v <= o.t; v++ {
-			if w := h.Weight(v); w > 0 {
-				e.sites[i].Add(v, w)
+	for i := 0; i < o.N(); i++ {
+		for v, w := range o.site(i) {
+			if w > 0 {
+				e.add(i, v, w)
 			}
 		}
 	}

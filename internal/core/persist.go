@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"quorumkit/internal/stats"
 )
 
 // estimatorSnapshot is the serialized form of an Estimator. Persisting the
@@ -20,13 +18,9 @@ type estimatorSnapshot struct {
 
 // Save serializes the estimator as JSON.
 func (e *Estimator) Save(w io.Writer) error {
-	snap := estimatorSnapshot{T: e.t, Decay: e.decay, Sites: make([][]float64, len(e.sites))}
-	for i, h := range e.sites {
-		weights := make([]float64, e.t+1)
-		for v := 0; v <= e.t; v++ {
-			weights[v] = h.Weight(v)
-		}
-		snap.Sites[i] = weights
+	snap := estimatorSnapshot{T: e.t, Decay: e.decay, Sites: make([][]float64, e.N())}
+	for i := range snap.Sites {
+		snap.Sites[i] = e.site(i)
 	}
 	return json.NewEncoder(w).Encode(snap)
 }
@@ -50,16 +44,14 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 			return nil, fmt.Errorf("core: load estimator: site %d has %d bins, want %d",
 				i, len(weights), snap.T+1)
 		}
-		h := stats.NewHistogram(snap.T + 1)
 		for v, w := range weights {
 			if w < 0 {
 				return nil, fmt.Errorf("core: load estimator: negative weight at site %d bin %d", i, v)
 			}
 			if w > 0 {
-				h.Add(v, w)
+				e.add(i, v, w)
 			}
 		}
-		e.sites[i] = h
 	}
 	return e, nil
 }

@@ -10,9 +10,14 @@ import "fmt"
 // smallest index). Down sites belong to no component; the paper regards a
 // down site as a component of size (and vote count) zero.
 //
-// Updates are incremental: repairs merge components by relabeling, and
-// failures re-explore only the component that contained the failed element.
-// For the 101-site networks of the study every operation is microseconds.
+// Updates are incremental, and each does the least that proves the answer.
+// A failure searches only until the component is shown to be still in one
+// piece — the other endpoint of a failed link, or every live neighbour of a
+// failed site, reached some other way — and then has nothing to relabel; it
+// labels only on a real split. A repair merges by relabeling, and a repaired
+// site that touches a single component with a smaller representative just
+// adopts its label. Recompute (explore from scratch) is the ground truth the
+// oracle tests hold every shortcut to.
 type State struct {
 	g      *Graph
 	votes  []int
@@ -23,8 +28,11 @@ type State struct {
 	compVotes []int // indexed by representative site
 	compSize  []int // indexed by representative site
 
+	// Search scratch. mark[v] == gen: v was reached by the current search;
+	// want[v] == gen: v is one of the sites the current search must reach.
 	queue []int
 	mark  []int
+	want  []int
 	gen   int
 }
 
@@ -55,6 +63,7 @@ func NewState(g *Graph, votes []int) *State {
 		compSize:  make([]int, g.N()),
 		queue:     make([]int, 0, g.N()),
 		mark:      make([]int, g.N()),
+		want:      make([]int, g.N()),
 	}
 	for i := range s.siteUp {
 		s.siteUp[i] = true
@@ -82,6 +91,7 @@ func (s *State) Clone() *State {
 		compSize:  append([]int(nil), s.compSize...),
 		queue:     make([]int, 0, s.g.N()),
 		mark:      make([]int, s.g.N()),
+		want:      make([]int, s.g.N()),
 	}
 	return c
 }
@@ -193,37 +203,57 @@ func (s *State) Recompute() {
 	}
 }
 
+// search BFSes from a live site over up links and up sites under the
+// current generation and returns the reached set (in s.queue's storage).
+// Sites the caller stamped in s.want with this generation are targets: once
+// need of them have been reached the search stops and reports true. With no
+// target stamped it runs to exhaustion and reports false.
+func (s *State) search(start, need int) ([]int, bool) {
+	gen := s.gen
+	q := append(s.queue[:0], start)
+	s.mark[start] = gen
+	for head := 0; head < len(q); head++ {
+		for _, h := range s.g.adj[q[head]] {
+			if !s.linkUp[h.edge] || !s.siteUp[h.to] || s.mark[h.to] == gen {
+				continue
+			}
+			s.mark[h.to] = gen
+			q = append(q, h.to)
+			if s.want[h.to] == gen {
+				if need--; need == 0 {
+					return q, true
+				}
+			}
+		}
+	}
+	return q, false
+}
+
+// label makes members one component: labeled with its minimum member, votes
+// and size recorded under that representative.
+func (s *State) label(members []int) {
+	rep := members[0]
+	votes := 0
+	for _, u := range members {
+		votes += s.votes[u]
+		if u < rep {
+			rep = u
+		}
+	}
+	for _, u := range members {
+		s.comp[u] = rep
+	}
+	s.compVotes[rep] = votes
+	s.compSize[rep] = len(members)
+}
+
 // explore BFSes from a live site over up links/sites, labeling the reached
 // set with its minimum member and recording votes/size. All reached sites'
 // comp entries are overwritten.
 func (s *State) explore(start int) {
 	s.gen++
-	q := s.queue[:0]
-	q = append(q, start)
-	s.mark[start] = s.gen
-	rep := start
-	votes, size := 0, 0
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		votes += s.votes[u]
-		size++
-		if u < rep {
-			rep = u
-		}
-		for _, h := range s.g.adj[u] {
-			if !s.linkUp[h.edge] || !s.siteUp[h.to] || s.mark[h.to] == s.gen {
-				continue
-			}
-			s.mark[h.to] = s.gen
-			q = append(q, h.to)
-		}
-	}
-	for _, u := range q {
-		s.comp[u] = rep
-	}
-	s.compVotes[rep] = votes
-	s.compSize[rep] = size
-	s.queue = q[:0]
+	q, _ := s.search(start, 0)
+	s.label(q)
 }
 
 // FailSite marks site i down and splits its component as needed.
@@ -232,18 +262,54 @@ func (s *State) FailSite(i int) {
 	if !s.siteUp[i] {
 		return
 	}
+	rep := s.comp[i]
 	s.siteUp[i] = false
 	s.comp[i] = -1
-	// Re-explore from each still-up neighbor not yet relabeled this round.
+	// The rest of the component stays in one piece iff a search from one
+	// live neighbour reaches all the others.
 	s.gen++
 	round := s.gen
+	start, live := -1, 0
 	for _, h := range s.g.adj[i] {
-		if !s.linkUp[h.edge] || !s.siteUp[h.to] || s.mark[h.to] >= round {
-			continue
+		if s.linkUp[h.edge] && s.siteUp[h.to] {
+			s.want[h.to] = round // a Graph has no parallel links: each neighbour once
+			start = h.to
+			live++
 		}
-		s.explore(h.to)
 	}
-	// If i had no up neighbors it was a singleton; nothing else to do.
+	if live == 0 {
+		return // i was a singleton
+	}
+	if live > 1 {
+		if q, whole := s.search(start, live-1); !whole {
+			// A real split: label the piece just searched, then explore from
+			// each live neighbour no search of this round has reached.
+			s.label(q)
+			for _, h := range s.g.adj[i] {
+				if s.linkUp[h.edge] && s.siteUp[h.to] && s.mark[h.to] < round {
+					s.explore(h.to)
+				}
+			}
+			return
+		}
+	}
+	// Same members less i: same label unless i was the representative, in
+	// which case the smallest remaining member (the first in index order)
+	// takes over.
+	votes, size := s.compVotes[rep]-s.votes[i], s.compSize[rep]-1
+	if rep == i {
+		rep = -1
+		for j, c := range s.comp {
+			if c == i {
+				if rep < 0 {
+					rep = j
+				}
+				s.comp[j] = rep
+			}
+		}
+	}
+	s.compVotes[rep] = votes
+	s.compSize[rep] = size
 }
 
 // RepairSite marks site i up and merges it with every component reachable
@@ -253,7 +319,27 @@ func (s *State) RepairSite(i int) {
 		return
 	}
 	s.siteUp[i] = true
-	s.explore(i)
+	// Touching exactly one component whose representative is smaller than i:
+	// i joins it and nothing else changes.
+	rep := -1
+	for _, h := range s.g.adj[i] {
+		if !s.linkUp[h.edge] || !s.siteUp[h.to] {
+			continue
+		}
+		if c := s.comp[h.to]; rep == -1 {
+			rep = c
+		} else if c != rep {
+			rep = -2 // bridges two or more components
+			break
+		}
+	}
+	if rep < 0 || rep > i {
+		s.explore(i)
+		return
+	}
+	s.comp[i] = rep
+	s.compVotes[rep] += s.votes[i]
+	s.compSize[rep]++
 }
 
 // FailLink marks link l down, splitting a component if l was a bridge.
@@ -267,9 +353,13 @@ func (s *State) FailLink(l int) {
 	if !s.siteUp[e.U] || !s.siteUp[e.V] || s.comp[e.U] != s.comp[e.V] {
 		return // link was dangling or already between components
 	}
-	// Re-explore from U; if V is not reached the component split.
-	s.explore(e.U)
-	if s.comp[e.U] != s.comp[e.V] || s.mark[e.V] != s.gen {
+	// Search from U for V. Reaching it proves the component whole — same
+	// members, representative and votes, nothing to relabel. Exhausting U's
+	// side without it is a split into that side and V's.
+	s.gen++
+	s.want[e.V] = s.gen
+	if q, whole := s.search(e.U, 1); !whole {
+		s.label(q)
 		s.explore(e.V)
 	}
 }

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"quorumkit/internal/core"
 	"quorumkit/internal/graph"
@@ -113,10 +114,17 @@ func (p Params) validate() error {
 	if p.FailShape < 0 {
 		return fmt.Errorf("sim: negative FailShape %g", p.FailShape)
 	}
+	sum := 0.0
 	for i, w := range p.AccessWeights {
-		if w < 0 {
-			return fmt.Errorf("sim: negative access weight %g at site %d", w, i)
+		if !(w >= 0) || math.IsInf(w, 1) { // negative, NaN or ±Inf
+			return fmt.Errorf("sim: access weight %g at site %d is not a finite non-negative rate", w, i)
 		}
+		sum += w
+	}
+	// With every site silent no access is ever scheduled: RunAccesses would
+	// spin on failure events forever and the time-weighted horizon is 0/0.
+	if p.AccessWeights != nil && (sum == 0 || math.IsInf(sum, 1)) {
+		return fmt.Errorf("sim: access weights sum to %g over %d sites, want a finite positive total", sum, len(p.AccessWeights))
 	}
 	return nil
 }
@@ -274,15 +282,17 @@ func New(g *graph.Graph, votes []int, p Params, seed uint64) *Simulator {
 }
 
 // arm schedules the initial failure clocks (and the first shock) from the
-// current RNG state, exactly as construction does.
+// current RNG state, exactly as construction does. The clocks are drawn and
+// numbered in site-then-link order and put in heap order once.
 func (s *Simulator) arm() {
 	g := s.st.Graph()
 	for i := 0; i < g.N(); i++ {
-		s.heap.push(s.drawUpTime(), evSiteFail, i)
+		s.heap.stage(s.drawUpTime(), evSiteFail, i)
 	}
 	for l := 0; l < g.M(); l++ {
-		s.heap.push(s.drawUpTime(), evLinkFail, l)
+		s.heap.stage(s.drawUpTime(), evLinkFail, l)
 	}
+	s.heap.heapify()
 	if s.params.Shock != nil {
 		for i := range s.indepUp {
 			s.indepUp[i] = true
@@ -492,10 +502,10 @@ func (s *Simulator) accumulate(until float64) {
 	if dt <= 0 {
 		return
 	}
-	n := s.st.Graph().N()
-	if s.est != nil {
+	st, n := s.st, s.st.Graph().N()
+	if est := s.est; est != nil {
 		for i := 0; i < n; i++ {
-			s.est.ObserveFor(i, s.st.VotesAt(i), dt)
+			est.ObserveFor(i, st.VotesAt(i), dt)
 		}
 	}
 	if s.surv != nil {
@@ -678,8 +688,8 @@ func (s *Simulator) RunUntil(t float64) {
 	s.flushObs()
 }
 
-// RunAccesses processes events until n further access events have occurred.
-// It panics if access generation is disabled and no consumer enabled it.
+// RunAccesses processes events until n further access events have occurred,
+// scheduling the per-site access streams first if no consumer has yet.
 func (s *Simulator) RunAccesses(n int64) {
 	s.ensureAccessEvents()
 	target := s.nAccess + n

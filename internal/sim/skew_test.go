@@ -2,11 +2,14 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"quorumkit/internal/core"
 	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
+	"quorumkit/internal/topo"
 )
 
 func TestSkewedAccessRates(t *testing.T) {
@@ -57,6 +60,73 @@ func TestWeightValidation(t *testing.T) {
 			}()
 			New(g, nil, p, 1)
 		}()
+	}
+}
+
+// TestParamsValidateAccessWeights: a weight vector must describe a finite,
+// positive total access rate. All-zero weights used to hang RunAccesses and
+// hand Collect a 0/0 horizon; NaN slipped past the w < 0 test.
+func TestParamsValidateAccessWeights(t *testing.T) {
+	base := Params{AccessMean: 1, FailMean: 50, RepairMean: 5}
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+		wantErr string // substring; "" = legal
+	}{
+		{"uniform (nil)", nil, ""},
+		{"some sites silent", []float64{0, 2, 0}, ""},
+		{"all zero", []float64{0, 0, 0}, "sum to 0 over 3 sites"},
+		{"NaN", []float64{1, math.NaN(), 1}, "NaN at site 1"},
+		{"+Inf", []float64{1, 1, math.Inf(1)}, "+Inf at site 2"},
+		{"-Inf", []float64{math.Inf(-1), 1, 1}, "-Inf at site 0"},
+		{"negative", []float64{1, -0.5, 1}, "-0.5 at site 1"},
+		{"sum overflows", []float64{math.MaxFloat64, math.MaxFloat64, 1}, "sum to +Inf"},
+	} {
+		p := base
+		p.AccessWeights = tc.weights
+		err := p.validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestAllZeroWeightsRejected drives the two entry points the bug was
+// reproduced through, under a watchdog: New(...).RunAccesses used to spin
+// forever (no access event is ever scheduled) and Collect used to return a
+// model over a NaN horizon with a nil error. Both must now refuse at
+// construction.
+func TestAllZeroWeightsRejected(t *testing.T) {
+	g := topo.Paper(0)
+	p := PaperParams()
+	p.AccessWeights = make([]float64, g.N())
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Collect", func() {
+			_, _, err := Collect(g, nil, p, CollectConfig{Mode: TimeWeighted, Accesses: 100, Seed: 1})
+			t.Errorf("Collect returned (err = %v) over an undefined horizon", err)
+		}},
+		{"RunAccesses", func() { New(g, nil, p, 1).RunAccesses(10) }},
+	} {
+		name, run := tc.name, tc.run
+		done := make(chan any, 1) // one send, whether or not the watchdog still listens
+		go func() {
+			defer func() { done <- recover() }()
+			run()
+		}()
+		select {
+		case r := <-done:
+			if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "sum to 0") {
+				t.Errorf("%s: want a panic naming the zero sum, got %v", name, r)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s: still running after 3 s with all-zero access weights", name)
+		}
 	}
 }
 

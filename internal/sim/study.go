@@ -70,17 +70,16 @@ func MeasureAvailability(g *graph.Graph, votes []int, p Params, a quorum.Assignm
 	if err := cfg.validate(); err != nil {
 		return Measurement{}, err
 	}
-	st := graph.NewState(g, votes)
-	if err := a.Validate(st.TotalVotes()); err != nil {
-		return Measurement{}, err
-	}
-	var all, rd, wr stats.BatchMeans
-	batches := 0
 	// The paper resets the network to the initial (all-up) state before
 	// each batch; one simulator Reset to the per-batch seed does exactly
 	// that — bit-identical to a fresh construction, without reallocating
 	// the network state, event heap, or RNG.
 	s := New(g, votes, p, cfg.Seed)
+	if err := a.Validate(s.State().TotalVotes()); err != nil {
+		return Measurement{}, err
+	}
+	var all, rd, wr stats.BatchMeans
+	batches := 0
 	if cfg.Obs != nil {
 		s.AttachObs(cfg.Obs)
 	}
