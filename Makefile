@@ -118,10 +118,12 @@ gate-update:
 
 # The one definition of "lines of code" (ROADMAP: net non-test line count
 # goes down): non-blank, non-comment lines of *.go minus *_test.go, for the
-# protocol package, the CLIs, and the repository outside bench/.
+# protocol package, the fault schedules, the CLIs, and the repository
+# outside bench/.
 LOC = xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
 	@printf 'internal/cluster      %6d\n' $$(find internal/cluster -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'internal/faults       %6d\n' $$(find internal/faults -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf 'cmd/                  %6d\n' $$(find cmd -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf 'repo outside bench/   %6d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | $(LOC))
 

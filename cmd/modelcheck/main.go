@@ -29,20 +29,24 @@ func main() {
 	)
 	flag.Parse()
 
-	var g *graph.Graph
-	switch *net {
-	case "path":
-		g = graph.Path(*n)
-	case "ring":
-		g = graph.Ring(*n)
-	case "star":
-		g = graph.Star(*n)
-	case "complete":
-		g = graph.Complete(*n)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -net %q\n", *net)
+	// A topology nobody builds, or a site count its constructor would panic
+	// on, is a usage error: one line, the usage, exit 2, nothing run.
+	topo, known := map[string]struct {
+		least int
+		build func(n int) *graph.Graph
+	}{"path": {2, graph.Path}, "ring": {3, graph.Ring}, "star": {2, graph.Star}, "complete": {2, graph.Complete}}[*net]
+	var usageErr string
+	if !known {
+		usageErr = fmt.Sprintf("unknown -net %q", *net)
+	} else if *n < topo.least {
+		usageErr = fmt.Sprintf("-n %d: -net %s needs at least %d sites", *n, *net, topo.least)
+	}
+	if usageErr != "" {
+		fmt.Fprintln(os.Stderr, "modelcheck:", usageErr)
+		flag.Usage()
 		os.Exit(2)
 	}
+	g := topo.build(*n)
 
 	cfg := check.DefaultConfig(*n)
 	cfg.VersionCap = *versionCap

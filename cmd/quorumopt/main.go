@@ -44,26 +44,18 @@ func main() {
 	)
 	flag.Parse()
 
+	density, err := checkFlags(*net, *n, *p, *r, *alpha, *minWrite)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quorumopt:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	if *strat {
 		os.Exit(runStrategy(*objective, *stratN, *resilF, *loadLimit, *frs, *gap, *seed, *asJSON))
 	}
 
-	var f dist.PMF
-	switch *net {
-	case "ring":
-		f = dist.Ring(*n, *p, *r)
-	case "complete":
-		f = dist.Complete(*n, *p, *r)
-	case "bus-kills":
-		f = dist.BusKillsSites(*n, *p, *r)
-	case "bus-indep":
-		f = dist.BusIndependentSites(*n, *p, *r)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -net %q\n", *net)
-		os.Exit(2)
-	}
-
-	m, err := core.ModelFromSingleDensity(f)
+	m, err := core.ModelFromSingleDensity(density(*n, *p, *r))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -126,4 +118,33 @@ func main() {
 	maj := m.MaxReadQuorum()
 	fmt.Printf("majority  (q_r=%d): A = %.4f\n", maj, m.Availability(*alpha, maj))
 	fmt.Printf("read-one  (q_r=1):  A = %.4f\n", m.Availability(*alpha, 1))
+}
+
+// checkFlags returns the -net topology's closed-form density, or the first
+// flag value no constructor accepts — an unknown topology, too few sites for
+// it, or a probability or fraction outside [0, 1] — so main can refuse it
+// with one line and the usage instead of running into a panic.
+func checkFlags(net string, n int, p, r, alpha, minWrite float64) (func(n int, p, r float64) dist.PMF, error) {
+	topo, known := map[string]struct {
+		least   int
+		density func(n int, p, r float64) dist.PMF
+	}{
+		"ring": {3, dist.Ring}, "complete": {1, dist.Complete},
+		"bus-kills": {1, dist.BusKillsSites}, "bus-indep": {1, dist.BusIndependentSites},
+	}[net]
+	if !known {
+		return nil, fmt.Errorf("unknown -net %q", net)
+	}
+	if n < topo.least {
+		return nil, fmt.Errorf("-n %d: -net %s needs at least %d sites", n, net, topo.least)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"p", p}, {"r", r}, {"alpha", alpha}, {"minwrite", minWrite}} {
+		if !(f.v >= 0 && f.v <= 1) { // also refuses NaN
+			return nil, fmt.Errorf("-%s %g out of [0, 1]", f.name, f.v)
+		}
+	}
+	return topo.density, nil
 }

@@ -46,7 +46,7 @@ func advScenarios(seed uint64, steps int) []scenario {
 	storm.Workload = workload.Constant(0.75)
 	storm.Churn.Regions = advRegions()[:2]
 	storm.Churn.ShockMTBF, storm.Churn.ShockMTTR = 400, 20
-	storm.Partitions = faults.Storm(seed, faults.StormConfig{
+	storm.LinkFaults = faults.Storm(seed, faults.StormConfig{
 		Sites: sites, Regions: advRegions(),
 		Start: 0, End: int64(steps * 3 / 4),
 		MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,

@@ -36,7 +36,7 @@ func grayScenarios(seed uint64, steps int) []scenario {
 	// its spares are equally slow.) A mild bounded heavy tail adds
 	// per-link jitter on top. The hedged run must shrink the read tail
 	// by at least 20% at p99.
-	rotating := faults.NewLatencySchedule().
+	rotating := faults.NewLinkSchedule().
 		SetHeavyTail(seed^0x9e37, 0.05, 6, 12)
 	const rotateEvery = 60
 	for w := 0; w*rotateEvery < steps; w++ {
@@ -52,7 +52,7 @@ func grayScenarios(seed uint64, steps int) []scenario {
 		Health:        soakHealth(0.9),
 		RecordLatency: true,
 		HedgeK:        1.5,
-		Latency:       rotating,
+		LinkFaults:    rotating,
 	}
 
 	// gray-storm: real faults and gray slowness at once. Site/link churn
@@ -63,17 +63,16 @@ func grayScenarios(seed uint64, steps int) []scenario {
 		Workload: workload.Constant(0.75),
 		Churn:    soakChurn(),
 		Health:   soakHealth(0.75),
-		Partitions: faults.Storm(seed, faults.StormConfig{
+		LinkFaults: faults.Storm(seed, faults.StormConfig{
 			Sites: sites, Regions: advRegions(),
 			Start: 0, End: int64(steps * 3 / 4),
 			MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
-		}),
-		Latency: faults.GrayStorm(seed, faults.GrayStormConfig{
+		}).Merge(faults.GrayStorm(seed, faults.GrayStormConfig{
 			Sites: sites, Start: 0, End: int64(steps * 3 / 4),
 			MeanDuration: 30, MeanGap: 50,
 			SlowMin: 8, SlowMax: 25,
 			RampFraction: 0.25, FlapFraction: 0.25,
-		}),
+		})),
 	}
 
 	// adaptive-qr: the adversary reads the installed assignment and the
@@ -95,7 +94,7 @@ func grayScenarios(seed uint64, steps int) []scenario {
 		Adaptive: &faults.QRCritical{
 			Every: 20, Duration: 15, Slow: 0, Top: 2, CutEvery: 1,
 		},
-		Latency: faults.GrayStorm(seed^0xad, faults.GrayStormConfig{
+		LinkFaults: faults.GrayStorm(seed^0xad, faults.GrayStormConfig{
 			Sites: sites, Start: 0, End: int64(steps),
 			MeanDuration: 30, MeanGap: 40,
 			SlowMin: 8, SlowMax: 10,

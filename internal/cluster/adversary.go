@@ -55,36 +55,33 @@ type AdversaryConfig struct {
 
 	// Workload is the nonstationary read-fraction pattern α(t); nil means a
 	// balanced constant mix. Rate scales the per-step operation count
-	// (nil: constant factor 1) around MeanOpsPerStep (default 1).
-	Workload       workload.Pattern
-	Rate           workload.RatePattern
-	MeanOpsPerStep float64
+	// (nil: constant factor 1) around a mean of one operation a step.
+	Workload workload.Pattern
+	Rate     workload.RatePattern
 
 	// Churn drives site/link failures; its Regions/ShockMTBF fields add
-	// correlated regional shocks. Partitions (optional) is the message-level
-	// cut timetable, keyed by the step index.
+	// correlated regional shocks. LinkFaults (optional) is the message-level
+	// timetable of cuts and gray slowdowns, keyed by the step index.
+	// Adaptive (optional) is an adversary whose next move is a function of
+	// the installed assignment and suspicion set; its cuts and slowdowns
+	// append to the run's private copy of LinkFaults at step boundaries —
+	// the caller's schedule is never written — so it requires the
+	// deterministic runtime (the concurrent one consults the schedule from
+	// delivery goroutines).
 	Churn      faults.ChurnConfig
-	Partitions *faults.PartitionSchedule
+	LinkFaults *faults.LinkSchedule
+	Adaptive   faults.AdaptiveAdversary
 
 	// AmnesiaFraction is the probability that a site repaired by churn comes
 	// back with wiped storage (a replaced machine) and must rejoin by state
 	// transfer. Zero (the default) consumes no randomness, so schedules of
 	// amnesia-free configs are unchanged. It composes with every other
-	// field: partitions, gray latency and installed strategies included. The
+	// field: link faults and installed strategies included. The
 	// mirror tracks topology only, and an amnesiac peer is reachable but
 	// silent until readmitted: its votes still count as reachable (the
 	// oracle overstates, the minority-write tripwire stays sound) and a
 	// suspicion raised against it counts in FalsePositives.
 	AmnesiaFraction float64
-
-	// Latency (optional) is the gray slowdown timetable, keyed by the same
-	// step clock as Partitions. Adaptive (optional) is an adversary whose
-	// next move is a function of the installed assignment and suspicion
-	// set; its cuts append to Partitions and its slowdowns to Latency at
-	// step boundaries, so it requires the deterministic runtime (the
-	// concurrent one consults both schedules from delivery goroutines).
-	Latency  *faults.LatencySchedule
-	Adaptive faults.AdaptiveAdversary
 
 	// Hedge turns on hedged gray reads with budget multiplier HedgeK
 	// (<=0: the default). RecordLatency routes reads through ServeReadGray
@@ -95,26 +92,21 @@ type AdversaryConfig struct {
 
 	// Strategy (optional) is a randomized quorum strategy installed before
 	// the scenario starts, served through the sampled-quorum ladder with
-	// resample budget StrategyBudget (default 3) and sampling seed
-	// StrategySeed. With Daemon and Health.Strategy.Enabled set, the daemon
-	// re-solves it on suspicion edges; without, the strategy is frozen and
-	// version drift disarms it.
-	Strategy       *strategy.Strategy
-	StrategyBudget int
-	StrategySeed   uint64
+	// resample budget strategyBudget and sampling seed StrategySeed. With
+	// Daemon and Health.Strategy.Enabled set, the daemon re-solves it on
+	// suspicion edges; without, the strategy is frozen and version drift
+	// disarms it.
+	Strategy     *strategy.Strategy
+	StrategySeed uint64
 
-	// Daemon enables self-healing, swept every DaemonEvery steps. When
+	// Daemon enables self-healing, swept every daemonEvery steps. When
 	// false the run is the static baseline the availability and regret
 	// comparisons judge against.
-	Daemon      bool
-	DaemonEvery int
-	Health      HealthConfig
+	Daemon bool
+	Health HealthConfig
 
 	// EpochSteps is the oracle re-optimization period (default 50 steps).
 	EpochSteps int
-
-	// SettleSteps is the post-heal measurement window (default Steps/10).
-	SettleSteps int
 
 	// schedule builds the run's operation stream; nil means poissonOps. It is
 	// the one thing SoakScenario changes, and not an option: a scenario is
@@ -122,28 +114,25 @@ type AdversaryConfig struct {
 	schedule func(AdversaryConfig) opSchedule
 }
 
+// What no scenario varies: the mean operations a step the rate pattern
+// scales, the resample budget of an installed strategy, and the daemon's
+// sweep period in steps. The post-heal settle window is a tenth of the run.
+const (
+	meanOpsPerStep = 1
+	strategyBudget = 3
+	daemonEvery    = 2
+)
+
 // normalized fills defaults.
 func (cfg AdversaryConfig) normalized() AdversaryConfig {
 	if cfg.Workload == nil {
 		cfg.Workload = workload.Constant(0.5)
-	}
-	if cfg.MeanOpsPerStep <= 0 {
-		cfg.MeanOpsPerStep = 1
-	}
-	if cfg.DaemonEvery < 1 {
-		cfg.DaemonEvery = 2
 	}
 	if cfg.EpochSteps < 1 {
 		cfg.EpochSteps = 50
 	}
 	if cfg.schedule == nil {
 		cfg.schedule = poissonOps
-	}
-	if cfg.SettleSteps < 1 {
-		cfg.SettleSteps = cfg.Steps / 10
-		if cfg.SettleSteps < 1 {
-			cfg.SettleSteps = 1
-		}
 	}
 	return cfg
 }
@@ -162,7 +151,7 @@ type opSchedule struct {
 func poissonOps(cfg AdversaryConfig) opSchedule {
 	src := rng.New(cfg.Seed ^ 0xad5e)
 	gen := workload.NewGenerator(cfg.Workload, cfg.Seed^0x9ead)
-	arrivals := workload.NewArrivals(cfg.Rate, cfg.MeanOpsPerStep, cfg.Seed^0xf1a5)
+	arrivals := workload.NewArrivals(cfg.Rate, meanOpsPerStep, cfg.Seed^0xf1a5)
 	return opSchedule{
 		batch: arrivals.At,
 		next:  func(t float64) (int, bool) { return src.Intn(cfg.Sites), gen.IsRead(t) },
@@ -318,7 +307,7 @@ func (r *AdversaryRun) String() string {
 // fresh all-up graph.State over the same topology and votes; the harness
 // owns it for the duration of the run. The phases:
 //
-//  1. Adversity: cfg.Steps steps. Each step advances the partition clock,
+//  1. Adversity: cfg.Steps steps. Each step advances the schedule clock,
 //     applies the churn (and shock) events to runtime and mirror — a
 //     repair wiping the site first with probability AmnesiaFraction —
 //     sweeps the daemon on schedule, then serves the schedule's batch of
@@ -326,10 +315,10 @@ func (r *AdversaryRun) String() string {
 //     α(t)). Every operation — including indeterminate residues — feeds
 //     the history log and the epoch tally; every EpochSteps steps the
 //     epoch closes against the hindsight oracle.
-//  2. Heal: the partition clock jumps past the schedule horizon, every
+//  2. Heal: the schedule clock jumps past the schedule horizon, every
 //     site and link is repaired, nodes still amnesiac are readmitted, and
 //     the daemon (when enabled) sweeps until its views recover.
-//  3. Settle: cfg.SettleSteps single-op steps on the healed topology, then
+//  3. Settle: Steps/10 single-op steps on the healed topology, then
 //     per-node assignment versions are recorded for the convergence check.
 //
 // Safety (ViolationErr == nil, MinorityWrites == 0) is asserted by the
@@ -339,26 +328,18 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	if cfg.Daemon {
 		rt.EnableSelfHealing(cfg.Health)
 	}
-	grayOn := cfg.Latency != nil || cfg.Adaptive != nil || cfg.Hedge || cfg.RecordLatency
-	if grayOn {
-		if cfg.Latency == nil {
-			cfg.Latency = faults.NewLatencySchedule()
-		}
-		if cfg.Adaptive != nil && cfg.Partitions == nil {
-			cfg.Partitions = faults.NewPartitionSchedule()
-		}
-		rt.EnableGrayLatency(cfg.Latency)
-		rt.ConfigureHedge(cfg.Hedge, cfg.HedgeK)
+	links := cfg.LinkFaults
+	if cfg.Adaptive != nil {
+		// The adversary's moves go into a copy, so replays of one config
+		// stay independent of each other.
+		links = links.Clone()
 	}
-	if cfg.Partitions != nil {
-		rt.EnablePartitions(cfg.Partitions)
+	if links != nil {
+		rt.EnableLinkFaults(links)
 	}
+	rt.ConfigureHedge(cfg.Hedge, cfg.HedgeK)
 	if cfg.Strategy != nil {
-		budget := cfg.StrategyBudget
-		if budget < 1 {
-			budget = 3
-		}
-		if err := rt.InstallStrategy(*cfg.Strategy, rt.NodeAssignment(0), rt.NodeVersion(0), budget, cfg.StrategySeed); err != nil {
+		if err := rt.InstallStrategy(*cfg.Strategy, rt.NodeAssignment(0), rt.NodeVersion(0), strategyBudget, cfg.StrategySeed); err != nil {
 			panic("cluster: install scenario strategy: " + err.Error())
 		}
 	}
@@ -381,11 +362,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 		if !mirror.SiteUp(x) || !mirror.SiteUp(p) || !mirror.SameComponent(x, p) {
 			return false
 		}
-		if cfg.Partitions != nil &&
-			(cfg.Partitions.Blocked(pt, x, p) || cfg.Partitions.Blocked(pt, p, x)) {
-			return false
-		}
-		return true
+		return !links.Blocked(pt, x, p) && !links.Blocked(pt, p, x)
 	}
 
 	// reachable computes the votes a coordinator's round can actually
@@ -438,7 +415,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 		votes := reachable(site, pt)
 		var out Outcome
 		if read {
-			if grayOn && cfg.RecordLatency {
+			if cfg.RecordLatency {
 				var gs GrayReadStats
 				out, gs = rt.ServeReadGray(site)
 				if !settling && out.Granted && gs.Latency >= 0 {
@@ -579,30 +556,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 				}
 			}
 			for _, act := range cfg.Adaptive.Advise(view) {
-				if len(act.Sites) == 0 || act.End <= act.Start {
-					continue
-				}
-				if act.Cut {
-					inSet := make(map[int]bool, len(act.Sites))
-					for _, s := range act.Sites {
-						inSet[s] = true
-					}
-					rest := make([]int, 0, cfg.Sites)
-					for p := 0; p < cfg.Sites; p++ {
-						if !inSet[p] {
-							rest = append(rest, p)
-						}
-					}
-					if len(rest) > 0 {
-						// One-way: the targets' outbound traffic is lost, so
-						// their acks never come home — the gray-adjacent cut.
-						cfg.Partitions.AddOneWay(act.Start, act.End, act.Sites, rest)
-					}
-				} else if act.Slow >= 1 {
-					for _, s := range act.Sites {
-						cfg.Latency.AddSiteSlow(act.Start, act.End, s, act.Slow, 0)
-					}
-				}
+				links.Apply(act, cfg.Sites)
 			}
 		}
 		for _, ev := range churn.Step(t) {
@@ -634,7 +588,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 				run.LinkEvents++
 			}
 		}
-		if cfg.Daemon && step%cfg.DaemonEvery == 0 {
+		if cfg.Daemon && step%daemonEvery == 0 {
 			daemonSweep(pt)
 		}
 		for n := ops.batch(t); n > 0; n-- {
@@ -647,16 +601,9 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	// Flush a partial trailing epoch (no-op when empty).
 	closeEpoch(cfg.Steps, int64(cfg.Steps)-1)
 
-	// Phase 2: heal. Jump the partition clock past both schedule horizons
-	// so every cut and slowdown is lifted, then repair everything churn
-	// took down.
-	healT := int64(cfg.Steps)
-	if cfg.Partitions != nil && cfg.Partitions.Horizon() > healT {
-		healT = cfg.Partitions.Horizon()
-	}
-	if cfg.Latency != nil && cfg.Latency.Horizon() > healT {
-		healT = cfg.Latency.Horizon()
-	}
+	// Phase 2: heal. Jump the schedule clock past the horizon so every cut
+	// and slowdown is lifted, then repair everything churn took down.
+	healT := max(int64(cfg.Steps), links.Horizon())
 	rt.SetPartitionTime(healT)
 	for i, down := range downSites {
 		if down {
@@ -696,9 +643,9 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	}
 
 	// Phase 3: settle.
-	for s := 0; s < cfg.SettleSteps; s++ {
+	for s := 0; s < max(cfg.Steps/10, 1); s++ {
 		t := float64(cfg.Steps + s)
-		if cfg.Daemon && (cfg.Steps+s)%cfg.DaemonEvery == 0 {
+		if cfg.Daemon && (cfg.Steps+s)%daemonEvery == 0 {
 			daemonSweep(healT)
 		}
 		doOp(t, healT, true)
@@ -717,9 +664,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	if cfg.Strategy != nil {
 		run.Strategy = rt.StrategyCounters()
 	}
-	if grayOn {
-		run.HedgeProbes, run.HedgeWins = rt.HedgeStats()
-	}
+	run.HedgeProbes, run.HedgeWins = rt.HedgeStats()
 	run.ViolationErr = run.Log.Check()
 	return run
 }

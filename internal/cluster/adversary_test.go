@@ -46,7 +46,7 @@ func TestAdversaryDeterministicReplay(t *testing.T) {
 	cfg := advTestConfig(11, 600, true)
 	cfg.Churn.Regions = advRegions()[:2]
 	cfg.Churn.ShockMTBF, cfg.Churn.ShockMTTR = 200, 15
-	cfg.Partitions = faults.Storm(11, faults.StormConfig{
+	cfg.LinkFaults = faults.Storm(11, faults.StormConfig{
 		Sites: 9, Regions: advRegions(), Start: 50, End: 500,
 		MeanDuration: 30, MeanGap: 80, OneWayFraction: 0.3,
 	})
@@ -143,7 +143,7 @@ func TestAdversaryPartitionStorm(t *testing.T) {
 	cfg.Workload = workload.Constant(0.75)
 	cfg.Churn.Regions = advRegions()[:2]
 	cfg.Churn.ShockMTBF, cfg.Churn.ShockMTTR = 400, 20
-	cfg.Partitions = faults.Storm(7, faults.StormConfig{
+	cfg.LinkFaults = faults.Storm(7, faults.StormConfig{
 		Sites: 9, Regions: advRegions(), Start: 0, End: steps * 3 / 4,
 		MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
 	})
@@ -178,7 +178,7 @@ func TestAdversaryMinorityPartitionNeverWrites(t *testing.T) {
 	cfg := advTestConfig(5, steps, true)
 	cfg.Workload = workload.Constant(0.4) // write-heavy to stress the gate
 	cfg.Churn = faults.ChurnConfig{}      // partitions only
-	cfg.Partitions = faults.NewPartitionSchedule().
+	cfg.LinkFaults = faults.NewLinkSchedule().
 		AddSplit(0, steps, []int{0, 1, 2}, []int{3, 4, 5, 6, 7, 8})
 
 	rt, mirror := newAdvCluster(t)
@@ -234,7 +234,7 @@ func TestAdversaryFlashCrowd(t *testing.T) {
 func TestAdversaryAsyncRuntime(t *testing.T) {
 	const steps = 700
 	cfg := advTestConfig(13, steps, true)
-	cfg.Partitions = faults.Storm(13, faults.StormConfig{
+	cfg.LinkFaults = faults.Storm(13, faults.StormConfig{
 		Sites: 9, Regions: advRegions(), Start: 0, End: steps / 2,
 		MeanDuration: 25, MeanGap: 60, OneWayFraction: 0.4,
 	})
@@ -279,7 +279,7 @@ func TestAdversaryAmnesiaUnderStormWithStrategy(t *testing.T) {
 		cfg := advTestConfig(seed, steps, true)
 		cfg.AmnesiaFraction = 0.2
 		cfg.Health.Strategy = StrategyResolveConfig{Enabled: true}
-		cfg.Partitions = faults.Storm(seed, faults.StormConfig{
+		cfg.LinkFaults = faults.Storm(seed, faults.StormConfig{
 			Sites: 9, Regions: advRegions(), Start: 0, End: steps * 3 / 4,
 			MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
 		})
@@ -322,5 +322,37 @@ func TestAdversaryAmnesiaUnderStormWithStrategy(t *testing.T) {
 		if !reflect.DeepEqual(d, as) {
 			t.Fatalf("seed %d: runtimes diverge:\n det %v %+v\n asy %v %+v", seed, d, d.Strategy, as, as.Strategy)
 		}
+	}
+}
+
+// TestAdversaryAdaptiveReplaysAreIndependent: the adaptive adversary's
+// moves go into the run's private copy of the schedule, so replaying one
+// config — as every suite does, mode after mode — sees the same timetable
+// each time: a daemon-off replay after a daemon-on run of the same config
+// matches a fresh daemon-off run, and the caller's schedule never grows.
+func TestAdversaryAdaptiveReplaysAreIndependent(t *testing.T) {
+	cfg := advTestConfig(1, 600, false)
+	cfg.Churn = faults.ChurnConfig{SiteMTBF: 500, SiteMTTR: 25, LinkMTBF: 120, LinkMTTR: 25}
+	cfg.Adaptive = &faults.QRCritical{Every: 20, Duration: 15, Top: 2, CutEvery: 1}
+	cfg.LinkFaults = faults.NewLinkSchedule().AddOneWay(100, 140, []int{4}, []int{5})
+
+	replay := func(daemon bool) *AdversaryRun {
+		c := cfg
+		c.Daemon = daemon
+		rt, mirror := newAdvCluster(t)
+		return RunAdversary(rt, mirror, c)
+	}
+	fresh := replay(false)
+	replay(true)
+	again := replay(false)
+	if fresh.PartitionDrops == 0 {
+		t.Fatal("the adversary never cut anything")
+	}
+	if fresh.Granted != again.Granted || fresh.PartitionDrops != again.PartitionDrops {
+		t.Fatalf("replay depends on the runs before it: fresh %d granted %d drops, again %d granted %d drops",
+			fresh.Granted, fresh.PartitionDrops, again.Granted, again.PartitionDrops)
+	}
+	if n := cfg.LinkFaults.NumRules(); n != 1 {
+		t.Fatalf("RunAdversary wrote %d rules into the caller's schedule", n-1)
 	}
 }

@@ -17,14 +17,14 @@ import (
 // replica is serialized. Everything the protocol decides is written once,
 // in coordinator, over these calls.
 //
-// A transport applies the fault plan, the partition schedule and the gray
-// latency schedule per message and per direction, hands each delivery to
-// replica.receive, and guarantees that when exchange or post returns every
-// delivery it admitted has been processed — including reply-less ones, so
-// the side effects of a request whose reply was lost (the peer's copy
-// changes, its sync barrier runs) have landed. A peer that abstains, is
-// unreachable, or whose reply is lost is simply missing from the replies.
-// Target lists may include the sender; a site never messages itself.
+// A transport applies the fault plan and the link schedule per message and
+// per direction, hands each delivery to replica.receive, and guarantees that
+// when exchange or post returns every delivery it admitted has been
+// processed — including reply-less ones, so the side effects of a request
+// whose reply was lost (the peer's copy changes, its sync barrier runs) have
+// landed. A peer that abstains, is unreachable, or whose reply is lost is
+// simply missing from the replies. Target lists may include the sender; a
+// site never messages itself.
 type transport interface {
 	// exchange sends req from x to each target and returns the replies that
 	// made it back, in arrival order and without deduplication, plus how
@@ -76,11 +76,12 @@ type coordinator struct {
 	// strat, when non-nil, holds the installed randomized quorum strategy
 	// the serving layer samples from (see strategy.go).
 	strat *strategyState
-	// parts is the schedule of network cuts the transport evaluates per
-	// message direction at the current partition time (see partition.go).
-	parts partitions
-	// gray, when non-nil, holds the gray latency schedule, per-link latency
-	// estimators, and hedged-read configuration (see gray.go).
+	// links is the schedule of link cuts and slowdowns the transport
+	// evaluates per message direction, and the one clock it is read at (see
+	// links.go).
+	links linkFaults
+	// gray holds the hedged-read configuration and the per-link latency
+	// estimators behind it (see gray.go).
 	gray *grayState
 	// obs, when non-nil, receives counters, histograms, and trace events
 	// (see obs.go); observation is write-only and never affects behaviour.
@@ -139,6 +140,7 @@ func (k *coordinator) init(tr transport, st *graph.State, initial quorum.Assignm
 	}
 	n := st.Graph().N()
 	k.tr, k.st = tr, st
+	k.gray = &grayState{hedgeK: 3, n: n}
 	k.all = make([]int, n)
 	k.disks = make([]*store.MemDisk, n)
 	for i := range k.all {

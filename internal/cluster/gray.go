@@ -4,16 +4,15 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"quorumkit/internal/faults"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/stats"
 )
 
-// Gray-failure layer: a pure faults.LatencySchedule
-// stretches message round trips without dropping anything, and a hedged
-// read path spends extra probes to route around the slowness.
+// Gray-failure layer: the slowdown rules of the runtime's
+// faults.LinkSchedule (links.go) stretch message round trips without
+// dropping anything, and a hedged read path spends extra probes to route
+// around the slowness.
 //
 // Enforcement differs by transport on purpose. The concurrent Async adds
 // the schedule's delay slots to real deliveries (heartbeat probes sleep
@@ -43,11 +42,9 @@ const grayBaseRTT = 2
 // estimators that drive hedged-read routing and budgets.
 const grayEstWindow = 16
 
-// grayState is the shared gray-latency context of one runtime.
+// grayState is one runtime's hedged-read configuration, the per-link
+// latency estimators that drive it, and its totals.
 type grayState struct {
-	sched *faults.LatencySchedule
-	now   atomic.Int64 // gray clock; advanced by SetPartitionTime
-
 	mu     sync.Mutex
 	hedge  bool
 	hedgeK float64
@@ -57,29 +54,12 @@ type grayState struct {
 	wins   int64
 }
 
-func newGrayState(ls *faults.LatencySchedule, n int) *grayState {
-	return &grayState{sched: ls, hedgeK: 3, n: n, est: make([]*stats.PhiEstimator, n*n)}
-}
-
-// delay is the one-way gray delay of (from, to) at the current gray clock.
-func (g *grayState) delay(from, to int) int64 {
-	if g == nil || g.sched == nil {
-		return 0
-	}
-	return g.sched.Delay(g.now.Load(), from, to)
-}
-
-// rtt is the modeled round trip of a probe from x to p and back, in slots.
-func (g *grayState) rtt(x, p int) int64 {
-	if g == nil {
-		return grayBaseRTT
-	}
-	return grayBaseRTT + g.delay(x, p) + g.delay(p, x)
-}
-
 // estOf returns the link estimator for coordinator x observing peer p,
 // allocating it lazily. Callers hold g.mu.
 func (g *grayState) estOf(x, p int) *stats.PhiEstimator {
+	if g.est == nil { // n² slots, so only a runtime that serves gray reads pays for them
+		g.est = make([]*stats.PhiEstimator, g.n*g.n)
+	}
 	i := x*g.n + p
 	if g.est[i] == nil {
 		g.est[i] = stats.NewPhiEstimator(grayEstWindow)
@@ -202,18 +182,10 @@ func hedgeModel(need int, peers []grayPeer, hedge bool, k float64) (latency, unh
 	return latency, unhedged, probes, win
 }
 
-// EnableGrayLatency attaches a gray latency schedule. Call before any
-// concurrent operations; the schedule must not be mutated afterwards except
-// from the single harness goroutine between steps.
-func (k *coordinator) EnableGrayLatency(ls *faults.LatencySchedule) {
-	k.gray = newGrayState(ls, len(k.all))
-}
-
 // ConfigureHedge switches hedged gray reads on or off and sets the budget
 // multiplier K (budget = mean + K·sigma slots; K<=0 keeps the default 3).
-// Requires EnableGrayLatency.
 func (k *coordinator) ConfigureHedge(on bool, mult float64) {
-	g := k.mustGray()
+	g := k.gray
 	g.mu.Lock()
 	g.hedge = on
 	if mult > 0 {
@@ -222,27 +194,22 @@ func (k *coordinator) ConfigureHedge(on bool, mult float64) {
 	g.mu.Unlock()
 }
 
-// graySlots is the extra delivery delay, in slots, that the gray schedule
+// graySlots is the extra delivery delay, in slots, that the link schedule
 // imposes on one x→p probe and its ack (0 without a schedule).
 func (k *coordinator) graySlots(x, p int) int {
-	return int(k.gray.rtt(x, p) - grayBaseRTT)
+	return int(k.rtt(x, p) - grayBaseRTT)
 }
 
 // HedgeStats returns the cumulative (backup probes, hedge wins).
 func (k *coordinator) HedgeStats() (probes, wins int64) {
-	if k.gray == nil {
-		return 0, 0
-	}
 	k.gray.mu.Lock()
 	defer k.gray.mu.Unlock()
 	return k.gray.probes, k.gray.wins
 }
 
 // ServeReadGray runs ServeRead and models its completion latency under the
-// gray schedule and the active hedging configuration. Requires
-// EnableGrayLatency.
+// link schedule's slowdowns and the active hedging configuration.
 func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	g := k.mustGray()
 	out := k.ServeRead(x)
 	gs := GrayReadStats{Latency: -1, Unhedged: -1}
 	if !out.Granted {
@@ -257,9 +224,9 @@ func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
 		if k.cut(x, p) || k.cut(p, x) {
 			continue // cut either way: no round trip exists to hedge
 		}
-		peers = append(peers, grayPeer{id: p, votes: k.st.Votes(p), rtt: g.rtt(x, p)})
+		peers = append(peers, grayPeer{id: p, votes: k.st.Votes(p), rtt: k.rtt(x, p)})
 	}
-	g.observeRead(k.obs, &gs, self.assign.QR-votes, peers, x)
+	k.gray.observeRead(k.obs, &gs, self.assign.QR-votes, peers, x)
 	return out, gs
 }
 
@@ -303,12 +270,4 @@ func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, 
 	if lat >= 0 {
 		reg.Observe(obs.HGrayReadSlots, lat)
 	}
-}
-
-// mustGray asserts that EnableGrayLatency was called.
-func (k *coordinator) mustGray() *grayState {
-	if k.gray == nil {
-		panic("cluster: gray operation without EnableGrayLatency")
-	}
-	return k.gray
 }

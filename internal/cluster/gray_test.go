@@ -13,7 +13,7 @@ import (
 
 // newGrayCluster builds a complete(5) deterministic cluster with
 // self-healing (given detector) and the gray schedule attached.
-func newGrayCluster(t *testing.T, det DetectorKind, ls *faults.LatencySchedule) *Cluster {
+func newGrayCluster(t *testing.T, det DetectorKind, ls *faults.LinkSchedule) *Cluster {
 	t.Helper()
 	st := graph.NewState(graph.Complete(5), nil)
 	c, err := New(st, quorum.Majority(5))
@@ -23,7 +23,7 @@ func newGrayCluster(t *testing.T, det DetectorKind, ls *faults.LatencySchedule) 
 	cfg := DefaultHealthConfig()
 	cfg.Detector = det
 	c.EnableSelfHealing(cfg)
-	c.EnableGrayLatency(ls)
+	c.EnableLinkFaults(ls)
 	return c
 }
 
@@ -38,8 +38,8 @@ func newGrayCluster(t *testing.T, det DetectorKind, ls *faults.LatencySchedule) 
 // false suspicion is precisely the misclassification the φ detector
 // exists to remove.
 func TestAsymmetricSlowdownSuspicion(t *testing.T) {
-	sched := func() *faults.LatencySchedule {
-		return faults.NewLatencySchedule().
+	sched := func() *faults.LinkSchedule {
+		return faults.NewLinkSchedule().
 			AddLinkSlow(0, 1<<30, []int{0}, []int{1}, 30, 0)
 	}
 
@@ -91,10 +91,10 @@ func TestAsymmetricSlowdownSuspicion(t *testing.T) {
 // flapping, heavy-tail inflation) and one undelayed, must serve the same
 // op stream to byte-identical final node states, with 1SR holding in both.
 func TestDelayOnlyMetamorphic(t *testing.T) {
-	build := func(ls *faults.LatencySchedule) *Cluster {
+	build := func(ls *faults.LinkSchedule) *Cluster {
 		return newGrayCluster(t, DetectorPhi, ls)
 	}
-	heavy := faults.NewLatencySchedule().
+	heavy := faults.NewLinkSchedule().
 		AddSiteSlow(0, 200, 1, 12, 4).
 		AddFlap(50, 150, []int{3}, 7, 6, 3).
 		AddLinkSlow(20, 180, []int{2}, []int{4}, 9, 0).
@@ -177,7 +177,7 @@ func TestPhiMissCountCrosscheckOnDeath(t *testing.T) {
 // learn to route around the slow site entirely (no probes needed, base
 // latency).
 func TestHedgedReadWinsAndAdapts(t *testing.T) {
-	ls := faults.NewLatencySchedule().AddSiteSlow(0, 1<<30, 1, 10, 0)
+	ls := faults.NewLinkSchedule().AddSiteSlow(0, 1<<30, 1, 10, 0)
 	c := newGrayCluster(t, DetectorPhi, ls)
 	c.ConfigureHedge(true, 3)
 	c.SetPartitionTime(0)
@@ -217,7 +217,7 @@ func TestHedgedReadWinsAndAdapts(t *testing.T) {
 // the φ histogram.
 func TestGrayObsByteStable(t *testing.T) {
 	run := func() []byte {
-		ls := faults.NewLatencySchedule().
+		ls := faults.NewLinkSchedule().
 			AddSiteSlow(0, 100, 1, 10, 0).
 			SetHeavyTail(7, 0.2, 4, 30)
 		c := newGrayCluster(t, DetectorPhi, ls)
@@ -234,7 +234,7 @@ func TestGrayObsByteStable(t *testing.T) {
 			}
 			c.ServeReadGray(step % 5)
 			value++
-			c.ServeWrite((step + 1) % 5, value)
+			c.ServeWrite((step+1)%5, value)
 		}
 		var buf bytes.Buffer
 		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
@@ -278,7 +278,7 @@ func TestAsyncGrayHeartbeat(t *testing.T) {
 		a.EnableSelfHealing(cfg)
 		// 20 extra slots round trip: 1ms of real delay per probe, well
 		// past the miss deadline (8) but nowhere near the gather deadline.
-		a.EnableGrayLatency(faults.NewLatencySchedule().
+		a.EnableLinkFaults(faults.NewLinkSchedule().
 			AddSiteSlow(0, 1<<30, 1, 10, 0))
 		a.SetPartitionTime(0)
 		return a

@@ -52,11 +52,11 @@ type Runtime interface {
 	Crashed() []int
 	ChaosCounters() stats.ChaosCounters
 
-	// The partition transport and the gray-latency clock it shares.
-	EnablePartitions(ps *faults.PartitionSchedule)
+	// Scheduled link faults (cuts and gray slowdowns) on one clock, and the
+	// hedged reads that route around the slowdowns.
+	EnableLinkFaults(ls *faults.LinkSchedule)
 	SetPartitionTime(t int64)
 	PartitionDrops() int64
-	EnableGrayLatency(ls *faults.LatencySchedule)
 	ConfigureHedge(on bool, k float64)
 	ServeReadGray(x int) (Outcome, GrayReadStats)
 	HedgeStats() (probes, wins int64)

@@ -27,13 +27,13 @@ import (
 //   - DetectorMissCount (the compatibility mode, and the default): a peer
 //     that misses SuspectAfter consecutive probes is *suspected*; an
 //     answer unsuspects it. Under gray failures this rule misclassifies:
-//     an ack slower than MissDeadline delivery slots is treated as a miss
+//     an ack slower than missDeadline delivery slots is treated as a miss
 //     (counted in LateAcks), so a merely slow peer looks dead.
 //
 //   - DetectorPhi: a φ-accrual detector (stats.PhiEstimator). Every ack's
 //     round-trip latency feeds a per-peer sliding window; on silence the
 //     detector computes φ = −log10 P(still alive given this much quiet)
-//     under the windowed fit and suspects at PhiThreshold. An answering
+//     under the windowed fit and suspects at phiThreshold. An answering
 //     peer is never suspected, however slow — slow and dead are different
 //     verdicts, which is exactly the distinction gray failures demand.
 //     Until the window holds enough samples the miss-count rule is the
@@ -127,6 +127,23 @@ func (d DetectorKind) String() string {
 	}
 }
 
+// The detector's fixed tuning.
+const (
+	// missDeadline is the miss-count mode's latency budget in delivery
+	// slots: an ack slower than this counts as a miss. It is comfortably
+	// above the fault-free round trip (2), so schedules without gray
+	// latency never trip it.
+	missDeadline = 8
+	// phiThreshold is the φ suspicion threshold: suspect when the odds the
+	// peer is alive drop below 1 in 10⁸.
+	phiThreshold = 8
+	// phiWindow is the per-peer latency window size (φ mode).
+	phiWindow = 16
+	// grantRateFloor triggers the daemon when the windowed grant rate drops
+	// below it (only once the window is full).
+	grantRateFloor = 0.75
+)
+
 // HealthConfig tunes the failure detector and the adaptive daemon.
 type HealthConfig struct {
 	// Detector selects the suspicion rule (default: miss count).
@@ -134,22 +151,9 @@ type HealthConfig struct {
 	// SuspectAfter is the number of consecutive missed heartbeats before a
 	// peer is suspected (miss-count mode, and the φ bootstrap fallback).
 	SuspectAfter int
-	// MissDeadline is the miss-count mode's fixed latency budget in
-	// delivery slots: an ack slower than this counts as a miss. The
-	// default (8) is comfortably above the fault-free round trip (2), so
-	// schedules without gray latency behave exactly as before.
-	MissDeadline int64
-	// PhiThreshold is the φ suspicion threshold (φ mode; default 8 —
-	// suspect when the odds the peer is alive drop below 1 in 10⁸).
-	PhiThreshold float64
-	// PhiWindow is the per-peer latency window size (φ mode; default 16).
-	PhiWindow int
 	// WindowSize is the per-node sliding window of operation outcomes that
-	// feeds the grant-rate trigger.
+	// feeds the grant-rate trigger (grantRateFloor).
 	WindowSize int
-	// GrantRateFloor triggers the daemon when the windowed grant rate drops
-	// below it (only once the window is full).
-	GrantRateFloor float64
 	// CooldownTicks is the minimum number of daemon ticks between two
 	// reassignment attempts at the same node (the rate limiter).
 	CooldownTicks int64
@@ -172,15 +176,11 @@ type HealthConfig struct {
 // improvement of at least one availability point.
 func DefaultHealthConfig() HealthConfig {
 	return HealthConfig{
-		SuspectAfter:   2,
-		MissDeadline:   8,
-		PhiThreshold:   8,
-		PhiWindow:      16,
-		WindowSize:     32,
-		GrantRateFloor: 0.75,
-		CooldownTicks:  4,
-		Alpha:          0.75,
-		Hysteresis:     0.01,
+		SuspectAfter:  2,
+		WindowSize:    32,
+		CooldownTicks: 4,
+		Alpha:         0.75,
+		Hysteresis:    0.01,
 	}
 }
 
@@ -191,20 +191,8 @@ func (cfg HealthConfig) normalize() HealthConfig {
 	if cfg.SuspectAfter < 1 {
 		cfg.SuspectAfter = d.SuspectAfter
 	}
-	if cfg.MissDeadline < 1 {
-		cfg.MissDeadline = d.MissDeadline
-	}
-	if cfg.PhiThreshold <= 0 {
-		cfg.PhiThreshold = d.PhiThreshold
-	}
-	if cfg.PhiWindow < 4 {
-		cfg.PhiWindow = d.PhiWindow
-	}
 	if cfg.WindowSize < 1 {
 		cfg.WindowSize = d.WindowSize
-	}
-	if cfg.GrantRateFloor <= 0 {
-		cfg.GrantRateFloor = d.GrantRateFloor
 	}
 	if cfg.CooldownTicks < 1 {
 		cfg.CooldownTicks = d.CooldownTicks
@@ -329,7 +317,7 @@ func (v *healthView) grantRate() (float64, bool) {
 // gray-failure misclassification of the compatibility detector). Always
 // false in φ mode: slow is not dead.
 func (h *healthState) lateAck(rtt int64) bool {
-	return h.cfg.Detector == DetectorMissCount && rtt > h.cfg.MissDeadline
+	return h.cfg.Detector == DetectorMissCount && rtt > missDeadline
 }
 
 // phiOf returns node x's φ estimator for peer p, allocating it lazily.
@@ -348,7 +336,7 @@ func (v *healthView) phiOf(p, window int) *stats.PhiEstimator {
 // misses, and the service mode is recomputed from the reachable votes.
 // rtts[i] is the round trip of acks[i] in delivery slots (nil: the
 // fault-free baseline for every ack). In miss-count mode an ack past
-// MissDeadline is dropped here — a miss that contributes no votes; in φ
+// missDeadline is dropped here — a miss that contributes no votes; in φ
 // mode every ack feeds the peer's latency window and silence is judged by
 // φ against the windowed fit. Returns the probe's reachable-vote bound and
 // whether the suspected set changed. Callers hold h.mu.
@@ -387,7 +375,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			h.counters.HeartbeatAcks++
 			v.misses[p] = 0
 			if phiMode {
-				est := v.phiOf(p, h.cfg.PhiWindow)
+				est := v.phiOf(p, phiWindow)
 				if est.Ready() {
 					h.obs.Observe(obs.HPhi, int64(est.Phi(float64(ackRTT[p]))*100))
 				}
@@ -413,7 +401,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			elapsed := float64(v.misses[p]) * math.Max(mean, grayBaseRTT)
 			phi := v.phi[p].Phi(elapsed)
 			h.obs.Observe(obs.HPhi, int64(phi*100))
-			suspect = phi >= h.cfg.PhiThreshold
+			suspect = phi >= phiThreshold
 		} else {
 			// Miss-count rule: directly, or as the φ bootstrap fallback
 			// before the window has enough samples.
@@ -496,7 +484,7 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	// Trigger conditions: an edge on the suspected set, or a sustained
 	// grant-rate drop.
 	trigger := v.suspectEpoch != v.attemptEpoch
-	if rate, full := v.grantRate(); full && rate < h.cfg.GrantRateFloor {
+	if rate, full := v.grantRate(); full && rate < grantRateFloor {
 		trigger = true
 	}
 	rep.Triggered = trigger
@@ -669,7 +657,7 @@ func (k *coordinator) heartbeatRound(x int) ([]msg, []int64) {
 		if n := len(k.rtts); n != i {
 			replies[n] = *a // kept acks are compacted in place
 		}
-		k.rtts = append(k.rtts, k.gray.rtt(x, int(a.from)))
+		k.rtts = append(k.rtts, k.rtt(x, int(a.from)))
 	}
 	return replies[:len(k.rtts)], k.rtts
 }

@@ -24,7 +24,7 @@ func TestAsymmetricCutConsistentSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableSelfHealing(DefaultHealthConfig())
-	c.EnablePartitions(faults.NewPartitionSchedule().
+	c.EnableLinkFaults(faults.NewLinkSchedule().
 		AddOneWay(0, 1<<30, []int{0}, []int{1}))
 	c.SetPartitionTime(0)
 
@@ -87,8 +87,8 @@ func TestAsymmetricCutConsistentSuspicion(t *testing.T) {
 // all loss from the cut timetable) with a shared seeded schedule,
 // advancing the partition clock each step. Mirrors RunChaos's schedule
 // structure minus crash recovery (the "none" mix never crashes).
-func runPartitionOps(rt Runtime, ps *faults.PartitionSchedule, schedSeed uint64, steps, totalVotes int) *ChaosRun {
-	rt.EnablePartitions(ps)
+func runPartitionOps(rt Runtime, ps *faults.LinkSchedule, schedSeed uint64, steps, totalVotes int) *ChaosRun {
+	rt.EnableLinkFaults(ps)
 	src := rng.New(schedSeed)
 	run := &ChaosRun{Log: &history.Log{}}
 	for step := 0; step < steps; step++ {

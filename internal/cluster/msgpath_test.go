@@ -254,7 +254,7 @@ func TestBatchedMessageCountersExact(t *testing.T) {
 				c.SetWireMode(true)
 				c.EnableSelfHealing(DefaultHealthConfig())
 				c.EnableChaos(faults.NewPlan(17, mix), DefaultRetryPolicy())
-				c.EnablePartitions(faults.Storm(17, faults.StormConfig{
+				c.EnableLinkFaults(faults.Storm(17, faults.StormConfig{
 					Sites: n, Regions: [][]int{{0, 1}, {2, 3, 4}, {6}}, Start: 10, End: steps,
 					MeanDuration: 25, MeanGap: 30, OneWayFraction: 0.4,
 				}))

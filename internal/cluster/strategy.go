@@ -171,26 +171,18 @@ type StrategyResolveConfig struct {
 	// Resilience is the f handed to OptimizeResilientCapacity: sampled
 	// quorums keep their threshold after any f member failures.
 	Resilience int
-	// CertTol is the KKT certificate tolerance a re-solved strategy must
-	// pass before installation (default 1e-6).
-	CertTol float64
-	// Budget is the resample budget installed with re-solved strategies
-	// (default 3).
-	Budget int
 	// Seed seeds the sampling RNG when the first install happens through a
 	// re-solve.
 	Seed uint64
 }
 
+// resolveCertTol is the KKT certificate tolerance a re-solved strategy must
+// pass before installation; it installs with resample budget strategyBudget.
+const resolveCertTol = 1e-6
+
 // normalize fills zero fields; alpha is the already-normalized
 // HealthConfig.Alpha.
 func (cfg StrategyResolveConfig) normalize(alpha float64) StrategyResolveConfig {
-	if cfg.CertTol <= 0 {
-		cfg.CertTol = 1e-6
-	}
-	if cfg.Budget < 1 {
-		cfg.Budget = 3
-	}
 	if len(cfg.Fr.Fr) == 0 {
 		cfg.Fr = strategy.SingleFr(alpha)
 	}
@@ -248,7 +240,7 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 	if err != nil {
 		return degrade(err)
 	}
-	if err := res.Certify(cfg.CertTol); err != nil {
+	if err := res.Certify(resolveCertTol); err != nil {
 		return degrade(err)
 	}
 	// Remap the solve's survivor-local site indices to global ids; the
@@ -268,7 +260,7 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 		ReadQuorums: remap(res.Strategy.ReadQuorums), ReadProbs: res.Strategy.ReadProbs,
 		WriteQuorums: remap(res.Strategy.WriteQuorums), WriteProbs: res.Strategy.WriteProbs,
 	}
-	if err := s.install(st, votes, assign, version, cfg.Budget, cfg.Seed); err != nil {
+	if err := s.install(st, votes, assign, version, strategyBudget, cfg.Seed); err != nil {
 		return degrade(err)
 	}
 	s.bump(func(c *stats.StrategyCounters) { c.Resolves++ })

@@ -308,9 +308,9 @@ func handStrategy7() strategy.Strategy {
 // runStrategyOps drives a shared seeded read/write schedule through
 // strategy serving while a partition storm advances, recording every
 // outcome and the 1SR history.
-func runStrategyOps(t *testing.T, rt Runtime, ps *faults.PartitionSchedule, steps, sites int) ([]OpResult, *history.Log, stats.StrategyCounters) {
+func runStrategyOps(t *testing.T, rt Runtime, ps *faults.LinkSchedule, steps, sites int) ([]OpResult, *history.Log, stats.StrategyCounters) {
 	t.Helper()
-	rt.EnablePartitions(ps)
+	rt.EnableLinkFaults(ps)
 	if err := rt.InstallStrategy(handStrategy7(), quorum.Majority(sites), rt.NodeVersion(0), 3, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestAdversaryStormWithStrategy(t *testing.T) {
 	cfg.Workload = workload.Constant(0.75)
 	cfg.Churn.Regions = advRegions()[:2]
 	cfg.Churn.ShockMTBF, cfg.Churn.ShockMTTR = 400, 20
-	cfg.Partitions = faults.Storm(7, faults.StormConfig{
+	cfg.LinkFaults = faults.Storm(7, faults.StormConfig{
 		Sites: 9, Regions: advRegions(), Start: 0, End: steps * 3 / 4,
 		MeanDuration: 40, MeanGap: 70, OneWayFraction: 0.25,
 	})
@@ -438,7 +438,7 @@ func TestAdversaryStrategyAsyncRuntime(t *testing.T) {
 	const steps = 700
 	cfg := advTestConfig(13, steps, true)
 	cfg.Health.Strategy = StrategyResolveConfig{Enabled: true}
-	cfg.Partitions = faults.Storm(13, faults.StormConfig{
+	cfg.LinkFaults = faults.Storm(13, faults.StormConfig{
 		Sites: 9, Regions: advRegions(), Start: 0, End: steps / 2,
 		MeanDuration: 25, MeanGap: 60, OneWayFraction: 0.4,
 	})

@@ -12,9 +12,9 @@ import "sort"
 //
 // Determinism is preserved by construction: Advise is a pure function of
 // the view, and the harness applies the returned actions by appending to
-// its (single-goroutine) partition and latency schedules at step
-// boundaries, so a replay with the same runtime decisions produces the
-// same fault history. Adaptive runs are therefore reproducible but — by
+// its (single-goroutine) private copy of the scenario's LinkSchedule at
+// step boundaries, so a replay with the same runtime decisions produces
+// the same fault history. Adaptive runs are therefore reproducible but — by
 // design — not identical across daemon-on and daemon-off replays: the
 // adversary reacts to what the daemon does.
 
@@ -34,6 +34,25 @@ type GrayAction struct {
 	Start int64
 	End   int64
 	Slow  int64 // added delivery slots per direction (slowdowns only)
+}
+
+// Apply appends one move to the schedule, over a topology of `sites` sites:
+// a one-way cut of the targets' outbound traffic (their acks never come
+// home — the gray-adjacent cut) or a slowdown of each target. A move with
+// no targets, an empty window, nobody left to cut the targets off from, or
+// no slowdown to add changes nothing.
+func (ls *LinkSchedule) Apply(act GrayAction, sites int) {
+	switch {
+	case len(act.Sites) == 0 || act.End <= act.Start:
+	case act.Cut:
+		if rest := complement(act.Sites, sites); len(rest) > 0 {
+			ls.AddOneWay(act.Start, act.End, act.Sites, rest)
+		}
+	case act.Slow >= 1:
+		for _, s := range act.Sites {
+			ls.AddSiteSlow(act.Start, act.End, s, act.Slow, 0)
+		}
+	}
 }
 
 // AdaptiveAdversary plans the next actions from the current view. Advise

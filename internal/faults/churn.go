@@ -109,31 +109,77 @@ func (c ChurnConfig) Validate() error {
 	return nil
 }
 
-// Churn is a deterministic alternating renewal schedule over the sites and
-// links of one topology. It is not safe for concurrent use; the soak
-// harness advances it from a single goroutine.
-type Churn struct {
-	cfg ChurnConfig
-
-	siteDown []bool
-	siteNext []float64 // next toggle time; +Inf when churn disabled
-	linkDown []bool
-	linkNext []float64
-
-	src *rng.Source
-
-	// Shock layer (nil slices when disabled). Shock randomness comes
-	// from a separate substream so that enabling shocks never perturbs
-	// the base per-element schedules of the same seed.
-	shockDown []bool
-	shockNext []float64
-	shockOf   [][]int // site -> indices of covering regions
-	effDown   []bool  // effective per-site state last reported
-	shockSrc  *rng.Source
+// renewal is one class of elements (sites, links or regional shocks), each
+// alternating independently between an up phase of mean mtbf and a down
+// phase of mean mttr, its holding times drawn from src.
+type renewal struct {
+	down       []bool
+	next       []float64 // next toggle time; never when the class is disabled
+	mtbf, mttr float64
+	src        *rng.Source
+	fail       ChurnKind // the class's fail kind; its repair kind is fail+1
 }
 
 // never is a sentinel toggle time for disabled element classes.
 const never = 1e300
+
+// newRenewal starts n elements up, drawing each one's first failure time in
+// index order.
+func newRenewal(n int, mtbf, mttr float64, src *rng.Source, fail ChurnKind) renewal {
+	r := renewal{down: make([]bool, n), next: make([]float64, n), mtbf: mtbf, mttr: mttr, src: src, fail: fail}
+	for i := range r.next {
+		r.next[i] = never
+		if mtbf > 0 {
+			r.next[i] = src.Exp(mtbf)
+		}
+	}
+	return r
+}
+
+// advance toggles every element whose next toggle time is at or before t, in
+// (element-index, occurrence) order. It returns out with the toggles
+// appended, or untouched when the class is advanced silently (report false).
+// The scan that finds nothing due is the common step, so it is kept small
+// enough to inline into Step.
+func (r *renewal) advance(t float64, out []ChurnEvent, report bool) []ChurnEvent {
+	for i, at := range r.next {
+		if at <= t {
+			out = r.toggle(i, t, out, report)
+		}
+	}
+	return out
+}
+
+// toggle flips element i until its next toggle time is past t, drawing each
+// following holding time as it goes.
+func (r *renewal) toggle(i int, t float64, out []ChurnEvent, report bool) []ChurnEvent {
+	for r.next[i] <= t {
+		kind, hold := r.fail, r.mttr
+		if r.down[i] {
+			kind, hold = r.fail+1, r.mtbf
+		}
+		r.down[i] = !r.down[i]
+		if report {
+			out = append(out, ChurnEvent{Kind: kind, Index: i})
+		}
+		r.next[i] += r.src.Exp(hold)
+	}
+	return out
+}
+
+// Churn is a deterministic alternating renewal schedule over the sites and
+// links of one topology. It is not safe for concurrent use; the soak
+// harness advances it from a single goroutine.
+type Churn struct {
+	sites, links renewal // both on one substream, sites drawn first
+
+	// Shock layer (zero when disabled). Shock randomness comes from a
+	// separate substream so that enabling shocks never perturbs the base
+	// per-element schedules of the same seed.
+	shocks  renewal // one element per region; never reported, only diffed
+	shockOf [][]int // site -> indices of covering regions
+	effDown []bool  // effective per-site state last reported; nil = disabled
+}
 
 // NewChurn builds the renewal schedule for a topology with the given number
 // of sites and links. It panics on an invalid config (churn schedules are
@@ -142,50 +188,23 @@ func NewChurn(seed uint64, sites, links int, cfg ChurnConfig) *Churn {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Churn{
-		cfg:      cfg,
-		siteDown: make([]bool, sites),
-		siteNext: make([]float64, sites),
-		linkDown: make([]bool, links),
-		linkNext: make([]float64, links),
-		src:      rng.New(seed ^ 0x5eaf00d),
-	}
-	for i := range c.siteNext {
-		c.siteNext[i] = c.firstToggle(cfg.SiteMTBF)
-	}
-	for l := range c.linkNext {
-		c.linkNext[l] = c.firstToggle(cfg.LinkMTBF)
-	}
+	src := rng.New(seed ^ 0x5eaf00d)
+	c := &Churn{sites: newRenewal(sites, cfg.SiteMTBF, cfg.SiteMTTR, src, SiteFail)}
+	c.links = newRenewal(links, cfg.LinkMTBF, cfg.LinkMTTR, src, LinkFail)
 	if cfg.ShockMTBF > 0 {
+		c.shockOf = make([][]int, sites)
+		c.effDown = make([]bool, sites)
 		for ri, region := range cfg.Regions {
 			for _, s := range region {
 				if s < 0 || s >= sites {
 					panic(fmt.Sprintf("faults: churn region %d has site %d out of [0,%d)", ri, s, sites))
 				}
-			}
-		}
-		c.shockDown = make([]bool, len(cfg.Regions))
-		c.shockNext = make([]float64, len(cfg.Regions))
-		c.shockOf = make([][]int, sites)
-		c.effDown = make([]bool, sites)
-		c.shockSrc = rng.New(seed ^ 0x0c0a5717ed)
-		for ri, region := range cfg.Regions {
-			c.shockNext[ri] = c.shockSrc.Exp(cfg.ShockMTBF)
-			for _, s := range region {
 				c.shockOf[s] = append(c.shockOf[s], ri)
 			}
 		}
+		c.shocks = newRenewal(len(cfg.Regions), cfg.ShockMTBF, cfg.ShockMTTR, rng.New(seed^0x0c0a5717ed), 0)
 	}
 	return c
-}
-
-// firstToggle draws the first failure time of an element, or never when the
-// class is disabled.
-func (c *Churn) firstToggle(mtbf float64) float64 {
-	if mtbf <= 0 {
-		return never
-	}
-	return c.src.Exp(mtbf)
 }
 
 // Step returns every event scheduled at or before time t, in deterministic
@@ -198,52 +217,16 @@ func (c *Churn) firstToggle(mtbf float64) float64 {
 // event when its own process fails underneath.
 func (c *Churn) Step(t float64) []ChurnEvent {
 	var out []ChurnEvent
-	if c.shockNext == nil {
-		for i := range c.siteNext {
-			for c.siteNext[i] <= t {
-				if c.siteDown[i] {
-					c.siteDown[i] = false
-					out = append(out, ChurnEvent{Kind: SiteRepair, Index: i})
-					c.siteNext[i] += c.src.Exp(c.cfg.SiteMTBF)
-				} else {
-					c.siteDown[i] = true
-					out = append(out, ChurnEvent{Kind: SiteFail, Index: i})
-					c.siteNext[i] += c.src.Exp(c.cfg.SiteMTTR)
-				}
-			}
-		}
+	if c.effDown == nil {
+		out = c.sites.advance(t, out, true)
 	} else {
 		// Advance the base per-site processes silently, then the shared
 		// shocks, then diff the effective state in site-index order.
-		for i := range c.siteNext {
-			for c.siteNext[i] <= t {
-				if c.siteDown[i] {
-					c.siteDown[i] = false
-					c.siteNext[i] += c.src.Exp(c.cfg.SiteMTBF)
-				} else {
-					c.siteDown[i] = true
-					c.siteNext[i] += c.src.Exp(c.cfg.SiteMTTR)
-				}
-			}
-		}
-		for r := range c.shockNext {
-			for c.shockNext[r] <= t {
-				if c.shockDown[r] {
-					c.shockDown[r] = false
-					c.shockNext[r] += c.shockSrc.Exp(c.cfg.ShockMTBF)
-				} else {
-					c.shockDown[r] = true
-					c.shockNext[r] += c.shockSrc.Exp(c.cfg.ShockMTTR)
-				}
-			}
-		}
-		for i := range c.siteDown {
-			down := c.siteDown[i]
+		c.sites.advance(t, nil, false)
+		c.shocks.advance(t, nil, false)
+		for i, down := range c.sites.down {
 			for _, r := range c.shockOf[i] {
-				if c.shockDown[r] {
-					down = true
-					break
-				}
+				down = down || c.shocks.down[r]
 			}
 			if down != c.effDown[i] {
 				c.effDown[i] = down
@@ -255,27 +238,14 @@ func (c *Churn) Step(t float64) []ChurnEvent {
 			}
 		}
 	}
-	for l := range c.linkNext {
-		for c.linkNext[l] <= t {
-			if c.linkDown[l] {
-				c.linkDown[l] = false
-				out = append(out, ChurnEvent{Kind: LinkRepair, Index: l})
-				c.linkNext[l] += c.src.Exp(c.cfg.LinkMTBF)
-			} else {
-				c.linkDown[l] = true
-				out = append(out, ChurnEvent{Kind: LinkFail, Index: l})
-				c.linkNext[l] += c.src.Exp(c.cfg.LinkMTTR)
-			}
-		}
-	}
-	return out
+	return c.links.advance(t, out, true)
 }
 
 // DownCounts reports how many sites and links the schedule currently holds
 // down (for harness diagnostics). With shocks enabled, the site count is
 // the effective state the schedule has reported through Step.
 func (c *Churn) DownCounts() (sites, links int) {
-	siteState := c.siteDown
+	siteState := c.sites.down
 	if c.effDown != nil {
 		siteState = c.effDown
 	}
@@ -284,7 +254,7 @@ func (c *Churn) DownCounts() (sites, links int) {
 			sites++
 		}
 	}
-	for _, d := range c.linkDown {
+	for _, d := range c.links.down {
 		if d {
 			links++
 		}
@@ -296,7 +266,7 @@ func (c *Churn) DownCounts() (sites, links int) {
 // (always 0 when shocks are disabled).
 func (c *Churn) ActiveShocks() int {
 	n := 0
-	for _, d := range c.shockDown {
+	for _, d := range c.shocks.down {
 		if d {
 			n++
 		}

@@ -47,15 +47,6 @@ type Options struct {
 	// MaxEnumerate caps exhaustive minimal-quorum enumeration; above it the
 	// capacity optimizers switch to column generation. Default 2048.
 	MaxEnumerate int
-	// MaxRounds caps column-generation rounds. Default 2000.
-	MaxRounds int
-	// Seeds is the number of rotation-seeded quorums per side used to start
-	// column generation. Default 16.
-	Seeds int
-	// Candidates is how many diversified columns pricing may add per side
-	// per round (the first is always the exact minimum-reduced-cost column;
-	// the rest come from heaviest-member-banned reprices). Default 8.
-	Candidates int
 	// TargetGap, when positive, lets column generation stop once the
 	// certified bound gap (Value − Bound)/Value falls below it, trading
 	// exact pricing convergence for time on very large systems. The bound
@@ -67,17 +58,19 @@ func (o Options) norm() Options {
 	if o.MaxEnumerate <= 0 {
 		o.MaxEnumerate = 2048
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 2000
-	}
-	if o.Seeds <= 0 {
-		o.Seeds = 16
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 8
-	}
 	return o
 }
+
+// Column generation's fixed tuning: the cap on rounds, the rotation-seeded
+// quorums per side it starts from, and how many diversified columns pricing
+// may add per side per round (the first is always the exact
+// minimum-reduced-cost column; the rest come from heaviest-member-banned
+// reprices).
+const (
+	cgMaxRounds  = 2000
+	cgSeeds      = 16
+	cgCandidates = 8
+)
 
 // Result is a solved and certifiable optimization.
 type Result struct {
@@ -310,11 +303,11 @@ func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale f
 // the final certificate never inherits warm-pivot drift.
 func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) (*Result, error) {
 	n := sys.N()
-	actR, err := seedQuorums(sys, sys.QR, f, sys.ReadCap, opts.Seeds)
+	actR, err := seedQuorums(sys, sys.QR, f, sys.ReadCap, cgSeeds)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: seeding read quorums: %w", err)
 	}
-	actW, err := seedQuorums(sys, sys.QW, f, sys.WriteCap, opts.Seeds)
+	actW, err := seedQuorums(sys, sys.QW, f, sys.WriteCap, cgSeeds)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: seeding write quorums: %w", err)
 	}
@@ -398,7 +391,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		return sx.addColumn(0, rows, vals)
 	}
 	bound := math.Inf(-1)
-	for ; rounds < opts.MaxRounds; rounds++ {
+	for ; rounds < cgMaxRounds; rounds++ {
 		// Per-site pricing costs from the load-row duals λ ≤ 0: a quorum
 		// column's reduced cost is Σ_members cost_x − μ_side.
 		y := sol.Y
@@ -410,8 +403,8 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 				wcost[x] -= lam * writeCoef(sys, scale, fr, x)
 			}
 		}
-		candR := priceR.candidates(rcost, opts.Candidates)
-		candW := priceW.candidates(wcost, opts.Candidates)
+		candR := priceR.candidates(rcost, cgCandidates)
+		candW := priceW.candidates(wcost, cgCandidates)
 		vR, vW := 0.0, 0.0
 		if len(candR) > 0 {
 			vR = math.Max(0, y[0]-candR[0].cost)
@@ -504,7 +497,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		}
 	}
 	if dirty {
-		// MaxRounds exhausted mid-warm: finish on a cold solve so the
+		// cgMaxRounds exhausted mid-warm: finish on a cold solve so the
 		// returned certificate is pristine.
 		purge()
 		if err := rebuild(); err != nil {

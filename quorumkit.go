@@ -12,7 +12,6 @@ import (
 	"quorumkit/internal/replica"
 	"quorumkit/internal/sim"
 	"quorumkit/internal/topo"
-	"quorumkit/internal/trace"
 	"quorumkit/internal/workload"
 )
 
@@ -57,8 +56,6 @@ type (
 	CoterieSystem = quorum.System
 	// HistoryLog records operations for one-copy serializability checking.
 	HistoryLog = history.Log
-	// Trace is a serializable failure/repair schedule.
-	Trace = trace.Trace
 	// WorkloadPattern maps time to the instantaneous read fraction α(t).
 	WorkloadPattern = workload.Pattern
 )
@@ -160,12 +157,6 @@ func NewAsyncCluster(st *NetworkState, initial Assignment) (*AsyncCluster, error
 
 // GridCoterie returns the grid protocol coterie system for rows×cols sites.
 func GridCoterie(rows, cols int) (CoterieSystem, error) { return coterie.Grid(rows, cols) }
-
-// GenerateTrace draws a failure/repair schedule with the paper's renewal
-// model over [0, horizon).
-func GenerateTrace(n, m int, failMean, repairMean, horizon float64, seed uint64) *Trace {
-	return trace.Generate(n, m, failMean, repairMean, horizon, seed)
-}
 
 // CollectModel simulates the topology with the paper's parameters for
 // approximately the given number of accesses (time-weighted estimation)

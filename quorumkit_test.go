@@ -137,10 +137,6 @@ func TestFacadeNewSurfaces(t *testing.T) {
 	if _, err := GridCoterie(3, 3); err != nil {
 		t.Fatal(err)
 	}
-	tr := GenerateTrace(5, 5, 10, 2, 100, 1)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	var log HistoryLog
 	log.RecordWrite(0, true, 1, 1, 0.5)
 	if err := log.Check(); err != nil {
