@@ -13,11 +13,11 @@ COVER = $(addprefix cover-,$(COVER_PKGS))
 # `make gate SUITE=gray` one; `make gate-update [SUITE=x]` regenerates the
 # committed baselines. Every row is a pure function of the code and the
 # seed, so a regenerated file only differs when the code's answers do.
-SUITE = strategy adversary strategy-adversity gray weights
+SUITE = strategy adversary strategy-adversity gray weights paper
 
 .PHONY: check vet build test race $(COVER) \
 	fuzz chaos diskchaos soak hedge weights strategy study \
-	bench bench-solver bench-serve bench-sim e2e e2e-smoke gate gate-update loc
+	bench-solver bench-serve bench-sim e2e e2e-smoke gate gate-update loc
 
 check: vet build test race $(COVER)
 
@@ -87,9 +87,6 @@ diskchaos:
 soak:
 	$(GO) run ./cmd/quorumsim churn -seeds 3 -ops 4000 -seed 1
 
-bench:
-	$(GO) test -bench=. -benchmem
-
 # The repository's one end-to-end benchmark (bench/README.md): five
 # workloads, four gated metrics each, ~15 timed seconds per workload.
 e2e:
@@ -104,9 +101,10 @@ e2e-smoke:
 # One gate: every suite emits rows in the one schema and `gate.Check`
 # compares them with the committed baseline — certificates, capacities and
 # solver counters, regret/op of the daemon-on / resolve / φ runs at +0.02,
-# the hedged p99 ratio, weighted-vote values at 1e-9. No row is a timing
-# (those are bench/'s). The regret and weights suites also run inside
-# `go test ./cmd/quorumsim`.
+# the hedged p99 ratio, weighted-vote values at 1e-9, the paper's
+# reproduced availabilities at ±0.005 and its claims as bounds. No row is a
+# timing (those are bench/'s). The regret, weights and paper suites also
+# run inside `go test ./cmd/quorumsim`.
 gate:
 	@set -e; for s in $(SUITE); do f=BENCH_$$(echo $$s | tr - _).json; \
 		$(GO) run ./cmd/quorumsim suite $$s -seed 1 -baseline $$f; done

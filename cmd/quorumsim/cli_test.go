@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"quorumkit/internal/gate"
 )
 
 // docs are the files whose quorumsim and voteopt invocations are the CLI's
@@ -55,7 +59,7 @@ func invocations(t *testing.T) []invocation {
 			add := func(tool, rest string) {
 				var args []string
 				for _, tok := range strings.Fields(rest) {
-					if strings.HasPrefix(tok, "#") || tok == "|" || tok == "&&" || strings.HasPrefix(tok, ">") {
+					if strings.HasPrefix(tok, "#") || tok == "|" || tok == "&&" || strings.Contains(tok, ">") {
 						break
 					}
 					args = append(args, strings.TrimSuffix(tok, ";"))
@@ -120,6 +124,68 @@ func TestDocsInvocationsParse(t *testing.T) {
 	if seen["quorumsim"] < 30 || seen["voteopt"] < 8 {
 		t.Fatalf("found %d quorumsim and %d voteopt invocations in the docs; the extractor has gone blind", seen["quorumsim"], seen["voteopt"])
 	}
+}
+
+// TestExperimentsCitesRows: EXPERIMENTS.md cites BENCH_paper.json instead of
+// copying it. Every inline code span that is a row name of a paper row
+// group (`t16/a0.75/opt_A`) must name a committed row, and a value written
+// beside the name (`t16/a0.75/opt_A = 0.8729`) must equal the committed
+// value at its printed precision. The check must also catch one digit
+// changed in a copy of the document.
+func TestExperimentsCitesRows(t *testing.T) {
+	base, err := gate.Read(filepath.Join("..", "..", "BENCH_paper.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited, fails := citedRows(string(doc), base)
+	for _, f := range fails {
+		t.Errorf("EXPERIMENTS.md: %s", f)
+	}
+	if cited < 100 {
+		t.Fatalf("found %d row citations in EXPERIMENTS.md; the extractor has gone blind", cited)
+	}
+	// Flip the last digit of the first cited value: 0↔1, 2↔3, ….
+	last := regexp.MustCompile("`[^`]+ = [0-9.]*([0-9])`").FindSubmatchIndex(doc)[2]
+	mutated := bytes.Clone(doc)
+	mutated[last] ^= 1
+	if _, fails := citedRows(string(mutated), base); len(fails) != 1 {
+		t.Fatalf("one digit changed in a cited value: %d failures %q, want 1", len(fails), fails)
+	}
+}
+
+// citedRows checks every row citation in doc against f and returns how many
+// it found and every mismatch.
+func citedRows(doc string, f gate.File) (cited int, fails []string) {
+	rows, groups := map[string]float64{}, map[string]bool{}
+	for _, r := range f.Rows {
+		rows[r.Name] = r.Value
+		group, _, _ := strings.Cut(r.Name, "/")
+		groups[group] = true
+	}
+	rowName := regexp.MustCompile(`^[A-Za-z0-9_.]+(/[A-Za-z0-9_.]+)+$`)
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(doc, -1) {
+		name, printed, valued := strings.Cut(m[1], " = ")
+		group, _, _ := strings.Cut(name, "/")
+		if !rowName.MatchString(name) || !groups[group] {
+			continue
+		}
+		cited++
+		v, ok := rows[name]
+		switch {
+		case !ok:
+			fails = append(fails, fmt.Sprintf("%s is not a row of the committed file", name))
+		case valued:
+			_, frac, _ := strings.Cut(printed, ".")
+			if got := strconv.FormatFloat(v, 'f', len(frac), 64); got != printed {
+				fails = append(fails, fmt.Sprintf("%s = %s, committed %s", name, printed, got))
+			}
+		}
+	}
+	return cited, fails
 }
 
 // firstLine is the error a failed parse printed, without the usage after it.

@@ -26,7 +26,9 @@
 //     the one BENCH_*.json schema (internal/gate, DESIGN §19): -out writes
 //     them, -baseline gates them against a committed file, and a suite's
 //     own bounds are checked either way. Every row is a pure function of
-//     the code and -seed; wall-clock is printed, never written. strategy
+//     the code and -seed; wall-clock is printed, never written. paper is
+//     the source paper's §5 — Figures 2–7, the §5.3–§5.5 checks and the
+//     studies extending them — with the paper's claims as bounds; strategy
 //     is the optimizer's case study, simulator agreement and large-N solve;
 //     weights the certified vote annealer at representative scales;
 //     adversary, strategy-adversity and gray replay the adversarial and
@@ -53,6 +55,7 @@
 //	quorumsim chaos -mix all -ops 5000 -seed 7
 //	quorumsim chaos -disk disk-all -ops 2000 -seed 7 -async
 //	quorumsim churn -seeds 3 -ops 4000
+//	quorumsim suite paper -baseline BENCH_paper.json
 //	quorumsim suite strategy -baseline BENCH_strategy.json
 //	quorumsim suite adversary -out /tmp/adversary.json -baseline BENCH_adversary.json
 //	quorumsim weightcheck -sites 9 -alpha 0.75 -seed 1
@@ -299,7 +302,7 @@ func bindChurn(fs *flagSet) func(env) int {
 func bindSuite(fs *flagSet) func(env) int {
 	out := fs.String("out", "", "write the suite's rows to this JSON file")
 	baseline := fs.String("baseline", "", "gate the rows against this committed BENCH_*.json (same suite, seed and steps)")
-	steps := fs.Int("steps", 0, "steps per scenario run of a regret suite (0 = the suite's default, which its baseline was run at)")
+	steps := fs.Int("steps", 0, "steps per scenario run of a regret suite, accesses per topology of paper (0 = the suite's default, which its baseline was run at)")
 	fs.check(func() bool { return *steps == 0 || *steps >= minSteps }, "-steps must be 0 or at least %d", minSteps)
 	return func(e env) int { return runSuite(e.operand, *out, *baseline, *steps, e.seed, e.sink) }
 }

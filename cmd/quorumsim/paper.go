@@ -1,0 +1,256 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"time"
+
+	"quorumkit/internal/experiments"
+	"quorumkit/internal/gate"
+	"quorumkit/internal/sim"
+)
+
+// The paper suite: the source paper's §5 evaluation and the studies that
+// extend it, gated against BENCH_paper.json (DESIGN §19). Figures 2–7 and
+// the fully-connected topology — one on-line estimate each over -steps
+// accesses, every curve at every seventh read quorum and its argmax — the
+// §5.3 checks, the §5.4 write constraint and the §5.5 optima and
+// crossovers; then §4.3 dynamic vs static reassignment, §3 SURV vs ACC, the
+// replication benefit, the paired five-protocol comparison, the model
+// mismatch under correlated failures, and the optimizer and estimator
+// ablations. The paper's claims are min/max bounds on rows. Every
+// reproduced value is held to the baseline within paperTol; quorums,
+// counts and classes are informational, since on a plateau the argmax
+// position is estimation noise.
+
+// paperSteps is the default collection horizon in accesses per topology.
+const paperSteps = 600_000
+
+// paperTol is the paper's target 95% confidence half-width (§5.2).
+const paperTol = 0.005
+
+// curveQRs are the read quorums recorded on every curve.
+var curveQRs = []int{1, 8, 15, 22, 29, 36, 43, 50}
+
+// optimumClasses are the §5.5 classes in the order of their row value.
+var optimumClasses = []string{"q_r=1", "majority", "interior"}
+
+// avail is a reproduced value, equal to the baseline within paperTol.
+func avail(name string, v float64) gate.Row {
+	return gate.Row{Name: name, Value: v, Better: "equal", AbsTol: paperTol}
+}
+
+func info(name string, v float64) gate.Row { return gate.Row{Name: name, Value: v} }
+
+// atLeast and atMost bound a row by a claim.
+func atLeast(r gate.Row, min float64) gate.Row { r.Min = gate.Bound(min); return r }
+func atMost(r gate.Row, max float64) gate.Row  { r.Max = gate.Bound(max); return r }
+
+// benchPaper runs every study concurrently — each is its own seeded
+// simulation, so scheduling cannot change a row — and emits the rows in a
+// fixed order. Elapsed time is printed, not written.
+func benchPaper(steps int, seed uint64, _ *obsSink) (gate.File, bool, error) {
+	if steps == 0 {
+		steps = paperSteps
+	}
+	start := time.Now()
+	cfg := sim.CollectConfig{Mode: sim.TimeWeighted, Accesses: int64(steps), Warmup: int64(steps) / 20, Seed: seed}
+	figs := make([]experiments.FigureResult, len(experiments.Figures))
+	var studies []func(sim.CollectConfig) ([]gate.Row, error)
+	for i, spec := range experiments.Figures {
+		studies = append(studies, func(cfg sim.CollectConfig) (rows []gate.Row, err error) {
+			if figs[i], err = experiments.RunFigure(spec, sim.PaperParams(), cfg); err != nil {
+				return nil, err
+			}
+			return figureRows(figs[i]), nil
+		})
+	}
+	studies = append(studies, crossoverRows, dynamicRows, survRows, benefitRows, protocolRows, mismatchRows, ablationRows)
+	out := make([][]gate.Row, len(studies))
+	errs := make([]error, len(studies))
+	var wg sync.WaitGroup
+	for i, study := range studies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = study(cfg)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return gate.File{}, false, err
+	}
+	sections, err := sectionRows(figs)
+	if err != nil {
+		return gate.File{}, false, err
+	}
+	n := len(figs)
+	file := gate.File{Suite: "paper", Seed: seed, Steps: steps,
+		Rows: slices.Concat(slices.Concat(out[:n]...), sections, slices.Concat(out[n:]...))}
+	for _, res := range figs {
+		qr, a := res.Series[slices.Index(experiments.Alphas, 0.75)].Best()
+		fmt.Printf("%-17s %-32s α=.75 optimum q_r=%-2d A=%.4f\n", res.Spec.ID, res.Name, qr, a)
+	}
+	fmt.Printf("paper: %d rows, %d accesses per topology, %.1fs\n", len(file.Rows), steps, time.Since(start).Seconds())
+	return file, true, nil
+}
+
+// figureRows are one figure's curves, argmaxes and §5.3 checks.
+func figureRows(res experiments.FigureResult) []gate.Row {
+	t := fmt.Sprintf("t%d/", res.Spec.Chords)
+	optima := experiments.OptimaTable([]experiments.FigureResult{res})
+	var rows []gate.Row
+	for i, s := range res.Series {
+		a := fmt.Sprintf("%sa%.2f/", t, s.Alpha)
+		for _, qr := range curveQRs {
+			rows = append(rows, avail(fmt.Sprintf("%sqr%d", a, qr), s.Avail[qr-1]))
+		}
+		qr, best := s.Best()
+		opt := info(a+"opt_qr", float64(qr))
+		if res.Spec.Chords == 16 && s.Alpha == 0.75 {
+			// §5.3's one noted exception: this curve peaks inside.
+			opt = atMost(atLeast(opt, 2), float64(len(s.Avail)-1))
+		}
+		class := optima[i].Class
+		rows = append(rows, opt, avail(a+"opt_A", best),
+			gate.Row{Name: a + "class", Value: float64(slices.Index(optimumClasses, class)), Note: class})
+	}
+	c := experiments.CheckEndpoints(res)
+	dev := 0.0
+	for i, alpha := range experiments.Alphas {
+		dev = max(dev, math.Abs(c.AtQR1[i]-0.96*alpha))
+	}
+	// §5.3: A(α, 1) = 0.96·α up to the write-all term, 0.96^101 ≈ 0.016 at
+	// α = 0; and all curves meet at q_r = 50.
+	return append(rows, atMost(info(t+"qr1_dev", dev), 0.02), atMost(info(t+"qr50_spread", c.Spread), 0.02),
+		info(t+"endpoint_optima", float64(c.EndpointOptima)), info(t+"majority_optima", float64(c.MajorityOptima)))
+}
+
+// sectionRows are the §5.4 write constraint (Figure 4, α = .75, A_w ≥ 20%)
+// and the §5.5 optima summary, derived from the figures.
+func sectionRows(figs []experiments.FigureResult) ([]gate.Row, error) {
+	i := slices.IndexFunc(figs, func(r experiments.FigureResult) bool { return r.Spec.Chords == 2 })
+	wc, err := experiments.WriteConstraint(figs[i], 0.75, 0.20)
+	count := map[string]int{}
+	for _, row := range experiments.OptimaTable(figs) {
+		count[row.Class]++
+	}
+	return []gate.Row{
+		info("s54/unconstrained_qr", float64(wc.Unconstrained.Assignment.QR)),
+		avail("s54/unconstrained_A", wc.Unconstrained.Availability),
+		atLeast(info("s54/constrained_qr", float64(wc.Constrained.Assignment.QR)), 28),
+		avail("s54/constrained_A", wc.Constrained.Availability),
+		atLeast(avail("s54/write_A", wc.WriteAvailAtOpt), 0.20),
+		info("s55/read_one", float64(count["q_r=1"])),
+		info("s55/majority", float64(count["majority"])),
+		info("s55/interior", float64(count["interior"])),
+	}, err
+}
+
+// crossoverRows are the §5.5 crossovers: the largest read fraction at
+// which majority is still optimal, per topology.
+func crossoverRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	table, err := experiments.CrossoverTable(sim.PaperParams(), cfg, []int{0, 1, 2, 4, 16, 256})
+	var rows []gate.Row
+	for _, r := range table {
+		rows = append(rows, avail(fmt.Sprintf("crossover/t%d", r.Chords), r.Alpha))
+	}
+	return rows, err
+}
+
+func dynamicRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	dc := experiments.DefaultDynamicConfig()
+	dc.Seed = cfg.Seed
+	d, err := experiments.DynamicVsStatic(dc)
+	return []gate.Row{
+		avail("dynamic/static_majority", d.StaticMajority),
+		avail("dynamic/static_optimal", d.StaticOptimal),
+		info("dynamic/static_optimal_qr", float64(d.StaticOptimalAssignment.QR)),
+		avail("dynamic/qr_dynamic", d.Dynamic),
+		info("dynamic/reassignments", float64(d.Reassignments)),
+		atMost(info("dynamic/stale_reads", float64(d.StaleReads)), 0),
+		// §4.3: on a shifting workload the QR protocol beats the best static
+		// assignment by at least a point.
+		atLeast(info("dynamic/gain_over_static", d.Dynamic-max(d.StaticMajority, d.StaticOptimal)), 0.01),
+	}, err
+}
+
+func survRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	var rows []gate.Row
+	for _, chords := range []int{0, 4, 16, 256} {
+		s, err := experiments.SurvVsAcc(chords, 0.5, cfg.Accesses, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		t := fmt.Sprintf("surv/t%d/", chords)
+		rows = append(rows,
+			info(t+"acc_qr", float64(s.ACCOptimal.Assignment.QR)), avail(t+"acc_A", s.ACCOptimal.Availability),
+			info(t+"surv_qr", float64(s.SURVOptimal.Assignment.QR)), avail(t+"surv_A", s.SURVOptimal.Availability),
+			avail(t+"acc_of_surv_pick", s.ACCofSURVChoice),
+			// §3: the largest component dominates any one site's.
+			atLeast(info(t+"surv_over_acc", s.SURVOptimal.Availability-s.ACCOptimal.Availability), 0))
+	}
+	return rows, nil
+}
+
+func benefitRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	var rows []gate.Row
+	for _, chords := range []int{0, 16, 256} {
+		b, err := experiments.ReplicationBenefit(chords, 0.75, sim.PaperParams(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		t := fmt.Sprintf("benefit/t%d/", chords)
+		rows = append(rows,
+			info(t+"replicated_qr", float64(b.Replicated.Assignment.QR)), avail(t+"replicated_A", b.Replicated.Availability),
+			info(t+"primary_site", float64(b.BestPrimary)), avail(t+"primary_A", b.SingleCopy), info(t+"ratio", b.Ratio))
+	}
+	return append(rows, info("benefit/ceiling_p", sim.PaperParams().Reliability())), nil
+}
+
+func protocolRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	var rows []gate.Row
+	for _, alpha := range []float64{0.1, 0.5, 0.9} {
+		c, err := experiments.CompareProtocols(4, alpha, 100_000, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		a := fmt.Sprintf("protocols/a%.2f/", alpha)
+		rows = append(rows,
+			avail(a+"majority", c.StaticMajority), avail(a+"rowa", c.StaticROWA),
+			avail(a+"optimal", c.StaticOptimal), info(a+"optimal_qr", float64(c.OptimalAssign.QR)),
+			avail(a+"dynvote", c.DynamicVoting), avail(a+"qr_dynamic", c.QRDynamic))
+	}
+	return rows, nil
+}
+
+func mismatchRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	m, err := experiments.ModelMismatch(0.5, experiments.DefaultShock(), 120_000, cfg.Seed)
+	aErr, oErr := m.PredictionError()
+	return []gate.Row{
+		avail("mismatch/analytic_A", m.AnalyticActual.Mean), avail("mismatch/online_A", m.OnlineActual.Mean),
+		avail("mismatch/pred_err_analytic", aErr), avail("mismatch/pred_err_online", oErr),
+		// §4.3: the on-line estimate predicts what it delivers better than
+		// the independence-assuming closed form.
+		atLeast(info("mismatch/err_gap", aErr-oErr), 0),
+	}, err
+}
+
+func ablationRows(cfg sim.CollectConfig) ([]gate.Row, error) {
+	s, err := experiments.SearchEvaluations()
+	if err != nil {
+		return nil, err
+	}
+	sampled, weighted, err := experiments.EstimatorModes(cfg.Seed)
+	exact := func(name string, v int) gate.Row { return gate.Row{Name: name, Value: float64(v), Better: "equal"} }
+	return []gate.Row{
+		exact("search/evals_exhaustive", s.Exhaustive), exact("search/evals_golden", s.Golden),
+		exact("search/evals_parabolic", s.Parabolic), atLeast(info("search/agree", gate.Bool(s.Agree)), 1),
+		info("estimator/sse_sampled", sampled), info("estimator/sse_timeweighted", weighted),
+		// Time-weighted (PASTA) estimation converges faster at equal horizon.
+		atLeast(info("estimator/sse_ratio", sampled/weighted), 2),
+	}, err
+}

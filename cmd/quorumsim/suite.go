@@ -25,6 +25,7 @@ var suites = []struct {
 	{"strategy-adversity", regretRun("strategy-adversity")},
 	{"gray", regretRun("gray")},
 	{"weights", seedOnly(benchWeights)},
+	{"paper", benchPaper},
 }
 
 // seedOnly adapts a suite that takes no steps, has no cross-row verdicts

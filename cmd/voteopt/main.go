@@ -57,11 +57,36 @@ func main() {
 	)
 	flag.Parse()
 
-	build, ok := nets[*net]
-	if !ok {
-		fatal(2, fmt.Errorf("unknown -net %q", *net))
+	// A name nothing builds, or a number no constructor or search accepts,
+	// is a usage error: one line, the usage, exit 2, nothing run.
+	topo, known := nets[*net]
+	var g *graph.Graph
+	if known && *n >= topo.least {
+		g = topo.build(*n)
 	}
-	g := build(*n)
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{!known, fmt.Sprintf("unknown -net %q", *net)},
+		{known && g == nil, fmt.Sprintf("-n %d: -net %s needs at least %d sites", *n, *net, topo.least)},
+		{*objective != "avail" && *objective != "capacity", fmt.Sprintf("unknown -objective %q", *objective)},
+		{*search != "hillclimb" && *search != "exhaustive" && *search != "anneal", fmt.Sprintf("unknown -search %q", *search)},
+		{!(*p >= 0 && *p <= 1), fmt.Sprintf("-p %g out of [0, 1]", *p)}, // also refuses NaN
+		{!(*r >= 0 && *r <= 1), fmt.Sprintf("-r %g out of [0, 1]", *r)},
+		{!(*alpha >= 0 && *alpha <= 1), fmt.Sprintf("-alpha %g out of [0, 1]", *alpha)},
+		{*maxV < 1, fmt.Sprintf("-max %d: need at least 1 vote per site", *maxV)},
+		{*budget < 0 || g != nil && *budget > 0 && *budget < g.N(), fmt.Sprintf("-budget %d: need 0 (n·max) or at least one vote per site", *budget)},
+		{*scenarios < 1, fmt.Sprintf("-scenarios %d: need at least 1", *scenarios)},
+		{*steps < 0, fmt.Sprintf("-steps %d: need 0 (default) or more", *steps)},
+		{*restarts < 0, fmt.Sprintf("-restarts %d: need 0 (default) or more", *restarts)},
+	} {
+		if c.bad {
+			fmt.Fprintln(os.Stderr, "voteopt:", c.msg)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 	nn := g.N()
 	scfg := votes.SearchConfig{
 		MaxVotesPerSite: *maxV,
@@ -85,10 +110,8 @@ func main() {
 			obj, err = votes.NewAvailObjective(sc, *alpha)
 			fatal(1, err)
 		}
-	case "capacity":
-		obj = capacityObjective(nn)
 	default:
-		fatal(2, fmt.Errorf("unknown -objective %q", *objective))
+		obj = capacityObjective(nn)
 	}
 
 	fmt.Printf("topology %s (n=%d, m=%d), p=%g, r=%g, α=%g, objective %s (%s)\n",
@@ -104,10 +127,8 @@ func main() {
 		res, err = votes.HillClimbObjective(nn, obj, quorum.UniformVotes(nn), scfg)
 	case "exhaustive":
 		res, err = votes.ExhaustiveObjective(nn, obj, scfg)
-	case "anneal":
-		res, err = votes.Anneal(nn, obj, scfg)
 	default:
-		fatal(2, fmt.Errorf("unknown -search %q", *search))
+		res, err = votes.Anneal(nn, obj, scfg)
 	}
 	fatal(1, err)
 
@@ -132,10 +153,14 @@ func fatal(status int, err error) {
 	}
 }
 
-// nets are the -net topologies by name.
-var nets = map[string]func(n int) *graph.Graph{
-	"star": graph.Star, "path": graph.Path, "ring": graph.Ring, "complete": graph.Complete,
-	"grid2x3": func(int) *graph.Graph { return graph.Grid(2, 3) },
+// nets are the -net topologies by name, with the fewest sites each builds
+// (grid2x3 ignores -n).
+var nets = map[string]struct {
+	least int
+	build func(n int) *graph.Graph
+}{
+	"star": {2, graph.Star}, "path": {2, graph.Path}, "ring": {3, graph.Ring}, "complete": {2, graph.Complete},
+	"grid2x3": {0, func(int) *graph.Graph { return graph.Grid(2, 3) }},
 }
 
 // capacityObjective builds the tiered synthetic capacity model used when no

@@ -105,9 +105,6 @@ type AdversaryConfig struct {
 	Daemon bool
 	Health HealthConfig
 
-	// EpochSteps is the oracle re-optimization period (default 50 steps).
-	EpochSteps int
-
 	// schedule builds the run's operation stream; nil means poissonOps. It is
 	// the one thing SoakScenario changes, and not an option: a scenario is
 	// either the soak (soakOps) or it is not.
@@ -115,21 +112,20 @@ type AdversaryConfig struct {
 }
 
 // What no scenario varies: the mean operations a step the rate pattern
-// scales, the resample budget of an installed strategy, and the daemon's
-// sweep period in steps. The post-heal settle window is a tenth of the run.
+// scales, the resample budget of an installed strategy, the daemon's sweep
+// period in steps, and the oracle's re-optimization period in steps. The
+// post-heal settle window is a tenth of the run.
 const (
 	meanOpsPerStep = 1
 	strategyBudget = 3
 	daemonEvery    = 2
+	epochSteps     = 50
 )
 
 // normalized fills defaults.
 func (cfg AdversaryConfig) normalized() AdversaryConfig {
 	if cfg.Workload == nil {
 		cfg.Workload = workload.Constant(0.5)
-	}
-	if cfg.EpochSteps < 1 {
-		cfg.EpochSteps = 50
 	}
 	if cfg.schedule == nil {
 		cfg.schedule = poissonOps
@@ -313,7 +309,7 @@ func (r *AdversaryRun) String() string {
 //     sweeps the daemon on schedule, then serves the schedule's batch of
 //     operations (by default Poisson in the rate pattern, kinds following
 //     α(t)). Every operation — including indeterminate residues — feeds
-//     the history log and the epoch tally; every EpochSteps steps the
+//     the history log and the epoch tally; every epochSteps steps the
 //     epoch closes against the hindsight oracle.
 //  2. Heal: the schedule clock jumps past the schedule horizon, every
 //     site and link is repaired, nodes still amnesiac are readmitted, and
@@ -594,7 +590,7 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 		for n := ops.batch(t); n > 0; n-- {
 			doOp(t, pt, false)
 		}
-		if (step+1)%cfg.EpochSteps == 0 {
+		if (step+1)%epochSteps == 0 {
 			closeEpoch(step+1, pt)
 		}
 	}
@@ -632,12 +628,10 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	}
 	if cfg.Daemon {
 		// Sweep until every view is back to healthy — bounded by the number
-		// of sweeps it takes to unsuspect (SuspectAfter misses to suspect,
+		// of sweeps it takes to unsuspect (suspectAfter misses to suspect,
 		// one ack to clear) plus the cooldown before the convergence
 		// reassign/sync may run.
-		h := cfg.Health.normalize()
-		sweeps := h.SuspectAfter + int(h.CooldownTicks) + 4
-		for s := 0; s < sweeps; s++ {
+		for s := 0; s < suspectAfter+cooldownTicks+4; s++ {
 			daemonSweep(healT)
 		}
 	}

@@ -24,7 +24,6 @@ func advTestConfig(seed uint64, steps int, daemon bool) AdversaryConfig {
 		Workload: workload.Diurnal{Period: 400, Mean: 0.6, Amplitude: 0.3},
 		Churn:    soakTestChurn(),
 		Daemon:   daemon, Health: h,
-		EpochSteps: 50,
 	}
 }
 
@@ -68,16 +67,16 @@ func TestAdversaryDeterministicReplay(t *testing.T) {
 // TestAdversaryEpochAccounting: epoch records must tile the churn phase —
 // their op counts, regret, and oracle mass sum to the run totals.
 func TestAdversaryEpochAccounting(t *testing.T) {
-	cfg := advTestConfig(3, 730, true) // deliberately not a multiple of EpochSteps
+	cfg := advTestConfig(3, 730, true) // deliberately not a multiple of epochSteps
 	rt, mirror := newAdvCluster(t)
 	run := RunAdversary(rt, mirror, cfg)
 
 	var ops int64
 	var regret, oracleOps float64
 	for _, e := range run.Epochs {
-		if e.Step%cfg.EpochSteps != 0 && e.Step != cfg.Steps {
+		if e.Step%epochSteps != 0 && e.Step != cfg.Steps {
 			t.Fatalf("epoch closed at step %d (period %d, steps %d)",
-				e.Step, cfg.EpochSteps, cfg.Steps)
+				e.Step, epochSteps, cfg.Steps)
 		}
 		ops += e.Ops
 		regret += e.Regret

@@ -25,7 +25,7 @@ import (
 // detectors are available (HealthConfig.Detector):
 //
 //   - DetectorMissCount (the compatibility mode, and the default): a peer
-//     that misses SuspectAfter consecutive probes is *suspected*; an
+//     that misses suspectAfter consecutive probes is *suspected*; an
 //     answer unsuspects it. Under gray failures this rule misclassifies:
 //     an ack slower than missDeadline delivery slots is treated as a miss
 //     (counted in LateAcks), so a merely slow peer looks dead.
@@ -142,25 +142,23 @@ const (
 	// grantRateFloor triggers the daemon when the windowed grant rate drops
 	// below it (only once the window is full).
 	grantRateFloor = 0.75
+	// suspectAfter is the number of consecutive missed heartbeats before a
+	// peer is suspected (miss-count mode, and the φ bootstrap fallback).
+	suspectAfter = 2
+	// windowSize is the per-node sliding window of operation outcomes that
+	// feeds the grant-rate trigger.
+	windowSize = 32
+	// cooldownTicks is the minimum number of daemon ticks between two
+	// reassignment attempts at the same node (the rate limiter).
+	cooldownTicks = 4
 )
 
 // HealthConfig tunes the failure detector and the adaptive daemon.
 type HealthConfig struct {
 	// Detector selects the suspicion rule (default: miss count).
 	Detector DetectorKind
-	// SuspectAfter is the number of consecutive missed heartbeats before a
-	// peer is suspected (miss-count mode, and the φ bootstrap fallback).
-	SuspectAfter int
-	// WindowSize is the per-node sliding window of operation outcomes that
-	// feeds the grant-rate trigger (grantRateFloor).
-	WindowSize int
-	// CooldownTicks is the minimum number of daemon ticks between two
-	// reassignment attempts at the same node (the rate limiter).
-	CooldownTicks int64
 	// Alpha is the read fraction handed to the optimizer (paper's α).
 	Alpha float64
-	// MinWrite is the optional §5.4 write-availability floor (0 disables).
-	MinWrite float64
 	// Hysteresis is the minimum predicted availability improvement before a
 	// new assignment is installed (anti-flap).
 	Hysteresis float64
@@ -170,33 +168,19 @@ type HealthConfig struct {
 	Strategy StrategyResolveConfig
 }
 
-// DefaultHealthConfig mirrors conservative production defaults: suspect
-// after two misses, judge grant rate over 32 operations with a 75% floor,
-// at most one reassignment attempt per four ticks, and demand a predicted
-// improvement of at least one availability point.
+// DefaultHealthConfig optimizes for a 75%-read workload and demands a
+// predicted improvement of at least one availability point. The detector
+// and rate limiter are fixed: suspect after two misses, judge grant rate
+// over 32 operations with a 75% floor, at most one reassignment attempt per
+// four ticks.
 func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{
-		SuspectAfter:  2,
-		WindowSize:    32,
-		CooldownTicks: 4,
-		Alpha:         0.75,
-		Hysteresis:    0.01,
-	}
+	return HealthConfig{Alpha: 0.75, Hysteresis: 0.01}
 }
 
 // normalize fills zero fields with defaults so a partially specified config
 // behaves sanely.
 func (cfg HealthConfig) normalize() HealthConfig {
 	d := DefaultHealthConfig()
-	if cfg.SuspectAfter < 1 {
-		cfg.SuspectAfter = d.SuspectAfter
-	}
-	if cfg.WindowSize < 1 {
-		cfg.WindowSize = d.WindowSize
-	}
-	if cfg.CooldownTicks < 1 {
-		cfg.CooldownTicks = d.CooldownTicks
-	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = d.Alpha
 	}
@@ -260,7 +244,7 @@ func newHealthState(cfg HealthConfig, n int) *healthState {
 			misses:      make([]int, n),
 			suspected:   make([]bool, n),
 			peerVersion: make([]int64, n),
-			window:      make([]bool, h.cfg.WindowSize),
+			window:      make([]bool, windowSize),
 			mode:        ModeHealthy,
 			canRead:     true,
 			canWrite:    true,
@@ -405,7 +389,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 		} else {
 			// Miss-count rule: directly, or as the φ bootstrap fallback
 			// before the window has enough samples.
-			suspect = v.misses[p] >= h.cfg.SuspectAfter
+			suspect = v.misses[p] >= suspectAfter
 		}
 		if !v.suspected[p] && suspect {
 			v.suspected[p] = true
@@ -528,14 +512,14 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	}
 
 	v.attemptEpoch = v.suspectEpoch
-	v.nextAllowed = v.tick + h.cfg.CooldownTicks
+	v.nextAllowed = v.tick + cooldownTicks
 	// Judge the next assignment on fresh evidence.
 	v.winFill, v.winNext = 0, 0
 	cfg := h.cfg
 	h.mu.Unlock()
 
 	rep.Attempted = true
-	changed, err := k.reassignOptimal(x, cfg.Alpha, cfg.MinWrite, cfg.Hysteresis)
+	changed, err := k.reassignOptimal(x, cfg.Alpha, 0, cfg.Hysteresis)
 	rep.Reassigned, rep.Err = changed, err
 
 	h.mu.Lock()

@@ -35,8 +35,7 @@ func isolate(st *graph.State, g *graph.Graph, i int) {
 }
 
 func TestDetectorSuspectsAndUnsuspects(t *testing.T) {
-	cfg := DefaultHealthConfig() // SuspectAfter = 2
-	c, st := newHealthCluster(t, cfg)
+	c, st := newHealthCluster(t, DefaultHealthConfig())
 
 	rep := c.DaemonStep(0)
 	if len(rep.Suspected) != 0 || rep.Mode != ModeHealthy {
@@ -50,7 +49,7 @@ func TestDetectorSuspectsAndUnsuspects(t *testing.T) {
 	}
 	rep = c.DaemonStep(0)
 	if len(rep.Suspected) != 1 || rep.Suspected[0] != 3 {
-		t.Fatalf("after %d misses node 3 must be suspected: %+v", cfg.SuspectAfter, rep)
+		t.Fatalf("after %d misses node 3 must be suspected: %+v", suspectAfter, rep)
 	}
 
 	st.RepairSite(3)
@@ -154,9 +153,7 @@ func TestDaemonReassignsOnSuspicionTrigger(t *testing.T) {
 }
 
 func TestDaemonLeaderGateAndCooldown(t *testing.T) {
-	cfg := DefaultHealthConfig()
-	cfg.CooldownTicks = 100 // make the rate limiter visible
-	c, st := newHealthCluster(t, cfg)
+	c, st := newHealthCluster(t, DefaultHealthConfig())
 
 	st.FailSite(4)
 	c.DaemonStep(1)
@@ -171,7 +168,8 @@ func TestDaemonLeaderGateAndCooldown(t *testing.T) {
 	if !rep.Attempted {
 		t.Fatalf("leader must attempt: %+v", rep)
 	}
-	// A fresh suspicion edge inside the cooldown window is rate-limited.
+	// A fresh suspicion edge inside the cooldown window (three ticks after
+	// the attempt, cooldownTicks = 4) is rate-limited.
 	st.RepairSite(4)
 	c.DaemonStep(0) // unsuspect 4 → new edge
 	st.FailSite(4)
@@ -188,23 +186,31 @@ func TestDaemonLeaderGateAndCooldown(t *testing.T) {
 // TestGrantRateTrigger drives the level trigger: a full window of denials
 // below the floor must trigger the daemon even with no suspicion change.
 func TestGrantRateTrigger(t *testing.T) {
-	cfg := DefaultHealthConfig()
-	cfg.SuspectAfter = 1 << 30 // suppress the suspicion trigger entirely
-	cfg.WindowSize = 8
-	c, st := newHealthCluster(t, cfg)
+	c, st := newHealthCluster(t, DefaultHealthConfig())
 	g := st.Graph()
 
-	// Read-only component {0,1,2}: writes are denied, reads granted.
-	isolate(st, g, 3)
+	// Site 4 is cut off and suspected; node 0 leads {0,1,2,3}, which holds a
+	// write quorum, so the suspicion edge is consumed by one attempt (which
+	// also empties the grant window).
 	isolate(st, g, 4)
 	c.DaemonStep(0)
-	before := c.HealthCounters().DaemonTriggers
-	for i := 0; i < cfg.WindowSize; i++ {
-		c.ServeWrite(0, int64(i)) // ErrDegradedWrites, grant window records false
+	if rep := c.DaemonStep(0); !rep.Attempted {
+		t.Fatalf("suspicion edge must be consumed by an attempt: %+v", rep)
 	}
-	c.DaemonStep(0)
-	if after := c.HealthCounters().DaemonTriggers; after <= before {
-		t.Fatalf("full window of denials must trigger: before=%d after=%d", before, after)
+	// Node 0 is cut off from everyone between two probes: its last probe
+	// still admits writes, and each one fails for want of a quorum.
+	for p := 1; p < 4; p++ {
+		isolate(st, g, p)
+	}
+	for i := 0; i < windowSize; i++ {
+		if out := c.ServeWrite(0, int64(i)); out.Granted {
+			t.Fatalf("isolated write %d granted: %+v", i, out)
+		}
+	}
+	// One missed probe suspects nobody new, so only the window can trigger.
+	rep := c.DaemonStep(0)
+	if !rep.Triggered || len(rep.Suspected) != 1 || rep.Suspected[0] != 4 {
+		t.Fatalf("full window of denials must trigger with no suspicion change: %+v", rep)
 	}
 }
 
@@ -300,8 +306,8 @@ func TestModeStringAndConfigNormalize(t *testing.T) {
 	if !reflect.DeepEqual(n, want) {
 		t.Fatalf("zero config must normalize to defaults: %+v", n)
 	}
-	partial := HealthConfig{SuspectAfter: 7}
-	if got := partial.normalize(); got.SuspectAfter != 7 || got.WindowSize != DefaultHealthConfig().WindowSize {
+	partial := HealthConfig{Hysteresis: 0.05}
+	if got := partial.normalize(); got.Hysteresis != 0.05 || got.Alpha != DefaultHealthConfig().Alpha {
 		t.Fatalf("partial normalize: %+v", got)
 	}
 }

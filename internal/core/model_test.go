@@ -329,6 +329,20 @@ func TestGoldenUsesFewerEvaluations(t *testing.T) {
 	}
 }
 
+// TestParabolicIsDeterministic: on the complete model's plateau many probes
+// tie, and the search must take the same path — the same evaluation count —
+// on every call.
+func TestParabolicIsDeterministic(t *testing.T) {
+	f := dist.Complete(101, 0.96, 0.96)
+	m := mustModel(t, f, f)
+	want := m.OptimizeParabolic(0.75)
+	for i := 0; i < 100; i++ {
+		if got := m.OptimizeParabolic(0.75); got != want {
+			t.Fatalf("call %d: %+v, first call %+v", i, got, want)
+		}
+	}
+}
+
 func TestMinReadQuorumForWrite(t *testing.T) {
 	f := dist.Complete(101, 0.96, 0.96)
 	m := mustModel(t, f, f)

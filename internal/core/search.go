@@ -113,10 +113,11 @@ func (m Model) OptimizeParabolic(alpha float64) Result {
 
 	// Track the three best distinct probes for parabola fitting.
 	for iter := 0; iter < 40 && hi-lo > 2; iter++ {
-		// Current incumbent.
+		// Current incumbent: ties (a plateau) go to the smallest q, so the
+		// probe path does not depend on map iteration order.
 		bq, ba := lo, math.Inf(-1)
 		for q, v := range cache {
-			if v > ba {
+			if v > ba || (v == ba && q < bq) {
 				bq, ba = q, v
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"quorumkit/internal/core"
-	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/sim"
 	"quorumkit/internal/topo"
@@ -103,51 +102,6 @@ func CrossoverTable(params sim.Params, cfg sim.CollectConfig, chordCounts []int)
 			Topology: topo.Name(chords),
 			Chords:   chords,
 			Alpha:    CrossoverAlpha(model, 0.002, 0.01),
-		})
-	}
-	return out, nil
-}
-
-// LanWanRow compares a LAN/WAN clustered deployment against a flat ring of
-// equal size: same number of sites, very different partition structure
-// (clusters rarely split internally; the WAN ring is the fault line).
-type LanWanRow struct {
-	Name     string
-	Sites    int
-	Links    int
-	Optimal  core.Result
-	Majority float64 // availability of the majority assignment
-	ReadOne  float64 // availability of read-one/write-all
-}
-
-// LanWanStudy evaluates both topologies at the given read fraction with
-// the paper's reliability parameters, returning the clustered row first.
-func LanWanStudy(clusters, size int, alpha float64, accesses int64, seed uint64) ([]LanWanRow, error) {
-	n := clusters * size
-	lanwan := topo.Clusters(clusters, size)
-	ring := graph.Ring(n)
-	params := sim.PaperParams()
-	var out []LanWanRow
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{fmt.Sprintf("%d clusters × %d", clusters, size), lanwan},
-		{fmt.Sprintf("ring of %d", n), ring},
-	} {
-		m, _, err := sim.Collect(tc.g, nil, params, sim.CollectConfig{
-			Mode: sim.TimeWeighted, Accesses: accesses, Warmup: accesses / 20, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, LanWanRow{
-			Name:     tc.name,
-			Sites:    tc.g.N(),
-			Links:    tc.g.M(),
-			Optimal:  m.Optimize(alpha),
-			Majority: m.Availability(alpha, m.MaxReadQuorum()),
-			ReadOne:  m.Availability(alpha, 1),
 		})
 	}
 	return out, nil

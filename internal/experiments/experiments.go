@@ -2,13 +2,11 @@
 // evaluation (§5): the availability-versus-read-quorum curves of Figures
 // 2–7 (plus the fully-connected topology the paper describes in text), the
 // §5.4 write-constraint worked example, and the §5.5 optima-by-read-write-
-// ratio analysis. cmd/figures prints them; bench_test.go wraps each in a
-// benchmark.
+// ratio analysis, plus the studies that extend them. `quorumsim suite
+// paper` emits all of them as gated rows (BENCH_paper.json).
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math"
 
 	"quorumkit/internal/core"
@@ -37,16 +35,6 @@ var Figures = []FigureSpec{
 	{ID: "Figure 6", Chords: 16},
 	{ID: "Figure 7", Chords: 256},
 	{ID: "Figure 7b (text)", Chords: 4949},
-}
-
-// FigureByChords returns the spec with the given chord count.
-func FigureByChords(chords int) (FigureSpec, error) {
-	for _, f := range Figures {
-		if f.Chords == chords {
-			return f, nil
-		}
-	}
-	return FigureSpec{}, fmt.Errorf("experiments: no figure with %d chords", chords)
 }
 
 // Series is one availability curve: A(α, q_r) for q_r = 1..⌊T/2⌋.
@@ -94,37 +82,6 @@ func RunFigure(spec FigureSpec, params sim.Params, cfg sim.CollectConfig) (Figur
 		res.Series = append(res.Series, Series{Alpha: alpha, Avail: model.Curve(alpha)})
 	}
 	return res, nil
-}
-
-// WriteCSV emits a figure's curves as CSV (one row per read quorum, one
-// availability column per α) for external plotting.
-func WriteCSV(w io.Writer, res FigureResult) error {
-	if _, err := fmt.Fprintf(w, "# %s — %s\nq_r", res.Spec.ID, res.Name); err != nil {
-		return err
-	}
-	for _, s := range res.Series {
-		if _, err := fmt.Fprintf(w, ",alpha=%.2f", s.Alpha); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	n := len(res.Series[0].Avail)
-	for qr := 1; qr <= n; qr++ {
-		if _, err := fmt.Fprintf(w, "%d", qr); err != nil {
-			return err
-		}
-		for _, s := range res.Series {
-			if _, err := fmt.Fprintf(w, ",%.6f", s.Avail[qr-1]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // EndpointChecks captures the §5.3 structural observations for one figure.

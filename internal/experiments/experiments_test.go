@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"quorumkit/internal/quorum"
@@ -11,7 +10,7 @@ import (
 )
 
 // quickCollect is a small horizon for unit tests; the figure-quality runs
-// live in cmd/figures and the benchmarks.
+// are `quorumsim suite paper`'s.
 func quickCollect(seed uint64) sim.CollectConfig {
 	return sim.CollectConfig{
 		Mode:     sim.TimeWeighted,
@@ -21,18 +20,8 @@ func quickCollect(seed uint64) sim.CollectConfig {
 	}
 }
 
-func TestFigureByChords(t *testing.T) {
-	f, err := FigureByChords(16)
-	if err != nil || f.ID != "Figure 6" {
-		t.Fatalf("%v %v", f, err)
-	}
-	if _, err := FigureByChords(3); err == nil {
-		t.Fatal("unknown chord count should error")
-	}
-}
-
 func TestRunFigureRing(t *testing.T) {
-	spec, _ := FigureByChords(0)
+	spec := Figures[0] // the ring
 	res, err := RunFigure(spec, sim.PaperParams(), quickCollect(2))
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +52,7 @@ func TestRunFigureRing(t *testing.T) {
 func TestRingCurvesOrderedByAlpha(t *testing.T) {
 	// On a sparse topology reads are easier than writes, so at small q_r
 	// availability must increase with α.
-	spec, _ := FigureByChords(0)
+	spec := Figures[0] // the ring
 	res, err := RunFigure(spec, sim.PaperParams(), quickCollect(3))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +69,7 @@ func TestWriteConstraintDemo(t *testing.T) {
 	// §5.4 runs on the Figure 4 topology (2 chords) at α = 75%: the
 	// unconstrained optimum is q_r = 1 with availability ≈ 0.72 = 0.96·0.75,
 	// and a 20% write floor forces q_r up with availability near 50%.
-	spec, _ := FigureByChords(2)
+	spec := Figures[2] // topology 2
 	res, err := RunFigure(spec, sim.PaperParams(), quickCollect(4))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +96,7 @@ func TestWriteConstraintDemo(t *testing.T) {
 }
 
 func TestOptimaTable(t *testing.T) {
-	spec0, _ := FigureByChords(0)
+	spec0 := Figures[0] // the ring
 	res0, err := RunFigure(spec0, sim.PaperParams(), quickCollect(5))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +132,7 @@ func TestOptimaTable(t *testing.T) {
 func TestMeasureAssignmentAgreesWithModel(t *testing.T) {
 	// Direct grant counting on topology 0 must agree with the model-based
 	// curve within simulation noise.
-	spec, _ := FigureByChords(0)
+	spec := Figures[0] // the ring
 	res, err := RunFigure(spec, sim.PaperParams(), quickCollect(6))
 	if err != nil {
 		t.Fatal(err)
@@ -160,33 +149,6 @@ func TestMeasureAssignmentAgreesWithModel(t *testing.T) {
 	want := res.Model.Availability(alpha, a.QR)
 	if math.Abs(meas.Overall.Mean-want) > 0.03 {
 		t.Fatalf("measured %v vs model %g", meas.Overall, want)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	spec, _ := FigureByChords(0)
-	res, err := RunFigure(spec, sim.PaperParams(), quickCollect(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := WriteCSV(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// Comment + header + 50 data rows.
-	if len(lines) != 52 {
-		t.Fatalf("%d CSV lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "q_r,alpha=0.00") {
-		t.Fatalf("header %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "1,") {
-		t.Fatalf("first row %q", lines[2])
-	}
-	cols := strings.Split(lines[2], ",")
-	if len(cols) != 1+len(Alphas) {
-		t.Fatalf("%d columns", len(cols))
 	}
 }
 

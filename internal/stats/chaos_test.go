@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestChaosCountersMerge(t *testing.T) {
-	a := ChaosCounters{MsgDropped: 1, MsgDuplicated: 2, MsgReordered: 3, MsgDelayed: 4,
-		Retries: 5, Aborts: 6, Timeouts: 7, NoQuorum: 8, Indeterminate: 9,
-		Crashes: 10, Recoveries: 11, BackoffTicks: 12}
-	b := a
-	a.Merge(b)
-	want := ChaosCounters{MsgDropped: 2, MsgDuplicated: 4, MsgReordered: 6, MsgDelayed: 8,
-		Retries: 10, Aborts: 12, Timeouts: 14, NoQuorum: 16, Indeterminate: 18,
-		Crashes: 20, Recoveries: 22, BackoffTicks: 24}
-	if a != want {
-		t.Fatalf("merge: got %+v, want %+v", a, want)
-	}
-	// Merging the zero value is a no-op.
-	a.Merge(ChaosCounters{})
-	if a != want {
-		t.Fatalf("zero merge changed counters: %+v", a)
-	}
-}
-
 func TestChaosCountersString(t *testing.T) {
 	c := ChaosCounters{MsgDropped: 3, Retries: 7, Crashes: 1, BackoffTicks: 42}
 	s := c.String()

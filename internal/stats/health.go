@@ -33,28 +33,6 @@ type HealthCounters struct {
 	DegradedWrites int64 // writes rejected fast with ErrDegradedWrites/ErrUnavailable
 }
 
-// Merge adds another counter snapshot into c.
-func (c *HealthCounters) Merge(o HealthCounters) {
-	c.HeartbeatsSent += o.HeartbeatsSent
-	c.HeartbeatAcks += o.HeartbeatAcks
-	c.Suspicions += o.Suspicions
-	c.Unsuspicions += o.Unsuspicions
-	c.LateAcks += o.LateAcks
-	c.DaemonTicks += o.DaemonTicks
-	c.DaemonTriggers += o.DaemonTriggers
-	c.DaemonReassigns += o.DaemonReassigns
-	c.DaemonNoChanges += o.DaemonNoChanges
-	c.DaemonErrors += o.DaemonErrors
-	c.CooldownSkips += o.CooldownSkips
-	c.NotLeaderSkips += o.NotLeaderSkips
-	c.DegradedSkips += o.DegradedSkips
-	c.SyncRounds += o.SyncRounds
-	c.Degradations += o.Degradations
-	c.Healings += o.Healings
-	c.DegradedReads += o.DegradedReads
-	c.DegradedWrites += o.DegradedWrites
-}
-
 // String renders the counters as a compact three-line report.
 func (c HealthCounters) String() string {
 	return fmt.Sprintf(

@@ -1,30 +1,9 @@
 package stats
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// TestHealthCountersMergeCoversEveryField doubles a fully populated counter
-// set via Merge and compares field by field through reflection, so adding a
-// counter without extending Merge fails the test.
-func TestHealthCountersMergeCoversEveryField(t *testing.T) {
-	var a HealthCounters
-	v := reflect.ValueOf(&a).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1))
-	}
-	b := a
-	a.Merge(b)
-	for i := 0; i < v.NumField(); i++ {
-		want := int64(2 * (i + 1))
-		if got := v.Field(i).Int(); got != want {
-			t.Fatalf("field %s: %d after merge, want %d",
-				v.Type().Field(i).Name, got, want)
-		}
-	}
-}
 
 func TestHealthCountersString(t *testing.T) {
 	c := HealthCounters{HeartbeatsSent: 12, Suspicions: 3, DaemonReassigns: 2, DegradedWrites: 7}

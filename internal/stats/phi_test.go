@@ -112,7 +112,7 @@ func TestPhiCapAndWindowSlide(t *testing.T) {
 func TestPhiMissCountCrosscheck(t *testing.T) {
 	// With a stable fast regime (mean 2, floored sigma), the second silent
 	// round crosses phi=8 — the same verdict the default miss-count rule
-	// (SuspectAfter=2) reaches. The detectors agree on clean deaths and
+	// (two missed heartbeats) reaches. The detectors agree on clean deaths and
 	// differ exactly on gray (slow-but-alive) peers.
 	e := NewPhiEstimator(16)
 	for i := 0; i < 16; i++ {

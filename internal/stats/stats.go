@@ -56,22 +56,6 @@ func (w *Welford) StdErr() float64 {
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
 
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // tTable95 holds two-sided 95% Student-t critical values indexed by degrees
 // of freedom 1..30; beyond 30 the normal value 1.96 is used.
 var tTable95 = []float64{
@@ -273,24 +257,6 @@ type ChaosCounters struct {
 	// ticks (the deterministic runtime has no clock; the concurrent
 	// runtime scales ticks to a real duration).
 	BackoffTicks int64
-}
-
-// Merge adds another counter snapshot into c.
-func (c *ChaosCounters) Merge(o ChaosCounters) {
-	c.MsgDropped += o.MsgDropped
-	c.MsgDuplicated += o.MsgDuplicated
-	c.MsgReordered += o.MsgReordered
-	c.MsgDelayed += o.MsgDelayed
-	c.Retries += o.Retries
-	c.Aborts += o.Aborts
-	c.Timeouts += o.Timeouts
-	c.NoQuorum += o.NoQuorum
-	c.Indeterminate += o.Indeterminate
-	c.Crashes += o.Crashes
-	c.Recoveries += o.Recoveries
-	c.Amnesias += o.Amnesias
-	c.Rejoins += o.Rejoins
-	c.BackoffTicks += o.BackoffTicks
 }
 
 // String renders the counters as a compact two-line report.

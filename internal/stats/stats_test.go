@@ -37,47 +37,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -3, 2.5}
-	var all Welford
-	for _, x := range xs {
-		all.Add(x)
-	}
-	var a, b Welford
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEq(a.Mean(), all.Mean(), 1e-12) {
-		t.Fatalf("merged mean %g, want %g", a.Mean(), all.Mean())
-	}
-	if !almostEq(a.Variance(), all.Variance(), 1e-9) {
-		t.Fatalf("merged variance %g, want %g", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(2)
-	before := a
-	a.Merge(&b) // merging empty must be a no-op
-	if a != before {
-		t.Fatal("merging empty accumulator changed state")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || !almostEq(b.Mean(), 1.5, 1e-12) {
-		t.Fatalf("merge into empty: n=%d mean=%g", b.N(), b.Mean())
-	}
-}
-
 func TestQuickWelfordMeanBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		var w Welford

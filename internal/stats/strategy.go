@@ -20,18 +20,6 @@ type StrategyCounters struct {
 	ResolveFails int64 // re-solves that degraded to deterministic serving
 }
 
-// Merge adds another counter snapshot into c.
-func (c *StrategyCounters) Merge(o StrategyCounters) {
-	c.Installs += o.Installs
-	c.SampledReads += o.SampledReads
-	c.SampledWrites += o.SampledWrites
-	c.Resamples += o.Resamples
-	c.Fallbacks += o.Fallbacks
-	c.StaleFallbacks += o.StaleFallbacks
-	c.Resolves += o.Resolves
-	c.ResolveFails += o.ResolveFails
-}
-
 // String renders the counters as a compact two-line report.
 func (c StrategyCounters) String() string {
 	return fmt.Sprintf(
