@@ -78,6 +78,23 @@ func BenchmarkDaemonStepDegraded(b *testing.B) {
 	}
 }
 
+// BenchmarkDaemonResolve times the daemon's survivor re-solve as churn
+// drives it on the bench's cluster: suspicion edges cycle over a fixed set
+// of survivor sets, so every lap after the first re-installs a memoized
+// certified strategy instead of solving the LP.
+func BenchmarkDaemonResolve(b *testing.B) {
+	c := benchConfigCluster(b)
+	edges := [][]int{{8}, {2, 5}, nil, {1}, {4, 7}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.strategyResolve(0, edges[i%len(edges)])
+	}
+	if ct := c.StrategyCounters(); ct.ResolveFails != 0 {
+		b.Fatalf("a survivor set lost its f = 1 strategy: %v", ct)
+	}
+}
+
 // BenchmarkServeReadHealthy times the gated client path: degradation-mode
 // check, baseline read, grant-window bookkeeping.
 func BenchmarkServeReadHealthy(b *testing.B) {

@@ -222,6 +222,9 @@ type healthView struct {
 // runtime takes it uncontended.
 type healthState struct {
 	cfg HealthConfig
+	// memo holds the strategy re-solves made under cfg. Not under mu: like
+	// every re-solve it runs inside one serialized round.
+	memo resolveMemo
 
 	mu       sync.Mutex
 	views    []*healthView
@@ -237,7 +240,7 @@ type healthState struct {
 }
 
 func newHealthState(cfg HealthConfig, n int) *healthState {
-	h := &healthState{cfg: cfg.normalize(), views: make([]*healthView, n),
+	h := &healthState{cfg: cfg.normalize(), memo: resolveMemo{}, views: make([]*healthView, n),
 		acked: make([]bool, n), ackRTT: make([]int64, n)}
 	for i := range h.views {
 		v := &healthView{

@@ -44,7 +44,8 @@ import (
 // re-solve — OptimizeResilientCapacity over the unsuspected sites at the
 // current thresholds — and the result is installed only after its KKT
 // certificate checks. An infeasible or uncertifiable solve degrades to
-// deterministic serving (the sampler is cleared) instead of erroring.
+// deterministic serving (the sampler is cleared) instead of erroring. Each
+// survivor set and thresholds is solved once per config (resolveMemo).
 
 // strategyState is the cluster-wide installed strategy shared by all
 // coordinators of one runtime. Its mutex guards the sampler, version, and
@@ -180,6 +181,29 @@ type StrategyResolveConfig struct {
 // pass before installation; it installs with resample budget strategyBudget.
 const resolveCertTol = 1e-6
 
+// resolveMemoCap bounds the entries of one resolveMemo; past it, misses are
+// solved cold and not stored.
+const resolveMemoCap = 256
+
+// resolveMemo holds the daemon's cold survivor solves under one
+// EnableSelfHealing config. The key is the only LP input that varies while
+// the config is in force — the votes and StrategyResolveConfig are fixed with
+// it — so the memo lives in healthState and is dropped with the config.
+type resolveMemo map[resolveKey]resolved
+
+// resolveKey is a survivor set (one bit per site) and the thresholds.
+type resolveKey struct {
+	survivors string
+	qr, qw    int
+}
+
+// resolved is one cold solve's outcome: the certified strategy remapped to
+// global site ids, or the error the cold path returned.
+type resolved struct {
+	st  strategy.Strategy
+	err error
+}
+
 // normalize fills zero fields; alpha is the already-normalized
 // HealthConfig.Alpha.
 func (cfg StrategyResolveConfig) normalize(alpha float64) StrategyResolveConfig {
@@ -202,8 +226,10 @@ func capAt(caps []float64, i int) float64 {
 // the certified result at x's current version. Any failure — thresholds
 // unreachable by the survivors, LP infeasibility, a certificate miss —
 // clears the sampler instead of erroring: serving degrades to the
-// deterministic assignment, which the health gate already protects.
-func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) (bool, error) {
+// deterministic assignment, which the health gate already protects. A
+// survivor set and thresholds already in memo re-install the stored
+// outcome instead of solving again; install still validates it.
+func (s *strategyState) resolve(cfg StrategyResolveConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) (bool, error) {
 	sus := make([]bool, len(votes))
 	for _, p := range suspected {
 		if p >= 0 && p < len(votes) {
@@ -211,11 +237,42 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 		}
 	}
 	var sites []int
+	mask := make([]byte, (len(votes)+7)/8)
 	for i := range votes {
 		if !sus[i] {
 			sites = append(sites, i)
+			mask[i/8] |= 1 << (i % 8)
 		}
 	}
+	key := resolveKey{survivors: string(mask), qr: assign.QR, qw: assign.QW}
+	r, hit := memo[key]
+	if !hit {
+		r = solveSurvivors(cfg, votes, sites, assign)
+		s.bump(func(c *stats.StrategyCounters) { c.ResolveSolves++ })
+		if len(memo) < resolveMemoCap {
+			memo[key] = r
+		}
+	}
+	degrade := func(err error) (bool, error) {
+		s.clear()
+		s.bump(func(c *stats.StrategyCounters) { c.ResolveFails++ })
+		return false, err
+	}
+	if r.err != nil {
+		return degrade(r.err)
+	}
+	if err := s.install(r.st, votes, assign, version, strategyBudget, cfg.Seed); err != nil {
+		return degrade(err)
+	}
+	s.bump(func(c *stats.StrategyCounters) { c.Resolves++ })
+	reg.Inc(obs.CStrategyResolve)
+	return true, nil
+}
+
+// solveSurvivors is the cold re-solve: the resilient capacity LP over the
+// survivor sites (ascending global ids) at assign's thresholds, certified
+// and remapped to global site ids.
+func solveSurvivors(cfg StrategyResolveConfig, votes, sites []int, assign quorum.Assignment) resolved {
 	sub := strategy.System{
 		Votes: make([]int, len(sites)), QR: assign.QR, QW: assign.QW,
 		ReadCap:  make([]float64, len(sites)),
@@ -228,20 +285,15 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 		sub.WriteCap[j] = capAt(cfg.WriteCap, g)
 		sub.Latency[j] = capAt(cfg.Latency, g)
 	}
-	degrade := func(err error) (bool, error) {
-		s.clear()
-		s.bump(func(c *stats.StrategyCounters) { c.ResolveFails++ })
-		return false, err
-	}
 	if err := sub.Validate(); err != nil {
-		return degrade(err)
+		return resolved{err: err}
 	}
 	res, err := strategy.OptimizeResilientCapacity(sub, cfg.Fr, cfg.Resilience, strategy.Options{})
 	if err != nil {
-		return degrade(err)
+		return resolved{err: err}
 	}
 	if err := res.Certify(resolveCertTol); err != nil {
-		return degrade(err)
+		return resolved{err: err}
 	}
 	// Remap the solve's survivor-local site indices to global ids; the
 	// survivor list is ascending, so quorums stay sorted.
@@ -256,16 +308,10 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, votes []int, suspecte
 		}
 		return out
 	}
-	st := strategy.Strategy{
+	return resolved{st: strategy.Strategy{
 		ReadQuorums: remap(res.Strategy.ReadQuorums), ReadProbs: res.Strategy.ReadProbs,
 		WriteQuorums: remap(res.Strategy.WriteQuorums), WriteProbs: res.Strategy.WriteProbs,
-	}
-	if err := s.install(st, votes, assign, version, strategyBudget, cfg.Seed); err != nil {
-		return degrade(err)
-	}
-	s.bump(func(c *stats.StrategyCounters) { c.Resolves++ })
-	reg.Inc(obs.CStrategyResolve)
-	return true, nil
+	}}
 }
 
 // InstallStrategy arms sampled-quorum serving: st is validated against the
@@ -312,7 +358,7 @@ func (k *coordinator) strategyResolve(x int, suspected []int) {
 		return
 	}
 	_, s := k.view(x)
-	k.strat.resolve(k.health.cfg.Strategy, k.voteVector(), suspected, s.assign, s.version, k.obs)
+	k.strat.resolve(k.health.cfg.Strategy, k.health.memo, k.voteVector(), suspected, s.assign, s.version, k.obs)
 }
 
 // strategyServe runs the sampled-quorum ladder for one operation at

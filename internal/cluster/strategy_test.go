@@ -291,6 +291,16 @@ func TestStrategyResolveDegradesWhenInfeasible(t *testing.T) {
 	if ct.SampledWrites != base.SampledWrites || ct.Fallbacks != base.Fallbacks {
 		t.Fatalf("cleared sampler must leave all counters frozen: base %+v, after %+v", base, ct)
 	}
+
+	// The same infeasible survivors again, with the sampler re-armed: the
+	// memoized failure must degrade exactly as the cold one did.
+	if err := c.InstallStrategy(handStrategy5(), quorum.Majority(5), c.NodeVersion(0), 3, 7); err != nil {
+		t.Fatal(err)
+	}
+	c.strategyResolve(0, rep.Suspected)
+	if again := c.StrategyCounters(); again.ResolveFails != ct.ResolveFails+1 || again.ResolveSolves != ct.ResolveSolves || c.strat.sampler != nil {
+		t.Fatalf("memoized infeasible re-solve must clear the sampler and count a failure without solving: %+v → %+v", ct, again)
+	}
 }
 
 // handStrategy7 is valid for Majority(7) = (q_r=3, q_w=5) over unit votes.

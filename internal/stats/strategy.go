@@ -18,6 +18,10 @@ type StrategyCounters struct {
 	// Availability-aware re-solving.
 	Resolves     int64 // daemon re-solves that installed a certified strategy
 	ResolveFails int64 // re-solves that degraded to deterministic serving
+	// ResolveSolves counts the re-solves that ran the LP cold; the rest
+	// re-installed a memoized outcome. String leaves it out: it measures
+	// solver work, not serving behaviour.
+	ResolveSolves int64
 }
 
 // String renders the counters as a compact two-line report.
