@@ -19,7 +19,7 @@ import (
 // byte-identical, and the gate must bite — a baseline whose
 // first compared row (the gated mode's regret/op, held to 0.02; a
 // weighted-vote value, held to 1e-9; a paper curve value, held to 0.005) is
-// moved by `by` or deleted must fail naming that row. (strategy, ~15 s a
+// moved by `by` or deleted must fail naming that row. (strategy, ~4 s a
 // run, is held to the same contract by `make gate` only.)
 func TestRegretSuitesMatchBaselines(t *testing.T) {
 	for name, tc := range map[string]struct {

@@ -17,7 +17,8 @@ import (
 // solve. Every certificate must validate, the randomized case-study optimum
 // must strictly beat the best deterministic assignment, simulated capacity
 // must agree with the LP within 2%, and the large-N solve must certify
-// within its target gap. Solve times are printed, not written: the rows
+// within its target gap in no more generation rounds and simplex pivots
+// than the baseline's. Solve times are printed, not written: the rows
 // (pivot, round and column counts included) are pure in the seed, and
 // solve time is bench/'s strategy.solve_*_ms.
 func benchStrategy(seed uint64) (gate.File, error) {
@@ -93,12 +94,11 @@ func benchStrategy(seed uint64) (gate.File, error) {
 		frRes.Capacity, m.Capacity.Mean, relErr, m.Batches)
 
 	// Large N: a system far past the enumeration cutoff, solved by column
-	// generation to a certified bound gap. 151 sites keeps the solve
-	// around ten seconds of single-core time (the gate runs per push); the
-	// same machinery runs at 1000+ sites via `quorumopt -strategy -stratn
-	// 1001 -gap 0.05`, but closing the gap there takes many minutes of
-	// pivoting over the nJ load rows — dual stabilization is the known fix
-	// and a roadmap item.
+	// generation to a certified bound gap. At 151 sites the solve takes
+	// about 1.5 s of single-core time on a 2-vCPU x86-64 container (190
+	// rounds, 37,119 pivots). The rounds and pivots rows are gated lower:
+	// both are exact counts, pure in the seed, so any growth is the solver
+	// doing more work.
 	const sites = 151
 	const targetGap = 0.05
 	ld, err := strategy.NewFrDist(map[float64]float64{0.8: 2, 0.5: 1})
@@ -119,9 +119,9 @@ func benchStrategy(seed uint64) (gate.File, error) {
 	info("value", lres.Value, "")
 	info("bound", lres.Bound, "")
 	add(gate.Row{Name: "gap", Value: gap, Unit: "ratio", Max: gate.Bound(targetGap + 1e-9)})
-	info("rounds", float64(lres.Rounds), "count")
+	add(gate.Row{Name: "rounds", Value: float64(lres.Rounds), Unit: "count", Better: "lower"})
 	info("generated", float64(lres.Generated), "count")
-	info("pivots", float64(lres.Sol.Pivots), "count")
+	add(gate.Row{Name: "pivots", Value: float64(lres.Sol.Pivots), Unit: "count", Better: "lower"})
 	add(gate.Row{Name: "certified", Value: gate.Bool(largeCertified), Min: gate.Bound(1)})
 	fmt.Printf("large N: %d sites, gap %.4f (target %.2f), %d rounds, %d columns, certified=%v, %.1f s\n",
 		sites, gap, targetGap, lres.Rounds, lres.Generated, largeCertified, solveSec)

@@ -31,50 +31,161 @@ func uniformSystem(n int, seed uint64) System {
 	return sys
 }
 
-// TestGenerationMatchesEnumerated forces the column-generation path with a
-// tiny enumeration cap and checks it reaches the same optimum as the
-// complete-pool solve on systems small enough to enumerate.
-func TestGenerationMatchesEnumerated(t *testing.T) {
+// threeAtoms is the 3-atom read-fraction distribution the oracles share.
+func threeAtoms(t *testing.T) FrDist {
+	t.Helper()
 	d, err := NewFrDist(map[float64]float64{0.8: 2, 0.5: 1, 0.2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{7, 9, 11} {
-		sys := uniformSystem(n, uint64(n))
-		exact, err := OptimizeCapacity(sys, d, Options{})
-		if err != nil {
-			t.Fatalf("n=%d exact: %v", n, err)
+	return d
+}
+
+// TestGenerationMatchesEnumerated forces the column-generation path with a
+// tiny enumeration cap and checks it reaches the same optimum as the
+// complete-pool solve on systems small enough to enumerate — under a 3-atom
+// fr distribution and under SingleFr(0.75) (the solve ladder's and the
+// daemon's), at f = 0 and f = 1.
+func TestGenerationMatchesEnumerated(t *testing.T) {
+	for _, d := range []FrDist{threeAtoms(t), SingleFr(0.75)} {
+		for f := 0; f <= 1; f++ {
+			for _, n := range []int{7, 9, 11} {
+				sys := uniformSystem(n, uint64(n))
+				exact, err := OptimizeResilientCapacity(sys, d, f, Options{})
+				if err != nil {
+					t.Fatalf("n=%d f=%d %v exact: %v", n, f, d.Fr, err)
+				}
+				if !exact.PoolComplete {
+					t.Fatalf("n=%d f=%d %v: expected complete enumeration", n, f, d.Fr)
+				}
+				gen, err := OptimizeResilientCapacity(sys, d, f, Options{MaxEnumerate: 4})
+				if err != nil {
+					t.Fatalf("n=%d f=%d %v generated: %v", n, f, d.Fr, err)
+				}
+				if gen.PoolComplete {
+					t.Fatalf("n=%d f=%d %v: cap 4 did not force generation", n, f, d.Fr)
+				}
+				if !gen.Priced {
+					t.Fatalf("n=%d f=%d %v: pricing did not converge", n, f, d.Fr)
+				}
+				if gen.Rounds == 0 || gen.Generated == 0 {
+					t.Fatalf("n=%d f=%d %v: generation did no work (rounds=%d generated=%d)",
+						n, f, d.Fr, gen.Rounds, gen.Generated)
+				}
+				if err := gen.Certify(genTol); err != nil {
+					t.Fatalf("n=%d f=%d %v certify: %v", n, f, d.Fr, err)
+				}
+				if rel := math.Abs(gen.Value-exact.Value) / exact.Value; rel > 1e-6 {
+					t.Fatalf("n=%d f=%d %v: generated value %.12g vs enumerated %.12g (rel %g)",
+						n, f, d.Fr, gen.Value, exact.Value, rel)
+				}
+				if gen.Bound > gen.Value+1e-12 || gen.Bound < exact.Value-1e-6*exact.Value {
+					t.Fatalf("n=%d f=%d %v: bound %.12g outside [optimum, value] = [%.12g, %.12g]",
+						n, f, d.Fr, gen.Bound, exact.Value, gen.Value)
+				}
+				if err := gen.Strategy.Validate(sys); err != nil {
+					t.Fatalf("n=%d f=%d %v: generated strategy invalid: %v", n, f, d.Fr, err)
+				}
+			}
 		}
-		if !exact.PoolComplete {
-			t.Fatalf("n=%d: expected complete enumeration", n)
+	}
+}
+
+// TestLagrangeBoundAnyDuals: the Lagrangian bound column generation stops
+// on is certified at any load-row duals λ ≤ 0, not only at a master's
+// optimum. Random λ — half of them multiples of the optimal duals that
+// overshoot the L columns' budget Σ_x −λ_jx ≤ p_j on purpose — never bound
+// above the enumerated optimum, and at the optimum's own duals the bound is
+// tight.
+func TestLagrangeBoundAnyDuals(t *testing.T) {
+	src := rng.New(29)
+	rescaled := 0 // draws whose unscaled bound would exceed the optimum
+	for _, d := range []FrDist{threeAtoms(t), SingleFr(0.75)} {
+		J := len(d.Fr)
+		for f := 0; f <= 1; f++ {
+			for _, n := range []int{7, 9, 11} {
+				sys := uniformSystem(n, uint64(n))
+				exact, err := OptimizeResilientCapacity(sys, d, f, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !exact.PoolComplete {
+					t.Fatalf("n=%d f=%d: expected complete enumeration", n, f)
+				}
+				opt := exact.Sol.Obj // rescaled units, as LB is
+				g := newLagrangian(sys, d, f, exact.Scale)
+				star := make([]float64, n*J)
+				for i := range star {
+					star[i] = math.Min(exact.Sol.Y[2+i], 0)
+				}
+				if _, _, lb := g.price(star); math.Abs(lb-opt) > 1e-9*opt {
+					t.Fatalf("n=%d f=%d %v: LB at the optimal duals %.15g, optimum %.15g", n, f, d.Fr, lb, opt)
+				}
+				lam := make([]float64, n*J)
+				for trial := 0; trial < 100; trial++ {
+					c := 0.5 + 2.5*src.Float64()
+					for i := range lam {
+						if trial%2 == 0 {
+							lam[i] = -2 * c * d.P[i/n] * src.Float64() / float64(n)
+						} else {
+							lam[i] = star[i] * (1 + 2*src.Float64())
+						}
+					}
+					qR, qW, lb := g.price(lam)
+					if qR == nil || qW == nil {
+						t.Fatalf("n=%d f=%d: no cheapest quorum priced", n, f)
+					}
+					if lb > opt*(1+1e-12) {
+						t.Fatalf("n=%d f=%d %v trial %d: LB %.15g above the optimum %.15g", n, f, d.Fr, trial, lb, opt)
+					}
+					s := 1.0
+					for j := 0; j < J; j++ {
+						use := 0.0
+						for x := 0; x < n; x++ {
+							use -= lam[j*n+x]
+						}
+						s = math.Max(s, use/d.P[j])
+					}
+					if lb*s > opt*(1+1e-12) {
+						rescaled++
+					}
+				}
+			}
 		}
-		gen, err := OptimizeCapacity(sys, d, Options{MaxEnumerate: 4})
-		if err != nil {
-			t.Fatalf("n=%d generated: %v", n, err)
-		}
-		if gen.PoolComplete {
-			t.Fatalf("n=%d: cap 4 did not force generation", n)
-		}
-		if !gen.Priced {
-			t.Fatalf("n=%d: pricing did not converge", n)
-		}
-		if gen.Rounds == 0 || gen.Generated == 0 {
-			t.Fatalf("n=%d: generation did no work (rounds=%d generated=%d)",
-				n, gen.Rounds, gen.Generated)
-		}
-		if err := gen.Certify(genTol); err != nil {
-			t.Fatalf("n=%d certify: %v", n, err)
-		}
-		if rel := math.Abs(gen.Value-exact.Value) / exact.Value; rel > 1e-6 {
-			t.Fatalf("n=%d: generated value %.12g vs enumerated %.12g (rel %g)",
-				n, gen.Value, exact.Value, rel)
-		}
-		if gen.Bound > gen.Value+1e-12 || gen.Bound < exact.Value-1e-6*exact.Value {
-			t.Fatalf("n=%d: bound %.12g outside [optimum, value] = [%.12g, %.12g]",
-				n, gen.Bound, exact.Value, gen.Value)
-		}
-		if err := gen.Strategy.Validate(sys); err != nil {
-			t.Fatalf("n=%d: generated strategy invalid: %v", n, err)
+	}
+	if rescaled == 0 {
+		t.Fatal("no drawn λ needed the rescale, so the test cannot see it")
+	}
+}
+
+// TestGenerationLadderGap: the solve ladder's column-generation rungs — 25
+// and 31 sites, SingleFr(0.75), f ∈ {0, 1}, a 5% target gap — certify on
+// 20 seeds each, with the bound under the value and the gap within target.
+func TestGenerationLadderGap(t *testing.T) {
+	const target = 0.05
+	fr := SingleFr(0.75)
+	for _, n := range []int{25, 31} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			sys := uniformSystem(n, seed)
+			for f := 0; f <= 1; f++ {
+				res, err := OptimizeResilientCapacity(sys, fr, f, Options{TargetGap: target})
+				if err != nil {
+					t.Fatalf("n=%d seed=%d f=%d: %v", n, seed, f, err)
+				}
+				if res.PoolComplete {
+					t.Fatalf("n=%d seed=%d f=%d: expected column generation", n, seed, f)
+				}
+				if err := res.Certify(genTol); err != nil {
+					t.Fatalf("n=%d seed=%d f=%d certify: %v", n, seed, f, err)
+				}
+				if err := res.Strategy.Validate(sys); err != nil {
+					t.Fatalf("n=%d seed=%d f=%d: strategy invalid: %v", n, seed, f, err)
+				}
+				if gap := (res.Value - res.Bound) / res.Value; res.Bound > res.Value || gap > target {
+					t.Fatalf("n=%d seed=%d f=%d: bound %.12g, value %.12g, gap %g (target %g)",
+						n, seed, f, res.Bound, res.Value, gap, target)
+				}
+			}
 		}
 	}
 }
@@ -84,7 +195,7 @@ func TestGenerationMatchesEnumerated(t *testing.T) {
 // certificate, and the whole run is deterministic.
 func TestGenerationLargeCertified(t *testing.T) {
 	if testing.Short() {
-		t.Skip("column generation at n=101 takes ~10s")
+		t.Skip("column generation at n=101, solved twice, takes ~1.5s")
 	}
 	sys := uniformSystem(101, 7)
 	d, err := NewFrDist(map[float64]float64{0.8: 2, 0.5: 1})
@@ -131,7 +242,7 @@ func TestGenerationLargeCertified(t *testing.T) {
 // a certified bound whose relative gap respects the target.
 func TestGenerationTargetGap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("column generation at n=101 takes seconds")
+		t.Skip("column generation at n=101 takes ~0.3s")
 	}
 	sys := uniformSystem(101, 7)
 	d, err := NewFrDist(map[float64]float64{0.8: 2, 0.5: 1})

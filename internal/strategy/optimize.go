@@ -24,13 +24,15 @@ import (
 // latencies are rescaled to O(1) before the solve so the 1e-9 certificate
 // tolerances are meaningful. When the minimal-quorum pool is too large to
 // enumerate, the capacity objectives switch to column generation: solve
-// over a seeded pool, then repeatedly price the most-violating quorum
-// column with a min-cost vote-knapsack DP (O(n·q) per round, on one pricer
-// per side that owns its vote order and DP table for the whole run) and
-// append it to the sparse revised simplex, which warm-starts from its
-// optimal basis, until pricing proves no quorum anywhere has negative
-// reduced cost. That proof is what keeps strategy search tractable — and
-// still *certified* — at 1000+ sites.
+// over a seeded pool, then each round price one quorum column per side with
+// a min-cost vote-knapsack DP (O(n·f·q), on one pricer per side that owns
+// its vote order and DP table for the whole run) at Wentges-smoothed duals,
+// and append it to the sparse revised simplex, which warm-starts from its
+// optimal basis. Every pricing yields a certified Lagrangian bound, so the
+// run can stop at a target gap; convergence is declared only when pricing
+// at the master's own duals proves no quorum anywhere has negative reduced
+// cost. That proof is what keeps strategy search *certified* far past
+// enumeration: a 151-site system reaches a 5% certified gap in about 1.5 s.
 
 // ErrLoadLimitInfeasible reports that no strategy meets the latency
 // optimizer's per-site load limit; the returned Result carries the Farkas
@@ -62,14 +64,16 @@ func (o Options) norm() Options {
 }
 
 // Column generation's fixed tuning: the cap on rounds, the rotation-seeded
-// quorums per side it starts from, and how many diversified columns pricing
-// may add per side per round (the first is always the exact
-// minimum-reduced-cost column; the rest come from heaviest-member-banned
-// reprices).
+// quorums per side it starts from, and the Wentges smoothing weight α.
+// Each round prices at λ̃ = α·λ̄ + (1−α)·λ, where λ is the master's
+// load-row duals and λ̄ the duals of the best bound so far; pulling λ toward
+// λ̄ damps the round-to-round oscillation of the master's duals that makes
+// unsmoothed generation tail off. α from 0.6 to 0.8 measures alike on the
+// 31-site solve, 0.5 and 0.9 worse (DESIGN §15).
 const (
-	cgMaxRounds  = 2000
-	cgSeeds      = 16
-	cgCandidates = 8
+	cgMaxRounds = 2000
+	cgSeeds     = 16
+	cgSmooth    = 0.7
 )
 
 // Result is a solved and certifiable optimization.
@@ -98,8 +102,9 @@ type Result struct {
 	// negative-reduced-cost column anywhere.
 	Priced bool
 	// Bound is a certified lower bound on the optimal Value over the full
-	// quorum universe (the Lagrangian column-generation bound
-	// obj − violation_R − violation_W; equal to Value when Priced).
+	// quorum universe (the best Lagrangian bound of any column-generation
+	// pricing round, see lagrangian; equal to Value, up to the pricing
+	// tolerance, when Priced).
 	Bound float64
 	// Rounds and Generated count column-generation work (0 when pools were
 	// enumerated exhaustively).
@@ -294,13 +299,14 @@ func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale f
 }
 
 // generateCapacity runs restricted-master column generation: solve over a
-// seeded pool, price the worst-reduced-cost quorums on each side with the
-// knapsack DP, warm-start them into the solver, and repeat until no
-// violating column exists (or the certified Lagrangian bound gap falls
-// under Options.TargetGap). To keep the master narrow and the arithmetic
-// fresh, the pool is periodically *purged* to its basic support and the
-// solver rebuilt cold; convergence is only declared on a cold solve, so
-// the final certificate never inherits warm-pivot drift.
+// seeded pool, price each side's cheapest quorum at smoothed duals with the
+// knapsack DP, warm-start the ones that price out at the master's own duals
+// into the solver, and repeat until exact pricing finds no violating column
+// (or the certified Lagrangian bound gap falls under Options.TargetGap). To
+// keep the master narrow and the arithmetic fresh, the pool is periodically
+// *purged* to its basic support and the solver rebuilt cold; a stop is only
+// taken on a cold solve, so the final certificate never inherits warm-pivot
+// drift.
 func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) (*Result, error) {
 	n := sys.N()
 	actR, err := seedQuorums(sys, sys.QR, f, sys.ReadCap, cgSeeds)
@@ -369,63 +375,91 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 	const priceTol = 1e-7
 	priced, rounds, generated := false, 0, 0
 	// dirty: columns were warm-added since the last cold rebuild, so the
-	// basis inverse may carry drift and convergence cannot be declared from it.
+	// basis inverse may carry drift and no stop may be taken from it.
 	dirty := false
 	adds := 0 // warm columns since last rebuild
 	maxAdds := 4 * (n + len(d.Fr))
-	rcost := make([]float64, n)
-	wcost := make([]float64, n)
-	priceR := newPricer(sys.Votes, sys.QR, f)
-	priceW := newPricer(sys.Votes, sys.QW, f)
+	// Side 0 is reads (convexity row 0), side 1 writes (row 1).
+	coefOf := [2]func(System, float64, float64, int) float64{readCoef, writeCoef}
 	// addQuorum appends one quorum column: its convexity row, then one load
 	// row per (fr-atom, member).
 	rows := make([]int, 0, 1+n*len(d.Fr))
 	vals := make([]float64, 0, 1+n*len(d.Fr))
-	addQuorum := func(side int, q Quorum, coef func(System, float64, float64, int) float64) int {
+	addQuorum := func(side int, q Quorum) int {
 		rows, vals = append(rows[:0], side), append(vals[:0], 1)
 		for j, fr := range d.Fr {
 			for _, x := range q {
-				rows, vals = append(rows, loadRow(n, j, x)), append(vals, coef(sys, scale, fr, x))
+				rows, vals = append(rows, loadRow(n, j, x)), append(vals, coefOf[side](sys, scale, fr, x))
 			}
 		}
 		return sx.addColumn(0, rows, vals)
 	}
+	lg := newLagrangian(sys, d, f, scale)
+	lam := make([]float64, n*len(d.Fr)) // λ: the master's load-row duals, clamped ≤ 0
+	smooth := make([]float64, len(lam)) // λ̃ = α·λ̄ + (1−α)·λ
+	var center []float64                // λ̄: the duals of the best bound so far
 	bound := math.Inf(-1)
-	for ; rounds < cgMaxRounds; rounds++ {
-		// Per-site pricing costs from the load-row duals λ ≤ 0: a quorum
-		// column's reduced cost is Σ_members cost_x − μ_side.
-		y := sol.Y
-		for x := 0; x < n; x++ {
-			rcost[x], wcost[x] = 0, 0
-			for j, fr := range d.Fr {
-				lam := math.Min(y[loadRow(n, j, x)], 0)
-				rcost[x] -= lam * readCoef(sys, scale, fr, x)
-				wcost[x] -= lam * writeCoef(sys, scale, fr, x)
+	// priceAt prices both sides at duals at and moves the stability center
+	// there when LB(at) is the best bound so far. Until the first bound
+	// exists there is no center, so the first round prices at λ itself.
+	priceAt := func(at []float64) (Quorum, Quorum) {
+		qR, qW, lb := lg.price(at)
+		if lb > bound {
+			bound, center = lb, append(center[:0], at...)
+		}
+		return qR, qW
+	}
+	// violation is μ_side − cost_λ(q): positive when q's column has negative
+	// reduced cost at the master's own duals.
+	violation := func(q Quorum, side int) float64 {
+		v := sol.Y[side]
+		for j, fr := range d.Fr {
+			for _, x := range q {
+				v += lam[j*n+x] * coefOf[side](sys, scale, fr, x)
 			}
 		}
-		candR := priceR.candidates(rcost, cgCandidates)
-		candW := priceW.candidates(wcost, cgCandidates)
-		vR, vW := 0.0, 0.0
-		if len(candR) > 0 {
-			vR = math.Max(0, y[0]-candR[0].cost)
+		return v
+	}
+	// pick appends q to dst when it prices out at the master's duals and is
+	// not already active.
+	pick := func(dst []Quorum, q Quorum, side int) []Quorum {
+		k := string("rw"[side]) + keyOf(q)
+		if q == nil || violation(q, side) <= priceTol/2 || seen[k] {
+			return dst
 		}
-		if len(candW) > 0 {
-			vW = math.Max(0, y[1]-candW[0].cost)
+		seen[k] = true
+		return append(dst, q)
+	}
+	var newR, newW []Quorum
+	for ; rounds < cgMaxRounds; rounds++ {
+		for i := range lam {
+			lam[i] = math.Min(sol.Y[2+i], 0)
 		}
-		// Lagrangian bound: each side's convexity row carries total mass 1,
-		// so new columns can improve the objective by at most the worst
-		// violation per side.
-		if !dirty {
-			bound = math.Max(bound, sol.Obj-vR-vW)
+		exact, at := center == nil, lam
+		if !exact {
+			for i, l := range lam {
+				smooth[i] = cgSmooth*center[i] + (1-cgSmooth)*l
+			}
+			at = smooth
 		}
-		gap := vR + vW
-		converged := gap <= priceTol
-		early := !converged && opts.TargetGap > 0 && gap <= opts.TargetGap*math.Abs(sol.Obj)
-		if converged || early {
+		qR, qW := priceAt(at)
+		newR, newW = pick(newR[:0], qR, 0), pick(newW[:0], qW, 1)
+		if !exact && len(newR)+len(newW) == 0 {
+			// Mispricing: the smoothed columns price out on neither side.
+			// Price at the master's own duals; only that can prove
+			// convergence.
+			exact = true
+			qR, qW = priceAt(lam)
+			newR, newW = pick(newR, qR, 0), pick(newW, qW, 1)
+		}
+		converged := exact && math.Max(0, violation(qR, 0))+math.Max(0, violation(qW, 1)) <= priceTol
+		early := opts.TargetGap > 0 && sol.Obj-bound <= opts.TargetGap*math.Abs(sol.Obj)
+		// A violating column that is already active means degenerate duals
+		// with nothing new to add: stop as if converged, without the proof.
+		if converged || early || len(newR)+len(newW) == 0 {
 			if dirty {
-				// Convergence seen on a warm solve: purge, re-solve cold,
-				// and let the next round re-verify pricing against exact
-				// duals before declaring victory.
+				// Seen on a warm solve: purge, re-solve cold, and let the
+				// next round re-verify against exact duals.
 				purge()
 				if err := rebuild(); err != nil {
 					return nil, err
@@ -434,34 +468,6 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 				continue
 			}
 			priced = converged
-			break
-		}
-		newR := make([]Quorum, 0, len(candR))
-		for _, c := range candR {
-			if k := "r" + keyOf(c.q); y[0]-c.cost > priceTol/2 && !seen[k] {
-				seen[k] = true
-				newR = append(newR, c.q)
-			}
-		}
-		newW := make([]Quorum, 0, len(candW))
-		for _, c := range candW {
-			if k := "w" + keyOf(c.q); y[1]-c.cost > priceTol/2 && !seen[k] {
-				seen[k] = true
-				newW = append(newW, c.q)
-			}
-		}
-		if len(newR)+len(newW) == 0 {
-			// Every violating candidate is already active: duals are
-			// degenerate but nothing new exists to add. Re-solve cold if
-			// warm, else accept the current bound.
-			if dirty {
-				purge()
-				if err := rebuild(); err != nil {
-					return nil, err
-				}
-				dirty, adds = false, 0
-				continue
-			}
 			break
 		}
 		generated += len(newR) + len(newW)
@@ -483,10 +489,10 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 		// from its optimal basis. Warm columns land after the
 		// slack/artificial block, so track their indices for purge.
 		for _, q := range newR {
-			colR = append(colR, addQuorum(0, q, readCoef))
+			colR = append(colR, addQuorum(0, q))
 		}
 		for _, q := range newW {
-			colW = append(colW, addQuorum(1, q, writeCoef))
+			colW = append(colW, addQuorum(1, q))
 		}
 		actR = append(actR, newR...)
 		actW = append(actW, newW...)
@@ -504,9 +510,6 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 			return nil, err
 		}
 	}
-	if math.IsInf(bound, -1) {
-		bound = sol.Obj
-	}
 	res := assembleCapacity(sys, lp, sol, actR, actW, scale)
 	res.Priced = priced
 	res.Bound = math.Min(bound, sol.Obj) / scale
@@ -515,48 +518,48 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 	return res, nil
 }
 
-// priceCand is one pricing candidate: a quorum and its cost under the
-// round's original dual prices.
-type priceCand struct {
-	q    Quorum
-	cost float64
+// lagrangian prices both sides of one capacity LP at any load-row duals
+// λ ≤ 0, laid out λ_jx at index j·n+x, and returns the Lagrangian bound
+//
+//	LB(λ) = (min_R cost_λ(R) + min_W cost_λ(W)) / max(1, max_j Σ_x −λ_jx / p_j)
+//
+// where cost_λ(Q) = Σ_j Σ_{x∈Q} −λ_jx·coef_jx. The L_j columns' dual rows
+// cap Σ_x −λ_jx at p_j; dividing by the max rescales λ into that budget,
+// which with μ = the two minima is dual-feasible for every quorum column,
+// and LB is positively homogeneous in λ. So LB is a certified lower bound
+// whichever solve produced λ: cold, warm or smoothed.
+type lagrangian struct {
+	sys          System
+	d            FrDist
+	scale        float64
+	r, w         *pricer
+	rcost, wcost []float64
 }
 
-// candidates returns up to k candidate columns: the exact minimum-cost
-// quorum first, then diversified near-minima obtained by banning the
-// heaviest member of the previous candidate and repricing.
-func (p *pricer) candidates(cost []float64, k int) []priceCand {
-	work := p.work
-	copy(work, cost)
-	bigM := 1.0
-	for _, c := range cost {
-		bigM += c
+func newLagrangian(sys System, d FrDist, f int, scale float64) *lagrangian {
+	n := sys.N()
+	return &lagrangian{sys: sys, d: d, scale: scale,
+		r: newPricer(sys.Votes, sys.QR, f), w: newPricer(sys.Votes, sys.QW, f),
+		rcost: make([]float64, n), wcost: make([]float64, n)}
+}
+
+// price returns each side's cheapest quorum at lam and LB(lam).
+func (g *lagrangian) price(lam []float64) (qR, qW Quorum, lb float64) {
+	n, s := len(g.rcost), 1.0
+	clear(g.rcost)
+	clear(g.wcost)
+	for j, fr := range g.d.Fr {
+		use := 0.0
+		for x, l := range lam[j*n : (j+1)*n] {
+			use -= l
+			g.rcost[x] -= l * readCoef(g.sys, g.scale, fr, x)
+			g.wcost[x] -= l * writeCoef(g.sys, g.scale, fr, x)
+		}
+		s = math.Max(s, use/g.d.P[j])
 	}
-	out := make([]priceCand, 0, k)
-	for len(out) < k {
-		set, _, ok := p.price(work)
-		if !ok {
-			break
-		}
-		// Re-cost under the unperturbed prices; banned members may have
-		// been forced back in.
-		trueCost := 0.0
-		heavy, heavyC := -1, -1.0
-		for _, x := range set {
-			trueCost += cost[x]
-			if cost[x] > heavyC {
-				heavy, heavyC = x, cost[x]
-			}
-		}
-		if !slices.ContainsFunc(out, func(c priceCand) bool { return slices.Equal(c.q, set) }) {
-			out = append(out, priceCand{set, trueCost})
-		}
-		if heavy < 0 || work[heavy] >= bigM {
-			break
-		}
-		work[heavy] += bigM
-	}
-	return out
+	qR, cR, _ := g.r.price(g.rcost)
+	qW, cW, _ := g.w.price(g.wcost)
+	return qR, qW, (cR + cW) / s
 }
 
 // OptimizeLatency minimizes the expected quorum completion latency subject
@@ -903,7 +906,6 @@ type pricer struct {
 	q, f  int
 	order []int     // sites by descending vote
 	dp    []float64 // n+1 layers of (f+1)·(q+1) states
-	work  []float64 // candidates' perturbed costs
 	drop  []float64 // minimalization keys
 	set   []int     // the argmin before minimalization
 	ord   []int     // minimalizeQuorum scratch
@@ -915,7 +917,6 @@ func newPricer(votes []int, q, f int) *pricer {
 		votes: votes, q: q, f: f,
 		order: make([]int, n),
 		dp:    make([]float64, (n+1)*(f+1)*(q+1)),
-		work:  make([]float64, n),
 		drop:  make([]float64, n),
 		set:   make([]int, 0, n),
 		ord:   make([]int, n),
