@@ -1,13 +1,15 @@
 // Command voteopt optimizes vote assignments jointly with quorum
 // assignments — the companion problem of the paper's reference [7].
 //
-// Two evaluation paths back the search. Small systems (n ≤ 7) use exact
-// failure-configuration enumeration, as in the literature this reproduces.
-// Larger systems — the annealer is comfortable into the hundreds of sites —
-// are scored against a frozen common-random-numbers scenario sample: the
-// partition structure is sampled once and every candidate weight vector
-// merely re-prices it, so candidate comparisons are noise-free and the whole
-// search is deterministic in -seed.
+// Every search scores candidates on one engine: the topology's failure
+// configurations are reduced once to the components they induce, and each
+// candidate weight vector merely re-prices those. A topology with
+// n+m ≤ dist.ExactLimit (24) sites and links has every configuration
+// enumerated, so its values are exact, as in the literature this
+// reproduces; -scenarios is then unused. A larger one — the annealer is
+// comfortable into the hundreds of sites — is scored against a frozen
+// common-random-numbers sample of -scenarios configurations, so candidate
+// comparisons are noise-free and the whole search is deterministic in -seed.
 //
 // Every candidate the search engines accept carries an O(n log n) pigeonhole
 // certificate of read/write quorum intersection; the engines never accept an
@@ -29,15 +31,12 @@ import (
 	"fmt"
 	"os"
 
+	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/strategy"
 	"quorumkit/internal/votes"
 )
-
-// exactLimit is the largest system the exact-enumeration objective handles;
-// beyond it the availability objective switches to the scenario engine.
-const exactLimit = 7
 
 func main() {
 	var (
@@ -99,17 +98,16 @@ func main() {
 	var obj votes.Objective
 	switch *objective {
 	case "avail":
-		if nn <= exactLimit && *search != "anneal" {
-			obj = votes.ExactObjective{G: g, Cfg: votes.Config{
-				P: *p, R: *r, Alpha: *alpha,
-				MaxVotesPerSite: *maxV, TotalBudget: *budget,
-			}}
+		var sc *votes.Scenarios
+		var err error
+		if nn+g.M() <= dist.ExactLimit {
+			sc, err = votes.ExactScenarios(g, *p, *r)
 		} else {
-			sc, err := votes.SampleScenarios(g, *p, *r, *scenarios, *seed)
-			fatal(1, err)
-			obj, err = votes.NewAvailObjective(sc, *alpha)
-			fatal(1, err)
+			sc, err = votes.SampleScenarios(g, *p, *r, *scenarios, *seed)
 		}
+		fatal(1, err)
+		obj, err = votes.NewAvailObjective(sc, *alpha)
+		fatal(1, err)
 	default:
 		obj = capacityObjective(nn)
 	}

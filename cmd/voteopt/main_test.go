@@ -13,10 +13,7 @@ import (
 // flag, the usage, exit 2, nothing on stdout — never a panic with a
 // goroutine trace (which also exits 2) and never a run that fails with 1.
 func TestUsageErrors(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "voteopt")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	for _, c := range []struct{ args, want string }{
 		{"-n 0", "voteopt: -n 0: -net star needs at least 2 sites"},
 		{"-n 1", "voteopt: -n 1: -net star needs at least 2 sites"},
@@ -53,4 +50,30 @@ func TestUsageErrors(t *testing.T) {
 	if out, err := exec.Command(bin, "-n", "2", "-alpha", "1", "-p", "0", "-max", "1", "-budget", "2").CombinedOutput(); err != nil {
 		t.Fatalf("in-range boundary values refused: %v\n%s", err, out)
 	}
+}
+
+// TestPastExactLimitSamples: a topology whose n+m exceeds the exact
+// enumeration's limit (complete 7: 7 + 21 = 28) is scored on the frozen
+// sample by every search — it runs, it never panics.
+func TestPastExactLimitSamples(t *testing.T) {
+	bin := build(t)
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-net", "complete", "-n", "7", "-max", "1")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil || strings.Contains(stderr.String(), "goroutine") {
+		t.Fatalf("voteopt -net complete -n 7 -max 1: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "objective avail (avail)") {
+		t.Fatalf("want the sampled objective:\n%s", stdout.String())
+	}
+}
+
+// build compiles voteopt into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "voteopt")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

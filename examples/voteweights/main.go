@@ -12,11 +12,12 @@ import (
 	"fmt"
 
 	"quorumkit/internal/graph"
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/votes"
 )
 
 func main() {
-	cfg := votes.Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}
+	const p, r, alpha, maxVotes = 0.9, 0.7, 0.5, 3
 
 	study := []struct {
 		name string
@@ -28,23 +29,35 @@ func main() {
 	}
 
 	for _, s := range study {
-		uni, err := votes.Uniform(s.g, cfg)
+		// Every failure configuration of the topology, enumerated once and
+		// re-priced for each vote vector: exact availabilities.
+		sc, err := votes.ExactScenarios(s.g, p, r)
 		if err != nil {
 			panic(err)
 		}
-		deg, err := votes.Evaluate(s.g, votes.DegreeHeuristic(s.g, cfg.MaxVotesPerSite), cfg)
+		obj, err := votes.NewAvailObjective(sc, alpha)
 		if err != nil {
 			panic(err)
 		}
-		hc, err := votes.HillClimb(s.g, cfg)
+		uniVotes := quorum.UniformVotes(s.g.N())
+		uni, err := obj.Eval(uniVotes)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%s  (p=%.2f, r=%.2f, α=%.2f)\n", s.name, cfg.P, cfg.R, cfg.Alpha)
-		fmt.Printf("  uniform votes   %v  %v  A = %.4f\n", uni.Votes, uni.Assignment, uni.Availability)
-		fmt.Printf("  degree heuristic%v  %v  A = %.4f\n", deg.Votes, deg.Assignment, deg.Availability)
+		degVotes := votes.DegreeHeuristic(s.g, maxVotes)
+		deg, err := obj.Eval(degVotes)
+		if err != nil {
+			panic(err)
+		}
+		hc, err := votes.HillClimbObjective(s.g.N(), obj, uniVotes, votes.SearchConfig{MaxVotesPerSite: maxVotes})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s  (p=%.2f, r=%.2f, α=%.2f)\n", s.name, p, r, alpha)
+		fmt.Printf("  uniform votes   %v  %v  A = %.4f\n", uniVotes, uni.Assignment, uni.Value)
+		fmt.Printf("  degree heuristic%v  %v  A = %.4f\n", degVotes, deg.Assignment, deg.Value)
 		fmt.Printf("  hill-climbed    %v  %v  A = %.4f  (+%.4f over uniform)\n\n",
-			hc.Votes, hc.Assignment, hc.Availability, hc.Availability-uni.Availability)
+			hc.Votes, hc.Assignment, hc.Value, hc.Value-uni.Value)
 	}
 
 	fmt.Println("On the symmetric ring the climb stays (essentially) uniform —")

@@ -7,71 +7,71 @@ import (
 	"quorumkit/internal/rng"
 )
 
-// oracleIntersect decides read/write and write/write intersection exactly by
-// enumerating all 2^n site subsets: reads can miss writes iff some subset
-// reaches q_r while its complement still reaches q_w, and writes can be
-// disjoint iff some subset reaches q_w with q_w also left in the complement.
-// Exponential — the ground truth the O(n log n) certifier is pinned against.
-func oracleIntersect(votes []int, qr, qw int) (readWrite, writeWrite bool) {
-	n := len(votes)
-	T := 0
+// subsetOracle answers threshold questions about one weight vector exactly
+// from its 2^n subset sums, enumerated once: sums[mask] extends
+// sums[mask&(mask-1)] by the lowest member's votes. Exponential — the
+// ground truth the O(n log n) certifier is pinned against.
+type subsetOracle struct {
+	T int
+	// reach[w]: some site subset holds exactly w votes.
+	reach []bool
+	// minRemaining[k]: the fewest votes any k-site failure set leaves — over
+	// all subsets, not just the heaviest prefix, so it independently checks
+	// the pigeonhole argument.
+	minRemaining []int
+}
+
+func newSubsetOracle(votes []int) subsetOracle {
+	n, T := len(votes), 0
 	for _, v := range votes {
 		T += v
 	}
-	readWrite, writeWrite = true, true
-	for mask := 0; mask < 1<<n; mask++ {
-		w := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				w += votes[i]
-			}
+	o := subsetOracle{T: T, reach: make([]bool, T+1), minRemaining: make([]int, n+1)}
+	for k := range o.minRemaining {
+		o.minRemaining[k] = T
+	}
+	sums := make([]int, 1<<n)
+	for mask := range sums {
+		if mask > 0 {
+			sums[mask] = sums[mask&(mask-1)] + votes[bits.TrailingZeros(uint(mask))]
 		}
-		if w >= qr && T-w >= qw {
+		o.reach[sums[mask]] = true
+		if k := bits.OnesCount(uint(mask)); T-sums[mask] < o.minRemaining[k] {
+			o.minRemaining[k] = T - sums[mask]
+		}
+	}
+	return o
+}
+
+// intersect decides read/write and write/write intersection: reads can miss
+// writes iff some subset reaches q_r while its complement still reaches
+// q_w, and writes can be disjoint iff some subset reaches q_w with q_w also
+// left in the complement.
+func (o subsetOracle) intersect(qr, qw int) (readWrite, writeWrite bool) {
+	readWrite, writeWrite = true, true
+	for w, ok := range o.reach {
+		if !ok {
+			continue
+		}
+		if w >= qr && o.T-w >= qw {
 			readWrite = false
 		}
-		if w >= qw && T-w >= qw {
+		if w >= qw && o.T-w >= qw {
 			writeWrite = false
 		}
 	}
 	return readWrite, writeWrite
 }
 
-// oracleMaxF finds the exact largest f such that EVERY f-site failure set
-// leaves at least q votes, by enumerating all subsets (not just the heaviest
-// prefix, so it independently checks the pigeonhole argument).
-func oracleMaxF(votes []int, q int) int {
-	n := len(votes)
-	T := 0
-	for _, v := range votes {
-		T += v
-	}
-	if q > T {
-		return -1
-	}
-	// minRemaining[k] = min over all k-site failure sets of surviving votes.
-	minRemaining := make([]int, n+1)
-	for k := range minRemaining {
-		minRemaining[k] = T
-	}
-	for mask := 0; mask < 1<<n; mask++ {
-		w := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				w += votes[i]
-			}
-		}
-		k := bits.OnesCount(uint(mask))
-		if T-w < minRemaining[k] {
-			minRemaining[k] = T - w
-		}
-	}
+// maxF is the exact largest f such that EVERY f-site failure set leaves at
+// least q votes (-1 when q > T).
+func (o subsetOracle) maxF(q int) int {
 	best := -1
-	for f := 0; f <= n; f++ {
-		if minRemaining[f] >= q {
-			best = f
-		} else {
+	for f, rem := range o.minRemaining {
+		if rem < q {
 			break
 		}
+		best = f
 	}
 	return best
 }
@@ -104,10 +104,10 @@ func TestCertifySoundAgainstBruteForce(t *testing.T) {
 			continue // rejected by Certify; covered in the error-path test
 		}
 		vectors++
+		oracle := newSubsetOracle(votes)
 		for qr := 1; qr <= T; qr++ {
-			// All write thresholds for a few read thresholds, all read
-			// thresholds for the paper pairing — full qr×qw is O(T²) per
-			// vector and too slow against a 2^n oracle.
+			// Four write thresholds per read threshold, the paper pairing
+			// among them.
 			qws := []int{1, (T + 2) / 2, T - qr + 1, T}
 			for _, qw := range qws {
 				if qw < 1 || qw > T {
@@ -117,7 +117,7 @@ func TestCertifySoundAgainstBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Certify(%v, %d, %d): %v", votes, qr, qw, err)
 				}
-				oRW, oWW := oracleIntersect(votes, qr, qw)
+				oRW, oWW := oracle.intersect(qr, qw)
 				if cert.ReadWrite && !oRW {
 					t.Fatalf("UNSOUND: cert claims read/write intersection for votes=%v qr=%d qw=%d, oracle refutes", votes, qr, qw)
 				}
@@ -127,10 +127,10 @@ func TestCertifySoundAgainstBruteForce(t *testing.T) {
 				if oRW && oWW && !cert.Intersects() {
 					incomplete++
 				}
-				if got, want := cert.ReadSurvives, oracleMaxF(votes, qr); got != want {
+				if got, want := cert.ReadSurvives, oracle.maxF(qr); got != want {
 					t.Fatalf("ReadSurvives=%d, oracle %d for votes=%v qr=%d", got, want, votes, qr)
 				}
-				if got, want := cert.WriteSurvives, oracleMaxF(votes, qw); got != want {
+				if got, want := cert.WriteSurvives, oracle.maxF(qw); got != want {
 					t.Fatalf("WriteSurvives=%d, oracle %d for votes=%v qw=%d", got, want, votes, qw)
 				}
 			}
@@ -156,7 +156,7 @@ func TestCertifyIncompleteExample(t *testing.T) {
 	if cert.Intersects() {
 		t.Fatal("certificate should be incomplete here")
 	}
-	if rw, ww := oracleIntersect([]int{5}, 2, 3); !rw || !ww {
+	if rw, ww := newSubsetOracle([]int{5}).intersect(2, 3); !rw || !ww {
 		t.Fatal("oracle: a one-site system always intersects")
 	}
 	if err := cert.Check(); err == nil {
@@ -200,13 +200,13 @@ func TestCertifyErrorPaths(t *testing.T) {
 		votes  []int
 		qr, qw int
 	}{
-		{nil, 1, 1},            // empty
-		{[]int{1, -1}, 1, 1},   // negative
-		{[]int{0, 0}, 1, 1},    // zero total
-		{[]int{1, 1}, 0, 2},    // qr below range
-		{[]int{1, 1}, 3, 2},    // qr above T
-		{[]int{1, 1}, 1, 0},    // qw below range
-		{[]int{1, 1}, 1, 3},    // qw above T
+		{nil, 1, 1},          // empty
+		{[]int{1, -1}, 1, 1}, // negative
+		{[]int{0, 0}, 1, 1},  // zero total
+		{[]int{1, 1}, 0, 2},  // qr below range
+		{[]int{1, 1}, 3, 2},  // qr above T
+		{[]int{1, 1}, 1, 0},  // qw below range
+		{[]int{1, 1}, 1, 3},  // qw above T
 	}
 	for _, c := range cases {
 		if _, err := Certify(c.votes, c.qr, c.qw); err == nil {

@@ -1,15 +1,15 @@
 package votes
 
 // Objectives of the weighted-vote search. Two are provided: the paper's ACC
-// availability (exact enumeration for small systems, the scenario engine at
-// scale) and the throughput capacity of the induced threshold quorum system
-// under the majority pairing, solved by the certified LP machinery of
-// internal/strategy. The search engines in search.go are objective-generic.
+// availability (AvailObjective in scenario.go: exact over enumerated
+// configurations, or over a frozen sample at scale) and the throughput
+// capacity of the induced threshold quorum system under the majority
+// pairing, solved by the certified LP machinery of internal/strategy. The
+// search engines in search.go are objective-generic.
 
 import (
 	"fmt"
 
-	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/strategy"
 )
@@ -28,27 +28,6 @@ type ObjValue struct {
 type Objective interface {
 	Name() string
 	Eval(v quorum.VoteAssignment) (ObjValue, error)
-}
-
-// ExactObjective is the seed engine's evaluation path — exact failure-
-// configuration enumeration via dist.Exact and Model.Optimize — wrapped as
-// an Objective. Limited to small systems; it is the oracle the scalable
-// engines are tested against.
-type ExactObjective struct {
-	G   *graph.Graph
-	Cfg Config
-}
-
-// Name implements Objective.
-func (o ExactObjective) Name() string { return "avail-exact" }
-
-// Eval implements Objective.
-func (o ExactObjective) Eval(v quorum.VoteAssignment) (ObjValue, error) {
-	ev, err := Evaluate(o.G, v, o.Cfg)
-	if err != nil {
-		return ObjValue{}, err
-	}
-	return ObjValue{Value: ev.Availability, Assignment: ev.Assignment}, nil
 }
 
 // CapacityObjective scores a weight vector by the certified peak throughput

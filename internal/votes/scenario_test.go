@@ -1,9 +1,11 @@
 package votes
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"quorumkit/internal/core"
 	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
@@ -93,18 +95,14 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestAvailObjectiveMatchesExact pins the scenario objective to the seed
-// engine: with enough scenarios the estimated optimal availability must sit
+// TestAvailObjectiveMatchesExact pins the sampled objective to the exact
+// oracle: with enough scenarios the estimated optimal availability must sit
 // within Monte-Carlo noise of dist.Exact + Model.Optimize, and the selected
 // assignment must satisfy the consistency conditions.
 func TestAvailObjectiveMatchesExact(t *testing.T) {
 	g := graph.Star(6)
 	v := quorum.VoteAssignment{3, 1, 1, 1, 1, 1}
-	cfg := Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}
-	exact, err := Evaluate(g, v, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := oracleOptimum(t, g, v, 0.9, 0.7, 0.5)
 	sc, err := SampleScenarios(g, 0.9, 0.7, 60000, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +208,124 @@ func TestScenarioErrorPaths(t *testing.T) {
 	if _, err := sc.Density(quorum.VoteAssignment{1}); err == nil {
 		t.Fatal("Density length mismatch accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("HistInto length mismatch should panic")
+	if _, err := sc.Density(quorum.VoteAssignment{1, -1, 1, 1}); err == nil {
+		t.Fatal("Density negative weight accepted")
+	}
+}
+
+// oracleOptimum is the paper's Figure-1 optimum for v computed the
+// independent way: every configuration enumerated again for this one
+// vector by dist.Exact, then Model.Optimize.
+func oracleOptimum(tb testing.TB, g *graph.Graph, v quorum.VoteAssignment, p, r, alpha float64) core.Result {
+	tb.Helper()
+	m, err := core.NewModel(nil, nil, dist.Exact(g, v, p, r))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.Optimize(alpha)
+}
+
+// TestExactScenariosMatchDistExact pins the once-enumerated engine to
+// dist.Exact, which enumerates every configuration again per vector: the
+// aggregate density equals the uniform mixture of dist.Exact's per-site
+// densities, and on every grid2x3 vector with at most two votes per site
+// the objective picks Model.Optimize's quorum pair at its value. The
+// subtests run in parallel: the oracle is the slow side.
+func TestExactScenariosMatchDistExact(t *testing.T) {
+	g := graph.Grid(2, 3)
+	if _, err := ExactScenarios(graph.Path(13), 0.9, 0.9); err == nil {
+		t.Fatal("n+m = 25 accepted")
+	}
+	if _, err := ExactScenarios(g, 1.5, 0.9); err == nil {
+		t.Fatal("p = 1.5 accepted")
+	}
+	if _, err := ExactScenarios(g, 0.9, math.NaN()); err == nil {
+		t.Fatal("r = NaN accepted")
+	}
+	t.Parallel()
+
+	t.Run("densities", func(t *testing.T) {
+		t.Parallel()
+		for _, tc := range []struct {
+			name string
+			g    *graph.Graph
+		}{
+			{"star5", graph.Star(5)},
+			{"path5", graph.Path(5)},
+			{"ring5", graph.Ring(5)},
+			{"grid2x3", g},
+			{"complete5", graph.Complete(5)},
+		} {
+			n := tc.g.N()
+			weighted := make(quorum.VoteAssignment, n)
+			zero := make(quorum.VoteAssignment, n)
+			for i := range weighted {
+				weighted[i] = 1 + i%3
+				zero[i] = i % 2 * (i + 1)
+			}
+			for _, pr := range [][2]float64{{0.9, 0.6}, {0, 1}, {1, 0}} {
+				sc, err := ExactScenarios(tc.g, pr[0], pr[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range []quorum.VoteAssignment{quorum.UniformVotes(n), weighted, zero} {
+					got, err := sc.Density(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := dist.Mixture(dist.Uniform(n), dist.Exact(tc.g, v, pr[0], pr[1]))
+					if len(got) != len(want) {
+						t.Fatalf("%s p=%g r=%g %v: density length %d, want %d", tc.name, pr[0], pr[1], v, len(got), len(want))
+					}
+					for i := range got {
+						if math.Abs(got[i]-want[i]) > 1e-12 {
+							t.Fatalf("%s p=%g r=%g %v: density[%d] = %.17g, dist.Exact %.17g", tc.name, pr[0], pr[1], v, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
-	}()
-	sc.HistInto([]int{1, 1}, make([]int64, 5))
+	})
+
+	// All 728 nonzero vectors, split by site 0's votes into three parallel
+	// subtests (each with its own objective: Eval reuses buffers).
+	for first := 0; first < 3; first++ {
+		t.Run(fmt.Sprintf("grid2x3-site0=%d", first), func(t *testing.T) {
+			t.Parallel()
+			obj := exactObjective(t, g, 0.9, 0.6, 0.5)
+			if obj.Name() != "avail-exact" {
+				t.Fatalf("name %q", obj.Name())
+			}
+			seen := map[uint32]bool{}
+			mi := int32(0)
+			for _, end := range obj.Scen.compEnd {
+				var k uint32
+				for _, site := range obj.Scen.members[mi:end] {
+					k |= 1 << site
+				}
+				if seen[k] {
+					t.Fatalf("component %b kept twice", k)
+				}
+				seen[k], mi = true, end
+			}
+			v := make(quorum.VoteAssignment, g.N())
+			v[0] = first
+			for code := 0; code < 243; code++ {
+				for i, c := 1, code; i < len(v); i, c = i+1, c/3 {
+					v[i] = c % 3
+				}
+				if v.Total() == 0 {
+					continue
+				}
+				got, err := obj.Eval(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracleOptimum(t, g, v, 0.9, 0.6, 0.5)
+				if got.Assignment != want.Assignment || math.Abs(got.Value-want.Availability) > 1e-12 {
+					t.Fatalf("%v: %v A=%.17g, Model.Optimize %v A=%.17g", v, got.Assignment, got.Value, want.Assignment, want.Availability)
+				}
+			}
+		})
+	}
 }

@@ -262,8 +262,8 @@ func Anneal(n int, obj Objective, cfg SearchConfig) (SearchResult, error) {
 // it repeatedly scores every in-bounds ±1 neighbor — each distinct vector at
 // most once across the whole climb — and takes the single best strictly
 // improving certified move until none remains. The 1e-12 improvement margin
-// and site-then-delta scan order replicate the seed engine's HillClimb
-// exactly, so the memoization changes evaluation counts, never results.
+// and site-then-delta scan order are those of a naive re-evaluating climb,
+// so the memoization changes evaluation counts, never results.
 func climb(ec *evalCounter, start quorum.VoteAssignment, startVal ObjValue, cfg SearchConfig) (quorum.VoteAssignment, ObjValue, Certificate, error) {
 	n := len(start)
 	memo := map[string]ObjValue{voteKey(start): startVal}
@@ -429,8 +429,8 @@ func gcd(a, b int) int {
 // each round scores every ±1 neighbor, takes the single best strictly
 // improving move, and stops at a local optimum. The memo guarantees no
 // vector — incumbent included — is scored twice, which is what Evaluations
-// counts; the regression tests pin this against the naive re-evaluating
-// climb the seed engine shipped.
+// counts; the regression tests pin this against a naive re-evaluating
+// climb.
 func HillClimbObjective(n int, obj Objective, start quorum.VoteAssignment, cfg SearchConfig) (SearchResult, error) {
 	cfg, err := cfg.norm(n)
 	if err != nil {
@@ -472,8 +472,8 @@ func voteKey(v quorum.VoteAssignment) string {
 
 // ExhaustiveObjective enumerates every weight vector with entries in
 // [0, MaxVotesPerSite] and total in [1, TotalBudget] and returns the best
-// certified one. Exponential — the oracle for the other engines on tiny
-// systems, mirroring the seed engine's Exhaustive.
+// certified one. Exponential — [7]'s approach, and the oracle for the other
+// engines on tiny systems.
 func ExhaustiveObjective(n int, obj Objective, cfg SearchConfig) (SearchResult, error) {
 	cfg, err := cfg.norm(n)
 	if err != nil {

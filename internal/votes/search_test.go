@@ -31,6 +31,17 @@ func (c *countingObjective) Eval(v quorum.VoteAssignment) (ObjValue, error) {
 	return c.inner.Eval(v)
 }
 
+// exhaustiveOptimum is the exhaustive oracle's answer on one small case,
+// at P 0.9, R 0.6, α 0.5 and at most 2 votes per site.
+func exhaustiveOptimum(t *testing.T, g *graph.Graph) SearchResult {
+	t.Helper()
+	res, err := ExhaustiveObjective(g.N(), exactObjective(t, g, 0.9, 0.6, 0.5), SearchConfig{MaxVotesPerSite: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func smallCases() []struct {
 	name string
 	g    *graph.Graph
@@ -45,6 +56,9 @@ func smallCases() []struct {
 		{"path4", graph.Path(4)},
 		{"path5", graph.Path(5)},
 		{"path6", graph.Path(6)},
+		{"path7", graph.Path(7)},
+		{"path8", graph.Path(8)},
+		{"ring8", graph.Ring(8)},
 		{"grid2x3", graph.Grid(2, 3)},
 	}
 }
@@ -55,15 +69,11 @@ func smallCases() []struct {
 // seed — the annealer is only trusted at scale because it is exact where
 // exactness is checkable.
 func TestAnnealMatchesExhaustiveSmallN(t *testing.T) {
+	t.Parallel()
 	for _, tc := range smallCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			obj := ExactObjective{G: tc.g, Cfg: Config{P: 0.9, R: 0.6, Alpha: 0.5, MaxVotesPerSite: 2}}
-			scfg := SearchConfig{MaxVotesPerSite: 2, Seed: 1}
-			ex, err := ExhaustiveObjective(tc.g.N(), obj, scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an, err := Anneal(tc.g.N(), obj, scfg)
+			ex := exhaustiveOptimum(t, tc.g)
+			an, err := Anneal(tc.g.N(), exactObjective(t, tc.g, 0.9, 0.6, 0.5), SearchConfig{MaxVotesPerSite: 2, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,14 +99,11 @@ func TestAnnealMatchesExhaustiveSmallN(t *testing.T) {
 // TestHillClimbBoundedByExhaustive: the memoized climb is also bounded from
 // above by the exhaustive oracle, and never worse than its uniform start.
 func TestHillClimbBoundedByExhaustive(t *testing.T) {
+	t.Parallel()
 	for _, tc := range smallCases() {
-		obj := ExactObjective{G: tc.g, Cfg: Config{P: 0.9, R: 0.6, Alpha: 0.5, MaxVotesPerSite: 2}}
-		scfg := SearchConfig{MaxVotesPerSite: 2}
-		ex, err := ExhaustiveObjective(tc.g.N(), obj, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hc, err := HillClimbObjective(tc.g.N(), obj, quorum.UniformVotes(tc.g.N()), scfg)
+		obj := exactObjective(t, tc.g, 0.9, 0.6, 0.5)
+		ex := exhaustiveOptimum(t, tc.g)
+		hc, err := HillClimbObjective(tc.g.N(), obj, quorum.UniformVotes(tc.g.N()), SearchConfig{MaxVotesPerSite: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,68 +243,59 @@ func TestScalingInvariance(t *testing.T) {
 	}
 }
 
-// TestHillClimbMatchesSeedEngine: the memoized climb must return exactly the
-// result of the seed engine's naive re-evaluating climb (replicated here),
-// while spending strictly fewer objective evaluations — the regression test
-// for the redundant-re-evaluation fix.
+// TestHillClimbMatchesSeedEngine: the memoized climb on the exact objective
+// must return exactly the result of the seed engine's naive re-evaluating
+// climb (replicated here, scoring every candidate with the independent
+// dist.Exact + Model.Optimize oracle), while spending strictly fewer
+// objective evaluations — the regression test for the redundant
+// re-evaluation fix.
 func TestHillClimbMatchesSeedEngine(t *testing.T) {
 	g := graph.Star(5)
-	cfg := Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}
+	const p, r, alpha, maxVotes = 0.9, 0.7, 0.5, 3
 
 	// Naive replica of the pre-fix climb: evaluates every feasible neighbor
 	// every round, including vectors it has already scored.
 	naiveEvals := 0
-	naive, err := func() (Evaluation, error) {
-		n := g.N()
-		eval := func(v quorum.VoteAssignment) (Evaluation, error) {
-			naiveEvals++
-			return Evaluate(g, v, cfg)
-		}
-		cur, err := eval(quorum.UniformVotes(n))
-		if err != nil {
-			return Evaluation{}, err
-		}
-		budget := n * cfg.MaxVotesPerSite // TotalBudget unset
-		for {
-			best := cur
-			improved := false
-			for site := 0; site < n; site++ {
-				for _, delta := range []int{1, -1} {
-					cand := append(quorum.VoteAssignment(nil), cur.Votes...)
-					cand[site] += delta
-					if cand[site] < 0 || cand[site] > cfg.MaxVotesPerSite {
-						continue
-					}
-					if cand.Total() == 0 || cand.Total() > budget {
-						continue
-					}
-					ev, err := eval(cand)
-					if err != nil {
-						return Evaluation{}, err
-					}
-					if ev.Availability > best.Availability+1e-12 {
-						best = ev
-						improved = true
-					}
+	eval := func(v quorum.VoteAssignment) core.Result {
+		naiveEvals++
+		return oracleOptimum(t, g, v, p, r, alpha)
+	}
+	n := g.N()
+	budget := n * maxVotes // TotalBudget unset
+	cur := quorum.UniformVotes(n)
+	curRes := eval(cur)
+	for {
+		best, bestRes := cur, curRes
+		improved := false
+		for site := 0; site < n; site++ {
+			for _, delta := range []int{1, -1} {
+				cand := append(quorum.VoteAssignment(nil), cur...)
+				cand[site] += delta
+				if cand[site] < 0 || cand[site] > maxVotes {
+					continue
+				}
+				if cand.Total() == 0 || cand.Total() > budget {
+					continue
+				}
+				if res := eval(cand); res.Availability > bestRes.Availability+1e-12 {
+					best, bestRes = cand, res
+					improved = true
 				}
 			}
-			if !improved {
-				return cur, nil
-			}
-			cur = best
 		}
-	}()
-	if err != nil {
-		t.Fatal(err)
+		if !improved {
+			break
+		}
+		cur, curRes = best, bestRes
 	}
 
-	got, err := HillClimb(g, cfg)
+	got, err := HillClimbObjective(n, exactObjective(t, g, p, r, alpha), quorum.UniformVotes(n), SearchConfig{MaxVotesPerSite: maxVotes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Votes, naive.Votes) || got.Assignment != naive.Assignment ||
-		got.Availability != naive.Availability {
-		t.Fatalf("memoized climb diverged from the seed engine:\n%+v\n%+v", got, naive)
+	if !reflect.DeepEqual(got.Votes, cur) || got.Assignment != curRes.Assignment ||
+		math.Abs(got.Value-curRes.Availability) > 1e-12 {
+		t.Fatalf("memoized climb diverged from the seed engine:\n%+v\n%v %+v", got, cur, curRes)
 	}
 	if got.Evaluations >= naiveEvals {
 		t.Fatalf("memoized climb spent %d evaluations, naive %d — the cache saved nothing", got.Evaluations, naiveEvals)
@@ -308,8 +306,7 @@ func TestHillClimbMatchesSeedEngine(t *testing.T) {
 // TestHillClimbNeverEvaluatesTwice: the memo must make every scored vector
 // unique, and the reported Evaluations must equal the true count.
 func TestHillClimbNeverEvaluatesTwice(t *testing.T) {
-	g := graph.Star(5)
-	co := newCounting(ExactObjective{G: g, Cfg: Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}})
+	co := newCounting(star5(t))
 	res, err := HillClimbObjective(5, co, quorum.UniformVotes(5), SearchConfig{MaxVotesPerSite: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -381,12 +378,12 @@ func TestMajorityPairingCertifies(t *testing.T) {
 }
 
 func TestSearchConfigValidation(t *testing.T) {
-	obj := ExactObjective{G: graph.Star(4), Cfg: Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 2}}
+	obj := exactObjective(t, graph.Star(4), 0.9, 0.7, 0.5)
 	bad := []SearchConfig{
-		{},                                      // MaxVotesPerSite missing
-		{MaxVotesPerSite: 2, TotalBudget: -1},   // negative budget
-		{MaxVotesPerSite: 2, TotalBudget: 2},    // budget below uniform (n=4)
-		{MaxVotesPerSite: 2, Steps: -1},         // negative steps
+		{},                                    // MaxVotesPerSite missing
+		{MaxVotesPerSite: 2, TotalBudget: -1}, // negative budget
+		{MaxVotesPerSite: 2, TotalBudget: 2},  // budget below uniform (n=4)
+		{MaxVotesPerSite: 2, Steps: -1},       // negative steps
 		{MaxVotesPerSite: 2, InitTemp: 1e-5, FinalTemp: 1e-3}, // inverted schedule
 	}
 	for i, cfg := range bad {
@@ -430,7 +427,7 @@ type boomError struct{}
 func (*boomError) Error() string { return "boom" }
 
 func TestSearchPropagatesObjectiveErrors(t *testing.T) {
-	inner := ExactObjective{G: graph.Star(4), Cfg: Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 2}}
+	inner := exactObjective(t, graph.Star(4), 0.9, 0.7, 0.5)
 	for _, after := range []int{0, 1, 3} {
 		if _, err := Anneal(4, &erroringObjective{inner: inner, after: after}, SearchConfig{MaxVotesPerSite: 2, Steps: 50, Restarts: 2}); err == nil {
 			t.Fatalf("Anneal swallowed an objective error (after=%d)", after)

@@ -8,44 +8,62 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-func cfg(alpha float64) Config {
-	return Config{P: 0.9, R: 0.7, Alpha: alpha, MaxVotesPerSite: 3}
+// exactObjective is the exact availability objective over every failure
+// configuration of g.
+func exactObjective(tb testing.TB, g *graph.Graph, p, r, alpha float64) *AvailObjective {
+	tb.Helper()
+	sc, err := ExactScenarios(g, p, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	obj, err := NewAvailObjective(sc, alpha)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return obj
 }
 
+// star5 is the objective most search tests climb: a 5-site star, p=0.9,
+// r=0.7, α=0.5.
+func star5(tb testing.TB) *AvailObjective { return exactObjective(tb, graph.Star(5), 0.9, 0.7, 0.5) }
+
 func TestEvaluateUniformRing(t *testing.T) {
-	g := graph.Ring(5)
-	ev, err := Uniform(g, cfg(0.5))
+	obj := exactObjective(t, graph.Ring(5), 0.9, 0.7, 0.5)
+	ov, err := obj.Eval(quorum.UniformVotes(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Votes.Total() != 5 {
-		t.Fatalf("total %d", ev.Votes.Total())
-	}
-	if err := ev.Assignment.Validate(5); err != nil {
+	if err := ov.Assignment.Validate(5); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Availability <= 0 || ev.Availability > 1 {
-		t.Fatalf("availability %g", ev.Availability)
+	if ov.Value <= 0 || ov.Value > 1 {
+		t.Fatalf("availability %g", ov.Value)
 	}
 }
 
 func TestEvaluateValidation(t *testing.T) {
 	g := graph.Ring(5)
-	if _, err := Evaluate(g, quorum.VoteAssignment{1, 1}, cfg(0.5)); err == nil {
+	obj := exactObjective(t, g, 0.9, 0.7, 0.5)
+	if _, err := obj.Eval(quorum.VoteAssignment{1, 1}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Evaluate(g, quorum.VoteAssignment{0, 0, 0, 0, 0}, cfg(0.5)); err == nil {
+	if _, err := obj.Eval(quorum.VoteAssignment{0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("zero votes accepted")
 	}
-	bad := cfg(0.5)
-	bad.Alpha = 2
-	if _, err := Uniform(g, bad); err == nil {
+	if _, err := obj.Eval(quorum.VoteAssignment{2, -1, 1, 1, 1}); err == nil {
+		t.Fatal("negative votes accepted")
+	}
+	if _, err := NewAvailObjective(obj.Scen, 2); err == nil {
 		t.Fatal("bad α accepted")
 	}
-	bad = cfg(0.5)
-	bad.MaxVotesPerSite = 0
-	if _, err := Uniform(g, bad); err == nil {
+	if _, err := NewAvailObjective(obj.Scen, math.NaN()); err == nil {
+		t.Fatal("NaN α accepted")
+	}
+	if _, err := HillClimbObjective(5, obj, quorum.UniformVotes(5), SearchConfig{}); err == nil {
 		t.Fatal("bad max votes accepted")
+	}
+	if _, err := HillClimbObjective(5, obj, quorum.UniformVotes(5), SearchConfig{MaxVotesPerSite: 3, TotalBudget: -1}); err == nil {
+		t.Fatal("negative budget accepted")
 	}
 }
 
@@ -73,41 +91,32 @@ func TestHubVotesBeatUniformOnStar(t *testing.T) {
 	// On a star every component contains the hub (or is a singleton), so
 	// concentrating votes at the hub mimics primary copy and beats uniform
 	// when links are unreliable.
-	g := graph.Star(5)
-	c := cfg(0.5)
-	uni, err := Uniform(g, c)
+	obj := star5(t)
+	uni, err := obj.Eval(quorum.UniformVotes(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := quorum.VoteAssignment{3, 1, 1, 1, 1}
-	weighted, err := Evaluate(g, hub, c)
+	weighted, err := obj.Eval(quorum.VoteAssignment{3, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if weighted.Availability <= uni.Availability {
-		t.Fatalf("hub-weighted %g should beat uniform %g on a star",
-			weighted.Availability, uni.Availability)
+	if weighted.Value <= uni.Value {
+		t.Fatalf("hub-weighted %g should beat uniform %g on a star", weighted.Value, uni.Value)
 	}
 }
 
 func TestHillClimbImprovesOnStar(t *testing.T) {
-	g := graph.Star(5)
-	c := cfg(0.5)
-	uni, err := Uniform(g, c)
+	obj := star5(t)
+	uni, err := obj.Eval(quorum.UniformVotes(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := HillClimb(g, c)
+	hc, err := HillClimbObjective(5, obj, quorum.UniformVotes(5), SearchConfig{MaxVotesPerSite: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hc.Availability < uni.Availability-1e-12 {
-		t.Fatalf("hill climb %g worse than its uniform start %g",
-			hc.Availability, uni.Availability)
-	}
-	if hc.Availability <= uni.Availability {
-		t.Fatalf("hill climb failed to improve on a star: %g vs %g",
-			hc.Availability, uni.Availability)
+	if hc.Value <= uni.Value {
+		t.Fatalf("hill climb failed to improve on a star: %g vs %g", hc.Value, uni.Value)
 	}
 	// The climb should have favored the hub.
 	if hc.Votes[0] <= hc.Votes[1] {
@@ -116,18 +125,18 @@ func TestHillClimbImprovesOnStar(t *testing.T) {
 }
 
 func TestExhaustiveAtLeastHillClimb(t *testing.T) {
-	g := graph.Star(4)
-	c := Config{P: 0.9, R: 0.6, Alpha: 0.5, MaxVotesPerSite: 2}
-	ex, err := Exhaustive(g, c)
+	obj := exactObjective(t, graph.Star(4), 0.9, 0.6, 0.5)
+	scfg := SearchConfig{MaxVotesPerSite: 2}
+	ex, err := ExhaustiveObjective(4, obj, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := HillClimb(g, c)
+	hc, err := HillClimbObjective(4, obj, quorum.UniformVotes(4), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Availability+1e-12 < hc.Availability {
-		t.Fatalf("exhaustive %g below hill climb %g", ex.Availability, hc.Availability)
+	if ex.Value+1e-12 < hc.Value {
+		t.Fatalf("exhaustive %g below hill climb %g", ex.Value, hc.Value)
 	}
 	if err := ex.Assignment.Validate(ex.Votes.Total()); err != nil {
 		t.Fatal(err)
@@ -135,52 +144,50 @@ func TestExhaustiveAtLeastHillClimb(t *testing.T) {
 }
 
 func TestExhaustiveRespectsBudget(t *testing.T) {
-	g := graph.Path(3)
-	c := Config{P: 0.9, R: 0.8, Alpha: 0.5, MaxVotesPerSite: 3, TotalBudget: 4}
-	ev, err := Exhaustive(g, c)
+	obj := exactObjective(t, graph.Path(3), 0.9, 0.8, 0.5)
+	ex, err := ExhaustiveObjective(3, obj, SearchConfig{MaxVotesPerSite: 3, TotalBudget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Votes.Total() > 4 {
-		t.Fatalf("budget exceeded: %v", ev.Votes)
+	if ex.Votes.Total() > 4 {
+		t.Fatalf("budget exceeded: %v", ex.Votes)
 	}
 }
 
 func TestExhaustiveSizeLimit(t *testing.T) {
-	if _, err := Exhaustive(graph.Ring(9), cfg(0.5)); err == nil {
+	obj := exactObjective(t, graph.Ring(9), 0.9, 0.7, 0.5)
+	if _, err := ExhaustiveObjective(9, obj, SearchConfig{MaxVotesPerSite: 3}); err == nil {
 		t.Fatal("9 sites should be rejected")
 	}
 }
 
 func TestPerfectNetworkAnyVotesEquivalent(t *testing.T) {
 	// With perfect reliability every assignment achieves availability 1.
-	g := graph.Ring(4)
-	c := Config{P: 1, R: 1, Alpha: 0.5, MaxVotesPerSite: 2}
-	uni, err := Uniform(g, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(uni.Availability-1) > 1e-9 {
-		t.Fatalf("perfect network availability %g", uni.Availability)
+	obj := exactObjective(t, graph.Ring(4), 1, 1, 0.5)
+	for _, v := range []quorum.VoteAssignment{{1, 1, 1, 1}, {2, 0, 1, 2}, {0, 0, 1, 0}} {
+		ov, err := obj.Eval(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Total() > 1 && math.Abs(ov.Value-1) > 1e-9 {
+			t.Fatalf("perfect network availability %g for %v", ov.Value, v)
+		}
 	}
 }
 
-func BenchmarkEvaluateStar5(b *testing.B) {
-	g := graph.Star(5)
+func BenchmarkExactEvalStar5(b *testing.B) {
+	obj := star5(b)
 	v := quorum.VoteAssignment{3, 1, 1, 1, 1}
-	c := Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}
 	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(g, v, c); err != nil {
+		if _, err := obj.Eval(v); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkHillClimbStar5(b *testing.B) {
-	g := graph.Star(5)
-	c := Config{P: 0.9, R: 0.7, Alpha: 0.5, MaxVotesPerSite: 3}
 	for i := 0; i < b.N; i++ {
-		if _, err := HillClimb(g, c); err != nil {
+		if _, err := HillClimbObjective(5, star5(b), quorum.UniformVotes(5), SearchConfig{MaxVotesPerSite: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
