@@ -161,3 +161,61 @@ func TestMinimalQuorumsProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestCountThresholdQuorums: counting mode agrees with the enumerator on
+// random weighted systems of up to 12 sites at f = 0..2; under a cap it
+// reports incomplete exactly when the pool is larger, and its allocation
+// count does not grow with the pool.
+func TestCountThresholdQuorums(t *testing.T) {
+	src := rng.New(0xC0047)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + src.Intn(12)
+		votes := make([]int, n)
+		T := 0
+		for i := range votes {
+			votes[i] = src.Intn(4)
+			T += votes[i]
+		}
+		if T == 0 {
+			votes[src.Intn(n)] = 1
+			T = 1
+		}
+		q := 1 + src.Intn(T)
+		f := src.Intn(3)
+		pool, _ := ThresholdQuorums[[]int](votes, q, f, 0)
+		if c, ok := CountThresholdQuorums(votes, q, f, 0); c != len(pool) || !ok {
+			t.Fatalf("trial %d: votes=%v q=%d f=%d: count %d (complete=%v), enumerated %d",
+				trial, votes, q, f, c, ok, len(pool))
+		}
+		for _, limit := range []int{1, len(pool) - 1, len(pool), len(pool) + 1} {
+			if limit <= 0 {
+				continue
+			}
+			c, ok := CountThresholdQuorums(votes, q, f, limit)
+			if ok != (len(pool) <= limit) || c != min(len(pool), limit) {
+				t.Fatalf("trial %d: votes=%v q=%d f=%d cap %d: count %d complete=%v, pool %d",
+					trial, votes, q, f, limit, c, ok, len(pool))
+			}
+		}
+	}
+	small, large := UniformVotes(5), UniformVotes(16) // 5 and 8,008 quorums at f = 1
+	for _, votes := range [][]int{small, large} {
+		if a := testing.AllocsPerRun(10, func() { CountThresholdQuorums(votes, len(votes)/2+1, 1, 0) }); a != 0 {
+			t.Fatalf("%d sites: %v allocations per count, want 0", len(votes), a)
+		}
+	}
+}
+
+// TestThresholdQuorumsCapped: pools share one backing array, so every set
+// must be capacity-capped — appending to one copies it instead of
+// overwriting the next set.
+func TestThresholdQuorumsCapped(t *testing.T) {
+	pool, _ := ThresholdQuorums[[]int](UniformVotes(7), 4, 0, 0)
+	want := sortPool(pool)
+	for i := range pool {
+		_ = append(pool[i], -1)
+	}
+	if !poolsEqual(sortPool(pool), want) {
+		t.Fatal("appending to one quorum overwrote another")
+	}
+}

@@ -28,4 +28,5 @@ func benchLadder(b *testing.B, n int) {
 
 func BenchmarkLadder9(b *testing.B)  { benchLadder(b, 9) }
 func BenchmarkLadder11(b *testing.B) { benchLadder(b, 11) }
+func BenchmarkLadder13(b *testing.B) { benchLadder(b, 13) }
 func BenchmarkLadder31(b *testing.B) { benchLadder(b, 31) }

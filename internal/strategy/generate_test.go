@@ -41,29 +41,43 @@ func threeAtoms(t *testing.T) FrDist {
 	return d
 }
 
-// TestGenerationMatchesEnumerated forces the column-generation path with a
-// tiny enumeration cap and checks it reaches the same optimum as the
-// complete-pool solve on systems small enough to enumerate — under a 3-atom
-// fr distribution and under SingleFr(0.75) (the solve ladder's and the
-// daemon's), at f = 0 and f = 1.
+// enumeratedCapacity is the test oracle for the capacity optimizers: the LP
+// over every minimal f-resilient quorum, however many there are, solved
+// exactly as optimizeCapacity solves the pools it enumerates.
+func enumeratedCapacity(t *testing.T, sys System, d FrDist, f int) *Result {
+	t.Helper()
+	reads, rOK := MinimalResilientQuorums(sys.Votes, sys.QR, f, 0)
+	writes, wOK := MinimalResilientQuorums(sys.Votes, sys.QW, f, 0)
+	if !rOK || !wOK || len(reads) == 0 || len(writes) == 0 {
+		t.Fatalf("oracle: no complete non-empty pools (%d read, %d write)", len(reads), len(writes))
+	}
+	scale := capScale(sys)
+	lp, _, sol, err := solveCapacityLP(sys, d, reads, writes, scale)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	res := assembleCapacity(sys, lp, sol, reads, writes, scale)
+	res.PoolComplete, res.Priced = true, true
+	res.Bound = res.Value
+	return res
+}
+
+// TestGenerationMatchesEnumerated runs column generation to convergence and
+// checks it reaches the same optimum as the complete-pool solve on systems
+// small enough to enumerate — under a 3-atom fr distribution and under
+// SingleFr(0.75) (the solve ladder's and the daemon's), at f = 0 and f = 1.
 func TestGenerationMatchesEnumerated(t *testing.T) {
 	for _, d := range []FrDist{threeAtoms(t), SingleFr(0.75)} {
 		for f := 0; f <= 1; f++ {
 			for _, n := range []int{7, 9, 11} {
 				sys := uniformSystem(n, uint64(n))
-				exact, err := OptimizeResilientCapacity(sys, d, f, Options{})
-				if err != nil {
-					t.Fatalf("n=%d f=%d %v exact: %v", n, f, d.Fr, err)
-				}
-				if !exact.PoolComplete {
-					t.Fatalf("n=%d f=%d %v: expected complete enumeration", n, f, d.Fr)
-				}
-				gen, err := OptimizeResilientCapacity(sys, d, f, Options{MaxEnumerate: 4})
+				exact := enumeratedCapacity(t, sys, d, f)
+				gen, err := generateCapacity(sys, d, f, capScale(sys), 0)
 				if err != nil {
 					t.Fatalf("n=%d f=%d %v generated: %v", n, f, d.Fr, err)
 				}
 				if gen.PoolComplete {
-					t.Fatalf("n=%d f=%d %v: cap 4 did not force generation", n, f, d.Fr)
+					t.Fatalf("n=%d f=%d %v: generation claimed a complete pool", n, f, d.Fr)
 				}
 				if !gen.Priced {
 					t.Fatalf("n=%d f=%d %v: pricing did not converge", n, f, d.Fr)
@@ -91,6 +105,89 @@ func TestGenerationMatchesEnumerated(t *testing.T) {
 	}
 }
 
+// TestGenerationExactBelowCap: past enumerateMax, systems with at most
+// exactMax minimal quorums a side go to column generation, which must still
+// reach the exact optimum — Priced, equal to the complete-pool oracle, and
+// dual-feasible on every minimal quorum — even when the caller allows a 5%
+// gap. 11 to 13 unit-vote sites span 330 to 1,716 quorums a side.
+func TestGenerationExactBelowCap(t *testing.T) {
+	for _, d := range []FrDist{SingleFr(0.75), threeAtoms(t)} {
+		for f := 0; f <= 1; f++ {
+			for _, n := range []int{11, 12, 13} {
+				sys := uniformSystem(n, uint64(n))
+				res, err := OptimizeResilientCapacity(sys, d, f, Options{TargetGap: 0.05})
+				if err != nil {
+					t.Fatalf("n=%d f=%d %v: %v", n, f, d.Fr, err)
+				}
+				if res.PoolComplete || !res.Priced {
+					t.Fatalf("n=%d f=%d %v: PoolComplete=%v Priced=%v, want generation to convergence",
+						n, f, d.Fr, res.PoolComplete, res.Priced)
+				}
+				exact := enumeratedCapacity(t, sys, d, f)
+				if rel := math.Abs(res.Value-exact.Value) / exact.Value; rel > 1e-9 {
+					t.Fatalf("n=%d f=%d %v: value %.15g vs enumerated %.15g (rel %g)",
+						n, f, d.Fr, res.Value, exact.Value, rel)
+				}
+				if err := CertifyGlobalCapacity(sys, d, f, res, genTol); err != nil {
+					t.Fatalf("n=%d f=%d %v: %v", n, f, d.Fr, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSolvePathBoundaries pins where the solve paths meet: exactly 256
+// (enumerateMax) minimal quorums a side still enumerates and 257 do not,
+// and 14 sites at f = 1 — C(14, 9) = 2,002 quorums a side, just under
+// exactMax — still converges under a 5% gap.
+func TestSolvePathBoundaries(t *testing.T) {
+	fr := SingleFr(0.75)
+	weighted := func(votes []int, q int) System {
+		sys := uniformSystem(len(votes), uint64(len(votes)))
+		sys.Votes, sys.QR, sys.QW = votes, q, q
+		return sys
+	}
+	for _, c := range []struct {
+		sys      System
+		pool     int
+		complete bool
+	}{
+		{weighted([]int{2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1}, 10), 256, true},
+		{weighted([]int{3, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1}, 16), 257, false},
+	} {
+		if got, _ := MinimalQuorums(c.sys.Votes, c.sys.QR, 0); len(got) != c.pool {
+			t.Fatalf("votes %v: %d minimal quorums, want %d", c.sys.Votes, len(got), c.pool)
+		}
+		res, err := OptimizeCapacity(c.sys, fr, Options{TargetGap: 0.05})
+		if err != nil {
+			t.Fatalf("votes %v: %v", c.sys.Votes, err)
+		}
+		if res.PoolComplete != c.complete || !res.Priced {
+			t.Fatalf("votes %v (%d quorums a side): PoolComplete=%v Priced=%v, want %v, true",
+				c.sys.Votes, c.pool, res.PoolComplete, res.Priced, c.complete)
+		}
+		exact := enumeratedCapacity(t, c.sys, fr, 0)
+		if rel := math.Abs(res.Value-exact.Value) / exact.Value; rel > 1e-9 {
+			t.Fatalf("votes %v: value %.15g vs enumerated %.15g (rel %g)", c.sys.Votes, res.Value, exact.Value, rel)
+		}
+	}
+
+	sys := uniformSystem(14, 14)
+	if _, ok := MinimalResilientQuorums(sys.Votes, sys.QR, 1, exactMax); !ok {
+		t.Fatalf("14 sites at f=1 exceed %d quorums a side", exactMax)
+	}
+	res, err := OptimizeResilientCapacity(sys, fr, 1, Options{TargetGap: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PoolComplete || !res.Priced {
+		t.Fatalf("14 sites, f=1: PoolComplete=%v Priced=%v, want generation to convergence", res.PoolComplete, res.Priced)
+	}
+	if err := CertifyGlobalCapacity(sys, fr, 1, res, genTol); err != nil {
+		t.Fatalf("14 sites, f=1: %v", err)
+	}
+}
+
 // TestLagrangeBoundAnyDuals: the Lagrangian bound column generation stops
 // on is certified at any load-row duals λ ≤ 0, not only at a master's
 // optimum. Random λ — half of them multiples of the optimal duals that
@@ -105,13 +202,7 @@ func TestLagrangeBoundAnyDuals(t *testing.T) {
 		for f := 0; f <= 1; f++ {
 			for _, n := range []int{7, 9, 11} {
 				sys := uniformSystem(n, uint64(n))
-				exact, err := OptimizeResilientCapacity(sys, d, f, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !exact.PoolComplete {
-					t.Fatalf("n=%d f=%d: expected complete enumeration", n, f)
-				}
+				exact := enumeratedCapacity(t, sys, d, f)
 				opt := exact.Sol.Obj // rescaled units, as LB is
 				g := newLagrangian(sys, d, f, exact.Scale)
 				star := make([]float64, n*J)

@@ -9,6 +9,7 @@ import (
 
 	"quorumkit/internal/core"
 	"quorumkit/internal/dist"
+	"quorumkit/internal/quorum"
 )
 
 // Strategy optimizers. All three objectives are linear programs over the
@@ -22,17 +23,21 @@ import (
 //
 // Only minimal quorums enter the LP (enumerate.go), and capacities and
 // latencies are rescaled to O(1) before the solve so the 1e-9 certificate
-// tolerances are meaningful. When the minimal-quorum pool is too large to
-// enumerate, the capacity objectives switch to column generation: solve
-// over a seeded pool, then each round price one quorum column per side with
-// a min-cost vote-knapsack DP (O(n·f·q), on one pricer per side that owns
-// its vote order and DP table for the whole run) at Wentges-smoothed duals,
-// and append it to the sparse revised simplex, which warm-starts from its
-// optimal basis. Every pricing yields a certified Lagrangian bound, so the
+// tolerances are meaningful. The capacity objectives solve the whole LP
+// only while each side has at most enumerateMax minimal quorums; past that
+// they run column generation, which measures faster from 11 sites up
+// (DESIGN §15): solve over a seeded pool, then each round price one quorum
+// column per side with a min-cost vote-knapsack DP (O(n·f·q), on one
+// pricer per side that owns its vote order and DP table for the whole run)
+// at Wentges-smoothed duals, and append it to the sparse revised simplex,
+// which warm-starts from its optimal basis. Every pricing yields a certified Lagrangian bound, so the
 // run can stop at a target gap; convergence is declared only when pricing
 // at the master's own duals proves no quorum anywhere has negative reduced
-// cost. That proof is what keeps strategy search *certified* far past
-// enumeration: a 151-site system reaches a 5% certified gap in about 1.5 s.
+// cost. Generation ignores Options.TargetGap and runs to that proof while
+// both sides have at most exactMax minimal quorums, so every system the
+// full LP once solved exactly still gets an exact optimum. The proof is
+// what keeps strategy search *certified* far past enumeration: a 151-site
+// system reaches a 5% certified gap in about 1.5 s.
 
 // ErrLoadLimitInfeasible reports that no strategy meets the latency
 // optimizer's per-site load limit; the returned Result carries the Farkas
@@ -44,24 +49,27 @@ var ErrLoadLimitInfeasible = errors.New("strategy: no strategy meets the load li
 // resilient capacity LP has no columns at all.
 var ErrResilienceInfeasible = errors.New("strategy: no resilient quorum exists")
 
-// Options tunes the optimizers. The zero value picks sensible defaults.
+// Options tunes the optimizers. The zero value solves to exact optimality.
 type Options struct {
-	// MaxEnumerate caps exhaustive minimal-quorum enumeration; above it the
-	// capacity optimizers switch to column generation. Default 2048.
-	MaxEnumerate int
-	// TargetGap, when positive, lets column generation stop once the
-	// certified bound gap (Value − Bound)/Value falls below it, trading
-	// exact pricing convergence for time on very large systems. The bound
-	// is still certified; only Priced=false records the early stop.
+	// TargetGap, when positive, lets the capacity optimizers' column
+	// generation stop once the certified bound gap (Value − Bound)/Value
+	// falls below it, trading exact pricing convergence for time on very
+	// large systems: those with more than exactMax (2,048) minimal quorums
+	// on a side. Smaller systems are always solved exactly. The bound is
+	// still certified; only Priced=false records the early stop.
 	TargetGap float64
 }
 
-func (o Options) norm() Options {
-	if o.MaxEnumerate <= 0 {
-		o.MaxEnumerate = 2048
-	}
-	return o
-}
+// The pool sizes that pick a capacity solve's path (DESIGN §15). While both
+// sides have at most enumerateMax minimal quorums — every unit-vote system
+// of up to 10 sites — the whole LP is enumerated and solved. Past that,
+// column generation runs, to exact pricing convergence while both sides
+// have at most exactMax, and down to Options.TargetGap beyond. exactMax
+// also caps the latency LP's and BestDeterministic's enumeration.
+const (
+	enumerateMax = 256
+	exactMax     = 2048
+)
 
 // Column generation's fixed tuning: the cap on rounds, the rotation-seeded
 // quorums per side it starts from, and the Wentges smoothing weight α.
@@ -223,15 +231,14 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.norm()
 	scale := capScale(sys)
 
 	// An overflowing read pool sends both sides to column generation, so
 	// the write pool is only enumerated when the read pool is complete.
-	readPool, ok := MinimalResilientQuorums(sys.Votes, sys.QR, f, opts.MaxEnumerate)
+	readPool, ok := MinimalResilientQuorums(sys.Votes, sys.QR, f, enumerateMax)
 	var writePool []Quorum
 	if ok {
-		writePool, ok = MinimalResilientQuorums(sys.Votes, sys.QW, f, opts.MaxEnumerate)
+		writePool, ok = MinimalResilientQuorums(sys.Votes, sys.QW, f, enumerateMax)
 	}
 	if ok {
 		if len(readPool) == 0 || len(writePool) == 0 {
@@ -246,7 +253,13 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 		res.Bound = res.Value
 		return res, nil
 	}
-	return generateCapacity(sys, d, f, scale, opts)
+	gap := opts.TargetGap
+	if _, ok := quorum.CountThresholdQuorums(sys.Votes, sys.QR, f, exactMax); ok {
+		if _, ok := quorum.CountThresholdQuorums(sys.Votes, sys.QW, f, exactMax); ok {
+			gap = 0
+		}
+	}
+	return generateCapacity(sys, d, f, scale, gap)
 }
 
 // crashPlan builds a feasible starting basis for a capacity LP that skips
@@ -302,12 +315,12 @@ func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale f
 // seeded pool, price each side's cheapest quorum at smoothed duals with the
 // knapsack DP, warm-start the ones that price out at the master's own duals
 // into the solver, and repeat until exact pricing finds no violating column
-// (or the certified Lagrangian bound gap falls under Options.TargetGap). To
+// (or, for gap > 0, the certified Lagrangian bound gap falls under it). To
 // keep the master narrow and the arithmetic fresh, the pool is periodically
 // *purged* to its basic support and the solver rebuilt cold; a stop is only
 // taken on a cold solve, so the final certificate never inherits warm-pivot
 // drift.
-func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) (*Result, error) {
+func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result, error) {
 	n := sys.N()
 	actR, err := seedQuorums(sys, sys.QR, f, sys.ReadCap, cgSeeds)
 	if err != nil {
@@ -453,7 +466,7 @@ func generateCapacity(sys System, d FrDist, f int, scale float64, opts Options) 
 			newR, newW = pick(newR, qR, 0), pick(newW, qW, 1)
 		}
 		converged := exact && math.Max(0, violation(qR, 0))+math.Max(0, violation(qW, 1)) <= priceTol
-		early := opts.TargetGap > 0 && sol.Obj-bound <= opts.TargetGap*math.Abs(sol.Obj)
+		early := gap > 0 && sol.Obj-bound <= gap*math.Abs(sol.Obj)
 		// A violating column that is already active means degenerate duals
 		// with nothing new to add: stop as if converged, without the proof.
 		if converged || early || len(newR)+len(newW) == 0 {
@@ -577,10 +590,9 @@ func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Re
 	if loadLimit <= 0 || math.IsNaN(loadLimit) || math.IsInf(loadLimit, 0) {
 		return nil, fmt.Errorf("strategy: bad load limit %g", loadLimit)
 	}
-	opts = opts.norm()
 	n := sys.N()
-	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, opts.MaxEnumerate)
-	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, opts.MaxEnumerate)
+	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, exactMax)
+	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, exactMax)
 	nR, nW := len(readPool), len(writePool)
 
 	scale := capScale(sys)
@@ -659,11 +671,10 @@ func BestDeterministic(sys System, d FrDist, opts Options) (Strategy, float64, e
 	if err := d.validate(); err != nil {
 		return Strategy{}, 0, err
 	}
-	opts = opts.norm()
-	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, opts.MaxEnumerate)
-	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, opts.MaxEnumerate)
+	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, exactMax)
+	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, exactMax)
 	if !rOK || !wOK {
-		return Strategy{}, 0, fmt.Errorf("strategy: pools too large to enumerate (cap %d)", opts.MaxEnumerate)
+		return Strategy{}, 0, fmt.Errorf("strategy: pools too large to enumerate (cap %d)", exactMax)
 	}
 	var best Strategy
 	bestLoad := math.Inf(1)
