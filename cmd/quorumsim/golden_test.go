@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -42,6 +43,12 @@ func TestChaosObsArtifactsGolden(t *testing.T) {
 // TestChaosStopsEachAsyncRuntime: every async run must stop its site
 // goroutines before the next mix starts, not when the whole sweep returns
 // (`chaos -async -mix all` used to hold all five runtimes open).
+//
+// Close joins each site goroutine through a WaitGroup, but a goroutine
+// still runs the last instructions of its deferred Done after Wait has
+// returned (it can be preempted right after the counter reaches zero), and
+// Go has no way to join a goroutine's exit itself. So the count is allowed
+// a bounded moment to settle; a goroutine that never exits still fails.
 func TestChaosStopsEachAsyncRuntime(t *testing.T) {
 	before := runtime.NumGoroutine()
 	run, err := chaosOnce("drop", "disk-torn", 40, 5, 7, true, nil)
@@ -51,8 +58,12 @@ func TestChaosStopsEachAsyncRuntime(t *testing.T) {
 	if err := run.Log.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the run, %d after it returned", before, after)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before the run, %d a second after it returned", before, after)
 	}
 }
 

@@ -211,20 +211,20 @@ func TestAsyncLocalDensity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.LocalDensity(0) != nil {
+	if ownDensity(t, &a.coordinator, 0) != nil {
 		t.Fatal("density before any round")
 	}
 	a.Write(0, 1)
 	a.Read(2)
 	for i := 0; i < 5; i++ {
-		f := a.LocalDensity(i)
+		f := ownDensity(t, &a.coordinator, i)
 		if f == nil || f[5] != 1 {
 			t.Fatalf("node %d density %v, want all mass at 5", i, f)
 		}
 	}
 	a.FailSite(4)
 	a.Read(0)
-	f := a.LocalDensity(0)
+	f := ownDensity(t, &a.coordinator, 0)
 	if f[4] == 0 {
 		t.Fatalf("node 0 missed the 4-vote round: %v", f)
 	}

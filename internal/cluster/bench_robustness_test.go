@@ -138,7 +138,7 @@ func BenchmarkGossipEstimates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GossipEstimates(i % 9); err != nil {
+		if _, err := c.gossipEstimates(i % 9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@ package cluster
 import (
 	"fmt"
 
-	"quorumkit/internal/core"
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
@@ -203,31 +202,6 @@ func (c *Cluster) RepairLink(l int) { c.st.RepairLink(l) }
 // effect at node x's component.
 func (c *Cluster) EffectiveAssignment(x int) (quorum.Assignment, int64, bool) {
 	return c.effectiveAssignment(x)
-}
-
-// GossipEstimates runs a histogram-collection round from node x: every
-// reachable peer ships its observation row, and x assembles a network-wide
-// estimator. Unreachable sites are simply absent, which the assembled
-// estimator represents as a conservative point mass at zero (the paper's
-// §4.3 options are to approximate f_j, use an old value, or wait).
-func (c *Cluster) GossipEstimates(x int) (*core.Estimator, error) {
-	return c.gossipEstimates(x)
-}
-
-// OptimizeLocal runs the Figure-1 algorithm at node x from gossiped
-// estimates, with an optional §5.4 write floor (minWrite > 0).
-func (c *Cluster) OptimizeLocal(x int, alpha, minWrite float64) (core.Result, error) {
-	_, want, err := c.optimizeLocal(x, alpha, minWrite)
-	return want, err
-}
-
-// ReassignOptimal performs the full §4.3 loop at node x: gossip the
-// on-line estimates, compute the optimal assignment, and install it via
-// the QR protocol when it differs from the one in effect and predicts an
-// improvement of at least hysteresis. It reports whether a reassignment
-// was installed.
-func (c *Cluster) ReassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
-	return c.reassignOptimal(x, alpha, minWrite, hysteresis)
 }
 
 // ---- The deterministic transport -----------------------------------------

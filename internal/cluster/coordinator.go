@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -173,18 +172,6 @@ func (k *coordinator) NodeVersion(x int) int64 {
 func (k *coordinator) NodeAssignment(x int) quorum.Assignment {
 	_, s := k.view(x)
 	return s.assign
-}
-
-// LocalDensity returns node x's own on-line estimate of f_x — built purely
-// from the vote totals it saw during rounds it took part in. Returns nil
-// when the node has no observations yet.
-func (k *coordinator) LocalDensity(x int) dist.PMF {
-	r := k.tr.lock(x)
-	defer k.tr.unlock(x)
-	if r.hist == nil || r.hist.Total() == 0 {
-		return nil
-	}
-	return dist.PMF(r.hist.Normalize())
 }
 
 // collect runs a vote-collection round from coordinator x: request votes

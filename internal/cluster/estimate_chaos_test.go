@@ -9,7 +9,7 @@ import (
 )
 
 // Fault-injection coverage for the distributed estimator pipeline
-// (GossipEstimates) and the full reassignment loop (ReassignOptimal):
+// (gossipEstimates) and the full reassignment loop (reassignOptimal):
 // the on-line §4.2–4.3 machinery must stay safe — no panics, no corrupted
 // histograms, no version regressions — when the transport drops or
 // duplicates its messages.
@@ -45,11 +45,11 @@ func TestGossipEstimatesDuplicatesHarmless(t *testing.T) {
 
 	for x := 0; x < 7; x++ {
 		dup.chaos.op++ // advance the fault schedule between rounds
-		eClean, err := clean.GossipEstimates(x)
+		eClean, err := clean.gossipEstimates(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eDup, err := dup.GossipEstimates(x)
+		eDup, err := dup.gossipEstimates(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestGossipEstimatesUnderDrops(t *testing.T) {
 			DefaultRetryPolicy())
 		for x := 0; x < 7; x++ {
 			c.chaos.op++
-			est, err := c.GossipEstimates(x)
+			est, err := c.gossipEstimates(x)
 			if err != nil {
 				t.Fatalf("drop=%g x=%d: %v", p, x, err)
 			}
-			ref, _ := clean.GossipEstimates(x)
+			ref, _ := clean.gossipEstimates(x)
 			if est.Weight(x) != ref.Weight(x) {
 				t.Fatalf("drop=%g x=%d: own row weight %g, want %g",
 					p, x, est.Weight(x), ref.Weight(x))
@@ -100,7 +100,7 @@ func TestGossipEstimatesUnderDrops(t *testing.T) {
 	// A down coordinator reports a typed error instead of gossiping.
 	c := newEstimatorCluster(t)
 	c.FailSite(2)
-	if _, err := c.GossipEstimates(2); err == nil {
+	if _, err := c.gossipEstimates(2); err == nil {
 		t.Fatal("down coordinator must error")
 	}
 }
@@ -125,7 +125,7 @@ func TestReassignOptimalUnderChaos(t *testing.T) {
 			for round := 0; round < 25; round++ {
 				c.chaos.op++
 				x := round % 7
-				changed, err := c.ReassignOptimal(x, 0.9, 0, 0.01)
+				changed, err := c.reassignOptimal(x, 0.9, 0, 0.01)
 				if err != nil {
 					t.Fatalf("mix=%s seed=%d round %d: unexpected error: %v",
 						mix.Name, seed, round, err)
@@ -160,7 +160,7 @@ func TestReassignOptimalDropsCannotForgeQuorum(t *testing.T) {
 		DefaultRetryPolicy())
 	for round := 0; round < 10; round++ {
 		c.chaos.op++
-		changed, err := c.ReassignOptimal(0, 0.9, 0, 0.01)
+		changed, err := c.reassignOptimal(0, 0.9, 0, 0.01)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

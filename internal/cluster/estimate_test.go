@@ -4,10 +4,25 @@ import (
 	"math"
 	"testing"
 
+	"quorumkit/internal/dist"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 )
+
+// ownDensity is node x's own §4.2 estimate of f_x: the row x contributes to
+// its gossip round, normalized; nil before x has recorded a round.
+func ownDensity(t *testing.T, k *coordinator, x int) dist.PMF {
+	t.Helper()
+	est, err := k.gossipEstimates(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Weight(x) == 0 {
+		return nil
+	}
+	return est.Density(x)
+}
 
 func TestObservationsRecordedDuringRounds(t *testing.T) {
 	g := graph.Ring(5)
@@ -20,7 +35,7 @@ func TestObservationsRecordedDuringRounds(t *testing.T) {
 	c.Write(0, 1)
 	c.Read(2)
 	for i := 0; i < 5; i++ {
-		f := c.LocalDensity(i)
+		f := ownDensity(t, &c.coordinator, i)
 		if f == nil {
 			t.Fatalf("node %d recorded nothing", i)
 		}
@@ -34,11 +49,11 @@ func TestObservationsRecordedDuringRounds(t *testing.T) {
 	st.FailLink(g.EdgeIndex(0, 1)) // component {1,2,3} and {0}
 	c.Read(2)
 	c.Read(0) // the isolated node runs its own (denied) round
-	f := c.LocalDensity(2)
+	f := ownDensity(t, &c.coordinator, 2)
 	if f[3] == 0 {
 		t.Fatalf("node 2 did not record the 3-vote component: %v", f)
 	}
-	if f0 := c.LocalDensity(0); f0[1] == 0 {
+	if f0 := ownDensity(t, &c.coordinator, 0); f0[1] == 0 {
 		t.Fatalf("isolated node 0 should have recorded its singleton round: %v", f0)
 	}
 }
@@ -53,7 +68,7 @@ func TestGossipAssemblesEstimator(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Read(i % 5)
 	}
-	est, err := c.GossipEstimates(0)
+	est, err := c.gossipEstimates(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +79,13 @@ func TestGossipAssemblesEstimator(t *testing.T) {
 	}
 	// Down coordinator cannot gossip.
 	st.FailSite(3)
-	if _, err := c.GossipEstimates(3); err == nil {
+	if _, err := c.gossipEstimates(3); err == nil {
 		t.Fatal("down node gossiped")
 	}
 	// Unreachable rows are absent, reachable ones still present.
 	st.RepairSite(3)
 	st.FailSite(1)
-	est, err = c.GossipEstimates(0)
+	est, err = c.gossipEstimates(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +119,11 @@ func TestOptimizeLocalMatchesCentral(t *testing.T) {
 		c.Read(src.Intn(7))
 	}
 	st.SetAll(true)
-	res, err := c.OptimizeLocal(0, 0.75, 0)
+	_, res, err := c.optimizeLocal(0, 0.75, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := c.GossipEstimates(0)
+	est, err := c.gossipEstimates(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +136,7 @@ func TestOptimizeLocalMatchesCentral(t *testing.T) {
 		t.Fatalf("distributed %v vs central %v", res.Assignment, want.Assignment)
 	}
 	// Constrained variant respects the floor.
-	con, err := c.OptimizeLocal(0, 0.75, 0.2)
+	_, con, err := c.optimizeLocal(0, 0.75, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func TestReassignOptimalEndToEnd(t *testing.T) {
 		c.Read(src.Intn(9))
 	}
 	st.SetAll(true) // heal so the write quorum is available for the install
-	changed, err := c.ReassignOptimal(0, 0.95, 0, 0.01)
+	changed, err := c.reassignOptimal(0, 0.95, 0, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +182,7 @@ func TestReassignOptimalEndToEnd(t *testing.T) {
 		t.Fatalf("version %d", ver)
 	}
 	// Second call: already optimal → no change.
-	changed, err = c.ReassignOptimal(0, 0.95, 0, 0.01)
+	changed, err = c.reassignOptimal(0, 0.95, 0, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +203,7 @@ func TestEstimationSurvivesWireMode(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Read(i % 5)
 	}
-	est, err := c.GossipEstimates(0)
+	est, err := c.gossipEstimates(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ import (
 //
 //	healthy ──suspicion change or grant-rate drop──▶ triggered
 //	triggered ──cooldown expired, leader, write quorum reachable──▶ optimize
-//	optimize ──ReassignOptimal installs / keeps incumbent──▶ healthy (cooldown)
+//	optimize ──reassignOptimal installs / keeps incumbent──▶ healthy (cooldown)
 //
 // Anti-flap controls: suspicion triggers are edge-triggered (a *change* in
 // the suspected set, not its size), the optimizer's hysteresis demands a

@@ -153,7 +153,7 @@ func TestForgedSenderIsDropped(t *testing.T) {
 				}},
 			{"histReply", msg{tag: tagHistReply, from: from, weights: []float64{0, 0, 0, 0, 0, 9}},
 				func(t *testing.T, c *Cluster) {
-					est, err := c.GossipEstimates(x)
+					est, err := c.gossipEstimates(x)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -289,7 +289,7 @@ func TestBatchedMessageCountersExact(t *testing.T) {
 						c.Write(x, int64(step))
 					case 8:
 						what = "GossipEstimates"
-						c.GossipEstimates(x)
+						c.gossipEstimates(x)
 					case 9:
 						what = "ServeRead"
 						c.ServeRead(x)

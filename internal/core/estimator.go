@@ -124,32 +124,6 @@ func (e *Estimator) densityInto(f dist.PMF, site int) {
 	}
 }
 
-// OperationalDensity returns the estimate of f_i conditioned on the site
-// being operational, rescaled by site reliability p as in the paper's
-// footnote 4: sites cannot observe their own down time, so an estimator fed
-// only by accesses at up sites measures f'_i with A = p·A'. Given p, the
-// unconditional density is p·f'_i(v) for v ≥ 1 plus mass 1−p at v = 0.
-// The footnote's point — that the optimal q_r is identical under A and A' —
-// is verified in the tests.
-func (e *Estimator) OperationalDensity(site int, p float64) dist.PMF {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("core: reliability %g out of [0,1]", p))
-	}
-	f := e.Density(site)
-	out := make(dist.PMF, len(f))
-	// Redistribute: the observed histogram conditions on v ≥ 1 (an up site
-	// always sees at least its own votes). Guard anyway against recorded
-	// zeros (e.g. if the caller recorded down time explicitly).
-	cond := f.Clone()
-	cond[0] = 0
-	cond.Normalize()
-	for v := 1; v < len(out); v++ {
-		out[v] = p * cond[v]
-	}
-	out[0] = 1 - p
-	return out
-}
-
 // Model assembles the Figure-1 model from the current estimates, weighting
 // site i's density by the access fractions r_i and w_i (nil for uniform).
 // Sites with no recorded history contribute a point mass at zero votes,

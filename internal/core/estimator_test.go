@@ -152,7 +152,10 @@ func TestEstimatorReset(t *testing.T) {
 }
 
 // TestOperationalDensityPreservesArgmax verifies the paper's footnote 4:
-// q_r maximizes A(α,·) iff it maximizes A'(α,·), because A = p·A'.
+// sites cannot observe their own down time, so an estimator fed only by
+// accesses at up sites measures the operational density f'; the
+// unconditional density is p·f' plus mass 1−p at zero, so A = p·A' and
+// q_r maximizes A(α,·) iff it maximizes A'(α,·).
 func TestOperationalDensityPreservesArgmax(t *testing.T) {
 	const T = 21
 	const p = 0.85
@@ -164,8 +167,12 @@ func TestOperationalDensityPreservesArgmax(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			e.Observe(0, 1+src.Intn(T))
 		}
-		fPrime := e.Density(0)              // estimate of f'
-		fFull := e.OperationalDensity(0, p) // p·f' plus (1−p) at zero
+		fPrime := e.Density(0) // estimate of f'
+		fFull := make(dist.PMF, len(fPrime))
+		for v := 1; v < len(fFull); v++ {
+			fFull[v] = p * fPrime[v]
+		}
+		fFull[0] = 1 - p
 		if err := fFull.Validate(1e-9); err != nil {
 			t.Fatal(err)
 		}
@@ -191,17 +198,6 @@ func TestOperationalDensityPreservesArgmax(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestOperationalDensityValidation(t *testing.T) {
-	e := NewEstimator(1, 3)
-	e.Observe(0, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("p out of range should panic")
-		}
-	}()
-	e.OperationalDensity(0, 1.5)
 }
 
 func TestEstimatorConstructorPanics(t *testing.T) {

@@ -37,31 +37,6 @@ func (p PMF) Validate(tol float64) error {
 	return nil
 }
 
-// Tail returns P[V >= k]. Out-of-range k clamps: Tail(<=0) is 1,
-// Tail(>max) is 0.
-func (p PMF) Tail(k int) float64 {
-	if k <= 0 {
-		k = 0
-	}
-	s := 0.0
-	for v := k; v < len(p); v++ {
-		s += p[v]
-	}
-	return s
-}
-
-// CDF returns P[V <= k].
-func (p PMF) CDF(k int) float64 {
-	if k >= len(p) {
-		k = len(p) - 1
-	}
-	s := 0.0
-	for v := 0; v <= k; v++ {
-		s += p[v]
-	}
-	return s
-}
-
 // Mean returns E[V].
 func (p PMF) Mean() float64 {
 	s := 0.0
@@ -142,14 +117,6 @@ func LogBinom(n, k int) float64 {
 		return math.Inf(-1)
 	}
 	return logFact(n) - logFact(k) - logFact(n-k)
-}
-
-// Binom returns C(n,k) as a float64 (may round for large n).
-func Binom(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	return math.Exp(LogBinom(n, k))
 }
 
 // checkProb panics unless x is a probability in [0,1].

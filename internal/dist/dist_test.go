@@ -3,37 +3,36 @@ package dist
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/rng"
 )
 
-func TestPMFTailCDFMean(t *testing.T) {
+func TestPMFValidateMean(t *testing.T) {
 	p := PMF{0.1, 0.2, 0.3, 0.4}
 	if err := p.Validate(1e-12); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Tail(2); math.Abs(got-0.7) > 1e-12 {
-		t.Fatalf("Tail(2) = %g", got)
-	}
-	if got := p.Tail(0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Tail(0) = %g", got)
-	}
-	if got := p.Tail(-5); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Tail(-5) = %g", got)
-	}
-	if got := p.Tail(4); got != 0 {
-		t.Fatalf("Tail(4) = %g", got)
-	}
-	if got := p.CDF(1); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("CDF(1) = %g", got)
-	}
-	if got := p.CDF(99); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("CDF(99) = %g", got)
-	}
 	if got := p.Mean(); math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("Mean = %g", got)
+	}
+}
+
+// TestBinom checks the binomial coefficient the closed forms use, in the
+// log domain they use it in.
+func TestBinom(t *testing.T) {
+	cases := []struct {
+		n, k int
+		want float64
+	}{{5, 2, 10}, {10, 0, 1}, {10, 10, 1}, {52, 5, 2598960}, {4, 7, 0}, {4, -1, 0}}
+	for _, c := range cases {
+		if got := math.Exp(LogBinom(c.n, c.k)); math.Abs(got-c.want) > 1e-6*math.Max(1, c.want) {
+			t.Fatalf("exp LogBinom(%d,%d) = %g, want %g", c.n, c.k, got, c.want)
+		}
+	}
+	// Large coefficient sanity: C(100,50) ≈ 1.0089e29.
+	if got := math.Exp(LogBinom(100, 50)); math.Abs(got-1.00891344545564e29)/1e29 > 1e-9 {
+		t.Fatalf("exp LogBinom(100,50) = %g", got)
 	}
 }
 
@@ -90,22 +89,6 @@ func TestMixturePanics(t *testing.T) {
 		}
 	}()
 	Mixture([]float64{1}, []PMF{{1}, {1}})
-}
-
-func TestBinom(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want float64
-	}{{5, 2, 10}, {10, 0, 1}, {10, 10, 1}, {52, 5, 2598960}, {4, 7, 0}, {4, -1, 0}}
-	for _, c := range cases {
-		if got := Binom(c.n, c.k); math.Abs(got-c.want) > 1e-6*math.Max(1, c.want) {
-			t.Fatalf("Binom(%d,%d) = %g, want %g", c.n, c.k, got, c.want)
-		}
-	}
-	// Large coefficient sanity: C(100,50) ≈ 1.0089e29.
-	if got := Binom(100, 50); math.Abs(got-1.00891344545564e29)/1e29 > 1e-9 {
-		t.Fatalf("Binom(100,50) = %g", got)
-	}
 }
 
 func TestRelBoundaryCases(t *testing.T) {
@@ -341,57 +324,6 @@ func TestMonteCarloWeightedVotes(t *testing.T) {
 		if math.Abs(mc[0][v]-want0[v]) > 0.005 {
 			t.Fatalf("weighted MC f_0(%d)=%g, want %g", v, mc[0][v], want0[v])
 		}
-	}
-}
-
-func TestQuickTailMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		p := make(PMF, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			p = append(p, math.Abs(x))
-		}
-		p.Normalize()
-		for k := 1; k < len(p); k++ {
-			if p.Tail(k) > p.Tail(k-1)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCDFPlusTail(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p := make(PMF, len(raw))
-		for i, x := range raw {
-			p[i] = float64(x)
-		}
-		p.Normalize()
-		sum := 0.0
-		for _, x := range p {
-			sum += x
-		}
-		if sum == 0 {
-			return true
-		}
-		for k := 0; k < len(p); k++ {
-			if math.Abs(p.CDF(k)+p.Tail(k+1)-1) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"quorumkit/internal/graph"
 )
@@ -82,152 +81,4 @@ func Exact(g *graph.Graph, votes []int, p, r float64) []PMF {
 		}
 	}
 	return out
-}
-
-// RelGraph returns the probability that all sites of g can communicate when
-// every link is up independently with probability r and sites never fail —
-// the all-terminal reliability, computed by the deletion–contraction
-// recursion:
-//
-//	Rel(G) = r·Rel(G/e) + (1−r)·Rel(G−e)
-//
-// with memoization on the multigraph structure. Exponential in the worst
-// case (the problem is #P-complete); practical for the study's validation
-// sizes (tens of edges).
-func RelGraph(g *graph.Graph, r float64) float64 {
-	checkProb("r", r)
-	n := g.N()
-	if n == 0 {
-		return 1
-	}
-	// Build a multigraph edge list over contractible vertices.
-	edges := make([][2]int, 0, g.M())
-	for l := 0; l < g.M(); l++ {
-		e := g.Edge(l)
-		edges = append(edges, [2]int{e.U, e.V})
-	}
-	memo := map[string]float64{}
-	return relFactor(n, edges, r, memo)
-}
-
-// relFactor computes all-terminal reliability of the multigraph with n
-// vertices and the given edges.
-func relFactor(n int, edges [][2]int, r float64, memo map[string]float64) float64 {
-	if n == 1 {
-		return 1
-	}
-	if len(edges) < n-1 {
-		return 0 // too few edges to connect
-	}
-	key := canonKey(n, edges)
-	if v, ok := memo[key]; ok {
-		return v
-	}
-
-	// Fast path: a tree needs every edge up.
-	if len(edges) == n-1 && connectedAll(n, edges) {
-		v := math.Pow(r, float64(n-1))
-		memo[key] = v
-		return v
-	}
-	if !connectedAll(n, edges) {
-		memo[key] = 0
-		return 0
-	}
-
-	// Factor on the first edge.
-	e := edges[0]
-	rest := edges[1:]
-
-	// Deletion: G − e.
-	del := relFactor(n, rest, r, memo)
-
-	// Contraction: G / e — merge e's endpoints, drop self-loops.
-	u, v := e[0], e[1]
-	contracted := make([][2]int, 0, len(rest))
-	for _, f := range rest {
-		a, b := f[0], f[1]
-		if a == v {
-			a = u
-		}
-		if b == v {
-			b = u
-		}
-		// Renumber the last vertex into v's slot to keep ids dense.
-		last := n - 1
-		if v != last {
-			if a == last {
-				a = v
-			}
-			if b == last {
-				b = v
-			}
-		}
-		if a == b {
-			continue // self-loop: always up-irrelevant
-		}
-		contracted = append(contracted, [2]int{a, b})
-	}
-	con := relFactor(n-1, contracted, r, memo)
-
-	out := r*con + (1-r)*del
-	memo[key] = out
-	return out
-}
-
-// connectedAll reports whether the multigraph connects all n vertices.
-func connectedAll(n int, edges [][2]int) bool {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	comps := n
-	for _, e := range edges {
-		a, b := find(e[0]), find(e[1])
-		if a != b {
-			parent[a] = b
-			comps--
-		}
-	}
-	return comps == 1
-}
-
-// canonKey builds a memo key: vertex count plus sorted edge multiset.
-func canonKey(n int, edges [][2]int) string {
-	// Sort edges lexicographically with endpoints normalized.
-	norm := make([][2]int, len(edges))
-	for i, e := range edges {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		norm[i] = [2]int{a, b}
-	}
-	// Insertion sort (edge lists are small).
-	for i := 1; i < len(norm); i++ {
-		for j := i; j > 0 && less(norm[j], norm[j-1]); j-- {
-			norm[j], norm[j-1] = norm[j-1], norm[j]
-		}
-	}
-	buf := make([]byte, 0, 2+len(norm)*2)
-	buf = append(buf, byte(n))
-	for _, e := range norm {
-		buf = append(buf, byte(e[0]), byte(e[1]))
-	}
-	return string(buf)
-}
-
-func less(a, b [2]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
 }

@@ -111,91 +111,9 @@ func TestExactLimitEnforced(t *testing.T) {
 	Exact(graph.Complete(8), nil, 0.9, 0.9) // 8 + 28 bits > 24
 }
 
-func TestRelGraphMatchesGilbertOnComplete(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5, 6} {
-		for _, r := range []float64{0.3, 0.5, 0.8, 0.96} {
-			want := Rel(n, r)[n]
-			got := RelGraph(graph.Complete(n), r)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("RelGraph(K%d, %g) = %.12f, Gilbert %.12f", n, r, got, want)
-			}
-		}
-	}
-}
-
-func TestRelGraphTreeAndRing(t *testing.T) {
-	// A tree is connected iff every edge is up: r^(n-1).
-	for _, r := range []float64{0.2, 0.9} {
-		got := RelGraph(graph.Path(5), r)
-		want := math.Pow(r, 4)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("path reliability %g, want %g", got, want)
-		}
-		// A ring tolerates one down link: r^n + n·r^(n-1)·(1-r).
-		got = RelGraph(graph.Ring(5), r)
-		want = math.Pow(r, 5) + 5*math.Pow(r, 4)*(1-r)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("ring reliability %g, want %g", got, want)
-		}
-	}
-}
-
-func TestRelGraphBoundaries(t *testing.T) {
-	g := graph.Ring(4)
-	if got := RelGraph(g, 1); got != 1 {
-		t.Fatalf("r=1 gives %g", got)
-	}
-	if got := RelGraph(g, 0); got != 0 {
-		t.Fatalf("r=0 gives %g", got)
-	}
-	single := graph.NewGraph(1)
-	if got := RelGraph(single, 0.5); got != 1 {
-		t.Fatalf("singleton reliability %g", got)
-	}
-	disconnected := graph.NewGraph(3)
-	disconnected.AddEdge(0, 1)
-	if got := RelGraph(disconnected, 0.9); got != 0 {
-		t.Fatalf("disconnected reliability %g", got)
-	}
-}
-
-func TestRelGraphGrid(t *testing.T) {
-	// Cross-check deletion–contraction against Monte Carlo on a 3x3 grid.
-	g := graph.Grid(3, 3)
-	const r = 0.8
-	want := RelGraph(g, r)
-	src := rng.New(17)
-	st := graph.NewState(g, nil)
-	const samples = 200000
-	conn := 0
-	for s := 0; s < samples; s++ {
-		for l := 0; l < g.M(); l++ {
-			if src.Bernoulli(r) {
-				st.RepairLink(l)
-			} else {
-				st.FailLink(l)
-			}
-		}
-		if st.NumComponents() == 1 {
-			conn++
-		}
-	}
-	mc := float64(conn) / samples
-	if math.Abs(want-mc) > 0.005 {
-		t.Fatalf("grid reliability %g vs MC %g", want, mc)
-	}
-}
-
 func BenchmarkExactGrid2x3(b *testing.B) {
 	g := graph.Grid(2, 3)
 	for i := 0; i < b.N; i++ {
 		_ = Exact(g, nil, 0.9, 0.9)
-	}
-}
-
-func BenchmarkRelGraphGrid3x3(b *testing.B) {
-	g := graph.Grid(3, 3)
-	for i := 0; i < b.N; i++ {
-		_ = RelGraph(g, 0.96)
 	}
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 )
 
 // RingHetero generalizes the paper's §4.2 ring closed form to heterogeneous
@@ -100,32 +99,4 @@ func RingHetero(ps, rs []float64) []PMF {
 		out[i] = f
 	}
 	return out
-}
-
-// WeakestLink returns the index of the link whose failure most reduces the
-// expected component size seen by an average site, computed by comparing
-// RingHetero densities with each link's reliability zeroed — a planning
-// aid for ring deployments ("which link should be upgraded first").
-func WeakestLink(ps, rs []float64) int {
-	n := len(ps)
-	base := meanComponent(RingHetero(ps, rs))
-	worstDrop := math.Inf(-1)
-	worst := 0
-	for l := 0; l < n; l++ {
-		mod := append([]float64(nil), rs...)
-		mod[l] = 0
-		drop := base - meanComponent(RingHetero(ps, mod))
-		if drop > worstDrop {
-			worstDrop, worst = drop, l
-		}
-	}
-	return worst
-}
-
-func meanComponent(fs []PMF) float64 {
-	sum := 0.0
-	for _, f := range fs {
-		sum += f.Mean()
-	}
-	return sum / float64(len(fs))
 }

@@ -120,30 +120,6 @@ func TestRingHeteroPanics(t *testing.T) {
 	}
 }
 
-func TestWeakestLink(t *testing.T) {
-	// A ring that is otherwise perfect except one link is already weak:
-	// upgrading anything else matters less — but the *weakest existing*
-	// link question asks which failure hurts most. With link 2 already at
-	// 0.5 and the rest at 0.99, killing one of the strong links hurts more
-	// (it removes redundancy the weak link was relying on)... measure and
-	// just assert the choice is stable and valid, plus the symmetric case.
-	n := 8
-	ps := uniformSlice(n, 0.95)
-	rs := uniformSlice(n, 0.95)
-	l := WeakestLink(ps, rs)
-	if l < 0 || l >= n {
-		t.Fatalf("weakest link %d", l)
-	}
-	// Asymmetric case: sites around link 3 are the most reliable, so the
-	// links near them carry the most value. Just verify determinism.
-	rs[3] = 0.5
-	l1 := WeakestLink(ps, rs)
-	l2 := WeakestLink(ps, rs)
-	if l1 != l2 {
-		t.Fatal("WeakestLink not deterministic")
-	}
-}
-
 func BenchmarkRingHetero101(b *testing.B) {
 	ps := uniformSlice(101, 0.96)
 	rs := uniformSlice(101, 0.96)

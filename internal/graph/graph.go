@@ -96,14 +96,6 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // Degree returns the number of links incident to site u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// Neighbors appends the neighbors of u to dst and returns it.
-func (g *Graph) Neighbors(u int, dst []int) []int {
-	for _, h := range g.adj[u] {
-		dst = append(dst, h.to)
-	}
-	return dst
-}
-
 // Ring returns a cycle over n sites: i — (i+1) mod n. It panics if n < 3.
 func Ring(n int) *Graph {
 	if n < 3 {

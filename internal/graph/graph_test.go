@@ -73,18 +73,6 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g := Star(4)
-	ns := g.Neighbors(0, nil)
-	if len(ns) != 3 {
-		t.Fatalf("hub neighbors %v", ns)
-	}
-	ns = g.Neighbors(2, nil)
-	if len(ns) != 1 || ns[0] != 0 {
-		t.Fatalf("leaf neighbors %v", ns)
-	}
-}
-
 func TestStateAllUp(t *testing.T) {
 	g := Ring(5)
 	s := NewState(g, nil)

@@ -128,27 +128,7 @@ func (l *Log) Len() int { return len(l.ops) }
 // Ops returns the recorded operations (shared slice; treat as read-only).
 func (l *Log) Ops() []Op { return l.ops }
 
-// GrantedCounts returns (reads granted, reads total, writes granted,
-// writes total).
-func (l *Log) GrantedCounts() (rg, rt, wg, wt int) {
-	for _, op := range l.ops {
-		switch op.Kind {
-		case Read:
-			rt++
-			if op.Granted {
-				rg++
-			}
-		case Write:
-			wt++
-			if op.Granted {
-				wg++
-			}
-		}
-	}
-	return
-}
-
-// checker is the shared state machine behind Check and CheckAll. It tracks
+// checker is the state machine behind Check. It tracks
 // the committed (stamp, value) — the state every later granted operation
 // must be consistent with — plus the set of pending indeterminate writes
 // whose values may still surface.
@@ -255,18 +235,4 @@ func (l *Log) Check() error {
 		}
 	}
 	return nil
-}
-
-// CheckAll returns every violation in the history (useful in analysis
-// tooling; Check short-circuits on the first). Violating operations do not
-// advance the committed state, mirroring Check's treatment.
-func (l *Log) CheckAll() []Violation {
-	var out []Violation
-	var c checker
-	for _, op := range l.ops {
-		if reason := c.step(op); reason != "" {
-			out = append(out, Violation{Op: op, Reason: reason})
-		}
-	}
-	return out
 }

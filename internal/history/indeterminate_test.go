@@ -97,9 +97,6 @@ func TestBackwardCompatiblePlainHistories(t *testing.T) {
 	if err := l.Check(); err == nil {
 		t.Fatal("non-monotonic write stamp accepted")
 	}
-	if got := len(l.CheckAll()); got != 1 {
-		t.Fatalf("CheckAll found %d violations, want 1", got)
-	}
 }
 
 // A write loss retires a pending write: its stamp may be reissued with a
@@ -124,10 +121,5 @@ func TestWriteLossRetiresPending(t *testing.T) {
 	l2.RecordRead(1, true, 20, 200, 3)
 	if err := l2.Check(); err == nil {
 		t.Fatal("lost pending write allowed to surface")
-	}
-
-	// Loss events do not perturb read/write accounting.
-	if _, rt, _, wt := l.GrantedCounts(); rt != 1 || wt != 2 {
-		t.Fatalf("counts with loss event: reads=%d writes=%d, want 1 and 2", rt, wt)
 	}
 }

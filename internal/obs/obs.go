@@ -278,14 +278,6 @@ func (r *Registry) Counter(c CounterID) int64 {
 	return r.counters[c].Load()
 }
 
-// SetGauge sets gauge g to v. Nil-safe.
-func (r *Registry) SetGauge(g GaugeID, v int64) {
-	if r == nil {
-		return
-	}
-	r.gauges[g].Store(v)
-}
-
 // AddGauge adjusts gauge g by d. Nil-safe.
 func (r *Registry) AddGauge(g GaugeID, d int64) {
 	if r == nil {

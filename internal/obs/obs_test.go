@@ -14,7 +14,6 @@ func TestNilRegistryNoop(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		r.Inc(CMsgSent)
 		r.Add(CMsgSent, 10)
-		r.SetGauge(GQuorumEpoch, 5)
 		r.AddGauge(GSuspectedPeers, 1)
 		r.MaxGauge(GQuorumEpoch, 9)
 		r.Observe(HReadMsgs, 3)
@@ -48,7 +47,7 @@ func TestCountersAndGauges(t *testing.T) {
 		t.Fatalf("untouched counter = %d, want 0", got)
 	}
 
-	r.SetGauge(GDegradedNodes, 4)
+	r.AddGauge(GDegradedNodes, 4)
 	r.AddGauge(GDegradedNodes, -1)
 	if got := r.Gauge(GDegradedNodes); got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
@@ -165,13 +164,13 @@ func TestBucketBounds(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	r := NewTracing(8)
 	r.Add(CMsgSent, 10)
-	r.SetGauge(GCrashedNodes, 2)
+	r.AddGauge(GCrashedNodes, 2)
 	r.Observe(HReadMsgs, 4)
 	r.Emit(EvMsgSend, 0, 1, 0, 0)
 	before := r.Snapshot()
 
 	r.Add(CMsgSent, 5)
-	r.SetGauge(GCrashedNodes, 1)
+	r.AddGauge(GCrashedNodes, -1)
 	r.Observe(HReadMsgs, 4)
 	r.Observe(HReadMsgs, 6)
 	r.Emit(EvMsgDrop, 0, 1, 0, 0)
@@ -252,7 +251,7 @@ func TestWriteJSONL(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewTracing(8)
 	r.Add(CReadGrant, 12)
-	r.SetGauge(GQuorumEpoch, 3)
+	r.AddGauge(GQuorumEpoch, 3)
 	r.Observe(HWriteMsgs, 5) // bucket 3 (le="7")
 	r.Emit(EvMsgSend, 0, 1, 0, 0)
 

@@ -21,7 +21,6 @@ package quorum
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Assignment is a read/write quorum pair for a system with some vote total.
@@ -137,25 +136,6 @@ func PrimaryCopyVotes(n, primary int) VoteAssignment {
 	v := make(VoteAssignment, n)
 	v[primary] = 1
 	return v
-}
-
-// MinSitesForQuorum returns the smallest number of sites whose votes can
-// meet quorum q — the best-case message cost of an access (greedy on the
-// largest vote holders). Returns -1 when q exceeds the vote total.
-func (v VoteAssignment) MinSitesForQuorum(q int) int {
-	if q <= 0 {
-		return 0
-	}
-	sorted := append([]int(nil), v...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	sum := 0
-	for i, x := range sorted {
-		sum += x
-		if sum >= q {
-			return i + 1
-		}
-	}
-	return -1
 }
 
 // Total returns the vote total T.

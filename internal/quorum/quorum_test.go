@@ -156,27 +156,6 @@ func TestVoteAssignments(t *testing.T) {
 	}
 }
 
-func TestMinSitesForQuorum(t *testing.T) {
-	v := VoteAssignment{3, 1, 1, 1}
-	cases := []struct{ q, want int }{
-		{0, 0}, {1, 1}, {3, 1}, {4, 2}, {6, 4}, {7, -1},
-	}
-	for _, c := range cases {
-		if got := v.MinSitesForQuorum(c.q); got != c.want {
-			t.Fatalf("MinSitesForQuorum(%d) = %d, want %d", c.q, got, c.want)
-		}
-	}
-	// Uniform votes: cost equals the quorum itself.
-	u := UniformVotes(7)
-	if u.MinSitesForQuorum(4) != 4 {
-		t.Fatal("uniform cost")
-	}
-	// Input must not be mutated.
-	if v[0] != 3 || v[3] != 1 {
-		t.Fatal("MinSitesForQuorum mutated its input")
-	}
-}
-
 func TestPrimaryCopyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

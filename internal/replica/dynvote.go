@@ -56,9 +56,6 @@ func NewDynVote(st *graph.State) *DynVote {
 	return d
 }
 
-// LatestVersion returns the version of the most recent committed update.
-func (d *DynVote) LatestVersion() int64 { return d.last }
-
 // canAccess evaluates the dynamic-linear condition for site x's partition,
 // returning the participating members and the freshest copy's index.
 func (d *DynVote) canAccess(x int) (members []int, freshest int, ok bool) {
@@ -127,16 +124,4 @@ func (d *DynVote) Access(x int, value int64) (version int64, granted bool) {
 	}
 	d.last = newVN
 	return newVN, true
-}
-
-// ReadCurrent reports whether site x's partition may access the item and,
-// if so, returns the freshest reachable value and whether that value is
-// globally current (the safety property the protocol guarantees for
-// granted accesses).
-func (d *DynVote) ReadCurrent(x int) (value int64, current bool, granted bool) {
-	_, freshest, ok := d.canAccess(x)
-	if !ok {
-		return 0, false, false
-	}
-	return d.val[freshest], d.vn[freshest] == d.last, true
 }

@@ -15,9 +15,13 @@ func TestDynVoteAllUp(t *testing.T) {
 	if !ok || v != 2 {
 		t.Fatalf("access (%d, %v)", v, ok)
 	}
-	val, current, ok := d.ReadCurrent(3)
-	if !ok || !current || val != 42 {
-		t.Fatalf("read (%d, %v, %v)", val, current, ok)
+	// A granted access reads the freshest reachable copy, which is current.
+	_, f, ok := d.canAccess(3)
+	if !ok {
+		t.Fatal("read denied")
+	}
+	if d.vn[f] != d.last || d.val[f] != 42 {
+		t.Fatalf("read: version %d of %d, value %d", d.vn[f], d.last, d.val[f])
 	}
 }
 
@@ -65,9 +69,12 @@ func TestDynVoteRecoveryCatchUp(t *testing.T) {
 	}
 	st.RepairSite(3)
 	// Site 3 is stale but the partition contains the full update set.
-	val, current, ok := d.ReadCurrent(3)
-	if !ok || !current || val != 9 {
-		t.Fatalf("recovered read (%d, %v, %v)", val, current, ok)
+	_, f, ok := d.canAccess(3)
+	if !ok {
+		t.Fatal("recovered read denied")
+	}
+	if d.vn[f] != d.last || d.val[f] != 9 {
+		t.Fatalf("recovered read: version %d of %d, value %d", d.vn[f], d.last, d.val[f])
 	}
 }
 
@@ -99,7 +106,7 @@ func TestDynVoteNeverForks(t *testing.T) {
 			case 4, 5:
 				d.Access(src.Intn(n), int64(step))
 			case 6, 7:
-				if _, current, ok := d.ReadCurrent(src.Intn(n)); ok && !current {
+				if _, f, ok := d.canAccess(src.Intn(n)); ok && d.vn[f] != d.last {
 					t.Fatalf("%s step %d: granted access saw a stale version", name, step)
 				}
 			}
@@ -147,19 +154,5 @@ func TestDynVoteBeatsStaticMajorityUnderPartitions(t *testing.T) {
 	}
 	if dynGranted <= statGranted {
 		t.Fatalf("dynamic voting granted %d, static majority %d", dynGranted, statGranted)
-	}
-}
-
-func TestDynVoteLatestVersion(t *testing.T) {
-	st := graph.NewState(graph.Ring(4), nil)
-	d := NewDynVote(st)
-	if d.LatestVersion() != 1 {
-		t.Fatalf("initial version %d", d.LatestVersion())
-	}
-	if _, ok := d.Access(0, 1); !ok {
-		t.Fatal("access denied")
-	}
-	if d.LatestVersion() != 2 {
-		t.Fatalf("version %d after one access", d.LatestVersion())
 	}
 }

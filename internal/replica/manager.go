@@ -56,19 +56,6 @@ func (m *Manager) SetAlpha(alpha float64) {
 	m.alpha = alpha
 }
 
-// Optimal computes the currently-optimal assignment from the estimator
-// (write-constrained when MinWrite > 0).
-func (m *Manager) Optimal() (core.Result, error) {
-	model, err := m.est.Model(nil, nil)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if m.MinWrite > 0 {
-		return model.OptimizeConstrained(m.alpha, m.MinWrite)
-	}
-	return model.Optimize(m.alpha), nil
-}
-
 // Tick runs one reassignment round: compute the optimal assignment, compare
 // it with the assignment in effect in the (unique) write-capable component,
 // and install it there when the predicted improvement exceeds Hysteresis.

@@ -146,28 +146,6 @@ func TestManagerSetAlphaPanics(t *testing.T) {
 	m.SetAlpha(2)
 }
 
-func TestManagerOptimal(t *testing.T) {
-	g := graph.Ring(9)
-	st := graph.NewState(g, nil)
-	o, _ := NewObject(st, quorum.Majority(9))
-	est := core.NewEstimator(9, 9)
-	feedEstimator(est, 9, 9, 3, 0.5, rng.New(9))
-	m := NewManager(o, est, 0.75)
-	res, err := m.Optimal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Assignment.Validate(9); err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check against direct optimization.
-	model, _ := est.Model(nil, nil)
-	ref := model.Optimize(0.75)
-	if res.Assignment != ref.Assignment {
-		t.Fatalf("Optimal %v, direct %v", res.Assignment, ref.Assignment)
-	}
-}
-
 // TestManagerEndToEndSafety runs the manager inside a random failure storm
 // with interleaved reads/writes, asserting serializability holds while the
 // quorum assignment chases a shifting read-write ratio.

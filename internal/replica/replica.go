@@ -209,20 +209,3 @@ func (o *Object) WriteCapableComponents() int {
 	}
 	return n
 }
-
-// ReadCapableVersions returns the set of assignment versions under which
-// some component would currently grant a read. Safety requires every
-// granted read to observe the latest committed write; the tests use this
-// to probe mixed-version states.
-func (o *Object) ReadCapableVersions() map[int64]bool {
-	out := map[int64]bool{}
-	var reps []int
-	reps = o.st.Representatives(reps)
-	for _, rep := range reps {
-		_, eff := o.sync(rep)
-		if o.st.VotesAt(rep) >= eff.assign.QR {
-			out[eff.version] = true
-		}
-	}
-	return out
-}

@@ -257,8 +257,10 @@ func TestWriteCapableComponents(t *testing.T) {
 	if o.WriteCapableComponents() != 0 {
 		t.Fatal("no component holds 4 votes after the cut")
 	}
-	if len(o.ReadCapableVersions()) == 0 {
-		t.Fatal("both fragments hold a read quorum")
+	for _, x := range []int{0, 4} {
+		if _, _, ok := o.Read(x); !ok {
+			t.Fatalf("fragment of site %d holds a read quorum but was denied", x)
+		}
 	}
 }
 

@@ -152,15 +152,6 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// ExpRate returns an exponentially distributed variate with the given rate
-// (inverse mean). It panics if rate <= 0.
-func (r *Source) ExpRate(rate float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("rng: ExpRate called with rate=%g", rate))
-	}
-	return -math.Log(1-r.Float64()) / rate
-}
-
 // Poisson returns a Poisson-distributed variate with the given mean lambda.
 // For small lambda it uses Knuth multiplication; for large lambda it uses
 // the normal approximation with continuity correction, which is accurate to
@@ -190,26 +181,6 @@ func (r *Source) Poisson(lambda float64) int {
 			return int(math.Round(n))
 		}
 	}
-}
-
-// Weibull returns a Weibull-distributed variate with the given shape and
-// scale: scale · (−ln(1−U))^(1/shape). Shape 1 is the exponential
-// distribution; shape < 1 is burstier (heavy tail, many short values),
-// shape > 1 more regular. It panics on non-positive parameters.
-func (r *Source) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic(fmt.Sprintf("rng: Weibull(shape=%g, scale=%g)", shape, scale))
-	}
-	return scale * math.Pow(-math.Log(1-r.Float64()), 1/shape)
-}
-
-// WeibullMean returns a Weibull variate with the given shape whose mean is
-// the given value (scale = mean / Γ(1 + 1/shape)).
-func (r *Source) WeibullMean(shape, mean float64) float64 {
-	if shape <= 0 || mean <= 0 {
-		panic(fmt.Sprintf("rng: WeibullMean(shape=%g, mean=%g)", shape, mean))
-	}
-	return r.Weibull(shape, mean/math.Gamma(1+1/shape))
 }
 
 // Norm returns a normally distributed variate with the given mean and

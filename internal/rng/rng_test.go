@@ -140,18 +140,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestExpRateMatchesExp(t *testing.T) {
-	a := New(17)
-	b := New(17)
-	for i := 0; i < 1000; i++ {
-		x := a.Exp(4)
-		y := b.ExpRate(0.25)
-		if math.Abs(x-y) > 1e-12 {
-			t.Fatalf("Exp(4) and ExpRate(0.25) diverge: %g vs %g", x, y)
-		}
-	}
-}
-
 func TestPoissonSmallLambda(t *testing.T) {
 	r := New(19)
 	const lambda = 3.5
@@ -196,56 +184,6 @@ func TestPoissonZero(t *testing.T) {
 		if v := r.Poisson(0); v != 0 {
 			t.Fatalf("Poisson(0) = %d", v)
 		}
-	}
-}
-
-func TestWeibullShapeOneIsExponential(t *testing.T) {
-	a := New(47)
-	b := New(47)
-	for i := 0; i < 1000; i++ {
-		x := a.Weibull(1, 5)
-		y := b.Exp(5)
-		if math.Abs(x-y) > 1e-9 {
-			t.Fatalf("Weibull(1,5) diverges from Exp(5): %g vs %g", x, y)
-		}
-	}
-}
-
-func TestWeibullMeanHoldsMean(t *testing.T) {
-	for _, shape := range []float64{0.5, 1, 2, 3.5} {
-		r := New(53)
-		const mean = 128.0
-		const n = 200000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			v := r.WeibullMean(shape, mean)
-			if v < 0 {
-				t.Fatalf("negative Weibull variate %g", v)
-			}
-			sum += v
-		}
-		got := sum / n
-		if math.Abs(got-mean)/mean > 0.03 {
-			t.Fatalf("shape %g: mean %g, want %g", shape, got, mean)
-		}
-	}
-}
-
-func TestWeibullPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { New(1).Weibull(0, 1) },
-		func() { New(1).Weibull(1, 0) },
-		func() { New(1).WeibullMean(-1, 5) },
-		func() { New(1).WeibullMean(1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

@@ -38,14 +38,6 @@ type Params struct {
 	// Weights[i]/ΣWeights.
 	AccessWeights []float64
 
-	// FailShape, when positive and ≠ 1, draws component up-times from a
-	// Weibull distribution with this shape (mean still FailMean) instead
-	// of the exponential. Stationary availability depends only on the
-	// up/down means (renewal-theoretic insensitivity), so the paper's
-	// availability results are robust to this assumption — a property the
-	// tests verify empirically.
-	FailShape float64
-
 	// Shock, when non-nil, adds *correlated* regional failures on top of
 	// the independent per-component processes: at Poisson times a
 	// contiguous run of sites fails together and recovers together. The
@@ -110,9 +102,6 @@ func (p Params) Reliability() float64 {
 func (p Params) validate() error {
 	if p.AccessMean <= 0 || p.FailMean <= 0 || p.RepairMean <= 0 {
 		return fmt.Errorf("sim: all Params means must be positive, got %+v", p)
-	}
-	if p.FailShape < 0 {
-		return fmt.Errorf("sim: negative FailShape %g", p.FailShape)
 	}
 	sum := 0.0
 	for i, w := range p.AccessWeights {
@@ -199,7 +188,6 @@ type Simulator struct {
 
 	est  *core.Estimator
 	surv *core.SurvEstimator
-	net  *NetStats
 	last float64 // time of last occupancy accumulation
 
 	protocol Protocol
@@ -309,9 +297,9 @@ func (s *Simulator) arm() {
 // Reset rewinds the simulator to the state New would produce over the same
 // graph, votes and parameters with the given seed: every component up, all
 // clocks redrawn from the fresh seed, time and counters zeroed, and the
-// consumer attachments (estimator, protocol, family tally, net stats)
-// cleared so the caller re-attaches what the next run needs. The attached
-// observability registry and the OnAccess/OnChange hooks are kept.
+// consumer attachments (estimator, protocol, family tally) cleared so the
+// caller re-attaches what the next run needs. The attached observability
+// registry and the OnAccess/OnChange hooks are kept.
 //
 // A Reset simulator produces the bit-identical event stream of a freshly
 // constructed one — the batch runners rely on this to reuse one simulator's
@@ -329,7 +317,6 @@ func (s *Simulator) Reset(seed uint64) {
 	s.genAccessWeighted = false
 	s.est = nil
 	s.surv = nil
-	s.net = nil
 	s.protocol = nil
 	s.tally = nil
 	s.strat = nil
@@ -337,12 +324,8 @@ func (s *Simulator) Reset(seed uint64) {
 	s.arm()
 }
 
-// drawUpTime samples a component's next up-time: exponential by default,
-// Weibull with the configured shape (same mean) otherwise.
+// drawUpTime samples a component's next up-time.
 func (s *Simulator) drawUpTime() float64 {
-	if s.params.FailShape > 0 && s.params.FailShape != 1 {
-		return s.src.WeibullMean(s.params.FailShape, s.params.FailMean)
-	}
 	return s.src.Exp(s.params.FailMean)
 }
 
@@ -450,53 +433,8 @@ func (s *Simulator) ensureAccessEvents() {
 	}
 }
 
-// NetStats accumulates time-weighted topology observability metrics.
-type NetStats struct {
-	elapsed    float64
-	compTime   float64 // ∫ number of live components dt
-	maxTime    float64 // ∫ largest-component votes dt
-	upTime     float64 // ∫ up-site count dt
-	partitions int64   // events after which >1 component existed
-	events     int64   // failure/repair events observed
-}
-
-// MeanComponents returns the time-average number of live components.
-func (n *NetStats) MeanComponents() float64 { return safeDiv(n.compTime, n.elapsed) }
-
-// MeanLargestVotes returns the time-average vote total of the largest
-// component.
-func (n *NetStats) MeanLargestVotes() float64 { return safeDiv(n.maxTime, n.elapsed) }
-
-// MeanUpSites returns the time-average number of up sites.
-func (n *NetStats) MeanUpSites() float64 { return safeDiv(n.upTime, n.elapsed) }
-
-// PartitionedFraction returns the fraction of failure/repair events that
-// left the network split into more than one component.
-func (n *NetStats) PartitionedFraction() float64 {
-	return safeDiv(float64(n.partitions), float64(n.events))
-}
-
-// Events returns the number of failure/repair events observed.
-func (n *NetStats) Events() int64 { return n.events }
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// AttachNetStats directs time-weighted topology statistics into ns. Like
-// AttachTimeWeighted, it activates interval accumulation.
-func (s *Simulator) AttachNetStats(ns *NetStats) {
-	s.net = ns
-	s.genAccessWeighted = true
-	s.last = s.now
-}
-
 // accumulate charges the interval since the last accumulation to the
-// current component occupancy of every site (time-weighted mode) and the
-// attached topology statistics.
+// current component occupancy of every site (time-weighted mode).
 func (s *Simulator) accumulate(until float64) {
 	dt := until - s.last
 	if dt <= 0 {
@@ -510,18 +448,6 @@ func (s *Simulator) accumulate(until float64) {
 	}
 	if s.surv != nil {
 		s.surv.ObserveFor(s.st.MaxComponentVotes(), dt)
-	}
-	if s.net != nil {
-		s.net.elapsed += dt
-		s.net.compTime += dt * float64(s.st.NumComponents())
-		s.net.maxTime += dt * float64(s.st.MaxComponentVotes())
-		up := 0
-		for i := 0; i < n; i++ {
-			if s.st.SiteUp(i) {
-				up++
-			}
-		}
-		s.net.upTime += dt * float64(up)
 	}
 	s.last = until
 }
@@ -662,12 +588,6 @@ func (s *Simulator) step() eventKind {
 			s.OnAccess(e.idx, votes, s.now)
 		}
 		s.heap.push(s.now+s.src.Exp(s.params.accessMeanAt(e.idx)), evAccess, e.idx)
-	}
-	if s.net != nil && e.kind != evAccess {
-		s.net.events++
-		if s.st.NumComponents() > 1 {
-			s.net.partitions++
-		}
 	}
 	return e.kind
 }

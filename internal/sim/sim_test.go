@@ -292,27 +292,6 @@ func TestCollectValidation(t *testing.T) {
 	}
 }
 
-func TestCollectSurvDominatesACC(t *testing.T) {
-	// SURV ≥ ACC at every quorum: the largest component always has at
-	// least as many votes as the component of any fixed site.
-	const rel = 0.85
-	p := Params{AccessMean: 1, FailMean: 10, RepairMean: 10 * (1 - rel) / rel}
-	g := graph.Ring(7)
-	acc, _, err := Collect(g, nil, p, CollectConfig{Mode: TimeWeighted, Accesses: 100000, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	surv, err := CollectSurv(g, nil, p, CollectConfig{Mode: TimeWeighted, Accesses: 100000, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qr := 1; qr <= 3; qr++ {
-		if surv.ReadAvail(qr)+1e-9 < acc.ReadAvail(qr)-0.02 {
-			t.Fatalf("SURV R(%d)=%g below ACC %g", qr, surv.ReadAvail(qr), acc.ReadAvail(qr))
-		}
-	}
-}
-
 func BenchmarkSimulatorRing101(b *testing.B) {
 	g := graph.Ring(101)
 	p := PaperParams()

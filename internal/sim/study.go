@@ -212,21 +212,3 @@ func (p Params) accessFractions(n int) []float64 {
 	}
 	return out
 }
-
-// CollectSurv runs one time-weighted simulation recording the
-// largest-component vote distribution for SURV-metric optimization.
-func CollectSurv(g *graph.Graph, votes []int, p Params, cfg CollectConfig) (core.Model, error) {
-	if cfg.Accesses <= 0 || cfg.Warmup < 0 {
-		return core.Model{}, fmt.Errorf("sim: bad collect horizon %+v", cfg)
-	}
-	s := New(g, votes, p, cfg.Seed)
-	est := core.NewEstimator(g.N(), s.State().TotalVotes())
-	surv := core.NewSurvEstimator(s.State().TotalVotes())
-	perUnit := p.totalAccessRate(g.N())
-	warmT := float64(cfg.Warmup) / perUnit
-	runT := float64(cfg.Accesses) / perUnit
-	s.RunUntil(warmT)
-	s.AttachTimeWeighted(est, surv)
-	s.RunUntil(warmT + runT)
-	return surv.Model()
-}

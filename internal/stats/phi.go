@@ -56,9 +56,6 @@ func (e *PhiEstimator) Observe(latency float64) {
 	}
 }
 
-// Samples returns how many samples the window currently holds.
-func (e *PhiEstimator) Samples() int { return e.fill }
-
 // Ready reports whether the window holds enough samples for the fit to be
 // usable; until then callers should use their bootstrap rule.
 func (e *PhiEstimator) Ready() bool { return e.fill >= phiMinSamples }

@@ -22,9 +22,6 @@ func TestPhiNotReadyUntilMinSamples(t *testing.T) {
 	if !e.Ready() {
 		t.Fatal("three samples must be ready")
 	}
-	if e.Samples() != 3 {
-		t.Fatalf("Samples = %d, want 3", e.Samples())
-	}
 }
 
 func TestPhiMonotoneInElapsed(t *testing.T) {

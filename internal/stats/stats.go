@@ -144,9 +144,6 @@ func NewHistogram(bins int) *Histogram {
 	return &Histogram{weights: make([]float64, bins)}
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.weights) }
-
 // Add increments bin i by weight w. Out-of-range bins panic: callers size
 // the histogram to the known support (0..T votes).
 func (h *Histogram) Add(i int, w float64) {
@@ -197,24 +194,6 @@ func (h *Histogram) Scale(c float64) {
 		h.weights[i] *= c
 	}
 	h.total *= c
-}
-
-// Quantile returns the smallest bin index at which the cumulative
-// normalized weight reaches q (clamped to [0,1]). Returns -1 for an empty
-// histogram.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return -1
-	}
-	q = math.Max(0, math.Min(1, q))
-	cum := 0.0
-	for i, w := range h.weights {
-		cum += w / h.total
-		if cum >= q {
-			return i
-		}
-	}
-	return len(h.weights) - 1
 }
 
 // Mean returns the weighted mean bin index, or 0 for an empty histogram.

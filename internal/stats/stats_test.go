@@ -145,9 +145,6 @@ func TestHistogramBasics(t *testing.T) {
 	if !almostEq(p[0], 0.25, 1e-12) || !almostEq(p[4], 0.75, 1e-12) {
 		t.Fatalf("normalize %v", p)
 	}
-	if h.Bins() != 5 {
-		t.Fatalf("bins %d", h.Bins())
-	}
 }
 
 func TestHistogramEmptyNormalize(t *testing.T) {
@@ -157,9 +154,6 @@ func TestHistogramEmptyNormalize(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("empty normalize %v", p)
 		}
-	}
-	if h.Quantile(0.5) != -1 {
-		t.Fatal("empty quantile should be -1")
 	}
 }
 
@@ -177,16 +171,10 @@ func TestHistogramScaleAndReset(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileAndMean(t *testing.T) {
+func TestHistogramMean(t *testing.T) {
 	h := NewHistogram(10)
 	h.Add(2, 1)
 	h.Add(8, 1)
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("median bin %d", q)
-	}
-	if q := h.Quantile(1.0); q != 8 {
-		t.Fatalf("max bin %d", q)
-	}
 	if !almostEq(h.Mean(), 5, 1e-12) {
 		t.Fatalf("mean %g", h.Mean())
 	}

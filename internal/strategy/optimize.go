@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"quorumkit/internal/core"
-	"quorumkit/internal/dist"
 	"quorumkit/internal/quorum"
 )
 
@@ -690,56 +688,6 @@ func BestDeterministic(sys System, d FrDist, opts Options) (Strategy, float64, e
 		}
 	}
 	return best, 1 / bestLoad, nil
-}
-
-// FamilyCell is one member of the paper's coterie family sweep.
-type FamilyCell struct {
-	QR, QW   int
-	Avail    float64
-	Skipped  bool // availability below the floor; no LP solved
-	Capacity float64
-}
-
-// OptimizeCapacityOverFamily sweeps the paper's assignment family
-// (q_r, T−q_r+1), pre-filtering members by availability using the O(T)
-// curve kernel, and solves the capacity LP for each member that clears
-// minAvail. rDist and wDist are the aggregated read/write vote densities
-// of length T+1 (as produced by internal/dist). It returns the per-member
-// cells and the best result.
-func OptimizeCapacityOverFamily(sys System, d FrDist, alpha float64, rDist, wDist dist.PMF, minAvail float64, opts Options) ([]FamilyCell, *Result, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, nil, err
-	}
-	T := sys.T()
-	if len(rDist) != T+1 || len(wDist) != T+1 {
-		return nil, nil, fmt.Errorf("strategy: densities have lengths %d/%d, want %d", len(rDist), len(wDist), T+1)
-	}
-	curve := core.AvailabilityCurveInto(alpha, rDist, wDist, nil)
-	cells := make([]FamilyCell, 0, len(curve))
-	var best *Result
-	for qr := 1; qr <= T/2; qr++ {
-		cell := FamilyCell{QR: qr, QW: T - qr + 1, Avail: curve[qr-1]}
-		if cell.Avail < minAvail {
-			cell.Skipped = true
-			cells = append(cells, cell)
-			continue
-		}
-		member := sys
-		member.QR, member.QW = cell.QR, cell.QW
-		res, err := OptimizeCapacity(member, d, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("strategy: family member q_r=%d: %w", qr, err)
-		}
-		cell.Capacity = res.Capacity
-		if best == nil || res.Capacity > best.Capacity {
-			best = res
-		}
-		cells = append(cells, cell)
-	}
-	if best == nil {
-		return cells, nil, fmt.Errorf("strategy: no family member clears availability %g", minAvail)
-	}
-	return cells, best, nil
 }
 
 // CertifyGlobalCapacity proves a capacity Result optimal over the FULL

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"quorumkit/internal/dist"
 	"quorumkit/internal/rng"
 )
 
@@ -304,39 +303,6 @@ func TestLatencyInfeasibleCertificate(t *testing.T) {
 	}
 }
 
-// TestOptimizeCapacityOverFamily sweeps the paper's (q_r, T−q_r+1) family
-// on the case-study system with a Complete-network availability prefilter.
-func TestOptimizeCapacityOverFamily(t *testing.T) {
-	sys := CaseStudySystem()
-	d := CaseStudyFrDist()
-	pm := dist.Complete(5, 0.9, 1.0)
-	cells, best, err := OptimizeCapacityOverFamily(sys, d, 1.0, pm, pm, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 { // q_r ∈ {1, 2} for T = 5
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	if best == nil || best.Capacity <= 0 {
-		t.Fatalf("no best result")
-	}
-	for _, c := range cells {
-		if c.Skipped {
-			t.Fatalf("q_r=%d skipped with floor 0", c.QR)
-		}
-		if c.QW != sys.T()-c.QR+1 {
-			t.Fatalf("cell (%d, %d) is not a family member", c.QR, c.QW)
-		}
-		if best.Capacity < c.Capacity-1e-9 {
-			t.Fatalf("best %g below cell capacity %g", best.Capacity, c.Capacity)
-		}
-	}
-	// An unreachable availability floor must skip everything and error.
-	if _, _, err := OptimizeCapacityOverFamily(sys, d, 1.0, pm, pm, 1.1, Options{}); err == nil {
-		t.Fatal("floor 1.1 produced a best result")
-	}
-}
-
 // TestOptimizerRejectsBadInputs covers the argument-validation paths.
 func TestOptimizerRejectsBadInputs(t *testing.T) {
 	sys := CaseStudySystem()
@@ -354,8 +320,5 @@ func TestOptimizerRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := OptimizeResilientCapacity(sys, d, 5, Options{}); err == nil {
 		t.Error("unsatisfiable resilience accepted")
-	}
-	if _, _, err := OptimizeCapacityOverFamily(sys, d, 1.0, dist.PMF{1}, dist.PMF{1}, 0, Options{}); err == nil {
-		t.Error("short densities accepted")
 	}
 }

@@ -38,12 +38,6 @@ import (
 // Quorum is a set of site indices, stored sorted ascending.
 type Quorum []int
 
-// contains reports whether the quorum includes site x (binary search).
-func (q Quorum) contains(x int) bool {
-	i := sort.SearchInts(q, x)
-	return i < len(q) && q[i] == x
-}
-
 // votes returns the quorum's vote total under the given assignment.
 func (q Quorum) votes(votes []int) int {
 	t := 0
@@ -348,20 +342,6 @@ func (st Strategy) ExpectedMaxLoad(sys System, d FrDist) float64 {
 // the expected worst regime.
 func (st Strategy) Capacity(sys System, d FrDist) float64 {
 	return 1 / st.ExpectedMaxLoad(sys, d)
-}
-
-// ExpectedLatency returns E[quorum completion latency] under the strategy:
-// f̄·Σ_R σ_R·lat(R) + (1−f̄)·Σ_W σ_W·lat(W), where f̄ = E[fr].
-func (st Strategy) ExpectedLatency(sys System, d FrDist) float64 {
-	fbar := d.Mean()
-	r, w := 0.0, 0.0
-	for i, q := range st.ReadQuorums {
-		r += st.ReadProbs[i] * q.latency(sys.Latency)
-	}
-	for i, q := range st.WriteQuorums {
-		w += st.WriteProbs[i] * q.latency(sys.Latency)
-	}
-	return fbar*r + (1-fbar)*w
 }
 
 // Canonical returns an equivalent strategy in canonical form: quorums with

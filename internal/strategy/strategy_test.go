@@ -103,14 +103,9 @@ func TestStrategyLoadsAndLatency(t *testing.T) {
 	if c := st.Capacity(sys, d); math.Abs(c*st.MaxLoad(sys, 0.5)-1) > 1e-12 {
 		t.Fatalf("capacity %g does not invert max load", c)
 	}
-	// Latency: reads 0.75·lat{0,1,2}=3 + 0.25·lat{2,3,4}=5; writes lat{0,2,4}=5.
-	lat := st.ExpectedLatency(sys, SingleFr(1))
-	if w := 0.75*3 + 0.25*5; math.Abs(lat-w) > 1e-12 {
-		t.Fatalf("read-only latency %g, want %g", lat, w)
-	}
-	lat = st.ExpectedLatency(sys, SingleFr(0))
-	if math.Abs(lat-5) > 1e-12 {
-		t.Fatalf("write-only latency %g, want 5", lat)
+	// Latency of a quorum is its slowest member: {0,1,2} = 3, {2,3,4} = 5.
+	if r, w := st.ReadQuorums[0].latency(sys.Latency), st.WriteQuorums[0].latency(sys.Latency); r != 3 || w != 5 {
+		t.Fatalf("quorum latencies %g, %g, want 3, 5", r, w)
 	}
 }
 

@@ -142,40 +142,3 @@ func Clusters(k, size int) *graph.Graph {
 	}
 	return g
 }
-
-// Diameter returns the hop diameter of g (all sites and links up), or -1
-// if g is disconnected. BFS from every site; intended for the study's
-// 101-site graphs.
-func Diameter(g *graph.Graph) int {
-	n := g.N()
-	distBuf := make([]int, n)
-	queue := make([]int, 0, n)
-	diam := 0
-	var nbuf []int
-	for s := 0; s < n; s++ {
-		for i := range distBuf {
-			distBuf[i] = -1
-		}
-		distBuf[s] = 0
-		queue = append(queue[:0], s)
-		reached := 1
-		for h := 0; h < len(queue); h++ {
-			u := queue[h]
-			nbuf = g.Neighbors(u, nbuf[:0])
-			for _, v := range nbuf {
-				if distBuf[v] == -1 {
-					distBuf[v] = distBuf[u] + 1
-					if distBuf[v] > diam {
-						diam = distBuf[v]
-					}
-					queue = append(queue, v)
-					reached++
-				}
-			}
-		}
-		if reached < n {
-			return -1
-		}
-	}
-	return diam
-}

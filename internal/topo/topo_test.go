@@ -151,28 +151,6 @@ func TestName(t *testing.T) {
 	}
 }
 
-func TestDiameterShrinksWithChords(t *testing.T) {
-	dRing := Diameter(Paper(0))
-	if dRing != 50 {
-		t.Fatalf("ring diameter %d, want 50", dRing)
-	}
-	d256 := Diameter(Paper(256))
-	if d256 >= dRing {
-		t.Fatalf("256 chords should shrink diameter: %d vs %d", d256, dRing)
-	}
-	if d := Diameter(Paper(4949)); d != 1 {
-		t.Fatalf("complete graph diameter %d", d)
-	}
-}
-
-func TestDiameterDisconnected(t *testing.T) {
-	g := graph.NewGraph(4)
-	g.AddEdge(0, 1)
-	if Diameter(g) != -1 {
-		t.Fatal("disconnected graph should report -1")
-	}
-}
-
 func TestClusters(t *testing.T) {
 	g := Clusters(4, 5)
 	if g.N() != 20 {
@@ -187,14 +165,13 @@ func TestClusters(t *testing.T) {
 		t.Fatal("cluster boundaries wrong")
 	}
 	// The WAN ring: no single link is a bridge.
-	if b := g.Bridges(); len(b) != 0 {
-		t.Fatalf("cluster-ring should have no bridges, got %v", b)
-	}
-	// Connectivity and diameter: crossing to the opposite cluster needs
-	// at most a few WAN hops.
-	d := Diameter(g)
-	if d < 3 || d > 7 {
-		t.Fatalf("diameter %d", d)
+	st := graph.NewState(g, nil)
+	for l := 0; l < g.M(); l++ {
+		st.FailLink(l)
+		if st.NumComponents() != 1 {
+			t.Fatalf("link %d is a bridge of the cluster ring", l)
+		}
+		st.RepairLink(l)
 	}
 }
 

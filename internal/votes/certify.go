@@ -107,43 +107,15 @@ func Certify(votes []int, qr, qw int) (Certificate, error) {
 	}, nil
 }
 
-// SurvivesFailures reports whether quorums of threshold q survive every
-// possible loss of f sites: after the f heaviest sites fail the remaining
-// weight still reaches q. Exact for threshold systems (removing the f
-// heaviest sites is the adversary's best move). O(n log n).
-func SurvivesFailures(votes []int, q, f int) bool {
-	return MaxSurvivableF(votes, q) >= f
-}
-
-// MaxSurvivableF returns the largest f ≥ 0 such that quorums of threshold q
-// survive any f site failures, or -1 when even f = 0 fails (q > T).
-func MaxSurvivableF(votes []int, q int) int {
-	T := 0
-	for _, v := range votes {
-		if v < 0 {
-			panic(fmt.Sprintf("votes: negative votes %d", v))
-		}
-		T += v
-	}
-	sorted := append([]int(nil), votes...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	return maxSurvivableSorted(sorted, T, q)
-}
-
-// maxSurvivableSorted scans descending weights: remaining = T − prefix(f)
-// is non-increasing in f, so the answer is the last f keeping remaining ≥ q.
+// maxSurvivableSorted scans descending weights for 1 ≤ q ≤ T: remaining =
+// T − prefix(f) is non-increasing in f, so the answer is the last f keeping
+// remaining ≥ q.
 func maxSurvivableSorted(sorted []int, T, q int) int {
-	if q > T {
-		return -1
-	}
 	remaining := T
-	for f := 0; f < len(sorted); f++ {
-		remaining -= sorted[f]
-		if remaining < q {
+	for f, v := range sorted {
+		if remaining -= v; remaining < q {
 			return f
 		}
 	}
-	// All sites removed and still ≥ q is only possible for q ≤ 0; with
-	// q ≥ 1 the loop always returns. Guard for completeness.
-	return len(sorted)
+	return len(sorted) // unreachable for q ≥ 1: losing every site leaves 0
 }

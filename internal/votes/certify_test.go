@@ -217,31 +217,20 @@ func TestCertifyErrorPaths(t *testing.T) {
 
 func TestSurvivesFailures(t *testing.T) {
 	votes := []int{5, 3, 1, 1} // T=10
-	// Threshold 6: losing the 5-vote site leaves 5 < 6 → only f=0 survives.
-	if got := MaxSurvivableF(votes, 6); got != 0 {
-		t.Fatalf("MaxSurvivableF(6)=%d, want 0", got)
+	cert, err := Certify(votes, 2, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Threshold 2: heaviest two leave 2 ≥ 2, heaviest three leave 1 → f=2.
-	if got := MaxSurvivableF(votes, 2); got != 2 {
-		t.Fatalf("MaxSurvivableF(2)=%d, want 2", got)
+	if cert.ReadSurvives != 2 {
+		t.Fatalf("ReadSurvives=%d, want 2", cert.ReadSurvives)
 	}
-	if !SurvivesFailures(votes, 2, 2) || SurvivesFailures(votes, 2, 3) {
-		t.Fatal("SurvivesFailures disagrees with MaxSurvivableF")
+	// Threshold 6: losing the 5-vote site leaves 5 < 6 → only f=0 survives.
+	if cert.WriteSurvives != 0 {
+		t.Fatalf("WriteSurvives=%d, want 0", cert.WriteSurvives)
 	}
-	// q above T: not even zero failures.
-	if got := MaxSurvivableF(votes, 11); got != -1 {
-		t.Fatalf("MaxSurvivableF(11)=%d, want -1", got)
+	// Threshold T: any single failure of a voting site breaks it.
+	if cert, err := Certify(votes, 10, 10); err != nil || cert.ReadSurvives != 0 {
+		t.Fatalf("ReadSurvives=%d (err %v) at q=T, want 0", cert.ReadSurvives, err)
 	}
-	if SurvivesFailures(votes, 11, 0) {
-		t.Fatal("threshold above T should not survive even f=0")
-	}
-}
-
-func TestMaxSurvivableFPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative votes should panic")
-		}
-	}()
-	MaxSurvivableF([]int{1, -2}, 1)
 }

@@ -250,13 +250,6 @@ func (sc *Scenarios) density(v quorum.VoteAssignment, buf dist.PMF) (dist.PMF, e
 	return pmf, nil
 }
 
-// Density returns the aggregate density r(v) = w(v) the availability
-// objective evaluates weight vector v against — exposed for the tests that
-// pin it to dist.MonteCarlo and dist.Exact.
-func (sc *Scenarios) Density(v quorum.VoteAssignment) (dist.PMF, error) {
-	return sc.density(v, nil)
-}
-
 // AvailObjective scores weight vectors by the paper's ACC availability under
 // the optimal quorum pair for that vector: the scenarios' aggregate density
 // r(v) = w(v), the O(T) availability-curve kernel producing the whole

@@ -34,7 +34,7 @@ func TestScenarioDensityMatchesMonteCarlo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sc.Density(tc.v)
+			got, err := sc.density(tc.v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +68,8 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, _ := a.Density(v)
-	db, _ := b.Density(v)
+	da, _ := a.density(v, nil)
+	db, _ := b.density(v, nil)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("same seed diverged at %d: %g vs %g", i, da[i], db[i])
@@ -79,7 +79,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, _ := c.Density(v)
+	dc, _ := c.density(v, nil)
 	same := true
 	for i := range da {
 		if da[i] != dc[i] {
@@ -205,10 +205,10 @@ func TestScenarioErrorPaths(t *testing.T) {
 	if _, err := obj.Eval(quorum.VoteAssignment{0, 0, 0, 0}); err == nil {
 		t.Fatal("zero total accepted")
 	}
-	if _, err := sc.Density(quorum.VoteAssignment{1}); err == nil {
+	if _, err := sc.density(quorum.VoteAssignment{1}, nil); err == nil {
 		t.Fatal("Density length mismatch accepted")
 	}
-	if _, err := sc.Density(quorum.VoteAssignment{1, -1, 1, 1}); err == nil {
+	if _, err := sc.density(quorum.VoteAssignment{1, -1, 1, 1}, nil); err == nil {
 		t.Fatal("Density negative weight accepted")
 	}
 }
@@ -269,7 +269,7 @@ func TestExactScenariosMatchDistExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, v := range []quorum.VoteAssignment{quorum.UniformVotes(n), weighted, zero} {
-					got, err := sc.Density(v)
+					got, err := sc.density(v, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

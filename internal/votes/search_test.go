@@ -199,7 +199,7 @@ func TestScalingInvariance(t *testing.T) {
 	}
 	base := quorum.VoteAssignment{3, 1, 2, 1, 1, 2, 1}
 	T := base.Total()
-	pmf1, err := sc.Density(base)
+	pmf1, err := sc.density(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestScalingInvariance(t *testing.T) {
 		for i, v := range base {
 			scaled[i] = k * v
 		}
-		pmf2, err := sc.Density(scaled)
+		pmf2, err := sc.density(scaled, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,22 +170,6 @@ func (p Piecewise) Alpha(t float64) float64 { return clamp01(p.at(t).Alpha) }
 // Rate implements RatePattern.
 func (p Piecewise) Rate(t float64) float64 { return p.at(t).Rate }
 
-// ValidateRate checks a rate pattern over a horizon: the factor must be
-// finite and non-negative.
-func ValidateRate(rp RatePattern, horizon float64, samples int) error {
-	if samples <= 0 || horizon <= 0 {
-		return fmt.Errorf("workload: bad validation args")
-	}
-	for i := 0; i <= samples; i++ {
-		t := horizon * float64(i) / float64(samples)
-		r := rp.Rate(t)
-		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-			return fmt.Errorf("workload: rate(%g) = %g invalid", t, r)
-		}
-	}
-	return nil
-}
-
 // Arrivals draws per-step operation counts from a rate pattern: the count
 // at step t is Poisson with mean meanPerStep × rate(t). Deterministic
 // under a fixed seed.

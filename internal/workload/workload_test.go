@@ -147,9 +147,6 @@ func TestFlashCrowdBounds(t *testing.T) {
 	if err := Validate(f, 1000, 2000); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateRate(f, 1000, 2000); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFlashCrowdOneShot(t *testing.T) {
@@ -210,24 +207,6 @@ func TestPiecewiseRegimes(t *testing.T) {
 func TestConstantRate(t *testing.T) {
 	if ConstantRate(2.5).Rate(0) != 2.5 || ConstantRate(2.5).Rate(1e9) != 2.5 {
 		t.Fatal("constant rate not constant")
-	}
-	if err := ValidateRate(ConstantRate(1), 10, 10); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRateRejects(t *testing.T) {
-	if err := ValidateRate(ConstantRate(1), 0, 10); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-	if err := ValidateRate(ConstantRate(1), 10, 0); err == nil {
-		t.Fatal("zero samples accepted")
-	}
-	if err := ValidateRate(ConstantRate(-1), 10, 10); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if err := ValidateRate(ConstantRate(math.Inf(1)), 10, 10); err == nil {
-		t.Fatal("infinite rate accepted")
 	}
 }
 
