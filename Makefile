@@ -135,14 +135,14 @@ hedge:
 # scenario sample, plus the end-to-end crosscheck of the scenario engine's
 # prediction against the discrete-event simulator.
 weights:
-	$(GO) run ./cmd/voteopt -net star -n 50 -search anneal -p 0.9 -r 0.7 \
+	$(GO) run ./cmd/quorumsim votes -net star -sites 50 -search anneal -p 0.9 -r 0.7 \
 		-alpha 0.5 -max 4 -scenarios 2000 -seed 1
 	$(GO) run ./cmd/quorumsim weightcheck -sites 9 -alpha 0.75 -seed 1
 
 # Solve the case-study system for a certified capacity-optimal randomized
-# strategy and print it (see also `quorumopt -strategy -objective latency`).
+# strategy and print it (see also `quorumsim strategy -objective latency`).
 strategy:
-	$(GO) run ./cmd/quorumopt -strategy
+	$(GO) run ./cmd/quorumsim strategy
 
 # Per-rung solver micro-benchmarks: one certified resilient-capacity solve
 # at 9 (the whole LP, enumerated), 11 and 13 (column generation to exact

@@ -40,6 +40,23 @@
 //   - weightcheck: anneal weighted votes on a star and crosscheck the
 //     scenario engine's prediction against the discrete-event simulator.
 //   - hedge: the slow-replica scenario unhedged vs hedged.
+//   - optimize: the paper's optimizer on the closed-form component-size
+//     densities of §4.2 (ring, fully-connected, single-bus) for any network
+//     size, reliability, read fraction and optional minimum write
+//     availability; -curve, -sweep (CSV) and -omega (§5.4) print more.
+//   - strategy: a certified optimal randomized quorum strategy — capacity,
+//     f-resilient capacity, or expected latency under a load limit — over
+//     the built-in case study or a seeded heterogeneous system of -sites.
+//     A solve that cannot certify prints one JSON object on stderr
+//     (`.infeasible` tells an impossible request from a numerical failure).
+//   - votes: vote assignments optimized jointly with quorum assignments
+//     (the paper's reference [7]) by hill climbing, exhaustive search or
+//     annealing, for availability or LP capacity; every result carries an
+//     intersection certificate.
+//   - check: explicit-state exploration of the quorum consensus + QR
+//     reassignment protocol on a small network, verifying single writer
+//     and read-latest in every reachable state. A violation prints its
+//     counterexample trace; a spent -maxstates budget is inconclusive.
 //
 // Every subcommand takes -seed and the observability flags: -metrics writes
 // a Prometheus text snapshot of the run's counters, gauges, and histograms;
@@ -61,6 +78,17 @@
 //	quorumsim weightcheck -sites 9 -alpha 0.75 -seed 1
 //	quorumsim hedge -seed 1
 //	quorumsim churn -metrics metrics.prom -trace trace.jsonl -pprof churn
+//	quorumsim optimize -net ring -sites 101 -p 0.96 -r 0.96 -alpha 0.75
+//	quorumsim optimize -net complete -sites 101 -alpha 0.75 -minwrite 0.2
+//	quorumsim optimize -net bus-kills -sites 51 -curve
+//	quorumsim strategy -objective latency
+//	quorumsim strategy -sites 151 -gap 0.05
+//	quorumsim votes -net star -sites 6 -p 0.9 -r 0.7 -alpha 0.5 -max 3
+//	quorumsim votes -net path -sites 5 -search exhaustive
+//	quorumsim votes -net star -sites 100 -search anneal -scenarios 1000 -steps 800
+//	quorumsim votes -objective capacity -sites 12 -search anneal
+//	quorumsim check -net path -sites 4
+//	quorumsim check -net ring -sites 4 -versioncap 2
 package main
 
 import (
@@ -127,6 +155,38 @@ func (fs *flagSet) fraction(name string, value float64, usage string) *float64 {
 	return p
 }
 
+// oneOf is fs.String for a flag whose value must be one of choices.
+func (fs *flagSet) oneOf(name, value, usage string, choices ...string) *string {
+	list := strings.Join(choices, " | ")
+	p := fs.String(name, value, usage+": "+list)
+	fs.check(func() bool { return slices.Contains(choices, *p) }, "-%s must be one of %s", name, list)
+	return p
+}
+
+// topology is a -net choice: its constructor and the fewest sites that
+// constructor accepts.
+type topology[B any] struct {
+	name  string
+	least int
+	build B
+}
+
+// netFlags registers -net, which must name one of nets, and -sites, which
+// must be at least that topology's least site count. It returns -sites and
+// the chosen topology, both valid once the flags are parsed.
+func netFlags[B any](fs *flagSet, nets []topology[B], net string, sites int, usage string) (*int, func() topology[B]) {
+	names := make([]string, len(nets))
+	for i, t := range nets {
+		names[i] = t.name
+	}
+	name := fs.oneOf("net", net, "topology", names...)
+	n := fs.Int("sites", sites, usage)
+	for _, t := range nets {
+		fs.check(func() bool { return *name != t.name || *n >= t.least }, "-sites must be at least %d for -net %s", t.least, t.name)
+	}
+	return n, func() topology[B] { return nets[slices.Index(names, *name)] }
+}
+
 var commands = []command{
 	{"measure", "", "availability of one assignment by batched simulation (paper §5.2)", bindMeasure},
 	{"study", "", "the sharded chords × α study grid (large-N engine)", bindStudy},
@@ -135,6 +195,10 @@ var commands = []command{
 	{"suite", "name", "run a gate suite and check its bounds: " + suiteNames(), bindSuite},
 	{"weightcheck", "", "annealed weighted votes: scenario prediction vs the discrete-event simulator", bindWeightCheck},
 	{"hedge", "", "hedged-read demo: slow-replica scenario unhedged vs hedged", bindHedge},
+	{"optimize", "", "optimal assignment from the §4.2 closed-form densities (ring, complete, bus)", bindOptimize},
+	{"strategy", "", "certified optimal randomized quorum strategy (capacity, resilient or latency LP)", bindStrategy},
+	{"votes", "", "vote assignments optimized jointly with quorums (ref. [7]), every result certified", bindVotes},
+	{"check", "", "model-check the QR reassignment protocol's safety on a small network", bindCheck},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stderr)) }

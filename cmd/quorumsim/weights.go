@@ -21,7 +21,6 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/sim"
-	"quorumkit/internal/strategy"
 	"quorumkit/internal/votes"
 )
 
@@ -147,19 +146,11 @@ func weightsCases(seed uint64) []weightsCase {
 			cfg:  votes.SearchConfig{MaxVotesPerSite: 3, Seed: seed, Steps: 600, Restarts: 2},
 		},
 		{
-			// voteopt -objective capacity's synthetic model: alternating
-			// fast (4000/2000 accesses per unit time) and slow (2000/1000)
-			// sites under a 90%-read workload.
+			// The votes command's -objective capacity model.
 			name: "tiered-12-capacity",
 			n:    12,
-			obj: func() (votes.Objective, error) {
-				readCap, writeCap := make([]float64, 12), make([]float64, 12)
-				for i := range readCap {
-					readCap[i], writeCap[i] = 4000-2000*float64(i%2), 2000-1000*float64(i%2)
-				}
-				return votes.CapacityObjective{ReadCap: readCap, WriteCap: writeCap, Dist: strategy.SingleFr(0.9)}, nil
-			},
-			cfg: votes.SearchConfig{MaxVotesPerSite: 3, Seed: seed, Steps: 80, Restarts: 1},
+			obj:  func() (votes.Objective, error) { return capacityObjective(12), nil },
+			cfg:  votes.SearchConfig{MaxVotesPerSite: 3, Seed: seed, Steps: 80, Restarts: 1},
 		},
 	}
 }

@@ -59,7 +59,7 @@ func CaseStudyLoadLimit() float64 { return 1.0 / 2000 }
 
 // HeteroSystem draws an n-site unit-vote majority system with
 // heterogeneous capacities and latencies, deterministic in the seed: the
-// large-N system of `quorumopt -strategy -stratn` and of the strategy
+// large-N system of `quorumsim strategy -sites` and of the strategy
 // gate suite, which must agree draw for draw.
 func HeteroSystem(n int, seed uint64) System {
 	src := rng.New(seed)

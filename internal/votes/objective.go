@@ -50,9 +50,22 @@ type CapacityObjective struct {
 // Name implements Objective.
 func (o CapacityObjective) Name() string { return "capacity" }
 
-// Eval implements Objective.
+// Eval implements Objective. A vector with a single vote has no majority
+// pairing (q_r = ⌊1/2⌋ = 0 is no quorum); it is scored at the one threshold
+// pair T = 1 admits, q_r = q_w = 1: the site holding the vote serves every
+// access.
 func (o CapacityObjective) Eval(v quorum.VoteAssignment) (ObjValue, error) {
-	sys, err := strategy.MajoritySystem(v, o.ReadCap, o.WriteCap, o.Latency)
+	var sys strategy.System
+	var err error
+	if v.Total() == 1 {
+		sys = strategy.System{Votes: v, QR: 1, QW: 1, ReadCap: o.ReadCap, WriteCap: o.WriteCap, Latency: o.Latency}
+		if sys.Latency == nil {
+			sys.Latency = make([]float64, len(v))
+		}
+		err = sys.Validate()
+	} else {
+		sys, err = strategy.MajoritySystem(v, o.ReadCap, o.WriteCap, o.Latency)
+	}
 	if err != nil {
 		return ObjValue{}, err
 	}

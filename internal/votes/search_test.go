@@ -377,6 +377,27 @@ func TestMajorityPairingCertifies(t *testing.T) {
 	}
 }
 
+// TestCapacityObjectiveSingleVote: a one-vote vector has no majority
+// pairing; the capacity objective scores it at q_r = q_w = 1, the site
+// holding the vote serving every access, and the result certifies.
+func TestCapacityObjectiveSingleVote(t *testing.T) {
+	obj := CapacityObjective{ReadCap: []float64{4000, 2000, 4000}, WriteCap: []float64{2000, 1000, 2000}, Dist: strategy.SingleFr(0.9)}
+	v := quorum.VoteAssignment{0, 1, 0}
+	ov, err := obj.Eval(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov.Assignment != (quorum.Assignment{QR: 1, QW: 1}) {
+		t.Fatalf("assignment %v, want (1, 1)", ov.Assignment)
+	}
+	if want := 1 / (0.9/2000 + 0.1/1000); math.Abs(ov.Value-want) > 1e-6*want {
+		t.Fatalf("capacity %g, want site 1's %g", ov.Value, want)
+	}
+	if cert, ok := certifyValue(v, ov); !ok {
+		t.Fatalf("(1, 1) at T = 1 uncertified: %v", cert.Check())
+	}
+}
+
 func TestSearchConfigValidation(t *testing.T) {
 	obj := exactObjective(t, graph.Star(4), 0.9, 0.7, 0.5)
 	bad := []SearchConfig{
