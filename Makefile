@@ -144,12 +144,14 @@ weights:
 strategy:
 	$(GO) run ./cmd/quorumsim strategy
 
-# Per-rung solver micro-benchmarks: one certified resilient-capacity solve
-# at 9 (the whole LP, enumerated), 11 and 13 (column generation to exact
-# convergence) and 31 sites (column generation to the 5% gap), ns/op and
-# allocs/op in seconds — the quick read while working on the solver; the
-# gated numbers are `make gate SUITE=strategy`'s certificates and pivot
-# counts and the end-to-end solve-ladder's timings.
+# Per-rung solver micro-benchmarks, one rung per solve path (DESIGN §15
+# "Which path"): one certified resilient-capacity solve at 9 sites (≤ 256
+# quorums a side: the whole LP enumerated and solved from the crash basis),
+# 11 and 13 (≤ 2,048: column generation to exact pricing convergence) and
+# 31 (beyond: column generation to the 5% gap). ns/op, B/op and allocs/op
+# in seconds — the quick read while working on the solver; the gated
+# numbers are `make gate SUITE=strategy`'s certificates and pivot counts
+# and the end-to-end solve-ladder's timings.
 bench-solver:
 	$(GO) test ./internal/strategy/ -run xxx -bench Ladder -benchmem -count 3
 

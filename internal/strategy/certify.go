@@ -21,22 +21,39 @@ import (
 // the objective. A Solution that passes CheckSolution is proved correct
 // regardless of what the solver did internally.
 
-// CheckSolution verifies a Solution against its LP within tolerance tol.
-// A nil return means the claimed status is certified.
+// CheckSolution verifies a Solution against its LP within tolerance tol,
+// in O(nnz + m + n). A nil return means the claimed status is certified.
+// Every comparison is written so that a NaN fails it, and a witness with a
+// non-finite entry is refused before any arithmetic: Inf·0 would otherwise
+// turn a violated check into a NaN that passes.
 func CheckSolution(lp LP, sol Solution, tol float64) error {
 	if err := lp.Validate(); err != nil {
 		return err
 	}
+	if !finite(sol.Obj) {
+		return fmt.Errorf("strategy: objective %g is not finite", sol.Obj)
+	}
+	for _, w := range []struct {
+		name string
+		v    []float64
+	}{{"x", sol.X}, {"y", sol.Y}, {"ray", sol.Ray}} {
+		for i, v := range w.v {
+			if !finite(v) {
+				return fmt.Errorf("strategy: %s[%d] = %g is not finite", w.name, i, v)
+			}
+		}
+	}
 	switch sol.Status {
 	case StatusOptimal:
-		if err := checkPrimalFeasible(lp, sol.X, tol); err != nil {
+		resid, err := checkPrimalFeasible(lp, sol.X, tol)
+		if err != nil {
 			return err
 		}
-		return checkDualOptimal(lp, sol, tol)
+		return checkDualOptimal(lp, sol, resid, tol)
 	case StatusInfeasible:
 		return checkFarkas(lp, sol.Y, tol)
 	case StatusUnbounded:
-		if err := checkPrimalFeasible(lp, sol.X, tol); err != nil {
+		if _, err := checkPrimalFeasible(lp, sol.X, tol); err != nil {
 			return fmt.Errorf("unbounded claim: %w", err)
 		}
 		return checkRay(lp, sol.Ray, tol)
@@ -45,90 +62,117 @@ func CheckSolution(lp LP, sol Solution, tol float64) error {
 	}
 }
 
-func checkPrimalFeasible(lp LP, x []float64, tol float64) error {
-	if len(x) != lp.NumVars {
-		return fmt.Errorf("strategy: primal has %d values for %d variables", len(x), lp.NumVars)
-	}
-	for j, v := range x {
-		if math.IsNaN(v) || v < -tol {
-			return fmt.Errorf("strategy: x[%d] = %g violates nonnegativity", j, v)
+// activity returns A·x − b per row when minusRHS is set, A·x otherwise,
+// accumulated column by column over the nonzeros of x's support.
+func activity(lp LP, x []float64, minusRHS bool) []float64 {
+	a := make([]float64, len(lp.Rows))
+	if minusRHS {
+		for i, row := range lp.Rows {
+			a[i] = -row.RHS
 		}
 	}
+	for j, xj := range x {
+		if xj == 0 {
+			continue
+		}
+		rows, vals := lp.col(j)
+		for p, i := range rows {
+			a[i] += vals[p] * xj
+		}
+	}
+	return a
+}
+
+// checkSenses verifies that each row's residual respects its sense within
+// tol.
+func checkSenses(lp LP, resid []float64, tol float64, what string) error {
 	for i, row := range lp.Rows {
-		resid := -row.RHS
-		for j, c := range row.Coef {
-			resid += c * x[j]
-		}
+		r, ok := resid[i], false
 		switch row.Sense {
 		case LE:
-			if resid > tol {
-				return fmt.Errorf("strategy: row %d (≤) violated by %g", i, resid)
-			}
+			ok = r <= tol
 		case GE:
-			if resid < -tol {
-				return fmt.Errorf("strategy: row %d (≥) violated by %g", i, -resid)
-			}
+			ok = r >= -tol
 		case EQ:
-			if math.Abs(resid) > tol {
-				return fmt.Errorf("strategy: row %d (=) off by %g", i, resid)
-			}
+			ok = math.Abs(r) <= tol
+		}
+		if !ok {
+			return fmt.Errorf("strategy: %s row %d (%s) by %g", what, i, [...]string{"≤", "≥", "="}[row.Sense], r)
 		}
 	}
 	return nil
 }
 
-func checkDualOptimal(lp LP, sol Solution, tol float64) error {
-	y := sol.Y
+// checkDualSigns verifies the dual sign pattern: y ≤ 0 on LE rows, y ≥ 0
+// on GE rows, within tol.
+func checkDualSigns(lp LP, y []float64, tol float64, what string) error {
 	if len(y) != len(lp.Rows) {
-		return fmt.Errorf("strategy: dual has %d values for %d rows", len(y), len(lp.Rows))
+		return fmt.Errorf("strategy: %s has %d values for %d rows", what, len(y), len(lp.Rows))
 	}
 	for i, row := range lp.Rows {
-		if math.IsNaN(y[i]) {
-			return fmt.Errorf("strategy: y[%d] is NaN", i)
+		if (row.Sense == LE && !(y[i] <= tol)) || (row.Sense == GE && !(y[i] >= -tol)) {
+			return fmt.Errorf("strategy: %s y[%d] = %g has the wrong sign for its row", what, i, y[i])
 		}
-		switch row.Sense {
-		case LE:
-			if y[i] > tol {
-				return fmt.Errorf("strategy: y[%d] = %g > 0 on a ≤ row", i, y[i])
-			}
-		case GE:
-			if y[i] < -tol {
-				return fmt.Errorf("strategy: y[%d] = %g < 0 on a ≥ row", i, y[i])
-			}
+	}
+	return nil
+}
+
+func checkNonnegative(v []float64, n int, tol float64, what string) error {
+	if len(v) != n {
+		return fmt.Errorf("strategy: %s has %d values for %d variables", what, len(v), n)
+	}
+	for j, x := range v {
+		if !(x >= -tol) {
+			return fmt.Errorf("strategy: %s[%d] = %g violates nonnegativity", what, j, x)
 		}
+	}
+	return nil
+}
+
+// checkPrimalFeasible verifies x ≥ 0 and every row within tol, and returns
+// the row residuals A·x − b.
+func checkPrimalFeasible(lp LP, x []float64, tol float64) ([]float64, error) {
+	if err := checkNonnegative(x, lp.NumVars, tol, "x"); err != nil {
+		return nil, err
+	}
+	resid := activity(lp, x, true)
+	return resid, checkSenses(lp, resid, tol, "primal violates")
+}
+
+// checkDualOptimal verifies the duals of a primal-feasible x with row
+// residuals resid.
+func checkDualOptimal(lp LP, sol Solution, resid []float64, tol float64) error {
+	y := sol.Y
+	if err := checkDualSigns(lp, y, tol, "dual"); err != nil {
+		return err
 	}
 	// Reduced costs and complementary slackness, column by column.
-	for j := 0; j < lp.NumVars; j++ {
-		rc := lp.Cost[j]
-		for i, row := range lp.Rows {
-			rc -= y[i] * row.Coef[j]
-		}
-		if rc < -tol {
-			return fmt.Errorf("strategy: column %d has reduced cost %g < 0", j, rc)
-		}
-		if s := sol.X[j] * rc; math.Abs(s) > tol {
-			return fmt.Errorf("strategy: complementary slackness x[%d]·rc = %g", j, s)
-		}
-	}
-	dualObj := 0.0
-	for i, row := range lp.Rows {
-		resid := -row.RHS
-		for j, c := range row.Coef {
-			resid += c * sol.X[j]
-		}
-		if s := y[i] * resid; math.Abs(s) > tol {
-			return fmt.Errorf("strategy: complementary slackness y[%d]·slack = %g", i, s)
-		}
-		dualObj += y[i] * row.RHS
-	}
 	primalObj := 0.0
 	for j, c := range lp.Cost {
+		rc := c
+		rows, vals := lp.col(j)
+		for p, i := range rows {
+			rc -= y[i] * vals[p]
+		}
+		if !(rc >= -tol) {
+			return fmt.Errorf("strategy: column %d has reduced cost %g < 0", j, rc)
+		}
+		if s := sol.X[j] * rc; !(math.Abs(s) <= tol) {
+			return fmt.Errorf("strategy: complementary slackness x[%d]·rc = %g", j, s)
+		}
 		primalObj += c * sol.X[j]
 	}
-	if math.Abs(primalObj-sol.Obj) > tol {
+	dualObj := 0.0
+	for i, r := range resid {
+		if s := y[i] * r; !(math.Abs(s) <= tol) {
+			return fmt.Errorf("strategy: complementary slackness y[%d]·slack = %g", i, s)
+		}
+		dualObj += y[i] * lp.Rows[i].RHS
+	}
+	if !(math.Abs(primalObj-sol.Obj) <= tol) {
 		return fmt.Errorf("strategy: reported objective %g but c·x = %g", sol.Obj, primalObj)
 	}
-	if math.Abs(primalObj-dualObj) > tol {
+	if !(math.Abs(primalObj-dualObj) <= tol) {
 		return fmt.Errorf("strategy: duality gap %g (primal %g, dual %g)",
 			primalObj-dualObj, primalObj, dualObj)
 	}
@@ -139,30 +183,16 @@ func checkDualOptimal(lp LP, sol Solution, tol float64) error {
 // pattern, any feasible x would force y·(Ax) ≥ y·b > 0, but y·A ≤ 0
 // columnwise and x ≥ 0 force y·(Ax) ≤ 0.
 func checkFarkas(lp LP, y []float64, tol float64) error {
-	if len(y) != len(lp.Rows) {
-		return fmt.Errorf("strategy: Farkas witness has %d values for %d rows", len(y), len(lp.Rows))
-	}
-	for i, row := range lp.Rows {
-		if math.IsNaN(y[i]) {
-			return fmt.Errorf("strategy: Farkas y[%d] is NaN", i)
-		}
-		switch row.Sense {
-		case LE:
-			if y[i] > tol {
-				return fmt.Errorf("strategy: Farkas y[%d] = %g > 0 on a ≤ row", i, y[i])
-			}
-		case GE:
-			if y[i] < -tol {
-				return fmt.Errorf("strategy: Farkas y[%d] = %g < 0 on a ≥ row", i, y[i])
-			}
-		}
+	if err := checkDualSigns(lp, y, tol, "Farkas witness"); err != nil {
+		return err
 	}
 	for j := 0; j < lp.NumVars; j++ {
 		ya := 0.0
-		for i, row := range lp.Rows {
-			ya += y[i] * row.Coef[j]
+		rows, vals := lp.col(j)
+		for p, i := range rows {
+			ya += y[i] * vals[p]
 		}
-		if ya > tol {
+		if !(ya <= tol) {
 			return fmt.Errorf("strategy: Farkas y·A[%d] = %g > 0", j, ya)
 		}
 	}
@@ -170,7 +200,7 @@ func checkFarkas(lp LP, y []float64, tol float64) error {
 	for i, row := range lp.Rows {
 		yb += y[i] * row.RHS
 	}
-	if yb <= tol {
+	if !(yb > tol) {
 		return fmt.Errorf("strategy: Farkas y·b = %g not positive", yb)
 	}
 	return nil
@@ -179,39 +209,17 @@ func checkFarkas(lp LP, y []float64, tol float64) error {
 // checkRay verifies an unboundedness witness: a nonnegative recession
 // direction that keeps every row feasible and strictly decreases the cost.
 func checkRay(lp LP, d []float64, tol float64) error {
-	if len(d) != lp.NumVars {
-		return fmt.Errorf("strategy: ray has %d values for %d variables", len(d), lp.NumVars)
+	if err := checkNonnegative(d, lp.NumVars, tol, "ray"); err != nil {
+		return err
 	}
-	for j, v := range d {
-		if math.IsNaN(v) || v < -tol {
-			return fmt.Errorf("strategy: ray[%d] = %g violates nonnegativity", j, v)
-		}
-	}
-	for i, row := range lp.Rows {
-		ad := 0.0
-		for j, c := range row.Coef {
-			ad += c * d[j]
-		}
-		switch row.Sense {
-		case LE:
-			if ad > tol {
-				return fmt.Errorf("strategy: ray drifts out of ≤ row %d by %g", i, ad)
-			}
-		case GE:
-			if ad < -tol {
-				return fmt.Errorf("strategy: ray drifts out of ≥ row %d by %g", i, -ad)
-			}
-		case EQ:
-			if math.Abs(ad) > tol {
-				return fmt.Errorf("strategy: ray drifts out of = row %d by %g", i, ad)
-			}
-		}
+	if err := checkSenses(lp, activity(lp, d, false), tol, "ray drifts out of"); err != nil {
+		return err
 	}
 	cd := 0.0
 	for j, c := range lp.Cost {
 		cd += c * d[j]
 	}
-	if cd >= -tol {
+	if !(cd < -tol) {
 		return fmt.Errorf("strategy: ray has cost direction %g, not strictly negative", cd)
 	}
 	return nil

@@ -52,7 +52,7 @@ func enumeratedCapacity(t *testing.T, sys System, d FrDist, f int) *Result {
 		t.Fatalf("oracle: no complete non-empty pools (%d read, %d write)", len(reads), len(writes))
 	}
 	scale := capScale(sys)
-	lp, _, sol, err := solveCapacityLP(sys, d, reads, writes, scale)
+	lp, _, sol, err := solveCapacityLP(newLoadCoefs(sys, d, scale), d, reads, writes)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestLagrangeBoundAnyDuals(t *testing.T) {
 				sys := uniformSystem(n, uint64(n))
 				exact := enumeratedCapacity(t, sys, d, f)
 				opt := exact.Sol.Obj // rescaled units, as LB is
-				g := newLagrangian(sys, d, f, exact.Scale)
+				g := newLagrangian(sys, d, f, newLoadCoefs(sys, d, exact.Scale))
 				star := make([]float64, n*J)
 				for i := range star {
 					star[i] = math.Min(exact.Sol.Y[2+i], 0)

@@ -21,21 +21,26 @@ import (
 //
 // Only minimal quorums enter the LP (enumerate.go), and capacities and
 // latencies are rescaled to O(1) before the solve so the 1e-9 certificate
-// tolerances are meaningful. The capacity objectives solve the whole LP
-// only while each side has at most enumerateMax minimal quorums; past that
-// they run column generation, which measures faster from 11 sites up
-// (DESIGN §15): solve over a seeded pool, then each round price one quorum
-// column per side with a min-cost vote-knapsack DP (O(n·f·q), on one
-// pricer per side that owns its vote order and DP table for the whole run)
-// at Wentges-smoothed duals, and append it to the sparse revised simplex,
-// which warm-starts from its optimal basis. Every pricing yields a certified Lagrangian bound, so the
-// run can stop at a target gap; convergence is declared only when pricing
-// at the master's own duals proves no quorum anywhere has negative reduced
-// cost. Generation ignores Options.TargetGap and runs to that proof while
-// both sides have at most exactMax minimal quorums, so every system the
-// full LP once solved exactly still gets an exact optimum. The proof is
-// what keeps strategy search *certified* far past enumeration: a 151-site
-// system reaches a 5% certified gap in about 1.5 s.
+// tolerances are meaningful. Every LP is column-sparse from the start: one
+// helper (loadCoefs.column) writes a quorum's column — its convexity row,
+// then one load row per (fr-atom, member) — for the capacity LP, the
+// latency LP and the columns generation appends, and the solver and the
+// certificate work over those nonzeros as they are. The capacity
+// objectives solve the whole LP only while each side has at most
+// enumerateMax minimal quorums; past that they run column generation,
+// which measures faster from 11 sites up (DESIGN §15): solve over a seeded
+// pool, then each round price one quorum column per side with a min-cost
+// vote-knapsack DP (O(n·f·q), on one pricer per side that owns its vote
+// order and DP table for the whole run) at Wentges-smoothed duals, and
+// append it to the solver, which warm-starts from its optimal basis. Every
+// pricing yields a certified Lagrangian bound, so the run can stop at a
+// target gap; convergence is declared only when pricing at the master's
+// own duals proves no quorum anywhere has negative reduced cost.
+// Generation ignores Options.TargetGap and runs to that proof while both
+// sides have at most exactMax minimal quorums, so every system the full LP
+// once solved exactly still gets an exact optimum. The proof is what keeps
+// strategy search *certified* far past enumeration: a 151-site system
+// reaches a 5% certified gap in about 1.5 s.
 
 // ErrLoadLimitInfeasible reports that no strategy meets the latency
 // optimizer's per-site load limit; the returned Result carries the Farkas
@@ -134,51 +139,82 @@ func capScale(sys System) float64 {
 // loadRow returns the LP row index of site x at fr-atom j.
 func loadRow(n, j, x int) int { return 2 + j*n + x }
 
-// readCoef is the load-row coefficient of a read quorum containing x at
-// fr-atom j, in rescaled units.
-func readCoef(sys System, scale, fr float64, x int) float64 {
-	return fr * scale / sys.ReadCap[x]
+// loadCoefs holds the load-row coefficients of one capacity or latency LP,
+// one table per side (0 reads, 1 writes) laid out j·n+x: the load, in
+// rescaled units, that a quorum containing site x puts on x at fr-atom j.
+type loadCoefs struct {
+	n    int
+	side [2][]float64
 }
 
-func writeCoef(sys System, scale, fr float64, x int) float64 {
-	return (1 - fr) * scale / sys.WriteCap[x]
+func newLoadCoefs(sys System, d FrDist, scale float64) loadCoefs {
+	n := sys.N()
+	c := loadCoefs{n: n, side: [2][]float64{make([]float64, n*len(d.Fr)), make([]float64, n*len(d.Fr))}}
+	for j, fr := range d.Fr {
+		for x := 0; x < n; x++ {
+			c.side[0][j*n+x] = fr * scale / sys.ReadCap[x]
+			c.side[1][j*n+x] = (1 - fr) * scale / sys.WriteCap[x]
+		}
+	}
+	return c
+}
+
+// column appends the nonzeros of quorum q's column on side to rows and
+// vals: its convexity row, then the load row of each (fr-atom, member)
+// pair, rows ascending because q is sorted. A zero coefficient (fr = 0 on
+// the read side, fr = 1 on the write side) is not stored.
+func (c loadCoefs) column(rows []int, vals []float64, side int, q Quorum) ([]int, []float64) {
+	rows, vals = append(rows, side), append(vals, 1)
+	coef := c.side[side]
+	for j := 0; j*c.n < len(coef); j++ {
+		for _, x := range q {
+			if v := coef[j*c.n+x]; v != 0 {
+				rows, vals = append(rows, loadRow(c.n, j, x)), append(vals, v)
+			}
+		}
+	}
+	return rows, vals
+}
+
+// poolLP lays out an LP over [readPool | writePool | extra more columns]:
+// two convexity rows (= 1), then one ≤ loadRHS row per (fr-atom, site), and
+// the quorum columns. The caller sets the costs and appends the extra
+// columns, which have room for n nonzeros each.
+func poolLP(c loadCoefs, readPool, writePool []Quorum, extra int, loadRHS float64) LP {
+	pools := [2][]Quorum{readPool, writePool}
+	nv := len(readPool) + len(writePool) + extra
+	nnz, J := nv-extra+extra*c.n, len(c.side[0])/c.n
+	for _, pool := range pools {
+		for _, q := range pool {
+			nnz += J * len(q)
+		}
+	}
+	lp := LP{NumVars: nv, Cost: make([]float64, nv), Rows: make([]Row, 2+J*c.n),
+		ColStart: make([]int, 1, nv+1), ColRow: make([]int, 0, nnz), ColVal: make([]float64, 0, nnz)}
+	for i := range lp.Rows {
+		lp.Rows[i] = Row{Sense: LE, RHS: loadRHS}
+	}
+	lp.Rows[0], lp.Rows[1] = Row{Sense: EQ, RHS: 1}, Row{Sense: EQ, RHS: 1}
+	for side, pool := range pools {
+		for _, q := range pool {
+			lp.ColRow, lp.ColVal = c.column(lp.ColRow, lp.ColVal, side, q)
+			lp.endColumn()
+		}
+	}
+	return lp
 }
 
 // buildCapacityLP lays out min Σ p_j·L_j with variables
 // [readPool | writePool | L_0..L_{J-1}]: two normalization rows, then one
-// ≤ 0 row per (fr-atom, site).
-func buildCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale float64) LP {
-	n, nR, nW, J := sys.N(), len(readPool), len(writePool), len(d.Fr)
-	nv := nR + nW + J
-	lp := LP{NumVars: nv, Cost: make([]float64, nv), Rows: make([]Row, 2+n*J)}
-	for j := 0; j < J; j++ {
-		lp.Cost[nR+nW+j] = d.P[j]
-	}
-	for i := range lp.Rows {
-		lp.Rows[i] = Row{Coef: make([]float64, nv), Sense: LE}
-	}
-	lp.Rows[0].Sense, lp.Rows[0].RHS = EQ, 1
-	lp.Rows[1].Sense, lp.Rows[1].RHS = EQ, 1
-	for r, q := range readPool {
-		lp.Rows[0].Coef[r] = 1
-		for j, fr := range d.Fr {
-			for _, x := range q {
-				lp.Rows[loadRow(n, j, x)].Coef[r] = readCoef(sys, scale, fr, x)
-			}
+// ≤ 0 row per (fr-atom, site), where L_j carries −1.
+func buildCapacityLP(c loadCoefs, d FrDist, readPool, writePool []Quorum) LP {
+	lp := poolLP(c, readPool, writePool, len(d.Fr), 0)
+	for j, p := range d.P {
+		lp.Cost[len(readPool)+len(writePool)+j] = p
+		for x := 0; x < c.n; x++ {
+			lp.ColRow, lp.ColVal = append(lp.ColRow, loadRow(c.n, j, x)), append(lp.ColVal, -1)
 		}
-	}
-	for w, q := range writePool {
-		lp.Rows[1].Coef[nR+w] = 1
-		for j, fr := range d.Fr {
-			for _, x := range q {
-				lp.Rows[loadRow(n, j, x)].Coef[nR+w] = writeCoef(sys, scale, fr, x)
-			}
-		}
-	}
-	for j := 0; j < J; j++ {
-		for x := 0; x < n; x++ {
-			lp.Rows[loadRow(n, j, x)].Coef[nR+nW+j] = -1
-		}
+		lp.endColumn()
 	}
 	return lp
 }
@@ -242,7 +278,7 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 		if len(readPool) == 0 || len(writePool) == 0 {
 			return nil, fmt.Errorf("%w (f=%d)", ErrResilienceInfeasible, f)
 		}
-		lp, _, sol, err := solveCapacityLP(sys, d, readPool, writePool, scale)
+		lp, _, sol, err := solveCapacityLP(newLoadCoefs(sys, d, scale), d, readPool, writePool)
 		if err != nil {
 			return nil, err
 		}
@@ -266,19 +302,17 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 // L columns first (at zero) and the two σ columns after keeps b ≥ 0 exactly
 // at every step, so no artificial ever has to climb out of the 2+nJ
 // degenerate load rows — the stall that kills a cold phase 1 here.
-func crashPlan(sys System, d FrDist, readPool, writePool []Quorum, scale float64) [][2]int {
-	n, nR, nW := sys.N(), len(readPool), len(writePool)
+func crashPlan(c loadCoefs, readPool, writePool []Quorum) [][2]int {
+	n, nR, nW, J := c.n, len(readPool), len(writePool), len(c.side[0])/c.n
 	loads := make([]float64, n)
-	pairs := make([][2]int, 0, len(d.Fr)+2)
-	for j, fr := range d.Fr {
-		for i := range loads {
-			loads[i] = 0
-		}
+	pairs := make([][2]int, 0, J+2)
+	for j := 0; j < J; j++ {
+		clear(loads)
 		for _, x := range readPool[0] {
-			loads[x] += readCoef(sys, scale, fr, x)
+			loads[x] += c.side[0][j*n+x]
 		}
 		for _, x := range writePool[0] {
-			loads[x] += writeCoef(sys, scale, fr, x)
+			loads[x] += c.side[1][j*n+x]
 		}
 		best := 0
 		for x := 1; x < n; x++ {
@@ -293,13 +327,13 @@ func crashPlan(sys System, d FrDist, readPool, writePool []Quorum, scale float64
 
 // solveCapacityLP builds the capacity LP over the given pools and solves it
 // cold from the crash basis, returning the solver for warm continuation.
-func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale float64) (LP, *simplex, Solution, error) {
-	lp := buildCapacityLP(sys, d, readPool, writePool, scale)
+func solveCapacityLP(c loadCoefs, d FrDist, readPool, writePool []Quorum) (LP, *simplex, Solution, error) {
+	lp := buildCapacityLP(c, d, readPool, writePool)
 	sx, err := newSimplex(lp)
 	if err != nil {
 		return lp, nil, Solution{}, err
 	}
-	if err := sx.crash(crashPlan(sys, d, readPool, writePool, scale)); err != nil {
+	if err := sx.crash(crashPlan(c, readPool, writePool)); err != nil {
 		return lp, nil, Solution{}, err
 	}
 	sol := sx.solve()
@@ -319,7 +353,7 @@ func solveCapacityLP(sys System, d FrDist, readPool, writePool []Quorum, scale f
 // taken on a cold solve, so the final certificate never inherits warm-pivot
 // drift.
 func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result, error) {
-	n := sys.N()
+	n, coefs := sys.N(), newLoadCoefs(sys, d, scale)
 	actR, err := seedQuorums(sys, sys.QR, f, sys.ReadCap, cgSeeds)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: seeding read quorums: %w", err)
@@ -342,7 +376,7 @@ func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result,
 	rebuild := func() error {
 		pivots += sol.Pivots // retire the old solver's count (0 at first)
 		var err error
-		if lp, sx, sol, err = solveCapacityLP(sys, d, actR, actW, scale); err != nil {
+		if lp, sx, sol, err = solveCapacityLP(coefs, d, actR, actW); err != nil {
 			return err
 		}
 		colR, colW = colR[:0], colW[:0]
@@ -390,22 +424,15 @@ func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result,
 	dirty := false
 	adds := 0 // warm columns since last rebuild
 	maxAdds := 4 * (n + len(d.Fr))
-	// Side 0 is reads (convexity row 0), side 1 writes (row 1).
-	coefOf := [2]func(System, float64, float64, int) float64{readCoef, writeCoef}
-	// addQuorum appends one quorum column: its convexity row, then one load
-	// row per (fr-atom, member).
+	// addQuorum appends one quorum column to the warm solver; side 0 is
+	// reads (convexity row 0), side 1 writes (row 1).
 	rows := make([]int, 0, 1+n*len(d.Fr))
 	vals := make([]float64, 0, 1+n*len(d.Fr))
 	addQuorum := func(side int, q Quorum) int {
-		rows, vals = append(rows[:0], side), append(vals[:0], 1)
-		for j, fr := range d.Fr {
-			for _, x := range q {
-				rows, vals = append(rows, loadRow(n, j, x)), append(vals, coefOf[side](sys, scale, fr, x))
-			}
-		}
+		rows, vals = coefs.column(rows[:0], vals[:0], side, q)
 		return sx.addColumn(0, rows, vals)
 	}
-	lg := newLagrangian(sys, d, f, scale)
+	lg := newLagrangian(sys, d, f, coefs)
 	lam := make([]float64, n*len(d.Fr)) // λ: the master's load-row duals, clamped ≤ 0
 	smooth := make([]float64, len(lam)) // λ̃ = α·λ̄ + (1−α)·λ
 	var center []float64                // λ̄: the duals of the best bound so far
@@ -424,9 +451,9 @@ func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result,
 	// reduced cost at the master's own duals.
 	violation := func(q Quorum, side int) float64 {
 		v := sol.Y[side]
-		for j, fr := range d.Fr {
+		for j := range d.Fr {
 			for _, x := range q {
-				v += lam[j*n+x] * coefOf[side](sys, scale, fr, x)
+				v += lam[j*n+x] * coefs.side[side][j*n+x]
 			}
 		}
 		return v
@@ -540,16 +567,15 @@ func generateCapacity(sys System, d FrDist, f int, scale, gap float64) (*Result,
 // and LB is positively homogeneous in λ. So LB is a certified lower bound
 // whichever solve produced λ: cold, warm or smoothed.
 type lagrangian struct {
-	sys          System
-	d            FrDist
-	scale        float64
+	coefs        loadCoefs
+	p            []float64 // the fr-atom probabilities
 	r, w         *pricer
 	rcost, wcost []float64
 }
 
-func newLagrangian(sys System, d FrDist, f int, scale float64) *lagrangian {
+func newLagrangian(sys System, d FrDist, f int, coefs loadCoefs) *lagrangian {
 	n := sys.N()
-	return &lagrangian{sys: sys, d: d, scale: scale,
+	return &lagrangian{coefs: coefs, p: d.P,
 		r: newPricer(sys.Votes, sys.QR, f), w: newPricer(sys.Votes, sys.QW, f),
 		rcost: make([]float64, n), wcost: make([]float64, n)}
 }
@@ -559,14 +585,15 @@ func (g *lagrangian) price(lam []float64) (qR, qW Quorum, lb float64) {
 	n, s := len(g.rcost), 1.0
 	clear(g.rcost)
 	clear(g.wcost)
-	for j, fr := range g.d.Fr {
+	for j, p := range g.p {
 		use := 0.0
+		rc, wc := g.coefs.side[0][j*n:][:n], g.coefs.side[1][j*n:][:n]
 		for x, l := range lam[j*n : (j+1)*n] {
 			use -= l
-			g.rcost[x] -= l * readCoef(g.sys, g.scale, fr, x)
-			g.wcost[x] -= l * writeCoef(g.sys, g.scale, fr, x)
+			g.rcost[x] -= l * rc[x]
+			g.wcost[x] -= l * wc[x]
 		}
-		s = math.Max(s, use/g.d.P[j])
+		s = math.Max(s, use/p)
 	}
 	qR, cR, _ := g.r.price(g.rcost)
 	qW, cW, _ := g.w.price(g.wcost)
@@ -588,10 +615,9 @@ func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Re
 	if loadLimit <= 0 || math.IsNaN(loadLimit) || math.IsInf(loadLimit, 0) {
 		return nil, fmt.Errorf("strategy: bad load limit %g", loadLimit)
 	}
-	n := sys.N()
 	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, exactMax)
 	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, exactMax)
-	nR, nW := len(readPool), len(writePool)
+	nR := len(readPool)
 
 	scale := capScale(sys)
 	latScale := 0.0
@@ -602,30 +628,12 @@ func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Re
 		latScale = 1
 	}
 	fbar := d.Mean()
-	nv := nR + nW
-	lp := LP{NumVars: nv, Cost: make([]float64, nv), Rows: make([]Row, 2+n*len(d.Fr))}
-	for i := range lp.Rows {
-		lp.Rows[i] = Row{Coef: make([]float64, nv), Sense: LE, RHS: loadLimit * scale}
-	}
-	lp.Rows[0] = Row{Coef: make([]float64, nv), Sense: EQ, RHS: 1}
-	lp.Rows[1] = Row{Coef: make([]float64, nv), Sense: EQ, RHS: 1}
+	lp := poolLP(newLoadCoefs(sys, d, scale), readPool, writePool, 0, loadLimit*scale)
 	for r, q := range readPool {
-		lp.Rows[0].Coef[r] = 1
 		lp.Cost[r] = fbar * q.latency(sys.Latency) / latScale
-		for j, fr := range d.Fr {
-			for _, x := range q {
-				lp.Rows[loadRow(n, j, x)].Coef[r] = readCoef(sys, scale, fr, x)
-			}
-		}
 	}
 	for w, q := range writePool {
-		lp.Rows[1].Coef[nR+w] = 1
 		lp.Cost[nR+w] = (1 - fbar) * q.latency(sys.Latency) / latScale
-		for j, fr := range d.Fr {
-			for _, x := range q {
-				lp.Rows[loadRow(n, j, x)].Coef[nR+w] = writeCoef(sys, scale, fr, x)
-			}
-		}
 	}
 	sol, err := Solve(lp)
 	if err != nil {
@@ -705,34 +713,28 @@ func CertifyGlobalCapacity(sys System, d FrDist, f int, res *Result, tol float64
 	if len(y) != 2+n*J {
 		return fmt.Errorf("strategy: dual has %d entries, want %d", len(y), 2+n*J)
 	}
-	check := func(side string, qs []Quorum, mu float64, coef func(fr float64, x int) float64) error {
+	coefs := newLoadCoefs(sys, d, res.Scale)
+	var rows []int
+	var vals []float64
+	for side, q := range []int{sys.QR, sys.QW} {
+		qs, ok := MinimalResilientQuorums(sys.Votes, q, f, 0)
+		if !ok {
+			return fmt.Errorf("strategy: exhaustive enumeration failed") // max=0 is unlimited; unreachable
+		}
 		for _, q := range qs {
-			rc := -mu
-			for j, fr := range d.Fr {
-				for _, x := range q {
-					rc -= y[loadRow(n, j, x)] * coef(fr, x)
-				}
+			// The reduced cost of q's (cost-0) column.
+			rc := 0.0
+			rows, vals = coefs.column(rows[:0], vals[:0], side, q)
+			for p, i := range rows {
+				rc -= y[i] * vals[p]
 			}
-			if rc < -tol {
+			if !(rc >= -tol) {
 				return fmt.Errorf("strategy: %s quorum %v has reduced cost %g < 0: solve is not globally optimal",
-					side, q, rc)
+					[]string{"read", "write"}[side], q, rc)
 			}
 		}
-		return nil
 	}
-	reads, rOK := MinimalResilientQuorums(sys.Votes, sys.QR, f, 0)
-	writes, wOK := MinimalResilientQuorums(sys.Votes, sys.QW, f, 0)
-	if !rOK || !wOK {
-		return fmt.Errorf("strategy: exhaustive enumeration failed") // max=0 is unlimited; unreachable
-	}
-	if err := check("read", reads, y[0], func(fr float64, x int) float64 {
-		return readCoef(sys, res.Scale, fr, x)
-	}); err != nil {
-		return err
-	}
-	return check("write", writes, y[1], func(fr float64, x int) float64 {
-		return writeCoef(sys, res.Scale, fr, x)
-	})
+	return nil
 }
 
 // keyOf is a map key for a sorted quorum.

@@ -15,27 +15,36 @@ import (
 
 // fuzzLP is FuzzSimplex's generator, so the invariant tests walk the same
 // small half-integer LPs (degenerate, infeasible and unbounded included)
-// the fuzzer does.
+// the fuzzer does. After the dense draw, one column and one row are each
+// zeroed a quarter of the time (never the only one), so empty columns and
+// all-zero rows turn up.
 func fuzzLP(a, b uint64, salt int64) LP {
 	src := rng.New(a ^ b<<17 ^ uint64(salt))
 	nv := 1 + int(a%4)
 	m := 1 + int(b%5)
-	lp := LP{NumVars: nv, Cost: make([]float64, nv), Rows: make([]Row, m)}
-	for j := range lp.Cost {
-		lp.Cost[j] = math.Round((src.Float64()*10-5)*4) / 4
+	cost := make([]float64, nv)
+	for j := range cost {
+		cost[j] = math.Round((src.Float64()*10-5)*4) / 4
 	}
-	for i := range lp.Rows {
+	rows := make([]denseRow, m)
+	for i := range rows {
 		coef := make([]float64, nv)
 		for j := range coef {
+			// Small half-integer coefficients keep vertices rational and
+			// tolerances honest while still hitting degenerate geometry.
 			coef[j] = math.Round((src.Float64()*6-3)*2) / 2
 		}
-		lp.Rows[i] = Row{
-			Coef:  coef,
-			Sense: RowSense(src.Uint64() % 3),
-			RHS:   math.Round((src.Float64()*12-4)*2) / 2,
+		rows[i] = denseRow{coef, RowSense(src.Uint64() % 3), math.Round((src.Float64()*12-4)*2) / 2}
+	}
+	if j := src.Intn(4 * nv); nv > 1 && j < nv {
+		for _, r := range rows {
+			r.coef[j] = 0
 		}
 	}
-	return lp
+	if i := src.Intn(4 * m); m > 1 && i < m {
+		clear(rows[i].coef)
+	}
+	return sparseLP(cost, rows)
 }
 
 // checkBasis asserts B⁻¹·B = I and b = B⁻¹·rhs to 1e-9, with B rebuilt
@@ -49,8 +58,9 @@ func checkBasis(t *testing.T, s *simplex, lp LP) {
 		}
 		for i := 0; i < m; i++ { // (B⁻¹·B)_ic = Σ_k (B⁻¹)_ik · B_kc
 			got := 0.0
-			for p := s.colPtr[bj]; p < s.colPtr[bj+1]; p++ {
-				got += s.binv[s.colRow[p]*m+i] * s.colVal[p]
+			rows, vals := s.col(bj)
+			for p, k := range rows {
+				got += s.binv[k*m+i] * vals[p]
 			}
 			want := 0.0
 			if i == c {
@@ -91,9 +101,23 @@ func stepChecked(t *testing.T, s *simplex, lp LP) {
 }
 
 func TestRevisedBasisInvariant(t *testing.T) {
-	pivots := 0
+	pivots, emptyCols, zeroRows := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		lp := fuzzLP(uint64(trial), uint64(trial/4), int64(31*trial))
+		for j := 0; j < lp.NumVars; j++ {
+			if lp.ColStart[j] == lp.ColStart[j+1] {
+				emptyCols++
+			}
+		}
+		used := make([]bool, len(lp.Rows))
+		for _, i := range lp.ColRow {
+			used[i] = true
+		}
+		for _, u := range used {
+			if !u {
+				zeroRows++
+			}
+		}
 		s, err := newSimplex(lp)
 		if err != nil {
 			t.Fatal(err)
@@ -124,6 +148,9 @@ func TestRevisedBasisInvariant(t *testing.T) {
 	}
 	if pivots < 400 {
 		t.Fatalf("only %d pivots over 400 LPs: the generator is not exercising the core", pivots)
+	}
+	if emptyCols < 20 || zeroRows < 20 {
+		t.Fatalf("%d empty columns and %d all-zero rows over 400 LPs: the generator is not drawing them", emptyCols, zeroRows)
 	}
 }
 
@@ -177,7 +204,7 @@ func TestRevisedBlandRule(t *testing.T) {
 	sys := uniformSystem(7, 77)
 	reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
 	writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
-	lps = append(lps, buildCapacityLP(sys, SingleFr(0.6), reads, writes, capScale(sys)))
+	lps = append(lps, buildCapacityLP(newLoadCoefs(sys, SingleFr(0.6), capScale(sys)), SingleFr(0.6), reads, writes))
 	optimal := 0
 	for i, lp := range lps {
 		want, err := Solve(lp)
@@ -213,13 +240,13 @@ func TestRevisedCrashInvariant(t *testing.T) {
 		sys := uniformSystem(n, uint64(100+n))
 		reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
 		writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
-		scale := capScale(sys)
-		lp := buildCapacityLP(sys, d, reads, writes, scale)
+		coefs := newLoadCoefs(sys, d, capScale(sys))
+		lp := buildCapacityLP(coefs, d, reads, writes)
 		s, err := newSimplex(lp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.crash(crashPlan(sys, d, reads, writes, scale)); err != nil {
+		if err := s.crash(crashPlan(coefs, reads, writes)); err != nil {
 			t.Fatal(err)
 		}
 		checkBasis(t, s, lp)
@@ -253,10 +280,7 @@ func TestRevisedCrashInvariant(t *testing.T) {
 	}
 	// A crash pivot on a structurally zero element is refused, as is one
 	// outside the real columns.
-	lp := LP{NumVars: 2, Cost: []float64{1, 1}, Rows: []Row{
-		{Coef: []float64{1, 0}, Sense: EQ, RHS: 1},
-		{Coef: []float64{0, 1}, Sense: EQ, RHS: 1},
-	}}
+	lp := sparseLP([]float64{1, 1}, []denseRow{{[]float64{1, 0}, EQ, 1}, {[]float64{0, 1}, EQ, 1}})
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {2, 0}} {
 		s, _ := newSimplex(lp)
 		if err := s.crash([][2]int{pair}); err == nil {
@@ -277,30 +301,25 @@ func TestRevisedWarmColumnsMatchCold(t *testing.T) {
 		sys := uniformSystem(n, uint64(200+n))
 		reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
 		writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
-		scale := capScale(sys)
+		coefs := newLoadCoefs(sys, d, capScale(sys))
 		hr, hw := len(reads)/3, len(writes)/3
-		_, s, narrow, err := solveCapacityLP(sys, d, reads[:hr], writes[:hw], scale)
+		_, s, narrow, err := solveCapacityLP(coefs, d, reads[:hr], writes[:hw])
 		if err != nil {
 			t.Fatal(err)
 		}
-		add := func(side int, q Quorum, coef func(System, float64, float64, int) float64) int {
-			rows, vals := []int{side}, []float64{1}
-			for j, fr := range d.Fr {
-				for _, x := range q {
-					rows, vals = append(rows, loadRow(n, j, x)), append(vals, coef(sys, scale, fr, x))
-				}
-			}
+		add := func(side int, q Quorum) int {
+			rows, vals := coefs.column(nil, nil, side, q)
 			return s.addColumn(0, rows, vals)
 		}
 		var added []int
 		for _, q := range reads[hr:] {
-			added = append(added, add(0, q, readCoef))
+			added = append(added, add(0, q))
 		}
 		for _, q := range writes[hw:] {
-			added = append(added, add(1, q, writeCoef))
+			added = append(added, add(1, q))
 		}
 		warm := s.solvePhase2()
-		cold := solveChecked(t, buildCapacityLP(sys, d, reads, writes, scale))
+		cold := solveChecked(t, buildCapacityLP(coefs, d, reads, writes))
 		if warm.Status != StatusOptimal || math.Abs(warm.Obj-cold.Obj) > 1e-9 {
 			t.Fatalf("n=%d: warm %v obj %.12g, cold obj %.12g", n, warm.Status, warm.Obj, cold.Obj)
 		}

@@ -3,21 +3,24 @@ package strategy
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// A pure-Go two-phase primal revised simplex with sparse columns. No
+// A pure-Go two-phase primal revised simplex over a column-sparse LP. No
 // external dependencies: the optimizers need exact control over determinism
 // (golden fixtures), dual extraction (certificates) and warm starts (column
 // generation), none of which an external solver binding would give us.
 //
 // The LP is stated in natural form — min c·x subject to rows of sense
-// ≤ / = / ≥ with x ≥ 0 — and converted internally to standard form with
-// slack and artificial columns. Every column keeps its original sparse form
-// and is never updated; the only state a pivot touches is the explicit m×m
-// B⁻¹, the basic values b and the duals y = c_B·B⁻¹, so a pivot costs
-// O(m² + nnz priced) however many columns the LP has. Column i of B⁻¹ is
-// the column the artificial of row i (originally e_i) would have in a full
-// tableau, and c_art − y_i is that artificial's reduced cost, which gives
+// ≤ / = / ≥ with x ≥ 0 — with its constraint matrix stored once, column by
+// column, as nonzeros only. The solver takes those columns as they are,
+// flipping the sign of rows with a negative RHS and appending one slack
+// per inequality and one artificial per row. No column is ever updated;
+// the only state a pivot touches is the explicit m×m B⁻¹, the basic values
+// b and the duals y = c_B·B⁻¹, so a pivot costs O(m² + nnz priced) however
+// many columns the LP has. Column i of B⁻¹ is the column the artificial of
+// row i (originally e_i) would have in a full tableau, and c_art − y_i is
+// that artificial's reduced cost, which gives
 //
 //   - dual values read directly off y, for optimality certificates and
 //     (with the phase-1 costs loaded) Farkas witnesses, and
@@ -42,21 +45,40 @@ const (
 	EQ                 // Σ coef·x = rhs
 )
 
-// Row is one linear constraint.
+// Row is one linear constraint's sense and right-hand side; its
+// coefficients live in the LP's columns.
 type Row struct {
-	Coef  []float64
 	Sense RowSense
 	RHS   float64
 }
 
-// LP is min Cost·x subject to Rows, x ≥ 0.
+// LP is min Cost·x subject to Rows, x ≥ 0. The constraint matrix is stored
+// in compressed-column form: column j's nonzeros are ColVal[p] in row
+// ColRow[p] for p in [ColStart[j], ColStart[j+1]), rows strictly ascending.
 type LP struct {
-	NumVars int
-	Cost    []float64
-	Rows    []Row
+	NumVars  int
+	Cost     []float64
+	Rows     []Row
+	ColStart []int // NumVars+1 offsets into ColRow and ColVal
+	ColRow   []int
+	ColVal   []float64
 }
 
-// Validate rejects malformed or non-finite input.
+// endColumn closes the column whose nonzeros were last appended to ColRow
+// and ColVal.
+func (lp *LP) endColumn() { lp.ColStart = append(lp.ColStart, len(lp.ColRow)) }
+
+// col returns column j's rows and values, vals resliced to len(rows) so a
+// loop over both carries one bounds check per column, not per nonzero.
+func (lp *LP) col(j int) ([]int, []float64) {
+	lo, hi := lp.ColStart[j], lp.ColStart[j+1]
+	rows := lp.ColRow[lo:hi]
+	return rows, lp.ColVal[lo:hi][:len(rows)]
+}
+
+// Validate rejects malformed or non-finite input: in every column the rows
+// must be in range and strictly ascending and every value finite and
+// nonzero.
 func (lp LP) Validate() error {
 	if lp.NumVars <= 0 {
 		return fmt.Errorf("strategy: LP has %d variables", lp.NumVars)
@@ -64,33 +86,50 @@ func (lp LP) Validate() error {
 	if len(lp.Cost) != lp.NumVars {
 		return fmt.Errorf("strategy: LP has %d costs for %d variables", len(lp.Cost), lp.NumVars)
 	}
-	if len(lp.Rows) == 0 {
+	m := len(lp.Rows)
+	if m == 0 {
 		return fmt.Errorf("strategy: LP has no rows")
 	}
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for _, c := range lp.Cost {
 		if !finite(c) {
 			return fmt.Errorf("strategy: non-finite cost %g", c)
 		}
 	}
 	for i, r := range lp.Rows {
-		if len(r.Coef) != lp.NumVars {
-			return fmt.Errorf("strategy: row %d has %d coefficients for %d variables", i, len(r.Coef), lp.NumVars)
-		}
 		if r.Sense != LE && r.Sense != GE && r.Sense != EQ {
 			return fmt.Errorf("strategy: row %d has unknown sense %d", i, r.Sense)
 		}
 		if !finite(r.RHS) {
 			return fmt.Errorf("strategy: row %d has non-finite rhs", i)
 		}
-		for _, c := range r.Coef {
-			if !finite(c) {
-				return fmt.Errorf("strategy: row %d has non-finite coefficient", i)
+	}
+	nnz := len(lp.ColRow)
+	if len(lp.ColStart) != lp.NumVars+1 || lp.ColStart[0] != 0 || lp.ColStart[lp.NumVars] != nnz || len(lp.ColVal) != nnz {
+		return fmt.Errorf("strategy: LP has %d column starts for %d variables, or they do not span its %d rows and %d values",
+			len(lp.ColStart), lp.NumVars, len(lp.ColRow), len(lp.ColVal))
+	}
+	for j := 0; j < lp.NumVars; j++ {
+		if lp.ColStart[j] > lp.ColStart[j+1] || lp.ColStart[j+1] > nnz {
+			return fmt.Errorf("strategy: column %d spans [%d, %d) of %d nonzeros", j, lp.ColStart[j], lp.ColStart[j+1], nnz)
+		}
+		rows, vals := lp.col(j)
+		prev := -1
+		for p, i := range rows {
+			if i <= prev || i >= m {
+				return fmt.Errorf("strategy: column %d has row %d after row %d (%d rows)", j, i, prev, m)
 			}
+			if a := math.Abs(vals[p]); !(a > 0 && a <= math.MaxFloat64) {
+				return fmt.Errorf("strategy: column %d has coefficient %g in row %d", j, vals[p], i)
+			}
+			prev = i
 		}
 	}
 	return nil
 }
+
+// finite reports whether v is neither infinite nor NaN (which fails every
+// comparison).
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // Status is the outcome of a solve.
 type Status uint8
@@ -154,13 +193,14 @@ type simplex struct {
 	artBase int
 	ncols   int
 
-	// Original columns in compressed sparse form (rows already multiplied
-	// by rowMult): column j holds colRow/colVal[colPtr[j]:colPtr[j+1]].
-	colPtr []int
-	colRow []int
-	colVal []float64
-	cost   []float64 // phase-2 cost per column
-	basic  []bool
+	// Columns in compressed sparse form, rows already multiplied by
+	// rowMult: the structural ones are the LP's own storage, read-only
+	// (their values are copied only when a row is flipped); the slack,
+	// artificial and generated columns follow in extra, column j at
+	// extra's column j−nStruct.
+	structural, extra LP
+	cost              []float64 // phase-2 cost per column
+	basic             []bool
 
 	binv  []float64 // B⁻¹, column-major: binv[k*m+i] = (B⁻¹)_ik
 	b     []float64 // basic variable values, B⁻¹·rhs
@@ -210,7 +250,7 @@ func newSimplex(lp LP) (*simplex, error) {
 	// slack per inequality and one artificial per row follow the
 	// structural columns.
 	sense := make([]RowSense, m)
-	nSlack, nnz := 0, 0
+	nSlack := 0
 	for i, r := range lp.Rows {
 		s.rowMult[i], s.b[i], sense[i] = 1, r.RHS, r.Sense
 		if r.RHS < 0 {
@@ -225,39 +265,30 @@ func newSimplex(lp LP) (*simplex, error) {
 		if sense[i] != EQ {
 			nSlack++
 		}
-		for _, c := range r.Coef {
-			if c != 0 {
-				nnz++
-			}
-		}
 	}
 	s.artBase = nv + nSlack
 	s.ncols = s.artBase + m
-	s.colPtr = make([]int, 1, s.ncols+1)
-	s.colRow = make([]int, 0, nnz+nSlack+m)
-	s.colVal = make([]float64, 0, nnz+nSlack+m)
+	s.structural = lp
+	if slices.Contains(s.rowMult, -1) {
+		s.structural.ColVal = make([]float64, len(lp.ColVal))
+		for p, i := range lp.ColRow {
+			s.structural.ColVal[p] = s.rowMult[i] * lp.ColVal[p]
+		}
+	}
+	s.extra = LP{ColStart: make([]int, 1, nSlack+m+1), ColRow: make([]int, 0, nSlack+m), ColVal: make([]float64, 0, nSlack+m)}
 	s.cost = make([]float64, s.ncols)
 	s.basic = make([]bool, s.ncols)
 	copy(s.cost, lp.Cost)
-	for j := 0; j < nv; j++ {
-		for i := range lp.Rows {
-			if c := lp.Rows[i].Coef[j]; c != 0 {
-				s.colRow = append(s.colRow, i)
-				s.colVal = append(s.colVal, s.rowMult[i]*c)
-			}
-		}
-		s.colPtr = append(s.colPtr, len(s.colRow))
-	}
 	unit := func(i int, v float64) {
-		s.colRow = append(s.colRow, i)
-		s.colVal = append(s.colVal, v)
-		s.colPtr = append(s.colPtr, len(s.colRow))
+		s.extra.ColRow = append(s.extra.ColRow, i)
+		s.extra.ColVal = append(s.extra.ColVal, v)
+		s.extra.endColumn()
 	}
 	// Initial basis, B = I: the slack for LE rows, the artificial otherwise.
 	for i := range lp.Rows {
 		switch sense[i] {
 		case LE:
-			s.basis[i] = len(s.colPtr) - 1
+			s.basis[i] = nv + len(s.extra.ColStart) - 1
 			unit(i, 1)
 		case GE:
 			unit(i, -1)
@@ -308,10 +339,20 @@ func (s *simplex) reduced(j int) float64 {
 	if !s.feasPhase {
 		r = s.cost[j]
 	}
-	for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {
-		r -= s.y[s.colRow[p]] * s.colVal[p]
+	rows, vals := s.col(j)
+	for p, i := range rows {
+		r -= s.y[i] * vals[p]
 	}
 	return r
+}
+
+// col returns column j's rows and values in standard form.
+func (s *simplex) col(j int) ([]int, []float64) {
+	c := &s.structural
+	if j >= s.nStruct {
+		c, j = &s.extra, j-s.nStruct
+	}
+	return c.col(j)
 }
 
 // entering picks the entering column and its reduced cost, or -1 at
@@ -362,8 +403,9 @@ func (s *simplex) ftran(e int) {
 	for i := range d {
 		d[i] = 0
 	}
-	for p := s.colPtr[e]; p < s.colPtr[e+1]; p++ {
-		a, col := s.colVal[p], s.binv[s.colRow[p]*s.m:][:s.m]
+	rows, vals := s.col(e)
+	for p, k := range rows {
+		a, col := vals[p], s.binv[k*s.m:][:len(d)]
 		for i, v := range col {
 			d[i] += a * v
 		}
@@ -553,8 +595,9 @@ func (s *simplex) phase1() (ok bool, st Status) {
 				continue
 			}
 			a := 0.0 // (B⁻¹a_j)_i, summed exactly as ftran would
-			for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {
-				a += s.colVal[p] * s.binv[s.colRow[p]*s.m+i]
+			rows, vals := s.col(j)
+			for p, k := range rows {
+				a += vals[p] * s.binv[k*s.m+i]
 			}
 			if math.Abs(a) > pivTol {
 				s.ftran(j)
@@ -654,10 +697,10 @@ func (s *simplex) solvePhase2() Solution {
 // extractX; the caller tracks its own column → quorum mapping.
 func (s *simplex) addColumn(cost float64, rows []int, vals []float64) int {
 	for p, r := range rows {
-		s.colRow = append(s.colRow, r)
-		s.colVal = append(s.colVal, vals[p]*s.rowMult[r])
+		s.extra.ColRow = append(s.extra.ColRow, r)
+		s.extra.ColVal = append(s.extra.ColVal, vals[p]*s.rowMult[r])
 	}
-	s.colPtr = append(s.colPtr, len(s.colRow))
+	s.extra.endColumn()
 	s.cost = append(s.cost, cost)
 	s.basic = append(s.basic, false)
 	s.ncols++
