@@ -24,7 +24,6 @@ type SoakRuntime interface {
 	ServeRead(x int) Outcome
 	ServeWrite(x int, value int64) Outcome
 	DaemonStep(x int) DaemonReport
-	Mode(x int) Mode
 	NodeVersion(x int) int64
 	HealthCounters() stats.HealthCounters
 	FailSite(i int)
@@ -33,7 +32,6 @@ type SoakRuntime interface {
 	RepairLink(l int)
 	WipeState(x int)
 	TryRejoin(x int) bool
-	Amnesiac(x int) bool
 }
 
 // Runtime is the one surface the harnesses (RunChaos, RunAdversary, the
@@ -63,7 +61,6 @@ type Runtime interface {
 
 	// Randomized-strategy serving (strategy.go).
 	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error
-	ClearStrategy()
 	StrategyCounters() stats.StrategyCounters
 	NodeAssignment(x int) quorum.Assignment
 

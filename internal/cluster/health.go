@@ -612,15 +612,6 @@ func (k *coordinator) HealthCounters() stats.HealthCounters {
 	return k.health.snapshot()
 }
 
-// Mode returns node x's current service mode (ModeHealthy when self-healing
-// is disabled).
-func (k *coordinator) Mode(x int) Mode {
-	if k.health == nil {
-		return ModeHealthy
-	}
-	return k.health.modeOf(x)
-}
-
 // heartbeatRound broadcasts one probe from node x and gathers the
 // deduplicated acknowledgements of the current sequence number, along with
 // each ack's round-trip latency in delivery slots. The detector judges an

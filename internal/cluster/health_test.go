@@ -26,10 +26,9 @@ func newHealthCluster(t *testing.T, cfg HealthConfig) (*Cluster, *graph.State) {
 
 // isolate fails every link incident to site i in a complete graph.
 func isolate(st *graph.State, g *graph.Graph, i int) {
-	for l := 0; l < g.M(); l++ {
-		e := g.Edge(l)
-		if e.U == i || e.V == i {
-			st.FailLink(l)
+	for j := 0; j < g.N(); j++ {
+		if j != i {
+			st.FailLink(g.EdgeIndex(i, j))
 		}
 	}
 }
@@ -72,7 +71,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 	isolate(st, g, 3)
 	isolate(st, g, 4)
 	c.DaemonStep(0)
-	if got := c.Mode(0); got != ModeReadOnly {
+	if got := c.health.modeOf(0); got != ModeReadOnly {
 		t.Fatalf("3-of-5 component must be read-only, got %v", got)
 	}
 	out := c.ServeWrite(0, 42)
@@ -87,7 +86,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 	isolate(st, g, 1)
 	isolate(st, g, 2)
 	c.DaemonStep(0)
-	if got := c.Mode(0); got != ModeUnavailable {
+	if got := c.health.modeOf(0); got != ModeUnavailable {
 		t.Fatalf("isolated node must be unavailable, got %v", got)
 	}
 	if out = c.ServeRead(0); !errors.Is(out.Err, ErrUnavailable) || out.Granted {
@@ -102,7 +101,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 		st.RepairLink(l)
 	}
 	c.DaemonStep(0)
-	if got := c.Mode(0); got != ModeHealthy {
+	if got := c.health.modeOf(0); got != ModeHealthy {
 		t.Fatalf("healed node must be healthy, got %v", got)
 	}
 	if out = c.ServeWrite(0, 44); !out.Granted || out.Err != nil {
@@ -243,7 +242,7 @@ func TestDegradedOpsNeverHangAsync(t *testing.T) {
 			t.Fatal("degraded operation hung")
 		}
 	}
-	if got := a.Mode(0); got != ModeUnavailable {
+	if got := a.health.modeOf(0); got != ModeUnavailable {
 		t.Fatalf("mode: %v", got)
 	}
 }

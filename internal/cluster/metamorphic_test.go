@@ -177,7 +177,7 @@ func TestPhaseDeltaAssertions(t *testing.T) {
 	if got := d.Counter(obs.CReassignGrant); got != 0 {
 		t.Fatalf("phase delta reassigns = %d, want 0", got)
 	}
-	if got := d.Hist(obs.HWriteMsgs).Count; got != 5 {
+	if got := d.Hists[obs.HWriteMsgs].Count; got != 5 {
 		t.Fatalf("phase delta write-round histogram count = %d, want 5", got)
 	}
 	// Gauges are instantaneous: the delta carries the current epoch (the

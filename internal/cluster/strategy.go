@@ -326,13 +326,6 @@ func (k *coordinator) InstallStrategy(st strategy.Strategy, assign quorum.Assign
 	return k.strat.install(st, k.voteVector(), assign, version, budget, seed)
 }
 
-// ClearStrategy disarms sampled-quorum serving.
-func (k *coordinator) ClearStrategy() {
-	if k.strat != nil {
-		k.strat.clear()
-	}
-}
-
 // StrategyCounters returns a snapshot of the strategy-serving counters.
 func (k *coordinator) StrategyCounters() stats.StrategyCounters {
 	if k.strat == nil {

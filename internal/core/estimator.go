@@ -98,9 +98,6 @@ func (e *Estimator) ObserveFor(site, votes int, dt float64) {
 // N returns the number of sites.
 func (e *Estimator) N() int { return len(e.totals) }
 
-// T returns the vote total.
-func (e *Estimator) T() int { return e.t }
-
 // Weight returns the total observation weight recorded for a site.
 func (e *Estimator) Weight(site int) float64 { return e.totals[site] }
 
@@ -144,17 +141,17 @@ func (e *Estimator) Model(rWeights, wWeights []float64) (Model, error) {
 	return NewModel(rWeights, wWeights, fs)
 }
 
-// Reset clears all recorded history.
-func (e *Estimator) Reset() {
+// reset clears all recorded history.
+func (e *Estimator) reset() {
 	clear(e.weights)
 	clear(e.totals)
 }
 
-// Merge adds another estimator's observations into e. Both must cover the
+// merge adds another estimator's observations into e. Both must cover the
 // same sites and vote total. In a distributed deployment each site
-// maintains its own row; Merge aggregates the rows exchanged during the
+// maintains its own row; merge aggregates the rows exchanged during the
 // vote-collection rounds into the network-wide view the optimizer needs.
-func (e *Estimator) Merge(o *Estimator) error {
+func (e *Estimator) merge(o *Estimator) error {
 	if e.t != o.t || e.N() != o.N() {
 		return fmt.Errorf("core: merge shape mismatch: (%d sites, T=%d) vs (%d, T=%d)",
 			e.N(), e.t, o.N(), o.t)
@@ -181,9 +178,6 @@ type SurvEstimator struct {
 func NewSurvEstimator(T int) *SurvEstimator {
 	return &SurvEstimator{hist: stats.NewHistogram(T + 1)}
 }
-
-// Observe records the current largest-component vote total with weight 1.
-func (s *SurvEstimator) Observe(maxVotes int) { s.hist.Add(maxVotes, 1) }
 
 // ObserveFor records the largest-component vote total for a duration.
 func (s *SurvEstimator) ObserveFor(maxVotes int, dt float64) {

@@ -36,8 +36,8 @@ func TestEstimatorConvergesToSampledDensity(t *testing.T) {
 	if e.Weight(0) != n {
 		t.Fatalf("weight %g", e.Weight(0))
 	}
-	if e.N() != 1 || e.T() != T {
-		t.Fatalf("N=%d T=%d", e.N(), e.T())
+	if e.N() != 1 || e.t != T {
+		t.Fatalf("N=%d T=%d", e.N(), e.t)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestEstimatorMerge(t *testing.T) {
 	b.Observe(0, 4)
 	b.Observe(0, 1)
 	b.ObserveFor(1, 3, 2.5)
-	if err := a.Merge(b); err != nil {
+	if err := a.merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(a.Weight(0)-3) > 1e-12 || math.Abs(a.Weight(1)-3.5) > 1e-12 {
@@ -134,10 +134,10 @@ func TestEstimatorMerge(t *testing.T) {
 		t.Fatalf("merged density %v", f)
 	}
 	// Shape mismatches are rejected.
-	if err := a.Merge(NewEstimator(3, 4)); err == nil {
+	if err := a.merge(NewEstimator(3, 4)); err == nil {
 		t.Fatal("site-count mismatch accepted")
 	}
-	if err := a.Merge(NewEstimator(2, 5)); err == nil {
+	if err := a.merge(NewEstimator(2, 5)); err == nil {
 		t.Fatal("vote-total mismatch accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestEstimatorMerge(t *testing.T) {
 func TestEstimatorReset(t *testing.T) {
 	e := NewEstimator(1, 3)
 	e.Observe(0, 2)
-	e.Reset()
+	e.reset()
 	if e.Weight(0) != 0 {
 		t.Fatal("reset did not clear")
 	}
@@ -255,10 +255,10 @@ func TestSurvEstimator(t *testing.T) {
 func TestSurvEstimatorCountMode(t *testing.T) {
 	s := NewSurvEstimator(5)
 	for i := 0; i < 7; i++ {
-		s.Observe(5)
+		s.ObserveFor(5, 1)
 	}
 	for i := 0; i < 3; i++ {
-		s.Observe(2)
+		s.ObserveFor(2, 1)
 	}
 	m, err := s.Model()
 	if err != nil {

@@ -63,16 +63,6 @@ func Grid(rows, cols int) (quorum.System, error) {
 	return s, nil
 }
 
-// ReadOneWriteAll returns the ROWA system over n sites: any single site
-// reads, only the full set writes.
-func ReadOneWriteAll(n int) quorum.System {
-	sites := make([]quorum.Expr, n)
-	for i := range sites {
-		sites[i] = quorum.Site(i)
-	}
-	return quorum.System{Read: quorum.Or(sites...), Write: quorum.And(sites...)}
-}
-
 // ComponentDist is the exact distribution, for every site, over the site
 // set of the component containing it (the set-valued refinement of the
 // paper's f_i(v)). Computing it once lets many coterie systems be
@@ -189,15 +179,6 @@ func Availability(g *graph.Graph, p, r float64, s quorum.System, alpha float64) 
 		return 0, err
 	}
 	return d.Availability(s, alpha)
-}
-
-// SiteAvailability is the one-call per-site variant of Availability.
-func SiteAvailability(g *graph.Graph, p, r float64, s quorum.System, alpha float64) ([]float64, error) {
-	d, err := Components(g, p, r)
-	if err != nil {
-		return nil, err
-	}
-	return d.SiteAvailability(s, alpha)
 }
 
 // VoteInducible reports whether the system's write coterie can be realized

@@ -171,9 +171,20 @@ func TestAvailabilityMatchesVoteModel(t *testing.T) {
 	}
 }
 
+// rowa is the read-one-write-all system over n unit-vote sites: any single
+// site reads, only the full set writes.
+func rowa(t *testing.T, n int) quorum.System {
+	t.Helper()
+	s, err := FromQuorums(quorum.UniformVotes(n), quorum.ReadOneWriteAll(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestROWASystem(t *testing.T) {
 	g := graph.Ring(4)
-	s := ReadOneWriteAll(4)
+	s := rowa(t, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +246,7 @@ func TestGridVsMajorityOnGridTopology(t *testing.T) {
 
 func TestAvailabilitySizeLimit(t *testing.T) {
 	g := graph.Complete(8) // 8+28 > 24
-	s := ReadOneWriteAll(8)
+	s := rowa(t, 8)
 	if _, err := Availability(g, 0.9, 0.9, s, 0.5); err == nil {
 		t.Fatal("oversized evaluation accepted")
 	}
@@ -244,8 +255,12 @@ func TestAvailabilitySizeLimit(t *testing.T) {
 func TestSiteAvailabilityAsymmetry(t *testing.T) {
 	// ROWA on a path: end sites read themselves; writes need everything.
 	g := graph.Path(3)
-	s := ReadOneWriteAll(3)
-	per, err := SiteAvailability(g, 0.9, 0.5, s, 1)
+	s := rowa(t, 3)
+	d, err := Components(g, 0.9, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := d.SiteAvailability(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,6 @@ func New(st *graph.State) *Database {
 	return &Database{st: st, objects: map[string]*entry{}}
 }
 
-// State returns the shared network state.
-func (d *Database) State() *graph.State { return d.st }
-
 // Create adds a replicated object under the given name with an initial
 // quorum assignment. The per-object on-line estimator is created
 // immediately; call EnableDynamic to attach a reassignment manager.
@@ -91,14 +88,6 @@ func (d *Database) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Object returns the underlying replicated object (nil if absent).
-func (d *Database) Object(name string) *replica.Object {
-	if e, ok := d.objects[name]; ok {
-		return e.obj
-	}
-	return nil
 }
 
 // Stats returns the access statistics of an object.

@@ -58,9 +58,6 @@ func TestUnknownObjectErrors(t *testing.T) {
 	if err := d.EnableDynamic("nope", 0.5, 0); err == nil {
 		t.Fatal("dynamic on unknown object")
 	}
-	if d.Object("nope") != nil {
-		t.Fatal("Object should be nil for unknown name")
-	}
 }
 
 func TestStatsTracking(t *testing.T) {
@@ -97,7 +94,7 @@ func TestPerObjectAssignmentsIndependent(t *testing.T) {
 	d, _ := newDB(t, 9)
 	d.Create("hot", quorum.Majority(9))
 	d.Create("cold", quorum.Majority(9))
-	if err := d.Object("hot").Reassign(0, quorum.ReadOneWriteAll(9)); err != nil {
+	if err := d.objects["hot"].obj.Reassign(0, quorum.ReadOneWriteAll(9)); err != nil {
 		t.Fatal(err)
 	}
 	as := d.Assignments(0)
@@ -168,7 +165,7 @@ func TestTickReassignsPerWorkload(t *testing.T) {
 	}
 	// Serializability spot check across objects.
 	for _, name := range d.Names() {
-		obj := d.Object(name)
+		obj := d.objects[name].obj
 		if _, stamp, ok := obj.Read(0); ok && stamp != obj.LatestStamp() {
 			t.Fatalf("%s: stale read after storm", name)
 		}
@@ -181,12 +178,5 @@ func TestTickWithoutDynamicIsNoop(t *testing.T) {
 	n, err := d.Tick()
 	if err != nil || n != 0 {
 		t.Fatalf("tick: %d %v", n, err)
-	}
-}
-
-func TestDatabaseStateAccessor(t *testing.T) {
-	d, st := newDB(t, 5)
-	if d.State() != st {
-		t.Fatal("State() should return the shared network state")
 	}
 }

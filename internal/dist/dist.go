@@ -37,15 +37,6 @@ func (p PMF) Validate(tol float64) error {
 	return nil
 }
 
-// Mean returns E[V].
-func (p PMF) Mean() float64 {
-	s := 0.0
-	for v, x := range p {
-		s += float64(v) * x
-	}
-	return s
-}
-
 // Normalize scales the PMF in place to sum to 1 (no-op on zero mass) and
 // returns it.
 func (p PMF) Normalize() PMF {
@@ -61,9 +52,6 @@ func (p PMF) Normalize() PMF {
 	}
 	return p
 }
-
-// Clone returns a copy of the PMF.
-func (p PMF) Clone() PMF { return append(PMF(nil), p...) }
 
 // Mixture returns Σ w[i]·pmfs[i]. All PMFs must have equal length; weights
 // need not sum to one (the caller normalizes if desired). This is step 2 of

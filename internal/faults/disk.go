@@ -126,12 +126,6 @@ func NewDiskPlan(seed uint64, mix DiskMix) *DiskPlan {
 	return &DiskPlan{seed: seed, mix: mix}
 }
 
-// Seed returns the plan's seed.
-func (p *DiskPlan) Seed() uint64 { return p.seed }
-
-// Mix returns the plan's disk fault mixture.
-func (p *DiskPlan) Mix() DiskMix { return p.mix }
-
 // CrashFault decides what damage the seq-th crash of node inflicts on its
 // durable state. The decision depends only on (seed, node, seq).
 func (p *DiskPlan) CrashFault(node int, seq uint64) DiskFault {

@@ -166,12 +166,6 @@ func NewPlan(seed uint64, mix Mix) *Plan {
 	return &Plan{seed: seed, mix: mix}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
-// Mix returns the plan's fault mixture.
-func (p *Plan) Mix() Mix { return p.mix }
-
 // mix64 is the SplitMix64 finalizer — a strong 64-bit avalanche.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -90,9 +90,6 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of links.
 func (g *Graph) M() int { return len(g.edges) }
 
-// Edge returns the endpoints of link i.
-func (g *Graph) Edge(i int) Edge { return g.edges[i] }
-
 // Degree returns the number of links incident to site u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 

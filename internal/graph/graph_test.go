@@ -49,9 +49,9 @@ func TestEdgeIndexSymmetric(t *testing.T) {
 	if g.EdgeIndex(0, 2) != -1 {
 		t.Fatal("EdgeIndex of absent edge should be -1")
 	}
-	e := g.Edge(idx)
+	e := g.edges[idx]
 	if e.U != 1 || e.V != 3 {
-		t.Fatalf("Edge(%d) = %+v", idx, e)
+		t.Fatalf("edge %d = %+v", idx, e)
 	}
 }
 

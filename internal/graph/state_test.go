@@ -46,7 +46,7 @@ func (o *oracle) components() (comp []int, votes, size map[int]int) {
 	// for obviousness, not speed.
 	adj := make([][][2]int, o.g.N()) // adj[u] = {v, edge}
 	for l := 0; l < o.g.M(); l++ {
-		e := o.g.Edge(l)
+		e := o.g.edges[l]
 		adj[e.U] = append(adj[e.U], [2]int{e.V, l})
 		adj[e.V] = append(adj[e.V], [2]int{e.U, l})
 	}

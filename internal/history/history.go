@@ -125,9 +125,6 @@ func (l *Log) RecordWriteLoss(site int, stamp int64, t float64) {
 // Len returns the number of recorded operations.
 func (l *Log) Len() int { return len(l.ops) }
 
-// Ops returns the recorded operations (shared slice; treat as read-only).
-func (l *Log) Ops() []Op { return l.ops }
-
 // checker is the state machine behind Check. It tracks
 // the committed (stamp, value) — the state every later granted operation
 // must be consistent with — plus the set of pending indeterminate writes

@@ -135,7 +135,7 @@ func TestReplicaHistoryClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	granted := map[Kind]int{}
-	for _, op := range l.Ops() {
+	for _, op := range l.ops {
 		if op.Granted {
 			granted[op.Kind]++
 		}
@@ -181,7 +181,7 @@ func errAs(err error, target *Violation) bool {
 func TestOpsExposesRecords(t *testing.T) {
 	var l Log
 	l.RecordWrite(3, true, 9, 1, 0.25)
-	ops := l.Ops()
+	ops := l.ops
 	if len(ops) != 1 || ops[0].Site != 3 || ops[0].Kind != Write || ops[0].Time != 0.25 {
 		t.Fatalf("ops %+v", ops)
 	}

@@ -59,12 +59,6 @@ func (h *Hist) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Hist) Sum() int64 { return h.sum.Load() }
-
 // snapshot copies the histogram into a HistSnapshot.
 func (h *Hist) snapshot() HistSnapshot {
 	var s HistSnapshot
@@ -92,12 +86,4 @@ func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
 	d.Count = s.Count - prev.Count
 	d.Sum = s.Sum - prev.Sum
 	return d
-}
-
-// Mean returns the mean observation (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -133,12 +133,6 @@ func TestHistBucketing(t *testing.T) {
 			t.Fatalf("bucket %d holds %d, want %d", i, n, wantBuckets[i])
 		}
 	}
-	if got, want := s.Mean(), float64(sum)/float64(len(cases)); got != want {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if (HistSnapshot{}).Mean() != 0 {
-		t.Fatalf("empty histogram mean not 0")
-	}
 }
 
 func TestBucketBounds(t *testing.T) {
@@ -184,7 +178,7 @@ func TestSnapshotDelta(t *testing.T) {
 	if got := d.Gauge(GCrashedNodes); got != 1 {
 		t.Fatalf("delta gauge = %d, want current value 1", got)
 	}
-	if h := d.Hist(HReadMsgs); h.Count != 2 || h.Sum != 10 {
+	if h := d.Hists[HReadMsgs]; h.Count != 2 || h.Sum != 10 {
 		t.Fatalf("delta hist count=%d sum=%d, want 2/10", h.Count, h.Sum)
 	}
 	if d.TraceEmitted != 2 {
@@ -208,15 +202,6 @@ func TestTraceRingWraparound(t *testing.T) {
 		if want := uint64(i + 2); e.Seq != want {
 			t.Fatalf("event %d has seq %d, want %d (oldest survivors)", i, e.Seq, want)
 		}
-	}
-
-	tr.Reset()
-	if tr.Len() != 0 || tr.Emitted() != 0 {
-		t.Fatalf("reset did not clear the ring")
-	}
-	tr.emit(EvCrash, 3, -1, 0, 0)
-	if evs := tr.Events(); len(evs) != 1 || evs[0].Seq != 0 || evs[0].Type != EvCrash {
-		t.Fatalf("post-reset events wrong: %+v", evs)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := s.Gauge(GQuorumEpoch); got != (writers-1)*iters+iters-1 {
 		t.Fatalf("max gauge = %d, want %d", got, (writers-1)*iters+iters-1)
 	}
-	if got := s.Hist(HReadMsgs).Count; got != total {
+	if got := s.Hists[HReadMsgs].Count; got != total {
 		t.Fatalf("hist count = %d, want %d", got, total)
 	}
 	if got := s.TraceEmitted; got != total {

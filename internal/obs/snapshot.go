@@ -49,9 +49,6 @@ func (s Snapshot) Counter(c CounterID) int64 { return s.Counters[c] }
 // Gauge returns the snapshot value of gauge g.
 func (s Snapshot) Gauge(g GaugeID) int64 { return s.Gauges[g] }
 
-// Hist returns the snapshot of histogram h.
-func (s Snapshot) Hist(h HistID) HistSnapshot { return s.Hists[h] }
-
 // Delta returns s − prev for every cumulative instrument (counters,
 // histogram buckets, trace totals). Gauges are instantaneous, so the
 // current value is kept as-is. This is what lets soak and churn harnesses

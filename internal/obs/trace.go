@@ -183,14 +183,6 @@ func (t *Trace) Filter(types ...EventType) []Event {
 	return out
 }
 
-// Reset clears the ring and the emission counter.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.mu.Unlock()
-}
-
 // WriteJSONL renders the held events as one JSON object per line, in
 // emission order. The encoding is hand-rolled so the output is canonical:
 // fixed key order, no floats, no escaping needed.

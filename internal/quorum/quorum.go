@@ -80,9 +80,6 @@ func ForReadQuorum(qr, T int) Assignment {
 	return a
 }
 
-// MaxReadQuorum returns ⌊T/2⌋, the largest useful read quorum.
-func MaxReadQuorum(T int) int { return T / 2 }
-
 // Majority returns the majority consensus assignment (Thomas 1979) as the
 // member of the paper's family with the largest read quorum:
 // q_r = ⌊T/2⌋, q_w = T − ⌊T/2⌋ + 1. For even T this is the textbook

@@ -79,9 +79,6 @@ func TestNamedProtocols(t *testing.T) {
 	if err := rowa.Validate(T); err != nil {
 		t.Fatal(err)
 	}
-	if MaxReadQuorum(T) != 50 {
-		t.Fatalf("MaxReadQuorum = %d", MaxReadQuorum(T))
-	}
 }
 
 func TestEnumerate(t *testing.T) {

@@ -4,9 +4,9 @@
 //
 // The generator is xoshiro256** (Blackman & Vigna), seeded through
 // SplitMix64 so that any 64-bit seed yields a well-mixed initial state.
-// Independent substreams for parallel components are obtained with Split,
+// Independent substreams for parallel components are obtained with SubSeed,
 // which uses the jump-free "seed derivation" approach: each child stream is
-// seeded from a SplitMix64 sequence of the parent, so sibling streams are
+// seeded from a SplitMix64 sequence of the base seed, so sibling streams are
 // statistically independent for simulation purposes.
 //
 // The package intentionally does not use math/rand: experiments must be
@@ -99,12 +99,6 @@ func (r *Source) Uint64() uint64 {
 	s[2] ^= t
 	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
-}
-
-// Split derives a new Source whose stream is independent of the parent's
-// future output. The parent is advanced by one step.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -43,8 +43,8 @@ func TestZeroSeedUsable(t *testing.T) {
 
 func TestSplitIndependence(t *testing.T) {
 	parent := New(7)
-	child := parent.Split()
-	// Child and parent must not emit identical streams.
+	child := New(SubSeed(7, 0))
+	// A substream and its base stream must not emit identical streams.
 	match := 0
 	for i := 0; i < 64; i++ {
 		if parent.Uint64() == child.Uint64() {

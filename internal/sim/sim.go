@@ -341,9 +341,6 @@ func (s *Simulator) siteEffectivelyUp(i int) bool {
 // risk — the replica layer uses it to inspect components).
 func (s *Simulator) State() *graph.State { return s.st }
 
-// Now returns the current simulation time.
-func (s *Simulator) Now() float64 { return s.now }
-
 // AccessCount returns the number of access events processed so far.
 func (s *Simulator) AccessCount() int64 { return s.nAccess }
 

@@ -225,8 +225,8 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	g := graph.Ring(4)
 	s := New(g, nil, Params{AccessMean: 1, FailMean: 100, RepairMean: 1}, 5)
 	s.RunUntil(12.5)
-	if s.Now() != 12.5 {
-		t.Fatalf("now = %g", s.Now())
+	if s.now != 12.5 {
+		t.Fatalf("now = %g", s.now)
 	}
 	if s.AccessCount() != 0 {
 		t.Fatal("no access events should exist without a consumer")

@@ -128,9 +128,9 @@ func TestStrategyTrajectoryMatchesProtocol(t *testing.T) {
 	s2.SetProtocol(StaticProtocol{Assignment: quorum.Assignment{QR: sys.QR, QW: sys.QW}}, 0.5)
 	s2.RunAccesses(50_000)
 
-	if s1.Now() != s2.Now() || s1.AccessCount() != s2.AccessCount() {
+	if s1.now != s2.now || s1.AccessCount() != s2.AccessCount() {
 		t.Fatalf("trajectories diverged: t=%g/%g accesses=%d/%d",
-			s1.Now(), s2.Now(), s1.AccessCount(), s2.AccessCount())
+			s1.now, s2.now, s1.AccessCount(), s2.AccessCount())
 	}
 	// Both judge the same read/write split (shared Bernoulli draws).
 	c1, c2 := s1.Counters(), s2.Counters()

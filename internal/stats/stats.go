@@ -84,11 +84,6 @@ type Interval struct {
 	N        int     // number of batches/observations
 }
 
-// Contains reports whether x lies within the interval.
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Mean-iv.HalfSize && x <= iv.Mean+iv.HalfSize
-}
-
 // String formats the interval in the style used by the paper,
 // e.g. "0.7213 ± 0.0041 (n=8)".
 func (iv Interval) String() string {
@@ -160,9 +155,6 @@ func (h *Histogram) Add(i int, w float64) {
 // Weight returns the accumulated weight of bin i.
 func (h *Histogram) Weight(i int) float64 { return h.weights[i] }
 
-// Total returns the total accumulated weight.
-func (h *Histogram) Total() float64 { return h.total }
-
 // Normalize returns the histogram as a probability mass function. If no
 // weight has been recorded it returns a zero slice.
 func (h *Histogram) Normalize() []float64 {
@@ -176,19 +168,18 @@ func (h *Histogram) Normalize() []float64 {
 	return p
 }
 
-// Reset clears all weight.
-func (h *Histogram) Reset() {
+// reset clears all weight.
+func (h *Histogram) reset() {
 	for i := range h.weights {
 		h.weights[i] = 0
 	}
 	h.total = 0
 }
 
-// Scale multiplies every bin (and the total) by c. Scaling by c in (0,1) is
-// used to implement exponential decay in the on-line estimator.
-func (h *Histogram) Scale(c float64) {
+// scale multiplies every bin (and the total) by c.
+func (h *Histogram) scale(c float64) {
 	if c < 0 {
-		panic(fmt.Sprintf("stats: Histogram.Scale negative factor %g", c))
+		panic(fmt.Sprintf("stats: Histogram.scale negative factor %g", c))
 	}
 	for i := range h.weights {
 		h.weights[i] *= c
@@ -196,8 +187,8 @@ func (h *Histogram) Scale(c float64) {
 	h.total *= c
 }
 
-// Mean returns the weighted mean bin index, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
+// mean returns the weighted mean bin index, or 0 for an empty histogram.
+func (h *Histogram) mean() float64 {
 	if h.total == 0 {
 		return 0
 	}

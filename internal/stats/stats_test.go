@@ -92,9 +92,6 @@ func TestBatchMeansInterval(t *testing.T) {
 	if !b.Converged(0.005) {
 		t.Fatal("identical batches should be converged")
 	}
-	if !iv.Contains(0.72) || iv.Contains(0.73) {
-		t.Fatalf("Contains misbehaves: %v", iv)
-	}
 }
 
 func TestBatchMeansNotConvergedEarly(t *testing.T) {
@@ -138,8 +135,8 @@ func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(5)
 	h.Add(0, 1)
 	h.Add(4, 3)
-	if h.Total() != 4 {
-		t.Fatalf("total %g", h.Total())
+	if h.total != 4 {
+		t.Fatalf("total %g", h.total)
 	}
 	p := h.Normalize()
 	if !almostEq(p[0], 0.25, 1e-12) || !almostEq(p[4], 0.75, 1e-12) {
@@ -161,12 +158,12 @@ func TestHistogramScaleAndReset(t *testing.T) {
 	h := NewHistogram(3)
 	h.Add(1, 2)
 	h.Add(2, 2)
-	h.Scale(0.5)
-	if !almostEq(h.Total(), 2, 1e-12) || !almostEq(h.Weight(1), 1, 1e-12) {
-		t.Fatalf("scale: total=%g w1=%g", h.Total(), h.Weight(1))
+	h.scale(0.5)
+	if !almostEq(h.total, 2, 1e-12) || !almostEq(h.Weight(1), 1, 1e-12) {
+		t.Fatalf("scale: total=%g w1=%g", h.total, h.Weight(1))
 	}
-	h.Reset()
-	if h.Total() != 0 || h.Weight(2) != 0 {
+	h.reset()
+	if h.total != 0 || h.Weight(2) != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -175,8 +172,8 @@ func TestHistogramMean(t *testing.T) {
 	h := NewHistogram(10)
 	h.Add(2, 1)
 	h.Add(8, 1)
-	if !almostEq(h.Mean(), 5, 1e-12) {
-		t.Fatalf("mean %g", h.Mean())
+	if !almostEq(h.mean(), 5, 1e-12) {
+		t.Fatalf("mean %g", h.mean())
 	}
 }
 
@@ -186,7 +183,7 @@ func TestHistogramPanics(t *testing.T) {
 		func() { h.Add(-1, 1) },
 		func() { h.Add(2, 1) },
 		func() { h.Add(0, -1) },
-		func() { h.Scale(-1) },
+		func() { h.scale(-1) },
 		func() { NewHistogram(0) },
 	} {
 		func() {

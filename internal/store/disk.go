@@ -29,13 +29,12 @@ import (
 // Disk is the byte-durability abstraction the store runs on. Appends are
 // buffered until Sync; Rename and Remove are atomic, immediately-durable
 // metadata operations (a journaled filesystem's guarantee); Crash discards
-// every file's unsynced suffix; Wipe loses the medium entirely.
+// every file's unsynced suffix.
 type Disk interface {
 	Open(name string) File
 	Rename(oldName, newName string)
 	Remove(name string)
 	Crash()
-	Wipe()
 }
 
 // File is one append-only file on a Disk. Truncate is a durable metadata

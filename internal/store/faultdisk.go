@@ -36,9 +36,6 @@ func (d *FaultDisk) Rename(oldName, newName string) { d.mem.Rename(oldName, newN
 // Remove delegates to the wrapped disk.
 func (d *FaultDisk) Remove(name string) { d.mem.Remove(name) }
 
-// Wipe delegates to the wrapped disk.
-func (d *FaultDisk) Wipe() { d.mem.Wipe() }
-
 // Crash applies this crash's planned damage, then the baseline lost-suffix
 // semantics.
 func (d *FaultDisk) Crash() {

@@ -46,7 +46,6 @@ func (d *recDisk) Remove(name string) {
 }
 
 func (d *recDisk) Crash() { d.mem.Crash() }
-func (d *recDisk) Wipe()  { d.mem.Wipe() }
 
 type recFile struct {
 	d    *recDisk

@@ -203,11 +203,6 @@ func checkReliabilities(p, r float64) error {
 	return nil
 }
 
-// N returns the number of sites; Count the number of sampled scenarios (0
-// for ExactScenarios, which enumerates instead).
-func (sc *Scenarios) N() int     { return sc.n }
-func (sc *Scenarios) Count() int { return sc.count }
-
 // density computes the aggregate density r(v) = w(v) of the paper's step 2
 // (uniform access weights) for weight vector v: the probability that a
 // uniformly chosen site observes component vote total v (down sites

