@@ -157,13 +157,13 @@ bench-solver:
 
 # The serving twin: ns/op and allocs/op of the message path — the sampled
 # read bench/ serves, the gated read, the baseline read and write rounds, a
-# healthy detector tick, a memoized survivor re-solve and the codec as the
-# runtime drives it. allocs/op is the number to watch (TestMessagePathZeroAlloc
+# healthy detector tick, a memoized survivor re-solve, the codec as the
+# runtime drives it and a write through the durable store. allocs/op is the number to watch (TestMessagePathZeroAlloc
 # holds the bench's configuration at 0); the gated timings are bench/'s
 # serve-* workloads, and churn-resolve's for the re-solve.
 bench-serve:
 	$(GO) test ./internal/cluster -run xxx \
-		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|CodecVoteReply' \
+		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|CodecVoteReply|WriteDurable' \
 		-benchmem -count 3
 
 # The simulator twin: ns/op and allocs/op of one paper-study cell exactly as

@@ -222,6 +222,9 @@ func (k *coordinator) Recover(x int) bool {
 		return false
 	}
 	k.tr.RepairSite(x)
+	// The reload and beginAmnesia take x's lock separately (WipeState holds
+	// it across both): Recover runs in the operation slot (Async.opMu), so
+	// no round can reach x between them.
 	err := k.tr.lock(x).reload()
 	k.tr.unlock(x)
 	if err != nil {

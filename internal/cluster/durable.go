@@ -141,9 +141,14 @@ func (k *coordinator) Amnesiac(x int) bool {
 func (k *coordinator) beginAmnesia(x int, cause error) {
 	already := k.tr.lock(x).forget()
 	k.tr.unlock(x)
-	if already {
-		return
+	if !already {
+		k.countAmnesia(x, cause)
 	}
+}
+
+// countAmnesia records node x's entry into amnesia in the chaos counters
+// and the obs registry. Call it without holding x's lock.
+func (k *coordinator) countAmnesia(x int, cause error) {
 	if ch := k.chaos; ch != nil {
 		ch.bump(func(c *stats.ChaosCounters) { c.Amnesias++ })
 	}
@@ -152,15 +157,22 @@ func (k *coordinator) beginAmnesia(x int, cause error) {
 
 // WipeState models a site returning from repair with a blank disk (a
 // replaced machine): the medium is lost and the node must rejoin by state
-// transfer before it may vote again.
+// transfer before it may vote again. The wipe, the reload that reports the
+// empty medium and the amnesia it causes form one critical section under
+// x's lock: the disk is touched only under the lock that serializes its
+// store, and no round can meet x wiped yet still voting from memory.
 func (k *coordinator) WipeState(x int) {
 	err := store.ErrNoState
+	r := k.tr.lock(x)
 	if k.disks != nil {
 		k.disks[x].Wipe()
-		err = k.tr.lock(x).reload() // reopens handles; reports ErrNoState
-		k.tr.unlock(x)
+		err = r.reload() // reopens handles; reports ErrNoState
 	}
-	k.beginAmnesia(x, err)
+	already := r.forget()
+	k.tr.unlock(x)
+	if !already {
+		k.countAmnesia(x, err)
+	}
 }
 
 // TryRejoin attempts the amnesiac state transfer at node x and reports

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
+	"quorumkit/internal/history"
 	"quorumkit/internal/quorum"
+	"quorumkit/internal/rng"
 )
 
 // The durability layer's contract, exercised end to end:
@@ -126,6 +129,76 @@ func TestAmnesiacLifecycleAsync(t *testing.T) {
 	}
 	if !a.Write(0, 45) {
 		t.Fatal("write denied after the amnesiac rejoined")
+	}
+}
+
+// TestAsyncWipeStateDuringServing wipes one node over and over while a
+// client serves reads and writes on the concurrent runtime. The store and
+// its disk take no locks of their own: the node's lock is the only thing
+// serializing them, so a store or disk call made outside lock(x) is a data
+// race this test exists to catch under -race. The history must stay
+// one-copy serializable however the wipes interleave with the rounds.
+func TestAsyncWipeStateDuringServing(t *testing.T) {
+	const n, ops, wiped = 5, 1000, 3
+	a, err := NewAsync(graph.NewState(graph.Complete(n), nil), quorum.Majority(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	stop := make(chan struct{})
+	wipes := make(chan int)
+	go func() {
+		count := 0
+		defer func() { wipes <- count }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.WipeState(wiped)
+			a.TryRejoin(wiped)
+			count++
+			// Every other cycle, let the rejoined store take enough appends
+			// to compact (a snapshot touches the disk's file table) before
+			// the next wipe. The sleep is no synchronization, so -race sees
+			// that compaction and the wipe as concurrent unless the node's
+			// lock orders them.
+			if count%2 == 0 {
+				time.Sleep(15 * time.Millisecond)
+			}
+		}
+	}()
+
+	src := rng.New(37)
+	log := &history.Log{}
+	for i := 0; i < ops; i++ {
+		x := src.Intn(n)
+		if src.Intn(4) == 0 {
+			out := a.ServeRead(x)
+			log.RecordRead(x, out.Granted, out.Value, out.Stamp, float64(i))
+			continue
+		}
+		value := int64(i) + 1
+		out := a.ServeWrite(x, value)
+		log.RecordWrite(x, out.Granted, value, out.Stamp, float64(i))
+	}
+	close(stop)
+	if <-wipes == 0 {
+		t.Fatal("no wipe ran during serving: the test is vacuous")
+	}
+	if err := log.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !a.TryRejoin(wiped) {
+		t.Fatal("wiped node could not rejoin on a healthy cluster")
+	}
+	if !a.Write(0, -1) {
+		t.Fatal("final write denied on a healthy cluster")
+	}
+	if v, _, ok := a.Read(wiped); !ok || v != -1 {
+		t.Fatalf("read at the wiped node: got (%d, %v), want (-1, true)", v, ok)
 	}
 }
 

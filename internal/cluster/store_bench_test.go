@@ -10,7 +10,7 @@ import (
 // BenchmarkWriteDurable measures a quorum write on a 9-ring with the
 // durable engine attached (the default); BenchmarkWriteMemory is the
 // same loop with persistence disabled. Their ratio is the store's
-// whole-protocol-op overhead, tracked by `make bench-store`.
+// whole-protocol-op overhead; `make bench-serve` runs the first.
 func BenchmarkWriteDurable(b *testing.B) {
 	c, _ := New(graph.NewState(graph.Ring(9), nil), quorum.Majority(9))
 	b.ResetTimer()

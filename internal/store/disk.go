@@ -19,17 +19,20 @@
 // bytes are volatile until Sync, renames are atomic and durable — which
 // makes crash behaviour deterministic and byte-level exhaustively testable.
 // FaultDisk wraps it with seed-planned damage from internal/faults.
+//
+// The package takes no locks. A disk belongs to the one NodeStore opened on
+// it, and the runtime that owns the store serializes every call into it
+// (the cluster runtimes hold the node's lock across each one), so a second
+// lock here would only repeat theirs.
 package store
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Disk is the byte-durability abstraction the store runs on. Appends are
 // buffered until Sync; Rename and Remove are atomic, immediately-durable
 // metadata operations (a journaled filesystem's guarantee); Crash discards
-// every file's unsynced suffix.
+// every file's unsynced suffix. A Disk need not be safe for concurrent use:
+// it belongs to one NodeStore, whose caller serializes every call into both.
 type Disk interface {
 	Open(name string) File
 	Rename(oldName, newName string)
@@ -51,13 +54,15 @@ type File interface {
 // unsynced content separately so Crash has real teeth, and iterates files
 // in sorted name order wherever order matters, so injected byte-offset
 // faults are reproducible.
+//
+// A MemDisk belongs to the one NodeStore opened on it and is guarded by
+// whatever serializes that store's calls. Tests may read it directly (Dump,
+// clone) only while the runtime driving the store is quiescent.
 type MemDisk struct {
-	mu    sync.Mutex
 	files map[string]*memFile
 }
 
 type memFile struct {
-	d        *MemDisk
 	synced   []byte
 	unsynced []byte
 }
@@ -69,11 +74,9 @@ func NewMemDisk() *MemDisk {
 
 // Open returns a handle to name, creating an empty file if absent.
 func (d *MemDisk) Open(name string) File {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	f, ok := d.files[name]
 	if !ok {
-		f = &memFile{d: d}
+		f = &memFile{}
 		d.files[name] = f
 	}
 	return f
@@ -82,8 +85,6 @@ func (d *MemDisk) Open(name string) File {
 // Rename moves oldName over newName, replacing it. No-op if oldName does
 // not exist.
 func (d *MemDisk) Rename(oldName, newName string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	f, ok := d.files[oldName]
 	if !ok {
 		return
@@ -94,16 +95,12 @@ func (d *MemDisk) Rename(oldName, newName string) {
 
 // Remove deletes name if present.
 func (d *MemDisk) Remove(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.files, name)
 }
 
 // Crash discards every file's unsynced suffix: the baseline power-loss
 // semantics.
 func (d *MemDisk) Crash() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, f := range d.files {
 		f.unsynced = nil
 	}
@@ -120,8 +117,6 @@ type DumpedFile struct {
 // It backs byte-level tests: two runs that followed the same protocol
 // decisions must leave bit-identical media.
 func (d *MemDisk) Dump() map[string]DumpedFile {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make(map[string]DumpedFile, len(d.files))
 	for name, f := range d.files {
 		out[name] = DumpedFile{
@@ -134,20 +129,14 @@ func (d *MemDisk) Dump() map[string]DumpedFile {
 
 // Wipe loses the medium: every file, synced or not.
 func (d *MemDisk) Wipe() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.files = make(map[string]*memFile)
 }
 
 func (f *memFile) Append(p []byte) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
 	f.unsynced = append(f.unsynced, p...)
 }
 
 func (f *memFile) Sync() {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
 	f.synced = append(f.synced, f.unsynced...)
 	f.unsynced = f.unsynced[:0] // keep capacity: the sync cadence is hot
 }
@@ -156,8 +145,6 @@ func (f *memFile) Sync() {
 // metadata operation). Synced content is cut only after the unsynced
 // suffix is exhausted.
 func (f *memFile) Truncate(n int) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
 	if n < 0 {
 		n = 0
 	}
@@ -173,24 +160,18 @@ func (f *memFile) Truncate(n int) {
 }
 
 func (f *memFile) Contents() []byte {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
 	out := make([]byte, 0, len(f.synced)+len(f.unsynced))
 	out = append(out, f.synced...)
 	return append(out, f.unsynced...)
 }
 
 func (f *memFile) Len() int {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
 	return len(f.synced) + len(f.unsynced)
 }
 
 // sortedNames returns the file names in sorted order — the canonical
 // iteration order for fault placement.
 func (d *MemDisk) sortedNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]string, 0, len(d.files))
 	for name := range d.files {
 		out = append(out, name)
@@ -201,8 +182,6 @@ func (d *MemDisk) sortedNames() []string {
 
 // unsyncedLen reports the unsynced suffix length of name (0 if absent).
 func (d *MemDisk) unsyncedLen(name string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if f, ok := d.files[name]; ok {
 		return len(f.unsynced)
 	}
@@ -212,8 +191,6 @@ func (d *MemDisk) unsyncedLen(name string) int {
 // tear makes the first keep bytes of name's unsynced suffix survive the
 // coming crash, modelling a partially-flushed page-cache write.
 func (d *MemDisk) tear(name string, keep int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	f, ok := d.files[name]
 	if !ok || keep <= 0 {
 		return
@@ -227,8 +204,6 @@ func (d *MemDisk) tear(name string, keep int) {
 
 // durableSize is the total synced byte count across all files.
 func (d *MemDisk) durableSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	n := 0
 	for _, f := range d.files {
 		n += len(f.synced)
@@ -240,8 +215,6 @@ func (d *MemDisk) durableSize() int {
 // in sorted name order.
 func (d *MemDisk) flipBit(pos int, bit uint) {
 	names := d.sortedNames()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, name := range names {
 		f := d.files[name]
 		if pos < len(f.synced) {
@@ -255,12 +228,9 @@ func (d *MemDisk) flipBit(pos int, bit uint) {
 // clone deep-copies the disk — used by the crash-point sweep to branch the
 // same history into many crash outcomes.
 func (d *MemDisk) clone() *MemDisk {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := NewMemDisk()
 	for name, f := range d.files {
 		out.files[name] = &memFile{
-			d:        out,
 			synced:   append([]byte(nil), f.synced...),
 			unsynced: append([]byte(nil), f.unsynced...),
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 
 	"quorumkit/internal/obs"
 )
@@ -96,10 +95,11 @@ type Counters struct {
 	CorruptRecoveries int64 // recoveries that found sealed state damaged
 }
 
-// NodeStore is one node's durable state engine. All methods are safe for
-// concurrent use; the cluster runtimes serialize per-node access anyway.
+// NodeStore is one node's durable state engine. It is not safe for
+// concurrent use: the caller serializes every call (the cluster runtimes
+// make each one while holding the node's lock), and that serialization
+// also covers the disk the store was opened on, which the store owns.
 type NodeStore struct {
-	mu        sync.Mutex
 	disk      Disk
 	reg       *obs.Registry
 	snapEvery int
@@ -116,10 +116,11 @@ type NodeStore struct {
 	hist     []float64
 	counters Counters
 
-	// Reusable scratch buffers for the append hot path (guarded by mu, like
-	// everything else). The disk backends copy on Append, so reuse is safe,
-	// and the write path stays allocation-free: a log append must cost a
-	// small fraction of a protocol operation (see `make bench-store`).
+	// Reusable scratch buffers for the append hot path, serialized with
+	// everything else by the caller. The disk backends copy on Append, so
+	// reuse is safe, and the write path stays allocation-free: a log append
+	// must cost a small fraction of a protocol operation (see
+	// BenchmarkWriteDurable in internal/cluster, run by `make bench-serve`).
 	pbuf []byte // payload assembly
 	rbuf []byte // record framing
 }
@@ -139,32 +140,24 @@ func Open(disk Disk, snapEvery int) *NodeStore {
 
 // SetObserver attaches (or detaches, with nil) an obs registry.
 func (s *NodeStore) SetObserver(r *obs.Registry) {
-	s.mu.Lock()
 	s.reg = r
-	s.mu.Unlock()
 }
 
 // SetDisk swaps the underlying disk — used to interpose FaultDisk over the
 // same MemDisk after construction. Content is untouched; handles reopen.
 func (s *NodeStore) SetDisk(d Disk) {
-	s.mu.Lock()
 	s.disk = d
 	s.log = d.Open(logName)
 	s.seal = d.Open(sealName)
-	s.mu.Unlock()
 }
 
 // Counters returns a copy of the store's metrics.
 func (s *NodeStore) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.counters
 }
 
 // PutState appends a full state record. Volatile until Sync.
 func (s *NodeStore) PutState(st State) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.cur.merge(st)
 	payload := s.pbuf[:0]
 	payload = appendU64(payload, uint64(st.Value))
@@ -173,7 +166,7 @@ func (s *NodeStore) PutState(st State) {
 	payload = appendU32(payload, uint32(st.QR))
 	payload = appendU32(payload, uint32(st.QW))
 	s.pbuf = payload
-	s.appendRecordLocked(recState, payload)
+	s.appendRecord(recState, payload)
 }
 
 // PutObservation appends one estimator sample (a vote weight). Volatile
@@ -182,21 +175,19 @@ func (s *NodeStore) PutObservation(votes int) {
 	if votes < 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldObsLocked(votes)
+	s.foldObs(votes)
 	s.pbuf = appendU32(s.pbuf[:0], uint32(votes))
-	s.appendRecordLocked(recObs, s.pbuf)
+	s.appendRecord(recObs, s.pbuf)
 }
 
-func (s *NodeStore) foldObsLocked(votes int) {
+func (s *NodeStore) foldObs(votes int) {
 	for len(s.hist) <= votes {
 		s.hist = append(s.hist, 0)
 	}
 	s.hist[votes]++
 }
 
-func (s *NodeStore) appendRecordLocked(kind byte, payload []byte) {
+func (s *NodeStore) appendRecord(kind byte, payload []byte) {
 	rec := s.rbuf[:0]
 	rec = append(rec, kind)
 	rec = appendU32(rec, uint32(len(payload)))
@@ -215,8 +206,6 @@ func (s *NodeStore) appendRecordLocked(kind byte, payload []byte) {
 // from an append may be externalized (vote reply, ack, granted return)
 // before Sync returns. A clean store syncs for free.
 func (s *NodeStore) Sync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.dirty {
 		return
 	}
@@ -229,23 +218,23 @@ func (s *NodeStore) Sync() {
 	s.counters.Syncs++
 	s.reg.Inc(obs.CStoreSync)
 	if s.appends >= s.snapEvery {
-		s.compactLocked()
+		s.compact()
 	}
 }
 
-// compactLocked writes a snapshot of the folded state via the tmp+rename
+// compact writes a snapshot of the folded state via the tmp+rename
 // discipline and resets log and seal to the next generation. Every step is
 // individually durable, so a crash anywhere leaves either the old
 // generation fully intact or the new snapshot superseding the old log.
-func (s *NodeStore) compactLocked() {
-	s.writeSnapLocked(s.gen + 1)
+func (s *NodeStore) compact() {
+	s.writeSnap(s.gen + 1)
 	s.counters.Snapshots++
 	s.reg.Inc(obs.CStoreSnapshot)
 }
 
-// writeSnapLocked installs a snapshot of (s.cur, s.hist) as generation gen
+// writeSnap installs a snapshot of (s.cur, s.hist) as generation gen
 // and resets log and seal.
-func (s *NodeStore) writeSnapLocked(gen uint64) {
+func (s *NodeStore) writeSnap(gen uint64) {
 	s.disk.Remove(snapTmpName)
 	tmp := s.disk.Open(snapTmpName)
 	tmp.Append(encodeSnap(gen, s.cur, s.hist))
@@ -268,23 +257,19 @@ func (s *NodeStore) writeSnapLocked(gen uint64) {
 // construction, or the state adopted by an amnesiac rejoin. Prior content
 // is discarded.
 func (s *NodeStore) Reset(st State, hist []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.disk.Remove(snapName)
 	s.disk.Remove(snapTmpName)
 	s.cur = st
 	s.hist = append([]float64(nil), hist...)
 	// Log and seal are truncated (not removed) by the snapshot write, so
 	// the open handles stay valid.
-	s.writeSnapLocked(s.gen + 1)
+	s.writeSnap(s.gen + 1)
 }
 
 // Crash loses the unsynced suffix of every file (plus whatever damage a
 // FaultDisk injects). The in-memory mirror is left stale on purpose: the
 // node is down, and Recover rebuilds from bytes alone.
 func (s *NodeStore) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.disk.Crash()
 }
 
@@ -294,8 +279,6 @@ func (s *NodeStore) Crash() {
 // cannot be trusted — in which case the caller must treat the node as
 // amnesiac and rejoin by state transfer, never by voting.
 func (s *NodeStore) Recover() (State, []float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.log = s.disk.Open(logName)
 	s.seal = s.disk.Open(sealName)
 	snapB := s.disk.Open(snapName).Contents()
@@ -306,15 +289,15 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 	}
 	gen, st, hist, err := decodeSnap(snapB)
 	if err != nil {
-		return State{}, nil, s.corruptLocked(err)
+		return State{}, nil, s.corrupt(err)
 	}
 	sealed, genMatch, sealRepairs, err := foldSeal(sealB, gen)
 	if err != nil {
-		return State{}, nil, s.corruptLocked(err)
+		return State{}, nil, s.corrupt(err)
 	}
 	if sealRepairs > 0 {
 		s.seal.Truncate(len(sealB) - len(sealB)%sealRecLen)
-		s.repairLocked(sealRepairs)
+		s.repair(sealRepairs)
 	}
 	if !genMatch {
 		// Crash window inside compaction: the snapshot superseded the log
@@ -323,7 +306,7 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 		// finish the interrupted compaction instead.
 		if len(logB) > 0 {
 			s.log.Truncate(0)
-			s.repairLocked(1)
+			s.repair(1)
 		}
 		s.seal.Truncate(0)
 		s.seal.Append(encodeSeal(gen, 0))
@@ -337,14 +320,14 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 		return st, append([]float64(nil), hist...), nil
 	}
 	if sealed > len(logB) {
-		return State{}, nil, s.corruptLocked(
+		return State{}, nil, s.corrupt(
 			fmt.Errorf("sealed %d bytes, log holds %d", sealed, len(logB)))
 	}
 	// The committed prefix must parse exactly: any anomaly inside it means
 	// externalized state is damaged.
 	n, nrec, err := foldLog(logB[:sealed], &st, &hist, true)
 	if err != nil || n != sealed {
-		return State{}, nil, s.corruptLocked(err)
+		return State{}, nil, s.corrupt(err)
 	}
 	// Beyond the seal lies at worst a torn tail of appends whose Sync never
 	// returned — nothing out there was externalized, so replay what parses
@@ -352,7 +335,7 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 	consumed, tailRec, _ := foldLog(logB[sealed:], &st, &hist, false)
 	if sealed+consumed < len(logB) {
 		s.log.Truncate(sealed + consumed)
-		s.repairLocked(1)
+		s.repair(1)
 	}
 	s.gen = gen
 	s.sealedLen = sealed
@@ -363,7 +346,7 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 	return st, append([]float64(nil), hist...), nil
 }
 
-func (s *NodeStore) corruptLocked(cause error) error {
+func (s *NodeStore) corrupt(cause error) error {
 	s.counters.CorruptRecoveries++
 	s.reg.Inc(obs.CStoreCorrupt)
 	if cause == nil || errors.Is(cause, ErrCorrupt) {
@@ -372,7 +355,7 @@ func (s *NodeStore) corruptLocked(cause error) error {
 	return fmt.Errorf("%w: %v", ErrCorrupt, cause)
 }
 
-func (s *NodeStore) repairLocked(n int) {
+func (s *NodeStore) repair(n int) {
 	s.counters.TruncateRepairs += int64(n)
 	s.reg.Add(obs.CStoreTruncRepair, int64(n))
 }

@@ -269,9 +269,11 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 
 	// An overflowing read pool sends both sides to column generation, so
 	// the write pool is only enumerated when the read pool is complete.
+	// When QR == QW the two pools are the same set and share one slice:
+	// nothing downstream writes to a pool (Canonical copies each quorum).
 	readPool, ok := MinimalResilientQuorums(sys.Votes, sys.QR, f, enumerateMax)
-	var writePool []Quorum
-	if ok {
+	writePool := readPool
+	if ok && sys.QW != sys.QR {
 		writePool, ok = MinimalResilientQuorums(sys.Votes, sys.QW, f, enumerateMax)
 	}
 	if ok {
