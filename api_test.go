@@ -9,45 +9,50 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlyAPI is the one list of exported functions and methods under
-// internal/ that no non-test file uses and that are kept on purpose, keyed
-// pkg.Name for a function and pkg.Recv.Name for a method (Recv is the
-// receiver's type, an interface's name for an interface method). Every other
-// exported function and method under internal/ must be used by the program
-// itself: the packages it is declared in, cmd/, examples/, bench/ or the
-// facade.
+// testOnlyAPI is the one list of exported declarations under internal/ that
+// no non-test file uses and that are kept on purpose: functions keyed
+// pkg.Name, methods pkg.Recv.Name (Recv is the receiver's type, an
+// interface's name for an interface method), types pkg.Type and struct
+// fields pkg.Type.Field. Every other exported function, method and type
+// under internal/ must be used by the program itself — the packages it is
+// declared in, cmd/, examples/, bench/ or the facade — and every exported
+// struct field there must be set by it.
 var testOnlyAPI = map[string]string{
-	"faults.Churn.DownCounts":        "the churn accounting pinned tests read",
-	"faults.Churn.ActiveShocks":      "the shock accounting pinned tests read",
-	"faults.LinkSchedule.ActiveCuts": "the partition accounting pinned tests read",
-	"faults.LinkSchedule.NumRules":   "the rule accounting pinned tests read",
-	"store.MemDisk.Dump":             "the byte image the parity test compares (ROADMAP 1a hashes it)",
-	"obs.Trace.Filter":               "the trace query the cluster and sim tests make across package lines",
-	"cluster.Cluster.NodeStamp":      "the per-node stamp the metamorphic suite compares",
-	"cluster.Cluster.NodeValue":      "the per-node value the metamorphic suite compares",
-	"cluster.Async.StartDaemon":      "the one driver that runs the daemon concurrently with operations, run under -race",
-	"coterie.FromQuorums":            "explicit-set systems, fixtures for the System.Validate claims DESIGN §20 cites",
-	"coterie.TreeSystem":             "the tree family, a fixture for the System.Validate claims DESIGN §20 cites",
-	"coterie.FanoSystem":             "the Fano plane, a fixture for the System.Validate claims DESIGN §20 cites",
-	"graph.State.NumComponents":      "the state's basic observable, asserted across the graph tests",
-	"obs.Registry.Counter":           "how tests read a live counter",
-	"obs.Snapshot.Counter":           "how tests read a counter; the metamorphic suite reads it",
-	"obs.Registry.Gauge":             "how tests read a live gauge",
-	"obs.Snapshot.Gauge":             "how tests read a gauge",
-	"obs.Snapshot.Delta":             "what a phase of a run changed, the phase assertions' instrument",
-	"core.Estimator.Density":         "one site's §4.2 estimate f_i, read by the estimation tests of four packages",
-	"dist.Exact":                     "the exact density oracle the scenario engine and the closed forms are pinned to",
-	"dist.MonteCarlo":                "the sampling oracle the scenario sampler's random stream is pinned to",
-	"coterie.VoteInducible":          "backs EXPERIMENTS' claim that grid and Fano coteries are not vote-inducible",
-	"coterie.Availability":           "the one-call exact evaluation of a coterie on a topology, as EXPERIMENTS' coterie tests use it",
-	"cluster.Async.Reassign":         "serializes a QR reassignment with the concurrent runtime's other operations; without it the async tests would reach the coordinator's unlocked Reassign",
-	"core.Estimator.Weight":          "one site's recorded observation weight, read by the estimation tests of core, cluster and sim",
-	"dist.PMF.Normalize":             "how the dist and core tests turn sampled counts into a PMF",
+	"faults.Churn.DownCounts":                 "the churn accounting pinned tests read",
+	"faults.Churn.ActiveShocks":               "the shock accounting pinned tests read",
+	"faults.LinkSchedule.ActiveCuts":          "the partition accounting pinned tests read",
+	"faults.LinkSchedule.NumRules":            "the rule accounting pinned tests read",
+	"store.MemDisk.Dump":                      "the byte image the parity test compares (ROADMAP 1a hashes it)",
+	"obs.Trace.Filter":                        "the trace query the cluster and sim tests make across package lines",
+	"cluster.Cluster.NodeStamp":               "the per-node stamp the metamorphic suite compares",
+	"cluster.Cluster.NodeValue":               "the per-node value the metamorphic suite compares",
+	"cluster.Async.StartDaemon":               "the one driver that runs the daemon concurrently with operations, run under -race",
+	"coterie.FromQuorums":                     "explicit-set systems, fixtures for the System.Validate claims DESIGN §20 cites",
+	"coterie.TreeSystem":                      "the tree family, a fixture for the System.Validate claims DESIGN §20 cites",
+	"coterie.FanoSystem":                      "the Fano plane, a fixture for the System.Validate claims DESIGN §20 cites",
+	"graph.State.NumComponents":               "the state's basic observable, asserted across the graph tests",
+	"obs.Registry.Counter":                    "how tests read a live counter",
+	"obs.Snapshot.Counter":                    "how tests read a counter; the metamorphic suite reads it",
+	"obs.Registry.Gauge":                      "how tests read a live gauge",
+	"obs.Snapshot.Gauge":                      "how tests read a gauge",
+	"obs.Snapshot.Delta":                      "what a phase of a run changed, the phase assertions' instrument",
+	"core.Estimator.Density":                  "one site's §4.2 estimate f_i, read by the estimation tests of four packages",
+	"dist.Exact":                              "the exact density oracle the scenario engine and the closed forms are pinned to",
+	"dist.MonteCarlo":                         "the sampling oracle the scenario sampler's random stream is pinned to",
+	"coterie.VoteInducible":                   "backs EXPERIMENTS' claim that grid and Fano coteries are not vote-inducible",
+	"coterie.Availability":                    "the one-call exact evaluation of a coterie on a topology, as EXPERIMENTS' coterie tests use it",
+	"cluster.Async.Reassign":                  "serializes a QR reassignment with the concurrent runtime's other operations; without it the async tests would reach the coordinator's unlocked Reassign",
+	"core.Estimator.Weight":                   "one site's recorded observation weight, read by the estimation tests of core, cluster and sim",
+	"dist.PMF.Normalize":                      "how the dist and core tests turn sampled counts into a PMF",
+	"sim.Params.AccessWeights":                "the paper's non-uniform per-site access rates r_i/w_i, which the skew tests pin against the uniform model",
+	"cluster.AdversaryConfig.AmnesiaFraction": "scenario amnesia, which the durable, adversary and resolve-memo tests compose with churn",
 }
 
 // implicitMethods are method names the standard library calls through an
@@ -62,16 +67,18 @@ var implicitMethods = map[string]bool{
 // module is the import path of the repository root.
 const module = "quorumkit"
 
-// apiDecl is one exported function or method declared under internal/.
+// apiDecl is one exported declaration under internal/; verb says how the
+// program uses one of its kind (calls a function, names a type, sets a
+// field).
 type apiDecl struct {
-	key, where string
-	used       bool
+	key, where, verb string
+	used             bool
 }
 
 // TestNoTestOnlyAPI type-checks every non-test Go file in the module and
-// fails on each exported function or method declared under internal/ that
-// the program never uses (apiUses has the rules), unless testOnlyAPI lists
-// it with a reason.
+// fails on each exported function, method, type or struct field declared
+// under internal/ that the program never uses (apiUses has the rules),
+// unless testOnlyAPI lists it with a reason.
 func TestNoTestOnlyAPI(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -107,7 +114,7 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	for _, d := range decls {
 		unused[d.key] = !d.used
 		if !d.used && testOnlyAPI[d.key] == "" {
-			t.Errorf("%s: %s is exported but only tests call it: delete it, or list it in testOnlyAPI with the reason it stays", d.where, d.key)
+			t.Errorf("%s: %s is exported but no non-test code %s it: delete it, or list it in testOnlyAPI with the reason it stays", d.where, d.key, d.verb)
 		}
 	}
 	for key := range testOnlyAPI {
@@ -126,13 +133,14 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // apiUses type-checks files, grouped into packages by directory (a file's
 // name is its path from the module root), and returns, sorted by key, every
-// exported function and method declared in a package under internal/, and
-// every method an interface there declares explicitly, with whether the
-// program uses it. Imports outside the module come from std. The rules:
-//   - A declaration is used when some identifier resolves to it, through
-//     (*types.Func).Origin, outside the declaration's own body. A generic
-//     method called on an instantiation is therefore used; a function whose
-//     only use is a call to itself is not.
+// exported function, method and type declared in a package under internal/,
+// every exported field of a struct type declared there, and every method an
+// interface there declares explicitly, with whether the program uses it.
+// Imports outside the module come from std. The rules:
+//   - A function or method is used when some identifier resolves to it,
+//     through (*types.Func).Origin, outside the declaration's own body. A
+//     generic method called on an instantiation is therefore used; a
+//     function whose only use is a call to itself is not.
 //   - A concrete method is also used when it implements an interface method
 //     the program calls: some named type of the module implements the
 //     interface and holds the method in its method set, promoted through
@@ -140,13 +148,27 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 //   - An interface method is used only when the program calls it through an
 //     interface.
 //   - Methods named in implicitMethods are skipped.
+//   - A type is used when an identifier outside its own declaration and
+//     methods names it. A name inside another type's declaration or methods
+//     counts only once that type is used, so a type named only by unused
+//     types stays unused.
+//   - A field is used when it is written: a composite literal sets it, or
+//     it is the target of an assignment, ++/--, & or a range clause, also
+//     under an index, a dereference or a field selection (x.F[i] = v and
+//     *x.F = v write F). Embedded fields and fields with a json tag, which
+//     a decoder writes, are skipped.
 func apiUses(fset *token.FileSet, files []*ast.File, std types.Importer) ([]apiDecl, error) {
 	byDir := map[string][]*ast.File{}
 	for _, f := range files {
 		dir := path.Dir(fset.Position(f.Package).Filename)
 		byDir[dir] = append(byDir[dir], f)
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	checked := map[string]*types.Package{}
 	var check func(dir string) (*types.Package, error)
 	imp := importerFunc(func(ipath string) (*types.Package, error) {
@@ -181,16 +203,14 @@ func apiUses(fset *token.FileSet, files []*ast.File, std types.Importer) ([]apiD
 		}
 	}
 
-	// The declarations in scope, and the span of each one's own body.
-	type span struct{ pos, end token.Pos }
-	decls := map[*types.Func]*apiDecl{}
+	// The declarations in scope; the span of each function's own body; and
+	// each type's own spans, its declaration and its methods.
+	decls := map[types.Object]*apiDecl{}
 	body := map[*types.Func]span{}
-	add := func(fn *types.Func, recv string, pos token.Pos) {
-		key := fn.Pkg().Name() + "." + fn.Name()
-		if recv != "" {
-			key = fn.Pkg().Name() + "." + recv + "." + fn.Name()
-		}
-		decls[fn] = &apiDecl{key: key, where: fset.Position(pos).String()}
+	own := map[*types.TypeName][]span{}
+	add := func(obj types.Object, name, verb string, pos token.Pos) {
+		key := obj.Pkg().Name() + "." + name
+		decls[obj] = &apiDecl{key: key, where: fset.Position(pos).String(), verb: verb}
 	}
 	for _, dir := range dirs {
 		if !strings.HasPrefix(dir, "internal/") {
@@ -200,29 +220,50 @@ func apiUses(fset *token.FileSet, files []*ast.File, std types.Importer) ([]apiD
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if !d.Name.IsExported() || (d.Recv != nil && implicitMethods[d.Name.Name]) {
-						continue
-					}
 					fn := info.Defs[d.Name].(*types.Func)
-					recv := ""
+					name := fn.Name()
 					if r := fn.Type().(*types.Signature).Recv(); r != nil {
-						recv = namedOf(r.Type()).Obj().Name()
+						tn := namedOf(r.Type()).Obj()
+						own[tn] = append(own[tn], span{d.Pos(), d.End()})
+						if implicitMethods[name] {
+							continue
+						}
+						name = tn.Name() + "." + name
 					}
-					add(fn, recv, d.Pos())
-					body[fn] = span{d.Pos(), d.End()}
+					if d.Name.IsExported() {
+						add(fn, name, "calls", d.Pos())
+						body[fn] = span{d.Pos(), d.End()}
+					}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						ts, ok := s.(*ast.TypeSpec)
 						if !ok {
 							continue
 						}
-						iface, ok := info.Defs[ts.Name].Type().Underlying().(*types.Interface)
+						tn := info.Defs[ts.Name].(*types.TypeName)
+						own[tn] = append(own[tn], span{ts.Pos(), ts.End()})
+						if ts.Name.IsExported() {
+							add(tn, tn.Name(), "names", ts.Pos())
+						}
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, fl := range st.Fields.List {
+								if len(fl.Names) == 0 || jsonTagged(fl.Tag) {
+									continue
+								}
+								for _, n := range fl.Names {
+									if n.IsExported() {
+										add(info.Defs[n], tn.Name()+"."+n.Name, "sets", n.Pos())
+									}
+								}
+							}
+						}
+						iface, ok := tn.Type().Underlying().(*types.Interface)
 						if !ok {
 							continue
 						}
 						for i := 0; i < iface.NumExplicitMethods(); i++ {
 							if m := iface.ExplicitMethod(i); m.Exported() && !implicitMethods[m.Name()] {
-								add(m, ts.Name.Name, m.Pos())
+								add(m, tn.Name()+"."+m.Name(), "calls", m.Pos())
 							}
 						}
 					}
@@ -231,25 +272,131 @@ func apiUses(fset *token.FileSet, files []*ast.File, std types.Importer) ([]apiD
 		}
 	}
 
-	// Direct uses, and the interface methods the program calls.
-	used := map[*types.Func]bool{}
+	// The own spans of the types in scope, sorted, so that a position finds
+	// the type whose declaration or method it is in.
+	var owned []ownSpan
+	for tn, spans := range own {
+		if decls[tn] == nil {
+			continue
+		}
+		for _, s := range spans {
+			owned = append(owned, ownSpan{s, tn})
+		}
+	}
+	sort.Slice(owned, func(i, j int) bool { return owned[i].pos < owned[j].pos })
+	ownerAt := func(pos token.Pos) *types.TypeName {
+		i := sort.Search(len(owned), func(i int) bool { return owned[i].pos > pos }) - 1
+		if i >= 0 && pos < owned[i].end {
+			return owned[i].tn
+		}
+		return nil
+	}
+
+	// Direct uses, the interface methods the program calls, and which types
+	// name which.
+	used := map[types.Object]bool{}
+	namedIn := map[*types.TypeName][]*types.TypeName{}
 	var called []*types.Func
 	for id, obj := range info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
+		switch obj := obj.(type) {
+		case *types.TypeName:
+			if decls[obj] == nil {
+				continue
+			}
+			switch owner := ownerAt(id.Pos()); owner {
+			case obj:
+			case nil:
+				used[obj] = true
+			default:
+				namedIn[obj] = append(namedIn[obj], owner)
+			}
+		case *types.Func:
+			fn := obj.Origin()
+			if b, ok := body[fn]; ok && b.pos <= id.Pos() && id.Pos() < b.end {
+				continue
+			}
+			if used[fn] {
+				continue
+			}
+			used[fn] = true
+			if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
+				called = append(called, fn)
+			}
 		}
-		fn = fn.Origin()
-		if b, ok := body[fn]; ok && b.pos <= id.Pos() && id.Pos() < b.end {
-			continue
+	}
+
+	// A type named only inside other types is used once one of them is.
+	for changed := true; changed; {
+		changed = false
+		for tn, owners := range namedIn {
+			for _, o := range owners {
+				if !used[tn] && used[o] {
+					used[tn], changed = true, true
+				}
+			}
 		}
-		if used[fn] {
-			continue
+	}
+
+	// Fields the program writes.
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					used[sel.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
 		}
-		used[fn] = true
-		if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
-			called = append(called, fn)
-		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.RangeStmt:
+				if n.Key != nil {
+					write(n.Key)
+				}
+				if n.Value != nil {
+					write(n.Value)
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n)
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						used[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+					} else {
+						used[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
 	}
 
 	// Concrete methods that implement a called interface method.
@@ -280,12 +427,35 @@ func apiUses(fset *token.FileSet, files []*ast.File, std types.Importer) ([]apiD
 	}
 
 	out := make([]apiDecl, 0, len(decls))
-	for fn, d := range decls {
-		d.used = used[fn]
+	for obj, d := range decls {
+		d.used = used[obj]
 		out = append(out, *d)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, nil
+}
+
+// span is the source range of a declaration.
+type span struct{ pos, end token.Pos }
+
+// ownSpan is a declaration or a method of one type.
+type ownSpan struct {
+	span
+	tn *types.TypeName
+}
+
+// jsonTagged reports whether a struct field carries a json tag: a decoder
+// sets such a field, so the program need not.
+func jsonTagged(tag *ast.BasicLit) bool {
+	if tag == nil {
+		return false
+	}
+	s, err := strconv.Unquote(tag.Value)
+	if err != nil {
+		return false
+	}
+	_, ok := reflect.StructTag(s).Lookup("json")
+	return ok
 }
 
 // namedOf returns the named type of a method receiver, through a pointer.
@@ -298,7 +468,10 @@ func namedOf(t types.Type) *types.Named {
 
 // TestAPIUsesResolvesTypes feeds apiUses one in-memory package whose
 // declarations a name-based scan gets wrong: B.Read shares its name with the
-// used A.Read, and Outer.Kind with an interface method nobody calls.
+// used A.Read, and Outer.Kind with an interface method nobody calls. Knobs
+// has a field the program only reads beside one written each way the write
+// rule counts, and Core is named only inside Shell, which nothing names.
+// The json-tagged Knobs.Tagged is exempt, so it is no declaration at all.
 func TestAPIUsesResolvesTypes(t *testing.T) {
 	const src = `package p
 
@@ -340,6 +513,39 @@ func use(n Namer) int {
 }
 
 var _ = use(Outer{})
+
+type Knobs struct {
+	ReadOnly       int
+	Keyed          int
+	Addr           int
+	Elems          []int
+	Count          int
+	Ptr            *int
+	TupleA, TupleB int
+	Ranged         int
+	Tagged         int ` + "`json:\"tagged\"`" + `
+}
+
+type Pair struct{ X, Y int }
+
+type Core struct{}
+
+type Shell struct{ c Core }
+
+func knobs() int {
+	k := Knobs{Keyed: 1}
+	p := &k.Addr
+	k.Elems[0] = 2
+	k.Count++
+	*k.Ptr = 3
+	k.TupleA, k.TupleB = 4, 5
+	for k.Ranged = range k.Elems {
+	}
+	pair := Pair{1, 2}
+	return k.ReadOnly + *p + pair.X + k.Tagged
+}
+
+var _ = knobs()
 `
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "internal/p/p.go", src, parser.SkipObjectResolution)
@@ -366,6 +572,26 @@ var _ = use(Outer{})
 		{"p.Namer.Kind", false}, // declared, never called through Namer
 		{"p.Outer.Kind", false}, // implements only that uncalled method
 		{"p.Loop", false},       // its only use is a call to itself
+		{"p.A", true},
+		{"p.B", false}, // named only by its own method
+		{"p.Box", true},
+		{"p.Outer", true},
+		{"p.Namer", true},
+		{"p.Knobs", true},
+		{"p.Knobs.ReadOnly", false}, // read, never written
+		{"p.Knobs.Keyed", true},     // keyed literal
+		{"p.Knobs.Addr", true},      // &x.F
+		{"p.Knobs.Elems", true},     // x.F[i] =
+		{"p.Knobs.Count", true},     // x.F++
+		{"p.Knobs.Ptr", true},       // *x.F =
+		{"p.Knobs.TupleA", true},    // tuple assignment
+		{"p.Knobs.TupleB", true},
+		{"p.Knobs.Ranged", true}, // range target
+		{"p.Pair", true},
+		{"p.Pair.X", true}, // positional literal
+		{"p.Pair.Y", true},
+		{"p.Core", false},  // named only inside Shell
+		{"p.Shell", false}, // named nowhere
 	} {
 		if used, ok := got[c.key]; !ok {
 			t.Errorf("%s: not among the declarations", c.key)

@@ -96,7 +96,7 @@ func chaosOnce(mix, disk string, steps, n int, seed uint64, async bool, sink *ob
 	}
 	defer stop()
 	plan := faults.NewPlan(seed, m)
-	rt.EnableChaos(plan, cluster.DefaultRetryPolicy())
+	rt.EnableChaos(plan)
 	if disk != "" {
 		dm, err := faults.NamedDisk(disk)
 		if err != nil {

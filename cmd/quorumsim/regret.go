@@ -7,7 +7,6 @@ import (
 	"quorumkit/internal/cluster"
 	"quorumkit/internal/gate"
 	"quorumkit/internal/graph"
-	"quorumkit/internal/quorum"
 	"quorumkit/internal/strategy"
 )
 
@@ -165,9 +164,10 @@ func strategyAdvSeed(alpha float64) (strategy.Strategy, error) {
 	for i := range votes {
 		votes[i], unit[i] = 1, 1
 	}
-	m := quorum.Majority(sites)
-	sys := strategy.System{Votes: votes, QR: m.QR, QW: m.QW,
-		ReadCap: unit, WriteCap: unit, Latency: unit}
+	sys, err := strategy.MajoritySystem(votes, unit, unit, unit)
+	if err != nil {
+		return strategy.Strategy{}, err
+	}
 	res, err := strategy.OptimizeResilientCapacity(sys, strategy.SingleFr(alpha), 1, strategy.Options{})
 	if err != nil {
 		return strategy.Strategy{}, err

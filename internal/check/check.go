@@ -18,6 +18,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"quorumkit/internal/graph"
@@ -90,8 +91,8 @@ func (q QRAdapter) Encode() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "L%d|", stamps[q.Obj.LatestStamp()])
 	for i := 0; i < n; i++ {
-		a, ver, _ := copyAssign(q.Obj, i)
-		fmt.Fprintf(&b, "%d:%d:%d/%d;", stamps[q.Obj.CopyStamp(i)], ver, a.QR, a.QW)
+		a := q.Obj.CopyAssignment(i)
+		fmt.Fprintf(&b, "%d:%d:%d/%d;", stamps[q.Obj.CopyStamp(i)], q.Obj.CopyVersion(i), a.QR, a.QW)
 	}
 	return b.String()
 }
@@ -101,17 +102,8 @@ func sortedKeys(m map[int64]int) []int64 {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
-}
-
-// copyAssign reads a copy's stored assignment via the exported accessors.
-func copyAssign(o *replica.Object, i int) (quorum.Assignment, int64, bool) {
-	return o.CopyAssignment(i), o.CopyVersion(i), true
 }
 
 // Violation is a safety failure found during exploration.
@@ -270,17 +262,15 @@ func Explore(g *graph.Graph, mk func(st *graph.State) Protocol, cfg Config) (int
 			add(fmt.Sprintf("read %d", x), func(st *graph.State, p Protocol) { p.Read(x) })
 			for ai, a := range cfg.Assignments {
 				a := a
-				add(fmt.Sprintf("reassign %d→#%d", x, ai), func(st *graph.State, p Protocol) {
-					// Version cap: encode guards growth, but avoid even
-					// generating beyond-cap successors.
-					_ = p.Reassign(x, a)
-				})
+				add(fmt.Sprintf("reassign %d→#%d", x, ai), func(st *graph.State, p Protocol) { _ = p.Reassign(x, a) })
 			}
 		}
 		for _, child := range children {
 			if err := checkInvariants(child); err != nil {
 				return visited, err
 			}
+			// Version cap: a child past it is checked but not explored
+			// further, which keeps the reachable space finite.
 			if maxVersion(child.proto, g.N()) <= cfg.VersionCap {
 				frontier = append(frontier, child)
 			}

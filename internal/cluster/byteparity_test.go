@@ -81,7 +81,7 @@ func TestCrossRuntimeByteParity(t *testing.T) {
 			plan := faults.NewPlan(4242, mix)
 			c, a := build(t)
 			for _, rt := range []Runtime{c, a} {
-				rt.EnableChaos(plan, DefaultRetryPolicy())
+				rt.EnableChaos(plan)
 				rt.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
 			}
 			src := rng.New(13)

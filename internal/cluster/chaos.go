@@ -47,9 +47,9 @@ import (
 //     model exposes;
 //   - timeout/retry with exponential backoff and deterministic jitter:
 //     an attempt that lost expected replies to faults fails with
-//     ErrTimeout and is retried under RetryPolicy; an attempt denied with
-//     a full response set fails with ErrNoQuorum and is not retried
-//     (nothing will change without a topology event).
+//     ErrTimeout and is retried, up to retryAttempts tries in all; an
+//     attempt denied with a full response set fails with ErrNoQuorum and
+//     is not retried (nothing will change without a topology event).
 //
 // Crash-recovery: a crashed coordinator keeps its copy state (value,
 // stamp, assignment, version — the node's durable state), and Recover
@@ -75,34 +75,27 @@ var (
 	ErrCrashed = errors.New("cluster: coordinator crashed mid-operation")
 )
 
-// RetryPolicy bounds operation retries. Backoff is exponential with
-// deterministic jitter: delay(attempt) = min(Base·2^attempt, Max) ticks,
-// scaled down by up to Jitter·uniform. Ticks are abstract in the
+// The retry policy, common production defaults: at most retryAttempts
+// tries per operation, with exponential backoff and deterministic jitter
+// between them — delay(attempt) = min(retryBase·2^attempt, retryMax) ticks,
+// scaled down by up to retryJitter·uniform. Ticks are abstract in the
 // deterministic runtime and scaled to a real duration by the concurrent
 // one.
-type RetryPolicy struct {
-	MaxAttempts int
-	BaseBackoff int64
-	MaxBackoff  int64
-	Jitter      float64 // fraction of the delay subject to jitter, in [0,1]
-}
-
-// DefaultRetryPolicy mirrors common production defaults: three attempts,
-// exponential backoff starting at 2 ticks capped at 16, half jittered.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 2, MaxBackoff: 16, Jitter: 0.5}
-}
+const (
+	retryAttempts       = 3
+	retryBase     int64 = 2
+	retryMax      int64 = 16
+	retryJitter         = 0.5 // fraction of the delay subject to jitter
+)
 
 // backoff computes the attempt's delay in ticks from a uniform jitter
 // variate u in [0,1).
-func (p RetryPolicy) backoff(attempt int, u float64) int64 {
-	d := p.BaseBackoff << uint(attempt)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
+func backoff(attempt int, u float64) int64 {
+	d := retryBase << uint(attempt)
+	if d > retryMax || d <= 0 {
+		d = retryMax
 	}
-	if p.Jitter > 0 {
-		d -= int64(p.Jitter * u * float64(d))
-	}
+	d -= int64(retryJitter * u * float64(d))
 	if d < 1 {
 		d = 1
 	}
@@ -138,12 +131,11 @@ type Outcome struct {
 }
 
 // chaosState is the fault-injection context of one runtime: the plan both
-// transports consult per message, the retry policy, and the counters. The
-// mutex makes counter and crash-set snapshots safe against the concurrent
-// runtime's node and daemon goroutines.
+// transports consult per message, and the counters. The mutex makes counter
+// and crash-set snapshots safe against the concurrent runtime's node and
+// daemon goroutines.
 type chaosState struct {
-	plan   *faults.Plan
-	policy RetryPolicy
+	plan *faults.Plan
 
 	mu       sync.Mutex
 	counters stats.ChaosCounters
@@ -162,18 +154,15 @@ func (ch *chaosState) bump(f func(c *stats.ChaosCounters)) {
 	ch.mu.Unlock()
 }
 
-// EnableChaos attaches a fault plan and retry policy. All subsequent
-// message deliveries pass through the fault-injecting transport, and the
-// hardened ChaosRead/ChaosWrite/ChaosReassign operations become available.
+// EnableChaos attaches a fault plan. All subsequent message deliveries pass
+// through the fault-injecting transport, and the hardened
+// ChaosRead/ChaosWrite/ChaosReassign operations become available.
 // The baseline Read/Write/Reassign methods stay callable but keep their
 // idealized-transport assumptions — driving them under chaos demonstrably
 // violates one-copy serializability (see
 // TestUnhardenedProtocolViolatesUnderChaos).
-func (k *coordinator) EnableChaos(plan *faults.Plan, policy RetryPolicy) {
-	if policy.MaxAttempts < 1 {
-		policy.MaxAttempts = 1
-	}
-	k.chaos = &chaosState{plan: plan, policy: policy, crashed: make([]bool, len(k.all))}
+func (k *coordinator) EnableChaos(plan *faults.Plan) {
+	k.chaos = &chaosState{plan: plan, crashed: make([]bool, len(k.all))}
 }
 
 // ChaosCounters returns a snapshot of the fault-injection counters.
@@ -404,13 +393,13 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 			out.Granted = true
 			return out
 		}
-		if !retryable(out.Err) || try+1 >= ch.policy.MaxAttempts {
+		if !retryable(out.Err) || try+1 >= retryAttempts {
 			ch.bump(func(c *stats.ChaosCounters) { c.Aborts++ })
 			return out
 		}
 		// Account the retry and its deterministically jittered backoff,
 		// which the concurrent runtime also sleeps through.
-		d := ch.policy.backoff(try, ch.plan.Jitter(ch.op, try))
+		d := backoff(try, ch.plan.Jitter(ch.op, try))
 		out.BackoffTicks += d
 		ch.bump(func(c *stats.ChaosCounters) {
 			c.Retries++
@@ -422,7 +411,7 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 }
 
 // ChaosRead performs a fault-hardened read at node x with retries under
-// the configured policy. Requires EnableChaos.
+// the retry policy. Requires EnableChaos.
 func (k *coordinator) ChaosRead(x int) Outcome {
 	out := k.hardened(x, func(out *Outcome) (err error) {
 		out.Value, out.Stamp, err = k.chaosReadOnce(x)

@@ -23,7 +23,7 @@ func newChaosAsync(t *testing.T, n int, planSeed uint64, mixName string) (*Async
 		t.Fatal(err)
 	}
 	plan := faults.NewPlan(planSeed, mix)
-	a.EnableChaos(plan, DefaultRetryPolicy())
+	a.EnableChaos(plan)
 	return a, plan, g.M()
 }
 
@@ -58,12 +58,12 @@ func TestChaosAsyncCrashRecovery(t *testing.T) {
 	}
 	defer a.Close()
 
-	a.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+	a.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 	if out := a.ChaosWrite(0, 42); !out.Granted {
 		t.Fatalf("fault-free write denied: %v", out.Err)
 	}
 
-	a.EnableChaos(faults.NewPlan(7, faults.Mix{Name: "always-crash", Crash: 1}), DefaultRetryPolicy())
+	a.EnableChaos(faults.NewPlan(7, faults.Mix{Name: "always-crash", Crash: 1}))
 	out := a.ChaosWrite(0, 99)
 	if !errors.Is(out.Err, ErrCrashed) {
 		t.Fatalf("got %v, want ErrCrashed", out.Err)
@@ -83,7 +83,7 @@ func TestChaosAsyncCrashRecovery(t *testing.T) {
 	if !a.Recover(0) {
 		t.Fatal("Recover(0) found nothing to recover")
 	}
-	a.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+	a.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 	rd := a.ChaosRead(0)
 	if !rd.Granted || rd.Value != 42 {
 		t.Fatalf("read after recovery: %+v, want granted value 42", rd)

@@ -29,7 +29,7 @@ func newChaosCluster(t *testing.T, n int, planSeed uint64, mixName string) (*Clu
 		t.Fatal(err)
 	}
 	plan := faults.NewPlan(planSeed, mix)
-	c.EnableChaos(plan, DefaultRetryPolicy())
+	c.EnableChaos(plan)
 	return c, plan, st, g.M()
 }
 
@@ -126,7 +126,7 @@ func TestChaosTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 	for l := 0; l < g.M(); l++ {
 		st.FailLink(l)
 	}
@@ -144,12 +144,12 @@ func TestChaosTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "all-drop", Drop: 1}), DefaultRetryPolicy())
+	c2.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "all-drop", Drop: 1}))
 	out = c2.ChaosWrite(0, 1)
 	if !errors.Is(out.Err, ErrTimeout) {
 		t.Fatalf("all-drop write: got %v, want ErrTimeout", out.Err)
 	}
-	if out.Attempts != DefaultRetryPolicy().MaxAttempts {
+	if out.Attempts != retryAttempts {
 		t.Fatalf("timeout must exhaust retries: %d attempts", out.Attempts)
 	}
 	if out.BackoffTicks == 0 {
@@ -171,14 +171,14 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 
 	// Phase 1: fault-free plan, commit a value through node 0.
-	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 	if out := c.ChaosWrite(0, 42); !out.Granted {
 		t.Fatalf("fault-free write denied: %v", out.Err)
 	}
 	stampBefore, versionBefore := c.NodeStamp(0), c.NodeVersion(0)
 
 	// Phase 2: guaranteed crash on the next write from node 0.
-	c.EnableChaos(faults.NewPlan(7, faults.Mix{Name: "always-crash", Crash: 1}), DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(7, faults.Mix{Name: "always-crash", Crash: 1}))
 	out := c.ChaosWrite(0, 99)
 	if !errors.Is(out.Err, ErrCrashed) {
 		t.Fatalf("got %v, want ErrCrashed", out.Err)
@@ -210,7 +210,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 	if c.Recover(0) {
 		t.Fatal("double recovery")
 	}
-	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 	rd := c.ChaosRead(0)
 	if !rd.Granted {
 		t.Fatalf("read after recovery denied: %v", rd.Err)
@@ -240,7 +240,7 @@ func TestChaosMidApplyResidueSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := &history.Log{}
-		c.EnableChaos(faults.NewPlan(seed, faults.Mix{Name: "always-crash", Crash: 1}), DefaultRetryPolicy())
+		c.EnableChaos(faults.NewPlan(seed, faults.Mix{Name: "always-crash", Crash: 1}))
 		out := c.ChaosWrite(0, 1)
 		if !errors.Is(out.Err, ErrCrashed) {
 			t.Fatalf("seed %d: got %v, want ErrCrashed", seed, out.Err)
@@ -251,7 +251,7 @@ func TestChaosMidApplyResidueSurfaces(t *testing.T) {
 		log.RecordWrite(0, false, 1, 0, 0)
 		// Fault-free reads from the survivors; if the mid-apply residue
 		// reached any of them, read repair must surface it consistently.
-		c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}), DefaultRetryPolicy())
+		c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
 		for x := 1; x < 5; x++ {
 			rd := c.ChaosRead(x)
 			if !rd.Granted {
@@ -285,7 +285,7 @@ func TestUnhardenedProtocolViolatesUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableChaos(faults.NewPlan(seed, mix), DefaultRetryPolicy())
+		c.EnableChaos(faults.NewPlan(seed, mix))
 		src := rng.New(seed * 31)
 		log := &history.Log{}
 		for step := 0; step < 400; step++ {
@@ -334,7 +334,7 @@ func TestChaosWriteResidueOnPartialApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableChaos(faults.NewPlan(seed, mix), RetryPolicy{MaxAttempts: 1, BaseBackoff: 1, MaxBackoff: 1})
+		c.EnableChaos(faults.NewPlan(seed, mix))
 		out := c.ChaosWrite(0, 7)
 		if errors.Is(out.Err, ErrIndeterminate) {
 			if len(out.Residue) == 0 {

@@ -38,7 +38,7 @@ func TestCrossRuntimeFaultOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.EnableChaos(plan, DefaultRetryPolicy())
+			c.EnableChaos(plan)
 			runC := RunChaos(c, plan, 13, steps, n, g.M())
 
 			stA := graph.NewState(g, nil)
@@ -47,7 +47,7 @@ func TestCrossRuntimeFaultOutcomes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			a.EnableChaos(plan, DefaultRetryPolicy())
+			a.EnableChaos(plan)
 			runA := RunChaos(a, plan, 13, steps, n, g.M())
 
 			if len(runC.Results) != len(runA.Results) {

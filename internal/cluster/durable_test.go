@@ -227,7 +227,7 @@ func TestDiskChaosSafetyDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				plan := faults.NewPlan(seed, mix)
-				c.EnableChaos(plan, DefaultRetryPolicy())
+				c.EnableChaos(plan)
 				c.EnableDiskChaos(faults.NewDiskPlan(seed^0xd15c, dmix))
 				run := RunChaos(c, plan, seed*7+1, steps, n, g.M())
 				if err := run.Log.Check(); err != nil {
@@ -287,7 +287,7 @@ func TestCrossRuntimeDiskChaosOutcomes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.EnableChaos(plan, DefaultRetryPolicy())
+			c.EnableChaos(plan)
 			c.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
 			runC := RunChaos(c, plan, 13, steps, n, g.M())
 
@@ -296,7 +296,7 @@ func TestCrossRuntimeDiskChaosOutcomes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			a.EnableChaos(plan, DefaultRetryPolicy())
+			a.EnableChaos(plan)
 			a.EnableDiskChaos(faults.NewDiskPlan(99, dmix))
 			runA := RunChaos(a, plan, 13, steps, n, g.M())
 

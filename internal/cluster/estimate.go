@@ -55,8 +55,8 @@ func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 }
 
 // optimizeLocal runs the Figure-1 algorithm at node x from gossiped
-// estimates, with an optional §5.4 write floor (minWrite > 0).
-func (k *coordinator) optimizeLocal(x int, alpha, minWrite float64) (core.Model, core.Result, error) {
+// estimates.
+func (k *coordinator) optimizeLocal(x int, alpha float64) (core.Model, core.Result, error) {
 	est, err := k.gossipEstimates(x)
 	if err != nil {
 		return core.Model{}, core.Result{}, err
@@ -64,10 +64,6 @@ func (k *coordinator) optimizeLocal(x int, alpha, minWrite float64) (core.Model,
 	model, err := est.Model(nil, nil)
 	if err != nil {
 		return core.Model{}, core.Result{}, err
-	}
-	if minWrite > 0 {
-		want, err := model.OptimizeConstrained(alpha, minWrite)
-		return model, want, err
 	}
 	return model, model.Optimize(alpha), nil
 }
@@ -77,11 +73,11 @@ func (k *coordinator) optimizeLocal(x int, alpha, minWrite float64) (core.Model,
 // the QR protocol when it differs from the one in effect and predicts an
 // improvement of at least hysteresis. It reports whether a reassignment
 // was installed.
-func (k *coordinator) reassignOptimal(x int, alpha, minWrite, hysteresis float64) (bool, error) {
+func (k *coordinator) reassignOptimal(x int, alpha, hysteresis float64) (bool, error) {
 	if !k.tr.siteUp(x) {
 		return false, fmt.Errorf("cluster: reassign-optimal: node %d is down", x)
 	}
-	model, want, err := k.optimizeLocal(x, alpha, minWrite)
+	model, want, err := k.optimizeLocal(x, alpha)
 	if err != nil {
 		return false, err
 	}

@@ -40,8 +40,7 @@ func newEstimatorCluster(t *testing.T) *Cluster {
 func TestGossipEstimatesDuplicatesHarmless(t *testing.T) {
 	clean := newEstimatorCluster(t)
 	dup := newEstimatorCluster(t)
-	dup.EnableChaos(faults.NewPlan(3, faults.Mix{Name: "dup", Duplicate: 1.0}),
-		DefaultRetryPolicy())
+	dup.EnableChaos(faults.NewPlan(3, faults.Mix{Name: "dup", Duplicate: 1.0}))
 
 	for x := 0; x < 7; x++ {
 		dup.chaos.op++ // advance the fault schedule between rounds
@@ -76,8 +75,7 @@ func TestGossipEstimatesUnderDrops(t *testing.T) {
 	clean := newEstimatorCluster(t)
 	for _, p := range []float64{0.2, 0.5, 0.9} {
 		c := newEstimatorCluster(t)
-		c.EnableChaos(faults.NewPlan(11, faults.Mix{Name: "drop", Drop: p}),
-			DefaultRetryPolicy())
+		c.EnableChaos(faults.NewPlan(11, faults.Mix{Name: "drop", Drop: p}))
 		for x := 0; x < 7; x++ {
 			c.chaos.op++
 			est, err := c.gossipEstimates(x)
@@ -116,7 +114,7 @@ func TestReassignOptimalUnderChaos(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			c := newEstimatorCluster(t)
-			c.EnableChaos(faults.NewPlan(seed, mix), DefaultRetryPolicy())
+			c.EnableChaos(faults.NewPlan(seed, mix))
 			last := make([]int64, 7)
 			for i := range last {
 				last[i] = c.NodeVersion(i)
@@ -125,7 +123,7 @@ func TestReassignOptimalUnderChaos(t *testing.T) {
 			for round := 0; round < 25; round++ {
 				c.chaos.op++
 				x := round % 7
-				changed, err := c.reassignOptimal(x, 0.9, 0, 0.01)
+				changed, err := c.reassignOptimal(x, 0.9, 0.01)
 				if err != nil {
 					t.Fatalf("mix=%s seed=%d round %d: unexpected error: %v",
 						mix.Name, seed, round, err)
@@ -156,11 +154,10 @@ func TestReassignOptimalUnderChaos(t *testing.T) {
 // hold the old write quorum.
 func TestReassignOptimalDropsCannotForgeQuorum(t *testing.T) {
 	c := newEstimatorCluster(t)
-	c.EnableChaos(faults.NewPlan(9, faults.Mix{Name: "all-drop", Drop: 1.0}),
-		DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(9, faults.Mix{Name: "all-drop", Drop: 1.0}))
 	for round := 0; round < 10; round++ {
 		c.chaos.op++
-		changed, err := c.reassignOptimal(0, 0.9, 0, 0.01)
+		changed, err := c.reassignOptimal(0, 0.9, 0.01)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

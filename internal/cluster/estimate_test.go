@@ -119,7 +119,7 @@ func TestOptimizeLocalMatchesCentral(t *testing.T) {
 		c.Read(src.Intn(7))
 	}
 	st.SetAll(true)
-	_, res, err := c.optimizeLocal(0, 0.75, 0)
+	_, res, err := c.optimizeLocal(0, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,6 @@ func TestOptimizeLocalMatchesCentral(t *testing.T) {
 	want := model.Optimize(0.75)
 	if res.Assignment != want.Assignment {
 		t.Fatalf("distributed %v vs central %v", res.Assignment, want.Assignment)
-	}
-	// Constrained variant respects the floor.
-	_, con, err := c.optimizeLocal(0, 0.75, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Availability(0, con.Assignment.QR) < 0.2 {
-		t.Fatal("write floor violated")
 	}
 }
 
@@ -167,7 +159,7 @@ func TestReassignOptimalEndToEnd(t *testing.T) {
 		c.Read(src.Intn(9))
 	}
 	st.SetAll(true) // heal so the write quorum is available for the install
-	changed, err := c.reassignOptimal(0, 0.95, 0, 0.01)
+	changed, err := c.reassignOptimal(0, 0.95, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +174,7 @@ func TestReassignOptimalEndToEnd(t *testing.T) {
 		t.Fatalf("version %d", ver)
 	}
 	// Second call: already optimal → no change.
-	changed, err = c.reassignOptimal(0, 0.95, 0, 0.01)
+	changed, err = c.reassignOptimal(0, 0.95, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,6 @@ func (cfg HealthConfig) normalize() HealthConfig {
 	if cfg.Hysteresis <= 0 {
 		cfg.Hysteresis = d.Hysteresis
 	}
-	cfg.Strategy = cfg.Strategy.normalize(cfg.Alpha)
 	return cfg
 }
 
@@ -522,7 +521,7 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	h.mu.Unlock()
 
 	rep.Attempted = true
-	changed, err := k.reassignOptimal(x, cfg.Alpha, 0, cfg.Hysteresis)
+	changed, err := k.reassignOptimal(x, cfg.Alpha, cfg.Hysteresis)
 	rep.Reassigned, rep.Err = changed, err
 
 	h.mu.Lock()

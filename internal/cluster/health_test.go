@@ -300,9 +300,7 @@ func TestModeStringAndConfigNormalize(t *testing.T) {
 	}
 	var zero HealthConfig
 	n := zero.normalize()
-	want := DefaultHealthConfig()
-	want.Strategy = want.Strategy.normalize(want.Alpha)
-	if !reflect.DeepEqual(n, want) {
+	if !reflect.DeepEqual(n, DefaultHealthConfig()) {
 		t.Fatalf("zero config must normalize to defaults: %+v", n)
 	}
 	partial := HealthConfig{Hysteresis: 0.05}

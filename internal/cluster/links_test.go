@@ -163,7 +163,7 @@ func TestCrossRuntimePartitionOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableChaos(plan, DefaultRetryPolicy())
+	c.EnableChaos(plan)
 	runC := runPartitionOps(c, storm, 13, steps, n)
 
 	a, err := NewAsync(graph.NewState(g, nil), quorum.Majority(n))
@@ -171,7 +171,7 @@ func TestCrossRuntimePartitionOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.EnableChaos(plan, DefaultRetryPolicy())
+	a.EnableChaos(plan)
 	runA := runPartitionOps(a, storm, 13, steps, n)
 
 	if len(runC.Results) != len(runA.Results) {

@@ -40,7 +40,7 @@ func chaosRunDet(t *testing.T, mixName string, seed uint64, reg *obs.Registry) c
 		t.Fatal(err)
 	}
 	c.SetObserver(reg)
-	c.EnableChaos(faults.NewPlan(seed, mix), DefaultRetryPolicy())
+	c.EnableChaos(faults.NewPlan(seed, mix))
 	fp := chaosFingerprint{Run: RunChaos(c, faults.NewPlan(seed, mix), seed^0xc4a05, 600, n, g.M())}
 	for i := 0; i < n; i++ {
 		fp.Stamps = append(fp.Stamps, c.NodeStamp(i))

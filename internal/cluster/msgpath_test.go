@@ -202,7 +202,7 @@ func TestForgedSenderIsDroppedAsync(t *testing.T) {
 			defer a.Close()
 			a.EnableSelfHealing(DefaultHealthConfig())
 			mix, _ := faults.Named("none")
-			a.EnableChaos(faults.NewPlan(1, mix), DefaultRetryPolicy())
+			a.EnableChaos(faults.NewPlan(1, mix))
 			a.lock(liar).id = int(from)
 			a.unlock(liar)
 
@@ -253,7 +253,7 @@ func TestBatchedMessageCountersExact(t *testing.T) {
 				c.SetObserver(reg)
 				c.SetWireMode(true)
 				c.EnableSelfHealing(DefaultHealthConfig())
-				c.EnableChaos(faults.NewPlan(17, mix), DefaultRetryPolicy())
+				c.EnableChaos(faults.NewPlan(17, mix))
 				c.EnableLinkFaults(faults.Storm(17, faults.StormConfig{
 					Sites: n, Regions: [][]int{{0, 1}, {2, 3, 4}, {6}}, Start: 10, End: steps,
 					MeanDuration: 25, MeanGap: 30, OneWayFraction: 0.4,

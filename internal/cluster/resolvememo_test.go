@@ -13,15 +13,15 @@ import (
 // coldSolve solves one survivor set from scratch — its own subsystem, solve,
 // certificate and remap, sharing no code with the memo's miss path — as the
 // reference every memoized outcome is held to.
-func coldSolve(cfg StrategyResolveConfig, votes, sites []int, qr, qw int) (strategy.Strategy, error) {
+func coldSolve(cfg HealthConfig, votes, sites []int, qr, qw int) (strategy.Strategy, error) {
 	n := len(sites)
 	sub := strategy.System{Votes: make([]int, n), QR: qr, QW: qw,
 		ReadCap: make([]float64, n), WriteCap: make([]float64, n), Latency: make([]float64, n)}
 	for j, g := range sites {
 		sub.Votes[j] = votes[g]
-		sub.ReadCap[j], sub.WriteCap[j], sub.Latency[j] = capAt(cfg.ReadCap, g), capAt(cfg.WriteCap, g), capAt(cfg.Latency, g)
+		sub.ReadCap[j], sub.WriteCap[j], sub.Latency[j] = 1, 1, 1
 	}
-	res, err := strategy.OptimizeResilientCapacity(sub, cfg.Fr, cfg.Resilience, strategy.Options{})
+	res, err := strategy.OptimizeResilientCapacity(sub, strategy.SingleFr(cfg.Alpha), cfg.Strategy.Resilience, strategy.Options{})
 	if err != nil {
 		return strategy.Strategy{}, err
 	}
@@ -56,7 +56,7 @@ func checkMemo(t *testing.T, k *coordinator) {
 				sites = append(sites, i)
 			}
 		}
-		st, err := coldSolve(k.health.cfg.Strategy, votes, sites, key.qr, key.qw)
+		st, err := coldSolve(k.health.cfg, votes, sites, key.qr, key.qw)
 		if (err == nil) != (r.err == nil) || err != nil && err.Error() != r.err.Error() {
 			t.Fatalf("survivors %v at (%d,%d): memo error %v, cold error %v", sites, key.qr, key.qw, r.err, err)
 		}
@@ -132,7 +132,7 @@ func newResolveCluster(t *testing.T, cfg HealthConfig) *Cluster {
 
 // TestResolveMemoDiesWithConfig: EnableSelfHealing again brings a new memo
 // with its config, so the same survivor set and thresholds solve afresh —
-// a stale hit would install the old capacities' strategy, or miss the
+// a stale hit would skip the solve at the new read fraction, or miss the
 // infeasibility a higher resilience brings.
 func TestResolveMemoDiesWithConfig(t *testing.T) {
 	cfg := DefaultHealthConfig()
@@ -141,20 +141,14 @@ func TestResolveMemoDiesWithConfig(t *testing.T) {
 	suspect4 := []int{4}
 	c.strategyResolve(0, suspect4)
 	checkMemo(t, &c.coordinator)
-	var unit resolved
-	for _, r := range c.health.memo {
-		unit = r
-	}
 
-	skewed := cfg
-	skewed.Strategy.ReadCap = []float64{8, 1, 1, 1, 1}
-	c.EnableSelfHealing(skewed)
+	writeHeavy := cfg
+	writeHeavy.Alpha = 0.2
+	c.EnableSelfHealing(writeHeavy)
 	c.strategyResolve(0, suspect4)
 	checkMemo(t, &c.coordinator)
-	for _, r := range c.health.memo {
-		if r.err != nil || reflect.DeepEqual(r.st, unit.st) {
-			t.Fatalf("skewed read capacities re-installed the unit solve: %+v", r)
-		}
+	if ct := c.StrategyCounters(); ct.ResolveSolves != 2 {
+		t.Fatalf("a new read fraction must solve afresh: %v solves=%d", ct, ct.ResolveSolves)
 	}
 
 	resilient := cfg
@@ -218,7 +212,7 @@ func TestResolveMemoCap(t *testing.T) {
 			before := c.StrategyCounters()
 			c.strategyResolve(0, suspected)
 			after := c.StrategyCounters()
-			_, coldErr := coldSolve(c.health.cfg.Strategy, votes, sites, a.QR, a.QW)
+			_, coldErr := coldSolve(c.health.cfg, votes, sites, a.QR, a.QW)
 			installed := after.Resolves == before.Resolves+1 && c.strat.sampler != nil
 			degraded := after.ResolveFails == before.ResolveFails+1 && c.strat.sampler == nil
 			if coldErr == nil && !installed || coldErr != nil && !degraded {

@@ -163,12 +163,6 @@ type StrategyResolveConfig struct {
 	// Enabled turns the re-solve hook on. Without it the daemon leaves any
 	// installed strategy alone (and version drift disarms it).
 	Enabled bool
-	// ReadCap/WriteCap/Latency are the per-site capacities handed to the
-	// capacity LP; nil means unit capacities (pure load balancing).
-	ReadCap, WriteCap, Latency []float64
-	// Fr is the read-fraction distribution the LP prices load against.
-	// Zero value: concentrated on HealthConfig.Alpha.
-	Fr strategy.FrDist
 	// Resilience is the f handed to OptimizeResilientCapacity: sampled
 	// quorums keep their threshold after any f member failures.
 	Resilience int
@@ -204,23 +198,6 @@ type resolved struct {
 	err error
 }
 
-// normalize fills zero fields; alpha is the already-normalized
-// HealthConfig.Alpha.
-func (cfg StrategyResolveConfig) normalize(alpha float64) StrategyResolveConfig {
-	if len(cfg.Fr.Fr) == 0 {
-		cfg.Fr = strategy.SingleFr(alpha)
-	}
-	return cfg
-}
-
-// capAt reads a per-site capacity vector with a unit default.
-func capAt(caps []float64, i int) float64 {
-	if i < len(caps) {
-		return caps[i]
-	}
-	return 1
-}
-
 // resolve re-runs the resilient capacity LP restricted to the surviving
 // (unsuspected) sites at coordinator x's current thresholds and installs
 // the certified result at x's current version. Any failure — thresholds
@@ -229,7 +206,7 @@ func capAt(caps []float64, i int) float64 {
 // deterministic assignment, which the health gate already protects. A
 // survivor set and thresholds already in memo re-install the stored
 // outcome instead of solving again; install still validates it.
-func (s *strategyState) resolve(cfg StrategyResolveConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) (bool, error) {
+func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) (bool, error) {
 	sus := make([]bool, len(votes))
 	for _, p := range suspected {
 		if p >= 0 && p < len(votes) {
@@ -261,7 +238,7 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, memo resolveMemo, vot
 	if r.err != nil {
 		return degrade(r.err)
 	}
-	if err := s.install(r.st, votes, assign, version, strategyBudget, cfg.Seed); err != nil {
+	if err := s.install(r.st, votes, assign, version, strategyBudget, cfg.Strategy.Seed); err != nil {
 		return degrade(err)
 	}
 	s.bump(func(c *stats.StrategyCounters) { c.Resolves++ })
@@ -270,9 +247,10 @@ func (s *strategyState) resolve(cfg StrategyResolveConfig, memo resolveMemo, vot
 }
 
 // solveSurvivors is the cold re-solve: the resilient capacity LP over the
-// survivor sites (ascending global ids) at assign's thresholds, certified
-// and remapped to global site ids.
-func solveSurvivors(cfg StrategyResolveConfig, votes, sites []int, assign quorum.Assignment) resolved {
+// survivor sites (ascending global ids) at assign's thresholds, with unit
+// capacities (pure load balancing) priced at the read fraction cfg.Alpha,
+// certified and remapped to global site ids.
+func solveSurvivors(cfg HealthConfig, votes, sites []int, assign quorum.Assignment) resolved {
 	sub := strategy.System{
 		Votes: make([]int, len(sites)), QR: assign.QR, QW: assign.QW,
 		ReadCap:  make([]float64, len(sites)),
@@ -281,14 +259,12 @@ func solveSurvivors(cfg StrategyResolveConfig, votes, sites []int, assign quorum
 	}
 	for j, g := range sites {
 		sub.Votes[j] = votes[g]
-		sub.ReadCap[j] = capAt(cfg.ReadCap, g)
-		sub.WriteCap[j] = capAt(cfg.WriteCap, g)
-		sub.Latency[j] = capAt(cfg.Latency, g)
+		sub.ReadCap[j], sub.WriteCap[j], sub.Latency[j] = 1, 1, 1
 	}
 	if err := sub.Validate(); err != nil {
 		return resolved{err: err}
 	}
-	res, err := strategy.OptimizeResilientCapacity(sub, cfg.Fr, cfg.Resilience, strategy.Options{})
+	res, err := strategy.OptimizeResilientCapacity(sub, strategy.SingleFr(cfg.Alpha), cfg.Strategy.Resilience, strategy.Options{})
 	if err != nil {
 		return resolved{err: err}
 	}
@@ -351,7 +327,7 @@ func (k *coordinator) strategyResolve(x int, suspected []int) {
 		return
 	}
 	_, s := k.view(x)
-	k.strat.resolve(k.health.cfg.Strategy, k.health.memo, k.voteVector(), suspected, s.assign, s.version, k.obs)
+	k.strat.resolve(k.health.cfg, k.health.memo, k.voteVector(), suspected, s.assign, s.version, k.obs)
 }
 
 // strategyServe runs the sampled-quorum ladder for one operation at

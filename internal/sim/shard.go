@@ -7,7 +7,6 @@ import (
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/rng"
-	"quorumkit/internal/strategy"
 	"quorumkit/internal/topo"
 )
 
@@ -28,17 +27,6 @@ type GridSpec struct {
 	// Workers caps the worker pool; ≤ 0 means GOMAXPROCS. The results are
 	// bit-identical for every worker count.
 	Workers int
-	// Strategy, when non-nil, additionally measures the given randomized
-	// quorum strategy in every cell (availability and empirical load at the
-	// cell's α), alongside the family sweep. The strategy's system must
-	// match the grid's ring size.
-	Strategy *StrategySpec
-}
-
-// StrategySpec names a randomized strategy to measure across the grid.
-type StrategySpec struct {
-	Sys   strategy.System
-	Strat strategy.Strategy
 }
 
 // PaperAlphas are the five read-fraction levels of the paper's figures.
@@ -90,18 +78,6 @@ func (sp GridSpec) validate() error {
 	if len(sp.chords()) == 0 || len(sp.alphas()) == 0 {
 		return fmt.Errorf("sim: empty grid axes %+v", sp)
 	}
-	if sp.Strategy != nil {
-		if err := sp.Strategy.Sys.Validate(); err != nil {
-			return err
-		}
-		if sp.Strategy.Sys.N() != n {
-			return fmt.Errorf("sim: grid strategy system has %d sites, grid has %d",
-				sp.Strategy.Sys.N(), n)
-		}
-		if err := sp.Strategy.Strat.Validate(sp.Strategy.Sys); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -118,9 +94,6 @@ type GridCell struct {
 	// BestQR is the read quorum with the highest measured mean
 	// availability (smallest q_r on ties, as in the optimizer).
 	BestQR int
-	// Strategy is the cell's randomized-strategy measurement, set only when
-	// GridSpec.Strategy was given.
-	Strategy *StrategyMeasurement
 }
 
 // best returns the index of the highest overall mean, preferring the
@@ -202,18 +175,6 @@ func RunGrid(spec GridSpec, p Params, cfg StudyConfig) ([]GridCell, error) {
 				}
 				cell.Family = family
 				cell.BestQR = best(family) + 1
-				if spec.Strategy != nil {
-					// Keyed off the cell seed like the sweep, so the
-					// measurement is a pure function of the cell's grid
-					// position: bit-identical for every worker count.
-					m, err := MeasureStrategyLoad(graphs[cell.Chords], spec.Strategy.Sys,
-						p, spec.Strategy.Strat, cell.Alpha, cellCfg)
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					cell.Strategy = &m
-				}
 			}
 		}()
 	}

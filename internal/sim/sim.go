@@ -228,8 +228,6 @@ type Simulator struct {
 	// OnAccess, if set, is invoked for every access event with the
 	// submitting site, its component vote total and the current time.
 	OnAccess func(site, votes int, t float64)
-	// OnChange, if set, is invoked after every failure/repair event.
-	OnChange func(t float64)
 
 	// obs, when non-nil, receives per-event counters and topology trace
 	// events (see AttachObs); observation never affects the event stream.
@@ -299,7 +297,7 @@ func (s *Simulator) arm() {
 // clocks redrawn from the fresh seed, time and counters zeroed, and the
 // consumer attachments (estimator, protocol, family tally) cleared so the
 // caller re-attaches what the next run needs. The attached observability
-// registry and the OnAccess/OnChange hooks are kept.
+// registry and the OnAccess hook are kept.
 //
 // A Reset simulator produces the bit-identical event stream of a freshly
 // constructed one — the batch runners rely on this to reuse one simulator's
@@ -482,9 +480,6 @@ func (s *Simulator) step() eventKind {
 		s.st.FailSite(e.idx)
 		s.heap.push(s.now+s.src.Exp(s.params.RepairMean), evSiteRepair, e.idx)
 		s.observeTopology(obs.CSimSiteFail, e, false)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evSiteRepair:
 		if s.indepUp != nil {
 			s.indepUp[e.idx] = true
@@ -494,9 +489,6 @@ func (s *Simulator) step() eventKind {
 		}
 		s.heap.push(s.now+s.drawUpTime(), evSiteFail, e.idx)
 		s.observeTopology(obs.CSimSiteRepair, e, true)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evShockBegin:
 		shock := s.params.Shock
 		start := s.src.Intn(s.st.Graph().N())
@@ -514,9 +506,6 @@ func (s *Simulator) step() eventKind {
 		s.heap.push(s.now+s.src.Exp(shock.Mean), evShockBegin, 0)
 		s.obs.Add(obs.CSimSiteFail, int64(len(sites)))
 		s.observeTopology(0, e, false)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evShockEnd:
 		sites := s.shocks[e.idx]
 		delete(s.shocks, e.idx)
@@ -528,23 +517,14 @@ func (s *Simulator) step() eventKind {
 		}
 		s.obs.Add(obs.CSimSiteRepair, int64(len(sites)))
 		s.observeTopology(0, e, true)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evLinkFail:
 		s.st.FailLink(e.idx)
 		s.heap.push(s.now+s.src.Exp(s.params.RepairMean), evLinkRepair, e.idx)
 		s.observeTopology(obs.CSimLinkFail, e, false)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evLinkRepair:
 		s.st.RepairLink(e.idx)
 		s.heap.push(s.now+s.drawUpTime(), evLinkFail, e.idx)
 		s.observeTopology(obs.CSimLinkRepair, e, true)
-		if s.OnChange != nil {
-			s.OnChange(s.now)
-		}
 	case evAccess:
 		s.nAccess++
 		votes := s.st.VotesAt(e.idx)

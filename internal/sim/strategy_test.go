@@ -171,43 +171,6 @@ func TestStrategyObsCounters(t *testing.T) {
 	}
 }
 
-// TestStrategyGridInvariance: RunGrid with a strategy attached returns
-// bit-identical cells for every worker count.
-func TestStrategyGridInvariance(t *testing.T) {
-	sys := strategy.CaseStudySystem()
-	res, err := strategy.OptimizeCapacity(sys, strategy.CaseStudyFrDist(), strategy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := GridSpec{
-		Sites:    5,
-		Chords:   []int{0, 1},
-		Alphas:   []float64{0.5, 1},
-		Strategy: &StrategySpec{Sys: sys, Strat: res.Strategy},
-	}
-	cfg := StudyConfig{
-		Warmup: 200, BatchAccesses: 5_000,
-		MinBatches: 2, MaxBatches: 3, CIHalfWidth: 0.01, Seed: 5,
-	}
-	var runs [][]GridCell
-	for _, workers := range []int{1, 4} {
-		spec.Workers = workers
-		cells, err := RunGrid(spec, PaperParams(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cells {
-			if cells[i].Strategy == nil {
-				t.Fatalf("workers=%d: cell %d has no strategy measurement", workers, i)
-			}
-		}
-		runs = append(runs, cells)
-	}
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatal("grid cells differ between worker counts")
-	}
-}
-
 // TestStrategyPolicyRejects covers validation and attachment errors.
 func TestStrategyPolicyRejects(t *testing.T) {
 	sys := strategy.CaseStudySystem()

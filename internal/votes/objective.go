@@ -36,16 +36,17 @@ type Objective interface {
 // internal/strategy's capacity LP, and the optimal randomized strategy's
 // capacity (1 / expected bottleneck load) is the score. Topology-free, like
 // the quorum-system model it optimizes. Every evaluation re-checks the LP's
-// KKT certificate, so an accepted candidate carries a proof of its score.
+// KKT certificate, at tolerance capacityCertTol, so an accepted candidate
+// carries a proof of its score.
 type CapacityObjective struct {
 	ReadCap  []float64
 	WriteCap []float64
-	Latency  []float64
 	Dist     strategy.FrDist
-	Opts     strategy.Options
-	// CertTol is the certificate re-check tolerance (default 1e-9).
-	CertTol float64
 }
+
+// capacityCertTol is the tolerance every capacity certificate is re-checked
+// at.
+const capacityCertTol = 1e-9
 
 // Name implements Objective.
 func (o CapacityObjective) Name() string { return "capacity" }
@@ -58,26 +59,19 @@ func (o CapacityObjective) Eval(v quorum.VoteAssignment) (ObjValue, error) {
 	var sys strategy.System
 	var err error
 	if v.Total() == 1 {
-		sys = strategy.System{Votes: v, QR: 1, QW: 1, ReadCap: o.ReadCap, WriteCap: o.WriteCap, Latency: o.Latency}
-		if sys.Latency == nil {
-			sys.Latency = make([]float64, len(v))
-		}
+		sys = strategy.System{Votes: v, QR: 1, QW: 1, ReadCap: o.ReadCap, WriteCap: o.WriteCap, Latency: make([]float64, len(v))}
 		err = sys.Validate()
 	} else {
-		sys, err = strategy.MajoritySystem(v, o.ReadCap, o.WriteCap, o.Latency)
+		sys, err = strategy.MajoritySystem(v, o.ReadCap, o.WriteCap, nil)
 	}
 	if err != nil {
 		return ObjValue{}, err
 	}
-	res, err := strategy.OptimizeCapacity(sys, o.Dist, o.Opts)
+	res, err := strategy.OptimizeCapacity(sys, o.Dist, strategy.Options{})
 	if err != nil {
 		return ObjValue{}, err
 	}
-	tol := o.CertTol
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if err := res.Certify(tol); err != nil {
+	if err := res.Certify(capacityCertTol); err != nil {
 		return ObjValue{}, fmt.Errorf("votes: capacity certificate: %w", err)
 	}
 	return ObjValue{

@@ -38,10 +38,14 @@ type SearchConfig struct {
 	Restarts int
 	// Steps is the number of annealing proposals per restart (default 2000).
 	Steps int
-	// InitTemp and FinalTemp bound the geometric cooling schedule, in units
-	// of relative objective change (defaults 0.02 and 1e-4).
-	InitTemp, FinalTemp float64
 }
+
+// initTemp and finalTemp bound the annealer's geometric cooling schedule,
+// in units of relative objective change.
+const (
+	initTemp  = 0.02
+	finalTemp = 1e-4
+)
 
 func (c SearchConfig) norm(n int) (SearchConfig, error) {
 	if n < 1 {
@@ -68,15 +72,6 @@ func (c SearchConfig) norm(n int) (SearchConfig, error) {
 	}
 	if c.Steps == 0 {
 		c.Steps = 2000
-	}
-	if c.InitTemp <= 0 {
-		c.InitTemp = 0.02
-	}
-	if c.FinalTemp <= 0 {
-		c.FinalTemp = 1e-4
-	}
-	if c.FinalTemp > c.InitTemp {
-		return c, fmt.Errorf("votes: FinalTemp %g above InitTemp %g", c.FinalTemp, c.InitTemp)
 	}
 	return c, nil
 }
@@ -174,7 +169,7 @@ func Anneal(n int, obj Objective, cfg SearchConfig) (SearchResult, error) {
 	h.mix(math.Float64bits(uniVal.Value))
 
 	accepted, certAccepted := 0, 0
-	cool := math.Pow(cfg.FinalTemp/cfg.InitTemp, 1/math.Max(1, float64(cfg.Steps-1)))
+	cool := math.Pow(finalTemp/initTemp, 1/math.Max(1, float64(cfg.Steps-1)))
 	for r := 0; r < cfg.Restarts; r++ {
 		src := rng.SubSource(cfg.Seed, uint64(r))
 		var cur quorum.VoteAssignment
@@ -194,7 +189,7 @@ func Anneal(n int, obj Objective, cfg SearchConfig) (SearchResult, error) {
 			h.mix(math.Float64bits(curVal.Value))
 		}
 
-		temp := cfg.InitTemp
+		temp := initTemp
 		for step := 0; step < cfg.Steps; step++ {
 			if step > 0 {
 				temp *= cool

@@ -405,7 +405,6 @@ func TestSearchConfigValidation(t *testing.T) {
 		{MaxVotesPerSite: 2, TotalBudget: -1}, // negative budget
 		{MaxVotesPerSite: 2, TotalBudget: 2},  // budget below uniform (n=4)
 		{MaxVotesPerSite: 2, Steps: -1},       // negative steps
-		{MaxVotesPerSite: 2, InitTemp: 1e-5, FinalTemp: 1e-3}, // inverted schedule
 	}
 	for i, cfg := range bad {
 		if _, err := Anneal(4, obj, cfg); err == nil {

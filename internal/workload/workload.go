@@ -24,25 +24,6 @@ type Constant float64
 // Alpha implements Pattern.
 func (c Constant) Alpha(float64) float64 { return float64(c) }
 
-// Alternating switches between two read fractions every half period —
-// the workload of the dynamic-vs-static study.
-type Alternating struct {
-	Period    float64 // full cycle length
-	High, Low float64 // read fractions of the two half-cycles
-}
-
-// Alpha implements Pattern.
-func (a Alternating) Alpha(t float64) float64 {
-	if a.Period <= 0 {
-		return a.High
-	}
-	phase := math.Mod(t, a.Period)
-	if phase < a.Period/2 {
-		return a.High
-	}
-	return a.Low
-}
-
 // Diurnal is a sinusoidal day/night pattern: read-heavy at the peak,
 // write-heavy in the trough.
 type Diurnal struct {
@@ -55,27 +36,6 @@ type Diurnal struct {
 func (d Diurnal) Alpha(t float64) float64 {
 	a := d.Mean + d.Amplitude*math.Sin(2*math.Pi*t/d.Period)
 	return clamp01(a)
-}
-
-// Drift moves linearly from one read fraction to another over a duration,
-// then holds — a workload migration.
-type Drift struct {
-	From, To float64
-	Start    float64
-	Duration float64
-}
-
-// Alpha implements Pattern.
-func (d Drift) Alpha(t float64) float64 {
-	switch {
-	case t <= d.Start:
-		return clamp01(d.From)
-	case t >= d.Start+d.Duration:
-		return clamp01(d.To)
-	default:
-		frac := (t - d.Start) / d.Duration
-		return clamp01(d.From + (d.To-d.From)*frac)
-	}
 }
 
 // RatePattern yields a multiplicative request-rate factor at a point in
@@ -134,41 +94,6 @@ func (f FlashCrowd) Rate(t float64) float64 {
 	}
 	return 1
 }
-
-// Regime is one piece of a piecewise-constant workload schedule.
-type Regime struct {
-	Start float64 // the regime takes effect at this time
-	Alpha float64 // read fraction while the regime holds
-	Rate  float64 // rate factor while the regime holds
-}
-
-// Piecewise holds the last regime whose Start is at or before t; before
-// the first regime it holds the first one. Regimes must be given in
-// non-decreasing Start order.
-type Piecewise struct {
-	Regimes []Regime
-}
-
-// at returns the regime in effect at time t.
-func (p Piecewise) at(t float64) Regime {
-	if len(p.Regimes) == 0 {
-		return Regime{Rate: 1}
-	}
-	cur := p.Regimes[0]
-	for _, r := range p.Regimes[1:] {
-		if r.Start > t {
-			break
-		}
-		cur = r
-	}
-	return cur
-}
-
-// Alpha implements Pattern.
-func (p Piecewise) Alpha(t float64) float64 { return clamp01(p.at(t).Alpha) }
-
-// Rate implements RatePattern.
-func (p Piecewise) Rate(t float64) float64 { return p.at(t).Rate }
 
 // Arrivals draws per-step operation counts from a rate pattern: the count
 // at step t is Poisson with mean meanPerStep × rate(t). Deterministic

@@ -32,17 +32,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestAlternating(t *testing.T) {
-	p := Alternating{Period: 10, High: 0.9, Low: 0.1}
-	if p.Alpha(1) != 0.9 || p.Alpha(6) != 0.1 || p.Alpha(11) != 0.9 {
-		t.Fatalf("alternation wrong: %g %g %g", p.Alpha(1), p.Alpha(6), p.Alpha(11))
-	}
-	// Zero period degrades to High.
-	if (Alternating{High: 0.5}).Alpha(3) != 0.5 {
-		t.Fatal("zero period")
-	}
-}
-
 func TestDiurnal(t *testing.T) {
 	p := Diurnal{Period: 24, Mean: 0.5, Amplitude: 0.4}
 	if err := validate(p, 240, 1000); err != nil {
@@ -57,19 +46,6 @@ func TestDiurnal(t *testing.T) {
 	wild := Diurnal{Period: 24, Mean: 0.5, Amplitude: 0.9}
 	if err := validate(wild, 48, 500); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDrift(t *testing.T) {
-	p := Drift{From: 0.9, To: 0.1, Start: 10, Duration: 20}
-	if p.Alpha(0) != 0.9 || p.Alpha(10) != 0.9 {
-		t.Fatal("before drift")
-	}
-	if p.Alpha(40) != 0.1 || p.Alpha(1e6) != 0.1 {
-		t.Fatal("after drift")
-	}
-	if math.Abs(p.Alpha(20)-0.5) > 1e-9 {
-		t.Fatalf("midpoint %g", p.Alpha(20))
 	}
 }
 
@@ -103,7 +79,9 @@ func TestGeneratorTracksPattern(t *testing.T) {
 }
 
 func TestGeneratorFollowsAlternation(t *testing.T) {
-	p := Alternating{Period: 200, High: 1, Low: 0}
+	// All reads outside the flash, all writes inside it: the generator
+	// follows a pattern that alternates every 100 steps.
+	p := FlashCrowd{Base: 1, Flash: 0, Start: 100, Duration: 100, Every: 200, RateBoost: 1}
 	g := NewGenerator(p, 7)
 	reads, writes := 0, 0
 	for i := 0; i < 1000; i++ {
@@ -180,43 +158,6 @@ func TestFlashCrowdOneShot(t *testing.T) {
 	z := FlashCrowd{Base: 0.4, Flash: 0.9, Start: 0, Duration: 0, RateBoost: 2}
 	if z.Alpha(0) != 0.4 || z.Rate(0) != 1 {
 		t.Fatal("zero-duration flash fired")
-	}
-}
-
-func TestPiecewiseRegimes(t *testing.T) {
-	p := Piecewise{Regimes: []Regime{
-		{Start: 0, Alpha: 0.2, Rate: 1},
-		{Start: 100, Alpha: 0.8, Rate: 2},
-		{Start: 300, Alpha: 0.5, Rate: 0.5},
-	}}
-	cases := []struct {
-		t     float64
-		alpha float64
-		rate  float64
-	}{
-		{-5, 0.2, 1}, // before the first regime: hold the first
-		{0, 0.2, 1},
-		{99, 0.2, 1},
-		{100, 0.8, 2}, // boundary belongs to the new regime
-		{299, 0.8, 2},
-		{300, 0.5, 0.5},
-		{1e9, 0.5, 0.5}, // last regime holds forever
-	}
-	for _, c := range cases {
-		if p.Alpha(c.t) != c.alpha || p.Rate(c.t) != c.rate {
-			t.Errorf("t=%g: got α=%g rate=%g, want α=%g rate=%g",
-				c.t, p.Alpha(c.t), p.Rate(c.t), c.alpha, c.rate)
-		}
-	}
-	// Empty schedule degrades to α=0, rate=1.
-	var empty Piecewise
-	if empty.Alpha(5) != 0 || empty.Rate(5) != 1 {
-		t.Fatal("empty piecewise defaults")
-	}
-	// Out-of-range regime α clamps.
-	wild := Piecewise{Regimes: []Regime{{Alpha: 7, Rate: 1}}}
-	if wild.Alpha(0) != 1 {
-		t.Fatal("regime α did not clamp")
 	}
 }
 
