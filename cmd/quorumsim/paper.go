@@ -91,7 +91,7 @@ func benchPaper(steps int, seed uint64, _ *obsSink) (gate.File, bool, error) {
 	file := gate.File{Suite: "paper", Seed: seed, Steps: steps,
 		Rows: slices.Concat(slices.Concat(out[:n]...), sections, slices.Concat(out[n:]...))}
 	for _, res := range figs {
-		qr, a := res.Series[slices.Index(experiments.Alphas, 0.75)].Best()
+		qr, a := res.Series[slices.Index(sim.PaperAlphas, 0.75)].Best()
 		fmt.Printf("%-17s %-32s α=.75 optimum q_r=%-2d A=%.4f\n", res.Spec.ID, res.Name, qr, a)
 	}
 	fmt.Printf("paper: %d rows, %d accesses per topology, %.1fs\n", len(file.Rows), steps, time.Since(start).Seconds())
@@ -120,7 +120,7 @@ func figureRows(res experiments.FigureResult) []gate.Row {
 	}
 	c := experiments.CheckEndpoints(res)
 	dev := 0.0
-	for i, alpha := range experiments.Alphas {
+	for i, alpha := range sim.PaperAlphas {
 		dev = max(dev, math.Abs(c.AtQR1[i]-0.96*alpha))
 	}
 	// §5.3: A(α, 1) = 0.96·α up to the write-all term, 0.96^101 ≈ 0.016 at

@@ -85,12 +85,7 @@ func (k *coordinator) reassignOptimal(x int, alpha, hysteresis float64) (bool, e
 	if !ok {
 		return false, fmt.Errorf("cluster: reassign-optimal: node %d lost its component", x)
 	}
-	if current == want.Assignment {
-		return false, nil
-	}
-	predicted := model.AvailabilityFor(alpha, want.Assignment)
-	incumbent := model.AvailabilityFor(alpha, current)
-	if predicted-incumbent < hysteresis {
+	if !model.Improves(alpha, want.Assignment, current, hysteresis) {
 		return false, nil
 	}
 	if err := k.Reassign(x, want.Assignment); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"quorumkit/internal/dist"
 )
@@ -64,13 +63,7 @@ func AvailabilityCurveInto(alpha float64, r, w dist.PMF, dst []float64) []float6
 // curve (T < 2 leaves no searchable quorum) returns q_r = 1 with -Inf
 // availability, matching Model.Optimize's degenerate answer.
 func OptimizeCurve(curve []float64) (qr int, avail float64) {
-	qr, avail = 1, math.Inf(-1)
-	for i, a := range curve {
-		if a > avail {
-			qr, avail = i+1, a
-		}
-	}
-	return qr, avail
+	return ArgMax(1, len(curve), func(qr int) float64 { return curve[qr-1] })
 }
 
 // CurveInto writes A(α, q_r) for every q_r ∈ [1, ⌊T/2⌋] into dst using the

@@ -134,6 +134,13 @@ func (m Model) AvailabilityFor(alpha float64, a quorum.Assignment) float64 {
 	return alpha*m.ReadAvail(a.QR) + (1-alpha)*m.WriteAvail(a.QW)
 }
 
+// Improves is the §4.3 install rule: the optimum want replaces the
+// assignment current only when the two differ and the model predicts at
+// least hysteresis more availability from want.
+func (m Model) Improves(alpha float64, want, current quorum.Assignment, hysteresis float64) bool {
+	return want != current && m.AvailabilityFor(alpha, want)-m.AvailabilityFor(alpha, current) >= hysteresis
+}
+
 // MaxReadQuorum returns ⌊T/2⌋, the top of the search range.
 func (m Model) MaxReadQuorum() int { return m.T / 2 }
 
@@ -161,44 +168,43 @@ type Result struct {
 	Evaluations  int
 }
 
+// ArgMax is step 4 of Figure 1, the one scan every exhaustive search over
+// the family shares: the first q_r in [lo, hi] maximizing f, so ties go to
+// the smaller read quorum. An empty range returns (lo, −Inf).
+func ArgMax(lo, hi int, f func(qr int) float64) (qr int, best float64) {
+	qr, best = lo, math.Inf(-1)
+	for q := lo; q <= hi; q++ {
+		if a := f(q); a > best {
+			qr, best = q, a
+		}
+	}
+	return qr, best
+}
+
+// result builds the Result of a search that chose qr with availability a
+// after evals evaluations.
+func (m Model) result(qr int, a float64, evals int) Result {
+	return Result{
+		Assignment:   quorum.Assignment{QR: qr, QW: m.T - qr + 1},
+		Availability: a,
+		Evaluations:  evals,
+	}
+}
+
 // Optimize runs the reference exhaustive search (step 4 of Figure 1): scan
 // every q_r in [1, ⌊T/2⌋]. Ties prefer the smaller q_r, which favors read
 // availability; the paper observes optima are frequently at the endpoints.
 func (m Model) Optimize(alpha float64) Result {
 	checkAlpha(alpha)
-	best, bestA := 1, math.Inf(-1)
-	evals := 0
-	for qr := 1; qr <= m.MaxReadQuorum(); qr++ {
-		a := m.Availability(alpha, qr)
-		evals++
-		if a > bestA {
-			best, bestA = qr, a
-		}
-	}
-	return Result{
-		Assignment:   quorum.Assignment{QR: best, QW: m.T - best + 1},
-		Availability: bestA,
-		Evaluations:  evals,
-	}
+	qr, a := ArgMax(1, m.MaxReadQuorum(), func(qr int) float64 { return m.Availability(alpha, qr) })
+	return m.result(qr, a, m.MaxReadQuorum())
 }
 
 // OptimizeWeighted is Optimize for the weighted objective of §5.4.
 func (m Model) OptimizeWeighted(omega, alpha float64) Result {
 	checkAlpha(alpha)
-	best, bestA := 1, math.Inf(-1)
-	evals := 0
-	for qr := 1; qr <= m.MaxReadQuorum(); qr++ {
-		a := m.WeightedAvailability(omega, alpha, qr)
-		evals++
-		if a > bestA {
-			best, bestA = qr, a
-		}
-	}
-	return Result{
-		Assignment:   quorum.Assignment{QR: best, QW: m.T - best + 1},
-		Availability: bestA,
-		Evaluations:  evals,
-	}
+	qr, a := ArgMax(1, m.MaxReadQuorum(), func(qr int) float64 { return m.WeightedAvailability(omega, alpha, qr) })
+	return m.result(qr, a, m.MaxReadQuorum())
 }
 
 // MinReadQuorumForWrite returns the smallest q_r whose paired write quorum
@@ -234,18 +240,6 @@ func (m Model) OptimizeConstrained(alpha, minWrite float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	best, bestA := qmin, math.Inf(-1)
-	evals := 0
-	for qr := qmin; qr <= m.MaxReadQuorum(); qr++ {
-		a := m.Availability(alpha, qr)
-		evals++
-		if a > bestA {
-			best, bestA = qr, a
-		}
-	}
-	return Result{
-		Assignment:   quorum.Assignment{QR: best, QW: m.T - best + 1},
-		Availability: bestA,
-		Evaluations:  evals,
-	}, nil
+	qr, a := ArgMax(qmin, m.MaxReadQuorum(), func(qr int) float64 { return m.Availability(alpha, qr) })
+	return m.result(qr, a, m.MaxReadQuorum()-qmin+1), nil
 }

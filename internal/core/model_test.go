@@ -257,6 +257,84 @@ func TestOptimizeMatchesCurveMax(t *testing.T) {
 	}
 }
 
+// TestOptimizersMatchCurveScan: the three exhaustive optimizers return the
+// first maximum of the curve — the same q_r, availability bits and
+// evaluation count as a scan written out over m.Curve(α) — on random models
+// whose densities are half zeros, so equal tail sums plant exact ties; and
+// none of them allocates.
+func TestOptimizersMatchCurveScan(t *testing.T) {
+	scan := func(curve []float64, lo int) Result {
+		want := Result{Assignment: quorum.Assignment{QR: lo}, Availability: math.Inf(-1), Evaluations: len(curve) - lo + 1}
+		for qr := lo; qr <= len(curve); qr++ {
+			if curve[qr-1] > want.Availability {
+				want.Assignment.QR, want.Availability = qr, curve[qr-1]
+			}
+		}
+		return want
+	}
+	check := func(name string, m Model, got, want Result) {
+		t.Helper()
+		want.Assignment.QW = m.T - want.Assignment.QR + 1
+		if got != want {
+			t.Fatalf("%s: %+v, curve scan %+v", name, got, want)
+		}
+	}
+	src := rng.New(2718)
+	ties := 0
+	for trial := 0; trial < 300; trial++ {
+		T := 2 + src.Intn(30)
+		r, w := sparsePMF(src, T+1), sparsePMF(src, T+1)
+		m := mustModel(t, r, w)
+		alpha := []float64{0, 0.5, 1, src.Float64()}[trial%4]
+		const omega = 2.5
+		curve := m.Curve(alpha)
+		want := scan(curve, 1)
+		check("Optimize", m, m.Optimize(alpha), want)
+		for i, a := range curve {
+			if a == want.Availability && i+1 != want.Assignment.QR {
+				ties++
+				break
+			}
+		}
+		weighted := make([]float64, len(curve))
+		for i := range weighted {
+			weighted[i] = m.WeightedAvailability(omega, alpha, i+1)
+		}
+		check("OptimizeWeighted", m, m.OptimizeWeighted(omega, alpha), scan(weighted, 1))
+		floor := m.Availability(0, m.MaxReadQuorum()) / 2
+		con, err := m.OptimizeConstrained(alpha, floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qmin, _ := m.MinReadQuorumForWrite(floor)
+		check("OptimizeConstrained", m, con, scan(curve, qmin))
+		if n := testing.AllocsPerRun(5, func() {
+			m.Optimize(alpha)
+			m.OptimizeWeighted(omega, alpha)
+			m.OptimizeConstrained(alpha, floor)
+		}); n != 0 {
+			t.Fatalf("the exhaustive optimizers allocate %.0f objects", n)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no trial planted a tie at the maximum")
+	}
+	t.Logf("%d of 300 trials tie at the maximum", ties)
+}
+
+// sparsePMF is randomPMF with about half its entries zeroed, so runs of
+// equal tail sums occur.
+func sparsePMF(src *rng.Source, n int) dist.PMF {
+	p := make(dist.PMF, n)
+	p[n-1] = 1
+	for i := range p {
+		if src.Intn(2) == 0 {
+			p[i] = src.Float64()
+		}
+	}
+	return p.Normalize()
+}
+
 func randomPMF(src *rng.Source, n int) dist.PMF {
 	p := make(dist.PMF, n)
 	for i := range p {

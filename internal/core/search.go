@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"quorumkit/internal/quorum"
-)
+import "math"
 
 // This file implements the reduced-evaluation searches the paper suggests in
 // §4.1 for step 4 of Figure 1: a golden-section search over the integer
@@ -78,11 +74,7 @@ func (m Model) OptimizeGolden(alpha float64) Result {
 			bestQ, bestA = q, v
 		}
 	}
-	return Result{
-		Assignment:   quorum.Assignment{QR: bestQ, QW: m.T - bestQ + 1},
-		Availability: bestA,
-		Evaluations:  evals,
-	}
+	return m.result(bestQ, bestA, evals)
 }
 
 // OptimizeParabolic maximizes A(α, ·) by successive parabolic interpolation
@@ -176,9 +168,5 @@ func (m Model) OptimizeParabolic(alpha float64) Result {
 			bestQ, bestA = q, v
 		}
 	}
-	return Result{
-		Assignment:   quorum.Assignment{QR: bestQ, QW: m.T - bestQ + 1},
-		Availability: bestA,
-		Evaluations:  evals,
-	}
+	return m.result(bestQ, bestA, evals)
 }

@@ -6,19 +6,18 @@
 // vote assignment, and they can dominate voting.
 //
 // A system here is a quorum.System — a read and a write quorum.Expr — and
-// this package only builds the classic families as expressions and
-// evaluates them. Availability is evaluated exactly on small topologies by
-// enumerating failure configurations: an access at site i is granted when
-// i's component satisfies the relevant expression (Expr.Holds). This is
-// the set-valued generalization of the paper's vote-count criterion, and
-// it reduces to the paper's model under vote-induced systems (verified in
-// the tests).
+// this package only builds the classic families as expressions. A system's
+// exact availability on a small topology is priced on the component table
+// the vote search uses (votes.Scenarios.Availability): an access at site i
+// is granted when i's component satisfies the relevant expression
+// (Expr.Holds). This is the set-valued generalization of the paper's
+// vote-count criterion, and it reduces to the paper's model under
+// vote-induced systems (verified in the tests).
 package coterie
 
 import (
 	"fmt"
 
-	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 )
 
@@ -61,124 +60,6 @@ func Grid(rows, cols int) (quorum.System, error) {
 		return quorum.System{}, err
 	}
 	return s, nil
-}
-
-// ComponentDist is the exact distribution, for every site, over the site
-// set of the component containing it (the set-valued refinement of the
-// paper's f_i(v)). Computing it once lets many coterie systems be
-// evaluated against the same topology cheaply.
-type ComponentDist struct {
-	n   int
-	per []map[quorum.Group]float64 // per[i][S] = P[component of i = S]; S=0 means down
-}
-
-// Components enumerates all up/down configurations of g (site reliability
-// p, link reliability r) and returns the exact component-set distribution.
-// Requires n ≤ 16 and n+m ≤ 24.
-func Components(g *graph.Graph, p, r float64) (*ComponentDist, error) {
-	n, m := g.N(), g.M()
-	if p < 0 || p > 1 || r < 0 || r > 1 {
-		return nil, fmt.Errorf("coterie: reliabilities out of range")
-	}
-	linkBits := m
-	if r == 1 {
-		// Perfect links never fail; enumerating their states is pointless.
-		linkBits = 0
-	}
-	if n > 16 || n+linkBits > 24 {
-		return nil, fmt.Errorf("coterie: exact evaluation needs n ≤ 16 and n+m ≤ 24, got %d/%d", n, n+linkBits)
-	}
-	st := graph.NewState(g, nil)
-	d := &ComponentDist{n: n, per: make([]map[quorum.Group]float64, n)}
-	for i := range d.per {
-		d.per[i] = map[quorum.Group]float64{}
-	}
-	total := 1 << uint(n+linkBits)
-	members := make([]int, 0, n)
-	for mask := 0; mask < total; mask++ {
-		prob := 1.0
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				prob *= p
-				st.RepairSite(i)
-			} else {
-				prob *= 1 - p
-				st.FailSite(i)
-			}
-		}
-		for l := 0; l < linkBits; l++ {
-			if mask&(1<<uint(n+l)) != 0 {
-				prob *= r
-				st.RepairLink(l)
-			} else {
-				prob *= 1 - r
-				st.FailLink(l)
-			}
-		}
-		if prob == 0 {
-			continue
-		}
-		var reps []int
-		reps = st.Representatives(reps)
-		for _, rep := range reps {
-			members = st.Members(rep, members[:0])
-			comp := quorum.NewGroup(members...)
-			for _, site := range members {
-				d.per[site][comp] += prob
-			}
-		}
-	}
-	return d, nil
-}
-
-// SiteAvailability returns, for each site, the probability that an access
-// submitted there is granted under the system (reads with probability
-// alpha, writes otherwise). Down sites deny everything.
-func (d *ComponentDist) SiteAvailability(s quorum.System, alpha float64) ([]float64, error) {
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("coterie: α=%g out of [0,1]", alpha)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, d.n)
-	for i, dist := range d.per {
-		for comp, prob := range dist {
-			grant := 0.0
-			if s.Read.Holds(comp) {
-				grant += alpha
-			}
-			if s.Write.Holds(comp) {
-				grant += 1 - alpha
-			}
-			out[i] += prob * grant
-		}
-	}
-	return out, nil
-}
-
-// Availability returns the uniform-access ACC availability of the system.
-func (d *ComponentDist) Availability(s quorum.System, alpha float64) (float64, error) {
-	per, err := d.SiteAvailability(s, alpha)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, a := range per {
-		sum += a
-	}
-	return sum / float64(d.n), nil
-}
-
-// Availability computes the exact ACC availability of a coterie system on
-// a topology in one call; use Components directly to evaluate several
-// systems against one topology.
-func Availability(g *graph.Graph, p, r float64, s quorum.System, alpha float64) (float64, error) {
-	d, err := Components(g, p, r)
-	if err != nil {
-		return 0, err
-	}
-	return d.Availability(s, alpha)
 }
 
 // VoteInducible reports whether the system's write coterie can be realized

@@ -5,6 +5,7 @@ import (
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
+	"quorumkit/internal/votes"
 )
 
 func TestTreeQuorumsDepth0(t *testing.T) {
@@ -138,8 +139,7 @@ func TestFanoAvailabilityOnK7(t *testing.T) {
 	// classic demonstration (Garcia-Molina & Barbara) that coteries
 	// escape the voting framework: some 3-site configurations grant under
 	// Fano but not majority, and some 4-site ones vice versa.
-	g := graph.Complete(7)
-	d, err := Components(g, 0.9, 1)
+	sc, err := votes.ExactScenarios(graph.Complete(7), 0.9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,20 +147,15 @@ func TestFanoAvailabilityOnK7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// (EXPERIMENTS.md "Coteries against voting" reproduces these rows.)
-	for _, alpha := range []float64{0, 0.5, 0.9, 1} {
-		fano, err := d.Availability(FanoSystem(), alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		majA, err := d.Availability(maj, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fano <= 0.8 || fano >= 1 || majA <= 0.8 || majA >= 1 {
-			t.Fatalf("implausible availabilities fano=%g majority=%g", fano, majA)
-		}
-		t.Logf("K7, p=0.9, α=%g: Fano %.4f vs majority %.4f", alpha, fano, majA)
+	// The rows EXPERIMENTS.md "Coteries against voting" prints.
+	for _, row := range []struct{ alpha, fano, maj float64 }{
+		{0, 0.8965, 0.8857},
+		{0.5, 0.8965, 0.8928},
+		{0.9, 0.8965, 0.8985},
+		{1, 0.8965, 0.9000},
+	} {
+		assertPrinted(t, sc, "Fano", FanoSystem(), row.alpha, row.fano)
+		assertPrinted(t, sc, "majority", maj, row.alpha, row.maj)
 	}
 	// Neither dominates structurally. Write side: a full line of 3 grants
 	// under Fano, while valid (3,5)-voting needs 5 votes. Read side: any

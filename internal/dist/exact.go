@@ -12,10 +12,6 @@ import (
 // polynomial algorithm is expected; enumeration over 2^(n+m) configurations
 // is nevertheless practical for the sizes used to validate the closed forms
 // and the simulator (n+m up to ~22).
-//
-// It also implements the all-terminal reliability of an arbitrary graph by
-// the deletion–contraction (factoring) recursion, generalizing Gilbert's
-// closed form for complete graphs.
 
 // ExactLimit bounds the enumeration size for Exact (n + m bits).
 const ExactLimit = 24

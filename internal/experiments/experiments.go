@@ -14,10 +14,6 @@ import (
 	"quorumkit/internal/topo"
 )
 
-// Alphas are the read fractions plotted in every figure (bottom to top
-// curve: 0, .25, .50, .75, 1).
-var Alphas = []float64{0, 0.25, 0.50, 0.75, 1}
-
 // FigureSpec identifies one figure of the paper.
 type FigureSpec struct {
 	ID     string // e.g. "Figure 2"
@@ -45,15 +41,7 @@ type Series struct {
 
 // Best returns the maximizing read quorum and value of the curve
 // (ties to the smaller q_r).
-func (s Series) Best() (qr int, avail float64) {
-	qr, avail = 1, math.Inf(-1)
-	for i, a := range s.Avail {
-		if a > avail {
-			qr, avail = i+1, a
-		}
-	}
-	return qr, avail
-}
+func (s Series) Best() (qr int, avail float64) { return core.OptimizeCurve(s.Avail) }
 
 // FigureResult is a fully-computed figure: the model estimated from one
 // simulation of the topology, and one curve per read fraction.
@@ -78,7 +66,7 @@ func RunFigure(spec FigureSpec, params sim.Params, cfg sim.CollectConfig) (Figur
 		Name:  topo.Name(spec.Chords),
 		Model: model,
 	}
-	for _, alpha := range Alphas {
+	for _, alpha := range sim.PaperAlphas {
 		res.Series = append(res.Series, Series{Alpha: alpha, Avail: model.Curve(alpha)})
 	}
 	return res, nil

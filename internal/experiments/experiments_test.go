@@ -26,7 +26,7 @@ func TestRunFigureRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != len(Alphas) {
+	if len(res.Series) != len(sim.PaperAlphas) {
 		t.Fatalf("%d series", len(res.Series))
 	}
 	if got := len(res.Series[0].Avail); got != 50 {
@@ -34,7 +34,7 @@ func TestRunFigureRing(t *testing.T) {
 	}
 	checks := CheckEndpoints(res)
 	// §5.3: A(α, 1) = 0.96·α.
-	for i, alpha := range Alphas {
+	for i, alpha := range sim.PaperAlphas {
 		want := 0.96 * alpha
 		if math.Abs(checks.AtQR1[i]-want) > 0.02 {
 			t.Fatalf("A(%g, 1) = %g, want %g", alpha, checks.AtQR1[i], want)

@@ -58,7 +58,8 @@ func (m *Manager) SetAlpha(alpha float64) {
 
 // Tick runs one reassignment round: compute the optimal assignment, compare
 // it with the assignment in effect in the (unique) write-capable component,
-// and install it there when the predicted improvement exceeds Hysteresis.
+// and install it there when the model predicts it gains at least Hysteresis
+// (core.Model.Improves).
 // It returns whether a reassignment was installed.
 func (m *Manager) Tick() (bool, error) {
 	model, err := m.est.Model(nil, nil)
@@ -92,12 +93,7 @@ func (m *Manager) Tick() (bool, error) {
 	if site < 0 {
 		return false, nil // no component may currently change assignments
 	}
-	if current == want.Assignment {
-		return false, nil
-	}
-	predicted := model.AvailabilityFor(m.alpha, want.Assignment)
-	incumbent := model.AvailabilityFor(m.alpha, current)
-	if predicted-incumbent < m.Hysteresis {
+	if !model.Improves(m.alpha, want.Assignment, current, m.Hysteresis) {
 		return false, nil
 	}
 	m.attempts++

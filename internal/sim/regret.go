@@ -36,9 +36,10 @@ type EpochTally struct {
 }
 
 // NewEpochTally builds a tally for a system holding totalVotes votes. It
-// panics on a non-positive total.
+// panics on a total below 2: with one vote the paper's family
+// {(q_r, T−q_r+1)} is empty and the epoch has no oracle.
 func NewEpochTally(totalVotes int) *EpochTally {
-	if totalVotes <= 0 {
+	if totalVotes < 2 {
 		panic(fmt.Sprintf("sim: NewEpochTally totalVotes=%d", totalVotes))
 	}
 	return &EpochTally{
@@ -127,13 +128,8 @@ func (e *EpochTally) OracleAvailability() (best float64, qr int) {
 		w = r
 	}
 	e.curve = core.AvailabilityCurveInto(alpha, dist.PMF(r), dist.PMF(w), e.curve)
-	bestIdx := 0
-	for i, a := range e.curve {
-		if a > e.curve[bestIdx] {
-			bestIdx = i
-		}
-	}
-	return e.curve[bestIdx], bestIdx + 1
+	qr, best = core.OptimizeCurve(e.curve)
+	return best, qr
 }
 
 // normalize scales a vote histogram into a probability density, reusing

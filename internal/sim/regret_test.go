@@ -131,11 +131,17 @@ func TestEpochTallySingleSidedEpochs(t *testing.T) {
 	}
 }
 
+// TestNewEpochTallyPanics: a total below 2 leaves the paper's family empty
+// (T = 1 has no q_r in [1, ⌊T/2⌋]), so there is no oracle to tally against.
 func TestNewEpochTallyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("accepted non-positive vote total")
-		}
-	}()
-	NewEpochTally(0)
+	for _, total := range []int{0, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("accepted vote total %d", total)
+				}
+			}()
+			NewEpochTally(total)
+		}()
+	}
 }

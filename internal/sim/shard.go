@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"quorumkit/internal/core"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/rng"
 	"quorumkit/internal/topo"
@@ -96,18 +97,6 @@ type GridCell struct {
 	BestQR int
 }
 
-// best returns the index of the highest overall mean, preferring the
-// smaller read quorum on ties — the optimizer's tie-break.
-func best(family []Measurement) int {
-	bi := 0
-	for i := 1; i < len(family); i++ {
-		if family[i].Overall.Mean > family[bi].Overall.Mean {
-			bi = i
-		}
-	}
-	return bi
-}
-
 // RunGrid measures every cell of the grid, fanning cells across a
 // deterministic worker pool. Each cell runs an independent family Sweep
 // whose StudyConfig seed is the rng.SubSeed substream of cfg.Seed at the
@@ -174,7 +163,7 @@ func RunGrid(spec GridSpec, p Params, cfg StudyConfig) ([]GridCell, error) {
 					continue
 				}
 				cell.Family = family
-				cell.BestQR = best(family) + 1
+				cell.BestQR, _ = core.ArgMax(1, len(family), func(qr int) float64 { return family[qr-1].Overall.Mean })
 			}
 		}()
 	}

@@ -159,18 +159,6 @@ func (c Counters) WriteAvailability() float64 {
 	return float64(c.WritesGranted) / float64(n)
 }
 
-// Protocol is what the simulator consults on each access when direct
-// grant/deny measurement is enabled. The quorum consensus protocol is the
-// static implementation; the replica package provides the dynamic
-// quorum-reassignment implementation.
-type Protocol interface {
-	// GrantRead reports whether a read succeeds for the given component
-	// vote total.
-	GrantRead(votes int) bool
-	// GrantWrite likewise for writes.
-	GrantWrite(votes int) bool
-}
-
 // Simulator drives one replicated data object over a failing network.
 type Simulator struct {
 	st     *graph.State
@@ -190,7 +178,7 @@ type Simulator struct {
 	surv *core.SurvEstimator
 	last float64 // time of last occupancy accumulation
 
-	protocol Protocol
+	protocol *StaticProtocol
 	alpha    float64
 	counters Counters
 
@@ -374,11 +362,11 @@ func (s *Simulator) AttachObs(r *obs.Registry) { s.obs = r }
 
 // SetProtocol attaches a protocol and read fraction α for direct grant/deny
 // measurement. Enables access event generation and clears any family tally.
-func (s *Simulator) SetProtocol(p Protocol, alpha float64) {
+func (s *Simulator) SetProtocol(p StaticProtocol, alpha float64) {
 	if alpha < 0 || alpha > 1 {
 		panic(fmt.Sprintf("sim: α=%g out of [0,1]", alpha))
 	}
-	s.protocol = p
+	s.protocol = &p
 	s.tally = nil
 	s.strat = nil
 	s.alpha = alpha
@@ -544,7 +532,7 @@ func (s *Simulator) step() eventKind {
 			s.stratAccess(e.idx)
 		} else if s.protocol != nil {
 			if s.src.Bernoulli(s.alpha) {
-				if s.protocol.GrantRead(votes) {
+				if s.protocol.Assignment.GrantRead(votes) {
 					s.counters.ReadsGranted++
 					s.pendGrant++
 				} else {
@@ -552,7 +540,7 @@ func (s *Simulator) step() eventKind {
 					s.pendDeny++
 				}
 			} else {
-				if s.protocol.GrantWrite(votes) {
+				if s.protocol.Assignment.GrantWrite(votes) {
 					s.counters.WritesGranted++
 					s.pendGrant++
 				} else {
@@ -596,13 +584,9 @@ func (s *Simulator) RunAccesses(n int64) {
 	s.flushObs()
 }
 
-// StaticProtocol adapts a quorum.Assignment to the Protocol interface.
+// StaticProtocol is the quorum consensus protocol under one fixed
+// assignment: what the simulator consults on each access when direct
+// grant/deny measurement is enabled (SetProtocol).
 type StaticProtocol struct {
 	Assignment quorum.Assignment
 }
-
-// GrantRead implements Protocol.
-func (p StaticProtocol) GrantRead(votes int) bool { return p.Assignment.GrantRead(votes) }
-
-// GrantWrite implements Protocol.
-func (p StaticProtocol) GrantWrite(votes int) bool { return p.Assignment.GrantWrite(votes) }

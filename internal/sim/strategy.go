@@ -203,14 +203,14 @@ func MeasureStrategyLoad(g *graph.Graph, sys strategy.System, p Params, st strat
 	if err != nil {
 		return StrategyMeasurement{}, err
 	}
-	var avail, ml, capc stats.BatchMeans
+	var acc batchAccumulator
+	var ml, capc stats.BatchMeans
 	perSite := make([]float64, g.N())
-	batches := 0
 	s := New(g, sys.Votes, p, cfg.Seed)
 	if cfg.Obs != nil {
 		s.AttachObs(cfg.Obs)
 	}
-	for b := 0; b < cfg.MaxBatches; b++ {
+	for b := 0; b < cfg.MaxBatches && !acc.done; b++ {
 		if b > 0 {
 			s.Reset(cfg.Seed + uint64(b))
 		}
@@ -223,8 +223,6 @@ func MeasureStrategyLoad(g *graph.Graph, sys strategy.System, p Params, st strat
 		s.ResetCounters()
 		sp.Reseed(rng.SubSeed(cfg.Seed+uint64(b), 0x57a8))
 		s.RunAccesses(cfg.BatchAccesses)
-		c := s.Counters()
-		avail.AddBatch(c.Availability())
 		n := float64(cfg.BatchAccesses)
 		worst := 0.0
 		for x := 0; x < g.N(); x++ {
@@ -238,19 +236,16 @@ func MeasureStrategyLoad(g *graph.Graph, sys strategy.System, p Params, st strat
 		if worst > 0 {
 			capc.AddBatch(1 / worst)
 		}
-		batches++
-		if batches >= cfg.MinBatches && avail.Converged(cfg.CIHalfWidth) && ml.N() >= cfg.MinBatches {
-			break
-		}
+		acc.add(s.Counters(), alpha, cfg)
 	}
 	for x := range perSite {
-		perSite[x] /= float64(batches)
+		perSite[x] /= float64(acc.batches)
 	}
 	return StrategyMeasurement{
-		Overall:  avail.Interval95(),
+		Overall:  acc.all.Interval95(),
 		MaxLoad:  ml.Interval95(),
 		Capacity: capc.Interval95(),
 		PerSite:  perSite,
-		Batches:  batches,
+		Batches:  acc.batches,
 	}, nil
 }

@@ -78,12 +78,11 @@ func MeasureAvailability(g *graph.Graph, votes []int, p Params, a quorum.Assignm
 	if err := a.Validate(s.State().TotalVotes()); err != nil {
 		return Measurement{}, err
 	}
-	var all, rd, wr stats.BatchMeans
-	batches := 0
 	if cfg.Obs != nil {
 		s.AttachObs(cfg.Obs)
 	}
-	for b := 0; b < cfg.MaxBatches; b++ {
+	var acc batchAccumulator
+	for b := 0; b < cfg.MaxBatches && !acc.done; b++ {
 		if b > 0 {
 			s.Reset(cfg.Seed + uint64(b))
 		}
@@ -91,25 +90,43 @@ func MeasureAvailability(g *graph.Graph, votes []int, p Params, a quorum.Assignm
 		s.RunAccesses(cfg.Warmup)
 		s.ResetCounters()
 		s.RunAccesses(cfg.BatchAccesses)
-		c := s.Counters()
-		all.AddBatch(c.Availability())
-		if alpha > 0 {
-			rd.AddBatch(c.ReadAvailability())
-		}
-		if alpha < 1 {
-			wr.AddBatch(c.WriteAvailability())
-		}
-		batches++
-		if batches >= cfg.MinBatches && all.Converged(cfg.CIHalfWidth) {
-			break
-		}
+		acc.add(s.Counters(), alpha, cfg)
 	}
+	return acc.measurement(), nil
+}
+
+// batchAccumulator is the §5.2 batch-stopping rule, the one every batch
+// runner (MeasureAvailability, MeasureStrategyLoad and, per assignment,
+// Sweep) applies: record each batch's availabilities, and stop once at
+// least MinBatches batches are in and the overall 95% CI half-width is
+// within CIHalfWidth. The runners also stop at MaxBatches.
+type batchAccumulator struct {
+	all, rd, wr stats.BatchMeans
+	batches     int
+	done        bool
+}
+
+func (a *batchAccumulator) add(c Counters, alpha float64, cfg StudyConfig) {
+	a.all.AddBatch(c.Availability())
+	if alpha > 0 {
+		a.rd.AddBatch(c.ReadAvailability())
+	}
+	if alpha < 1 {
+		a.wr.AddBatch(c.WriteAvailability())
+	}
+	a.batches++
+	if a.batches >= cfg.MinBatches && a.all.Converged(cfg.CIHalfWidth) {
+		a.done = true
+	}
+}
+
+func (a *batchAccumulator) measurement() Measurement {
 	return Measurement{
-		Overall: all.Interval95(),
-		Read:    rd.Interval95(),
-		Write:   wr.Interval95(),
-		Batches: batches,
-	}, nil
+		Overall: a.all.Interval95(),
+		Read:    a.rd.Interval95(),
+		Write:   a.wr.Interval95(),
+		Batches: a.batches,
+	}
 }
 
 // EstimationMode selects how the component-size densities are collected.

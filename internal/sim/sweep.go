@@ -3,7 +3,6 @@ package sim
 import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
 )
 
 // This file is the simulation-side half of the large-N assignment kernel.
@@ -41,38 +40,6 @@ func (t *familyTally) reset() {
 	}
 }
 
-// familyAccumulator replays the serial convergence rule of
-// MeasureAvailability for one assignment over the per-batch counters the
-// tally derives.
-type familyAccumulator struct {
-	all, rd, wr stats.BatchMeans
-	batches     int
-	done        bool
-}
-
-func (a *familyAccumulator) add(c Counters, alpha float64, cfg StudyConfig) {
-	a.all.AddBatch(c.Availability())
-	if alpha > 0 {
-		a.rd.AddBatch(c.ReadAvailability())
-	}
-	if alpha < 1 {
-		a.wr.AddBatch(c.WriteAvailability())
-	}
-	a.batches++
-	if a.batches >= cfg.MinBatches && a.all.Converged(cfg.CIHalfWidth) {
-		a.done = true
-	}
-}
-
-func (a *familyAccumulator) measurement() Measurement {
-	return Measurement{
-		Overall: a.all.Interval95(),
-		Read:    a.rd.Interval95(),
-		Write:   a.wr.Interval95(),
-		Batches: a.batches,
-	}
-}
-
 // Sweep measures every assignment in the paper's family
 // {(q_r, T−q_r+1) : 1 ≤ q_r ≤ ⌊T/2⌋} by direct simulation and returns the
 // measurements indexed by q_r−1.
@@ -102,7 +69,7 @@ func Sweep(g *graph.Graph, votes []int, p Params, alpha float64,
 		return nil, nil
 	}
 
-	accs := make([]familyAccumulator, len(family))
+	accs := make([]batchAccumulator, len(family))
 	remaining := len(accs)
 	tally := newFamilyTally(T)
 	// suff*[v] = number of measured accesses whose component held ≥ v votes.

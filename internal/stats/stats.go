@@ -100,9 +100,6 @@ type BatchMeans struct {
 // AddBatch records the mean of one batch.
 func (b *BatchMeans) AddBatch(mean float64) { b.w.Add(mean) }
 
-// N returns the number of recorded batches.
-func (b *BatchMeans) N() int { return b.w.N() }
-
 // Interval95 returns the 95% confidence interval for the mean across
 // batches. With fewer than two batches the half-size is +Inf.
 func (b *BatchMeans) Interval95() Interval {

@@ -117,13 +117,20 @@ func SampleScenarios(g *graph.Graph, p, r float64, count int, seed uint64) (*Sce
 // links once — the exhaustive approach of the paper's reference [7] — and
 // keeps each distinct component (set of sites) once, weighted by the total
 // probability of the configurations it occurs in. Configurations are walked
-// in Gray-code order, so each step flips one site or link. A topology with
-// n+m above dist.ExactLimit is refused.
+// in Gray-code order, so each step flips one site or link. Perfect links
+// (r = 1) are not enumerated: every configuration with a link down has
+// probability 0, and the walk's first 2^n steps, which flip only sites, are
+// exactly the others, so stopping there leaves every weight bit-identical.
+// A topology whose enumerated parts, n + (m if r < 1), exceed
+// dist.ExactLimit is refused.
 func ExactScenarios(g *graph.Graph, p, r float64) (*Scenarios, error) {
 	if err := checkReliabilities(p, r); err != nil {
 		return nil, err
 	}
 	n, m := g.N(), g.M()
+	if r == 1 {
+		m = 0
+	}
 	if n+m > dist.ExactLimit {
 		return nil, fmt.Errorf("votes: exact enumeration needs n+m ≤ %d, got %d", dist.ExactLimit, n+m)
 	}
@@ -243,6 +250,48 @@ func (sc *Scenarios) density(v quorum.VoteAssignment, buf dist.PMF) (dist.PMF, e
 		}
 	}
 	return pmf, nil
+}
+
+// Availability evaluates any quorum system against the scenarios: the
+// probability that an access submitted at a uniformly chosen site is
+// granted, reads (with probability α) where the site's component holds a
+// read quorum and writes where it holds a write quorum, summed per
+// component as weight·|c|·(α·[Read holds] + (1−α)·[Write holds]). Down
+// sites are granted nothing. It is the set-valued form of density's vote
+// count, so a coterie and a vote threshold are priced on one table.
+func (sc *Scenarios) Availability(s quorum.System, alpha float64) (float64, error) {
+	if !(alpha >= 0 && alpha <= 1) {
+		return 0, fmt.Errorf("votes: α=%g out of [0,1]", alpha)
+	}
+	if sc.n > 64 {
+		return 0, fmt.Errorf("votes: %d sites do not fit a quorum.Group", sc.n)
+	}
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	sum, mi, w := 0.0, int32(0), 1.0
+	for c, end := range sc.compEnd {
+		var comp quorum.Group
+		for _, site := range sc.members[mi:end] {
+			comp |= 1 << site
+		}
+		grant := 0.0
+		if s.Read.Holds(comp) {
+			grant += alpha
+		}
+		if s.Write.Holds(comp) {
+			grant += 1 - alpha
+		}
+		if sc.weight != nil {
+			w = sc.weight[c]
+		}
+		sum += w * float64(end-mi) * grant
+		mi = end
+	}
+	if sc.weight == nil {
+		sum /= float64(sc.count * sc.n)
+	}
+	return sum, nil
 }
 
 // AvailObjective scores weight vectors by the paper's ACC availability under

@@ -16,7 +16,8 @@ import (
 // common-random-numbers engine: SampleScenarios consumes its stream exactly
 // like dist.MonteCarlo, so for ANY weight vector the aggregate density it
 // produces must equal the uniform mixture of MonteCarlo's per-site densities
-// under the same seed — not statistically, but sample for sample.
+// under the same seed — not statistically, but sample for sample — and the
+// sample must price every threshold system as the kernel does.
 func TestScenarioDensityMatchesMonteCarlo(t *testing.T) {
 	const seed, count = 42, 2000
 	for _, tc := range []struct {
@@ -51,6 +52,7 @@ func TestScenarioDensityMatchesMonteCarlo(t *testing.T) {
 			if err := got.Validate(1e-9); err != nil {
 				t.Fatal(err)
 			}
+			checkThresholdSystems(t, tc.name, sc, tc.v, got)
 		})
 	}
 }
@@ -225,16 +227,65 @@ func oracleOptimum(tb testing.TB, g *graph.Graph, v quorum.VoteAssignment, p, r,
 	return m.Optimize(alpha)
 }
 
+// checkThresholdSystems: every vote-threshold system of the family, priced
+// on the component table, gets the value the density and the curve kernel
+// give its (q_r, T−q_r+1) pair.
+func checkThresholdSystems(t *testing.T, name string, sc *Scenarios, v quorum.VoteAssignment, pmf dist.PMF) {
+	t.Helper()
+	T := v.Total()
+	for _, alpha := range []float64{0, 0.3, 1} {
+		curve := core.AvailabilityCurveInto(alpha, pmf, pmf, nil)
+		for qr := 1; qr <= len(curve); qr++ {
+			s := quorum.System{Read: quorum.Threshold(v, qr), Write: quorum.Threshold(v, T-qr+1)}
+			got, err := sc.Availability(s, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-curve[qr-1]) > 1e-12 {
+				t.Fatalf("%s %v α=%g q_r=%d: table %.17g, kernel %.17g", name, v, alpha, qr, got, curve[qr-1])
+			}
+		}
+	}
+}
+
+// TestSystemAvailabilityRefuses: a read fraction outside [0, 1], a system
+// whose write quorums can miss each other, and a table wider than a
+// quorum.Group are errors.
+func TestSystemAvailabilityRefuses(t *testing.T) {
+	sc, err := ExactScenarios(graph.Ring(5), 0.9, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	majority := quorum.Threshold(quorum.UniformVotes(5), 3)
+	if _, err := sc.Availability(quorum.System{Read: majority, Write: majority}, 1.5); err == nil {
+		t.Fatal("α = 1.5 accepted")
+	}
+	if _, err := sc.Availability(quorum.System{Read: quorum.Site(0), Write: quorum.Site(1)}, 0.5); err == nil {
+		t.Fatal("disjoint write quorums accepted")
+	}
+	wide, err := SampleScenarios(graph.Path(65), 0.9, 0.9, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wide.Availability(quorum.System{Read: majority, Write: majority}, 0.5); err == nil {
+		t.Fatal("65 sites accepted")
+	}
+}
+
 // TestExactScenariosMatchDistExact pins the once-enumerated engine to
 // dist.Exact, which enumerates every configuration again per vector: the
 // aggregate density equals the uniform mixture of dist.Exact's per-site
-// densities, and on every grid2x3 vector with at most two votes per site
+// densities (and prices every threshold system as the kernel does), and on
+// every grid2x3 vector with at most two votes per site
 // the objective picks Model.Optimize's quorum pair at its value. The
 // subtests run in parallel: the oracle is the slow side.
 func TestExactScenariosMatchDistExact(t *testing.T) {
 	g := graph.Grid(2, 3)
 	if _, err := ExactScenarios(graph.Path(13), 0.9, 0.9); err == nil {
 		t.Fatal("n+m = 25 accepted")
+	}
+	if _, err := ExactScenarios(graph.Complete(7), 0.9, 1); err != nil {
+		t.Fatalf("K7 with perfect links (7 enumerated parts) refused: %v", err)
 	}
 	if _, err := ExactScenarios(g, 1.5, 0.9); err == nil {
 		t.Fatal("p = 1.5 accepted")
@@ -263,7 +314,8 @@ func TestExactScenariosMatchDistExact(t *testing.T) {
 				weighted[i] = 1 + i%3
 				zero[i] = i % 2 * (i + 1)
 			}
-			for _, pr := range [][2]float64{{0.9, 0.6}, {0, 1}, {1, 0}} {
+			// (0.9, 1) takes the perfect-link walk.
+			for _, pr := range [][2]float64{{0.9, 0.6}, {0.9, 1}, {0, 1}, {1, 0}} {
 				sc, err := ExactScenarios(tc.g, pr[0], pr[1])
 				if err != nil {
 					t.Fatal(err)
@@ -282,6 +334,7 @@ func TestExactScenariosMatchDistExact(t *testing.T) {
 							t.Fatalf("%s p=%g r=%g %v: density[%d] = %.17g, dist.Exact %.17g", tc.name, pr[0], pr[1], v, i, got[i], want[i])
 						}
 					}
+					checkThresholdSystems(t, fmt.Sprintf("%s p=%g r=%g", tc.name, pr[0], pr[1]), sc, v, got)
 				}
 			}
 		}
