@@ -116,11 +116,16 @@ gate-update:
 
 # The one definition of "lines of code" (ROADMAP: net non-test line count
 # goes down): non-blank, non-comment lines of *.go minus *_test.go, for the
-# protocol package, the fault schedules, the vote search, the strategy
-# optimizer, the CLIs, and the repository outside bench/.
+# protocol package, the replica model, the durable store, the statistics
+# substrate, the Figure-1 core, the fault schedules, the vote search, the
+# strategy optimizer, the CLIs, and the repository outside bench/.
 LOC = xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
 	@printf 'internal/cluster      %6d\n' $$(find internal/cluster -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'internal/replica      %6d\n' $$(find internal/replica -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'internal/store        %6d\n' $$(find internal/store -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'internal/stats        %6d\n' $$(find internal/stats -name '*.go' ! -name '*_test.go' | $(LOC))
+	@printf 'internal/core         %6d\n' $$(find internal/core -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf 'internal/faults       %6d\n' $$(find internal/faults -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf 'internal/votes        %6d\n' $$(find internal/votes -name '*.go' ! -name '*_test.go' | $(LOC))
 	@printf 'internal/strategy     %6d\n' $$(find internal/strategy -name '*.go' ! -name '*_test.go' | $(LOC))

@@ -43,7 +43,6 @@ var testOnlyAPI = map[string]string{
 	"obs.Registry.Gauge":                      "how tests read a live gauge",
 	"obs.Snapshot.Gauge":                      "how tests read a gauge",
 	"obs.Snapshot.Delta":                      "what a phase of a run changed, the phase assertions' instrument",
-	"core.Estimator.Density":                  "one site's §4.2 estimate f_i, read by the estimation tests of four packages",
 	"dist.Exact":                              "the exact density oracle the scenario engine and the closed forms are pinned to",
 	"dist.MonteCarlo":                         "the sampling oracle the scenario sampler's random stream is pinned to",
 	"coterie.VoteInducible":                   "backs EXPERIMENTS' claim that grid and Fano coteries are not vote-inducible",

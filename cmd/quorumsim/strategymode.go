@@ -47,7 +47,7 @@ func benchStrategy(seed uint64) (gate.File, error) {
 	solveMs := float64(time.Since(start).Microseconds()) / 1000
 	certified := strategy.CertifyGlobalCapacity(sys, d, 0, capRes, 1e-9) == nil
 
-	_, detCap, err := strategy.BestDeterministic(sys, d, strategy.Options{})
+	_, detCap, err := strategy.BestDeterministic(sys, d)
 	if err != nil {
 		return file, err
 	}
@@ -56,7 +56,7 @@ func benchStrategy(seed uint64) (gate.File, error) {
 		return file, err
 	}
 	certified = certified && strategy.CertifyGlobalCapacity(sys, d, 1, res1, 1e-9) == nil
-	lat, err := strategy.OptimizeLatency(sys, d, strategy.CaseStudyLoadLimit(), strategy.Options{})
+	lat, err := strategy.OptimizeLatency(sys, d, strategy.CaseStudyLoadLimit())
 	if err != nil {
 		return file, err
 	}
@@ -179,7 +179,7 @@ func runStrategy(objective string, n int, f int, loadLimit float64, frSpec strin
 		if loadLimit == 0 {
 			loadLimit = strategy.CaseStudyLoadLimit()
 		}
-		res, err = strategy.OptimizeLatency(sys, d, loadLimit, opts)
+		res, err = strategy.OptimizeLatency(sys, d, loadLimit)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
@@ -230,7 +230,7 @@ func runStrategy(objective string, n int, f int, loadLimit float64, frSpec strin
 	printSide("write", st.WriteQuorums, st.WriteProbs)
 
 	if objective == "capacity" && sys.N() <= 12 {
-		_, detCap, derr := strategy.BestDeterministic(sys, d, strategy.Options{})
+		_, detCap, derr := strategy.BestDeterministic(sys, d)
 		if derr == nil {
 			fmt.Printf("best deterministic assignment: capacity %.3f (randomization gain %.2f×)\n",
 				detCap, res.Capacity/detCap)

@@ -41,9 +41,9 @@ type Protocol interface {
 	LatestStamp() int64
 	// WriteCapableComponents counts components that would grant a write.
 	WriteCapableComponents() int
-	// Encode returns a canonical string for (protocol state); network
-	// state is encoded by the checker separately.
-	Encode() string
+	// Copy is site i's copy; the explorer builds its canonical state
+	// encoding and applies the version cap from the copies.
+	Copy(i int) quorum.Copy
 }
 
 // QRAdapter wraps the real replica.Object as a Protocol.
@@ -72,39 +72,8 @@ func (q QRAdapter) LatestStamp() int64 { return q.Obj.LatestStamp() }
 // WriteCapableComponents implements Protocol.
 func (q QRAdapter) WriteCapableComponents() int { return q.Obj.WriteCapableComponents() }
 
-// Encode implements Protocol: per-copy (stamp rank, version, assignment),
-// stamps order-preserving-renamed so histories differing only by absolute
-// stamp values collapse.
-func (q QRAdapter) Encode() string {
-	n := q.Obj.State().Graph().N()
-	// Collect stamps and rank them.
-	stamps := map[int64]int{}
-	for i := 0; i < n; i++ {
-		stamps[q.Obj.CopyStamp(i)] = 0
-	}
-	stamps[q.Obj.LatestStamp()] = 0
-	rank := 0
-	for _, s := range sortedKeys(stamps) {
-		stamps[s] = rank
-		rank++
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "L%d|", stamps[q.Obj.LatestStamp()])
-	for i := 0; i < n; i++ {
-		a := q.Obj.CopyAssignment(i)
-		fmt.Fprintf(&b, "%d:%d:%d/%d;", stamps[q.Obj.CopyStamp(i)], q.Obj.CopyVersion(i), a.QR, a.QW)
-	}
-	return b.String()
-}
-
-func sortedKeys(m map[int64]int) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
+// Copy implements Protocol.
+func (q QRAdapter) Copy(i int) quorum.Copy { return q.Obj.Copy(i) }
 
 // Violation is a safety failure found during exploration.
 type Violation struct {
@@ -177,7 +146,7 @@ func Explore(g *graph.Graph, mk func(st *graph.State) Protocol, cfg Config) (int
 			}
 		}
 		b.WriteByte('|')
-		b.WriteString(nd.proto.Encode())
+		encodeCopies(&b, nd.proto, g.N())
 		return b.String()
 	}
 	seen[encode(root)] = true
@@ -279,19 +248,36 @@ func Explore(g *graph.Graph, mk func(st *graph.State) Protocol, cfg Config) (int
 	return visited, nil
 }
 
-// maxVersion inspects the protocol's encoded version numbers; for the QR
-// adapter this is the max copy version.
-func maxVersion(p Protocol, n int) int64 {
-	if q, ok := p.(QRAdapter); ok {
-		var mx int64
-		for i := 0; i < n; i++ {
-			if v := q.Obj.CopyVersion(i); v > mx {
-				mx = v
-			}
-		}
-		return mx
+// encodeCopies appends the canonical encoding of p's copies to b: per copy
+// (stamp rank, version, assignment), stamps renamed to order-preserving
+// ranks so histories differing only by absolute stamp values collapse.
+func encodeCopies(b *strings.Builder, p Protocol, n int) {
+	stamps := map[int64]int{p.LatestStamp(): 0}
+	for i := 0; i < n; i++ {
+		stamps[p.Copy(i).Stamp] = 0
 	}
-	return 0
+	keys := make([]int64, 0, len(stamps))
+	for s := range stamps {
+		keys = append(keys, s)
+	}
+	slices.Sort(keys)
+	for rank, s := range keys {
+		stamps[s] = rank
+	}
+	fmt.Fprintf(b, "L%d|", stamps[p.LatestStamp()])
+	for i := 0; i < n; i++ {
+		c := p.Copy(i)
+		fmt.Fprintf(b, "%d:%d:%d/%d;", stamps[c.Stamp], c.Version, c.QR, c.QW)
+	}
+}
+
+// maxVersion is the highest assignment version any of p's n copies holds.
+func maxVersion(p Protocol, n int) int64 {
+	var mx int64
+	for i := 0; i < n; i++ {
+		mx = max(mx, p.Copy(i).Version)
+	}
+	return mx
 }
 
 // ExploreQR explores the real QR implementation with the given initial

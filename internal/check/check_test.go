@@ -88,7 +88,7 @@ func (b brokenProtocol) Read(x int) (int64, bool) {
 	// Return the freshest stamp reachable in the component (the sync the
 	// EffectiveAssignment call performed makes every local copy current
 	// within the component).
-	return b.obj.CopyStamp(x), true
+	return b.obj.Copy(x).Stamp, true
 }
 
 func (b brokenProtocol) Write(x int, v int64) bool { return b.obj.Write(x, v) }
@@ -99,7 +99,7 @@ func (b brokenProtocol) LatestStamp() int64 { return b.obj.LatestStamp() }
 func (b brokenProtocol) WriteCapableComponents() int {
 	return b.obj.WriteCapableComponents()
 }
-func (b brokenProtocol) Encode() string { return QRAdapter{Obj: b.obj}.Encode() }
+func (b brokenProtocol) Copy(i int) quorum.Copy { return b.obj.Copy(i) }
 
 func TestCheckerCatchesBrokenReadQuorum(t *testing.T) {
 	// Needs T ≥ 5 so the majority assignment (2,4) has a write quorum
@@ -126,4 +126,39 @@ func TestCheckerCatchesBrokenReadQuorum(t *testing.T) {
 		t.Fatalf("expected a reads-latest violation, got %v", v)
 	}
 	t.Logf("counterexample: %v", v)
+}
+
+// opaqueQR is the real protocol behind a type the explorer does not know:
+// it embeds QRAdapter without being one, and keeps its own type across
+// Clone.
+type opaqueQR struct{ QRAdapter }
+
+func (o opaqueQR) Clone(st *graph.State) Protocol {
+	return opaqueQR{QRAdapter{Obj: o.Obj.Clone(st)}}
+}
+
+// TestVersionCapAppliesToAnyProtocol: the version cap reads the copies every
+// Protocol exposes, so a protocol that is not QRAdapter stops at the cap
+// too and visits exactly QRAdapter's state space, instead of running on
+// until MaxStates.
+func TestVersionCapAppliesToAnyProtocol(t *testing.T) {
+	g := graph.Path(3)
+	cfg := DefaultConfig(3)
+	cfg.VersionCap = 1
+	cfg.MaxStates = 20_000
+	mk := func(st *graph.State) *replica.Object {
+		obj, err := replica.NewObject(st, quorum.Majority(3))
+		if err != nil {
+			panic(err)
+		}
+		return obj
+	}
+	want, err := Explore(g, func(st *graph.State) Protocol { return QRAdapter{Obj: mk(st)} }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Explore(g, func(st *graph.State) Protocol { return opaqueQR{QRAdapter{Obj: mk(st)}} }, cfg)
+	if err != nil || got != want {
+		t.Fatalf("opaque protocol visited %d states (err %v), QRAdapter %d", got, err, want)
+	}
 }

@@ -288,13 +288,13 @@ func (k *coordinator) pushApplies(x int, targets []int, value, stamp int64) (vot
 // chaosReadOnce is one hardened read attempt.
 func (k *coordinator) chaosReadOnce(x int) (value, stamp int64, err error) {
 	replies, eff, votes, expected, support := k.collect(x, OpRead, true)
-	if votes < eff.assign.QR {
+	if votes < eff.QR {
 		return 0, 0, k.classifyShort(len(replies), expected)
 	}
-	if eff.stamp == 0 || support >= eff.assign.QW {
+	if eff.Stamp == 0 || support >= eff.QW {
 		// Initial state (trivially on every copy) or already confirmed on
 		// a write quorum: safe to return.
-		return eff.value, eff.stamp, nil
+		return eff.Value, eff.Stamp, nil
 	}
 	// ABD-style read repair: write the freshest value back to the stale
 	// responders and return it only once copies holding it cover a write
@@ -302,14 +302,14 @@ func (k *coordinator) chaosReadOnce(x int) (value, stamp int64, err error) {
 	// could vanish from the next — a one-copy serializability violation.
 	stale := k.targets[:0]
 	for i := range replies {
-		if replies[i].stamp != eff.stamp {
+		if replies[i].stamp != eff.Stamp {
 			stale = append(stale, int(replies[i].from))
 		}
 	}
 	k.targets = stale
-	ackVotes, ackCount := k.pushApplies(x, stale, eff.value, eff.stamp)
-	if support+ackVotes >= eff.assign.QW {
-		return eff.value, eff.stamp, nil
+	ackVotes, ackCount := k.pushApplies(x, stale, eff.Value, eff.Stamp)
+	if support+ackVotes >= eff.QW {
+		return eff.Value, eff.Stamp, nil
 	}
 	return 0, 0, k.classifyShort(ackCount, len(stale))
 }
@@ -326,7 +326,7 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 		return 0, nil, ErrCrashed
 	}
 	replies, eff, votes, expected, _ := k.collect(x, OpWrite, true)
-	if votes < eff.assign.QW {
+	if votes < eff.QW {
 		return 0, nil, k.classifyShort(len(replies), expected)
 	}
 	if cp == faults.CrashAfterQuorum {
@@ -335,7 +335,7 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 		k.crash(x)
 		return 0, nil, ErrCrashed
 	}
-	stamp = nextChaosStamp(eff.stamp, x)
+	stamp = nextChaosStamp(eff.Stamp, x)
 	k.applyLocal(x, value, stamp) // local apply before any send
 	if cp == faults.CrashMidApply {
 		// Only a prefix of the responders receives the update, then the
@@ -358,7 +358,7 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 		return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrCrashed
 	}
 	ackVotes, _ := k.pushApplies(x, targets, value, stamp)
-	if k.st.Votes(x)+ackVotes >= eff.assign.QW {
+	if k.st.Votes(x)+ackVotes >= eff.QW {
 		return stamp, nil, nil
 	}
 	ch.bump(func(c *stats.ChaosCounters) { c.Indeterminate++ })
@@ -453,7 +453,7 @@ func (k *coordinator) ChaosReassign(x int, a quorum.Assignment) Outcome {
 	} else {
 		out = k.hardened(x, func(*Outcome) error {
 			replies, eff, votes, expected, _ := k.collect(x, OpReassign, true)
-			if votes < eff.assign.QW {
+			if votes < eff.QW {
 				return k.classifyShort(len(replies), expected)
 			}
 			k.install(x, a, eff, replies)

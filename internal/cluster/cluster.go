@@ -105,18 +105,18 @@ type msg struct {
 }
 
 // copy is the copy state a message carries.
-func (m *msg) copy() copyState {
-	return copyState{m.value, m.stamp, m.version, quorum.Assignment{QR: int(m.qr), QW: int(m.qw)}}
+func (m *msg) copy() quorum.Copy {
+	return quorum.Copy{Value: m.value, Stamp: m.stamp, Version: m.version, QR: int(m.qr), QW: int(m.qw)}
 }
 
 // setCopy makes s the copy state the message carries.
-func (m *msg) setCopy(s copyState) {
-	m.value, m.stamp, m.version = s.value, s.stamp, s.version
-	m.qr, m.qw = int32(s.assign.QR), int32(s.assign.QW)
+func (m *msg) setCopy(s quorum.Copy) {
+	m.value, m.stamp, m.version = s.Value, s.Stamp, s.Version
+	m.qr, m.qw = int32(s.QR), int32(s.QW)
 }
 
 // stateMsg is a message of the given kind carrying copy state s.
-func stateMsg(tag byte, s copyState) (m msg) {
+func stateMsg(tag byte, s quorum.Copy) (m msg) {
 	m.tag = tag
 	m.setCopy(s)
 	return m
@@ -180,11 +180,11 @@ func New(st *graph.State, initial quorum.Assignment) (*Cluster, error) {
 func (c *Cluster) Stats() Stats { return c.stats }
 
 // NodeStamp returns node i's value stamp.
-func (c *Cluster) NodeStamp(i int) int64 { return c.nodes[i].stamp }
+func (c *Cluster) NodeStamp(i int) int64 { return c.nodes[i].Stamp }
 
 // NodeValue returns node i's locally stored value (for state-equality
 // checks; a read round may return a newer value from a peer).
-func (c *Cluster) NodeValue(i int) int64 { return c.nodes[i].value }
+func (c *Cluster) NodeValue(i int) int64 { return c.nodes[i].Value }
 
 // FailSite marks site i down in the shared network state.
 func (c *Cluster) FailSite(i int) { c.st.FailSite(i) }

@@ -147,31 +147,31 @@ func (k *coordinator) init(tr transport, st *graph.State, initial quorum.Assignm
 		k.disks[i] = store.NewMemDisk()
 		r := tr.lock(i)
 		*r = replica{id: i, votes: st.Votes(i), bins: st.TotalVotes() + 1,
-			copyState: copyState{version: 1, assign: initial}, store: store.Open(k.disks[i], 0)}
-		r.store.Reset(r.durable(), nil)
+			Copy: quorum.Copy{Version: 1, QR: initial.QR, QW: initial.QW}, store: store.Open(k.disks[i], 0)}
+		r.store.Reset(r.Copy, nil)
 		tr.unlock(i)
 	}
 	return nil
 }
 
 // view returns a snapshot of site x's votes and copy.
-func (k *coordinator) view(x int) (votes int, s copyState) {
+func (k *coordinator) view(x int) (votes int, s quorum.Copy) {
 	r := k.tr.lock(x)
 	defer k.tr.unlock(x)
-	return r.votes, r.copyState
+	return r.votes, r.Copy
 }
 
 // NodeVersion returns node x's assignment version (for invariant checks).
 func (k *coordinator) NodeVersion(x int) int64 {
 	_, s := k.view(x)
-	return s.version
+	return s.Version
 }
 
 // NodeAssignment returns node x's locally installed assignment without
 // running a round (the adversary's public knowledge of the system).
 func (k *coordinator) NodeAssignment(x int) quorum.Assignment {
 	_, s := k.view(x)
-	return s.assign
+	return s.Assignment()
 }
 
 // collect runs a vote-collection round from coordinator x: request votes
@@ -191,7 +191,7 @@ func (k *coordinator) NodeAssignment(x int) quorum.Assignment {
 // (sender) order — delivery order depends on injected reordering and on
 // the transport, but downstream decisions, notably the mid-apply crash
 // prefix, must be a function of the responder set.
-func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, eff copyState, votes, expected, support int) {
+func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, eff quorum.Copy, votes, expected, support int) {
 	replies, expected = k.tr.exchange(x, k.all, msg{tag: tagVoteRequest, op: op})
 	if hardened {
 		replies = k.dedup(replies)
@@ -201,22 +201,22 @@ func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, e
 	votes = selfVotes
 	for i := range replies {
 		votes += int(replies[i].votes)
-		eff.adopt(replies[i].copy())
+		eff.Adopt(replies[i].copy())
 	}
 
 	self := k.tr.lock(x)
-	if self.adopt(eff) {
+	if self.Adopt(eff) {
 		self.persistState()
 	}
 	self.observe(votes)
 	self.syncStore() // merged view durable before it is gossiped
 	k.tr.unlock(x)
 
-	// Stamps are unique under chaos, so holding eff.stamp pins the value.
+	// Stamps are unique under chaos, so holding eff.Stamp pins the value.
 	// The coordinator counts itself: adopt just installed the merged state.
 	support = selfVotes
 	for i := range replies {
-		if replies[i].stamp == eff.stamp {
+		if replies[i].stamp == eff.Stamp {
 			support += int(replies[i].votes)
 		}
 	}
@@ -249,12 +249,12 @@ func (k *coordinator) Read(x int) (value int64, stamp int64, granted bool) {
 	sentBefore := k.tr.sent()
 	_, eff, votes, _, _ := k.collect(x, OpRead, false)
 	k.obs.Observe(obs.HReadMsgs, k.tr.sent()-sentBefore)
-	if votes < eff.assign.QR {
-		observeDecision(k.obs, OpRead, x, votes, false, int64(eff.assign.QR))
+	if votes < eff.QR {
+		observeDecision(k.obs, OpRead, x, votes, false, int64(eff.QR))
 		return 0, 0, false
 	}
-	observeDecision(k.obs, OpRead, x, votes, true, eff.stamp)
-	return eff.value, eff.stamp, true
+	observeDecision(k.obs, OpRead, x, votes, true, eff.Stamp)
+	return eff.Value, eff.Stamp, true
 }
 
 // Write submits a write at node x. When the effective write quorum is met,
@@ -272,12 +272,12 @@ func (k *coordinator) writeOp(x int, value int64) (stamp int64, ok bool) {
 	}
 	sentBefore := k.tr.sent()
 	replies, eff, votes, _, _ := k.collect(x, OpWrite, false)
-	if votes < eff.assign.QW {
+	if votes < eff.QW {
 		k.obs.Observe(obs.HWriteMsgs, k.tr.sent()-sentBefore)
-		observeDecision(k.obs, OpWrite, x, votes, false, int64(eff.assign.QW))
+		observeDecision(k.obs, OpWrite, x, votes, false, int64(eff.QW))
 		return 0, false
 	}
-	stamp = eff.stamp + 1
+	stamp = eff.Stamp + 1
 	k.applyLocal(x, value, stamp)
 	k.tr.post(x, k.senders(replies), msg{tag: tagApplyWrite, value: value, stamp: stamp})
 	k.obs.Observe(obs.HWriteMsgs, k.tr.sent()-sentBefore)
@@ -289,7 +289,7 @@ func (k *coordinator) writeOp(x int, value int64) (stamp int64, ok bool) {
 // it durable before any apply leaves the node.
 func (k *coordinator) applyLocal(x int, value, stamp int64) {
 	self := k.tr.lock(x)
-	self.value, self.stamp = value, stamp
+	self.Value, self.Stamp = value, stamp
 	self.persistState()
 	self.syncStore()
 	k.tr.unlock(x)
@@ -307,9 +307,9 @@ func (k *coordinator) Reassign(x int, a quorum.Assignment) error {
 		return fmt.Errorf("cluster: reassign: node %d is down", x)
 	}
 	replies, eff, votes, _, _ := k.collect(x, OpReassign, false)
-	if votes < eff.assign.QW {
-		observeDecision(k.obs, OpReassign, x, votes, false, int64(eff.assign.QW))
-		return fmt.Errorf("cluster: reassign: collected %d votes, need %d", votes, eff.assign.QW)
+	if votes < eff.QW {
+		observeDecision(k.obs, OpReassign, x, votes, false, int64(eff.QW))
+		return fmt.Errorf("cluster: reassign: collected %d votes, need %d", votes, eff.QW)
 	}
 	k.install(x, a, eff, replies)
 	return nil
@@ -319,14 +319,14 @@ func (k *coordinator) Reassign(x int, a quorum.Assignment) error {
 // the new assignment at the next version, makes it durable, and installs it
 // — together with the current value, the refresh that makes extreme
 // reassignments safe — at every responder it was granted against.
-func (k *coordinator) install(x int, a quorum.Assignment, eff copyState, replies []msg) {
-	version := eff.version + 1
+func (k *coordinator) install(x int, a quorum.Assignment, eff quorum.Copy, replies []msg) {
+	version := eff.Version + 1
 	self := k.tr.lock(x)
-	self.assign, self.version = a, version
+	self.QR, self.QW, self.Version = a.QR, a.QW, version
 	self.persistState()
 	self.syncStore() // durable before the installs fan out
 	k.tr.unlock(x)
-	eff.assign, eff.version = a, version
+	eff.QR, eff.QW, eff.Version = a.QR, a.QW, version
 	k.tr.post(x, k.senders(replies), stateMsg(tagInstallAssign, eff))
 	observeInstall(k.obs, x, version, a)
 }

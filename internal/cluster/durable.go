@@ -5,6 +5,7 @@ import (
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/obs"
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/stats"
 	"quorumkit/internal/store"
 )
@@ -203,14 +204,14 @@ func (k *coordinator) tryRejoin(x int) bool {
 	}
 	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagVoteRequest, op: OpRead})
 	votes := 0
-	var eff copyState
+	var eff quorum.Copy
 	for _, r := range k.dedup(replies) { // never from x: a site never messages itself
 		votes += int(r.votes)
-		eff.adopt(r.copy())
+		eff.Adopt(r.copy())
 	}
-	// eff.version >= 1 guarantees at least one real reply carried an
+	// eff.Version >= 1 guarantees at least one real reply carried an
 	// assignment (every full member holds version >= 1).
-	if eff.version < 1 || votes < rejoinQuorum(k.st.TotalVotes()) {
+	if eff.Version < 1 || votes < rejoinQuorum(k.st.TotalVotes()) {
 		return false
 	}
 	k.tr.lock(x).readmit(eff)
@@ -218,6 +219,6 @@ func (k *coordinator) tryRejoin(x int) bool {
 	if ch := k.chaos; ch != nil {
 		ch.bump(func(c *stats.ChaosCounters) { c.Rejoins++ })
 	}
-	observeRejoin(k.obs, x, eff.version, votes)
+	observeRejoin(k.obs, x, eff.Version, votes)
 	return true
 }

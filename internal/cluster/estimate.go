@@ -22,7 +22,7 @@ func (k *coordinator) effectiveAssignment(x int) (quorum.Assignment, int64, bool
 		return quorum.Assignment{}, 0, false
 	}
 	_, eff, _, _, _ := k.collect(x, OpRead, false)
-	return eff.assign, eff.version, true
+	return eff.Assignment(), eff.Version, true
 }
 
 // gossipEstimates runs a histogram-collection round from node x and
@@ -35,11 +35,9 @@ func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 	T := k.st.TotalVotes()
 	est := core.NewEstimator(len(k.all), T)
 	self := k.tr.lock(x)
-	if h := self.hist; h != nil {
-		for v := 0; v <= T; v++ {
-			if w := h.Weight(v); w > 0 {
-				est.ObserveFor(x, v, w)
-			}
+	for v, w := range self.hist {
+		if w > 0 && v <= T {
+			est.ObserveFor(x, v, w)
 		}
 	}
 	k.tr.unlock(x)

@@ -226,7 +226,7 @@ func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
 		}
 		peers = append(peers, grayPeer{id: p, votes: k.st.Votes(p), rtt: k.rtt(x, p)})
 	}
-	k.gray.observeRead(k.obs, &gs, self.assign.QR-votes, peers, x)
+	k.gray.observeRead(k.obs, &gs, self.QR-votes, peers, x)
 	return out, gs
 }
 

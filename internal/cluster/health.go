@@ -688,9 +688,9 @@ func (k *coordinator) DaemonStep(x int) DaemonReport {
 	}
 	self := k.tr.lock(x)
 	self.observe(reach)
-	votes, s := self.votes, self.copyState
+	votes, s := self.votes, self.Copy
 	k.tr.unlock(x)
-	return k.daemonDecide(x, acks, rtts, s.assign, votes, s.version)
+	return k.daemonDecide(x, acks, rtts, s.Assignment(), votes, s.Version)
 }
 
 // serve is the serving-layer ladder shared by reads and writes at node x:

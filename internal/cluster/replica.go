@@ -4,35 +4,8 @@ import (
 	"fmt"
 
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
 	"quorumkit/internal/store"
 )
-
-// copyState is the replicated part of a site's state: the value with its
-// stamp and the quorum assignment with its version. Both runtimes merge
-// remote copies by max(version) and max(stamp).
-type copyState struct {
-	value   int64
-	stamp   int64
-	version int64
-	assign  quorum.Assignment
-}
-
-// adopt merges newer remote state into the copy, reporting whether
-// anything changed. The durability layer persists only on change, so a
-// duplicated delivery leaves the durable log byte-identical.
-func (s *copyState) adopt(o copyState) bool {
-	changed := false
-	if o.version > s.version {
-		s.version, s.assign = o.version, o.assign
-		changed = true
-	}
-	if o.stamp > s.stamp {
-		s.stamp, s.value = o.stamp, o.value
-		changed = true
-	}
-	return changed
-}
 
 // replica is one site's protocol state machine: its copy, its durable
 // store, the §4.2 on-line histogram and the amnesiac flag. It is the single
@@ -43,11 +16,12 @@ func (s *copyState) adopt(o copyState) bool {
 type replica struct {
 	id    int
 	votes int
-	copyState
+	quorum.Copy
 
 	// hist accumulates the component vote totals this site has witnessed
-	// (the §4.2 on-line record); bins is T+1, for lazy allocation.
-	hist *stats.Histogram
+	// (the §4.2 on-line record): hist[v] is the weight of total v. It is nil
+	// until the first observation; bins is T+1, its length once allocated.
+	hist []float64
 	bins int
 
 	store    *store.NodeStore // durable state; nil when persistence is off
@@ -71,22 +45,22 @@ func (r *replica) receive(m, reply *msg) {
 		}
 		r.syncStore()
 		reply.tag, reply.from, reply.votes = tagVoteReply, int32(r.id), int32(r.votes)
-		reply.setCopy(r.copyState)
+		reply.setCopy(r.Copy)
 	case tagSyncState, tagInstallAssign:
-		if r.adopt(m.copy()) {
+		if r.Adopt(m.copy()) {
 			r.persistState()
 		}
 		if m.votesSeen > 0 { // a syncState's; an installAssign carries none
 			r.observe(int(m.votesSeen))
 		}
 	case tagApplyWrite:
-		if m.stamp > r.stamp {
-			r.stamp, r.value = m.stamp, m.value
+		if m.stamp > r.Stamp {
+			r.Stamp, r.Value = m.stamp, m.value
 			r.persistState()
 		}
 		if m.wantAck && !r.amnesiac { // an amnesiac ack must not count toward a write quorum
 			r.syncStore()
-			reply.tag, reply.from, reply.stamp = tagApplyAck, int32(r.id), r.stamp
+			reply.tag, reply.from, reply.stamp = tagApplyAck, int32(r.id), r.Stamp
 		}
 	case tagHistRequest:
 		if r.amnesiac {
@@ -94,10 +68,7 @@ func (r *replica) receive(m, reply *msg) {
 		}
 		reply.tag, reply.from = tagHistReply, int32(r.id)
 		if r.hist != nil {
-			reply.weights = make([]float64, r.bins)
-			for v := range reply.weights {
-				reply.weights[v] = r.hist.Weight(v)
-			}
+			reply.weights = append([]float64(nil), r.hist...)
 		}
 	case tagHeartbeat:
 		if r.amnesiac {
@@ -105,7 +76,7 @@ func (r *replica) receive(m, reply *msg) {
 		}
 		r.syncStore()
 		reply.tag, reply.from, reply.seq = tagHeartbeatAck, int32(r.id), m.seq
-		reply.votes, reply.version = int32(r.votes), r.version
+		reply.votes, reply.version = int32(r.votes), r.Version
 	default:
 		panic(fmt.Sprintf("cluster: replica received message tag %d", m.tag))
 	}
@@ -121,18 +92,12 @@ func (r *replica) observe(votes int) {
 		return
 	}
 	if r.hist == nil {
-		r.hist = stats.NewHistogram(r.bins)
+		r.hist = make([]float64, r.bins)
 	}
-	r.hist.Add(votes, 1)
+	r.hist[votes]++
 	if r.store != nil && !r.amnesiac {
 		r.store.PutObservation(votes)
 	}
-}
-
-// durable snapshots the copy in durable form.
-func (r *replica) durable() store.State {
-	return store.State{Value: r.value, Stamp: r.stamp, Version: r.version,
-		QR: r.assign.QR, QW: r.assign.QW}
 }
 
 // persistState appends the current copy to the log (volatile until the next
@@ -140,7 +105,7 @@ func (r *replica) durable() store.State {
 // rejoin re-establishes one via Reset.
 func (r *replica) persistState() {
 	if r.store != nil && !r.amnesiac {
-		r.store.PutState(r.durable())
+		r.store.PutState(r.Copy)
 	}
 }
 
@@ -162,8 +127,7 @@ func (r *replica) reload() error {
 	}
 	st, hist, err := r.store.Recover()
 	if err == nil {
-		r.copyState = copyState{st.Value, st.Stamp, st.Version, quorum.Assignment{QR: st.QR, QW: st.QW}}
-		r.hist = histogramFrom(hist, r.bins)
+		r.Copy, r.hist = st, histogramFrom(hist, r.bins)
 	}
 	return err
 }
@@ -172,7 +136,7 @@ func (r *replica) reload() error {
 // is gone, so everything it "knows" is untrustworthy. It reports whether
 // the replica was already amnesiac.
 func (r *replica) forget() (already bool) {
-	r.copyState, r.hist = copyState{}, nil
+	r.Copy, r.hist = quorum.Copy{}, nil
 	already, r.amnesiac = r.amnesiac, true
 	return already
 }
@@ -180,27 +144,27 @@ func (r *replica) forget() (already bool) {
 // readmit installs state transferred from a rejoin quorum as a fresh
 // durable identity, ending amnesia before the replica answers its first
 // vote request.
-func (r *replica) readmit(s copyState) {
-	r.copyState, r.hist, r.amnesiac = s, nil, false
+func (r *replica) readmit(s quorum.Copy) {
+	r.Copy, r.hist, r.amnesiac = s, nil, false
 	if r.store != nil {
-		r.store.Reset(r.durable(), nil)
+		r.store.Reset(r.Copy, nil)
 	}
 }
 
-// histogramFrom rebuilds an estimator histogram from recovered weights.
-// Returns nil when nothing was recorded, mirroring the lazy allocation.
+// histogramFrom rebuilds the observation row from recovered weights. Returns
+// nil when nothing was recorded, mirroring the lazy allocation.
 // Out-of-range bins (a vote total the current topology cannot produce) are
 // dropped rather than trusted.
-func histogramFrom(weights []float64, bins int) *stats.Histogram {
-	var h *stats.Histogram
+func histogramFrom(weights []float64, bins int) []float64 {
+	var h []float64
 	for v, w := range weights {
 		if v >= bins || w <= 0 {
 			continue
 		}
 		if h == nil {
-			h = stats.NewHistogram(bins)
+			h = make([]float64, bins)
 		}
-		h.Add(v, w)
+		h[v] += w
 	}
 	return h
 }

@@ -15,19 +15,17 @@ import (
 // unsynced append pending, so a reply's "durable before externalized"
 // barrier is visible as exactly one sync.
 func TestReplicaReceive(t *testing.T) {
-	old := quorum.Assignment{QR: 2, QW: 4}
-	newer := quorum.Assignment{QR: 1, QW: 5}
-	start := copyState{value: 10, stamp: 3, version: 2, assign: old}
-	pushed := copyState{value: 20, stamp: 4, version: 3, assign: newer}
-	applied := copyState{value: 20, stamp: 4, version: 2, assign: old}
+	start := quorum.Copy{Value: 10, Stamp: 3, Version: 2, QR: 2, QW: 4}
+	pushed := quorum.Copy{Value: 20, Stamp: 4, Version: 3, QR: 1, QW: 5}
+	applied := quorum.Copy{Value: 20, Stamp: 4, Version: 2, QR: 2, QW: 4}
 
 	cases := []struct {
 		name           string
 		in             msg
-		full           msg       // a full member's reply (tag 0: none); an amnesiac always stays silent
-		after          copyState // the copy afterwards, on either kind of member
-		appends, syncs int64     // on a full member; an amnesiac's disk is never touched
-		observed       int       // vote total recorded for the §4.2 estimator, 0 for none
+		full           msg         // a full member's reply (tag 0: none); an amnesiac always stays silent
+		after          quorum.Copy // the copy afterwards, on either kind of member
+		appends, syncs int64       // on a full member; an amnesiac's disk is never touched
+		observed       int         // vote total recorded for the §4.2 estimator, 0 for none
 	}{
 		{name: "voteRequest", in: msg{tag: tagVoteRequest, op: OpWrite},
 			full:  msg{tag: tagVoteReply, from: 1, votes: 2, value: 10, stamp: 3, version: 2, qr: 2, qw: 4},
@@ -63,8 +61,8 @@ func TestReplicaReceive(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				disk := store.NewMemDisk()
-				r := replica{id: 1, votes: 2, bins: 6, copyState: start, store: store.Open(disk, 0)}
-				r.store.Reset(r.durable(), nil)
+				r := replica{id: 1, votes: 2, bins: 6, Copy: start, store: store.Open(disk, 0)}
+				r.store.Reset(r.Copy, nil)
 				r.observe(5)
 				r.amnesiac = amnesiac
 				before, bytesBefore := r.store.Counters(), disk.Dump()
@@ -73,13 +71,13 @@ func TestReplicaReceive(t *testing.T) {
 				if r.receive(&tc.in, &got); !reflect.DeepEqual(got, want) {
 					t.Fatalf("reply %#v, want %#v", got, want)
 				}
-				if r.copyState != tc.after {
-					t.Fatalf("copy %+v, want %+v", r.copyState, tc.after)
+				if r.Copy != tc.after {
+					t.Fatalf("copy %+v, want %+v", r.Copy, tc.after)
 				}
 				if r.amnesiac != amnesiac {
 					t.Fatal("receive changed the amnesiac flag")
 				}
-				if got := r.hist.Weight(tc.observed); tc.observed > 0 && got != 1 {
+				if got := r.hist[tc.observed]; tc.observed > 0 && got != 1 {
 					t.Fatalf("observation of %d votes recorded %v times, want once", tc.observed, got)
 				}
 				after := r.store.Counters()

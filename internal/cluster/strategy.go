@@ -327,7 +327,7 @@ func (k *coordinator) strategyResolve(x int, suspected []int) {
 		return
 	}
 	_, s := k.view(x)
-	k.strat.resolve(k.health.cfg, k.health.memo, k.voteVector(), suspected, s.assign, s.version, k.obs)
+	k.strat.resolve(k.health.cfg, k.health.memo, k.voteVector(), suspected, s.Assignment(), s.Version, k.obs)
 }
 
 // strategyServe runs the sampled-quorum ladder for one operation at
@@ -399,11 +399,11 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 	replies = k.dedup(replies)
 	missing -= len(replies)
 	for i := range replies {
-		eff.adopt(replies[i].copy())
+		eff.Adopt(replies[i].copy())
 	}
-	if eff.version > version {
+	if eff.Version > version {
 		self := k.tr.lock(x)
-		if self.adopt(eff) {
+		if self.Adopt(eff) {
 			self.persistState()
 		}
 		k.tr.unlock(x)
@@ -415,15 +415,15 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 
 	if !write {
 		self := k.tr.lock(x)
-		if self.adopt(eff) {
+		if self.Adopt(eff) {
 			self.persistState()
 		}
 		self.syncStore()
 		k.tr.unlock(x)
 		k.tr.post(x, q, stateMsg(tagSyncState, eff))
-		return eff.value, eff.stamp, true, false
+		return eff.Value, eff.Stamp, true, false
 	}
-	stamp = eff.stamp + 1
+	stamp = eff.Stamp + 1
 	k.applyLocal(x, value, stamp)
 	k.tr.post(x, q, msg{tag: tagApplyWrite, value: value, stamp: stamp})
 	return value, stamp, true, false

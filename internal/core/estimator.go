@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"quorumkit/internal/dist"
-	"quorumkit/internal/stats"
 )
 
 // Estimator approximates the per-site component-size densities f_i(v)
@@ -95,9 +94,6 @@ func (e *Estimator) ObserveFor(site, votes int, dt float64) {
 	e.add(site, votes, dt)
 }
 
-// N returns the number of sites.
-func (e *Estimator) N() int { return len(e.totals) }
-
 // Weight returns the total observation weight recorded for a site.
 func (e *Estimator) Weight(site int) float64 { return e.totals[site] }
 
@@ -141,55 +137,26 @@ func (e *Estimator) Model(rWeights, wWeights []float64) (Model, error) {
 	return NewModel(rWeights, wWeights, fs)
 }
 
-// reset clears all recorded history.
-func (e *Estimator) reset() {
-	clear(e.weights)
-	clear(e.totals)
-}
-
-// merge adds another estimator's observations into e. Both must cover the
-// same sites and vote total. In a distributed deployment each site
-// maintains its own row; merge aggregates the rows exchanged during the
-// vote-collection rounds into the network-wide view the optimizer needs.
-func (e *Estimator) merge(o *Estimator) error {
-	if e.t != o.t || e.N() != o.N() {
-		return fmt.Errorf("core: merge shape mismatch: (%d sites, T=%d) vs (%d, T=%d)",
-			e.N(), e.t, o.N(), o.t)
-	}
-	for i := 0; i < o.N(); i++ {
-		for v, w := range o.site(i) {
-			if w > 0 {
-				e.add(i, v, w)
-			}
-		}
-	}
-	return nil
-}
-
 // SurvEstimator estimates the distribution of the vote total of the
 // *largest* component, the quantity needed to optimize under the SURV
 // metric (paper §3, footnote 3: substitute the largest-component
 // distribution for f_i in step 1 of the algorithm).
 type SurvEstimator struct {
-	hist *stats.Histogram
+	est *Estimator // one site, whose "component" is the largest one
 }
 
 // NewSurvEstimator creates a SURV estimator for a system with T votes.
 func NewSurvEstimator(T int) *SurvEstimator {
-	return &SurvEstimator{hist: stats.NewHistogram(T + 1)}
+	return &SurvEstimator{est: NewEstimator(1, T)}
 }
 
 // ObserveFor records the largest-component vote total for a duration.
 func (s *SurvEstimator) ObserveFor(maxVotes int, dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("core: negative duration %g", dt))
-	}
-	s.hist.Add(maxVotes, dt)
+	s.est.ObserveFor(0, maxVotes, dt)
 }
 
 // Model returns the Figure-1 model under the SURV metric: both r(v) and
 // w(v) are replaced by the largest-component distribution.
 func (s *SurvEstimator) Model() (Model, error) {
-	f := dist.PMF(s.hist.Normalize())
-	return ModelFromSingleDensity(f)
+	return ModelFromSingleDensity(s.est.Density(0))
 }

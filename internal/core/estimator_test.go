@@ -36,8 +36,8 @@ func TestEstimatorConvergesToSampledDensity(t *testing.T) {
 	if e.Weight(0) != n {
 		t.Fatalf("weight %g", e.Weight(0))
 	}
-	if e.N() != 1 || e.t != T {
-		t.Fatalf("N=%d T=%d", e.N(), e.t)
+	if len(e.totals) != 1 || e.t != T {
+		t.Fatalf("N=%d T=%d", len(e.totals), e.t)
 	}
 }
 
@@ -112,42 +112,6 @@ func TestEstimatorModelConservativeWhenEmpty(t *testing.T) {
 	// Site 1 has no data → point mass at 0 → contributes nothing to tails.
 	if got := m.ReadAvail(1); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("R(1) = %g, want 0.5", got)
-	}
-}
-
-func TestEstimatorMerge(t *testing.T) {
-	a := NewEstimator(2, 4)
-	b := NewEstimator(2, 4)
-	a.Observe(0, 4)
-	a.Observe(1, 2)
-	b.Observe(0, 4)
-	b.Observe(0, 1)
-	b.ObserveFor(1, 3, 2.5)
-	if err := a.merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Weight(0)-3) > 1e-12 || math.Abs(a.Weight(1)-3.5) > 1e-12 {
-		t.Fatalf("merged weights %g %g", a.Weight(0), a.Weight(1))
-	}
-	f := a.Density(0)
-	if math.Abs(f[4]-2.0/3.0) > 1e-12 || math.Abs(f[1]-1.0/3.0) > 1e-12 {
-		t.Fatalf("merged density %v", f)
-	}
-	// Shape mismatches are rejected.
-	if err := a.merge(NewEstimator(3, 4)); err == nil {
-		t.Fatal("site-count mismatch accepted")
-	}
-	if err := a.merge(NewEstimator(2, 5)); err == nil {
-		t.Fatal("vote-total mismatch accepted")
-	}
-}
-
-func TestEstimatorReset(t *testing.T) {
-	e := NewEstimator(1, 3)
-	e.Observe(0, 2)
-	e.reset()
-	if e.Weight(0) != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 

@@ -69,6 +69,35 @@ func (a Assignment) String() string {
 	return fmt.Sprintf("(q_r=%d, q_w=%d)", a.QR, a.QW)
 }
 
+// Copy is one site's copy of the replicated object under the QR protocol
+// (paper §2.2): a value with the stamp of the write that produced it, and
+// a quorum assignment (QR, QW) with its version number. The replica model,
+// the message-level runtimes, the wire and the durable store all hold this
+// one type.
+type Copy struct {
+	Value, Stamp, Version int64
+	QR, QW                int
+}
+
+// Adopt merges o into c by the protocol's one merge rule: the newer
+// version brings its assignment, the newer stamp brings its value. It
+// reports whether anything changed, so a caller that persists on change
+// leaves its log untouched by a duplicate.
+func (c *Copy) Adopt(o Copy) (changed bool) {
+	if o.Version > c.Version {
+		c.Version, c.QR, c.QW = o.Version, o.QR, o.QW
+		changed = true
+	}
+	if o.Stamp > c.Stamp {
+		c.Stamp, c.Value = o.Stamp, o.Value
+		changed = true
+	}
+	return changed
+}
+
+// Assignment returns the quorum assignment the copy holds.
+func (c Copy) Assignment() Assignment { return Assignment{QR: c.QR, QW: c.QW} }
+
 // ForReadQuorum returns the assignment the paper derives from the primary
 // variable q_r: q_w = T − q_r + 1 (condition 1 held with equality + 1).
 // It panics if the resulting pair is invalid for T.

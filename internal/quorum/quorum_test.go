@@ -382,3 +382,36 @@ func BenchmarkThresholdQuorums12(b *testing.B) {
 		_, _ = ThresholdQuorums[[]int](votes, 7, 0, 0)
 	}
 }
+
+// TestCopyAdopt pins the QR merge rule every layer uses: the newer version
+// carries the assignment, the newer stamp carries the value, anything
+// equal or older leaves the receiver alone, and changed is exact.
+func TestCopyAdopt(t *testing.T) {
+	c := Copy{Value: 10, Stamp: 3, Version: 2, QR: 2, QW: 4}
+	cases := []struct {
+		name    string
+		in      Copy
+		want    Copy
+		changed bool
+	}{
+		{"newer version carries QR and QW", Copy{Value: 9, Stamp: 1, Version: 3, QR: 1, QW: 5},
+			Copy{Value: 10, Stamp: 3, Version: 3, QR: 1, QW: 5}, true},
+		{"newer stamp carries the value", Copy{Value: 20, Stamp: 4, Version: 1, QR: 1, QW: 5},
+			Copy{Value: 20, Stamp: 4, Version: 2, QR: 2, QW: 4}, true},
+		{"both newer", Copy{Value: 20, Stamp: 4, Version: 3, QR: 1, QW: 5},
+			Copy{Value: 20, Stamp: 4, Version: 3, QR: 1, QW: 5}, true},
+		{"equal fields", Copy{Value: 99, Stamp: 3, Version: 2, QR: 1, QW: 5}, c, false},
+		{"older fields", Copy{Value: 99, Stamp: 2, Version: 1, QR: 1, QW: 5}, c, false},
+		{"itself", c, c, false},
+	}
+	for _, tc := range cases {
+		got := c
+		if changed := got.Adopt(tc.in); got != tc.want || changed != tc.changed {
+			t.Errorf("%s: Adopt gave %+v changed=%v, want %+v changed=%v",
+				tc.name, got, changed, tc.want, tc.changed)
+		}
+	}
+	if a := c.Assignment(); a != (Assignment{QR: 2, QW: 4}) {
+		t.Errorf("Assignment() = %v", a)
+	}
+}

@@ -27,20 +27,12 @@ import (
 	"quorumkit/internal/quorum"
 )
 
-// copyState is the per-site persistent state of the replicated object.
-type copyState struct {
-	value   int64             // data value held by this copy
-	stamp   int64             // logical timestamp of the write that produced value
-	assign  quorum.Assignment // quorum assignment known to this copy
-	version int64             // version number of assign (QR protocol)
-}
-
 // Object is one replicated data object over a network state. The network
 // state is shared with (and mutated by) the failure simulator; Object only
 // reads it.
 type Object struct {
 	st     *graph.State
-	copies []copyState
+	copies []quorum.Copy
 
 	nextStamp   int64 // global logical clock for writes
 	latestStamp int64 // stamp of the most recent granted write (ground truth for tests)
@@ -54,9 +46,9 @@ func NewObject(st *graph.State, initial quorum.Assignment) (*Object, error) {
 	if err := initial.Validate(st.TotalVotes()); err != nil {
 		return nil, fmt.Errorf("replica: initial assignment: %w", err)
 	}
-	o := &Object{st: st, copies: make([]copyState, st.Graph().N())}
+	o := &Object{st: st, copies: make([]quorum.Copy, st.Graph().N())}
 	for i := range o.copies {
-		o.copies[i] = copyState{assign: initial, version: 1}
+		o.copies[i] = quorum.Copy{Version: 1, QR: initial.QR, QW: initial.QW}
 	}
 	return o, nil
 }
@@ -70,7 +62,7 @@ func (o *Object) State() *graph.State { return o.st }
 func (o *Object) Clone(st *graph.State) *Object {
 	return &Object{
 		st:          st,
-		copies:      append([]copyState(nil), o.copies...),
+		copies:      append([]quorum.Copy(nil), o.copies...),
 		nextStamp:   o.nextStamp,
 		latestStamp: o.latestStamp,
 	}
@@ -80,34 +72,22 @@ func (o *Object) Clone(st *graph.State) *Object {
 // value every granted read must return under one-copy serializability.
 func (o *Object) LatestStamp() int64 { return o.latestStamp }
 
-// CopyVersion returns the assignment version held by site i's copy
-// (exposed for invariant checks).
-func (o *Object) CopyVersion(i int) int64 { return o.copies[i].version }
-
-// CopyStamp returns the write stamp held by site i's copy.
-func (o *Object) CopyStamp(i int) int64 { return o.copies[i].stamp }
-
-// CopyAssignment returns the quorum assignment stored at site i's copy.
-func (o *Object) CopyAssignment(i int) quorum.Assignment { return o.copies[i].assign }
+// Copy returns site i's copy (exposed for invariant checks and the
+// exhaustive explorer's state encoding).
+func (o *Object) Copy(i int) quorum.Copy { return o.copies[i] }
 
 // sync brings every copy in the component of site x up to the component's
 // newest assignment version and freshest value, returning the members and
 // the effective (synced) copy state. It models the intra-component exchange
 // that vote collection performs on every operation. Caller guarantees the
 // site is up.
-func (o *Object) sync(x int) (members []int, eff copyState) {
+func (o *Object) sync(x int) (members []int, eff quorum.Copy) {
 	rep := o.st.ComponentOf(x)
 	o.memberBuf = o.st.Members(rep, o.memberBuf[:0])
 	members = o.memberBuf
 	eff = o.copies[members[0]]
 	for _, m := range members[1:] {
-		c := o.copies[m]
-		if c.version > eff.version {
-			eff.version, eff.assign = c.version, c.assign
-		}
-		if c.stamp > eff.stamp {
-			eff.stamp, eff.value = c.stamp, c.value
-		}
+		eff.Adopt(o.copies[m])
 	}
 	for _, m := range members {
 		o.copies[m] = eff
@@ -124,7 +104,7 @@ func (o *Object) EffectiveAssignment(x int) (a quorum.Assignment, version int64,
 		return quorum.Assignment{}, 0, false
 	}
 	_, eff := o.sync(x)
-	return eff.assign, eff.version, true
+	return eff.Assignment(), eff.Version, true
 }
 
 // Read submits a read access at site x. It returns the value and its stamp,
@@ -135,10 +115,10 @@ func (o *Object) Read(x int) (value int64, stamp int64, granted bool) {
 		return 0, 0, false
 	}
 	_, eff := o.sync(x)
-	if o.st.VotesAt(x) < eff.assign.QR {
+	if o.st.VotesAt(x) < eff.QR {
 		return 0, 0, false
 	}
-	return eff.value, eff.stamp, true
+	return eff.Value, eff.Stamp, true
 }
 
 // Write submits a write access at site x. When granted, every copy in the
@@ -148,13 +128,13 @@ func (o *Object) Write(x int, value int64) bool {
 		return false
 	}
 	members, eff := o.sync(x)
-	if o.st.VotesAt(x) < eff.assign.QW {
+	if o.st.VotesAt(x) < eff.QW {
 		return false
 	}
 	o.nextStamp++
 	for _, m := range members {
-		o.copies[m].value = value
-		o.copies[m].stamp = o.nextStamp
+		o.copies[m].Value = value
+		o.copies[m].Stamp = o.nextStamp
 	}
 	o.latestStamp = o.nextStamp
 	return true
@@ -174,13 +154,13 @@ func (o *Object) Reassign(x int, a quorum.Assignment) error {
 		return fmt.Errorf("replica: reassign: site %d is down", x)
 	}
 	members, eff := o.sync(x)
-	if o.st.VotesAt(x) < eff.assign.QW {
+	if o.st.VotesAt(x) < eff.QW {
 		return fmt.Errorf("replica: reassign: component holds %d votes, need write quorum %d",
-			o.st.VotesAt(x), eff.assign.QW)
+			o.st.VotesAt(x), eff.QW)
 	}
 	for _, m := range members {
-		o.copies[m].assign = a
-		o.copies[m].version = eff.version + 1
+		c := &o.copies[m]
+		c.QR, c.QW, c.Version = a.QR, a.QW, eff.Version+1
 	}
 	return nil
 }
@@ -192,7 +172,7 @@ func (o *Object) WriteCapable(x int) bool {
 		return false
 	}
 	_, eff := o.sync(x)
-	return o.st.VotesAt(x) >= eff.assign.QW
+	return o.st.VotesAt(x) >= eff.QW
 }
 
 // WriteCapableComponents counts the components that would currently grant

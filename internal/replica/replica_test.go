@@ -78,7 +78,7 @@ func TestStaleCopyRefreshOnMerge(t *testing.T) {
 	if !o.Write(0, 99) {
 		t.Fatal("write with 4 of 5 votes denied")
 	}
-	if o.CopyStamp(4) != 0 {
+	if o.Copy(4).Stamp != 0 {
 		t.Fatal("down copy should be stale")
 	}
 	st.RepairSite(4)
@@ -86,7 +86,7 @@ func TestStaleCopyRefreshOnMerge(t *testing.T) {
 	if !ok || v != 99 {
 		t.Fatalf("read at recovered site = (%d,%v)", v, ok)
 	}
-	if o.CopyStamp(4) != o.LatestStamp() {
+	if o.Copy(4).Stamp != o.LatestStamp() {
 		t.Fatal("recovered copy not refreshed")
 	}
 }
@@ -103,8 +103,8 @@ func TestReassignRequiresWriteQuorum(t *testing.T) {
 		t.Fatalf("effective = %v v%d ok=%v", a, ver, ok)
 	}
 	// Site 4 still holds version 1.
-	if o.CopyVersion(4) != 1 {
-		t.Fatalf("isolated copy version %d", o.CopyVersion(4))
+	if o.Copy(4).Version != 1 {
+		t.Fatalf("isolated copy version %d", o.Copy(4).Version)
 	}
 	// A second reassign from a component lacking the new write quorum (5)
 	// must fail.
@@ -127,7 +127,7 @@ func TestVersionPropagatesOnMerge(t *testing.T) {
 	if err := o.Reassign(1, quorum.Assignment{QR: 1, QW: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if o.CopyVersion(3) != 1 {
+	if o.Copy(3).Version != 1 {
 		t.Fatal("site 3 should still be on version 1")
 	}
 	st.RepairLink(g.EdgeIndex(2, 3))
@@ -136,8 +136,8 @@ func TestVersionPropagatesOnMerge(t *testing.T) {
 	if ver != 2 || a.QW != 4 {
 		t.Fatalf("after merge: %v v%d", a, ver)
 	}
-	if o.CopyVersion(3) != 2 {
-		t.Fatalf("site 3 version %d after merge", o.CopyVersion(3))
+	if o.Copy(3).Version != 2 {
+		t.Fatalf("site 3 version %d after merge", o.Copy(3).Version)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestRandomizedProtocolSafety(t *testing.T) {
 				t.Fatalf("%s step %d: %d write-capable components", name, step, wc)
 			}
 			for i := 0; i < n; i++ {
-				if v := o.CopyVersion(i); v < lastVersion[i] {
+				if v := o.Copy(i).Version; v < lastVersion[i] {
 					t.Fatalf("%s step %d: site %d version regressed %d → %d",
 						name, step, i, lastVersion[i], v)
 				} else {

@@ -1,7 +1,6 @@
 // Package stats provides the statistical substrate used by the simulation
-// study: streaming mean/variance accumulators (Welford), batch-means
-// confidence intervals with Student-t critical values, and fixed-width
-// histograms.
+// study: streaming mean/variance accumulators (Welford) and batch-means
+// confidence intervals with Student-t critical values.
 //
 // The paper reports availabilities as the mean over 5–18 batches of one
 // million accesses each, with a 95% confidence interval of half-width at
@@ -118,82 +117,6 @@ func (b *BatchMeans) Converged(target float64) bool {
 		return false
 	}
 	return b.Interval95().HalfSize <= target
-}
-
-// Histogram is a fixed-bin histogram over the integers [0, Bins).
-// It supports weighted increments so it can represent both sampled counts
-// and time-weighted occupancy.
-type Histogram struct {
-	weights []float64
-	total   float64
-}
-
-// NewHistogram returns a histogram with the given number of bins.
-func NewHistogram(bins int) *Histogram {
-	if bins <= 0 {
-		panic(fmt.Sprintf("stats: NewHistogram bins=%d", bins))
-	}
-	return &Histogram{weights: make([]float64, bins)}
-}
-
-// Add increments bin i by weight w. Out-of-range bins panic: callers size
-// the histogram to the known support (0..T votes).
-func (h *Histogram) Add(i int, w float64) {
-	if i < 0 || i >= len(h.weights) {
-		panic(fmt.Sprintf("stats: Histogram.Add bin %d out of [0,%d)", i, len(h.weights)))
-	}
-	if w < 0 {
-		panic(fmt.Sprintf("stats: Histogram.Add negative weight %g", w))
-	}
-	h.weights[i] += w
-	h.total += w
-}
-
-// Weight returns the accumulated weight of bin i.
-func (h *Histogram) Weight(i int) float64 { return h.weights[i] }
-
-// Normalize returns the histogram as a probability mass function. If no
-// weight has been recorded it returns a zero slice.
-func (h *Histogram) Normalize() []float64 {
-	p := make([]float64, len(h.weights))
-	if h.total == 0 {
-		return p
-	}
-	for i, w := range h.weights {
-		p[i] = w / h.total
-	}
-	return p
-}
-
-// reset clears all weight.
-func (h *Histogram) reset() {
-	for i := range h.weights {
-		h.weights[i] = 0
-	}
-	h.total = 0
-}
-
-// scale multiplies every bin (and the total) by c.
-func (h *Histogram) scale(c float64) {
-	if c < 0 {
-		panic(fmt.Sprintf("stats: Histogram.scale negative factor %g", c))
-	}
-	for i := range h.weights {
-		h.weights[i] *= c
-	}
-	h.total *= c
-}
-
-// mean returns the weighted mean bin index, or 0 for an empty histogram.
-func (h *Histogram) mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, w := range h.weights {
-		s += float64(i) * w
-	}
-	return s / h.total
 }
 
 // ChaosCounters is the observability snapshot of a fault-injected protocol

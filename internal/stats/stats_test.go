@@ -131,102 +131,6 @@ func TestIntervalString(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(5)
-	h.Add(0, 1)
-	h.Add(4, 3)
-	if h.total != 4 {
-		t.Fatalf("total %g", h.total)
-	}
-	p := h.Normalize()
-	if !almostEq(p[0], 0.25, 1e-12) || !almostEq(p[4], 0.75, 1e-12) {
-		t.Fatalf("normalize %v", p)
-	}
-}
-
-func TestHistogramEmptyNormalize(t *testing.T) {
-	h := NewHistogram(3)
-	p := h.Normalize()
-	for _, v := range p {
-		if v != 0 {
-			t.Fatalf("empty normalize %v", p)
-		}
-	}
-}
-
-func TestHistogramScaleAndReset(t *testing.T) {
-	h := NewHistogram(3)
-	h.Add(1, 2)
-	h.Add(2, 2)
-	h.scale(0.5)
-	if !almostEq(h.total, 2, 1e-12) || !almostEq(h.Weight(1), 1, 1e-12) {
-		t.Fatalf("scale: total=%g w1=%g", h.total, h.Weight(1))
-	}
-	h.reset()
-	if h.total != 0 || h.Weight(2) != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(10)
-	h.Add(2, 1)
-	h.Add(8, 1)
-	if !almostEq(h.mean(), 5, 1e-12) {
-		t.Fatalf("mean %g", h.mean())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	h := NewHistogram(2)
-	for _, fn := range []func(){
-		func() { h.Add(-1, 1) },
-		func() { h.Add(2, 1) },
-		func() { h.Add(0, -1) },
-		func() { h.scale(-1) },
-		func() { NewHistogram(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestQuickHistogramNormalizeSumsToOne(t *testing.T) {
-	f := func(ws []uint8) bool {
-		if len(ws) == 0 {
-			return true
-		}
-		h := NewHistogram(len(ws))
-		any := false
-		for i, w := range ws {
-			if w > 0 {
-				h.Add(i, float64(w))
-				any = true
-			}
-		}
-		if !any {
-			return true
-		}
-		sum := 0.0
-		for _, p := range h.Normalize() {
-			if p < 0 {
-				return false
-			}
-			sum += p
-		}
-		return almostEq(sum, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if Median(nil) != 0 {
 		t.Fatal("median of empty")

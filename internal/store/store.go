@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"quorumkit/internal/obs"
+	"quorumkit/internal/quorum"
 )
 
 // The engine keeps three files per node:
@@ -26,10 +27,11 @@ import (
 //     Compaction resets log and seal to a new generation; a seal record
 //     whose generation predates the snapshot is superseded and ignored.
 //
-// Replay is a merge-fold with the same adopt semantics the protocol uses
-// in memory (higher version wins the assignment, higher stamp wins the
-// value), so replaying any prefix of records — in any arrival order the
-// runtimes produced them — lands on a state the node legitimately held.
+// Replay folds records through quorum.Copy.Adopt, the merge rule the
+// protocol uses in memory (higher version wins the assignment, higher
+// stamp wins the value), so replaying any prefix of records — in any
+// arrival order the runtimes produced them — lands on a state the node
+// legitimately held.
 
 const (
 	logName     = "log"
@@ -65,25 +67,10 @@ var (
 	ErrNoState = errors.New("store: no durable state")
 )
 
-// State is the protocol-critical durable state of one node.
-type State struct {
-	Value   int64
-	Stamp   int64
-	Version int64
-	QR, QW  int
-}
-
-// merge folds other into s with the protocol's adopt semantics: the higher
-// version carries the assignment, the higher stamp carries the value.
-// Folding records through merge makes replay order-independent.
-func (s *State) merge(o State) {
-	if o.Version > s.Version {
-		s.Version, s.QR, s.QW = o.Version, o.QR, o.QW
-	}
-	if o.Stamp > s.Stamp {
-		s.Stamp, s.Value = o.Stamp, o.Value
-	}
-}
+// State is the protocol-critical durable state of one node: the protocol's
+// one copy type, folded on replay by its one merge rule (Copy.Adopt), which
+// makes replay order-independent.
+type State = quorum.Copy
 
 // Counters are the store's own metrics, mirrored into obs when a registry
 // is attached.
@@ -158,7 +145,7 @@ func (s *NodeStore) Counters() Counters {
 
 // PutState appends a full state record. Volatile until Sync.
 func (s *NodeStore) PutState(st State) {
-	s.cur.merge(st)
+	s.cur.Adopt(st)
 	payload := s.pbuf[:0]
 	payload = appendU64(payload, uint64(st.Value))
 	payload = appendU64(payload, uint64(st.Stamp))
@@ -392,7 +379,7 @@ func foldLog(b []byte, st *State, hist *[]float64, strict bool) (int, int, error
 			if plen != stateLen {
 				return fail("state record length %d at %d", plen, off)
 			}
-			st.merge(decodeState(payload))
+			st.Adopt(decodeState(payload))
 		case recObs:
 			if plen != 4 {
 				return fail("obs record length %d at %d", plen, off)

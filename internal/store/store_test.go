@@ -145,7 +145,7 @@ func buildSweepScript() ([]diskOp, *sweepOracle) {
 		}
 		span(func() {
 			s.PutState(st)
-			cur.merge(st)
+			cur.Adopt(st)
 			o.folds = append(o.folds, cur)
 			o.hists = append(o.hists, append([]float64(nil), hist...))
 		})
@@ -413,7 +413,7 @@ func TestCompactionReplay(t *testing.T) {
 		st := State{Value: int64(j), Stamp: int64(j) << 10, Version: int64(1 + j/10),
 			QR: 3, QW: 3}
 		s.PutState(st)
-		want.merge(st)
+		want.Adopt(st)
 		s.PutObservation(j % 6)
 		s.Sync()
 	}
@@ -470,14 +470,14 @@ func TestFoldOrderIndependence(t *testing.T) {
 	}
 	var want State
 	for _, r := range recs {
-		want.merge(r)
+		want.Adopt(r)
 	}
 	src := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		perm := src.Perm(len(recs))
 		var got State
 		for _, i := range perm {
-			got.merge(recs[i])
+			got.Adopt(recs[i])
 		}
 		if got != want {
 			t.Fatalf("order %v folded to %+v, want %+v", perm, got, want)
@@ -556,7 +556,7 @@ func TestFaultDiskTornAlwaysRecoverable(t *testing.T) {
 		s.PutState(st)
 		if j%2 == 0 {
 			s.Sync()
-			sealed.merge(st)
+			sealed.Adopt(st)
 		}
 		if j%7 == 0 {
 			s.Crash()

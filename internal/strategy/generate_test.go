@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 )
 
@@ -46,8 +47,8 @@ func threeAtoms(t *testing.T) FrDist {
 // exactly as optimizeCapacity solves the pools it enumerates.
 func enumeratedCapacity(t *testing.T, sys System, d FrDist, f int) *Result {
 	t.Helper()
-	reads, rOK := MinimalResilientQuorums(sys.Votes, sys.QR, f, 0)
-	writes, wOK := MinimalResilientQuorums(sys.Votes, sys.QW, f, 0)
+	reads, rOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, f, 0)
+	writes, wOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, f, 0)
 	if !rOK || !wOK || len(reads) == 0 || len(writes) == 0 {
 		t.Fatalf("oracle: no complete non-empty pools (%d read, %d write)", len(reads), len(writes))
 	}
@@ -155,7 +156,7 @@ func TestSolvePathBoundaries(t *testing.T) {
 		{weighted([]int{2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1}, 10), 256, true},
 		{weighted([]int{3, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1, 1}, 16), 257, false},
 	} {
-		if got, _ := MinimalQuorums(c.sys.Votes, c.sys.QR, 0); len(got) != c.pool {
+		if got, _ := quorum.ThresholdQuorums[Quorum](c.sys.Votes, c.sys.QR, 0, 0); len(got) != c.pool {
 			t.Fatalf("votes %v: %d minimal quorums, want %d", c.sys.Votes, len(got), c.pool)
 		}
 		res, err := OptimizeCapacity(c.sys, fr, Options{TargetGap: 0.05})
@@ -173,7 +174,7 @@ func TestSolvePathBoundaries(t *testing.T) {
 	}
 
 	sys := uniformSystem(14, 14)
-	if _, ok := MinimalResilientQuorums(sys.Votes, sys.QR, 1, exactMax); !ok {
+	if _, ok := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 1, exactMax); !ok {
 		t.Fatalf("14 sites at f=1 exceed %d quorums a side", exactMax)
 	}
 	res, err := OptimizeResilientCapacity(sys, fr, 1, Options{TargetGap: 0.05})

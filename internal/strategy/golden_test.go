@@ -45,7 +45,7 @@ func solveCaseStudy(t *testing.T) caseStudyDoc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := OptimizeLatency(sys, d, CaseStudyLoadLimit(), Options{})
+	lat, err := OptimizeLatency(sys, d, CaseStudyLoadLimit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCaseStudyAcceptance(t *testing.T) {
 	if err := CertifyGlobalCapacity(sys, d, 0, res, certTol); err != nil {
 		t.Fatalf("global certificate: %v", err)
 	}
-	_, detCap, err := BestDeterministic(sys, d, Options{})
+	_, detCap, err := BestDeterministic(sys, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,10 +271,10 @@ func optimizeCapacity(sys System, d FrDist, f int, opts Options) (*Result, error
 	// the write pool is only enumerated when the read pool is complete.
 	// When QR == QW the two pools are the same set and share one slice:
 	// nothing downstream writes to a pool (Canonical copies each quorum).
-	readPool, ok := MinimalResilientQuorums(sys.Votes, sys.QR, f, enumerateMax)
+	readPool, ok := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, f, enumerateMax)
 	writePool := readPool
 	if ok && sys.QW != sys.QR {
-		writePool, ok = MinimalResilientQuorums(sys.Votes, sys.QW, f, enumerateMax)
+		writePool, ok = quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, f, enumerateMax)
 	}
 	if ok {
 		if len(readPool) == 0 || len(writePool) == 0 {
@@ -607,7 +607,7 @@ func (g *lagrangian) price(lam []float64) (qR, qW Quorum, lb float64) {
 // every fr regime. When no strategy fits under the limit it returns the
 // Result holding the Farkas infeasibility certificate alongside
 // ErrLoadLimitInfeasible.
-func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Result, error) {
+func OptimizeLatency(sys System, d FrDist, loadLimit float64) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -617,8 +617,8 @@ func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Re
 	if loadLimit <= 0 || math.IsNaN(loadLimit) || math.IsInf(loadLimit, 0) {
 		return nil, fmt.Errorf("strategy: bad load limit %g", loadLimit)
 	}
-	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, exactMax)
-	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, exactMax)
+	readPool, rOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 0, exactMax)
+	writePool, wOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 0, exactMax)
 	nR := len(readPool)
 
 	scale := capScale(sys)
@@ -672,15 +672,15 @@ func OptimizeLatency(sys System, d FrDist, loadLimit float64, opts Options) (*Re
 // BestDeterministic returns the best *single* (read quorum, write quorum)
 // pair — the classical deterministic assignment — and its capacity, for
 // comparison against the randomized optimum. Requires complete pools.
-func BestDeterministic(sys System, d FrDist, opts Options) (Strategy, float64, error) {
+func BestDeterministic(sys System, d FrDist) (Strategy, float64, error) {
 	if err := sys.Validate(); err != nil {
 		return Strategy{}, 0, err
 	}
 	if err := d.validate(); err != nil {
 		return Strategy{}, 0, err
 	}
-	readPool, rOK := MinimalQuorums(sys.Votes, sys.QR, exactMax)
-	writePool, wOK := MinimalQuorums(sys.Votes, sys.QW, exactMax)
+	readPool, rOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 0, exactMax)
+	writePool, wOK := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 0, exactMax)
 	if !rOK || !wOK {
 		return Strategy{}, 0, fmt.Errorf("strategy: pools too large to enumerate (cap %d)", exactMax)
 	}
@@ -719,7 +719,7 @@ func CertifyGlobalCapacity(sys System, d FrDist, f int, res *Result, tol float64
 	var rows []int
 	var vals []float64
 	for side, q := range []int{sys.QR, sys.QW} {
-		qs, ok := MinimalResilientQuorums(sys.Votes, q, f, 0)
+		qs, ok := quorum.ThresholdQuorums[Quorum](sys.Votes, q, f, 0)
 		if !ok {
 			return fmt.Errorf("strategy: exhaustive enumeration failed") // max=0 is unlimited; unreachable
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 )
 
@@ -114,7 +115,7 @@ func TestCapacityOracle(t *testing.T) {
 		}
 
 		// Brute force, side one: nothing beats the LP.
-		detBest, detCap, err := BestDeterministic(sys, d, Options{})
+		detBest, detCap, err := BestDeterministic(sys, d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -201,8 +202,8 @@ func TestResilientCapacityOracle(t *testing.T) {
 	for trial := 0; trial < 1000 && checked < 60; trial++ {
 		sys := randomSmallSystem(src)
 		d := randomFrDist(src)
-		pool, _ := MinimalResilientQuorums(sys.Votes, sys.QR, 1, 0)
-		wpool, _ := MinimalResilientQuorums(sys.Votes, sys.QW, 1, 0)
+		pool, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 1, 0)
+		wpool, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 1, 0)
 		if len(pool) == 0 || len(wpool) == 0 {
 			if _, err := OptimizeResilientCapacity(sys, d, 1, Options{}); err == nil {
 				t.Fatalf("trial %d: no resilient quorums but solve succeeded", trial)
@@ -243,7 +244,7 @@ func TestOptimizeLatency(t *testing.T) {
 	sys := CaseStudySystem()
 	d := CaseStudyFrDist()
 
-	loose, err := OptimizeLatency(sys, d, 1, Options{})
+	loose, err := OptimizeLatency(sys, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestOptimizeLatency(t *testing.T) {
 		t.Fatalf("unconstrained latency %g, want %g", loose.Value, want)
 	}
 
-	capped, err := OptimizeLatency(sys, d, CaseStudyLoadLimit(), Options{})
+	capped, err := OptimizeLatency(sys, d, CaseStudyLoadLimit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +274,12 @@ func TestOptimizeLatency(t *testing.T) {
 		}
 	}
 
-	_, err = OptimizeLatency(sys, d, 1e-9, Options{})
+	_, err = OptimizeLatency(sys, d, 1e-9)
 	if !errors.Is(err, ErrLoadLimitInfeasible) {
 		t.Fatalf("impossible limit: got %v, want ErrLoadLimitInfeasible", err)
 	}
 
-	if _, err := OptimizeLatency(sys, d, -1, Options{}); err == nil {
+	if _, err := OptimizeLatency(sys, d, -1); err == nil {
 		t.Fatal("negative load limit accepted")
 	}
 }
@@ -288,7 +289,7 @@ func TestOptimizeLatency(t *testing.T) {
 func TestLatencyInfeasibleCertificate(t *testing.T) {
 	sys := CaseStudySystem()
 	d := CaseStudyFrDist()
-	res, err := OptimizeLatency(sys, d, 1e-9, Options{})
+	res, err := OptimizeLatency(sys, d, 1e-9)
 	if !errors.Is(err, ErrLoadLimitInfeasible) {
 		t.Fatalf("got %v", err)
 	}

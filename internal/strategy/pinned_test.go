@@ -130,10 +130,10 @@ func TestCapacitySolvesPinned(t *testing.T) {
 		solve{"case-study/f1", func() (*Result, error) { return OptimizeResilientCapacity(cs, csd, 1, Options{}) }},
 		solve{"case-study/two-atoms", func() (*Result, error) { return OptimizeCapacity(cs, twoAtoms, Options{}) }},
 		solve{"case-study/latency", func() (*Result, error) {
-			return OptimizeLatency(cs, csd, CaseStudyLoadLimit(), Options{})
+			return OptimizeLatency(cs, csd, CaseStudyLoadLimit())
 		}},
 		solve{"n9/latency/three-atoms", func() (*Result, error) {
-			return OptimizeLatency(uniformSystem(9, 901), threeAtoms(t), 1, Options{})
+			return OptimizeLatency(uniformSystem(9, 901), threeAtoms(t), 1)
 		}},
 	)
 	for _, s := range solves {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 )
 
@@ -202,8 +203,8 @@ func TestRevisedBlandRule(t *testing.T) {
 		lps = append(lps, fuzzLP(uint64(trial), uint64(trial/4), int64(17*trial)))
 	}
 	sys := uniformSystem(7, 77)
-	reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
-	writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
+	reads, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 0, 0)
+	writes, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 0, 0)
 	lps = append(lps, buildCapacityLP(newLoadCoefs(sys, SingleFr(0.6), capScale(sys)), SingleFr(0.6), reads, writes))
 	optimal := 0
 	for i, lp := range lps {
@@ -238,8 +239,8 @@ func TestRevisedCrashInvariant(t *testing.T) {
 	}
 	for _, n := range []int{5, 7, 9} {
 		sys := uniformSystem(n, uint64(100+n))
-		reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
-		writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
+		reads, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 0, 0)
+		writes, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 0, 0)
 		coefs := newLoadCoefs(sys, d, capScale(sys))
 		lp := buildCapacityLP(coefs, d, reads, writes)
 		s, err := newSimplex(lp)
@@ -299,8 +300,8 @@ func TestRevisedWarmColumnsMatchCold(t *testing.T) {
 	}
 	for _, n := range []int{5, 7, 9} {
 		sys := uniformSystem(n, uint64(200+n))
-		reads, _ := MinimalQuorums(sys.Votes, sys.QR, 0)
-		writes, _ := MinimalQuorums(sys.Votes, sys.QW, 0)
+		reads, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QR, 0, 0)
+		writes, _ := quorum.ThresholdQuorums[Quorum](sys.Votes, sys.QW, 0, 0)
 		coefs := newLoadCoefs(sys, d, capScale(sys))
 		hr, hw := len(reads)/3, len(writes)/3
 		_, s, narrow, err := solveCapacityLP(coefs, d, reads[:hr], writes[:hw])
