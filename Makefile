@@ -54,8 +54,9 @@ $(COVER): cover-%:
 
 # Short continuous fuzz, FUZZTIME per target (each committed corpus also
 # replays as part of `make test`): the wire codec; the store record decoder
-# against arbitrary log damage; the simplex solver — random LPs must always
-# yield a verifiable certificate (optimality, Farkas, or unbounded ray); the
+# against arbitrary log damage and its snapshot decoder against arbitrary
+# bytes; the simplex solver — random LPs must always yield a verifiable
+# certificate (optimality, Farkas, or unbounded ray); the
 # strategy decoder — a corrupted serialized strategy must always be rejected
 # with a typed DecodeError, never armed; random quorum expressions —
 # Holds, MinimalQuorums and System.Validate against the all-subsets oracle;
@@ -63,8 +64,8 @@ $(COVER): cover-%:
 # against Recompute after every operation.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = cluster:FuzzUnmarshalPayload store:FuzzFoldLog \
-	strategy:FuzzSimplex strategy:FuzzStrategyDecode quorum:FuzzExpr \
-	graph:FuzzStateFlaps
+	store:FuzzDecodeSnap strategy:FuzzSimplex strategy:FuzzStrategyDecode \
+	quorum:FuzzExpr graph:FuzzStateFlaps
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -1,7 +1,8 @@
 // Package store is the durable storage engine under both cluster runtimes:
-// a checksummed append-only record log plus an atomically-replaced snapshot
-// that together persist each node's protocol-critical state — value, stamp,
-// quorum assignment, version number, and estimator history.
+// an append-only record log plus an atomically-replaced snapshot that
+// together persist each node's protocol-critical state — value, stamp,
+// quorum assignment, version number, and estimator history. Every log
+// record, seal record and snapshot carries a CRC-32C (Castagnoli) checksum.
 //
 // The paper's dynamic quorum reassignment protocol (§5) preserves one-copy
 // serializability only if a site's copy state survives crashes: a node that
@@ -50,10 +51,12 @@ type File interface {
 	Len() int
 }
 
-// MemDisk is the deterministic in-memory Disk backend. It tracks synced and
-// unsynced content separately so Crash has real teeth, and iterates files
-// in sorted name order wherever order matters, so injected byte-offset
-// faults are reproducible.
+// MemDisk is the deterministic in-memory Disk backend. Each file is one
+// buffer and a durable watermark: Append writes the buffer once, Sync only
+// moves the watermark, and Crash cuts the buffer back to it, so Crash has
+// real teeth without a byte being copied twice. It iterates files in
+// sorted name order wherever order matters, so injected byte-offset faults
+// are reproducible.
 //
 // A MemDisk belongs to the one NodeStore opened on it and is guarded by
 // whatever serializes that store's calls. Tests may read it directly (Dump,
@@ -63,8 +66,8 @@ type MemDisk struct {
 }
 
 type memFile struct {
-	synced   []byte
-	unsynced []byte
+	data   []byte // content; data[:synced] is durable
+	synced int
 }
 
 // NewMemDisk returns an empty in-memory disk.
@@ -102,7 +105,7 @@ func (d *MemDisk) Remove(name string) {
 // semantics.
 func (d *MemDisk) Crash() {
 	for _, f := range d.files {
-		f.unsynced = nil
+		f.data = f.data[:f.synced]
 	}
 }
 
@@ -120,8 +123,8 @@ func (d *MemDisk) Dump() map[string]DumpedFile {
 	out := make(map[string]DumpedFile, len(d.files))
 	for name, f := range d.files {
 		out[name] = DumpedFile{
-			Synced:   append([]byte(nil), f.synced...),
-			Unsynced: append([]byte(nil), f.unsynced...),
+			Synced:   append([]byte(nil), f.data[:f.synced]...),
+			Unsynced: append([]byte(nil), f.data[f.synced:]...),
 		}
 	}
 	return out
@@ -133,40 +136,30 @@ func (d *MemDisk) Wipe() {
 }
 
 func (f *memFile) Append(p []byte) {
-	f.unsynced = append(f.unsynced, p...)
+	f.data = append(f.data, p...)
 }
 
 func (f *memFile) Sync() {
-	f.synced = append(f.synced, f.unsynced...)
-	f.unsynced = f.unsynced[:0] // keep capacity: the sync cadence is hot
+	f.synced = len(f.data)
 }
 
 // Truncate cuts the file to its first n bytes (durably, like a journaled
 // metadata operation). Synced content is cut only after the unsynced
 // suffix is exhausted.
 func (f *memFile) Truncate(n int) {
-	if n < 0 {
-		n = 0
+	n = max(n, 0)
+	if n < len(f.data) {
+		f.data = f.data[:n]
 	}
-	if n <= len(f.synced) {
-		f.synced = f.synced[:n]
-		f.unsynced = f.unsynced[:0] // keep capacity
-		return
-	}
-	keep := n - len(f.synced)
-	if keep < len(f.unsynced) {
-		f.unsynced = f.unsynced[:keep]
-	}
+	f.synced = min(f.synced, n)
 }
 
 func (f *memFile) Contents() []byte {
-	out := make([]byte, 0, len(f.synced)+len(f.unsynced))
-	out = append(out, f.synced...)
-	return append(out, f.unsynced...)
+	return append([]byte(nil), f.data...)
 }
 
 func (f *memFile) Len() int {
-	return len(f.synced) + len(f.unsynced)
+	return len(f.data)
 }
 
 // sortedNames returns the file names in sorted order — the canonical
@@ -183,7 +176,7 @@ func (d *MemDisk) sortedNames() []string {
 // unsyncedLen reports the unsynced suffix length of name (0 if absent).
 func (d *MemDisk) unsyncedLen(name string) int {
 	if f, ok := d.files[name]; ok {
-		return len(f.unsynced)
+		return len(f.data) - f.synced
 	}
 	return 0
 }
@@ -195,18 +188,15 @@ func (d *MemDisk) tear(name string, keep int) {
 	if !ok || keep <= 0 {
 		return
 	}
-	if keep > len(f.unsynced) {
-		keep = len(f.unsynced)
-	}
-	f.synced = append(f.synced, f.unsynced[:keep]...)
-	f.unsynced = nil
+	f.synced = min(f.synced+keep, len(f.data))
+	f.data = f.data[:f.synced]
 }
 
 // durableSize is the total synced byte count across all files.
 func (d *MemDisk) durableSize() int {
 	n := 0
 	for _, f := range d.files {
-		n += len(f.synced)
+		n += f.synced
 	}
 	return n
 }
@@ -217,11 +207,11 @@ func (d *MemDisk) flipBit(pos int, bit uint) {
 	names := d.sortedNames()
 	for _, name := range names {
 		f := d.files[name]
-		if pos < len(f.synced) {
-			f.synced[pos] ^= 1 << (bit % 8)
+		if pos < f.synced {
+			f.data[pos] ^= 1 << (bit % 8)
 			return
 		}
-		pos -= len(f.synced)
+		pos -= f.synced
 	}
 }
 
@@ -230,10 +220,7 @@ func (d *MemDisk) flipBit(pos int, bit uint) {
 func (d *MemDisk) clone() *MemDisk {
 	out := NewMemDisk()
 	for name, f := range d.files {
-		out.files[name] = &memFile{
-			synced:   append([]byte(nil), f.synced...),
-			unsynced: append([]byte(nil), f.unsynced...),
-		}
+		out.files[name] = &memFile{data: append([]byte(nil), f.data...), synced: f.synced}
 	}
 	return out
 }

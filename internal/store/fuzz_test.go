@@ -2,28 +2,25 @@ package store
 
 import (
 	"bytes"
-	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// encodeStateRec builds one valid state log record for seeding.
-func encodeStateRec(st State) []byte {
-	payload := make([]byte, 0, stateLen)
-	payload = appendU64(payload, uint64(st.Value))
-	payload = appendU64(payload, uint64(st.Stamp))
-	payload = appendU64(payload, uint64(st.Version))
-	payload = appendU32(payload, uint32(st.QR))
-	payload = appendU32(payload, uint32(st.QW))
-	rec := append([]byte{recState}, appendU32(nil, uint32(len(payload)))...)
-	rec = append(rec, payload...)
-	return appendU32(rec, crc32.ChecksumIEEE(rec))
+// logRecord returns the bytes one record of kind and payload appends to
+// the log, framed by the store's own beginRecord/endRecord.
+func logRecord(kind byte, payload []byte) []byte {
+	s := Open(NewMemDisk(), 0)
+	s.endRecord(append(s.beginRecord(kind), payload...))
+	return s.log.Contents()
 }
 
-func encodeObsRec(votes uint32) []byte {
-	rec := append([]byte{recObs}, appendU32(nil, 4)...)
-	rec = appendU32(rec, votes)
-	return appendU32(rec, crc32.ChecksumIEEE(rec))
-}
+// encodeStateRec builds one valid state log record for seeding.
+func encodeStateRec(st State) []byte { return logRecord(recState, appendState(nil, st)) }
+
+func encodeObsRec(votes uint32) []byte { return logRecord(recObs, appendU32(nil, votes)) }
 
 // FuzzFoldLog drives arbitrary bytes plus an arbitrary sealed boundary
 // through the log replayer. Invariants: no panic; lenient replay consumes
@@ -84,11 +81,11 @@ func FuzzFoldLog(f *testing.F) {
 // FuzzDecodeSnap: the snapshot decoder must never panic, and anything it
 // accepts must be a canonical encoding (decode∘encode is the identity).
 func FuzzDecodeSnap(f *testing.F) {
-	f.Add(encodeSnap(1, State{Version: 1, QR: 2, QW: 2}, nil))
-	f.Add(encodeSnap(7, State{Value: 42, Stamp: 1 << 10, Version: 3, QR: 3, QW: 5},
+	f.Add(appendSnap(nil, 1, State{Version: 1, QR: 2, QW: 2}, nil))
+	f.Add(appendSnap(nil, 7, State{Value: 42, Stamp: 1 << 10, Version: 3, QR: 3, QW: 5},
 		[]float64{0, 1.5, 2}))
 	// Bit-flipped snapshot.
-	b := encodeSnap(2, State{Value: 1, Stamp: 1, Version: 1, QR: 1, QW: 1}, []float64{4})
+	b := appendSnap(nil, 2, State{Value: 1, Stamp: 1, Version: 1, QR: 1, QW: 1}, []float64{4})
 	b[snapHdrLen] ^= 0x01
 	f.Add(b)
 	// Truncated snapshot.
@@ -100,8 +97,77 @@ func FuzzDecodeSnap(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeSnap(gen, st, hist), data) {
+		if !bytes.Equal(appendSnap(nil, gen, st, hist), data) {
 			t.Fatalf("non-canonical snapshot accepted: %v", data)
 		}
 	})
+}
+
+// TestFuzzCorpusMeaning pins what each committed corpus file is named for,
+// so a format change that leaves a file meaning something else (a valid
+// seed now failing its checksum, a damaged one now parsing) fails here and
+// not silently in the fuzzer: valid_* and duplicated_record fold or decode
+// clean, every other file fails strict replay.
+func TestFuzzCorpusMeaning(t *testing.T) {
+	wantClean := map[string]bool{
+		"FuzzFoldLog/valid_sequence":          true,
+		"FuzzFoldLog/duplicated_record":       true,
+		"FuzzFoldLog/bit_flipped_sealed":      false,
+		"FuzzFoldLog/truncated_mid_record":    false,
+		"FuzzFoldLog/oversize_length":         false,
+		"FuzzFoldLog/short_header":            false,
+		"FuzzFoldLog/unknown_kind":            false,
+		"FuzzDecodeSnap/valid_snapshot":       true,
+		"FuzzDecodeSnap/bit_flipped_snapshot": false,
+		"FuzzDecodeSnap/truncated_snapshot":   false,
+		"FuzzDecodeSnap/bad_magic":            false,
+	}
+	files, err := filepath.Glob("testdata/fuzz/*/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(wantClean) {
+		t.Errorf("corpus holds %d files, the table names %d", len(files), len(wantClean))
+	}
+	for _, path := range files {
+		name := filepath.Base(filepath.Dir(path)) + "/" + filepath.Base(path)
+		want, ok := wantClean[name]
+		if !ok {
+			t.Errorf("%s: corpus file not in the table", name)
+			continue
+		}
+		data := corpusBytes(t, path)
+		if strings.HasPrefix(name, "FuzzFoldLog/") {
+			var st State
+			var hist []float64
+			n, _, err := foldLog(data, &st, &hist, true)
+			if clean := err == nil && n == len(data); clean != want {
+				t.Errorf("%s: strict replay clean=%v (n=%d of %d, err=%v), want %v",
+					name, clean, n, len(data), err, want)
+			}
+			continue
+		}
+		if _, _, _, err = decodeSnap(data); (err == nil) != want {
+			t.Errorf("%s: decodeSnap err=%v, want clean=%v", name, err, want)
+		}
+	}
+}
+
+// corpusBytes reads the []byte argument of one "go test fuzz v1" file.
+func corpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a fuzz corpus file", path)
+	}
+	q := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	s, err := strconv.Unquote(q)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

@@ -43,20 +43,33 @@ const (
 	recObs   byte = 2 // one estimator observation (vote weight)
 
 	recHeaderLen = 5  // kind (1) + payload length (4)
-	recCRCLen    = 4  // trailing crc32 over header+payload
+	recCRCLen    = 4  // trailing CRC-32C over header+payload
 	stateLen     = 32 // value, stamp, version (8 each) + qr, qw (4 each)
-	sealRecLen   = 16 // generation (8) + sealed length (4) + crc32 (4)
+	sealRecLen   = 16 // generation (8) + sealed length (4) + CRC-32C (4)
 	snapHdrLen   = 16 // magic (4) + generation (8) + payload length (4)
 
 	// maxRecLen bounds a record's payload; a length field claiming more is
 	// damage, not data.
 	maxRecLen = 1 << 16
+	// maxBins bounds the estimator histogram so that a snapshot of it
+	// (state, bin count, 8 bytes a bin) fits in maxRecLen: an observation
+	// at or past it could replay from the log but never from the node's own
+	// next snapshot.
+	maxBins = (maxRecLen - stateLen - 4) / 8
 
 	// defaultSnapEvery is the compaction cadence in log appends.
 	defaultSnapEvery = 64
 )
 
 var snapMagic = [4]byte{'Q', 'K', 'S', '1'}
+
+// castagnoli is the one checksum table: records, seals and snapshots all
+// carry CRC-32C, which the standard library runs in hardware (SSE4.2,
+// ARMv8) at any length. A log or seal record checksums 9–37 bytes, below
+// the 64 at which the IEEE polynomial's fast kernel starts.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // Typed recovery errors.
 var (
@@ -103,13 +116,13 @@ type NodeStore struct {
 	hist     []float64
 	counters Counters
 
-	// Reusable scratch buffers for the append hot path, serialized with
-	// everything else by the caller. The disk backends copy on Append, so
-	// reuse is safe, and the write path stays allocation-free: a log append
-	// must cost a small fraction of a protocol operation (see
-	// BenchmarkWriteDurable in internal/cluster, run by `make bench-serve`).
-	pbuf []byte // payload assembly
-	rbuf []byte // record framing
+	// buf is the one scratch buffer every record, seal and snapshot is
+	// framed in, serialized with everything else by the caller. The disk
+	// backends copy on Append, so reuse is safe, and the write path stays
+	// allocation-free: a log append must cost a small fraction of a
+	// protocol operation (see BenchmarkWriteDurable in internal/cluster,
+	// run by `make bench-serve`; TestDurableWriteAllocs holds it at 0).
+	buf []byte
 }
 
 // Open attaches an engine to disk. snapEvery is the compaction cadence in
@@ -146,42 +159,40 @@ func (s *NodeStore) Counters() Counters {
 // PutState appends a full state record. Volatile until Sync.
 func (s *NodeStore) PutState(st State) {
 	s.cur.Adopt(st)
-	payload := s.pbuf[:0]
-	payload = appendU64(payload, uint64(st.Value))
-	payload = appendU64(payload, uint64(st.Stamp))
-	payload = appendU64(payload, uint64(st.Version))
-	payload = appendU32(payload, uint32(st.QR))
-	payload = appendU32(payload, uint32(st.QW))
-	s.pbuf = payload
-	s.appendRecord(recState, payload)
+	s.endRecord(appendState(s.beginRecord(recState), st))
 }
 
 // PutObservation appends one estimator sample (a vote weight). Volatile
-// until Sync.
+// until Sync. A weight outside [0, maxBins) is ignored: it has no encoding
+// (negative) or no room in a snapshot.
 func (s *NodeStore) PutObservation(votes int) {
-	if votes < 0 {
+	if votes < 0 || votes >= maxBins {
 		return
 	}
-	s.foldObs(votes)
-	s.pbuf = appendU32(s.pbuf[:0], uint32(votes))
-	s.appendRecord(recObs, s.pbuf)
+	foldObs(&s.hist, votes)
+	s.endRecord(appendU32(s.beginRecord(recObs), uint32(votes)))
 }
 
-func (s *NodeStore) foldObs(votes int) {
-	for len(s.hist) <= votes {
-		s.hist = append(s.hist, 0)
+func foldObs(hist *[]float64, votes int) {
+	for len(*hist) <= votes {
+		*hist = append(*hist, 0)
 	}
-	s.hist[votes]++
+	(*hist)[votes]++
 }
 
-func (s *NodeStore) appendRecord(kind byte, payload []byte) {
-	rec := s.rbuf[:0]
-	rec = append(rec, kind)
-	rec = appendU32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = appendU32(rec, crc32.ChecksumIEEE(rec))
-	s.rbuf = rec
-	s.log.Append(rec)
+// beginRecord starts a log record in the scratch buffer: its kind and a
+// length placeholder. The caller appends the payload straight after it and
+// hands the result to endRecord.
+func (s *NodeStore) beginRecord(kind byte) []byte {
+	return append(s.buf[:0], kind, 0, 0, 0, 0)
+}
+
+// endRecord frames rec in place — patches the payload length, appends the
+// checksum over header and payload — and appends it to the log.
+func (s *NodeStore) endRecord(rec []byte) {
+	binary.LittleEndian.PutUint32(rec[1:recHeaderLen], uint32(len(rec)-recHeaderLen))
+	s.buf = appendU32(rec, checksum(rec))
+	s.log.Append(s.buf)
 	s.dirty = true
 	s.appends++
 	s.counters.Appends++
@@ -198,8 +209,8 @@ func (s *NodeStore) Sync() {
 	}
 	s.log.Sync()
 	s.sealedLen = s.log.Len()
-	s.rbuf = appendSeal(s.rbuf[:0], s.gen, s.sealedLen)
-	s.seal.Append(s.rbuf)
+	s.buf = appendSeal(s.buf[:0], s.gen, s.sealedLen)
+	s.seal.Append(s.buf)
 	s.seal.Sync()
 	s.dirty = false
 	s.counters.Syncs++
@@ -220,11 +231,13 @@ func (s *NodeStore) compact() {
 }
 
 // writeSnap installs a snapshot of (s.cur, s.hist) as generation gen
-// and resets log and seal.
+// and resets log and seal. Both are framed in the scratch buffer, so what
+// a compaction allocates is only the snap.tmp file the disk creates.
 func (s *NodeStore) writeSnap(gen uint64) {
 	s.disk.Remove(snapTmpName)
 	tmp := s.disk.Open(snapTmpName)
-	tmp.Append(encodeSnap(gen, s.cur, s.hist))
+	s.buf = appendSnap(s.buf[:0], gen, s.cur, s.hist)
+	tmp.Append(s.buf)
 	tmp.Sync()
 	s.disk.Rename(snapTmpName, snapName)
 	s.gen = gen
@@ -232,9 +245,7 @@ func (s *NodeStore) writeSnap(gen uint64) {
 	// empty file), but the backend keeps its buffers, so the steady-state
 	// compaction cycle stops re-growing them from scratch.
 	s.log.Truncate(0)
-	s.seal.Truncate(0)
-	s.seal.Append(encodeSeal(s.gen, 0))
-	s.seal.Sync()
+	s.resetSeal()
 	s.appends = 0
 	s.sealedLen = 0
 	s.dirty = false
@@ -295,10 +306,8 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 			s.log.Truncate(0)
 			s.repair(1)
 		}
-		s.seal.Truncate(0)
-		s.seal.Append(encodeSeal(gen, 0))
-		s.seal.Sync()
 		s.gen = gen
+		s.resetSeal()
 		s.sealedLen = 0
 		s.dirty = false
 		s.appends = 0
@@ -331,6 +340,15 @@ func (s *NodeStore) Recover() (State, []float64, error) {
 	s.cur = st
 	s.hist = hist
 	return st, append([]float64(nil), hist...), nil
+}
+
+// resetSeal starts the seal file of generation s.gen: one durable record
+// sealing an empty log.
+func (s *NodeStore) resetSeal() {
+	s.seal.Truncate(0)
+	s.buf = appendSeal(s.buf[:0], s.gen, 0)
+	s.seal.Append(s.buf)
+	s.seal.Sync()
 }
 
 func (s *NodeStore) corrupt(cause error) error {
@@ -370,7 +388,7 @@ func foldLog(b []byte, st *State, hist *[]float64, strict bool) (int, int, error
 			return fail("truncated record at %d", off)
 		}
 		want := binary.LittleEndian.Uint32(rest[recHeaderLen+plen : total])
-		if crc32.ChecksumIEEE(rest[:recHeaderLen+plen]) != want {
+		if checksum(rest[:recHeaderLen+plen]) != want {
 			return fail("record checksum mismatch at %d", off)
 		}
 		payload := rest[recHeaderLen : recHeaderLen+plen]
@@ -384,11 +402,11 @@ func foldLog(b []byte, st *State, hist *[]float64, strict bool) (int, int, error
 			if plen != 4 {
 				return fail("obs record length %d at %d", plen, off)
 			}
-			votes := int(binary.LittleEndian.Uint32(payload))
-			for len(*hist) <= votes {
-				*hist = append(*hist, 0)
+			votes := binary.LittleEndian.Uint32(payload)
+			if votes >= maxBins {
+				return fail("obs record weight %d at %d", votes, off)
 			}
-			(*hist)[votes]++
+			foldObs(hist, int(votes))
 		default:
 			return fail("unknown record kind %d at %d", kind, off)
 		}
@@ -414,7 +432,7 @@ func foldSeal(b []byte, gen uint64) (sealed int, genMatch bool, repairs int, err
 	badSinceValid := false
 	for i := 0; i < n; i++ {
 		rec := b[i*sealRecLen : (i+1)*sealRecLen]
-		if crc32.ChecksumIEEE(rec[:12]) != binary.LittleEndian.Uint32(rec[12:16]) {
+		if checksum(rec[:12]) != binary.LittleEndian.Uint32(rec[12:16]) {
 			badSinceValid = true
 			repairs++
 			continue
@@ -446,36 +464,38 @@ func decodeState(p []byte) State {
 	}
 }
 
-func encodeSeal(gen uint64, sealed int) []byte {
-	return appendSeal(make([]byte, 0, sealRecLen), gen, sealed)
-}
-
 // appendSeal appends one seal record to b, allocation-free when b has
 // capacity (the Sync hot path reuses a scratch buffer).
 func appendSeal(b []byte, gen uint64, sealed int) []byte {
 	n := len(b)
 	b = appendU64(b, gen)
 	b = appendU32(b, uint32(sealed))
-	return appendU32(b, crc32.ChecksumIEEE(b[n:]))
+	return appendU32(b, checksum(b[n:]))
 }
 
-func encodeSnap(gen uint64, st State, hist []float64) []byte {
-	payload := make([]byte, 0, stateLen+4+8*len(hist))
-	payload = appendU64(payload, uint64(st.Value))
-	payload = appendU64(payload, uint64(st.Stamp))
-	payload = appendU64(payload, uint64(st.Version))
-	payload = appendU32(payload, uint32(st.QR))
-	payload = appendU32(payload, uint32(st.QW))
-	payload = appendU32(payload, uint32(len(hist)))
+// appendState appends the 32-byte encoding decodeState reads.
+func appendState(b []byte, st State) []byte {
+	b = appendU64(b, uint64(st.Value))
+	b = appendU64(b, uint64(st.Stamp))
+	b = appendU64(b, uint64(st.Version))
+	b = appendU32(b, uint32(st.QR))
+	return appendU32(b, uint32(st.QW))
+}
+
+// appendSnap appends one snapshot to b, framed in place: magic,
+// generation and payload length, then the state, the bin count and the
+// bins, then the checksum over all of it.
+func appendSnap(b []byte, gen uint64, st State, hist []float64) []byte {
+	n := len(b)
+	b = append(b, snapMagic[:]...)
+	b = appendU64(b, gen)
+	b = appendU32(b, uint32(stateLen+4+8*len(hist)))
+	b = appendState(b, st)
+	b = appendU32(b, uint32(len(hist)))
 	for _, w := range hist {
-		payload = appendU64(payload, math.Float64bits(w))
+		b = appendU64(b, math.Float64bits(w))
 	}
-	out := make([]byte, 0, snapHdrLen+len(payload)+recCRCLen)
-	out = append(out, snapMagic[:]...)
-	out = appendU64(out, gen)
-	out = appendU32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	return appendU32(out, crc32.ChecksumIEEE(out))
+	return appendU32(b, checksum(b[n:]))
 }
 
 func decodeSnap(b []byte) (uint64, State, []float64, error) {
@@ -491,7 +511,7 @@ func decodeSnap(b []byte) (uint64, State, []float64, error) {
 		return 0, State{}, nil, errors.New("snapshot length mismatch")
 	}
 	want := binary.LittleEndian.Uint32(b[snapHdrLen+plen:])
-	if crc32.ChecksumIEEE(b[:snapHdrLen+plen]) != want {
+	if checksum(b[:snapHdrLen+plen]) != want {
 		return 0, State{}, nil, errors.New("snapshot checksum mismatch")
 	}
 	p := b[snapHdrLen : snapHdrLen+plen]

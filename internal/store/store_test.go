@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"quorumkit/internal/faults"
@@ -378,7 +381,7 @@ func TestCorruptSealedDetected(t *testing.T) {
 	}
 	// Flip a payload bit of the sealed record.
 	f := mem.files[logName]
-	f.synced[recHeaderLen+2] ^= 0x10
+	f.data[recHeaderLen+2] ^= 0x10
 	s.Crash()
 	if _, _, err := s.Recover(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt sealed log recovered with err=%v", err)
@@ -585,5 +588,263 @@ func TestNegativeObservationIgnored(t *testing.T) {
 	}
 	if len(hist) != 0 {
 		t.Fatalf("negative observation persisted: %v", hist)
+	}
+}
+
+// TestObservationBoundSurvivesCompaction: the widest observation the store
+// accepts still fits its own snapshot, one at maxBins is ignored, and a
+// log record claiming one is damage — so a compaction never writes a
+// snapshot that recovery rejects, and a healthy node never goes amnesiac.
+func TestObservationBoundSurvivesCompaction(t *testing.T) {
+	for _, votes := range []int{maxBins - 1, maxBins} {
+		s := Open(NewMemDisk(), 4)
+		s.Reset(State{Version: 1, QR: 2, QW: 2}, nil)
+		s.PutObservation(votes)
+		for j := 1; j <= 4; j++ {
+			s.PutState(State{Value: int64(j), Stamp: int64(j) << 10, Version: 1, QR: 2, QW: 2})
+			s.Sync()
+		}
+		if s.Counters().Snapshots == 0 {
+			t.Fatalf("votes=%d: no compaction", votes)
+		}
+		s.Crash()
+		_, hist, err := s.Recover()
+		if err != nil {
+			t.Fatalf("votes=%d: recover after compaction: %v", votes, err)
+		}
+		if kept := votes < maxBins; kept != (len(hist) == votes+1 && hist[votes] == 1) {
+			t.Fatalf("votes=%d: recovered %d bins, want the observation kept=%v", votes, len(hist), kept)
+		}
+	}
+	var st State
+	var hist []float64
+	if _, _, err := foldLog(encodeObsRec(maxBins), &st, &hist, true); err == nil {
+		t.Fatal("an observation record at maxBins replayed clean")
+	}
+}
+
+// TestDurableWriteAllocs holds the durable write path to its allocation
+// budget: none per write between compactions (records and seals are framed
+// in the store's scratch buffer and the disk appends in place), and at most
+// two per compaction cycle (the snap.tmp file the disk creates, and its
+// buffer).
+func TestDurableWriteAllocs(t *testing.T) {
+	const snapEvery = 64 // two appends a write: one compaction per 32 writes
+	s := Open(NewMemDisk(), snapEvery)
+	s.Reset(State{Version: 1, QR: 2, QW: 2}, []float64{1, 2, 3})
+	i := 0
+	write := func() {
+		i++
+		s.PutState(State{Value: int64(i), Stamp: int64(i) << 10, Version: 1, QR: 2, QW: 2})
+		s.PutObservation(i % 3)
+		s.Sync()
+	}
+	for k := 0; k < 4*snapEvery; k++ { // warm-up: every buffer reaches its size
+		write()
+	}
+	for s.appends != 0 { // start just after a compaction
+		write()
+	}
+	snaps := s.Counters().Snapshots
+	if n := testing.AllocsPerRun(snapEvery/2-2, write); n != 0 {
+		t.Errorf("a durable write allocates %.2f objects, want 0", n)
+	}
+	if got := s.Counters().Snapshots; got != snaps {
+		t.Fatalf("%d compactions inside the between-compactions window", got-snaps)
+	}
+	cycle := func() {
+		for k := 0; k < snapEvery/2; k++ {
+			write()
+		}
+	}
+	if n := testing.AllocsPerRun(10, cycle); n > 2 {
+		t.Errorf("a compaction cycle allocates %.1f objects, want at most 2", n)
+	}
+	if got := s.Counters().Snapshots - snaps; got != 11 {
+		t.Fatalf("%d compactions in 11 cycles", got)
+	}
+}
+
+// TestLogFormatPinned holds the on-disk bytes of a short history — a
+// compaction, then a state record, an observation record, their seal, and
+// one unsynced state record — so the format moves only on purpose.
+func TestLogFormatPinned(t *testing.T) {
+	mem := NewMemDisk()
+	s := Open(mem, 3)
+	s.Reset(State{Version: 1, QR: 2, QW: 2}, nil)
+	s.PutState(State{Value: 42, Stamp: 1 << 10, Version: 1, QR: 2, QW: 3})
+	s.PutObservation(3)
+	s.Sync()
+	s.PutState(State{Value: -7, Stamp: 2<<10 | 3, Version: 2, QR: 3, QW: 2})
+	s.Sync() // third append: compacts to generation 2
+	s.PutState(State{Value: 5, Stamp: 3 << 10, Version: 2, QR: 3, QW: 2})
+	s.PutObservation(1)
+	s.Sync()
+	s.PutState(State{Value: 6, Stamp: 4 << 10, Version: 2, QR: 3, QW: 2})
+	// One string a record: header, fields, CRC-32C (checked against a
+	// bitwise CRC-32C when the golden was made).
+	want := map[string][2]string{
+		snapName: {"514b5331" + "0200000000000000" + "44000000" + // magic, gen 2, payload length
+			"f9ffffffffffffff" + "0308000000000000" + "0200000000000000" + "03000000" + "02000000" +
+			"04000000" + "0000000000000000" + "0000000000000000" + "0000000000000000" + "000000000000f03f" +
+			"d4bc6dfd", ""},
+		sealName: {"0200000000000000" + "00000000" + "3d1d8349" +
+			"0200000000000000" + "36000000" + "f9aa87b3", ""},
+		logName: {"01" + "20000000" + "0500000000000000" + "000c000000000000" + "0200000000000000" + "03000000" + "02000000" + "ef2216c6" +
+			"02" + "04000000" + "01000000" + "179a2caa",
+			"01" + "20000000" + "0600000000000000" + "0010000000000000" + "0200000000000000" + "03000000" + "02000000" + "27bc4fb6"},
+	}
+	got := mem.Dump()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, []string{logName, sealName, snapName}) {
+		t.Fatalf("files %v", names)
+	}
+	for name, f := range got {
+		if h := [2]string{hex.EncodeToString(f.Synced), hex.EncodeToString(f.Unsynced)}; h != want[name] {
+			t.Errorf("%s: synced %s unsynced %s\nwant synced %s unsynced %s",
+				name, h[0], h[1], want[name][0], want[name][1])
+		}
+	}
+}
+
+// refFile is the reference the one-buffer MemDisk is checked against: the
+// synced and unsynced content of a file kept in two slices, every Sync
+// copying one onto the other.
+type refFile struct{ synced, unsynced []byte }
+
+type refDisk map[string]*refFile
+
+func (d refDisk) file(name string) *refFile {
+	if d[name] == nil {
+		d[name] = &refFile{}
+	}
+	return d[name]
+}
+
+func (d refDisk) sortedNames() []string {
+	out := make([]string, 0, len(d))
+	for name := range d {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (d refDisk) dump() map[string]DumpedFile {
+	out := make(map[string]DumpedFile, len(d))
+	for name, f := range d {
+		out[name] = DumpedFile{
+			Synced:   append([]byte(nil), f.synced...),
+			Unsynced: append([]byte(nil), f.unsynced...),
+		}
+	}
+	return out
+}
+
+func (f *refFile) truncate(n int) {
+	if n <= len(f.synced) {
+		f.synced, f.unsynced = f.synced[:n], nil
+	} else if keep := n - len(f.synced); keep < len(f.unsynced) {
+		f.unsynced = f.unsynced[:keep]
+	}
+}
+
+// TestMemDiskMatchesModel runs seeded random Append/Sync/Truncate/Crash/
+// tear/flipBit/Rename/Remove sequences on MemDisk and on the two-slice
+// reference, comparing Dump, Len, Contents and durableSize after every step.
+func TestMemDiskMatchesModel(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 20; seed++ {
+		src := rand.New(rand.NewSource(seed))
+		d, ref := NewMemDisk(), refDisk{}
+		for step := 0; step < 400; step++ {
+			name := names[src.Intn(len(names))]
+			var op string
+			switch k := src.Intn(16); {
+			case k < 6:
+				op = "append"
+				p := make([]byte, src.Intn(9))
+				src.Read(p)
+				d.Open(name).Append(p)
+				f := ref.file(name)
+				f.unsynced = append(f.unsynced, p...)
+			case k < 9:
+				op = "sync"
+				d.Open(name).Sync()
+				f := ref.file(name)
+				f.synced, f.unsynced = append(f.synced, f.unsynced...), nil
+			case k < 11:
+				f := ref.file(name)
+				n := src.Intn(len(f.synced) + len(f.unsynced) + 3)
+				op = fmt.Sprintf("truncate %d", n)
+				d.Open(name).Truncate(n)
+				f.truncate(n)
+			case k < 12:
+				op = "crash"
+				d.Crash()
+				for _, f := range ref {
+					f.unsynced = nil
+				}
+			case k < 13:
+				f := ref.file(name)
+				keep := src.Intn(len(f.unsynced) + 2)
+				op = fmt.Sprintf("tear %d", keep)
+				d.Open(name) // the reference just created it too
+				d.tear(name, keep)
+				if keep > 0 {
+					keep = min(keep, len(f.unsynced))
+					f.synced, f.unsynced = append(f.synced, f.unsynced[:keep]...), nil
+				}
+			case k < 14:
+				total := 0
+				for _, f := range ref {
+					total += len(f.synced)
+				}
+				pos, bit := src.Intn(total+2), uint(src.Intn(8))
+				op = fmt.Sprintf("flip %d.%d", pos, bit)
+				d.flipBit(pos, bit)
+				for _, n := range ref.sortedNames() {
+					if f := ref[n]; pos < len(f.synced) {
+						f.synced[pos] ^= 1 << bit
+						break
+					}
+					pos -= len(ref[n].synced)
+				}
+			case k < 15:
+				to := names[src.Intn(len(names))]
+				op = "rename to " + to
+				d.Rename(name, to)
+				if f, ok := ref[name]; ok {
+					delete(ref, name)
+					ref[to] = f
+				}
+			default:
+				op = "remove"
+				d.Remove(name)
+				delete(ref, name)
+			}
+			label := fmt.Sprintf("seed %d step %d %s %s", seed, step, op, name)
+			if !reflect.DeepEqual(d.Dump(), ref.dump()) {
+				t.Fatalf("%s: Dump %v, reference %v", label, d.Dump(), ref.dump())
+			}
+			durable := 0
+			for n, f := range ref {
+				durable += len(f.synced)
+				want := append(append([]byte(nil), f.synced...), f.unsynced...)
+				if got := d.Open(n).Contents(); !bytes.Equal(got, want) {
+					t.Fatalf("%s: %s Contents %x, reference %x", label, n, got, want)
+				}
+				if got := d.Open(n).Len(); got != len(want) {
+					t.Fatalf("%s: %s Len %d, reference %d", label, n, got, len(want))
+				}
+			}
+			if got := d.durableSize(); got != durable {
+				t.Fatalf("%s: durableSize %d, reference %d", label, got, durable)
+			}
+		}
 	}
 }
