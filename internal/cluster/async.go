@@ -206,12 +206,12 @@ func (a *Async) reachable(x int, targets []int) []int {
 }
 
 // admit decides the fate of one message in one direction: how many copies
-// the fault plan and the partition schedule let through (0 when lost), and
+// the fault source and the partition schedule let through (0 when lost), and
 // by how many slots their delivery is delayed.
 func (a *Async) admit(from, to int, stage uint8) (copies, slots int) {
 	copies = 1
 	if ch := a.chaos; ch != nil {
-		d := ch.plan.Message(ch.op, stage, from, to, ch.attempt)
+		d := ch.src.Message(ch.op, stage, from, to, ch.attempt)
 		if d.Drop {
 			ch.bump(func(c *stats.ChaosCounters) { c.MsgDropped++ })
 			a.obs.Inc(obs.CMsgDropped)

@@ -20,8 +20,9 @@ import (
 // installed at every responder", so the baseline can report a write as
 // committed the moment the votes are counted.
 //
-// A fault-injecting transport (faults.Plan, consulted by both transports
-// per message) breaks every one of those assumptions: messages are dropped, duplicated, reordered and delayed,
+// A fault source (faults.Source, asked by both transports per message and
+// by the hardened operations per attempt) breaks every one of those
+// assumptions: messages are dropped, duplicated, reordered and delayed,
 // and the coordinator can crash before quorum, after quorum but before
 // apply, or mid-apply. The hardened operations below keep the protocol
 // safe — never stale reads, never two values under one stamp — by adding:
@@ -106,7 +107,7 @@ func backoff(attempt int, u float64) int64 {
 // partial apply that may surface in later reads. The history checker
 // treats residues as indeterminate writes.
 //
-// Spread counts the apply messages the fault plan let through toward peer
+// Spread counts the apply messages the fault source let through toward peer
 // copies (delivery may still be delayed or refused by topology, so it is
 // an upper bound on peers holding the value). Spread == 0 on a
 // crash-mid-apply residue means the coordinator's own disk holds the only
@@ -130,12 +131,12 @@ type Outcome struct {
 	BackoffTicks int64
 }
 
-// chaosState is the fault-injection context of one runtime: the plan both
-// transports consult per message, and the counters. The mutex makes counter
+// chaosState is the fault-injection context of one runtime: the source both
+// transports ask per message, and the counters. The mutex makes counter
 // and crash-set snapshots safe against the concurrent runtime's node and
 // daemon goroutines.
 type chaosState struct {
-	plan *faults.Plan
+	src faults.Source
 
 	mu       sync.Mutex
 	counters stats.ChaosCounters
@@ -154,15 +155,15 @@ func (ch *chaosState) bump(f func(c *stats.ChaosCounters)) {
 	ch.mu.Unlock()
 }
 
-// EnableChaos attaches a fault plan. All subsequent message deliveries pass
-// through the fault-injecting transport, and the hardened
+// EnableChaos attaches a fault source, in production a *faults.Plan. All
+// subsequent message deliveries pass through it, and the hardened
 // ChaosRead/ChaosWrite/ChaosReassign operations become available.
 // The baseline Read/Write/Reassign methods stay callable but keep their
 // idealized-transport assumptions — driving them under chaos demonstrably
 // violates one-copy serializability (see
 // TestUnhardenedProtocolViolatesUnderChaos).
-func (k *coordinator) EnableChaos(plan *faults.Plan) {
-	k.chaos = &chaosState{plan: plan, crashed: make([]bool, len(k.all))}
+func (k *coordinator) EnableChaos(src faults.Source) {
+	k.chaos = &chaosState{src: src, crashed: make([]bool, len(k.all))}
 }
 
 // ChaosCounters returns a snapshot of the fault-injection counters.
@@ -318,7 +319,7 @@ func (k *coordinator) chaosReadOnce(x int) (value, stamp int64, err error) {
 // a partial apply (indeterminate or crash mid-apply).
 func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *Residue, err error) {
 	ch := k.chaos
-	cp, kSel := ch.plan.Crash(ch.op, ch.attempt)
+	cp, kSel := ch.src.Crash(ch.op, ch.attempt)
 	if cp == faults.CrashBeforeQuorum {
 		// The coordinator dies before counting a single vote. Nothing was
 		// applied anywhere: a clean failure.
@@ -343,12 +344,12 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 		// reported as indeterminate, never as success.
 		replies = replies[:kSel%(len(replies)+1)]
 	}
-	// Re-draw the (pure) admission decisions to count the applies the plan
+	// Re-ask the (pure) admission decisions to count the applies the source
 	// lets toward peers; see Residue.Spread.
 	spread := 0
 	targets := k.senders(replies)
 	for _, p := range targets {
-		if !ch.plan.Message(ch.op, faults.StageApply, x, p, ch.attempt).Drop {
+		if !ch.src.Message(ch.op, faults.StageApply, x, p, ch.attempt).Drop {
 			spread++
 		}
 	}
@@ -399,7 +400,7 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 		}
 		// Account the retry and its deterministically jittered backoff,
 		// which the concurrent runtime also sleeps through.
-		d := backoff(try, ch.plan.Jitter(ch.op, try))
+		d := backoff(try, ch.src.Jitter(ch.op, try))
 		out.BackoffTicks += d
 		ch.bump(func(c *stats.ChaosCounters) {
 			c.Retries++

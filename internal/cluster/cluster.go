@@ -18,11 +18,14 @@
 // implementations. Cluster, in this file, is the deterministic one: an
 // operation drains its own message queue to completion (the paper's events
 // are instantaneous, so an access never overlaps a failure), and delivery
-// order is the enqueue order. Async (async.go) is the concurrent one.
+// order is the send order unless a fault source delays or reorders a
+// message. Async (async.go) is the concurrent one.
 package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
@@ -122,9 +125,11 @@ func stateMsg(tag byte, s quorum.Copy) (m msg) {
 	return m
 }
 
-// message is an addressed msg.
+// message is an addressed msg. rank is its place in the delivery order
+// while a fault source is attached (see admit).
 type message struct {
 	from, to int
+	rank     int64
 	body     msg
 }
 
@@ -153,17 +158,12 @@ type Cluster struct {
 	wireMode bool
 	wire     []byte
 
-	// heap is the rank-ordered delivery queue the fault-injecting drain
-	// uses when a fault plan is attached (see EnableChaos).
-	heap []chaosMsg
-	seq  uint64
-}
-
-// chaosMsg is a queued message with its delivery rank.
-type chaosMsg struct {
-	rank int64
-	seq  uint64
-	m    message
+	// With a fault source attached, the queue from drain's head up to
+	// admitted holds the undelivered messages in rank order, and the rest
+	// the messages sent since the last admission; seq numbers the admitted
+	// copies.
+	admitted int
+	seq      uint64
 }
 
 // New creates a cluster over the network state with the given initial
@@ -253,8 +253,8 @@ func (c *Cluster) slot() *message {
 }
 
 // enqueue sends the message written into slot(). From here on it is touched
-// in place, through a pointer into the queue (or the chaos heap). Partition
-// filtering happens at delivery time.
+// in place, through a pointer into the queue. Partition filtering happens at
+// delivery time.
 func (c *Cluster) enqueue() {
 	c.queue = c.queue[:len(c.queue)+1]
 	c.stats.Sent++
@@ -317,16 +317,20 @@ func (c *Cluster) deliver(coordinator int, m *message) {
 // queue is empty, then publishes the message counters: three adds per drain
 // instead of two atomic increments per message. The runtime is
 // single-threaded, so no reader can see the counters between two drains.
+// Without a fault source the queue is delivered in send order; with one,
+// every delivery first admits what was sent since the last.
 func (c *Cluster) drain(coordinator int) {
-	if c.chaos != nil {
-		c.drainChaos(coordinator)
-	} else {
-		for head := 0; head < len(c.queue); head++ {
-			c.slot() // room for the reply before the pointer is taken
-			c.deliver(coordinator, &c.queue[head])
+	for head := 0; ; head++ {
+		if c.chaos != nil {
+			c.admit(head)
 		}
-		c.queue = c.queue[:0]
+		if head == len(c.queue) {
+			break
+		}
+		c.slot() // room for the reply before the pointer is taken
+		c.deliver(coordinator, &c.queue[head])
 	}
+	c.queue, c.admitted = c.queue[:0], 0
 	if c.obs != nil {
 		c.obs.Add(obs.CMsgSent, c.stats.Sent-c.published.Sent)
 		c.obs.Add(obs.CMsgDelivered, c.stats.Delivered-c.published.Delivered)
@@ -335,98 +339,50 @@ func (c *Cluster) drain(coordinator int) {
 	c.published = c.stats
 }
 
-// drainChaos is the fault-injecting delivery loop: newly sent messages are
-// admitted through the fault plan, then delivered in rank order until both
-// the send queue and the delivery heap are empty.
-func (c *Cluster) drainChaos(coordinator int) {
-	for {
-		for i := range c.queue {
-			c.admit(&c.queue[i])
-		}
-		c.queue = c.queue[:0]
-		if len(c.heap) == 0 {
-			return
-		}
-		m := c.pop()
-		c.deliver(coordinator, &m)
-	}
-}
-
-// admit passes one sent message through the fault plan and, unless it is
-// dropped, pushes it (and a possible duplicate) onto the delivery heap.
-func (c *Cluster) admit(m *message) {
+// admit passes the messages sent since the last admission through the fault
+// source, in send order. A dropped message leaves the queue; every other
+// message, and its duplicate if any, is placed among the undelivered ones,
+// which start at head.
+func (c *Cluster) admit(head int) {
 	ch := c.chaos
-	d := ch.plan.Message(ch.op, stageOf(m.body.tag), m.from, m.to, ch.attempt)
-	if d.Drop {
-		ch.counters.MsgDropped++
-		c.drop(m)
-		return
-	}
-	c.push(m, d)
-	if d.Duplicate {
-		ch.counters.MsgDuplicated++
-		c.stats.Sent++ // the twin is an extra transmission
-		c.observeMsg(obs.EvMsgSend, m)
-		c.push(m, d)
+	for c.admitted < len(c.queue) {
+		m := c.queue[c.admitted]
+		c.queue = slices.Delete(c.queue, c.admitted, c.admitted+1)
+		d := ch.src.Message(ch.op, stageOf(m.body.tag), m.from, m.to, ch.attempt)
+		if d.Drop {
+			ch.counters.MsgDropped++
+			c.drop(&m)
+			continue
+		}
+		c.place(head, m, d)
+		if d.Duplicate {
+			ch.counters.MsgDuplicated++
+			c.stats.Sent++ // the twin is an extra transmission
+			c.observeMsg(obs.EvMsgSend, &m)
+			c.place(head, m, d)
+		}
 	}
 }
 
-// push enqueues one message copy with its delivery rank. Ranks are spaced
-// by 16 so a delay of k slots moves a message past k later sends, and a
-// reorder jumps it ahead of the previous send without colliding with it.
-func (c *Cluster) push(m *message, d faults.Decision) {
-	rank := int64(c.seq) * 16
+// place ranks one admitted message copy and inserts it at the upper bound of
+// its rank among the undelivered ones. Ranks are spaced by 16 so a delay of
+// k slots moves a message past k later sends, and a reorder jumps it ahead
+// of the previous send without colliding with it; seq only grows, so equal
+// ranks are delivered in admission order. MsgDelayed and MsgReordered count
+// copies: a delayed duplicate counts twice.
+func (c *Cluster) place(head int, m message, d faults.Decision) {
+	m.rank = int64(c.seq) * 16
+	c.seq++
 	if d.Delay > 0 {
-		rank += int64(d.Delay) * 16
+		m.rank += int64(d.Delay) * 16
 		c.chaos.counters.MsgDelayed++
 	}
 	if d.Reorder {
-		rank -= 24
+		m.rank -= 24
 		c.chaos.counters.MsgReordered++
 	}
-	c.heap = append(c.heap, chaosMsg{rank: rank, seq: c.seq, m: *m})
-	c.seq++
-	// Sift up.
-	i := len(c.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.less(i, p) {
-			break
-		}
-		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
-		i = p
-	}
-}
-
-func (c *Cluster) less(i, j int) bool {
-	a, b := &c.heap[i], &c.heap[j]
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
-}
-
-// pop removes the minimum-rank message.
-func (c *Cluster) pop() message {
-	top := c.heap[0].m
-	last := len(c.heap) - 1
-	c.heap[0] = c.heap[last]
-	c.heap = c.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(c.heap) && c.less(l, s) {
-			s = l
-		}
-		if r < len(c.heap) && c.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		c.heap[i], c.heap[s] = c.heap[s], c.heap[i]
-		i = s
-	}
-	return top
+	pending := c.queue[head:c.admitted]
+	at := head + sort.Search(len(pending), func(i int) bool { return pending[i].rank > m.rank })
+	c.queue = slices.Insert(c.queue, at, m)
+	c.admitted++
 }

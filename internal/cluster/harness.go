@@ -41,7 +41,7 @@ type Runtime interface {
 	SoakRuntime
 
 	// The fault-hardened protocol under a message and a disk fault plan.
-	EnableChaos(plan *faults.Plan)
+	EnableChaos(src faults.Source)
 	EnableDiskChaos(plan *faults.DiskPlan)
 	ChaosRead(x int) Outcome
 	ChaosWrite(x int, value int64) Outcome

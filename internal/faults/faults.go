@@ -1,13 +1,16 @@
 // Package faults provides deterministic, seed-driven fault injection for
 // the message-level quorum protocol runtimes in internal/cluster.
 //
-// The central design decision is that a fault plan is a *pure function* of
-// the logical identity of a message — (operation sequence, protocol stage,
-// sender, receiver, attempt) — hashed together with the plan seed. Nothing
-// depends on arrival order, wall-clock time, or which runtime asks. The
-// same plan therefore injects the *same* drops, duplications and delays
-// into the deterministic Cluster and the concurrent Async runtime, which
-// is what makes cross-runtime fault schedules comparable and every run
+// Both runtimes reach faults through one seam, Source: the fate of each
+// message, the crash point of each write attempt, and the jitter of each
+// retry's backoff. Plan is its one production implementation. The central
+// design decision is that every answer is a *pure function* of its key —
+// for a message, (operation sequence, protocol stage, sender, receiver,
+// attempt) — hashed together with the plan seed. Nothing depends on
+// arrival order, wall-clock time, or which runtime asks. The same plan
+// therefore injects the *same* drops, duplications and delays into the
+// deterministic Cluster and the concurrent Async runtime, which is what
+// makes cross-runtime fault schedules comparable and every run
 // reproducible from its seed.
 //
 // The injected fault taxonomy (see DESIGN.md, "Fault model and recovery"):
@@ -148,6 +151,24 @@ func (p CrashPoint) String() string {
 	default:
 		return fmt.Sprintf("CrashPoint(%d)", uint8(p))
 	}
+}
+
+// Source is what the cluster runtimes ask about faults. Each answer must be
+// a pure function of its arguments: a runtime may ask the same key more than
+// once (a write attempt re-asks StageApply to count Residue.Spread), and the
+// two runtimes ask for message keys in different orders (the concurrent one
+// decides a reply's fate when it sends the request). A source that chooses
+// per call rather than per key — an explorer walking a choice vector, say —
+// must therefore memoize its choice per key.
+type Source interface {
+	// Message decides the fate of one logical message.
+	Message(op uint64, stage uint8, from, to, attempt int) Decision
+	// Crash decides where, if anywhere, the coordinator of write attempt
+	// (op, attempt) crashes; for CrashMidApply the int is a raw prefix
+	// selector the caller reduces modulo the responder count plus one.
+	Crash(op uint64, attempt int) (CrashPoint, int)
+	// Jitter is a uniform variate in [0,1) for the backoff after attempt.
+	Jitter(op uint64, attempt int) float64
 }
 
 // Plan is a deterministic fault schedule: a seed plus a mixture. Plans are
