@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -392,6 +393,36 @@ func TestCommandRuns(t *testing.T) {
 		}
 		if strings.Contains(stderr, "VIOLATION") || strings.Contains(stderr, "goroutine") {
 			t.Errorf("quorumsim %s: a violation or a stack trace on stderr:\n%s", tc.args, stderr)
+		}
+	}
+}
+
+// TestTraceTruncationReported: a run whose trace outgrows the ring says on
+// stderr how many events the artifact kept and how many it lost — the
+// file's length and its first sequence number — and a run whose trace fits
+// prints nothing there.
+func TestTraceTruncationReported(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	for _, tc := range []struct {
+		ops   string
+		wraps bool
+	}{{"1500", true}, {"20", false}} {
+		status, _, stderr := runCaptured(t, []string{"chaos", "-mix", "drop", "-ops", tc.ops, "-seed", "1", "-trace", trace})
+		b, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first struct{ Seq uint64 }
+		if err := json.Unmarshal(b[:bytes.IndexByte(b, '\n')], &first); err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		if first.Seq > 0 {
+			want = fmt.Sprintf("trace: ring full, kept the last %d events and dropped %d earlier ones\n", bytes.Count(b, []byte("\n")), first.Seq)
+		}
+		if status != 0 || stderr != want || tc.wraps != (first.Seq > 0) {
+			t.Errorf("chaos -ops %s: exit %d, trace from seq %d, stderr %q; want exit 0, wrapped %v, stderr %q",
+				tc.ops, status, first.Seq, stderr, tc.wraps, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,7 +34,7 @@ func TestChaosObsArtifactsGolden(t *testing.T) {
 	if status := runChaos("crash", "", 120, 5, 42, false, sink); status != 0 {
 		t.Fatalf("chaos run exited %d", status)
 	}
-	if err := sink.finish(); err != nil {
+	if err := sink.finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, metrics, filepath.Join("testdata", "chaos_crash_metrics.prom"))
@@ -87,7 +88,7 @@ func TestChurnObsArtifactsGolden(t *testing.T) {
 	} else if run.ViolationErr != nil {
 		t.Fatal(run.ViolationErr)
 	}
-	if err := sink.finish(); err != nil {
+	if err := sink.finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, metrics, filepath.Join("testdata", "churn_metrics.prom"))
@@ -147,7 +148,7 @@ func TestObsSinkOffIsNil(t *testing.T) {
 		t.Fatalf("idle sink allocated a registry")
 	}
 	sink.attach(struct{}{}) // non-observable target: must not panic
-	if err := sink.finish(); err != nil {
+	if err := sink.finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -275,7 +275,7 @@ func parse(args []string, stderr io.Writer) (func() int, int) {
 			}
 			e.operand = operand
 			status := bound(e)
-			if err := e.sink.finish(); err != nil {
+			if err := e.sink.finish(stderr); err != nil {
 				fmt.Fprintln(stderr, err)
 				if status == 0 {
 					status = 2

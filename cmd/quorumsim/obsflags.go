@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -71,8 +72,9 @@ func (s *obsSink) attach(rt any) {
 }
 
 // finish stops profiling and writes the requested artifacts. Call exactly
-// once, after the measured run completes.
-func (s *obsSink) finish() error {
+// once, after the measured run completes. A trace that outgrew its ring
+// holds only the run's tail; finish says so on stderr.
+func (s *obsSink) finish(stderr io.Writer) error {
 	if s == nil {
 		return nil
 	}
@@ -93,8 +95,12 @@ func (s *obsSink) finish() error {
 		}
 	}
 	if s.trace != "" {
-		if err := writeArtifact(s.trace, s.reg.Trace().WriteJSONL); err != nil {
+		tr := s.reg.Trace()
+		if err := writeArtifact(s.trace, tr.WriteJSONL); err != nil {
 			return err
+		}
+		if d := tr.Dropped(); d > 0 {
+			fmt.Fprintf(stderr, "trace: ring full, kept the last %d events and dropped %d earlier ones\n", tr.Len(), d)
 		}
 	}
 	return nil

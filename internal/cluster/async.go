@@ -9,6 +9,7 @@ import (
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/stats"
+	"quorumkit/internal/strategy"
 )
 
 // Async is the concurrent runtime: the same coordinator as Cluster over a
@@ -213,21 +214,21 @@ func (a *Async) admit(from, to int, stage uint8) (copies, slots int) {
 	if ch := a.chaos; ch != nil {
 		d := ch.src.Message(ch.op, stage, from, to, ch.attempt)
 		if d.Drop {
-			ch.bump(func(c *stats.ChaosCounters) { c.MsgDropped++ })
+			ch.counters.MsgDropped++
 			a.obs.Inc(obs.CMsgDropped)
 			return 0, 0
 		}
 		if d.Duplicate {
 			copies = 2
-			ch.bump(func(c *stats.ChaosCounters) { c.MsgDuplicated++ })
+			ch.counters.MsgDuplicated++
 		}
 		slots = d.Delay
 		if d.Delay > 0 {
-			ch.bump(func(c *stats.ChaosCounters) { c.MsgDelayed++ })
+			ch.counters.MsgDelayed++
 		}
 		if d.Reorder {
 			slots++
-			ch.bump(func(c *stats.ChaosCounters) { c.MsgReordered++ })
+			ch.counters.MsgReordered++
 		}
 	}
 	if a.partBlocked(from, to) {
@@ -330,62 +331,66 @@ func (a *Async) post(x int, targets []int, m msg) {
 }
 
 // ---- Operations: the coordinator's, serialized on the operation slot ------
+//
+// The slot owns everything the coordinator holds above the node lock — the
+// fault context, the detector views, the installed strategy, the hedge
+// estimators, the per-round scratch — so every method that reads or replaces
+// that state while the runtime serves takes it: the protocol rounds, and the
+// harness's counter reads, strategy installs and wipes (DESIGN §18).
+
+// slot takes the operation slot; the function it returns releases it.
+func (a *Async) slot() (release func()) {
+	a.opMu.Lock()
+	return a.opMu.Unlock
+}
 
 // Read performs a quorum read at node x.
 func (a *Async) Read(x int) (value int64, stamp int64, granted bool) {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.Read(x)
 }
 
 // Write performs a quorum write at node x.
 func (a *Async) Write(x int, value int64) bool {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.Write(x, value)
 }
 
 // Reassign installs a new assignment through the QR protocol.
 func (a *Async) Reassign(x int, newAssign quorum.Assignment) error {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.Reassign(x, newAssign)
 }
 
 // ChaosRead performs a fault-hardened read at node x with retries.
 func (a *Async) ChaosRead(x int) Outcome {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.ChaosRead(x)
 }
 
 // ChaosWrite performs a fault-hardened write at node x with retries.
 func (a *Async) ChaosWrite(x int, value int64) Outcome {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.ChaosWrite(x, value)
 }
 
 // ChaosReassign installs a new assignment through the hardened QR protocol
 // with retries.
 func (a *Async) ChaosReassign(x int, newAssign quorum.Assignment) Outcome {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.ChaosReassign(x, newAssign)
 }
 
 // Recover brings a crashed node back up (see coordinator.Recover); the
 // state-transfer rejoin it may run takes the operation slot.
 func (a *Async) Recover(x int) bool {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.Recover(x)
 }
 
 // TryRejoin attempts the amnesiac state transfer at node x.
 func (a *Async) TryRejoin(x int) bool {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.TryRejoin(x)
 }
 
@@ -393,9 +398,52 @@ func (a *Async) TryRejoin(x int) bool {
 // It occupies one client-operation slot, so the detector's probes and any
 // resulting installation serialize with reads and writes.
 func (a *Async) DaemonStep(x int) DaemonReport {
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
+	defer a.slot()()
 	return a.coordinator.DaemonStep(x)
+}
+
+// WipeState models a site returning from repair with a blank disk (see
+// coordinator.WipeState); in the slot, no round can meet the node mid-wipe.
+func (a *Async) WipeState(x int) {
+	defer a.slot()()
+	a.coordinator.WipeState(x)
+}
+
+// InstallStrategy arms sampled-quorum serving (see
+// coordinator.InstallStrategy).
+func (a *Async) InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error {
+	defer a.slot()()
+	return a.coordinator.InstallStrategy(st, assign, version, budget, seed)
+}
+
+// ChaosCounters returns a copy of the fault-injection counters.
+func (a *Async) ChaosCounters() stats.ChaosCounters {
+	defer a.slot()()
+	return a.coordinator.ChaosCounters()
+}
+
+// Crashed lists nodes currently down due to an injected crash.
+func (a *Async) Crashed() []int {
+	defer a.slot()()
+	return a.coordinator.Crashed()
+}
+
+// HealthCounters returns a copy of the self-healing counters.
+func (a *Async) HealthCounters() stats.HealthCounters {
+	defer a.slot()()
+	return a.coordinator.HealthCounters()
+}
+
+// StrategyCounters returns a copy of the strategy-serving counters.
+func (a *Async) StrategyCounters() stats.StrategyCounters {
+	defer a.slot()()
+	return a.coordinator.StrategyCounters()
+}
+
+// HedgeStats returns the cumulative (backup probes, hedge wins).
+func (a *Async) HedgeStats() (probes, wins int64) {
+	defer a.slot()()
+	return a.coordinator.HedgeStats()
 }
 
 // begin takes the operation slot for one serving-layer operation; the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"quorumkit/internal/faults"
@@ -132,27 +131,18 @@ type Outcome struct {
 }
 
 // chaosState is the fault-injection context of one runtime: the source both
-// transports ask per message, and the counters. The mutex makes counter
-// and crash-set snapshots safe against the concurrent runtime's node and
-// daemon goroutines.
+// transports ask per message, the counters, and the crash set. Like all the
+// coordinator's state it belongs to the operation slot (DESIGN §18): only
+// the one operation the runtime admits at a time touches it, and Async's
+// readers take the slot too.
 type chaosState struct {
-	src faults.Source
-
-	mu       sync.Mutex
+	src      faults.Source
 	counters stats.ChaosCounters
 	crashed  []bool
 
-	// op/attempt key the fault decisions for the operation in flight; only
-	// touched by the one operation the runtime admits at a time.
+	// op/attempt key the fault decisions for the operation in flight.
 	op      uint64
 	attempt int
-}
-
-// bump applies one counter mutation under the chaos lock.
-func (ch *chaosState) bump(f func(c *stats.ChaosCounters)) {
-	ch.mu.Lock()
-	f(&ch.counters)
-	ch.mu.Unlock()
 }
 
 // EnableChaos attaches a fault source, in production a *faults.Plan. All
@@ -171,8 +161,6 @@ func (k *coordinator) ChaosCounters() stats.ChaosCounters {
 	if k.chaos == nil {
 		return stats.ChaosCounters{}
 	}
-	k.chaos.mu.Lock()
-	defer k.chaos.mu.Unlock()
 	return k.chaos.counters
 }
 
@@ -182,8 +170,6 @@ func (k *coordinator) Crashed() []int {
 	if k.chaos == nil {
 		return out
 	}
-	k.chaos.mu.Lock()
-	defer k.chaos.mu.Unlock()
 	for i, down := range k.chaos.crashed {
 		if down {
 			out = append(out, i)
@@ -205,10 +191,7 @@ func (k *coordinator) Recover(x int) bool {
 	if ch == nil {
 		return false
 	}
-	ch.mu.Lock()
-	wasCrashed := ch.crashed[x]
-	ch.mu.Unlock()
-	if !wasCrashed {
+	if !ch.crashed[x] {
 		return false
 	}
 	k.tr.RepairSite(x)
@@ -226,10 +209,8 @@ func (k *coordinator) Recover(x int) bool {
 			return false
 		}
 	}
-	ch.mu.Lock()
 	ch.crashed[x] = false
 	ch.counters.Recoveries++
-	ch.mu.Unlock()
 	observeRecover(k.obs, x)
 	return true
 }
@@ -243,10 +224,8 @@ func (k *coordinator) crash(x int) {
 		r.store.Crash()
 	}
 	k.tr.unlock(x)
-	k.chaos.mu.Lock()
 	k.chaos.crashed[x] = true
 	k.chaos.counters.Crashes++
-	k.chaos.mu.Unlock()
 	observeCrash(k.obs, x)
 }
 
@@ -254,10 +233,10 @@ func (k *coordinator) crash(x int) {
 // replies to the transport.
 func (k *coordinator) classifyShort(got, expected int) error {
 	if got < expected {
-		k.chaos.bump(func(c *stats.ChaosCounters) { c.Timeouts++ })
+		k.chaos.counters.Timeouts++
 		return ErrTimeout
 	}
-	k.chaos.bump(func(c *stats.ChaosCounters) { c.NoQuorum++ })
+	k.chaos.counters.NoQuorum++
 	return ErrNoQuorum
 }
 
@@ -362,7 +341,7 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 	if k.st.Votes(x)+ackVotes >= eff.QW {
 		return stamp, nil, nil
 	}
-	ch.bump(func(c *stats.ChaosCounters) { c.Indeterminate++ })
+	ch.counters.Indeterminate++
 	return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrIndeterminate
 }
 
@@ -395,17 +374,15 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 			return out
 		}
 		if !retryable(out.Err) || try+1 >= retryAttempts {
-			ch.bump(func(c *stats.ChaosCounters) { c.Aborts++ })
+			ch.counters.Aborts++
 			return out
 		}
 		// Account the retry and its deterministically jittered backoff,
 		// which the concurrent runtime also sleeps through.
 		d := backoff(try, ch.src.Jitter(ch.op, try))
 		out.BackoffTicks += d
-		ch.bump(func(c *stats.ChaosCounters) {
-			c.Retries++
-			c.BackoffTicks += d
-		})
+		ch.counters.Retries++
+		ch.counters.BackoffTicks += d
 		observeRetry(k.obs, x, try, d)
 		time.Sleep(time.Duration(d) * k.tick)
 	}

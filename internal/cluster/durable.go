@@ -6,7 +6,6 @@ import (
 	"quorumkit/internal/faults"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
 	"quorumkit/internal/store"
 )
 
@@ -151,7 +150,7 @@ func (k *coordinator) beginAmnesia(x int, cause error) {
 // and the obs registry. Call it without holding x's lock.
 func (k *coordinator) countAmnesia(x int, cause error) {
 	if ch := k.chaos; ch != nil {
-		ch.bump(func(c *stats.ChaosCounters) { c.Amnesias++ })
+		ch.counters.Amnesias++
 	}
 	observeAmnesia(k.obs, x, cause)
 }
@@ -217,7 +216,7 @@ func (k *coordinator) tryRejoin(x int) bool {
 	k.tr.lock(x).readmit(eff)
 	k.tr.unlock(x)
 	if ch := k.chaos; ch != nil {
-		ch.bump(func(c *stats.ChaosCounters) { c.Rejoins++ })
+		ch.counters.Rejoins++
 	}
 	observeRejoin(k.obs, x, eff.Version, votes)
 	return true

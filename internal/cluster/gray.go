@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"quorumkit/internal/obs"
 	"quorumkit/internal/stats"
@@ -43,9 +42,10 @@ const grayBaseRTT = 2
 const grayEstWindow = 16
 
 // grayState is one runtime's hedged-read configuration, the per-link
-// latency estimators that drive it, and its totals.
+// latency estimators that drive it, and its totals. The estimators and
+// totals belong to the operation slot (DESIGN §18); the configuration is set
+// before serving.
 type grayState struct {
-	mu     sync.Mutex
 	hedge  bool
 	hedgeK float64
 	n      int
@@ -55,7 +55,7 @@ type grayState struct {
 }
 
 // estOf returns the link estimator for coordinator x observing peer p,
-// allocating it lazily. Callers hold g.mu.
+// allocating it lazily.
 func (g *grayState) estOf(x, p int) *stats.PhiEstimator {
 	if g.est == nil { // n² slots, so only a runtime that serves gray reads pays for them
 		g.est = make([]*stats.PhiEstimator, g.n*g.n)
@@ -185,13 +185,10 @@ func hedgeModel(need int, peers []grayPeer, hedge bool, k float64) (latency, unh
 // ConfigureHedge switches hedged gray reads on or off and sets the budget
 // multiplier K (budget = mean + K·sigma slots; K<=0 keeps the default 3).
 func (k *coordinator) ConfigureHedge(on bool, mult float64) {
-	g := k.gray
-	g.mu.Lock()
-	g.hedge = on
+	k.gray.hedge = on
 	if mult > 0 {
-		g.hedgeK = mult
+		k.gray.hedgeK = mult
 	}
-	g.mu.Unlock()
 }
 
 // graySlots is the extra delivery delay, in slots, that the link schedule
@@ -202,8 +199,6 @@ func (k *coordinator) graySlots(x, p int) int {
 
 // HedgeStats returns the cumulative (backup probes, hedge wins).
 func (k *coordinator) HedgeStats() (probes, wins int64) {
-	k.gray.mu.Lock()
-	defer k.gray.mu.Unlock()
 	return k.gray.probes, k.gray.wins
 }
 
@@ -234,7 +229,6 @@ func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
 // alive peers and records the outcome into the estimators, counters, and
 // obs registry.
 func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, peers []grayPeer, x int) {
-	g.mu.Lock()
 	for i := range peers {
 		est := g.estOf(x, peers[i].id)
 		if est.Ready() {
@@ -243,15 +237,11 @@ func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, 
 			peers[i].mean, peers[i].sigma = grayBaseRTT, 0.5
 		}
 	}
-	hedge, k := g.hedge, g.hedgeK
-	g.mu.Unlock()
-
-	lat, unhedged, probes, win := hedgeModel(need, peers, hedge, k)
+	lat, unhedged, probes, win := hedgeModel(need, peers, g.hedge, g.hedgeK)
 	gs.Latency, gs.Unhedged, gs.Probes, gs.Win = lat, unhedged, probes, win
 
 	// Every contacted round trip feeds the estimators — hedged and
 	// unhedged runs learn the same profiles, so routing adapts equally.
-	g.mu.Lock()
 	for i := range peers {
 		g.estOf(x, peers[i].id).Observe(float64(peers[i].rtt))
 	}
@@ -259,7 +249,6 @@ func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, 
 	if win {
 		g.wins++
 	}
-	g.mu.Unlock()
 
 	if probes > 0 {
 		reg.Add(obs.CHedgeProbe, int64(probes))

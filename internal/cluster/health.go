@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -216,26 +215,20 @@ type healthView struct {
 }
 
 // healthState is the self-healing context shared by the views of all nodes
-// of one runtime. The mutex makes snapshots and mutations safe against a
-// concurrent daemon goroutine (the Async runtime); the deterministic
-// runtime takes it uncontended.
+// of one runtime. It belongs to the operation slot (DESIGN §18): detector
+// ticks, daemon decisions, the degradation gate and Async's counter reads
+// each run inside one serialized operation, so nothing here takes a lock.
 type healthState struct {
 	cfg HealthConfig
-	// memo holds the strategy re-solves made under cfg. Not under mu: like
-	// every re-solve it runs inside one serialized round.
+	// memo holds the strategy re-solves made under cfg.
 	memo resolveMemo
 
-	mu       sync.Mutex
 	views    []*healthView
 	counters stats.HealthCounters
 
-	// acked and ackRTT are applyAcks' per-peer scratch (under mu).
+	// acked and ackRTT are applyAcks' per-peer scratch.
 	acked  []bool
 	ackRTT []int64
-
-	// obs mirrors the owning runtime's registry (nil when off); detector
-	// edges, mode transitions, and daemon verdicts are reported through it.
-	obs *obs.Registry
 }
 
 func newHealthState(cfg HealthConfig, n int) *healthState {
@@ -274,14 +267,12 @@ type DaemonReport struct {
 
 // recordGrant feeds one operation outcome into node x's grant window.
 func (h *healthState) recordGrant(x int, granted bool) {
-	h.mu.Lock()
 	v := h.views[x]
 	v.window[v.winNext] = granted
 	v.winNext = (v.winNext + 1) % len(v.window)
 	if v.winFill < len(v.window) {
 		v.winFill++
 	}
-	h.mu.Unlock()
 }
 
 // grantRate returns the windowed grant rate and whether the window is full.
@@ -325,8 +316,10 @@ func (v *healthView) phiOf(p, window int) *stats.PhiEstimator {
 // missDeadline is dropped here — a miss that contributes no votes; in φ
 // mode every ack feeds the peer's latency window and silence is judged by
 // φ against the windowed fit. Returns the probe's reachable-vote bound and
-// whether the suspected set changed. Callers hold h.mu.
-func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.Assignment, selfVotes int) (reachable int, changed bool) {
+// whether the suspected set changed; detector edges and mode transitions go
+// to the coordinator's registry.
+func (k *coordinator) applyAcks(x int, acks []msg, rtts []int64, assign quorum.Assignment, selfVotes int) (reachable int, changed bool) {
+	h := k.health
 	v := h.views[x]
 	n := len(h.views)
 	acked, ackRTT := h.acked, h.ackRTT
@@ -343,7 +336,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 		}
 		if h.lateAck(rtt) {
 			h.counters.LateAcks++
-			h.obs.Inc(obs.CLateAck)
+			k.obs.Inc(obs.CLateAck)
 			continue // misread as silence: miss accrues, votes lost
 		}
 		acked[a.from] = true
@@ -363,7 +356,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			if phiMode {
 				est := v.phiOf(p, phiWindow)
 				if est.Ready() {
-					h.obs.Observe(obs.HPhi, int64(est.Phi(float64(ackRTT[p]))*100))
+					k.obs.Observe(obs.HPhi, int64(est.Phi(float64(ackRTT[p]))*100))
 				}
 				est.Observe(float64(ackRTT[p]))
 			}
@@ -371,9 +364,9 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 				v.suspected[p] = false
 				h.counters.Unsuspicions++
 				changed = true
-				h.obs.Inc(obs.CUnsuspect)
-				h.obs.AddGauge(obs.GSuspectedPeers, -1)
-				h.obs.Emit(obs.EvUnsuspect, int32(x), int32(p), 0, 0)
+				k.obs.Inc(obs.CUnsuspect)
+				k.obs.AddGauge(obs.GSuspectedPeers, -1)
+				k.obs.Emit(obs.EvUnsuspect, int32(x), int32(p), 0, 0)
 			}
 			continue
 		}
@@ -386,7 +379,7 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			mean, _ := v.phi[p].Stats()
 			elapsed := float64(v.misses[p]) * math.Max(mean, grayBaseRTT)
 			phi := v.phi[p].Phi(elapsed)
-			h.obs.Observe(obs.HPhi, int64(phi*100))
+			k.obs.Observe(obs.HPhi, int64(phi*100))
 			suspect = phi >= phiThreshold
 		} else {
 			// Miss-count rule: directly, or as the φ bootstrap fallback
@@ -397,9 +390,9 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			v.suspected[p] = true
 			h.counters.Suspicions++
 			changed = true
-			h.obs.Inc(obs.CSuspect)
-			h.obs.AddGauge(obs.GSuspectedPeers, 1)
-			h.obs.Emit(obs.EvSuspect, int32(x), int32(p), int64(v.misses[p]), 0)
+			k.obs.Inc(obs.CSuspect)
+			k.obs.AddGauge(obs.GSuspectedPeers, 1)
+			k.obs.Emit(obs.EvSuspect, int32(x), int32(p), int64(v.misses[p]), 0)
 		}
 	}
 	if changed {
@@ -422,14 +415,14 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 	if mode != v.mode {
 		if mode == ModeHealthy {
 			h.counters.Healings++
-			h.obs.Inc(obs.CHeal)
-			h.obs.AddGauge(obs.GDegradedNodes, -1)
+			k.obs.Inc(obs.CHeal)
+			k.obs.AddGauge(obs.GDegradedNodes, -1)
 		} else if v.mode == ModeHealthy {
 			h.counters.Degradations++
-			h.obs.Inc(obs.CDegrade)
-			h.obs.AddGauge(obs.GDegradedNodes, 1)
+			k.obs.Inc(obs.CDegrade)
+			k.obs.AddGauge(obs.GDegradedNodes, 1)
 		}
-		h.obs.Emit(obs.EvModeChange, int32(x), -1, int64(v.mode), int64(mode))
+		k.obs.Emit(obs.EvModeChange, int32(x), -1, int64(v.mode), int64(mode))
 		v.mode = mode
 	}
 	v.canRead, v.canWrite = canRead, canWrite
@@ -440,11 +433,10 @@ func (h *healthState) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 // round, performing the optimize/install and sync rounds it decides on.
 func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quorum.Assignment, selfVotes int, version int64) DaemonReport {
 	h := k.health
-	h.mu.Lock()
 	v := h.views[x]
 	v.tick++
 	h.counters.DaemonTicks++
-	reachable, _ := h.applyAcks(x, acks, rtts, assign, selfVotes)
+	reachable, _ := k.applyAcks(x, acks, rtts, assign, selfVotes)
 
 	rep := DaemonReport{Node: x, Mode: v.mode, ReachableVotes: reachable}
 	for p, s := range v.suspected {
@@ -476,12 +468,9 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	rep.Triggered = trigger
 
 	if !trigger {
-		h.mu.Unlock()
 		if staleVersion {
-			h.mu.Lock()
 			h.counters.SyncRounds++
-			h.mu.Unlock()
-			h.obs.Inc(obs.CSyncRound)
+			k.obs.Inc(obs.CSyncRound)
 			k.syncRound(x)
 			rep.Synced = true
 		}
@@ -492,7 +481,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	// Rate limiter.
 	if v.tick < v.nextAllowed {
 		h.counters.CooldownSkips++
-		h.mu.Unlock()
 		return rep
 	}
 	// Leader gate: defer to an unsuspected member with a smaller id. The
@@ -500,7 +488,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	for p := 0; p < x; p++ {
 		if !v.suspected[p] {
 			h.counters.NotLeaderSkips++
-			h.mu.Unlock()
 			return rep
 		}
 	}
@@ -509,7 +496,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	// change the suspected set and lift the gate.
 	if !v.canWrite {
 		h.counters.DegradedSkips++
-		h.mu.Unlock()
 		return rep
 	}
 
@@ -517,24 +503,20 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	v.nextAllowed = v.tick + cooldownTicks
 	// Judge the next assignment on fresh evidence.
 	v.winFill, v.winNext = 0, 0
-	cfg := h.cfg
-	h.mu.Unlock()
 
 	rep.Attempted = true
-	changed, err := k.reassignOptimal(x, cfg.Alpha, cfg.Hysteresis)
+	changed, err := k.reassignOptimal(x, h.cfg.Alpha, h.cfg.Hysteresis)
 	rep.Reassigned, rep.Err = changed, err
 
-	h.mu.Lock()
 	switch {
 	case err != nil:
 		h.counters.DaemonErrors++
 	case changed:
 		h.counters.DaemonReassigns++
-		h.obs.Inc(obs.CDaemonReassign)
+		k.obs.Inc(obs.CDaemonReassign)
 	default:
 		h.counters.DaemonNoChanges++
 	}
-	h.mu.Unlock()
 	if err == nil && h.cfg.Strategy.Enabled {
 		// Availability-aware re-solve: the attempt above settled the
 		// assignment in force (installed or kept); restrict the strategy LP
@@ -546,10 +528,8 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	if !changed && err == nil && staleVersion {
 		// The optimizer kept the incumbent without a full install round;
 		// still repair the observed version divergence.
-		h.mu.Lock()
 		h.counters.SyncRounds++
-		h.mu.Unlock()
-		h.obs.Inc(obs.CSyncRound)
+		k.obs.Inc(obs.CSyncRound)
 		k.syncRound(x)
 		rep.Synced = true
 	}
@@ -558,15 +538,14 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 
 // gate checks the degradation gate for one operation kind at node x,
 // returning a typed error when the node's probe-derived mode rejects it
-// (nil when healthy or when self-healing is disabled).
-func (h *healthState) gate(x int, write bool) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// (nil when healthy).
+func (k *coordinator) gate(x int, write bool) error {
+	h := k.health
 	v := h.views[x]
 	if write {
 		if !v.canWrite {
 			h.counters.DegradedWrites++
-			h.obs.Inc(obs.CDegradedReject)
+			k.obs.Inc(obs.CDegradedReject)
 			if !v.canRead {
 				return ErrUnavailable
 			}
@@ -576,31 +555,16 @@ func (h *healthState) gate(x int, write bool) error {
 	}
 	if !v.canRead {
 		h.counters.DegradedReads++
-		h.obs.Inc(obs.CDegradedReject)
+		k.obs.Inc(obs.CDegradedReject)
 		return ErrUnavailable
 	}
 	return nil
-}
-
-// snapshot returns a copy of the counters.
-func (h *healthState) snapshot() stats.HealthCounters {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.counters
-}
-
-// modeOf returns node x's current service mode.
-func (h *healthState) modeOf(x int) Mode {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.views[x].mode
 }
 
 // EnableSelfHealing attaches the failure detector, adaptive reassignment
 // daemon, and degradation gate.
 func (k *coordinator) EnableSelfHealing(cfg HealthConfig) {
 	k.health = newHealthState(cfg, len(k.all))
-	k.health.obs = k.obs
 }
 
 // HealthCounters returns a snapshot of the self-healing counters.
@@ -608,7 +572,7 @@ func (k *coordinator) HealthCounters() stats.HealthCounters {
 	if k.health == nil {
 		return stats.HealthCounters{}
 	}
-	return k.health.snapshot()
+	return k.health.counters
 }
 
 // heartbeatRound broadcasts one probe from node x and gathers the
@@ -618,11 +582,9 @@ func (k *coordinator) HealthCounters() stats.HealthCounters {
 // attached) — the same pure function on both runtimes — rather than a
 // wall-clock measurement the scheduler could perturb.
 func (k *coordinator) heartbeatRound(x int) ([]msg, []int64) {
-	h := k.health
-	h.mu.Lock()
-	h.views[x].hbSeq++
-	seq := h.views[x].hbSeq
-	h.mu.Unlock()
+	v := k.health.views[x]
+	v.hbSeq++
+	seq := v.hbSeq
 	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagHeartbeat, from: int32(x), seq: seq})
 	k.seen.reset(len(k.all))
 	k.rtts = k.rtts[:0]
@@ -707,7 +669,7 @@ func (k *coordinator) serve(x int, write bool, value int64) Outcome {
 		return Outcome{Err: ErrAmnesiac}
 	}
 	if k.health != nil {
-		if err := k.health.gate(x, write); err != nil {
+		if err := k.gate(x, write); err != nil {
 			k.health.recordGrant(x, false)
 			return Outcome{Err: err}
 		}

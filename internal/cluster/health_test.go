@@ -71,7 +71,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 	isolate(st, g, 3)
 	isolate(st, g, 4)
 	c.DaemonStep(0)
-	if got := c.health.modeOf(0); got != ModeReadOnly {
+	if got := c.health.views[0].mode; got != ModeReadOnly {
 		t.Fatalf("3-of-5 component must be read-only, got %v", got)
 	}
 	out := c.ServeWrite(0, 42)
@@ -86,7 +86,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 	isolate(st, g, 1)
 	isolate(st, g, 2)
 	c.DaemonStep(0)
-	if got := c.health.modeOf(0); got != ModeUnavailable {
+	if got := c.health.views[0].mode; got != ModeUnavailable {
 		t.Fatalf("isolated node must be unavailable, got %v", got)
 	}
 	if out = c.ServeRead(0); !errors.Is(out.Err, ErrUnavailable) || out.Granted {
@@ -101,7 +101,7 @@ func TestDegradationModesAndTypedErrors(t *testing.T) {
 		st.RepairLink(l)
 	}
 	c.DaemonStep(0)
-	if got := c.health.modeOf(0); got != ModeHealthy {
+	if got := c.health.views[0].mode; got != ModeHealthy {
 		t.Fatalf("healed node must be healthy, got %v", got)
 	}
 	if out = c.ServeWrite(0, 44); !out.Granted || out.Err != nil {
@@ -242,7 +242,7 @@ func TestDegradedOpsNeverHangAsync(t *testing.T) {
 			t.Fatal("degraded operation hung")
 		}
 	}
-	if got := a.health.modeOf(0); got != ModeUnavailable {
+	if got := a.health.views[0].mode; got != ModeUnavailable {
 		t.Fatalf("mode: %v", got)
 	}
 }

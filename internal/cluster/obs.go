@@ -10,7 +10,7 @@ import (
 // counters, per-round message histograms, and — when the registry traces —
 // structured protocol events. Instrumentation is strictly write-only:
 // nothing here reads back into protocol decisions, which is what the
-// metamorphic suite (obs_metamorphic_test.go) verifies end to end.
+// metamorphic suite (metamorphic_test.go) verifies end to end.
 //
 // Trace-event conventions: decision events from the idealized operations
 // carry the collected vote total in A; decision events from the hardened
@@ -22,13 +22,9 @@ import (
 // cross-checked at.
 
 // SetObserver attaches (or, with nil, detaches) an observability registry.
-// Call it before driving operations; it also rewires an already-enabled
-// self-healing layer.
+// Call it before driving operations.
 func (k *coordinator) SetObserver(r *obs.Registry) {
 	k.obs = r
-	if k.health != nil {
-		k.health.obs = r
-	}
 	for x := range k.all {
 		if s := k.tr.lock(x).store; s != nil {
 			s.SetObserver(r)

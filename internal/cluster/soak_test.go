@@ -150,9 +150,14 @@ func TestSoakAsyncSelfHealing(t *testing.T) {
 	}
 }
 
-// TestStartDaemonBackground exercises the deployment shape: the daemon
-// goroutine sweeping concurrently with client operations and topology
-// churn, under the race detector.
+// TestStartDaemonBackground exercises the deployment shape under the race
+// detector: the daemon goroutine sweeps while the test goroutine serves
+// reads, writes and gray reads through topology churn, and a harness
+// goroutine reads every counter set, recovers crashed nodes, wipes and
+// rejoins nodes and re-installs the strategy. A fault source, survivor
+// re-solves and hedging put every feature state in play. That state has no
+// lock but the operation slot, so an Async accessor that reads or replaces
+// it outside the slot races with the other two goroutines here.
 func TestStartDaemonBackground(t *testing.T) {
 	g := graph.Ring(9)
 	a, err := NewAsync(graph.NewState(g, nil), quorum.Majority(9))
@@ -160,10 +165,56 @@ func TestStartDaemonBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.EnableSelfHealing(DefaultHealthConfig())
+	a.EnableChaos(faults.NewPlan(3, faults.Mix{Name: "soak", Drop: 0.05, Duplicate: 0.05, Crash: 0.05}))
+	h := DefaultHealthConfig()
+	h.Strategy = StrategyResolveConfig{Enabled: true, Resilience: 1}
+	a.EnableSelfHealing(h)
+	a.ConfigureHedge(true, 3)
+	st := advSeedStrategy(t)
+	install := func() {
+		if err := a.InstallStrategy(st, quorum.Majority(9), a.NodeVersion(0), 3, 5); err != nil {
+			t.Error(err)
+		}
+	}
+	install()
 	a.StartDaemon(100 * time.Microsecond)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// The pause lets the other goroutines take the slot between two
+			// harness calls; a sleep orders nothing, so a call that skips the
+			// slot is unordered with what they write meanwhile.
+			time.Sleep(20 * time.Microsecond)
+			for _, x := range a.Crashed() {
+				a.Recover(x)
+			}
+			switch i % 6 {
+			case 0:
+				a.ChaosCounters()
+			case 1:
+				a.StrategyCounters()
+			case 2:
+				a.HedgeStats()
+			case 3:
+				a.HealthCounters()
+			case 4:
+				a.WipeState(i % 9)
+				a.TryRejoin(i % 9)
+			default:
+				install()
+			}
+		}
+	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; a.HealthCounters().DaemonTicks == 0 || i < 200; i++ {
+	for i := 0; a.HealthCounters().DaemonTicks == 0 || i < 400; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("background daemon never ticked")
 		}
@@ -171,14 +222,17 @@ func TestStartDaemonBackground(t *testing.T) {
 		case 0:
 			a.FailLink(i % g.M())
 		case 1:
-			a.RepairLink(i % g.M())
+			a.RepairLink((i - 1) % g.M()) // one cut at a time: the ring stays whole
+		case 2:
+			a.ServeRead(i % 9)
+		case 3:
+			a.ServeWrite(i%9, int64(i))
 		default:
-			if i%2 == 0 {
-				a.ServeRead(i % 9)
-			} else {
-				a.ServeWrite(i%9, int64(i))
-			}
+			a.ServeReadGray(i % 9)
 		}
+		// The harness's wipes and installs write what these read.
+		a.ChaosCounters()
+		a.StrategyCounters()
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -48,11 +47,10 @@ import (
 // survivor set and thresholds is solved once per config (resolveMemo).
 
 // strategyState is the cluster-wide installed strategy shared by all
-// coordinators of one runtime. Its mutex guards the sampler, version, and
-// RNG against the concurrent runtime's daemon goroutine; the deterministic
-// runtime takes it uncontended.
+// coordinators of one runtime. The sampler, version and RNG belong to the
+// operation slot (DESIGN §18): serving, daemon re-solves and Async's
+// install and counter reads each run inside one serialized operation.
 type strategyState struct {
-	mu       sync.Mutex
 	sampler  *strategy.Sampler
 	version  int64 // assignment version the strategy was solved against
 	budget   int   // max sampled quorums per operation
@@ -83,8 +81,6 @@ func (s *strategyState) install(st strategy.Strategy, votes []int, assign quorum
 	if budget < 1 {
 		budget = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sampler = strategy.NewSampler(st.Canonical(0))
 	s.version = version
 	s.budget = budget
@@ -95,21 +91,11 @@ func (s *strategyState) install(st strategy.Strategy, votes []int, assign quorum
 	return nil
 }
 
-// clear disarms the sampler; serving degrades to the deterministic path.
-func (s *strategyState) clear() {
-	s.mu.Lock()
-	s.sampler = nil
-	s.mu.Unlock()
-}
-
-// draw opens one attempt of the serving ladder under a single lock: it
-// accounts the redraw when a previous attempt failed, checks that the
-// sampler is armed and not stale against the coordinator's assignment
-// version, and samples a quorum (the RNG is shared). ok is false when the
-// caller must leave the ladder.
+// draw opens one attempt of the serving ladder: it accounts the redraw when
+// a previous attempt failed, checks that the sampler is armed and not stale
+// against the coordinator's assignment version, and samples a quorum from
+// the shared RNG. ok is false when the caller must leave the ladder.
 func (s *strategyState) draw(write, redraw bool, nodeVersion int64) (q strategy.Quorum, budget int, stale, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if redraw {
 		s.counters.Resamples++
 	}
@@ -128,8 +114,6 @@ func (s *strategyState) draw(write, redraw bool, nodeVersion int64) (q strategy.
 // fallback to the deterministic path (a stale one when the strategy no
 // longer matches the assignment in force).
 func (s *strategyState) settle(granted, write, stale bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch {
 	case !granted:
 		s.counters.Fallbacks++
@@ -141,20 +125,6 @@ func (s *strategyState) settle(granted, write, stale bool) {
 	default:
 		s.counters.SampledReads++
 	}
-}
-
-// bump applies one counter mutation under the lock.
-func (s *strategyState) bump(f func(*stats.StrategyCounters)) {
-	s.mu.Lock()
-	f(&s.counters)
-	s.mu.Unlock()
-}
-
-// snapshot returns a copy of the counters.
-func (s *strategyState) snapshot() stats.StrategyCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
 }
 
 // StrategyResolveConfig tunes the daemon's availability-aware strategy
@@ -225,14 +195,14 @@ func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int,
 	r, hit := memo[key]
 	if !hit {
 		r = solveSurvivors(cfg, votes, sites, assign)
-		s.bump(func(c *stats.StrategyCounters) { c.ResolveSolves++ })
+		s.counters.ResolveSolves++
 		if len(memo) < resolveMemoCap {
 			memo[key] = r
 		}
 	}
 	degrade := func(err error) (bool, error) {
-		s.clear()
-		s.bump(func(c *stats.StrategyCounters) { c.ResolveFails++ })
+		s.sampler = nil // serving degrades to the deterministic path
+		s.counters.ResolveFails++
 		return false, err
 	}
 	if r.err != nil {
@@ -241,7 +211,7 @@ func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int,
 	if err := s.install(r.st, votes, assign, version, strategyBudget, cfg.Strategy.Seed); err != nil {
 		return degrade(err)
 	}
-	s.bump(func(c *stats.StrategyCounters) { c.Resolves++ })
+	s.counters.Resolves++
 	reg.Inc(obs.CStrategyResolve)
 	return true, nil
 }
@@ -307,7 +277,7 @@ func (k *coordinator) StrategyCounters() stats.StrategyCounters {
 	if k.strat == nil {
 		return stats.StrategyCounters{}
 	}
-	return k.strat.snapshot()
+	return k.strat.counters
 }
 
 // voteVector snapshots the per-site votes.
