@@ -47,7 +47,6 @@ var testOnlyAPI = map[string]string{
 	"dist.MonteCarlo":                         "the sampling oracle the scenario sampler's random stream is pinned to",
 	"coterie.VoteInducible":                   "backs EXPERIMENTS' claim that grid and Fano coteries are not vote-inducible",
 	"votes.Scenarios.Availability":            "prices any quorum.System on the exact component table; the coterie tests evaluate the families and EXPERIMENTS' coterie rows with it",
-	"cluster.Async.Reassign":                  "serializes a QR reassignment with the concurrent runtime's other operations; without it the async tests would reach the coordinator's unlocked Reassign",
 	"core.Estimator.Weight":                   "one site's recorded observation weight, read by the estimation tests of core, cluster and sim",
 	"dist.PMF.Normalize":                      "how the dist and core tests turn sampled counts into a PMF",
 	"sim.Params.AccessWeights":                "the paper's non-uniform per-site access rates r_i/w_i, which the skew tests pin against the uniform model",

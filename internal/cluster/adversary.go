@@ -70,7 +70,7 @@ type AdversaryConfig struct {
 	// delivery goroutines).
 	Churn      faults.ChurnConfig
 	LinkFaults *faults.LinkSchedule
-	Adaptive   faults.AdaptiveAdversary
+	Adaptive   *faults.QRCritical
 
 	// AmnesiaFraction is the probability that a site repaired by churn comes
 	// back with wiped storage (a replaced machine) and must rejoin by state

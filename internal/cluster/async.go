@@ -8,8 +8,6 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
-	"quorumkit/internal/stats"
-	"quorumkit/internal/strategy"
 )
 
 // Async is the concurrent runtime: the same coordinator as Cluster over a
@@ -22,9 +20,11 @@ import (
 // paper's accesses are instantaneous and never overlap), but within an
 // operation all peer work — vote evaluation, state merging, write
 // application — happens concurrently across nodes, and topology mutations
-// are excluded only during the reachability snapshot. The implementation is
-// exercised under -race, and its observable behaviour is cross-checked
-// against the deterministic Cluster.
+// are excluded only during the reachability snapshot. Async adds no
+// operations of its own: the coordinator's methods are its API, and each one
+// that touches the coordinator's state takes the operation slot through the
+// transport's enter. The implementation is exercised under -race, and its
+// observable behaviour is cross-checked against the deterministic Cluster.
 //
 // How the fault plan maps onto a real concurrent transport: a dropped
 // request is never delivered; a dropped reply leaves the request delivered
@@ -41,7 +41,8 @@ type Async struct {
 	// topoMu guards the network state: operations take RLock to snapshot
 	// reachability; topology mutations take Lock.
 	topoMu sync.RWMutex
-	// opMu serializes client operations.
+	// opMu is the operation slot (enter): it serializes client operations
+	// and owns the coordinator's state above the node lock.
 	opMu  sync.Mutex
 	nodes []*asyncNode
 	wg    sync.WaitGroup
@@ -178,6 +179,21 @@ func (a *Async) MessagesSent() int64 { return a.sent() }
 // ---- The concurrent transport ---------------------------------------------
 
 func (a *Async) sent() int64 { return a.msgs.Load() }
+
+// enter takes the operation slot, opMu. A timed exit records the
+// operation's wall-clock latency, the wait for the slot included.
+func (a *Async) enter(timed bool) (exit func()) {
+	if !timed {
+		a.opMu.Lock()
+		return a.opMu.Unlock
+	}
+	start := time.Now()
+	a.opMu.Lock()
+	return func() {
+		a.opMu.Unlock()
+		a.obs.Observe(obs.HOpNanos, time.Since(start).Nanoseconds())
+	}
+}
 
 func (a *Async) siteUp(x int) bool {
 	a.topoMu.RLock()
@@ -328,153 +344,6 @@ func (a *Async) post(x int, targets []int, m msg) {
 		}
 	}
 	done.Wait()
-}
-
-// ---- Operations: the coordinator's, serialized on the operation slot ------
-//
-// The slot owns everything the coordinator holds above the node lock — the
-// fault context, the detector views, the installed strategy, the hedge
-// estimators, the per-round scratch — so every method that reads or replaces
-// that state while the runtime serves takes it: the protocol rounds, and the
-// harness's counter reads, strategy installs and wipes (DESIGN §18).
-
-// slot takes the operation slot; the function it returns releases it.
-func (a *Async) slot() (release func()) {
-	a.opMu.Lock()
-	return a.opMu.Unlock
-}
-
-// Read performs a quorum read at node x.
-func (a *Async) Read(x int) (value int64, stamp int64, granted bool) {
-	defer a.slot()()
-	return a.coordinator.Read(x)
-}
-
-// Write performs a quorum write at node x.
-func (a *Async) Write(x int, value int64) bool {
-	defer a.slot()()
-	return a.coordinator.Write(x, value)
-}
-
-// Reassign installs a new assignment through the QR protocol.
-func (a *Async) Reassign(x int, newAssign quorum.Assignment) error {
-	defer a.slot()()
-	return a.coordinator.Reassign(x, newAssign)
-}
-
-// ChaosRead performs a fault-hardened read at node x with retries.
-func (a *Async) ChaosRead(x int) Outcome {
-	defer a.slot()()
-	return a.coordinator.ChaosRead(x)
-}
-
-// ChaosWrite performs a fault-hardened write at node x with retries.
-func (a *Async) ChaosWrite(x int, value int64) Outcome {
-	defer a.slot()()
-	return a.coordinator.ChaosWrite(x, value)
-}
-
-// ChaosReassign installs a new assignment through the hardened QR protocol
-// with retries.
-func (a *Async) ChaosReassign(x int, newAssign quorum.Assignment) Outcome {
-	defer a.slot()()
-	return a.coordinator.ChaosReassign(x, newAssign)
-}
-
-// Recover brings a crashed node back up (see coordinator.Recover); the
-// state-transfer rejoin it may run takes the operation slot.
-func (a *Async) Recover(x int) bool {
-	defer a.slot()()
-	return a.coordinator.Recover(x)
-}
-
-// TryRejoin attempts the amnesiac state transfer at node x.
-func (a *Async) TryRejoin(x int) bool {
-	defer a.slot()()
-	return a.coordinator.TryRejoin(x)
-}
-
-// DaemonStep runs one failure-detector tick and daemon decision at node x.
-// It occupies one client-operation slot, so the detector's probes and any
-// resulting installation serialize with reads and writes.
-func (a *Async) DaemonStep(x int) DaemonReport {
-	defer a.slot()()
-	return a.coordinator.DaemonStep(x)
-}
-
-// WipeState models a site returning from repair with a blank disk (see
-// coordinator.WipeState); in the slot, no round can meet the node mid-wipe.
-func (a *Async) WipeState(x int) {
-	defer a.slot()()
-	a.coordinator.WipeState(x)
-}
-
-// InstallStrategy arms sampled-quorum serving (see
-// coordinator.InstallStrategy).
-func (a *Async) InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error {
-	defer a.slot()()
-	return a.coordinator.InstallStrategy(st, assign, version, budget, seed)
-}
-
-// ChaosCounters returns a copy of the fault-injection counters.
-func (a *Async) ChaosCounters() stats.ChaosCounters {
-	defer a.slot()()
-	return a.coordinator.ChaosCounters()
-}
-
-// Crashed lists nodes currently down due to an injected crash.
-func (a *Async) Crashed() []int {
-	defer a.slot()()
-	return a.coordinator.Crashed()
-}
-
-// HealthCounters returns a copy of the self-healing counters.
-func (a *Async) HealthCounters() stats.HealthCounters {
-	defer a.slot()()
-	return a.coordinator.HealthCounters()
-}
-
-// StrategyCounters returns a copy of the strategy-serving counters.
-func (a *Async) StrategyCounters() stats.StrategyCounters {
-	defer a.slot()()
-	return a.coordinator.StrategyCounters()
-}
-
-// HedgeStats returns the cumulative (backup probes, hedge wins).
-func (a *Async) HedgeStats() (probes, wins int64) {
-	defer a.slot()()
-	return a.coordinator.HedgeStats()
-}
-
-// begin takes the operation slot for one serving-layer operation; the
-// function it returns releases the slot and records the operation's
-// wall-clock latency.
-func (a *Async) begin() (end func()) {
-	start := time.Now()
-	a.opMu.Lock()
-	return func() {
-		a.opMu.Unlock()
-		a.obs.Observe(obs.HOpNanos, time.Since(start).Nanoseconds())
-	}
-}
-
-// ServeRead is the serving-layer read at node x.
-func (a *Async) ServeRead(x int) Outcome {
-	defer a.begin()()
-	return a.coordinator.ServeRead(x)
-}
-
-// ServeWrite is the serving-layer write at node x.
-func (a *Async) ServeWrite(x int, value int64) Outcome {
-	defer a.begin()()
-	return a.coordinator.ServeWrite(x, value)
-}
-
-// ServeReadGray runs ServeRead and models its completion latency under the
-// gray schedule and the active hedging configuration.
-func (a *Async) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	defer a.begin()()
-	return a.coordinator.ServeReadGray(x)
 }
 
 // StartDaemon launches a background goroutine that sweeps DaemonStep over

@@ -158,6 +158,7 @@ func (k *coordinator) EnableChaos(src faults.Source) {
 
 // ChaosCounters returns a snapshot of the fault-injection counters.
 func (k *coordinator) ChaosCounters() stats.ChaosCounters {
+	defer k.tr.enter(false)()
 	if k.chaos == nil {
 		return stats.ChaosCounters{}
 	}
@@ -166,6 +167,7 @@ func (k *coordinator) ChaosCounters() stats.ChaosCounters {
 
 // Crashed lists nodes currently down due to an injected crash.
 func (k *coordinator) Crashed() []int {
+	defer k.tr.enter(false)()
 	var out []int
 	if k.chaos == nil {
 		return out
@@ -187,6 +189,7 @@ func (k *coordinator) Crashed() []int {
 // reports whether the node is back up as a member (full or recovering).
 // With persistence disabled, recovery keeps the in-memory state as before.
 func (k *coordinator) Recover(x int) bool {
+	defer k.tr.enter(false)()
 	ch := k.chaos
 	if ch == nil {
 		return false
@@ -196,8 +199,8 @@ func (k *coordinator) Recover(x int) bool {
 	}
 	k.tr.RepairSite(x)
 	// The reload and beginAmnesia take x's lock separately (WipeState holds
-	// it across both): Recover runs in the operation slot (Async.opMu), so
-	// no round can reach x between them.
+	// it across both): Recover holds the operation slot, so no round can
+	// reach x between them.
 	err := k.tr.lock(x).reload()
 	k.tr.unlock(x)
 	if err != nil {
@@ -391,6 +394,12 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 // ChaosRead performs a fault-hardened read at node x with retries under
 // the retry policy. Requires EnableChaos.
 func (k *coordinator) ChaosRead(x int) Outcome {
+	defer k.tr.enter(false)()
+	return k.chaosRead(x)
+}
+
+// chaosRead is ChaosRead for a caller already in the slot.
+func (k *coordinator) chaosRead(x int) Outcome {
 	out := k.hardened(x, func(out *Outcome) (err error) {
 		out.Value, out.Stamp, err = k.chaosReadOnce(x)
 		return err
@@ -403,6 +412,12 @@ func (k *coordinator) ChaosRead(x int) Outcome {
 // Failed attempts that left the value on some copies are reported in
 // Outcome.Residue so history checkers can treat them as indeterminate.
 func (k *coordinator) ChaosWrite(x int, value int64) Outcome {
+	defer k.tr.enter(false)()
+	return k.chaosWrite(x, value)
+}
+
+// chaosWrite is ChaosWrite for a caller already in the slot.
+func (k *coordinator) chaosWrite(x int, value int64) Outcome {
 	out := k.hardened(x, func(out *Outcome) error {
 		stamp, residue, err := k.chaosWriteOnce(x, value)
 		if residue != nil {
@@ -424,6 +439,7 @@ func (k *coordinator) ChaosWrite(x int, value int64) Outcome {
 // safety argument needs the new assignment at every responder it was
 // granted against.
 func (k *coordinator) ChaosReassign(x int, a quorum.Assignment) Outcome {
+	defer k.tr.enter(false)()
 	var out Outcome
 	if err := a.Validate(k.st.TotalVotes()); err != nil {
 		k.mustChaos().op++ // a rejected request still takes its slot in the fault schedule

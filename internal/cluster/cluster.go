@@ -211,6 +211,10 @@ func (c *Cluster) lock(x int) *replica { return &c.nodes[x] }
 func (c *Cluster) unlock(int)          {}
 func (c *Cluster) sent() int64         { return c.stats.Sent }
 
+// enter is free: the deterministic runtime runs one operation at a time on
+// one goroutine, so the slot is always its own.
+func (c *Cluster) enter(bool) (exit func()) { return func() {} }
+
 // exchange enqueues req to every target and drains the queue to
 // completion; the replies addressed to x accumulate in the inbox.
 func (c *Cluster) exchange(x int, targets []int, req msg) ([]msg, int) {

@@ -41,6 +41,12 @@ type transport interface {
 	unlock(x int)
 	// sent is the cumulative count of messages sent.
 	sent() int64
+	// enter takes the operation slot, which owns everything the coordinator
+	// holds above the node lock; exit releases it. With timed set, exit also
+	// records the operation's wall-clock latency. Every exported coordinator
+	// method that reads or replaces that state enters first, so no method
+	// that has entered may call one that does.
+	enter(timed bool) (exit func())
 
 	FailSite(i int)
 	RepairSite(i int)
@@ -50,8 +56,8 @@ type transport interface {
 // version-numbered QR reassignment, the hardened chaos operations, strategy
 // serving, the failure detector and daemon, and the §4.2/§4.3 estimator
 // gossip, written once over a transport. Cluster and Async embed it; its
-// exported methods are their shared API, and Async shadows the ones that
-// run protocol rounds to serialize them on its operation slot.
+// exported methods are their shared API, and each one that touches the
+// state below begins with defer k.tr.enter(…)() (TestOperationsTakeTheSlot).
 type coordinator struct {
 	tr  transport
 	st  *graph.State
@@ -87,9 +93,9 @@ type coordinator struct {
 	obs *obs.Registry
 
 	// Per-round scratch, reused because rounds are serialized (one goroutine
-	// in the deterministic runtime, Async.opMu in the concurrent one) and
-	// none of it outlives the round that filled it: the set of senders
-	// already counted, a target list, and the heartbeat round trips.
+	// in the deterministic runtime, the operation slot in the concurrent
+	// one) and none of it outlives the round that filled it: the set of
+	// senders already counted, a target list, and the heartbeat round trips.
 	seen    bitset
 	targets []int
 	rtts    []int64
@@ -243,6 +249,12 @@ func (k *coordinator) senders(replies []msg) []int {
 // they meet the effective read quorum, and return the freshest collected
 // value.
 func (k *coordinator) Read(x int) (value int64, stamp int64, granted bool) {
+	defer k.tr.enter(false)()
+	return k.read(x)
+}
+
+// read is Read for a caller already in the slot.
+func (k *coordinator) read(x int) (value int64, stamp int64, granted bool) {
 	if !k.tr.siteUp(x) {
 		return 0, 0, false
 	}
@@ -260,6 +272,7 @@ func (k *coordinator) Read(x int) (value int64, stamp int64, granted bool) {
 // Write submits a write at node x. When the effective write quorum is met,
 // the new value is applied at every responding node.
 func (k *coordinator) Write(x int, value int64) bool {
+	defer k.tr.enter(false)()
 	_, ok := k.writeOp(x, value)
 	return ok
 }
@@ -300,6 +313,12 @@ func (k *coordinator) applyLocal(x int, value, stamp int64) {
 // write quorum. The new assignment and the current value are installed at
 // every responding node.
 func (k *coordinator) Reassign(x int, a quorum.Assignment) error {
+	defer k.tr.enter(false)()
+	return k.reassign(x, a)
+}
+
+// reassign is Reassign for a caller already in the slot.
+func (k *coordinator) reassign(x int, a quorum.Assignment) error {
 	if err := a.Validate(k.st.TotalVotes()); err != nil {
 		return fmt.Errorf("cluster: reassign: %w", err)
 	}

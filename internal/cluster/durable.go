@@ -162,6 +162,7 @@ func (k *coordinator) countAmnesia(x int, cause error) {
 // x's lock: the disk is touched only under the lock that serializes its
 // store, and no round can meet x wiped yet still voting from memory.
 func (k *coordinator) WipeState(x int) {
+	defer k.tr.enter(false)()
 	err := store.ErrNoState
 	r := k.tr.lock(x)
 	if k.disks != nil {
@@ -179,6 +180,7 @@ func (k *coordinator) WipeState(x int) {
 // whether x is a full member afterwards (trivially true when it never lost
 // its state).
 func (k *coordinator) TryRejoin(x int) bool {
+	defer k.tr.enter(false)()
 	if !k.Amnesiac(x) {
 		return true
 	}

@@ -86,7 +86,7 @@ func (k *coordinator) reassignOptimal(x int, alpha, hysteresis float64) (bool, e
 	if !model.Improves(alpha, want.Assignment, current, hysteresis) {
 		return false, nil
 	}
-	if err := k.Reassign(x, want.Assignment); err != nil {
+	if err := k.reassign(x, want.Assignment); err != nil {
 		return false, nil // component lacks the write quorum right now
 	}
 	return true, nil

@@ -199,13 +199,15 @@ func (k *coordinator) graySlots(x, p int) int {
 
 // HedgeStats returns the cumulative (backup probes, hedge wins).
 func (k *coordinator) HedgeStats() (probes, wins int64) {
+	defer k.tr.enter(false)()
 	return k.gray.probes, k.gray.wins
 }
 
 // ServeReadGray runs ServeRead and models its completion latency under the
 // link schedule's slowdowns and the active hedging configuration.
 func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	out := k.ServeRead(x)
+	defer k.tr.enter(true)()
+	out := k.serve(x, false, 0)
 	gs := GrayReadStats{Latency: -1, Unhedged: -1}
 	if !out.Granted {
 		return out, gs

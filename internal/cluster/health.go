@@ -569,6 +569,7 @@ func (k *coordinator) EnableSelfHealing(cfg HealthConfig) {
 
 // HealthCounters returns a snapshot of the self-healing counters.
 func (k *coordinator) HealthCounters() stats.HealthCounters {
+	defer k.tr.enter(false)()
 	if k.health == nil {
 		return stats.HealthCounters{}
 	}
@@ -615,6 +616,7 @@ func (k *coordinator) syncRound(x int) {
 // run the on-line estimator and optimizer and install the result through
 // the QR protocol. Requires EnableSelfHealing.
 func (k *coordinator) DaemonStep(x int) DaemonReport {
+	defer k.tr.enter(false)()
 	h := k.mustHealth()
 	up := k.tr.siteUp(x)
 	if k.Amnesiac(x) {
@@ -658,9 +660,12 @@ func (k *coordinator) DaemonStep(x int) DaemonReport {
 // serve is the serving-layer ladder shared by reads and writes at node x:
 // fail fast with a typed error when the coordinator is down, amnesiac, or
 // rejected by the degradation gate; serve off a sampled quorum when a
-// strategy is installed; otherwise run the fault-hardened operation when a
-// fault plan is attached or the baseline one when not. The outcome feeds
-// the daemon's grant-rate window.
+// strategy is installed and no fault source is attached; otherwise run the
+// fault-hardened operation when a fault source is attached or the baseline
+// one when not. A strategy round has no write acks and no read
+// confirmation, so under a fault source the hardened component-wide round
+// serves even with a strategy installed (the daemon still re-solves and
+// installs). The outcome feeds the daemon's grant-rate window.
 func (k *coordinator) serve(x int, write bool, value int64) Outcome {
 	if !k.tr.siteUp(x) {
 		return Outcome{Err: ErrCoordinatorDown}
@@ -688,15 +693,15 @@ func (k *coordinator) serve(x int, write bool, value int64) Outcome {
 		if write {
 			out.Stamp, out.Granted = k.writeOp(x, value)
 		} else {
-			out.Value, out.Stamp, out.Granted = k.Read(x)
+			out.Value, out.Stamp, out.Granted = k.read(x)
 		}
 		if !out.Granted {
 			out.Err = ErrNoQuorum
 		}
 	case write:
-		out = k.ChaosWrite(x, value)
+		out = k.chaosWrite(x, value)
 	default:
-		out = k.ChaosRead(x)
+		out = k.chaosRead(x)
 	}
 	if k.health != nil {
 		k.health.recordGrant(x, out.Granted)
@@ -705,12 +710,18 @@ func (k *coordinator) serve(x int, write bool, value int64) Outcome {
 }
 
 // ServeRead is the serving-layer read at node x (see serve).
-func (k *coordinator) ServeRead(x int) Outcome { return k.serve(x, false, 0) }
+func (k *coordinator) ServeRead(x int) Outcome {
+	defer k.tr.enter(true)()
+	return k.serve(x, false, 0)
+}
 
 // ServeWrite is the serving-layer write at node x: a read-only or
 // unavailable node rejects the write immediately with ErrDegradedWrites or
 // ErrUnavailable rather than running a doomed round.
-func (k *coordinator) ServeWrite(x int, value int64) Outcome { return k.serve(x, true, value) }
+func (k *coordinator) ServeWrite(x int, value int64) Outcome {
+	defer k.tr.enter(true)()
+	return k.serve(x, true, value)
+}
 
 // mustHealth asserts that EnableSelfHealing was called.
 func (k *coordinator) mustHealth() *healthState {

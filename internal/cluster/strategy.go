@@ -33,6 +33,12 @@ import (
 //     errors. An operation never hangs and never returns an untyped
 //     failure.
 //
+// The ladder runs only while no fault source is attached (EnableChaos). A
+// strategy round has no write acks and no read confirmation — a lost apply
+// would leave a granted write on fewer than q_w votes — so under a fault
+// source every operation runs the hardened component-wide round (chaos.go),
+// while the daemon still re-solves and installs strategies.
+//
 // Strategy rounds never feed the §4.2 estimator: their vote totals are
 // whatever the sampler targeted, not an unbiased sample of the component,
 // so recording them would bias the on-line density the daemon optimizes
@@ -48,8 +54,8 @@ import (
 
 // strategyState is the cluster-wide installed strategy shared by all
 // coordinators of one runtime. The sampler, version and RNG belong to the
-// operation slot (DESIGN §18): serving, daemon re-solves and Async's
-// install and counter reads each run inside one serialized operation.
+// operation slot (DESIGN §18): serving, daemon re-solves, installs and
+// counter reads each enter it.
 type strategyState struct {
 	sampler  *strategy.Sampler
 	version  int64 // assignment version the strategy was solved against
@@ -58,11 +64,12 @@ type strategyState struct {
 	counters stats.StrategyCounters
 }
 
-// strategySystem is the strategy.System an installed distribution is
-// validated against: the runtime's per-site votes, the assignment's
-// thresholds, and unit capacities (the runtimes care about threshold
-// safety, not absolute throughput).
-func strategySystem(votes []int, assign quorum.Assignment) strategy.System {
+// unitSystem is the strategy.System over the given per-site votes at the
+// assignment's thresholds with unit capacities (the runtimes care about
+// threshold safety and load balance, not absolute throughput): the system
+// an installed distribution is validated against and a survivor re-solve
+// optimizes.
+func unitSystem(votes []int, assign quorum.Assignment) strategy.System {
 	unit := make([]float64, len(votes))
 	for i := range unit {
 		unit[i] = 1
@@ -75,7 +82,7 @@ func strategySystem(votes []int, assign quorum.Assignment) strategy.System {
 // thresholds and arms the sampler. The RNG substream survives re-installs
 // so re-solves do not reset the sampling sequence.
 func (s *strategyState) install(st strategy.Strategy, votes []int, assign quorum.Assignment, version int64, budget int, seed uint64) error {
-	if err := st.Validate(strategySystem(votes, assign)); err != nil {
+	if err := st.Validate(unitSystem(votes, assign)); err != nil {
 		return fmt.Errorf("cluster: install strategy: %w", err)
 	}
 	if budget < 1 {
@@ -221,15 +228,9 @@ func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int,
 // capacities (pure load balancing) priced at the read fraction cfg.Alpha,
 // certified and remapped to global site ids.
 func solveSurvivors(cfg HealthConfig, votes, sites []int, assign quorum.Assignment) resolved {
-	sub := strategy.System{
-		Votes: make([]int, len(sites)), QR: assign.QR, QW: assign.QW,
-		ReadCap:  make([]float64, len(sites)),
-		WriteCap: make([]float64, len(sites)),
-		Latency:  make([]float64, len(sites)),
-	}
+	sub := unitSystem(make([]int, len(sites)), assign)
 	for j, g := range sites {
 		sub.Votes[j] = votes[g]
-		sub.ReadCap[j], sub.WriteCap[j], sub.Latency[j] = 1, 1, 1
 	}
 	if err := sub.Validate(); err != nil {
 		return resolved{err: err}
@@ -266,6 +267,7 @@ func solveSurvivors(cfg HealthConfig, votes, sites []int, assign quorum.Assignme
 // only while the coordinator's installed version matches; any reassignment
 // disarms it until a re-solve.
 func (k *coordinator) InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error {
+	defer k.tr.enter(false)()
 	if k.strat == nil {
 		k.strat = &strategyState{}
 	}
@@ -274,6 +276,7 @@ func (k *coordinator) InstallStrategy(st strategy.Strategy, assign quorum.Assign
 
 // StrategyCounters returns a snapshot of the strategy-serving counters.
 func (k *coordinator) StrategyCounters() stats.StrategyCounters {
+	defer k.tr.enter(false)()
 	if k.strat == nil {
 		return stats.StrategyCounters{}
 	}

@@ -80,6 +80,35 @@ func TestStrategyServeSampledQuorums(t *testing.T) {
 	}
 }
 
+// TestStrategyIdleUnderFaultSource: with a fault source attached the
+// serving ladder is never entered, even with a strategy installed. A
+// strategy round has no write acks and no read confirmation, so the
+// hardened component-wide round serves instead. The same operations
+// without the fault source are sampled.
+func TestStrategyIdleUnderFaultSource(t *testing.T) {
+	serve := func(chaos bool) stats.StrategyCounters {
+		c, _ := newStrategyCluster(t, 3)
+		if chaos {
+			c.EnableChaos(faults.NewPlan(1, faults.Mix{Name: "none"}))
+		}
+		for i := 0; i < 20; i++ {
+			if out := c.ServeWrite(i%5, int64(i+1)); !out.Granted {
+				t.Fatalf("chaos=%v: write %d denied: %+v", chaos, i, out)
+			}
+			if out := c.ServeRead((i + 1) % 5); !out.Granted || out.Value != int64(i+1) {
+				t.Fatalf("chaos=%v: read %d: %+v, want value %d", chaos, i, out, i+1)
+			}
+		}
+		return c.StrategyCounters()
+	}
+	if ct := serve(true); ct.SampledReads+ct.SampledWrites != 0 || ct.Fallbacks != 0 {
+		t.Fatalf("the ladder ran under a fault source: %+v", ct)
+	}
+	if ct := serve(false); ct.SampledReads+ct.SampledWrites == 0 {
+		t.Fatalf("nothing was sampled without a fault source: %+v", ct)
+	}
+}
+
 // TestStrategyResampleOnDownMember: with site 4 down, half the write mass
 // (quorum {1,2,3,4}) is unreachable — those draws must be redrawn within
 // the budget, and every operation must still be granted (sampled when a

@@ -55,13 +55,6 @@ func (ls *LinkSchedule) Apply(act GrayAction, sites int) {
 	}
 }
 
-// AdaptiveAdversary plans the next actions from the current view. Advise
-// must be a pure function of the view (no hidden clock or randomness that
-// the view does not determine), so runs replay deterministically.
-type AdaptiveAdversary interface {
-	Advise(v AdversaryView) []GrayAction
-}
-
 // QRCritical is the canonical adaptive adversary: every Every steps it
 // degrades the q_r-critical sites — the Top highest-vote sites the
 // detector does not already suspect, i.e. exactly the healthy capacity the
@@ -78,7 +71,9 @@ type QRCritical struct {
 	CutEvery int64 // every k-th move is a one-way cut (0 = never cut)
 }
 
-// Advise implements AdaptiveAdversary.
+// Advise plans the next actions from the current view. It is a pure
+// function of the view (no hidden clock or randomness that the view does
+// not determine), so runs replay deterministically.
 func (q QRCritical) Advise(v AdversaryView) []GrayAction {
 	every := q.Every
 	if every < 1 {
