@@ -51,7 +51,6 @@ func grayScenarios(seed uint64, steps int) []scenario {
 		Workload:      workload.Constant(0.9),
 		Health:        soakHealth(0.9),
 		RecordLatency: true,
-		HedgeK:        1.5,
 		LinkFaults:    rotating,
 	}
 

@@ -83,11 +83,10 @@ type AdversaryConfig struct {
 	// suspicion raised against it counts in FalsePositives.
 	AmnesiaFraction float64
 
-	// Hedge turns on hedged gray reads with budget multiplier HedgeK
-	// (<=0: the default). RecordLatency routes reads through ServeReadGray
-	// and captures each granted read's modeled latency.
+	// RecordLatency runs the hedged-read model (gray.go) after every
+	// granted read and captures the read's modeled latency; Hedge lets the
+	// model send backup probes.
 	Hedge         bool
-	HedgeK        float64
 	RecordLatency bool
 
 	// Strategy (optional) is a randomized quorum strategy installed before
@@ -333,7 +332,6 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	if links != nil {
 		rt.EnableLinkFaults(links)
 	}
-	rt.ConfigureHedge(cfg.Hedge, cfg.HedgeK)
 	if cfg.Strategy != nil {
 		if err := rt.InstallStrategy(*cfg.Strategy, rt.NodeAssignment(0), rt.NodeVersion(0), strategyBudget, cfg.StrategySeed); err != nil {
 			panic("cluster: install scenario strategy: " + err.Error())
@@ -405,20 +403,44 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 		}
 	}
 
+	// grayRead models the latency of a granted read at x (RecordLatency):
+	// the peers its round could hear from at pt, against the read quorum
+	// x's copy holds less x's own votes.
+	var ests *linkEstimators
+	var peers []grayPeer
+	if cfg.RecordLatency {
+		ests = newLinkEstimators(cfg.Sites)
+	}
+	grayRead := func(x int, pt int64) int64 {
+		peers = grayPeers(peers[:0], mirror, links, x, pt)
+		need := rt.NodeAssignment(x).QR - mirror.Votes(x)
+		lat, _, probes, win := ests.read(x, need, peers, cfg.Hedge, hedgeK)
+		reg := rt.Observer()
+		if probes > 0 {
+			run.HedgeProbes += int64(probes)
+			reg.Add(obs.CHedgeProbe, int64(probes))
+		}
+		if win {
+			run.HedgeWins++
+			reg.Inc(obs.CHedgeWin)
+		}
+		if lat >= 0 {
+			reg.Observe(obs.HGrayReadSlots, lat)
+		}
+		return lat
+	}
+
 	value := int64(0)
 	doOp := func(t float64, pt int64, settling bool) {
 		site, read := ops.next(t)
 		votes := reachable(site, pt)
 		var out Outcome
 		if read {
-			if cfg.RecordLatency {
-				var gs GrayReadStats
-				out, gs = rt.ServeReadGray(site)
-				if !settling && out.Granted && gs.Latency >= 0 {
-					run.ReadLatencies = append(run.ReadLatencies, gs.Latency)
+			out = rt.ServeRead(site)
+			if cfg.RecordLatency && out.Granted {
+				if lat := grayRead(site, pt); !settling && lat >= 0 {
+					run.ReadLatencies = append(run.ReadLatencies, lat)
 				}
-			} else {
-				out = rt.ServeRead(site)
 			}
 		} else {
 			value++
@@ -658,7 +680,6 @@ func RunAdversary(rt Runtime, mirror *graph.State, cfg AdversaryConfig) *Adversa
 	if cfg.Strategy != nil {
 		run.Strategy = rt.StrategyCounters()
 	}
-	run.HedgeProbes, run.HedgeWins = rt.HedgeStats()
 	run.ViolationErr = run.Log.Check()
 	return run
 }

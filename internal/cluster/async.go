@@ -42,13 +42,26 @@ type Async struct {
 	// reachability; topology mutations take Lock.
 	topoMu sync.RWMutex
 	// opMu is the operation slot (enter): it serializes client operations
-	// and owns the coordinator's state above the node lock.
-	opMu  sync.Mutex
-	nodes []*asyncNode
-	wg    sync.WaitGroup
+	// and owns the coordinator's state above the node lock. exit and
+	// exitTimed are enter's two releases, bound once so that entering
+	// allocates nothing; start is when the timed operation in the slot
+	// began.
+	opMu            sync.Mutex
+	exit, exitTimed func()
+	start           time.Time
+	nodes           []*asyncNode
+	wg              sync.WaitGroup
 
-	msgs  atomic.Int64 // messages sent
-	inbox []msg        // the replies of the round in flight (under opMu)
+	msgs atomic.Int64 // messages sent
+
+	// The round in flight, under opMu and reused because rounds never
+	// overlap: the targets it reaches, the channel its replies land on (two
+	// per target at most, a request and its duplicate), the replies
+	// gathered from it, and the group that waits out its deliveries.
+	reach   []int
+	replies chan msg
+	inbox   []msg
+	done    sync.WaitGroup
 
 	// daemonStop, when non-nil, stops the background daemon goroutine
 	// started by StartDaemon; Close closes it.
@@ -79,7 +92,9 @@ type asyncMsg struct {
 
 // NewAsync starts one goroutine per site. Call Close to stop them.
 func NewAsync(st *graph.State, initial quorum.Assignment) (*Async, error) {
-	a := &Async{nodes: make([]*asyncNode, st.Graph().N())}
+	n := st.Graph().N()
+	a := &Async{nodes: make([]*asyncNode, n), replies: make(chan msg, 2*n)}
+	a.exit, a.exitTimed = a.opMu.Unlock, a.leaveTimed
 	for i := range a.nodes {
 		a.nodes[i] = &asyncNode{
 			// One operation is in flight at a time, so a node never has
@@ -185,14 +200,20 @@ func (a *Async) sent() int64 { return a.msgs.Load() }
 func (a *Async) enter(timed bool) (exit func()) {
 	if !timed {
 		a.opMu.Lock()
-		return a.opMu.Unlock
+		return a.exit
 	}
 	start := time.Now()
 	a.opMu.Lock()
-	return func() {
-		a.opMu.Unlock()
-		a.obs.Observe(obs.HOpNanos, time.Since(start).Nanoseconds())
-	}
+	a.start = start
+	return a.exitTimed
+}
+
+// leaveTimed is the timed exit: it releases the slot and records the
+// latency of the operation that held it.
+func (a *Async) leaveTimed() {
+	start := a.start
+	a.opMu.Unlock()
+	a.obs.Observe(obs.HOpNanos, time.Since(start).Nanoseconds())
 }
 
 func (a *Async) siteUp(x int) bool {
@@ -213,13 +234,13 @@ func (a *Async) unlock(x int) { a.nodes[x].mu.Unlock() }
 func (a *Async) reachable(x int, targets []int) []int {
 	a.topoMu.RLock()
 	defer a.topoMu.RUnlock()
-	var out []int
+	a.reach = a.reach[:0]
 	for _, p := range targets {
 		if p != x && a.st.SiteUp(x) && a.st.SiteUp(p) && a.st.SameComponent(x, p) {
-			out = append(out, p)
+			a.reach = append(a.reach, p)
 		}
 	}
-	return out
+	return a.reach
 }
 
 // admit decides the fate of one message in one direction: how many copies
@@ -299,16 +320,14 @@ func (n *asyncNode) enqueue(m asyncMsg) {
 // round ends when every admitted delivery has been processed.
 func (a *Async) exchange(x int, targets []int, req msg) ([]msg, int) {
 	reach := a.reachable(x, targets)
-	replies := make(chan msg, 2*len(reach))
-	var done sync.WaitGroup
 	for _, p := range reach {
 		copies, slots := a.admit(x, p, stageOf(req.tag))
 		if copies == 0 {
 			continue
 		}
-		m := asyncMsg{body: req, ack: &done}
+		m := asyncMsg{body: req, ack: &a.done}
 		if back, backSlots := a.admit(p, x, replyStage(req.tag)); back > 0 {
-			m.reply = replies
+			m.reply = a.replies
 			slots += backSlots
 			if back > copies {
 				copies = back
@@ -321,10 +340,10 @@ func (a *Async) exchange(x int, targets []int, req msg) ([]msg, int) {
 			a.deliver(p, m, slots)
 		}
 	}
-	done.Wait()
+	a.done.Wait()
 	a.inbox = a.inbox[:0]
-	for n := len(replies); n > 0; n-- {
-		a.inbox = append(a.inbox, <-replies)
+	for n := len(a.replies); n > 0; n-- {
+		a.inbox = append(a.inbox, <-a.replies)
 	}
 	got := int64(len(a.inbox))
 	a.msgs.Add(got)
@@ -336,14 +355,13 @@ func (a *Async) exchange(x int, targets []int, req msg) ([]msg, int) {
 // post fans m out to the reachable targets and returns once every admitted
 // copy has been processed.
 func (a *Async) post(x int, targets []int, m msg) {
-	var done sync.WaitGroup
 	for _, p := range a.reachable(x, targets) {
 		copies, slots := a.admit(x, p, stageOf(m.tag))
 		for ; copies > 0; copies-- {
-			a.deliver(p, asyncMsg{body: m, ack: &done}, slots)
+			a.deliver(p, asyncMsg{body: m, ack: &a.done}, slots)
 		}
 	}
-	done.Wait()
+	a.done.Wait()
 }
 
 // StartDaemon launches a background goroutine that sweeps DaemonStep over

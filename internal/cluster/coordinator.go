@@ -85,9 +85,6 @@ type coordinator struct {
 	// evaluates per message direction, and the one clock it is read at (see
 	// links.go).
 	links linkFaults
-	// gray holds the hedged-read configuration and the per-link latency
-	// estimators behind it (see gray.go).
-	gray *grayState
 	// obs, when non-nil, receives counters, histograms, and trace events
 	// (see obs.go); observation is write-only and never affects behaviour.
 	obs *obs.Registry
@@ -145,7 +142,6 @@ func (k *coordinator) init(tr transport, st *graph.State, initial quorum.Assignm
 	}
 	n := st.Graph().N()
 	k.tr, k.st = tr, st
-	k.gray = &grayState{hedgeK: 3, n: n}
 	k.all = make([]int, n)
 	k.disks = make([]*store.MemDisk, n)
 	for i := range k.all {

@@ -4,14 +4,15 @@ import (
 	"math"
 	"sort"
 
-	"quorumkit/internal/obs"
+	"quorumkit/internal/faults"
+	"quorumkit/internal/graph"
 	"quorumkit/internal/stats"
 )
 
 // Gray-failure layer: the slowdown rules of the runtime's
 // faults.LinkSchedule (links.go) stretch message round trips without
-// dropping anything, and a hedged read path spends extra probes to route
-// around the slowness.
+// dropping anything, and a model of hedged reads prices the extra probes
+// that route around the slowness.
 //
 // Enforcement differs by transport on purpose. The concurrent Async adds
 // the schedule's delay slots to real deliveries (heartbeat probes sleep
@@ -24,62 +25,91 @@ import (
 // therefore feed their detectors identical latency observations for
 // identical schedules, which is what the detector comparison needs.
 //
-// Hedged reads are modeled the same way: the coordinator's minimal quorum
-// is ordered by each peer's learned latency profile, every primary gets a
-// budget of mean + K·sigma slots, and a primary that overruns its budget
-// triggers a backup probe to the next-fastest spare site. First q_r vote
-// arrivals win. Hedging reuses the ordinary vote-collection messages and
-// the existing timestamps for idempotence — no new wire-visible message
-// types — so the model only decides *which* sites are asked and *when* the
-// round would have completed, never what the round returns.
+// Hedged reads are a model, and the scenario driver runs it (RunAdversary
+// with RecordLatency), not the runtime: the paper's accesses take no time,
+// so a read's latency exists only as a function of the schedule. After a
+// granted read the driver orders the peers its round could hear from by
+// each link's learned latency profile, gives every primary of the minimal
+// quorum a budget of mean + K·sigma slots, and lets a primary that overruns
+// its budget trigger a backup probe to the next-fastest spare site. First
+// q_r vote arrivals win. The round itself asked every site, so the model
+// only decides *which* sites a hedged client would have asked and *when*
+// its round would have completed, never what the round returns.
 
 // grayBaseRTT is the fault-free heartbeat round trip in delivery slots
 // (one slot per direction).
 const grayBaseRTT = 2
 
+// scheduleRTT is the modeled round trip of a probe from x to p and back at
+// schedule time t, in delivery slots: grayBaseRTT plus the schedule's
+// slowdown of each direction.
+func scheduleRTT(ls *faults.LinkSchedule, t int64, x, p int) int64 {
+	if ls == nil {
+		return grayBaseRTT
+	}
+	return grayBaseRTT + ls.Delay(t, x, p) + ls.Delay(t, p, x)
+}
+
 // grayEstWindow is the sliding-window size of the per-link latency
 // estimators that drive hedged-read routing and budgets.
 const grayEstWindow = 16
 
-// grayState is one runtime's hedged-read configuration, the per-link
-// latency estimators that drive it, and its totals. The estimators and
-// totals belong to the operation slot (DESIGN §18); the configuration is set
-// before serving.
-type grayState struct {
-	hedge  bool
-	hedgeK float64
-	n      int
-	est    []*stats.PhiEstimator // per (coordinator, peer) link, x*n+p, lazy
-	probes int64
-	wins   int64
+// hedgeK is the scenario driver's budget multiplier K: a primary is overdue
+// past ceil(mean + hedgeK·sigma) slots.
+const hedgeK = 1.5
+
+// linkEstimators are the scenario driver's per-link latency estimators, one
+// per (coordinator, peer) link, created on first use.
+type linkEstimators struct {
+	n   int
+	est []*stats.PhiEstimator // x*n+p
 }
 
-// estOf returns the link estimator for coordinator x observing peer p,
-// allocating it lazily.
-func (g *grayState) estOf(x, p int) *stats.PhiEstimator {
-	if g.est == nil { // n² slots, so only a runtime that serves gray reads pays for them
-		g.est = make([]*stats.PhiEstimator, g.n*g.n)
-	}
-	i := x*g.n + p
-	if g.est[i] == nil {
-		g.est[i] = stats.NewPhiEstimator(grayEstWindow)
-	}
-	return g.est[i]
+// newLinkEstimators sizes the table for n sites.
+func newLinkEstimators(n int) *linkEstimators {
+	return &linkEstimators{n: n, est: make([]*stats.PhiEstimator, n*n)}
 }
 
-// GrayReadStats describes the modeled latency of one gray read.
-type GrayReadStats struct {
-	// Latency is the modeled completion time of the round in delivery
-	// slots under the active hedging configuration (-1 when the round was
-	// not granted, so no completion exists to model).
-	Latency int64
-	// Unhedged is what the same round would have cost without backup
-	// probes; Latency == Unhedged when hedging is off.
-	Unhedged int64
-	// Probes is the number of backup probes the hedge issued.
-	Probes int
-	// Win reports whether hedging strictly beat the unhedged completion.
-	Win bool
+// of returns the estimator of coordinator x observing peer p.
+func (l *linkEstimators) of(x, p int) *stats.PhiEstimator {
+	i := x*l.n + p
+	if l.est[i] == nil {
+		l.est[i] = stats.NewPhiEstimator(grayEstWindow)
+	}
+	return l.est[i]
+}
+
+// read models one read at x that needs need votes from peers under budget
+// multiplier k: each peer's predicted round trip comes from its link's
+// estimator (grayBaseRTT ± 0.5 while cold), hedgeModel resolves the round,
+// and then every contacted round trip feeds the estimators — hedged and
+// unhedged runs learn the same profiles, so routing adapts equally.
+func (l *linkEstimators) read(x, need int, peers []grayPeer, hedge bool, k float64) (latency, unhedged int64, probes int, win bool) {
+	for i := range peers {
+		if est := l.of(x, peers[i].id); est.Ready() {
+			peers[i].mean, peers[i].sigma = est.Stats()
+		} else {
+			peers[i].mean, peers[i].sigma = grayBaseRTT, 0.5
+		}
+	}
+	latency, unhedged, probes, win = hedgeModel(need, peers, hedge, k)
+	for i := range peers {
+		l.of(x, peers[i].id).Observe(float64(peers[i].rtt))
+	}
+	return latency, unhedged, probes, win
+}
+
+// grayPeers appends to dst the peers a read at x can hear from at schedule
+// time pt — up on the mirror and uncut both ways — with the schedule's
+// round trip to each.
+func grayPeers(dst []grayPeer, mirror *graph.State, links *faults.LinkSchedule, x int, pt int64) []grayPeer {
+	for p := range mirror.Graph().N() {
+		if p == x || !mirror.SiteUp(p) || links.Blocked(pt, x, p) || links.Blocked(pt, p, x) {
+			continue
+		}
+		dst = append(dst, grayPeer{id: p, votes: mirror.Votes(p), rtt: scheduleRTT(links, pt, x, p)})
+	}
+	return dst
 }
 
 // grayPeer is one candidate responder in the hedge model.
@@ -182,83 +212,8 @@ func hedgeModel(need int, peers []grayPeer, hedge bool, k float64) (latency, unh
 	return latency, unhedged, probes, win
 }
 
-// ConfigureHedge switches hedged gray reads on or off and sets the budget
-// multiplier K (budget = mean + K·sigma slots; K<=0 keeps the default 3).
-func (k *coordinator) ConfigureHedge(on bool, mult float64) {
-	k.gray.hedge = on
-	if mult > 0 {
-		k.gray.hedgeK = mult
-	}
-}
-
 // graySlots is the extra delivery delay, in slots, that the link schedule
 // imposes on one x→p probe and its ack (0 without a schedule).
 func (k *coordinator) graySlots(x, p int) int {
 	return int(k.rtt(x, p) - grayBaseRTT)
-}
-
-// HedgeStats returns the cumulative (backup probes, hedge wins).
-func (k *coordinator) HedgeStats() (probes, wins int64) {
-	defer k.tr.enter(false)()
-	return k.gray.probes, k.gray.wins
-}
-
-// ServeReadGray runs ServeRead and models its completion latency under the
-// link schedule's slowdowns and the active hedging configuration.
-func (k *coordinator) ServeReadGray(x int) (Outcome, GrayReadStats) {
-	defer k.tr.enter(true)()
-	out := k.serve(x, false, 0)
-	gs := GrayReadStats{Latency: -1, Unhedged: -1}
-	if !out.Granted {
-		return out, gs
-	}
-	votes, self := k.view(x)
-	peers := make([]grayPeer, 0, len(k.all))
-	for _, p := range k.all {
-		if p == x || !k.tr.siteUp(p) {
-			continue
-		}
-		if k.cut(x, p) || k.cut(p, x) {
-			continue // cut either way: no round trip exists to hedge
-		}
-		peers = append(peers, grayPeer{id: p, votes: k.st.Votes(p), rtt: k.rtt(x, p)})
-	}
-	k.gray.observeRead(k.obs, &gs, self.QR-votes, peers, x)
-	return out, gs
-}
-
-// observeRead resolves the hedge model for one granted read at x over the
-// alive peers and records the outcome into the estimators, counters, and
-// obs registry.
-func (g *grayState) observeRead(reg *obs.Registry, gs *GrayReadStats, need int, peers []grayPeer, x int) {
-	for i := range peers {
-		est := g.estOf(x, peers[i].id)
-		if est.Ready() {
-			peers[i].mean, peers[i].sigma = est.Stats()
-		} else {
-			peers[i].mean, peers[i].sigma = grayBaseRTT, 0.5
-		}
-	}
-	lat, unhedged, probes, win := hedgeModel(need, peers, g.hedge, g.hedgeK)
-	gs.Latency, gs.Unhedged, gs.Probes, gs.Win = lat, unhedged, probes, win
-
-	// Every contacted round trip feeds the estimators — hedged and
-	// unhedged runs learn the same profiles, so routing adapts equally.
-	for i := range peers {
-		g.estOf(x, peers[i].id).Observe(float64(peers[i].rtt))
-	}
-	g.probes += int64(probes)
-	if win {
-		g.wins++
-	}
-
-	if probes > 0 {
-		reg.Add(obs.CHedgeProbe, int64(probes))
-	}
-	if win {
-		reg.Inc(obs.CHedgeWin)
-	}
-	if lat >= 0 {
-		reg.Observe(obs.HGrayReadSlots, lat)
-	}
 }

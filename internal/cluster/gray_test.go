@@ -173,69 +173,71 @@ func TestPhiMissCountCrosscheckOnDeath(t *testing.T) {
 
 // TestHedgedReadWinsAndAdapts: with one slow replica, a hedged read's
 // backup probe must beat waiting out the slow primary; and because every
-// contacted round trip feeds the latency estimators, repeated reads must
-// learn to route around the slow site entirely (no probes needed, base
-// latency).
+// contacted round trip feeds the scenario driver's link estimators, repeated
+// reads must learn to route around the slow site entirely (no probes
+// needed, base latency).
 func TestHedgedReadWinsAndAdapts(t *testing.T) {
 	ls := faults.NewLinkSchedule().AddSiteSlow(0, 1<<30, 1, 10, 0)
-	c := newGrayCluster(t, DetectorPhi, ls)
-	c.ConfigureHedge(true, 3)
-	c.SetPartitionTime(0)
-
-	out, gs := c.ServeReadGray(0)
-	if !out.Granted {
-		t.Fatalf("read not granted: %+v", out)
+	mirror := graph.NewState(graph.Complete(5), nil)
+	need := quorum.Majority(5).QR - mirror.Votes(0)
+	ests := newLinkEstimators(5)
+	var probes, wins int64
+	read := func(pt int64) (latency, unhedged int64, n int, win bool) {
+		latency, unhedged, n, win = ests.read(0, need, grayPeers(nil, mirror, ls, 0, pt), true, 3)
+		probes += int64(n)
+		if win {
+			wins++
+		}
+		return latency, unhedged, n, win
 	}
+
 	// Cold estimators order peers by id, so the slow site 1 is the one
 	// primary (q_r=2, self holds 1 vote). Its 22-slot round trip blows the
 	// ceil(2 + 3·0.5) = 4-slot budget; the spare lands at 4+2 = 6.
-	if !gs.Win || gs.Probes == 0 || gs.Latency >= gs.Unhedged {
-		t.Fatalf("first hedged read must win: %+v", gs)
+	lat, unhedged, n, win := read(0)
+	if !win || n == 0 || lat >= unhedged {
+		t.Fatalf("first hedged read must win: latency %d unhedged %d probes %d win %v", lat, unhedged, n, win)
 	}
-	if gs.Unhedged != 22 || gs.Latency != 6 {
-		t.Fatalf("modeled latencies wrong: %+v (want unhedged 22, hedged 6)", gs)
+	if unhedged != 22 || lat != 6 {
+		t.Fatalf("modeled latencies wrong: latency %d unhedged %d (want unhedged 22, hedged 6)", lat, unhedged)
 	}
 
 	for i := 0; i < 6; i++ {
-		c.SetPartitionTime(int64(1 + i))
-		_, gs = c.ServeReadGray(0)
+		lat, _, n, _ = read(int64(1 + i))
 	}
 	// The estimators have learned site 1's profile; routing now avoids it.
-	if gs.Probes != 0 || gs.Latency != grayBaseRTT {
-		t.Fatalf("routing failed to adapt around the slow replica: %+v", gs)
+	if n != 0 || lat != grayBaseRTT {
+		t.Fatalf("routing failed to adapt around the slow replica: latency %d probes %d", lat, n)
 	}
-	probes, wins := c.HedgeStats()
 	if probes == 0 || wins == 0 {
 		t.Fatalf("hedge accounting empty: probes=%d wins=%d", probes, wins)
 	}
 }
 
 // TestGrayObsByteStable extends the observability determinism guarantee
-// to the gray path: two identical gray runs (hedged reads, φ detector,
+// to the gray path: two identical scenario runs (hedged reads, φ detector,
 // heavy-tailed schedule) must render byte-identical Prometheus
-// expositions, including the new hedge/suspicion/late-ack counters and
-// the φ histogram.
+// expositions, including the hedge/suspicion/late-ack counters and the φ
+// histogram.
 func TestGrayObsByteStable(t *testing.T) {
 	run := func() []byte {
-		ls := faults.NewLinkSchedule().
-			AddSiteSlow(0, 100, 1, 10, 0).
-			SetHeavyTail(7, 0.2, 4, 30)
-		c := newGrayCluster(t, DetectorPhi, ls)
+		g := graph.Complete(5)
+		c, err := New(graph.NewState(g, nil), quorum.Majority(5))
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := obs.New()
 		c.SetObserver(r)
-		c.ConfigureHedge(true, 3)
-		value := int64(0)
-		for step := 0; step < 60; step++ {
-			c.SetPartitionTime(int64(step))
-			if step%2 == 0 {
-				for x := 0; x < 5; x++ {
-					c.DaemonStep(x)
-				}
-			}
-			c.ServeReadGray(step % 5)
-			value++
-			c.ServeWrite((step+1)%5, value)
-		}
+		health := DefaultHealthConfig()
+		health.Detector = DetectorPhi
+		RunAdversary(c, graph.NewState(g, nil), AdversaryConfig{
+			Seed: 1, Steps: 120, Sites: 5, Links: g.M(),
+			LinkFaults: faults.NewLinkSchedule().
+				AddSiteSlow(0, 100, 1, 10, 0).
+				SetHeavyTail(7, 0.2, 4, 30),
+			Daemon: true, Health: health,
+			Hedge: true, RecordLatency: true,
+		})
 		var buf bytes.Buffer
 		if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 			t.Fatal(err)

@@ -50,14 +50,10 @@ type Runtime interface {
 	Crashed() []int
 	ChaosCounters() stats.ChaosCounters
 
-	// Scheduled link faults (cuts and gray slowdowns) on one clock, and the
-	// hedged reads that route around the slowdowns.
+	// Scheduled link faults (cuts and gray slowdowns) on one clock.
 	EnableLinkFaults(ls *faults.LinkSchedule)
 	SetPartitionTime(t int64)
 	PartitionDrops() int64
-	ConfigureHedge(on bool, k float64)
-	ServeReadGray(x int) (Outcome, GrayReadStats)
-	HedgeStats() (probes, wins int64)
 
 	// Randomized-strategy serving (strategy.go).
 	InstallStrategy(st strategy.Strategy, assign quorum.Assignment, version int64, budget int, seed uint64) error

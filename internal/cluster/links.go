@@ -73,9 +73,5 @@ func (k *coordinator) partBlocked(from, to int) bool {
 // delivery slots: the fault-free grayBaseRTT plus the schedule's slowdown
 // of each direction right now.
 func (k *coordinator) rtt(x, p int) int64 {
-	if k.links.sched == nil {
-		return grayBaseRTT
-	}
-	now := k.links.now.Load()
-	return grayBaseRTT + k.links.sched.Delay(now, x, p) + k.links.sched.Delay(now, p, x)
+	return scheduleRTT(k.links.sched, k.links.now.Load(), x, p)
 }

@@ -104,6 +104,41 @@ func TestMessagePathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAsyncSlotZeroAlloc: the concurrent runtime's operation slot and its
+// scatter/gather round allocate nothing per operation once warm — neither
+// an accessor that takes the slot untimed nor a read, which takes it timed
+// and runs a round through the node goroutines.
+func TestAsyncSlotZeroAlloc(t *testing.T) {
+	a, err := NewAsync(graph.NewState(graph.Complete(5), nil), quorum.Majority(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.SetObserver(obs.New())
+	a.EnableSelfHealing(DefaultHealthConfig())
+	op := 0
+	read := func() {
+		if out := a.ServeRead(op % 5); !out.Granted {
+			t.Fatalf("read denied on a healthy cluster: %v", out.Err)
+		}
+		op++
+	}
+	for i := 0; i < 100; i++ { // warm-up: every buffer reaches its size
+		read()
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"HealthCounters", func() { a.HealthCounters() }},
+		{"ServeRead", read},
+	} {
+		if n := testing.AllocsPerRun(200, tc.f); n != 0 {
+			t.Errorf("Async.%s allocates %.1f objects per call, want 0", tc.name, n)
+		}
+	}
+}
+
 // forgedFroms are the senders a corrupted or forged reply can claim at a
 // 5-site cluster when it really comes from site 1: one past the last site,
 // the wire's 0xFFFFFFFF, and another (real) site.

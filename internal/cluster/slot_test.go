@@ -17,7 +17,6 @@ var slotExempt = map[string]string{
 	"EnableDiskChaos":    "configuration, called before serving starts",
 	"EnableSelfHealing":  "configuration, called before serving starts",
 	"EnableLinkFaults":   "configuration, called before serving starts",
-	"ConfigureHedge":     "configuration, called before serving starts",
 	"SetObserver":        "configuration, called before serving starts",
 	"DisablePersistence": "configuration, called before serving starts",
 	"Observer":           "returns the registry SetObserver installed, which serving never replaces",

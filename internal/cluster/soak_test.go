@@ -152,12 +152,12 @@ func TestSoakAsyncSelfHealing(t *testing.T) {
 
 // TestStartDaemonBackground exercises the deployment shape under the race
 // detector: the daemon goroutine sweeps while the test goroutine serves
-// reads, writes and gray reads through topology churn, and a harness
-// goroutine reads every counter set, recovers crashed nodes, wipes and
-// rejoins nodes and re-installs the strategy. A fault source, survivor
-// re-solves and hedging put every feature state in play. That state has no
-// lock but the operation slot, so an Async accessor that reads or replaces
-// it outside the slot races with the other two goroutines here.
+// reads and writes through topology churn, and a harness goroutine reads
+// every counter set, recovers crashed nodes, wipes and rejoins nodes and
+// re-installs the strategy. A fault source and survivor re-solves put every
+// feature state in play. That state has no lock but the operation slot, so
+// a coordinator operation that reads or replaces it outside the slot races
+// with the other two goroutines here.
 func TestStartDaemonBackground(t *testing.T) {
 	g := graph.Ring(9)
 	a, err := NewAsync(graph.NewState(g, nil), quorum.Majority(9))
@@ -169,7 +169,6 @@ func TestStartDaemonBackground(t *testing.T) {
 	h := DefaultHealthConfig()
 	h.Strategy = StrategyResolveConfig{Enabled: true, Resilience: 1}
 	a.EnableSelfHealing(h)
-	a.ConfigureHedge(true, 3)
 	st := advSeedStrategy(t)
 	install := func() {
 		if err := a.InstallStrategy(st, quorum.Majority(9), a.NodeVersion(0), 3, 5); err != nil {
@@ -196,16 +195,14 @@ func TestStartDaemonBackground(t *testing.T) {
 			for _, x := range a.Crashed() {
 				a.Recover(x)
 			}
-			switch i % 6 {
+			switch i % 5 {
 			case 0:
 				a.ChaosCounters()
 			case 1:
 				a.StrategyCounters()
 			case 2:
-				a.HedgeStats()
-			case 3:
 				a.HealthCounters()
-			case 4:
+			case 3:
 				a.WipeState(i % 9)
 				a.TryRejoin(i % 9)
 			default:
@@ -228,7 +225,7 @@ func TestStartDaemonBackground(t *testing.T) {
 		case 3:
 			a.ServeWrite(i%9, int64(i))
 		default:
-			a.ServeReadGray(i % 9)
+			a.ServeRead(i % 9)
 		}
 		// The harness's wipes and installs write what these read.
 		a.ChaosCounters()

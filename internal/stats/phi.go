@@ -17,7 +17,7 @@ import "math"
 // a dead one — the gray-failure case the fixed rule misclassifies.
 //
 // The estimator is a plain value type with no locking; callers serialize
-// access (the cluster health layer holds its own mutex). All state is a
+// access (in the cluster runtimes, the operation slot does). All state is a
 // pure function of the observation sequence, so deterministic runtimes get
 // deterministic φ values.
 type PhiEstimator struct {
