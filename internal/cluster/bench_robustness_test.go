@@ -112,17 +112,20 @@ func BenchmarkServeReadHealthy(b *testing.B) {
 
 // BenchmarkServeReadSampled times the read bench/ serves: the gated client
 // path on the bench's cluster (benchConfigCluster), where a read probes one
-// sampled quorum through the wire codec and the durable store.
+// sampled quorum through the wire codec and the durable store. It reports
+// the messages each read sends as msgs/op.
 func BenchmarkServeReadSampled(b *testing.B) {
 	c := benchConfigCluster(b)
 	c.ServeWrite(0, 42)
 	b.ReportAllocs()
+	sent := c.Stats().Sent
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if out := c.ServeRead(i % 9); out.Err != nil {
 			b.Fatal(out.Err)
 		}
 	}
+	b.ReportMetric(float64(c.Stats().Sent-sent)/float64(b.N), "msgs/op")
 }
 
 // BenchmarkGossipEstimates times the histogram exchange that feeds the

@@ -73,11 +73,14 @@ func (k OpKind) String() string {
 //	voteReply     from votes value stamp version qr qw — the peer's votes and
 //	              complete copy state
 //	syncState     value stamp version qr qw votesSeen — the coordinator's
-//	              merged view (newest assignment, freshest value) pushed to
-//	              every peer that answered, the paper's rule that a component
-//	              updates assignments and version vectors on contact; it also
-//	              carries the round's collected vote total so every participant
-//	              can record it for the §4.2 on-line density estimate
+//	              merged view (newest assignment, freshest value), the paper's
+//	              rule that a component updates assignments and version
+//	              vectors on contact. A component-wide round's push carries
+//	              its collected vote total, so it goes to every peer that
+//	              answered and each records it for the §4.2 on-line density
+//	              estimate; a strategy round's carries none and goes only to
+//	              the peers whose reply differed from the merged view (at a
+//	              current peer it would change nothing)
 //	applyWrite    value stamp wantAck — installs a new value; with wantAck (the
 //	              fault-hardened protocol, chaos.go) the peer confirms, and a
 //	              write commits only when acknowledged copies hold a write

@@ -225,10 +225,31 @@ func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, e
 	// The push also carries the round's vote total, so every participant
 	// records the §4.2 observation. Under a fault plan it is best-effort
 	// gossip; correctness never depends on it arriving.
-	sync := stateMsg(tagSyncState, eff)
-	sync.votesSeen = int32(votes)
-	k.tr.post(x, k.senders(replies), sync)
+	k.push(x, replies, eff, votes)
 	return replies, eff, votes, expected, support
+}
+
+// push sends the merged copy eff from x back to the senders of replies as a
+// syncState, the paper's rule that a component updates its copies on
+// contact. A push that carries a §4.2 observation (votesSeen > 0) goes to
+// every sender, since each one records it. Any other push goes only to the
+// senders whose reply differs from eff: at a current one Adopt is a no-op
+// and a zero-vote push records nothing, so skipping it leaves every copy
+// and every disk byte as they were. With no target left nothing is posted.
+// The targets go into the round's target scratch.
+func (k *coordinator) push(x int, replies []msg, eff quorum.Copy, votesSeen int) {
+	k.targets = k.targets[:0]
+	for i := range replies {
+		if votesSeen > 0 || replies[i].copy() != eff {
+			k.targets = append(k.targets, int(replies[i].from))
+		}
+	}
+	if len(k.targets) == 0 {
+		return
+	}
+	sync := stateMsg(tagSyncState, eff)
+	sync.votesSeen = int32(votesSeen)
+	k.tr.post(x, k.targets, sync)
 }
 
 // senders lists the sites a set of replies came from, in the round's

@@ -100,11 +100,12 @@ func (l *linkEstimators) read(x, need int, peers []grayPeer, hedge bool, k float
 }
 
 // grayPeers appends to dst the peers a read at x can hear from at schedule
-// time pt — up on the mirror and uncut both ways — with the schedule's
-// round trip to each.
+// time pt — up and in x's component on the mirror, and uncut both ways —
+// with the schedule's round trip to each.
 func grayPeers(dst []grayPeer, mirror *graph.State, links *faults.LinkSchedule, x int, pt int64) []grayPeer {
 	for p := range mirror.Graph().N() {
-		if p == x || !mirror.SiteUp(p) || links.Blocked(pt, x, p) || links.Blocked(pt, p, x) {
+		if p == x || !mirror.SiteUp(p) || !mirror.SameComponent(x, p) ||
+			links.Blocked(pt, x, p) || links.Blocked(pt, p, x) {
 			continue
 		}
 		dst = append(dst, grayPeer{id: p, votes: mirror.Votes(p), rtt: scheduleRTT(links, pt, x, p)})

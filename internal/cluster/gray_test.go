@@ -214,6 +214,20 @@ func TestHedgedReadWinsAndAdapts(t *testing.T) {
 	}
 }
 
+// TestGrayPeersSameComponent: a hedge candidate must be reachable in the
+// coordinator's graph component, not merely up and uncut by the link
+// schedule. On the path 0–1–2 with link 1–2 failed, site 2 is up but cut
+// off from 0, so a read at 0 can hear from site 1 alone.
+func TestGrayPeersSameComponent(t *testing.T) {
+	g := graph.Path(3)
+	mirror := graph.NewState(g, nil)
+	mirror.FailLink(g.EdgeIndex(1, 2))
+	peers := grayPeers(nil, mirror, nil, 0, 0)
+	if len(peers) != 1 || peers[0].id != 1 {
+		t.Fatalf("candidates %+v, want site 1 only", peers)
+	}
+}
+
 // TestGrayObsByteStable extends the observability determinism guarantee
 // to the gray path: two identical scenario runs (hedged reads, φ detector,
 // heavy-tailed schedule) must render byte-identical Prometheus

@@ -42,7 +42,9 @@ import (
 // Strategy rounds never feed the §4.2 estimator: their vote totals are
 // whatever the sampler targeted, not an unbiased sample of the component,
 // so recording them would bias the on-line density the daemon optimizes
-// over. The heartbeat probes remain the only fixed-rate sample.
+// over. The heartbeat probes remain the only fixed-rate sample. Their sync
+// push therefore carries no observation, and so it goes only to the members
+// whose reply differed from the merged copy (coordinator.push).
 //
 // Re-solving under adversity: when HealthConfig.Strategy.Enabled is set,
 // every daemon reassignment attempt is followed by a survivor-restricted
@@ -353,7 +355,11 @@ func (k *coordinator) strategyServe(x int, write bool, value int64) (Outcome, bo
 // away or amnesiac counts as unanswered. newer reports
 // that a reply carried an assignment version beyond the installed one
 // (adopted into x before returning). The round never feeds the §4.2
-// estimator: its sync push carries votesSeen 0.
+// estimator: its sync push carries votesSeen 0. A granted read pushes the
+// merged copy only to the members whose reply differs from it, and posts
+// nothing when every member is current: a current member's Adopt is a
+// no-op and a zero-vote push records no observation, so the copies and
+// disk bytes of every site end the round as they would with a push to all.
 func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, write bool, value int64) (val, stamp int64, granted, newer bool) {
 	op := OpRead
 	if write {
@@ -393,7 +399,7 @@ func (k *coordinator) strategyRound(x int, q strategy.Quorum, version int64, wri
 		}
 		self.syncStore()
 		k.tr.unlock(x)
-		k.tr.post(x, q, stateMsg(tagSyncState, eff))
+		k.push(x, replies, eff, 0)
 		return eff.Value, eff.Stamp, true, false
 	}
 	stamp = eff.Stamp + 1

@@ -11,6 +11,7 @@ import (
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
 	"quorumkit/internal/stats"
+	"quorumkit/internal/store"
 	"quorumkit/internal/strategy"
 	"quorumkit/internal/workload"
 )
@@ -77,6 +78,105 @@ func TestStrategyServeSampledQuorums(t *testing.T) {
 	}
 	if ct.Resamples != 0 || ct.Fallbacks != 0 || ct.StaleFallbacks != 0 {
 		t.Fatalf("healthy cluster must never redraw or fall back: %+v", ct)
+	}
+}
+
+// TestSampledReadMessageBudget pins what a granted sampled read sends, on
+// both runtimes: a vote request and a reply per quorum member other than
+// the coordinator, plus one syncState per member whose reply was stale. On
+// a healthy cluster that is the whole budget and no store moves. After a
+// write over a quorum that leaves member 4 behind, the read that samples
+// 4 pushes to it alone; 4 adopts the merged copy, its next reply's sync
+// barrier seals it, and a crash of its disk recovers it.
+func TestSampledReadMessageBudget(t *testing.T) {
+	const x, stale = 0, 4
+	st := strategy.Strategy{
+		ReadQuorums: []strategy.Quorum{{3, stale}}, ReadProbs: []float64{1},
+		WriteQuorums: []strategy.Quorum{{0, 1, 2, 3}}, WriteProbs: []float64{1},
+	}
+	runtimes := []struct {
+		name string
+		make func(*graph.State) (Runtime, *coordinator, func())
+	}{
+		{"Cluster", func(gs *graph.State) (Runtime, *coordinator, func()) {
+			c, err := New(gs, quorum.Majority(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, &c.coordinator, func() {}
+		}},
+		{"Async", func(gs *graph.State) (Runtime, *coordinator, func()) {
+			a, err := NewAsync(gs, quorum.Majority(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a, &a.coordinator, a.Close
+		}},
+	}
+	for _, r := range runtimes {
+		t.Run(r.name, func(t *testing.T) {
+			rt, k, done := r.make(graph.NewState(graph.Complete(5), nil))
+			defer done()
+			if err := rt.InstallStrategy(st, quorum.Majority(5), rt.NodeVersion(x), 1, 7); err != nil {
+				t.Fatal(err)
+			}
+			stores := func() (out []store.Counters) {
+				for i := range k.all {
+					out = append(out, k.tr.lock(i).store.Counters())
+					k.tr.unlock(i)
+				}
+				return out
+			}
+			copyAt := func(i int) quorum.Copy {
+				_, c := k.view(i)
+				return c
+			}
+			// 2·|q∖{x}| = 4 messages, plus the pushes.
+			read := func(what string, pushes int64) {
+				t.Helper()
+				sampled, sent := rt.StrategyCounters().SampledReads, k.tr.sent()
+				if out := rt.ServeRead(x); !out.Granted {
+					t.Fatalf("%s: read denied: %+v", what, out)
+				}
+				if got := rt.StrategyCounters().SampledReads - sampled; got != 1 {
+					t.Fatalf("%s: %d sampled reads, want 1", what, got)
+				}
+				if got, want := k.tr.sent()-sent, 4+pushes; got != want {
+					t.Fatalf("%s: sent %d messages, want %d", what, got, want)
+				}
+			}
+
+			before := stores()
+			read("healthy", 0)
+			if after := stores(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a healthy sampled read moved store counters: %+v -> %+v", before, after)
+			}
+
+			if out := rt.ServeWrite(x, 42); !out.Granted {
+				t.Fatalf("write denied: %+v", out)
+			}
+			merged := copyAt(3)
+			if copyAt(stale) == merged {
+				t.Fatal("the write reached the member it was meant to leave stale")
+			}
+			before = stores()
+			read("stale member", 1)
+			if got := copyAt(stale); got != merged {
+				t.Fatalf("stale member holds %+v after the read, want %+v", got, merged)
+			}
+			if d := stores()[stale].Appends - before[stale].Appends; d != 1 {
+				t.Fatalf("stale member appended %d records, want 1", d)
+			}
+
+			read("repaired", 0)
+			rep := k.tr.lock(stale)
+			rep.store.Crash()
+			got, _, err := rep.store.Recover()
+			k.tr.unlock(stale)
+			if err != nil || got != merged {
+				t.Fatalf("stale member recovered %+v (%v), want %+v", got, err, merged)
+			}
+		})
 	}
 }
 
