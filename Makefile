@@ -169,7 +169,7 @@ bench-solver:
 # serve-* workloads, and churn-resolve's for the re-solve.
 bench-serve:
 	$(GO) test ./internal/cluster -run xxx \
-		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|CodecVoteReply|WriteDurable' \
+		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|DaemonAttempt|GossipEstimates|CodecVoteReply|WriteDurable' \
 		-benchmem -count 3
 
 # The simulator twin: ns/op and allocs/op of one paper-study cell exactly as

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +30,10 @@ import (
 // How the fault plan maps onto a real concurrent transport: a dropped
 // request is never delivered; a dropped reply leaves the request delivered
 // (the peer's state changes!) with nowhere to answer; a duplicate is
-// delivered twice (coordinators dedup by sender); a delay is forwarded by a
-// goroutine after delay×tick of real time; and since arrival order is
-// already nondeterministic here, a reorder is modeled as one extra delay
-// slot. Message-level counters therefore legitimately differ from the
+// delivered twice (coordinators dedup by sender); a delayed copy is held by
+// its destination's goroutine for delay×tick of real time; and since arrival
+// order is already nondeterministic here, a reorder is modeled as one extra
+// delay slot. Message-level counters therefore legitimately differ from the
 // deterministic runtime's, while every decision — a function of the
 // delivered message set, never of arrival order — is identical under
 // delay-free plans (see the cross-check tests).
@@ -79,15 +80,28 @@ type asyncNode struct {
 	rep   replica
 	inbox chan asyncMsg
 	quit  chan struct{}
+	// held and timer belong to the node's goroutine: the delayed copies it
+	// holds until due, in due order, and the one timer, reused, that wakes
+	// it when the earliest falls due.
+	held  []heldMsg
+	timer *time.Timer
 }
 
 // asyncMsg is one delivery: the message (tag 0 for a pure barrier), where to
-// put the reply when the sender awaits one, and the group to release once
-// the delivery has been processed.
+// put the reply when the sender awaits one, the group to release once the
+// delivery has been processed, and how long the destination holds it before
+// processing it (0: on arrival).
 type asyncMsg struct {
 	body  msg
 	reply chan<- msg
 	ack   *sync.WaitGroup
+	delay time.Duration
+}
+
+// heldMsg is a delayed copy and the time it falls due.
+type heldMsg struct {
+	due time.Time
+	m   asyncMsg
 }
 
 // NewAsync starts one goroutine per site. Call Close to stop them.
@@ -102,7 +116,9 @@ func NewAsync(st *graph.State, initial quorum.Assignment) (*Async, error) {
 			// a fan-out from blocking on a node that is still busy.
 			inbox: make(chan asyncMsg, 64),
 			quit:  make(chan struct{}),
+			timer: time.NewTimer(time.Hour),
 		}
+		a.nodes[i].timer.Stop() // armed by the first delayed copy
 	}
 	a.tick = asyncChaosTick
 	if err := a.init(a, st, initial); err != nil {
@@ -129,33 +145,85 @@ func (a *Async) Close() {
 	a.wg.Wait()
 }
 
-// run is site i's goroutine: hand each delivery to the replica under the
-// node lock, route its reply, and release the sender's group. As in the
-// deterministic transport, a reply that claims a sender other than the site
-// it comes from is lost rather than gathered.
+// run is site i's goroutine: process each delivery on arrival, or hold a
+// delayed one until it falls due, and on shutdown release what it still
+// holds or has queued unprocessed, so no sender waits on a stopped node.
 func (a *Async) run(i int) {
 	defer a.wg.Done()
 	n := a.nodes[i]
 	for {
 		select {
 		case <-n.quit:
-			return
-		case m := <-n.inbox:
-			if m.body.tag != 0 {
-				var reply msg
-				n.mu.Lock()
-				n.rep.receive(&m.body, &reply)
-				n.mu.Unlock()
-				switch {
-				case reply.tag == 0 || m.reply == nil:
-				case int(reply.from) != i:
-					a.obs.Inc(obs.CMsgDropped)
+			n.timer.Stop()
+			for _, h := range n.held {
+				h.m.ack.Done()
+			}
+			n.held = nil
+			for {
+				select {
+				case m := <-n.inbox:
+					m.ack.Done()
 				default:
-					m.reply <- reply
+					return
 				}
 			}
-			m.ack.Done()
+		case m := <-n.inbox:
+			if m.delay > 0 {
+				n.hold(m)
+				continue
+			}
+			a.process(i, &m)
+		case <-n.timer.C:
+			// A wake-up may be early (a tick left over from a reset), so
+			// only what is due is taken.
+			now := time.Now()
+			for len(n.held) > 0 && !n.held[0].due.After(now) {
+				m := n.held[0].m
+				n.held = slices.Delete(n.held, 0, 1)
+				a.process(i, &m)
+			}
+			if len(n.held) > 0 {
+				n.timer.Reset(n.held[0].due.Sub(now))
+			}
 		}
+	}
+}
+
+// process hands one delivery to site i's replica under the node lock,
+// routes its reply, and releases the sender's group. As in the
+// deterministic transport, a reply that claims a sender other than the site
+// it comes from is lost rather than gathered.
+func (a *Async) process(i int, m *asyncMsg) {
+	if m.body.tag != 0 {
+		var reply msg
+		n := a.nodes[i]
+		n.mu.Lock()
+		n.rep.receive(&m.body, &reply)
+		n.mu.Unlock()
+		switch {
+		case reply.tag == 0 || m.reply == nil:
+		case int(reply.from) != i:
+			a.obs.Inc(obs.CMsgDropped)
+		default:
+			m.reply <- reply
+		}
+	}
+	m.ack.Done()
+}
+
+// hold adds a delayed copy to the node's held list, kept in due order, and
+// resets the timer when the copy is the earliest due. Rounds never overlap,
+// so a node holds at most the copies of one round, and a linear insert is
+// all the ordering needs.
+func (n *asyncNode) hold(m asyncMsg) {
+	due := time.Now().Add(m.delay)
+	i := len(n.held)
+	for i > 0 && due.Before(n.held[i-1].due) {
+		i--
+	}
+	n.held = slices.Insert(n.held, i, heldMsg{due: due, m: m})
+	if i == 0 {
+		n.timer.Reset(m.delay)
 	}
 }
 
@@ -274,9 +342,10 @@ func (a *Async) admit(from, to int, stage uint8) (copies, slots int) {
 	return copies, slots
 }
 
-// deliver hands one message copy to peer p, after slots ticks of real delay
-// when positive. A delayed copy is forwarded by a goroutine; either way the
-// copy is released unprocessed if the runtime shuts down first.
+// deliver hands one message copy to peer p, which processes it slots ticks
+// of real time after it arrives when slots is positive (run holds it until
+// then). Either way the copy is released unprocessed if the runtime shuts
+// down first.
 func (a *Async) deliver(p int, m asyncMsg, slots int) {
 	// Sent and delivered are counted together: the transport call does not
 	// return before the copy has been processed.
@@ -284,21 +353,10 @@ func (a *Async) deliver(p int, m asyncMsg, slots int) {
 	a.obs.Inc(obs.CMsgSent)
 	a.obs.Inc(obs.CMsgDelivered)
 	m.ack.Add(1)
-	n := a.nodes[p]
-	if slots <= 0 {
-		n.enqueue(m)
-		return
+	if slots > 0 {
+		m.delay = time.Duration(slots) * a.tick
 	}
-	go func() {
-		t := time.NewTimer(time.Duration(slots) * a.tick)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			n.enqueue(m)
-		case <-n.quit:
-			m.ack.Done()
-		}
-	}()
+	a.nodes[p].enqueue(m)
 }
 
 // enqueue puts one delivery in the node's inbox, or releases it unprocessed

@@ -12,12 +12,12 @@ import (
 // fan-out), and the self-healing daemon's detector tick. The end-to-end
 // benchmark (bench/) times the same paths under a served workload.
 
-func benchCluster(b *testing.B, sites int) *Cluster {
-	b.Helper()
+func benchCluster(tb testing.TB, sites int) *Cluster {
+	tb.Helper()
 	g := graph.Ring(sites)
 	c, err := New(graph.NewState(g, nil), quorum.Majority(sites))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
@@ -62,19 +62,46 @@ func BenchmarkDaemonStep(b *testing.B) {
 	}
 }
 
-// BenchmarkDaemonStepDegraded times the tick on a partitioned ring, where
-// the detector is accruing misses and the node sits below its write
-// quorum — the worst-case bookkeeping path.
-func BenchmarkDaemonStepDegraded(b *testing.B) {
-	c := benchCluster(b, 9)
+// degradedCluster is a 9-site ring cut into pieces (links 0 and 4 down,
+// site 6 down) with self-healing on: every node suspects peers and sits
+// below its write quorum.
+func degradedCluster(tb testing.TB) *Cluster {
+	c := benchCluster(tb, 9)
 	c.EnableSelfHealing(DefaultHealthConfig())
 	c.FailLink(0)
 	c.FailLink(4)
 	c.FailSite(6)
+	return c
+}
+
+// BenchmarkDaemonStepDegraded times the tick on a partitioned ring, where
+// the detector is accruing misses and the node sits below its write
+// quorum — the worst-case bookkeeping path.
+func BenchmarkDaemonStepDegraded(b *testing.B) {
+	c := degradedCluster(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.DaemonStep(i % 3)
+	}
+}
+
+// TestDaemonStepDegradedAllocs: a tick that reports suspects allocates its
+// report's list once, at its final size, and nothing else.
+func TestDaemonStepDegradedAllocs(t *testing.T) {
+	c := degradedCluster(t)
+	op := 0
+	step := func() {
+		if rep := c.DaemonStep(op % 3); len(rep.Suspected) == 0 && op >= 30 {
+			t.Fatal("a tick on the cut ring suspects no one")
+		}
+		op++
+	}
+	for i := 0; i < 30; i++ { // warm-up: the detector's misses accrue to suspicion
+		step()
+	}
+	if n := testing.AllocsPerRun(300, step); n > 1 {
+		t.Fatalf("a degraded tick allocates %.2f objects, want at most 1", n)
 	}
 }
 
@@ -144,5 +171,31 @@ func BenchmarkGossipEstimates(b *testing.B) {
 		if _, err := c.gossipEstimates(i % 9); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDaemonAttempt times one triggered daemon attempt at memo-hit
+// steady state on the bench's cluster (benchConfigCluster), as daemonDecide
+// runs it: the §4.3 loop (gossip the histograms, rebuild the Figure-1
+// model, a collect round for the assignment in force, the install rule)
+// and the survivor re-solve, whose survivor sets cycle over a fixed few so
+// every lap after the first re-arms a stored sampler.
+func BenchmarkDaemonAttempt(b *testing.B) {
+	c := benchConfigCluster(b)
+	for i := 0; i < 50; i++ { // histograms to gossip
+		c.ServeRead(i % 9)
+	}
+	h := c.health.cfg
+	edges := [][]int{{8}, {2, 5}, nil, {1}, {4, 7}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.reassignOptimal(0, h.Alpha, h.Hysteresis); err != nil {
+			b.Fatal(err)
+		}
+		c.strategyResolve(0, edges[i%len(edges)])
+	}
+	if ct := c.StrategyCounters(); ct.ResolveFails != 0 {
+		b.Fatalf("a survivor set lost its f = 1 strategy: %v", ct)
 	}
 }

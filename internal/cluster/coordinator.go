@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"quorumkit/internal/core"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
@@ -89,13 +90,21 @@ type coordinator struct {
 	// (see obs.go); observation is write-only and never affects behaviour.
 	obs *obs.Registry
 
+	// votes is every site's vote count, fixed for the runtime's life (the
+	// graph.State it is read from has no setter).
+	votes []int
+
 	// Per-round scratch, reused because rounds are serialized (one goroutine
 	// in the deterministic runtime, the operation slot in the concurrent
 	// one) and none of it outlives the round that filled it: the set of
-	// senders already counted, a target list, and the heartbeat round trips.
+	// senders already counted, a target list, the heartbeat round trips,
+	// and the §4.3 attempt's gossiped estimator and the Figure-1 model
+	// rebuilt from it (estimate.go).
 	seen    bitset
 	targets []int
 	rtts    []int64
+	est     *core.Estimator
+	model   core.Model
 }
 
 // bitset is a set of site ids.
@@ -142,10 +151,10 @@ func (k *coordinator) init(tr transport, st *graph.State, initial quorum.Assignm
 	}
 	n := st.Graph().N()
 	k.tr, k.st = tr, st
-	k.all = make([]int, n)
+	k.all, k.votes = make([]int, n), make([]int, n)
 	k.disks = make([]*store.MemDisk, n)
 	for i := range k.all {
-		k.all[i] = i
+		k.all[i], k.votes[i] = i, st.Votes(i)
 		k.disks[i] = store.NewMemDisk()
 		r := tr.lock(i)
 		*r = replica{id: i, votes: st.Votes(i), bins: st.TotalVotes() + 1,

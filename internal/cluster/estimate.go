@@ -27,13 +27,19 @@ func (k *coordinator) effectiveAssignment(x int) (quorum.Assignment, int64, bool
 
 // gossipEstimates runs a histogram-collection round from node x and
 // assembles a network-wide estimator from x's own row and the rows of the
-// peers that answered; each site contributes once.
+// peers that answered; each site contributes once. The estimator is the
+// coordinator's round scratch (k.est), valid until the next gossip round.
 func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 	if !k.tr.siteUp(x) {
 		return nil, fmt.Errorf("cluster: gossip: node %d is down", x)
 	}
 	T := k.st.TotalVotes()
-	est := core.NewEstimator(len(k.all), T)
+	if k.est == nil {
+		k.est = core.NewEstimator(len(k.all), T)
+	} else {
+		k.est.Reset()
+	}
+	est := k.est
 	self := k.tr.lock(x)
 	for v, w := range self.hist {
 		if w > 0 && v <= T {
@@ -53,17 +59,17 @@ func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 }
 
 // optimizeLocal runs the Figure-1 algorithm at node x from gossiped
-// estimates.
+// estimates. The model is rebuilt in the coordinator's round scratch
+// (k.model), so it is valid until the next gossip round.
 func (k *coordinator) optimizeLocal(x int, alpha float64) (core.Model, core.Result, error) {
 	est, err := k.gossipEstimates(x)
 	if err != nil {
 		return core.Model{}, core.Result{}, err
 	}
-	model, err := est.Model(nil, nil)
-	if err != nil {
+	if err := est.UniformModelInto(&k.model); err != nil {
 		return core.Model{}, core.Result{}, err
 	}
-	return model, model.Optimize(alpha), nil
+	return k.model, k.model.Optimize(alpha), nil
 }
 
 // reassignOptimal performs the full §4.3 loop at node x: gossip the

@@ -439,9 +439,20 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	reachable, _ := k.applyAcks(x, acks, rtts, assign, selfVotes)
 
 	rep := DaemonReport{Node: x, Mode: v.mode, ReachableVotes: reachable}
-	for p, s := range v.suspected {
+	// The report outlives the tick, so it gets its own list: one allocation
+	// at its final size, none when nothing is suspected.
+	suspects := 0
+	for _, s := range v.suspected {
 		if s {
-			rep.Suspected = append(rep.Suspected, p)
+			suspects++
+		}
+	}
+	if suspects > 0 {
+		rep.Suspected = make([]int, 0, suspects)
+		for p, s := range v.suspected {
+			if s {
+				rep.Suspected = append(rep.Suspected, p)
+			}
 		}
 	}
 

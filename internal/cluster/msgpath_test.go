@@ -104,6 +104,63 @@ func TestMessagePathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDaemonAttemptAllocs holds the daemon attempt's rebuilt parts at zero
+// allocations once warm, on the bench's cluster (wire mode on): a memo-hit
+// survivor re-solve re-arms the stored sampler, and the §4.2 gossip round
+// decodes every histogram reply in place into the coordinator's reused
+// estimator. The whole attempt — with the §4.3 model rebuild and the
+// collect round, whose store appends compact now and then — stays under
+// one allocation per call.
+func TestDaemonAttemptAllocs(t *testing.T) {
+	c := benchConfigCluster(t)
+	for i := 0; i < 50; i++ { // histograms to gossip
+		c.ServeRead(i % 9)
+	}
+	h := c.health.cfg
+	edges := [][]int{{8}, {2, 5}, nil, {1}, {4, 7}}
+	op := 0
+	resolve := func() {
+		c.strategyResolve(0, edges[op%len(edges)])
+		op++
+	}
+	gossip := func() {
+		if _, err := c.gossipEstimates(op % 9); err != nil {
+			t.Fatal(err)
+		}
+		op++
+	}
+	attempt := func() {
+		if _, err := c.reassignOptimal(0, h.Alpha, h.Hysteresis); err != nil {
+			t.Fatal(err)
+		}
+		resolve()
+	}
+	for i := 0; i < 50; i++ { // warm-up: every key stored, every buffer grown
+		attempt()
+		gossip()
+	}
+	solves := c.StrategyCounters().ResolveSolves
+	for _, tc := range []struct {
+		name string
+		f    func()
+		max  float64
+	}{
+		{"memo-hit strategyResolve", resolve, 0},
+		{"gossipEstimates", gossip, 0},
+		{"attempt", attempt, 0.99},
+	} {
+		if n := testing.AllocsPerRun(200, tc.f); n > tc.max {
+			t.Errorf("%s allocates %.2f objects per call, want at most %.2f", tc.name, n, tc.max)
+		}
+	}
+	if ct := c.StrategyCounters(); ct.ResolveSolves != solves || ct.Resolves == 0 {
+		t.Fatalf("the re-solves were not memo hits: %+v, %d solves before", ct, solves)
+	}
+	if c.Stats().Sent == 0 {
+		t.Fatal("no round ran")
+	}
+}
+
 // TestAsyncSlotZeroAlloc: the concurrent runtime's operation slot and its
 // scatter/gather round allocate nothing per operation once warm — neither
 // an accessor that takes the slot untimed nor a read, which takes it timed
@@ -137,7 +194,51 @@ func TestAsyncSlotZeroAlloc(t *testing.T) {
 			t.Errorf("Async.%s allocates %.1f objects per call, want 0", tc.name, n)
 		}
 	}
+
+	// Delayed copies: under a source that delays every message on both
+	// legs, each copy is held by its destination's goroutine on the node's
+	// one timer, so a read allocates exactly what the same read allocates
+	// under a source that delays nothing (the hardened round's own
+	// allocations): 0 per delayed copy.
+	perRead := func(src faults.Source) (allocs float64, delayed int64) {
+		d, err := NewAsync(graph.NewState(graph.Complete(5), nil), quorum.Majority(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		d.EnableChaos(src)
+		read := func() {
+			if out := d.ServeRead(op % 5); !out.Granted {
+				t.Fatalf("read denied on a healthy cluster: %v", out.Err)
+			}
+			op++
+		}
+		for i := 0; i < 20; i++ { // warm-up: every heap and buffer reaches its size
+			read()
+		}
+		allocs = testing.AllocsPerRun(50, read)
+		return allocs, d.ChaosCounters().MsgDelayed
+	}
+	undelayed, _ := perRead(delayEvery{slots: 0})
+	withDelays, copies := perRead(delayEvery{slots: 1})
+	if copies == 0 {
+		t.Fatal("no copy was delayed")
+	}
+	if withDelays != undelayed {
+		t.Errorf("a read whose every copy is delayed allocates %.1f objects, the same read undelayed %.1f: want 0 per delayed copy",
+			withDelays, undelayed)
+	}
 }
+
+// delayEvery is a fault source that delays every message by slots and
+// injects nothing else.
+type delayEvery struct{ slots int }
+
+func (d delayEvery) Message(uint64, uint8, int, int, int) faults.Decision {
+	return faults.Decision{Delay: d.slots}
+}
+func (delayEvery) Crash(uint64, int) (faults.CrashPoint, int) { return faults.NoCrash, 0 }
+func (delayEvery) Jitter(uint64, int) float64                 { return 0 }
 
 // forgedFroms are the senders a corrupted or forged reply can claim at a
 // 5-site cluster when it really comes from site 1: one past the last site,

@@ -23,6 +23,9 @@ type replica struct {
 	// until the first observation; bins is T+1, its length once allocated.
 	hist []float64
 	bins int
+	// row is the copy of hist a histReply carries, refilled per request:
+	// the reply allocates nothing and never shares the live histogram.
+	row []float64
 
 	store    *store.NodeStore // durable state; nil when persistence is off
 	amnesiac bool             // durable state lost; must rejoin by state sync
@@ -68,7 +71,8 @@ func (r *replica) receive(m, reply *msg) {
 		}
 		reply.tag, reply.from = tagHistReply, int32(r.id)
 		if r.hist != nil {
-			reply.weights = append([]float64(nil), r.hist...)
+			r.row = append(r.row[:0], r.hist...)
+			reply.weights = r.row
 		}
 	case tagHeartbeat:
 		if r.amnesiac {

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"quorumkit/internal/graph"
@@ -225,4 +227,107 @@ func TestResolveMemoCap(t *testing.T) {
 			len(c.health.memo), ct.ResolveSolves, resolveMemoCap, 2*sets-resolveMemoCap)
 	}
 	checkMemo(t, &c.coordinator)
+}
+
+// TestResolveMemoHitMatchesFreshInstall holds a memo hit, which re-arms the
+// sampler stored with the entry, to what the daemon did before entries held
+// one: solve cold and install — validate, canonicalize, build — on every
+// attempt. Step by step over repeated survivor sets, an infeasible one, a
+// change of thresholds and an entry whose stored strategy fails validation,
+// the runtime and a reference state fed that way (written out here, sharing
+// no install code with the runtime) arm equal samplers or degrade alike,
+// draw the same read and write quorums from the same RNG stream, and count
+// the same Installs, Resolves and ResolveFails; the runtime solves once per
+// distinct key.
+func TestResolveMemoHitMatchesFreshInstall(t *testing.T) {
+	c := benchConfigCluster(t)
+	cfg, votes := c.health.cfg, c.voteVector()
+	ref := &strategyState{counters: c.strat.counters}
+	src := *c.strat.src
+	ref.src = &src
+
+	// Two outcomes stored as a solve stores them, at Majority(9): under
+	// suspects {3} a strategy the votes cannot carry (one-site quorums), so
+	// every hit of that key must degrade; under {6} a valid strategy out of
+	// canonical order, with a zero-probability quorum, so the stored sampler
+	// must be built from its canonical form.
+	maj := quorum.Majority(9)
+	injected := map[int]strategy.Strategy{
+		3: {
+			ReadQuorums: []strategy.Quorum{{0}}, ReadProbs: []float64{1},
+			WriteQuorums: []strategy.Quorum{{0, 1, 2, 3, 4}}, WriteProbs: []float64{1},
+		},
+		6: {
+			ReadQuorums: []strategy.Quorum{{2, 3, 7, 8}, {0, 1, 4, 5}, {0, 2, 4, 7}}, ReadProbs: []float64{0.5, 0.5, 0},
+			WriteQuorums: []strategy.Quorum{{1, 2, 3, 4, 5, 7}, {0, 1, 2, 4, 5, 8}}, WriteProbs: []float64{0.25, 0.75},
+		},
+	}
+	for p, st := range injected {
+		key := resolveKey{survivors: string(survivorMask(nil, 9, []int{p})), qr: maj.QR, qw: maj.QW}
+		c.health.memo[key] = newResolved(st, votes, maj)
+	}
+	keys := map[string]bool{}
+
+	steps := [][]int{{8}, {2, 5}, nil, {8}, {3}, {0, 1, 2, 3}, {6}, {2, 5}, {3}, {6}, nil, {0, 1, 2, 3}}
+	for lap := 0; lap < 2; lap++ {
+		if lap == 1 {
+			if err := c.Reassign(0, quorum.Assignment{QR: 3, QW: 7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, sus := range steps {
+			_, s := c.view(0)
+			c.strategyResolve(0, sus)
+
+			// The reference: today's cold path for the same key.
+			var sites []int
+			for p := 0; p < 9; p++ {
+				if !slices.Contains(sus, p) {
+					sites = append(sites, p)
+				}
+			}
+			keys[fmt.Sprint(sites, s.QR, s.QW)] = true
+			st, err := coldSolve(cfg, votes, sites, s.QR, s.QW)
+			if len(sus) == 1 && s.Assignment() == maj {
+				if inj, ok := injected[sus[0]]; ok {
+					st, err = inj, nil // the stored outcome, installed afresh
+				}
+			}
+			if err == nil {
+				ones := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+				err = st.Validate(strategy.System{Votes: votes, QR: s.QR, QW: s.QW, ReadCap: ones, WriteCap: ones, Latency: ones})
+			}
+			if err != nil {
+				ref.sampler = nil
+				ref.counters.ResolveFails++
+			} else {
+				ref.sampler = strategy.NewSampler(st.Canonical(0))
+				ref.version, ref.budget = s.Version, strategyBudget
+				ref.counters.Installs++
+				ref.counters.Resolves++
+			}
+
+			got, want := c.strat.counters, ref.counters
+			if got.Installs != want.Installs || got.Resolves != want.Resolves || got.ResolveFails != want.ResolveFails {
+				t.Fatalf("lap %d step %d (suspects %v): counters %+v, fresh installs %+v", lap, i, sus, got, want)
+			}
+			if !reflect.DeepEqual(c.strat.sampler, ref.sampler) {
+				t.Fatalf("lap %d step %d (suspects %v): armed %v, fresh install armed %v, or their tables differ",
+					lap, i, sus, c.strat.sampler != nil, ref.sampler != nil)
+			}
+			for d := 0; d < 40; d++ {
+				write := d%2 == 1
+				q, budget, stale, ok := c.strat.draw(write, false, s.Version)
+				rq, rbudget, rstale, rok := ref.draw(write, false, s.Version)
+				if !slices.Equal(q, rq) || budget != rbudget || stale != rstale || ok != rok {
+					t.Fatalf("lap %d step %d draw %d: %v %d %v %v, fresh install %v %d %v %v",
+						lap, i, d, q, budget, stale, ok, rq, rbudget, rstale, rok)
+				}
+			}
+		}
+	}
+	// One solve per distinct key but the two injected ones, never solved.
+	if ct := c.StrategyCounters(); ct.ResolveSolves != int64(len(keys)-2) || ct.ResolveFails == 0 || ct.Resolves == 0 {
+		t.Fatalf("%+v solves=%d for %d distinct keys (two injected)", ct, ct.ResolveSolves, len(keys))
+	}
 }

@@ -52,7 +52,8 @@ import (
 // current thresholds — and the result is installed only after its KKT
 // certificate checks. An infeasible or uncertifiable solve degrades to
 // deterministic serving (the sampler is cleared) instead of erroring. Each
-// survivor set and thresholds is solved once per config (resolveMemo).
+// survivor set and thresholds is solved, validated and armed once per
+// config (resolveMemo); a repeat re-arms the stored sampler.
 
 // strategyState is the cluster-wide installed strategy shared by all
 // coordinators of one runtime. The sampler, version and RNG belong to the
@@ -64,6 +65,8 @@ type strategyState struct {
 	budget   int   // max sampled quorums per operation
 	src      *rng.Source
 	counters stats.StrategyCounters
+	// mask is resolve's survivor-set scratch.
+	mask []byte
 }
 
 // unitSystem is the strategy.System over the given per-site votes at the
@@ -81,23 +84,38 @@ func unitSystem(votes []int, assign quorum.Assignment) strategy.System {
 }
 
 // install validates st against the runtime's votes at the assignment's
-// thresholds and arms the sampler. The RNG substream survives re-installs
-// so re-solves do not reset the sampling sequence.
+// thresholds and arms the sampler built from it.
 func (s *strategyState) install(st strategy.Strategy, votes []int, assign quorum.Assignment, version int64, budget int, seed uint64) error {
-	if err := st.Validate(unitSystem(votes, assign)); err != nil {
-		return fmt.Errorf("cluster: install strategy: %w", err)
+	sampler, err := newSampler(st, votes, assign)
+	if err != nil {
+		return err
 	}
+	s.arm(sampler, version, budget, seed)
+	return nil
+}
+
+// newSampler validates st against the runtime's votes at the assignment's
+// thresholds and builds the sampler of its canonical form.
+func newSampler(st strategy.Strategy, votes []int, assign quorum.Assignment) (*strategy.Sampler, error) {
+	if err := st.Validate(unitSystem(votes, assign)); err != nil {
+		return nil, fmt.Errorf("cluster: install strategy: %w", err)
+	}
+	return strategy.NewSampler(st.Canonical(0)), nil
+}
+
+// arm makes sampler the installed strategy, tied to the given assignment
+// version. A Sampler is immutable, so one may be armed any number of times.
+// The RNG substream survives re-installs so re-solves do not reset the
+// sampling sequence.
+func (s *strategyState) arm(sampler *strategy.Sampler, version int64, budget int, seed uint64) {
 	if budget < 1 {
 		budget = 1
 	}
-	s.sampler = strategy.NewSampler(st.Canonical(0))
-	s.version = version
-	s.budget = budget
+	s.sampler, s.version, s.budget = sampler, version, budget
 	if s.src == nil {
 		s.src = rng.New(seed)
 	}
 	s.counters.Installs++
-	return nil
 }
 
 // draw opens one attempt of the serving ladder: it accounts the redraw when
@@ -171,65 +189,80 @@ type resolveKey struct {
 }
 
 // resolved is one cold solve's outcome: the certified strategy remapped to
-// global site ids, or the error the cold path returned.
+// global site ids, or the error the cold path returned. sampler is armed
+// from st once, when the outcome is made: st validated against the votes at
+// the key's thresholds and put in canonical form, exactly as an install
+// would on every hit — the votes are fixed with the config, the thresholds
+// are part of the key and a Sampler is immutable, so every hit would build
+// the same one. It is nil when the outcome cannot serve (err, or st failed
+// that validation), and a hit then degrades.
 type resolved struct {
-	st  strategy.Strategy
-	err error
+	st      strategy.Strategy
+	err     error
+	sampler *strategy.Sampler
 }
 
 // resolve re-runs the resilient capacity LP restricted to the surviving
 // (unsuspected) sites at coordinator x's current thresholds and installs
 // the certified result at x's current version. Any failure — thresholds
-// unreachable by the survivors, LP infeasibility, a certificate miss —
-// clears the sampler instead of erroring: serving degrades to the
-// deterministic assignment, which the health gate already protects. A
-// survivor set and thresholds already in memo re-install the stored
-// outcome instead of solving again; install still validates it.
-func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) (bool, error) {
-	sus := make([]bool, len(votes))
-	for _, p := range suspected {
-		if p >= 0 && p < len(votes) {
-			sus[p] = true
-		}
-	}
-	var sites []int
-	mask := make([]byte, (len(votes)+7)/8)
-	for i := range votes {
-		if !sus[i] {
-			sites = append(sites, i)
-			mask[i/8] |= 1 << (i % 8)
-		}
-	}
-	key := resolveKey{survivors: string(mask), qr: assign.QR, qw: assign.QW}
-	r, hit := memo[key]
+// unreachable by the survivors, LP infeasibility, a certificate miss, a
+// strategy that fails validation — clears the sampler instead of erroring:
+// serving degrades to the deterministic assignment, which the health gate
+// already protects. A survivor set and thresholds already in memo re-arm the
+// stored sampler instead of solving, validating and building it again; the
+// counters move as if it had been installed afresh. A hit allocates
+// nothing: the survivor mask is the state's scratch, and the lookup does
+// not copy it.
+func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) {
+	s.mask = survivorMask(s.mask, len(votes), suspected)
+	r, hit := memo[resolveKey{survivors: string(s.mask), qr: assign.QR, qw: assign.QW}]
 	if !hit {
-		r = solveSurvivors(cfg, votes, sites, assign)
+		r = solveSurvivors(cfg, votes, s.mask, assign)
 		s.counters.ResolveSolves++
 		if len(memo) < resolveMemoCap {
-			memo[key] = r
+			memo[resolveKey{survivors: string(s.mask), qr: assign.QR, qw: assign.QW}] = r
 		}
 	}
-	degrade := func(err error) (bool, error) {
+	if r.sampler == nil {
 		s.sampler = nil // serving degrades to the deterministic path
 		s.counters.ResolveFails++
-		return false, err
+		return
 	}
-	if r.err != nil {
-		return degrade(r.err)
-	}
-	if err := s.install(r.st, votes, assign, version, strategyBudget, cfg.Strategy.Seed); err != nil {
-		return degrade(err)
-	}
+	s.arm(r.sampler, version, strategyBudget, cfg.Strategy.Seed)
 	s.counters.Resolves++
 	reg.Inc(obs.CStrategyResolve)
-	return true, nil
+}
+
+// survivorMask writes into mask (reusing its array) the survivor set of n
+// sites with the given ones suspected: bit i of byte i/8 is set when site i
+// survives. Out-of-range suspects are ignored.
+func survivorMask(mask []byte, n int, suspected []int) []byte {
+	mask = mask[:0]
+	for i := 0; i < n; i += 8 {
+		mask = append(mask, 0xff)
+	}
+	if r := n % 8; r != 0 {
+		mask[len(mask)-1] = 1<<r - 1
+	}
+	for _, p := range suspected {
+		if p >= 0 && p < n {
+			mask[p/8] &^= 1 << (p % 8)
+		}
+	}
+	return mask
 }
 
 // solveSurvivors is the cold re-solve: the resilient capacity LP over the
-// survivor sites (ascending global ids) at assign's thresholds, with unit
-// capacities (pure load balancing) priced at the read fraction cfg.Alpha,
-// certified and remapped to global site ids.
-func solveSurvivors(cfg HealthConfig, votes, sites []int, assign quorum.Assignment) resolved {
+// survivor sites of mask (ascending global ids) at assign's thresholds, with
+// unit capacities (pure load balancing) priced at the read fraction
+// cfg.Alpha, certified, remapped to global site ids and armed.
+func solveSurvivors(cfg HealthConfig, votes []int, mask []byte, assign quorum.Assignment) resolved {
+	var sites []int
+	for i := range votes {
+		if mask[i/8]>>(i%8)&1 == 1 {
+			sites = append(sites, i)
+		}
+	}
 	sub := unitSystem(make([]int, len(sites)), assign)
 	for j, g := range sites {
 		sub.Votes[j] = votes[g]
@@ -257,10 +290,18 @@ func solveSurvivors(cfg HealthConfig, votes, sites []int, assign quorum.Assignme
 		}
 		return out
 	}
-	return resolved{st: strategy.Strategy{
+	return newResolved(strategy.Strategy{
 		ReadQuorums: remap(res.Strategy.ReadQuorums), ReadProbs: res.Strategy.ReadProbs,
 		WriteQuorums: remap(res.Strategy.WriteQuorums), WriteProbs: res.Strategy.WriteProbs,
-	}}
+	}, votes, assign)
+}
+
+// newResolved is the outcome of a solve that produced st: st and the
+// sampler armed from it, nil (so every hit degrades) when st fails
+// validation against the votes at assign's thresholds.
+func newResolved(st strategy.Strategy, votes []int, assign quorum.Assignment) resolved {
+	sampler, _ := newSampler(st, votes, assign)
+	return resolved{st: st, sampler: sampler}
 }
 
 // InstallStrategy arms sampled-quorum serving: st is validated against the
@@ -285,14 +326,8 @@ func (k *coordinator) StrategyCounters() stats.StrategyCounters {
 	return k.strat.counters
 }
 
-// voteVector snapshots the per-site votes.
-func (k *coordinator) voteVector() []int {
-	votes := make([]int, len(k.all))
-	for i := range votes {
-		votes[i] = k.st.Votes(i)
-	}
-	return votes
-}
+// voteVector is the per-site votes, shared: callers must not modify it.
+func (k *coordinator) voteVector() []int { return k.votes }
 
 // strategyResolve re-solves the installed strategy after a daemon attempt
 // at node x. A no-op until a strategy has been installed; pure LP work plus

@@ -140,8 +140,12 @@ var errShortBuffer = errors.New("short buffer")
 // any field is read; a short or oversized buffer yields a wrapped error
 // naming the message kind, never a panic. Decoding is canonical: a buffer
 // that decodes successfully re-encodes to the same bytes. The histogram of a
-// histReply is copied out of data, which the caller may reuse.
+// histReply is copied out of data, which the caller may reuse, into the
+// backing array m.weights held on entry when it has room, else into a new
+// one: decoding a message in place, as Cluster.roundTrip does, allocates
+// nothing.
 func decodeMsg(data []byte, m *msg) error {
+	row := m.weights[:0]
 	*m = msg{}
 	if len(data) == 0 {
 		return errors.New("cluster: empty message")
@@ -182,7 +186,10 @@ func decodeMsg(data []byte, m *msg) error {
 			return fail(errShortBuffer)
 		}
 		if count > 0 {
-			m.weights = make([]float64, count)
+			if cap(row) < int(count) {
+				row = make([]float64, count)
+			}
+			m.weights = row[:count]
 			for i := range m.weights {
 				m.weights[i] = math.Float64frombits(le.Uint64(b[8+8*i:]))
 			}

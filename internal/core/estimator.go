@@ -137,6 +137,50 @@ func (e *Estimator) Model(rWeights, wWeights []float64) (Model, error) {
 	return NewModel(rWeights, wWeights, fs)
 }
 
+// Reset forgets every observation, keeping the decay factor, so one
+// estimator can be refilled round after round without allocating.
+func (e *Estimator) Reset() {
+	clear(e.weights)
+	clear(e.totals)
+}
+
+// UniformModelInto rebuilds m as Model(nil, nil) builds it — every site
+// weighted 1/n, a site with no history a point mass at zero votes — bit for
+// bit, including the mixture check, but in m's own buffers: once they have
+// grown to T+2 bins it allocates nothing. Under uniform weights the read and
+// write mixtures are one and the same density, so m's two tail tables share
+// one slice. m must not be shared with a model still in use.
+func (e *Estimator) UniformModelInto(m *Model) error {
+	bins := e.t + 1
+	t := m.tailR
+	if cap(t) < bins+1 {
+		t = make([]float64, bins+1)
+	}
+	t = t[:bins+1]
+	clear(t)
+	// The mixture Σ_i (1/n)·f_i(v), accumulated into t[:bins] site by site
+	// in the order (and with the operations) dist.Mixture uses.
+	w := 1 / float64(len(e.totals))
+	for i, total := range e.totals {
+		if total == 0 {
+			t[0] += w // no history: f_i is the point mass at zero votes
+			continue
+		}
+		for v, x := range e.site(i) {
+			t[v] += w * (x / total)
+		}
+	}
+	if err := dist.PMF(t[:bins]).Validate(1e-6); err != nil {
+		return fmt.Errorf("core: read mixture: %w", err)
+	}
+	// In place, top down, the recurrence tails uses.
+	for v := bins - 1; v >= 0; v-- {
+		t[v] += t[v+1]
+	}
+	m.T, m.tailR, m.tailW = e.t, t, t
+	return nil
+}
+
 // SurvEstimator estimates the distribution of the vote total of the
 // *largest* component, the quantity needed to optimize under the SURV
 // metric (paper §3, footnote 3: substitute the largest-component

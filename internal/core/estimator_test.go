@@ -232,3 +232,91 @@ func TestSurvEstimatorCountMode(t *testing.T) {
 		t.Fatalf("SURV W(3) = %g", got)
 	}
 }
+
+// TestUniformModelIntoMatchesModel holds the reused-buffer model to
+// Model(nil, nil) bit for bit at every q_r and q_w, on random histograms
+// with empty rows, weights over many magnitudes and aged rows, while one
+// estimator is Reset and refilled and one Model is rebuilt across sizes
+// that grow and shrink (stale bins beyond the new T must not leak in).
+func TestUniformModelIntoMatchesModel(t *testing.T) {
+	src := rng.New(48)
+	var reused Model
+	var est *Estimator
+	for trial := 0; trial < 400; trial++ {
+		n, T := 1+src.Intn(12), 1+src.Intn(40)
+		if est == nil || len(est.totals) != n || est.t != T || src.Intn(3) == 0 {
+			est = NewEstimator(n, T)
+		} else {
+			est.Reset()
+		}
+		ref := NewEstimator(n, T)
+		if src.Intn(4) == 0 {
+			est.SetDecay(0.5)
+			ref.SetDecay(0.5)
+		}
+		for i := 0; i < n; i++ {
+			if src.Intn(3) == 0 {
+				continue // an empty row: a point mass at zero votes
+			}
+			for k := src.Intn(30); k >= 0; k-- {
+				v, w := src.Intn(T+1), math.Ldexp(src.Float64(), src.Intn(80)-40)
+				est.ObserveFor(i, v, w)
+				ref.ObserveFor(i, v, w)
+			}
+			if src.Intn(5) == 0 {
+				est.Age()
+				ref.Age()
+			}
+		}
+		want, werr := ref.Model(nil, nil)
+		gerr := est.UniformModelInto(&reused)
+		if werr != nil || gerr != nil {
+			t.Fatalf("trial %d: errors %v and %v", trial, werr, gerr)
+		}
+		if reused.T != want.T {
+			t.Fatalf("trial %d: T %d, want %d", trial, reused.T, want.T)
+		}
+		for q := -1; q <= T+2; q++ {
+			if g, w := reused.ReadAvail(q), want.ReadAvail(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d (n=%d T=%d): R(%d) = %v, want %v", trial, n, T, q, g, w)
+			}
+			if g, w := reused.WriteAvail(q), want.WriteAvail(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("trial %d (n=%d T=%d): W(%d) = %v, want %v", trial, n, T, q, g, w)
+			}
+		}
+	}
+	// The mixture check fails the same way: a row whose total overflows
+	// normalizes to zero mass, so the mixture sums to (n−1)/n.
+	bad, ref := NewEstimator(2, 4), NewEstimator(2, 4)
+	for _, e := range []*Estimator{bad, ref} {
+		e.ObserveFor(0, 1, math.MaxFloat64)
+		e.ObserveFor(0, 2, math.MaxFloat64)
+		e.ObserveFor(1, 3, 1)
+	}
+	_, werr := ref.Model(nil, nil)
+	gerr := bad.UniformModelInto(&reused)
+	if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+		t.Fatalf("mixture check: got %v, want %v", gerr, werr)
+	}
+}
+
+// TestUniformModelIntoAllocs: once the buffers have grown, refilling the
+// estimator and rebuilding the model allocate nothing.
+func TestUniformModelIntoAllocs(t *testing.T) {
+	e := NewEstimator(9, 9)
+	var m Model
+	fill := func() {
+		e.Reset()
+		for i := 0; i < 9; i++ {
+			e.ObserveFor(i, i, 3)
+			e.ObserveFor(i, 9, 1)
+		}
+		if err := e.UniformModelInto(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(100, fill); n != 0 {
+		t.Fatalf("Reset + UniformModelInto allocate %.1f objects, want 0", n)
+	}
+}
