@@ -162,14 +162,14 @@ bench-solver:
 	$(GO) test ./internal/strategy/ -run xxx -bench Ladder -benchmem -count 3
 
 # The serving twin: ns/op and allocs/op of the message path — the sampled
-# read bench/ serves, the gated read, the baseline read and write rounds, a
+# read and write bench/ serves, the gated read, the baseline read and write rounds, a
 # healthy detector tick, a memoized survivor re-solve, the codec as the
 # runtime drives it and a write through the durable store. allocs/op is the number to watch (TestMessagePathZeroAlloc
 # holds the bench's configuration at 0); the gated timings are bench/'s
 # serve-* workloads, and churn-resolve's for the re-solve.
 bench-serve:
 	$(GO) test ./internal/cluster -run xxx \
-		-bench 'ServeReadSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|DaemonAttempt|GossipEstimates|CodecVoteReply|WriteDurable' \
+		-bench 'ServeReadSampled|ServeWriteSampled|ServeReadHealthy|WriteRound|ReadCollectDrain|DaemonStep$$|DaemonResolve|DaemonAttempt|GossipEstimates|CodecVoteReply|WriteDurable' \
 		-benchmem -count 3
 
 # The simulator twin: ns/op and allocs/op of one paper-study cell exactly as

@@ -155,6 +155,23 @@ func BenchmarkServeReadSampled(b *testing.B) {
 	b.ReportMetric(float64(c.Stats().Sent-sent)/float64(b.N), "msgs/op")
 }
 
+// BenchmarkServeWriteSampled is its write twin: the write bench/ serves,
+// on the same cluster, where a write probes one sampled write quorum, then
+// applies the value at its members through the wire codec and the durable
+// store. It reports the messages each write sends as msgs/op.
+func BenchmarkServeWriteSampled(b *testing.B) {
+	c := benchConfigCluster(b)
+	b.ReportAllocs()
+	sent := c.Stats().Sent
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := c.ServeWrite(i%9, int64(i)); out.Err != nil {
+			b.Fatal(out.Err)
+		}
+	}
+	b.ReportMetric(float64(c.Stats().Sent-sent)/float64(b.N), "msgs/op")
+}
+
 // BenchmarkGossipEstimates times the histogram exchange that feeds the
 // optimizer: a histRequest broadcast, histReply drain, and the per-site
 // density merge.

@@ -358,8 +358,10 @@ func retryable(err error) bool {
 // hardened runs one fault-hardened client operation at node x: attempt is
 // tried under the retry policy, each try keyed into the fault schedule by
 // (operation, attempt), until it succeeds, fails for good, or runs out of
-// attempts. attempt fills in the outcome's value, stamp and residues.
-func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome {
+// attempts. attempt returns the value and stamp the outcome takes when it
+// succeeds, and the partial apply it left, if any. It returns them rather
+// than writing into the outcome, so the outcome stays on the stack.
+func (k *coordinator) hardened(x int, attempt func() (value, stamp int64, residue *Residue, err error)) Outcome {
 	ch := k.mustChaos()
 	ch.op++
 	var out Outcome
@@ -372,9 +374,15 @@ func (k *coordinator) hardened(x int, attempt func(out *Outcome) error) Outcome 
 			// An amnesiac node must not coordinate: its own votes could fill
 			// a quorum through the copy that forgot the committed state.
 			out.Err = ErrAmnesiac
-		} else if out.Err = attempt(&out); out.Err == nil {
-			out.Granted = true
-			return out
+		} else {
+			value, stamp, residue, err := attempt()
+			if residue != nil {
+				out.Residue = append(out.Residue, *residue)
+			}
+			if out.Err = err; err == nil {
+				out.Granted, out.Value, out.Stamp = true, value, stamp
+				return out
+			}
 		}
 		if !retryable(out.Err) || try+1 >= retryAttempts {
 			ch.counters.Aborts++
@@ -400,9 +408,9 @@ func (k *coordinator) ChaosRead(x int) Outcome {
 
 // chaosRead is ChaosRead for a caller already in the slot.
 func (k *coordinator) chaosRead(x int) Outcome {
-	out := k.hardened(x, func(out *Outcome) (err error) {
-		out.Value, out.Stamp, err = k.chaosReadOnce(x)
-		return err
+	out := k.hardened(x, func() (value, stamp int64, _ *Residue, err error) {
+		value, stamp, err = k.chaosReadOnce(x)
+		return value, stamp, nil, err
 	})
 	observeOutcome(k.obs, OpRead, x, out)
 	return out
@@ -418,15 +426,9 @@ func (k *coordinator) ChaosWrite(x int, value int64) Outcome {
 
 // chaosWrite is ChaosWrite for a caller already in the slot.
 func (k *coordinator) chaosWrite(x int, value int64) Outcome {
-	out := k.hardened(x, func(out *Outcome) error {
+	out := k.hardened(x, func() (int64, int64, *Residue, error) {
 		stamp, residue, err := k.chaosWriteOnce(x, value)
-		if residue != nil {
-			out.Residue = append(out.Residue, *residue)
-		}
-		if err == nil {
-			out.Value, out.Stamp = value, stamp
-		}
-		return err
+		return value, stamp, residue, err
 	})
 	observeOutcome(k.obs, OpWrite, x, out)
 	return out
@@ -445,13 +447,13 @@ func (k *coordinator) ChaosReassign(x int, a quorum.Assignment) Outcome {
 		k.mustChaos().op++ // a rejected request still takes its slot in the fault schedule
 		out.Err = fmt.Errorf("cluster: reassign: %w", err)
 	} else {
-		out = k.hardened(x, func(*Outcome) error {
+		out = k.hardened(x, func() (int64, int64, *Residue, error) {
 			replies, eff, votes, expected, _ := k.collect(x, OpReassign, true)
 			if votes < eff.QW {
-				return k.classifyShort(len(replies), expected)
+				return 0, 0, nil, k.classifyShort(len(replies), expected)
 			}
 			k.install(x, a, eff, replies)
-			return nil
+			return 0, 0, nil, nil
 		})
 	}
 	if !out.Granted && k.obs != nil {

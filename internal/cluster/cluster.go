@@ -62,10 +62,10 @@ func (k OpKind) String() string {
 // message" — a replica's abstention, a pure barrier. There is no second
 // representation: the replica reads it, the codec encodes it and the
 // transports carry it. It is kept to 80 bytes (the counts have the int32
-// widths the wire already uses), copied once per round into the transport
-// and once into its queue slot, and handled by pointer from there: passed
-// and returned by value through every layer, a fatter union spent 43% of
-// the serving profile in duffcopy/duffzero (DESIGN §18).
+// widths the wire already uses). Cluster stores a round's request once, as
+// one body that every queued delivery refers to, and handles it by pointer from
+// there: passed and returned by value through every layer, a fatter union
+// spent 43% of the serving profile in duffcopy/duffzero (DESIGN §18).
 //
 // Fields each kind carries (everything else stays zero):
 //
@@ -128,12 +128,14 @@ func stateMsg(tag byte, s quorum.Copy) (m msg) {
 	return m
 }
 
-// message is an addressed msg. rank is its place in the delivery order
-// while a fault source is attached (see admit).
+// message is one queued delivery of a body: the sites it travels between
+// and the index of its msg in the drain's body list, so a fan-out to N
+// targets queues N 24-byte entries over one body. rank is its place in the delivery
+// order while a fault source is attached (see admit).
 type message struct {
-	from, to int
+	from, to int32
+	body     int32
 	rank     int64
-	body     msg
 }
 
 // Stats counts message traffic.
@@ -150,14 +152,19 @@ type Cluster struct {
 	coordinator
 	nodes []replica
 	queue []message
-	inbox []msg // replies delivered to the coordinator of the round in flight
-	stats Stats
+	// bodies holds every message of the drain in flight, each stored once:
+	// a round's request, and each reply where its replica writes it. The
+	// queue refers to them by index; drain empties the list.
+	bodies []msg
+	inbox  []msg // replies delivered to the coordinator of the round in flight
+	stats  Stats
 	// published is the part of stats already added to the obs counters;
 	// drain publishes the difference once, when the queue is empty.
 	published Stats
 
-	// wireMode round-trips every delivered message through the binary
-	// codec (see wire.go), encoding into the one reused wire buffer.
+	// wireMode round-trips every body through the binary codec, once,
+	// where it is stored (see wire.go), encoding into the one reused wire
+	// buffer.
 	wireMode bool
 	wire     []byte
 
@@ -218,114 +225,105 @@ func (c *Cluster) sent() int64         { return c.stats.Sent }
 // one goroutine, so the slot is always its own.
 func (c *Cluster) enter(bool) (exit func()) { return func() {} }
 
-// exchange enqueues req to every target and drains the queue to
-// completion; the replies addressed to x accumulate in the inbox.
+// exchange posts req to every target; the replies addressed to x
+// accumulate in the inbox. A down site's component is -1, so SameComponent
+// alone tells whether the topology lets x reach a target.
 func (c *Cluster) exchange(x int, targets []int, req msg) ([]msg, int) {
 	c.inbox = c.inbox[:0]
 	expected := 0
 	for _, to := range targets {
-		if to == x {
-			continue
-		}
-		if c.st.SiteUp(to) && c.st.SameComponent(x, to) {
+		if to != x && c.st.SameComponent(x, to) {
 			expected++
 		}
-		c.send(x, to, &req)
 	}
-	c.drain(x)
+	c.post(x, targets, req)
 	return c.inbox, expected
 }
 
-// post enqueues m to every target and drains the queue to completion.
+// post stores m once and queues it to every target, then drains the queue
+// to completion.
 func (c *Cluster) post(x int, targets []int, m msg) {
+	b := c.body(&m)
 	for _, to := range targets {
 		if to != x {
-			c.send(x, to, &m)
+			c.send(x, to, b)
 		}
 	}
 	c.drain(x)
 }
 
-// slot returns the queue's next free slot, growing the queue when it is
-// full — which moves it, so a pointer into the queue does not survive a
-// slot call that grows. drain therefore reserves a slot before it takes the
-// pointer it hands to deliver, which may then fill that one slot (with the
-// replica's reply) while still reading the message it delivers.
-func (c *Cluster) slot() *message {
-	n := len(c.queue)
-	if n == cap(c.queue) {
-		c.queue = append(c.queue, message{})[:n]
+// body stores m in the drain's body list and returns its index: the one
+// copy made of a message. In wire mode it is round-tripped through the codec
+// here, once, however many targets it is queued to.
+func (c *Cluster) body(m *msg) int32 {
+	b := len(c.bodies)
+	c.bodies = append(c.bodies, *m)
+	if c.wireMode {
+		c.roundTrip(&c.bodies[b])
 	}
-	return &c.queue[:n+1][n]
+	return int32(b)
 }
 
-// enqueue sends the message written into slot(). From here on it is touched
-// in place, through a pointer into the queue. Partition filtering happens at
+// send queues body from one site to another. Partition filtering happens at
 // delivery time.
-func (c *Cluster) enqueue() {
-	c.queue = c.queue[:len(c.queue)+1]
+func (c *Cluster) send(from, to int, body int32) {
+	c.queue = append(c.queue, message{from: int32(from), to: int32(to), body: body})
 	c.stats.Sent++
-	c.observeMsg(obs.EvMsgSend, &c.queue[len(c.queue)-1])
-}
-
-// send enqueues a copy of body: the one copy made of a request.
-func (c *Cluster) send(from, to int, body *msg) {
-	m := c.slot()
-	m.from, m.to, m.body = from, to, *body
-	c.enqueue()
+	c.observeMsg(obs.EvMsgSend, c.queue[len(c.queue)-1])
 }
 
 // drop accounts one message lost in transit.
-func (c *Cluster) drop(m *message) {
+func (c *Cluster) drop(m message) {
 	c.stats.Dropped++
 	c.observeMsg(obs.EvMsgDrop, m)
 }
 
 // deliver hands one message to its destination, or drops it when it cannot
-// currently be delivered: both endpoints must be up, in the same component,
-// and the direction not cut by an active partition. A reply is collected
-// for the coordinator of the round in flight — provided the sender it
-// claims is the site it came from: the decoder accepts any from, and the
-// rounds index by it, so a forged or corrupted one is lost here. A request
-// goes to the replica, which writes whatever it answers straight into the
-// next queue slot.
-func (c *Cluster) deliver(coordinator int, m *message) {
-	if !c.st.SiteUp(m.from) || !c.st.SiteUp(m.to) || !c.st.SameComponent(m.from, m.to) ||
-		c.partBlocked(m.from, m.to) {
+// currently be delivered: both endpoints must be in the same component
+// (which a down site is in with no one) and the direction not cut by an
+// active partition. A reply is collected for the coordinator of the round in
+// flight — provided the sender it claims is the site it came from: the
+// decoder accepts any from, and the rounds index by it, so a forged or
+// corrupted one is lost here. A request goes to the replica, which writes
+// whatever it answers into a new body.
+func (c *Cluster) deliver(coordinator int, m message) {
+	if !c.st.SameComponent(int(m.from), int(m.to)) || c.partBlocked(int(m.from), int(m.to)) {
 		c.drop(m)
 		return
 	}
-	if c.wireMode {
-		c.roundTrip(&m.body)
-	}
-	switch m.body.tag {
+	switch b := &c.bodies[m.body]; b.tag {
 	case tagVoteReply, tagApplyAck, tagHistReply, tagHeartbeatAck:
-		if int(m.body.from) != m.from {
+		if b.from != m.from {
 			c.drop(m)
 			return
 		}
 		c.stats.Delivered++
 		c.observeMsg(obs.EvMsgRecv, m)
-		if m.to == coordinator {
-			c.inbox = append(c.inbox, m.body)
+		if int(m.to) == coordinator {
+			c.inbox = append(c.inbox, *b)
 		}
 	default:
 		c.stats.Delivered++
 		c.observeMsg(obs.EvMsgRecv, m)
-		reply := c.slot() // reserved by drain, so m stays where it is
-		reply.from, reply.to = m.to, m.from
-		if c.nodes[m.to].receive(&m.body, &reply.body); reply.body.tag != 0 {
-			c.enqueue()
+		r := len(c.bodies)
+		c.bodies = slices.Grow(c.bodies, 1)[:r+1] // receive zeroes the reply first
+		if c.nodes[m.to].receive(&c.bodies[m.body], &c.bodies[r]); c.bodies[r].tag == 0 {
+			return // an abstention: its empty body is never queued
 		}
+		if c.wireMode {
+			c.roundTrip(&c.bodies[r])
+		}
+		c.send(int(m.to), int(m.from), int32(r))
 	}
 }
 
 // drain delivers queued messages, and whatever they trigger, until the
-// queue is empty, then publishes the message counters: three adds per drain
-// instead of two atomic increments per message. The runtime is
-// single-threaded, so no reader can see the counters between two drains.
-// Without a fault source the queue is delivered in send order; with one,
-// every delivery first admits what was sent since the last.
+// queue is empty, then empties the body list and publishes the message
+// counters: three adds per drain instead of two atomic increments per
+// message. The runtime is single-threaded, so no reader can see the
+// counters between two drains. Without a fault source the queue is
+// delivered in send order; with one, every delivery first admits what was
+// sent since the last.
 func (c *Cluster) drain(coordinator int) {
 	for head := 0; ; head++ {
 		if c.chaos != nil {
@@ -334,10 +332,9 @@ func (c *Cluster) drain(coordinator int) {
 		if head == len(c.queue) {
 			break
 		}
-		c.slot() // room for the reply before the pointer is taken
-		c.deliver(coordinator, &c.queue[head])
+		c.deliver(coordinator, c.queue[head])
 	}
-	c.queue, c.admitted = c.queue[:0], 0
+	c.queue, c.bodies, c.admitted = c.queue[:0], c.bodies[:0], 0
 	if c.obs != nil {
 		c.obs.Add(obs.CMsgSent, c.stats.Sent-c.published.Sent)
 		c.obs.Add(obs.CMsgDelivered, c.stats.Delivered-c.published.Delivered)
@@ -349,23 +346,23 @@ func (c *Cluster) drain(coordinator int) {
 // admit passes the messages sent since the last admission through the fault
 // source, in send order. A dropped message leaves the queue; every other
 // message, and its duplicate if any, is placed among the undelivered ones,
-// which start at head.
+// which start at head. A duplicate refers to the same body.
 func (c *Cluster) admit(head int) {
 	ch := c.chaos
 	for c.admitted < len(c.queue) {
 		m := c.queue[c.admitted]
 		c.queue = slices.Delete(c.queue, c.admitted, c.admitted+1)
-		d := ch.src.Message(ch.op, stageOf(m.body.tag), m.from, m.to, ch.attempt)
+		d := ch.src.Message(ch.op, stageOf(c.bodies[m.body].tag), int(m.from), int(m.to), ch.attempt)
 		if d.Drop {
 			ch.counters.MsgDropped++
-			c.drop(&m)
+			c.drop(m)
 			continue
 		}
 		c.place(head, m, d)
 		if d.Duplicate {
 			ch.counters.MsgDuplicated++
 			c.stats.Sent++ // the twin is an extra transmission
-			c.observeMsg(obs.EvMsgSend, &m)
+			c.observeMsg(obs.EvMsgSend, m)
 			c.place(head, m, d)
 		}
 	}

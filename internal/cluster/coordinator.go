@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"quorumkit/internal/core"
@@ -206,7 +206,7 @@ func (k *coordinator) collect(x int, op OpKind, hardened bool) (replies []msg, e
 	replies, expected = k.tr.exchange(x, k.all, msg{tag: tagVoteRequest, op: op})
 	if hardened {
 		replies = k.dedup(replies)
-		sort.Slice(replies, func(i, j int) bool { return replies[i].from < replies[j].from })
+		slices.SortFunc(replies, func(a, b msg) int { return int(a.from) - int(b.from) }) // senders are unique
 	}
 	selfVotes, eff := k.view(x)
 	votes = selfVotes

@@ -203,9 +203,10 @@ type healthView struct {
 	canRead  bool
 	canWrite bool
 
-	window  []bool // ring buffer of recent operation grants
-	winNext int
-	winFill int
+	window     []bool // ring buffer of recent operation grants
+	winNext    int
+	winFill    int
+	winGranted int // the grants among the winFill outcomes in the window
 
 	hbSeq        int64
 	tick         int64
@@ -265,28 +266,31 @@ type DaemonReport struct {
 	Err            error
 }
 
-// recordGrant feeds one operation outcome into node x's grant window.
+// recordGrant feeds one operation outcome into node x's grant window. Once
+// the window is full the outcome replaces the oldest, which leaves the
+// running count.
 func (h *healthState) recordGrant(x int, granted bool) {
 	v := h.views[x]
-	v.window[v.winNext] = granted
-	v.winNext = (v.winNext + 1) % len(v.window)
 	if v.winFill < len(v.window) {
 		v.winFill++
+	} else if v.window[v.winNext] {
+		v.winGranted--
 	}
+	if v.window[v.winNext] = granted; granted {
+		v.winGranted++
+	}
+	v.winNext = (v.winNext + 1) % len(v.window)
 }
+
+// resetWindow empties the grant window.
+func (v *healthView) resetWindow() { v.winFill, v.winNext, v.winGranted = 0, 0, 0 }
 
 // grantRate returns the windowed grant rate and whether the window is full.
 func (v *healthView) grantRate() (float64, bool) {
 	if v.winFill < len(v.window) {
 		return 1, false
 	}
-	granted := 0
-	for _, g := range v.window {
-		if g {
-			granted++
-		}
-	}
-	return float64(granted) / float64(len(v.window)), true
+	return float64(v.winGranted) / float64(len(v.window)), true
 }
 
 // lateAck reports whether an ack with the given round-trip latency is past
@@ -513,7 +517,7 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	v.attemptEpoch = v.suspectEpoch
 	v.nextAllowed = v.tick + cooldownTicks
 	// Judge the next assignment on fresh evidence.
-	v.winFill, v.winNext = 0, 0
+	v.resetWindow()
 
 	rep.Attempted = true
 	changed, err := k.reassignOptimal(x, h.cfg.Alpha, h.cfg.Hysteresis)

@@ -8,6 +8,7 @@ import (
 
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
+	"quorumkit/internal/rng"
 )
 
 // newHealthCluster builds a complete(5) deterministic cluster with
@@ -210,6 +211,43 @@ func TestGrantRateTrigger(t *testing.T) {
 	rep := c.DaemonStep(0)
 	if !rep.Triggered || len(rep.Suspected) != 1 || rep.Suspected[0] != 4 {
 		t.Fatalf("full window of denials must trigger with no suspicion change: %+v", rep)
+	}
+}
+
+// TestGrantRateRunningCount holds the running grant count to a brute-force
+// recount: over a seeded sequence of outcomes and window resets at several
+// nodes, grantRate must return exactly what counting the outcomes recorded
+// since the last reset, the newest windowSize of them, returns.
+func TestGrantRateRunningCount(t *testing.T) {
+	const n = 3
+	h := newHealthState(DefaultHealthConfig(), n)
+	since := make([][]bool, n) // every outcome recorded since the last reset
+	src := rng.New(5)
+	for step := 0; step < 20000; step++ {
+		x := src.Intn(n)
+		v := h.views[x]
+		switch r := src.Intn(100); {
+		case r == 0:
+			v.resetWindow()
+			since[x] = since[x][:0]
+		default:
+			granted := r < 80 && step%2000 >= 300 // with stretches of denials only
+			h.recordGrant(x, granted)
+			since[x] = append(since[x], granted)
+		}
+		wantRate, wantFull := 1.0, len(since[x]) >= windowSize
+		if wantFull {
+			granted := 0
+			for _, g := range since[x][len(since[x])-windowSize:] {
+				if g {
+					granted++
+				}
+			}
+			wantRate = float64(granted) / float64(windowSize)
+		}
+		if rate, full := v.grantRate(); rate != wantRate || full != wantFull {
+			t.Fatalf("step %d, node %d: grantRate %v, %v; recount %v, %v", step, x, rate, full, wantRate, wantFull)
+		}
 	}
 }
 

@@ -53,12 +53,15 @@ func benchConfigCluster(tb testing.TB) *Cluster {
 }
 
 // TestMessagePathZeroAlloc is the tripwire on the serving path's
-// allocations: once the queue, inbox, wire buffer and round scratch have
-// grown to size, a sampled read and a healthy detector tick touch the heap
-// not at all, and a write only through the store's amortised snapshot.
-// bench/'s runtime.mallocs_per_op reads the same path from outside.
+// allocations: once the queue, body list, inbox, wire buffer and round
+// scratch have grown to size, a sampled read and a healthy detector tick
+// touch the heap not at all, and a write only through the store's amortised
+// snapshot. The hardened read and write, under a fault source that injects
+// nothing, are held to the same bounds. bench/'s runtime.mallocs_per_op
+// reads the same path from outside.
 func TestMessagePathZeroAlloc(t *testing.T) {
-	c := benchConfigCluster(t)
+	c, h := benchConfigCluster(t), benchConfigCluster(t)
+	h.EnableChaos(delayEvery{slots: 0})
 	op := 0
 	step := func(f func(x int)) func() {
 		return func() {
@@ -81,10 +84,22 @@ func TestMessagePathZeroAlloc(t *testing.T) {
 			t.Fatalf("daemon step on a healthy cluster: %+v", rep)
 		}
 	})
+	chaosRead := step(func(x int) {
+		if out := h.ChaosRead(x); !out.Granted {
+			t.Fatalf("hardened read denied on a healthy cluster: %v", out.Err)
+		}
+	})
+	chaosWrite := step(func(x int) {
+		if out := h.ChaosWrite(x, int64(op)); !out.Granted {
+			t.Fatalf("hardened write denied on a healthy cluster: %v", out.Err)
+		}
+	})
 	for i := 0; i < 300; i++ { // warm-up: every buffer reaches its size
 		read()
 		write()
 		daemon()
+		chaosRead()
+		chaosWrite()
 	}
 	for _, tc := range []struct {
 		name string
@@ -94,6 +109,8 @@ func TestMessagePathZeroAlloc(t *testing.T) {
 		{"ServeRead", read, 0},
 		{"ServeWrite", write, 1},
 		{"DaemonStep", daemon, 0},
+		{"ChaosRead", chaosRead, 0},
+		{"ChaosWrite", chaosWrite, 1},
 	} {
 		if n := testing.AllocsPerRun(500, tc.f); n > tc.max {
 			t.Errorf("%s allocates %.1f objects per call, want at most %.0f", tc.name, n, tc.max)
@@ -224,6 +241,9 @@ func TestAsyncSlotZeroAlloc(t *testing.T) {
 	if copies == 0 {
 		t.Fatal("no copy was delayed")
 	}
+	if undelayed != 0 {
+		t.Errorf("a hardened read under a source that injects nothing allocates %.1f objects, want 0", undelayed)
+	}
 	if withDelays != undelayed {
 		t.Errorf("a read whose every copy is delayed allocates %.1f objects, the same read undelayed %.1f: want 0 per delayed copy",
 			withDelays, undelayed)
@@ -310,7 +330,7 @@ func TestForgedSenderIsDropped(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/from=%d", k.name, from), func(t *testing.T) {
 				clean, c := build(t), build(t)
 				k.round(t, clean)
-				c.send(sender, x, &k.forged) // first in the queue of the next round
+				c.send(sender, x, c.body(&k.forged)) // first in the queue of the next round
 				k.round(t, c)
 				want := clean.Stats()
 				want.Sent++

@@ -40,9 +40,9 @@ func (k *coordinator) Observer() *obs.Registry { return k.obs }
 // runtime. The message counters are not touched here: the runtime keeps
 // them in its own Stats and drain publishes the difference once, so that
 // after every operation the obs counters equal Stats field for field.
-func (c *Cluster) observeMsg(ev obs.EventType, m *message) {
+func (c *Cluster) observeMsg(ev obs.EventType, m message) {
 	if c.obs.Tracing() {
-		c.obs.Emit(ev, int32(m.from), int32(m.to), int64(stageOf(m.body.tag)), 0)
+		c.obs.Emit(ev, m.from, m.to, int64(stageOf(c.bodies[m.body].tag)), 0)
 	}
 }
 

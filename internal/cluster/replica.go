@@ -31,9 +31,10 @@ type replica struct {
 	amnesiac bool             // durable state lost; must rejoin by state sync
 }
 
-// receive processes one delivered request and writes the reply it
-// externalizes into reply, which the transport owns (a queue slot, so the
-// reply is built where it travels from); reply.tag 0 is no reply — the
+// receive processes one delivered request, which it only reads, and writes
+// the reply it externalizes into reply, which the transport owns (Cluster's
+// new body for it, so the reply is built where it travels from); reply.tag
+// 0 is no reply — the
 // request wants none or the replica abstains. An amnesiac replica abstains
 // from every quorum-bearing exchange (votes, acknowledged applies,
 // heartbeats, histogram gossip) while still passively adopting newer state.

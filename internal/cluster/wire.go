@@ -11,9 +11,11 @@ import (
 
 // Binary wire format for the protocol messages. The deterministic runtime
 // does not need serialization (messages are delivered in-process), but a
-// deployable implementation does; the codec here is exercised on every
-// delivered message when wire mode is enabled, so the protocol tests also
-// certify the encoding.
+// deployable implementation does; when wire mode is enabled the codec is
+// exercised on every body, once, where Cluster stores it — a request before
+// it fans out, a reply where its replica writes it — so the protocol tests
+// also certify the encoding. Decoding is a pure function of the bytes, so
+// one decode serves every copy queued to the body.
 //
 // Layout (little-endian):
 //
@@ -217,8 +219,8 @@ func decodeMsg(data []byte, m *msg) error {
 	return nil
 }
 
-// SetWireMode makes the cluster round-trip every delivered message through
-// the binary codec, so protocol runs exercise serialization end to end.
+// SetWireMode makes the cluster round-trip every body, once, through the
+// binary codec, so protocol runs exercise serialization end to end.
 func (c *Cluster) SetWireMode(on bool) { c.wireMode = on }
 
 // roundTrip encodes m into the cluster's wire buffer and decodes it back in

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"quorumkit/internal/faults"
 	"quorumkit/internal/graph"
 	"quorumkit/internal/quorum"
 	"quorumkit/internal/rng"
@@ -225,6 +227,81 @@ func TestWireModeProtocolEquivalence(t *testing.T) {
 				t.Fatalf("step %d: reassigns differ", step)
 			}
 		}
+	}
+}
+
+// TestWireModeServingEquivalence is the serving layer's wire-on/wire-off
+// twin on the bench's cluster: strategy-served reads and writes, healthy
+// and then churned daemon sweeps (heartbeats, and the histogram gossip of
+// the attempts churn triggers), and — under a fault source that duplicates
+// and reorders, so one body is delivered more than once — the hardened
+// rounds. After every step the outcome, Stats, every site's copy and
+// histogram, and every disk's bytes must be the same with the codec on as
+// off.
+func TestWireModeServingEquivalence(t *testing.T) {
+	const n, healthy = 9, 300
+	for _, faulty := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faulty=%v", faulty), func(t *testing.T) {
+			plain, wired := benchConfigCluster(t), benchConfigCluster(t)
+			plain.SetWireMode(false)
+			if faulty {
+				mix := faults.Mix{Name: "dup-reorder", Duplicate: 0.3, Reorder: 0.3}
+				plain.EnableChaos(faults.NewPlan(31, mix))
+				wired.EnableChaos(faults.NewPlan(31, mix))
+			}
+			src := rng.New(77)
+			for step := 0; step < 1500; step++ {
+				x := src.Intn(n)
+				var a, b any
+				switch r := src.Intn(20); {
+				case r < 8:
+					a, b = plain.ServeRead(x), wired.ServeRead(x)
+				case r < 12:
+					a, b = plain.ServeWrite(x, int64(step)), wired.ServeWrite(x, int64(step))
+				case r < 16 || step < healthy:
+					a, b = plain.DaemonStep(x), wired.DaemonStep(x)
+				default:
+					for _, c := range []*Cluster{plain, wired} {
+						switch l := x % c.st.Graph().M(); r {
+						case 16:
+							c.FailSite(x)
+						case 17:
+							c.RepairSite(x)
+						case 18:
+							c.FailLink(l)
+						default:
+							c.RepairLink(l)
+						}
+					}
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d: outcomes differ: wire off %+v, on %+v", step, a, b)
+				}
+				if plain.Stats() != wired.Stats() {
+					t.Fatalf("step %d: stats differ: wire off %+v, on %+v", step, plain.Stats(), wired.Stats())
+				}
+				for i := 0; i < n; i++ {
+					p, w := &plain.nodes[i], &wired.nodes[i]
+					if p.Copy != w.Copy || !reflect.DeepEqual(p.hist, w.hist) {
+						t.Fatalf("step %d: site %d differs: wire off %+v %v, on %+v %v", step, i, p.Copy, p.hist, w.Copy, w.hist)
+					}
+					if !reflect.DeepEqual(plain.disks[i].Dump(), wired.disks[i].Dump()) {
+						t.Fatalf("step %d: site %d's disk bytes differ", step, i)
+					}
+				}
+			}
+			hc, sc := wired.HealthCounters(), wired.StrategyCounters()
+			if hc.HeartbeatAcks == 0 || hc.DaemonReassigns+hc.DaemonNoChanges == 0 {
+				t.Fatalf("no heartbeat or no daemon attempt ran: %+v", hc)
+			}
+			if faulty {
+				if cc := wired.ChaosCounters(); cc.MsgDuplicated == 0 || cc.MsgReordered == 0 {
+					t.Fatalf("the source duplicated or reordered nothing: %+v", cc)
+				}
+			} else if sc.SampledReads == 0 || sc.SampledWrites == 0 {
+				t.Fatalf("the strategy never served: %+v", sc)
+			}
+		})
 	}
 }
 

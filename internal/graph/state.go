@@ -119,7 +119,10 @@ func (s *State) LinkUp(l int) bool { return s.linkUp[l] }
 // the site is down.
 func (s *State) ComponentOf(i int) int { return s.comp[i] }
 
-// SameComponent reports whether up sites i and j can communicate.
+// SameComponent reports whether sites i and j are up and can communicate.
+// It is false when either site is down (a down site's component is -1), so
+// callers need no SiteUp test beside it; the deterministic cluster
+// transport relies on this.
 func (s *State) SameComponent(i, j int) bool {
 	return s.comp[i] != -1 && s.comp[i] == s.comp[j]
 }

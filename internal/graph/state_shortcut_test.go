@@ -28,6 +28,10 @@ func checkAgainstRecompute(t *testing.T, s *graph.State, at string) {
 		if got, want := s.ComponentOf(i), ref.ComponentOf(i); got != want {
 			t.Fatalf("%s: ComponentOf(%d) = %d, Recompute %d", at, i, got, want)
 		}
+		// SameComponent is false for a down site only through this.
+		if !s.SiteUp(i) && s.ComponentOf(i) != -1 {
+			t.Fatalf("%s: down site %d has component %d, want -1", at, i, s.ComponentOf(i))
+		}
 		if got, want := s.VotesAt(i), ref.VotesAt(i); got != want {
 			t.Fatalf("%s: VotesAt(%d) = %d, Recompute %d", at, i, got, want)
 		}
