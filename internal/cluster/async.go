@@ -263,6 +263,14 @@ func (a *Async) MessagesSent() int64 { return a.sent() }
 
 func (a *Async) sent() int64 { return a.msgs.Load() }
 
+// traffic counts every copy sent as delivered, since the transport does not
+// return before a copy is processed, and as dropped only what the fault
+// source drops; a forged reply is counted straight into the registry.
+func (a *Async) traffic() Stats {
+	n := a.msgs.Load()
+	return Stats{Sent: n, Delivered: n, Dropped: a.faultCounts.MsgDropped}
+}
+
 // enter takes the operation slot, opMu. A timed exit records the
 // operation's wall-clock latency, the wait for the slot included.
 func (a *Async) enter(timed bool) (exit func()) {
@@ -319,21 +327,20 @@ func (a *Async) admit(from, to int, stage uint8) (copies, slots int) {
 	if ch := a.chaos; ch != nil {
 		d := ch.src.Message(ch.op, stage, from, to, ch.attempt)
 		if d.Drop {
-			ch.counters.MsgDropped++
-			a.obs.Inc(obs.CMsgDropped)
+			a.faultCounts.MsgDropped++
 			return 0, 0
 		}
 		if d.Duplicate {
 			copies = 2
-			ch.counters.MsgDuplicated++
+			a.faultCounts.MsgDuplicated++
 		}
 		slots = d.Delay
 		if d.Delay > 0 {
-			ch.counters.MsgDelayed++
+			a.faultCounts.MsgDelayed++
 		}
 		if d.Reorder {
 			slots++
-			ch.counters.MsgReordered++
+			a.faultCounts.MsgReordered++
 		}
 	}
 	if a.partBlocked(from, to) {
@@ -350,8 +357,6 @@ func (a *Async) deliver(p int, m asyncMsg, slots int) {
 	// Sent and delivered are counted together: the transport call does not
 	// return before the copy has been processed.
 	a.msgs.Add(1)
-	a.obs.Inc(obs.CMsgSent)
-	a.obs.Inc(obs.CMsgDelivered)
 	m.ack.Add(1)
 	if slots > 0 {
 		m.delay = time.Duration(slots) * a.tick
@@ -403,10 +408,7 @@ func (a *Async) exchange(x int, targets []int, req msg) ([]msg, int) {
 	for n := len(a.replies); n > 0; n-- {
 		a.inbox = append(a.inbox, <-a.replies)
 	}
-	got := int64(len(a.inbox))
-	a.msgs.Add(got)
-	a.obs.Add(obs.CMsgSent, got)
-	a.obs.Add(obs.CMsgDelivered, got)
+	a.msgs.Add(int64(len(a.inbox)))
 	return a.inbox, len(reach)
 }
 

@@ -131,14 +131,14 @@ type Outcome struct {
 }
 
 // chaosState is the fault-injection context of one runtime: the source both
-// transports ask per message, the counters, and the crash set. Like all the
-// coordinator's state it belongs to the operation slot (DESIGN §18): only
-// the one operation the runtime admits at a time touches it, and Async's
-// readers take the slot too.
+// transports ask per message and the crash set. Like all the coordinator's
+// state it belongs to the operation slot (DESIGN §18): only the one
+// operation the runtime admits at a time touches it, and Async's readers
+// take the slot too. The counters it drives are the coordinator's
+// faultCounts.
 type chaosState struct {
-	src      faults.Source
-	counters stats.ChaosCounters
-	crashed  []bool
+	src     faults.Source
+	crashed []bool
 
 	// op/attempt key the fault decisions for the operation in flight.
 	op      uint64
@@ -156,13 +156,14 @@ func (k *coordinator) EnableChaos(src faults.Source) {
 	k.chaos = &chaosState{src: src, crashed: make([]bool, len(k.all))}
 }
 
-// ChaosCounters returns a snapshot of the fault-injection counters.
+// ChaosCounters returns a snapshot of the fault-injection counters (zero
+// until EnableChaos).
 func (k *coordinator) ChaosCounters() stats.ChaosCounters {
 	defer k.tr.enter(false)()
 	if k.chaos == nil {
 		return stats.ChaosCounters{}
 	}
-	return k.chaos.counters
+	return k.faultCounts
 }
 
 // Crashed lists nodes currently down due to an injected crash.
@@ -213,8 +214,8 @@ func (k *coordinator) Recover(x int) bool {
 		}
 	}
 	ch.crashed[x] = false
-	ch.counters.Recoveries++
-	observeRecover(k.obs, x)
+	k.faultCounts.Recoveries++
+	k.obs.Emit(obs.EvRecover, int32(x), -1, 0, 0)
 	return true
 }
 
@@ -228,18 +229,18 @@ func (k *coordinator) crash(x int) {
 	}
 	k.tr.unlock(x)
 	k.chaos.crashed[x] = true
-	k.chaos.counters.Crashes++
-	observeCrash(k.obs, x)
+	k.faultCounts.Crashes++
+	k.obs.Emit(obs.EvCrash, int32(x), -1, 0, 0)
 }
 
 // classifyShort distinguishes a clean quorum denial from a round that lost
 // replies to the transport.
 func (k *coordinator) classifyShort(got, expected int) error {
 	if got < expected {
-		k.chaos.counters.Timeouts++
+		k.faultCounts.Timeouts++
 		return ErrTimeout
 	}
-	k.chaos.counters.NoQuorum++
+	k.faultCounts.NoQuorum++
 	return ErrNoQuorum
 }
 
@@ -344,7 +345,7 @@ func (k *coordinator) chaosWriteOnce(x int, value int64) (stamp int64, residue *
 	if k.st.Votes(x)+ackVotes >= eff.QW {
 		return stamp, nil, nil
 	}
-	ch.counters.Indeterminate++
+	k.faultCounts.Indeterminate++
 	return 0, &Residue{Value: value, Stamp: stamp, Spread: spread}, ErrIndeterminate
 }
 
@@ -385,16 +386,16 @@ func (k *coordinator) hardened(x int, attempt func() (value, stamp int64, residu
 			}
 		}
 		if !retryable(out.Err) || try+1 >= retryAttempts {
-			ch.counters.Aborts++
+			k.faultCounts.Aborts++
 			return out
 		}
 		// Account the retry and its deterministically jittered backoff,
 		// which the concurrent runtime also sleeps through.
 		d := backoff(try, ch.src.Jitter(ch.op, try))
 		out.BackoffTicks += d
-		ch.counters.Retries++
-		ch.counters.BackoffTicks += d
-		observeRetry(k.obs, x, try, d)
+		k.faultCounts.Retries++
+		k.faultCounts.BackoffTicks += d
+		k.obs.Emit(obs.EvRetry, int32(x), -1, int64(try), d)
 		time.Sleep(time.Duration(d) * k.tick)
 	}
 }

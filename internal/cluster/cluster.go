@@ -158,9 +158,6 @@ type Cluster struct {
 	bodies []msg
 	inbox  []msg // replies delivered to the coordinator of the round in flight
 	stats  Stats
-	// published is the part of stats already added to the obs counters;
-	// drain publishes the difference once, when the queue is empty.
-	published Stats
 
 	// wireMode round-trips every body through the binary codec, once,
 	// where it is stored (see wire.go), encoding into the one reused wire
@@ -220,6 +217,7 @@ func (c *Cluster) siteUp(x int) bool   { return c.st.SiteUp(x) }
 func (c *Cluster) lock(x int) *replica { return &c.nodes[x] }
 func (c *Cluster) unlock(int)          {}
 func (c *Cluster) sent() int64         { return c.stats.Sent }
+func (c *Cluster) traffic() Stats      { return c.stats }
 
 // enter is free: the deterministic runtime runs one operation at a time on
 // one goroutine, so the slot is always its own.
@@ -318,12 +316,9 @@ func (c *Cluster) deliver(coordinator int, m message) {
 }
 
 // drain delivers queued messages, and whatever they trigger, until the
-// queue is empty, then empties the body list and publishes the message
-// counters: three adds per drain instead of two atomic increments per
-// message. The runtime is single-threaded, so no reader can see the
-// counters between two drains. Without a fault source the queue is
-// delivered in send order; with one, every delivery first admits what was
-// sent since the last.
+// queue is empty, then empties the body list. Without a fault source the
+// queue is delivered in send order; with one, every delivery first admits
+// what was sent since the last.
 func (c *Cluster) drain(coordinator int) {
 	for head := 0; ; head++ {
 		if c.chaos != nil {
@@ -335,12 +330,6 @@ func (c *Cluster) drain(coordinator int) {
 		c.deliver(coordinator, c.queue[head])
 	}
 	c.queue, c.bodies, c.admitted = c.queue[:0], c.bodies[:0], 0
-	if c.obs != nil {
-		c.obs.Add(obs.CMsgSent, c.stats.Sent-c.published.Sent)
-		c.obs.Add(obs.CMsgDelivered, c.stats.Delivered-c.published.Delivered)
-		c.obs.Add(obs.CMsgDropped, c.stats.Dropped-c.published.Dropped)
-	}
-	c.published = c.stats
 }
 
 // admit passes the messages sent since the last admission through the fault
@@ -354,13 +343,13 @@ func (c *Cluster) admit(head int) {
 		c.queue = slices.Delete(c.queue, c.admitted, c.admitted+1)
 		d := ch.src.Message(ch.op, stageOf(c.bodies[m.body].tag), int(m.from), int(m.to), ch.attempt)
 		if d.Drop {
-			ch.counters.MsgDropped++
+			c.faultCounts.MsgDropped++
 			c.drop(m)
 			continue
 		}
 		c.place(head, m, d)
 		if d.Duplicate {
-			ch.counters.MsgDuplicated++
+			c.faultCounts.MsgDuplicated++
 			c.stats.Sent++ // the twin is an extra transmission
 			c.observeMsg(obs.EvMsgSend, m)
 			c.place(head, m, d)
@@ -379,11 +368,11 @@ func (c *Cluster) place(head int, m message, d faults.Decision) {
 	c.seq++
 	if d.Delay > 0 {
 		m.rank += int64(d.Delay) * 16
-		c.chaos.counters.MsgDelayed++
+		c.faultCounts.MsgDelayed++
 	}
 	if d.Reorder {
 		m.rank -= 24
-		c.chaos.counters.MsgReordered++
+		c.faultCounts.MsgReordered++
 	}
 	pending := c.queue[head:c.admitted]
 	at := head + sort.Search(len(pending), func(i int) bool { return pending[i].rank > m.rank })

@@ -9,6 +9,7 @@ import (
 	"quorumkit/internal/graph"
 	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
+	"quorumkit/internal/stats"
 	"quorumkit/internal/store"
 )
 
@@ -42,6 +43,9 @@ type transport interface {
 	unlock(x int)
 	// sent is the cumulative count of messages sent.
 	sent() int64
+	// traffic is the cumulative message counts the obs registry reports;
+	// call it in the operation slot.
+	traffic() Stats
 	// enter takes the operation slot, which owns everything the coordinator
 	// holds above the node lock; exit releases it. With timed set, exit also
 	// records the operation's wall-clock latency. Every exported coordinator
@@ -76,6 +80,11 @@ type coordinator struct {
 	// enables the hardened ChaosRead/ChaosWrite/ChaosReassign operations
 	// (see chaos.go).
 	chaos *chaosState
+	// faultCounts counts what the fault source injects and what the
+	// hardened operations and crash recovery do about it. It lives outside
+	// chaos because amnesia and rejoin happen without a fault source too
+	// (WipeState); ChaosCounters reports it once EnableChaos is called.
+	faultCounts stats.ChaosCounters
 	// health, when non-nil, holds the failure detector, adaptive
 	// reassignment daemon, and degradation gate (see health.go).
 	health *healthState
@@ -86,8 +95,10 @@ type coordinator struct {
 	// evaluates per message direction, and the one clock it is read at (see
 	// links.go).
 	links linkFaults
-	// obs, when non-nil, receives counters, histograms, and trace events
-	// (see obs.go); observation is write-only and never affects behaviour.
+	// obs, when non-nil, receives the counters nothing else keeps,
+	// histograms and trace events, and collects the typed counters above at
+	// each snapshot (see obs.go); observation is write-only and never
+	// affects behaviour.
 	obs *obs.Registry
 
 	// votes is every site's vote count, fixed for the runtime's life (the

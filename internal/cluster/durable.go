@@ -67,32 +67,6 @@ func rejoinQuorum(totalVotes int) int {
 	return (totalVotes + 1) / 2
 }
 
-// observeAmnesia records a recovery that found durable state lost or
-// corrupt. A = 1 when the state was corrupt, 0 when it was absent entirely.
-func observeAmnesia(r *obs.Registry, x int, cause error) {
-	if r == nil {
-		return
-	}
-	r.Inc(obs.CAmnesia)
-	r.AddGauge(obs.GAmnesiacNodes, 1)
-	var corrupt int64
-	if errors.Is(cause, store.ErrCorrupt) {
-		corrupt = 1
-	}
-	r.Emit(obs.EvAmnesia, int32(x), -1, corrupt, 0)
-}
-
-// observeRejoin records an amnesiac node readmitted by state transfer, with
-// the version it adopted and the vote weight that backed the transfer.
-func observeRejoin(r *obs.Registry, x int, version int64, votes int) {
-	if r == nil {
-		return
-	}
-	r.Inc(obs.CRejoin)
-	r.AddGauge(obs.GAmnesiacNodes, -1)
-	r.Emit(obs.EvRejoin, int32(x), -1, version, int64(votes))
-}
-
 // DisablePersistence detaches the durable engines, restoring the purely
 // in-memory seed behaviour. Intended for A/B overhead measurement (see
 // cmd/quorumsim -benchstore); crash recovery degrades to the pretend
@@ -146,13 +120,16 @@ func (k *coordinator) beginAmnesia(x int, cause error) {
 	}
 }
 
-// countAmnesia records node x's entry into amnesia in the chaos counters
-// and the obs registry. Call it without holding x's lock.
+// countAmnesia records node x's entry into amnesia, fault source or not,
+// and traces it with A = 1 when the state was corrupt, 0 when it was absent
+// entirely. Call it without holding x's lock.
 func (k *coordinator) countAmnesia(x int, cause error) {
-	if ch := k.chaos; ch != nil {
-		ch.counters.Amnesias++
+	k.faultCounts.Amnesias++
+	var corrupt int64
+	if errors.Is(cause, store.ErrCorrupt) {
+		corrupt = 1
 	}
-	observeAmnesia(k.obs, x, cause)
+	k.obs.Emit(obs.EvAmnesia, int32(x), -1, corrupt, 0)
 }
 
 // WipeState models a site returning from repair with a blank disk (a
@@ -217,9 +194,8 @@ func (k *coordinator) tryRejoin(x int) bool {
 	}
 	k.tr.lock(x).readmit(eff)
 	k.tr.unlock(x)
-	if ch := k.chaos; ch != nil {
-		ch.counters.Rejoins++
-	}
-	observeRejoin(k.obs, x, eff.Version, votes)
+	k.faultCounts.Rejoins++
+	// The trace carries the version adopted and the votes that backed it.
+	k.obs.Emit(obs.EvRejoin, int32(x), -1, eff.Version, int64(votes))
 	return true
 }

@@ -340,7 +340,6 @@ func (k *coordinator) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 		}
 		if h.lateAck(rtt) {
 			h.counters.LateAcks++
-			k.obs.Inc(obs.CLateAck)
 			continue // misread as silence: miss accrues, votes lost
 		}
 		acked[a.from] = true
@@ -368,8 +367,6 @@ func (k *coordinator) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 				v.suspected[p] = false
 				h.counters.Unsuspicions++
 				changed = true
-				k.obs.Inc(obs.CUnsuspect)
-				k.obs.AddGauge(obs.GSuspectedPeers, -1)
 				k.obs.Emit(obs.EvUnsuspect, int32(x), int32(p), 0, 0)
 			}
 			continue
@@ -394,8 +391,6 @@ func (k *coordinator) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 			v.suspected[p] = true
 			h.counters.Suspicions++
 			changed = true
-			k.obs.Inc(obs.CSuspect)
-			k.obs.AddGauge(obs.GSuspectedPeers, 1)
 			k.obs.Emit(obs.EvSuspect, int32(x), int32(p), int64(v.misses[p]), 0)
 		}
 	}
@@ -419,12 +414,8 @@ func (k *coordinator) applyAcks(x int, acks []msg, rtts []int64, assign quorum.A
 	if mode != v.mode {
 		if mode == ModeHealthy {
 			h.counters.Healings++
-			k.obs.Inc(obs.CHeal)
-			k.obs.AddGauge(obs.GDegradedNodes, -1)
 		} else if v.mode == ModeHealthy {
 			h.counters.Degradations++
-			k.obs.Inc(obs.CDegrade)
-			k.obs.AddGauge(obs.GDegradedNodes, 1)
 		}
 		k.obs.Emit(obs.EvModeChange, int32(x), -1, int64(v.mode), int64(mode))
 		v.mode = mode
@@ -485,7 +476,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 	if !trigger {
 		if staleVersion {
 			h.counters.SyncRounds++
-			k.obs.Inc(obs.CSyncRound)
 			k.syncRound(x)
 			rep.Synced = true
 		}
@@ -528,7 +518,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 		h.counters.DaemonErrors++
 	case changed:
 		h.counters.DaemonReassigns++
-		k.obs.Inc(obs.CDaemonReassign)
 	default:
 		h.counters.DaemonNoChanges++
 	}
@@ -544,7 +533,6 @@ func (k *coordinator) daemonDecide(x int, acks []msg, rtts []int64, assign quoru
 		// The optimizer kept the incumbent without a full install round;
 		// still repair the observed version divergence.
 		h.counters.SyncRounds++
-		k.obs.Inc(obs.CSyncRound)
 		k.syncRound(x)
 		rep.Synced = true
 	}
@@ -560,7 +548,6 @@ func (k *coordinator) gate(x int, write bool) error {
 	if write {
 		if !v.canWrite {
 			h.counters.DegradedWrites++
-			k.obs.Inc(obs.CDegradedReject)
 			if !v.canRead {
 				return ErrUnavailable
 			}
@@ -570,7 +557,6 @@ func (k *coordinator) gate(x int, write bool) error {
 	}
 	if !v.canRead {
 		h.counters.DegradedReads++
-		k.obs.Inc(obs.CDegradedReject)
 		return ErrUnavailable
 	}
 	return nil

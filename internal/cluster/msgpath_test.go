@@ -14,7 +14,7 @@ import (
 
 // Tests of what one message costs to carry and of what the transports let
 // into a round: the allocation tripwire, the forged-sender check, and the
-// exactness of the per-drain message counters.
+// exactness of the collected message counters.
 
 // benchConfigCluster builds the cluster bench/ serves from: 9 sites on a
 // complete graph, the durable store on, wire mode on, a counting registry
@@ -381,9 +381,10 @@ func TestForgedSenderIsDroppedAsync(t *testing.T) {
 	}
 }
 
-// TestBatchedMessageCountersExact: the deterministic runtime publishes its
-// message counters once per drain, so after every public operation returns
-// the obs counters must equal Stats field for field — over every chaos mix
+// TestBatchedMessageCountersExact: the deterministic runtime counts its
+// messages once, in Stats, and the registry collects them when it reads,
+// so after every public operation returns the obs counters must equal
+// Stats field for field — over every chaos mix
 // layered on a partition storm, through hardened and baseline operations,
 // daemon steps, recoveries and gossip. With a tracing registry the
 // per-message events are still emitted one by one, and their number must

@@ -213,7 +213,7 @@ type resolved struct {
 // counters move as if it had been installed afresh. A hit allocates
 // nothing: the survivor mask is the state's scratch, and the lookup does
 // not copy it.
-func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64, reg *obs.Registry) {
+func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int, suspected []int, assign quorum.Assignment, version int64) {
 	s.mask = survivorMask(s.mask, len(votes), suspected)
 	r, hit := memo[resolveKey{survivors: string(s.mask), qr: assign.QR, qw: assign.QW}]
 	if !hit {
@@ -230,7 +230,6 @@ func (s *strategyState) resolve(cfg HealthConfig, memo resolveMemo, votes []int,
 	}
 	s.arm(r.sampler, version, strategyBudget, cfg.Strategy.Seed)
 	s.counters.Resolves++
-	reg.Inc(obs.CStrategyResolve)
 }
 
 // survivorMask writes into mask (reusing its array) the survivor set of n
@@ -337,7 +336,7 @@ func (k *coordinator) strategyResolve(x int, suspected []int) {
 		return
 	}
 	_, s := k.view(x)
-	k.strat.resolve(k.health.cfg, k.health.memo, k.voteVector(), suspected, s.Assignment(), s.Version, k.obs)
+	k.strat.resolve(k.health.cfg, k.health.memo, k.voteVector(), suspected, s.Assignment(), s.Version)
 }
 
 // strategyServe runs the sampled-quorum ladder for one operation at
@@ -350,7 +349,6 @@ func (k *coordinator) strategyServe(x int, write bool, value int64) (Outcome, bo
 	version := k.NodeVersion(x)
 	fallback := func(stale bool) (Outcome, bool) {
 		s.settle(false, write, stale)
-		k.obs.Inc(obs.CStrategyFallback)
 		return Outcome{}, false
 	}
 	for attempt := 1; ; attempt++ {
@@ -369,18 +367,12 @@ func (k *coordinator) strategyServe(x int, write bool, value int64) (Outcome, bo
 		}
 		if granted {
 			s.settle(true, write, false)
-			if write {
-				k.obs.Inc(obs.CStrategyWrite)
-			} else {
-				k.obs.Inc(obs.CStrategyRead)
-			}
 			return Outcome{Granted: true, Value: val, Stamp: stamp, Attempts: attempt}, true
 		}
 		if attempt >= budget {
 			// The final failed attempt is the fallback, not a redraw.
 			return fallback(false)
 		}
-		k.obs.Inc(obs.CStrategyResample) // counted by the next draw
 	}
 }
 

@@ -20,12 +20,24 @@
 //     the end-to-end benchmark's obs.counting_overhead_pct and
 //     obs.tracing_overhead_pct (bench/) measure the registry switched on.
 //
+//   - An event is counted once. Where the instrumented code already keeps
+//     a typed counter for it (the runtimes' fault, health, strategy,
+//     transport and store counters), the registry does not count it a
+//     second time: the code registers a collector (Collect) that reads
+//     those counters, and every snapshot adds what they grew by since
+//     registration. Such a site costs nothing with a nil registry, not even
+//     the branch. The registry's own atomics hold only what nothing else
+//     counts: decisions, probes, histograms.
+//
 // Counters, gauges and histograms are identified by dense enums rather
 // than strings, so an increment is a single array-indexed atomic add —
 // no map lookups, no locks, no allocation.
 package obs
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // CounterID enumerates the well-known monotonic counters.
 type CounterID uint8
@@ -234,13 +246,24 @@ var histNames = [numHists]string{
 func (h HistID) Name() string { return histNames[h] }
 
 // Registry is one collection surface: a fixed array of atomic counters and
-// gauges, a fixed array of histograms, and an optional tracer. The zero
-// value is ready to use; the nil value is the no-op configuration.
+// gauges, a fixed array of histograms, an optional tracer, and the
+// collectors that report counts kept elsewhere. The zero value is ready to
+// use; the nil value is the no-op configuration.
 type Registry struct {
 	counters [numCounters]atomic.Int64
 	gauges   [numGauges]atomic.Int64
 	hists    [numHists]Hist
 	trace    *Trace
+
+	mu         sync.Mutex
+	collectors []collector
+}
+
+// collector is one registered collector and what it reported when it was
+// registered.
+type collector struct {
+	report func(*Registry)
+	base   Snapshot
 }
 
 // New returns an empty registry with tracing disabled.
@@ -270,13 +293,9 @@ func (r *Registry) Add(c CounterID, d int64) {
 	r.counters[c].Add(d)
 }
 
-// Counter returns the current value of counter c (0 on nil).
-func (r *Registry) Counter(c CounterID) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.counters[c].Load()
-}
+// Counter returns the current value of counter c, collected counts
+// included (0 on nil).
+func (r *Registry) Counter(c CounterID) int64 { return r.Snapshot().Counters[c] }
 
 // AddGauge adjusts gauge g by d. Nil-safe.
 func (r *Registry) AddGauge(g GaugeID, d int64) {
@@ -300,12 +319,34 @@ func (r *Registry) MaxGauge(g GaugeID, v int64) {
 	}
 }
 
-// Gauge returns the current value of gauge g (0 on nil).
-func (r *Registry) Gauge(g GaugeID) int64 {
+// Gauge returns the current value of gauge g, collected values included
+// (0 on nil).
+func (r *Registry) Gauge(g GaugeID) int64 { return r.Snapshot().Gauges[g] }
+
+// Collect registers report, which adds cumulative values kept outside the
+// registry into the registry it is handed, with Add and AddGauge, as live
+// instrumentation would. Every Snapshot, Counter and Gauge read runs each
+// report into a scratch registry and adds what it reported beyond what it
+// reported here, at registration: a collected counter counts from Collect,
+// as a live one counts from when the registry was attached. The values a
+// report reads must therefore never go back, and report must be safe to
+// call from whatever goroutine snapshots. Inc, Add and AddGauge never run
+// a collector. Nil-safe.
+func (r *Registry) Collect(report func(*Registry)) {
 	if r == nil {
-		return 0
+		return
 	}
-	return r.gauges[g].Load()
+	base := reported(report)
+	r.mu.Lock()
+	r.collectors = append(r.collectors, collector{report, base})
+	r.mu.Unlock()
+}
+
+// reported runs report into a scratch registry and returns what it added.
+func reported(report func(*Registry)) Snapshot {
+	var scratch Registry
+	report(&scratch)
+	return scratch.Snapshot()
 }
 
 // Observe records value v into histogram h. Nil-safe.

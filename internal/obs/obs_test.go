@@ -186,6 +186,55 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestCollectReportsGrowthSinceRegistration: a collector's counts enter
+// every snapshot, Counter and Gauge read as what they grew by since Collect,
+// beside the registry's own atomics; collectors add up; and a nil registry
+// takes a collector without calling it.
+func TestCollectReportsGrowthSinceRegistration(t *testing.T) {
+	var sent, suspects int64 = 7, 3 // counted elsewhere before registration
+	calls := 0
+	report := func(acc *Registry) {
+		calls++
+		acc.Add(CMsgSent, sent)
+		acc.AddGauge(GSuspectedPeers, suspects)
+	}
+	r := New()
+	r.Inc(CMsgSent)
+	r.Collect(report)
+	if got := r.Counter(CMsgSent); got != 1 {
+		t.Fatalf("counter right after Collect = %d, want the live 1", got)
+	}
+	sent, suspects = 12, 1
+	r.Inc(CMsgSent)
+	if got := r.Counter(CMsgSent); got != 2+5 {
+		t.Fatalf("counter = %d, want 2 live + 5 collected", got)
+	}
+	if got := r.Gauge(GSuspectedPeers); got != -2 {
+		t.Fatalf("gauge = %d, want the collected change -2", got)
+	}
+	r.Collect(func(acc *Registry) { acc.Add(CMsgSent, sent) }) // counts from 12
+	sent = 20
+	s := r.Snapshot()
+	if got := s.Counter(CMsgSent); got != 2+13+8 {
+		t.Fatalf("two collectors: counter = %d, want 2 + 13 + 8", got)
+	}
+	if s.Counter(CMsgDelivered) != 0 || s.Gauge(GCrashedNodes) != 0 {
+		t.Fatalf("a counter no collector reports moved: %+v", s)
+	}
+	before := calls
+	r.Inc(CMsgSent)
+	r.AddGauge(GSuspectedPeers, 1)
+	if calls != before {
+		t.Fatalf("Inc or AddGauge ran a collector")
+	}
+
+	var off *Registry
+	off.Collect(report)
+	if calls != before || off.Counter(CMsgSent) != 0 {
+		t.Fatalf("nil registry ran or reported a collector")
+	}
+}
+
 func TestTraceRingWraparound(t *testing.T) {
 	tr := NewTrace(4)
 	for i := 0; i < 6; i++ {

@@ -20,8 +20,10 @@ type Snapshot struct {
 	TraceDropped uint64
 }
 
-// Snapshot copies the current instrument values. On a nil registry it
-// returns the zero snapshot, so callers can diff unconditionally.
+// Snapshot copies the current instrument values, and adds to the counters
+// and gauges what each collector's counts grew by since it was registered
+// (Collect). On a nil registry it returns the zero snapshot, so callers can
+// diff unconditionally.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -39,6 +41,18 @@ func (r *Registry) Snapshot() Snapshot {
 	if r.trace != nil {
 		s.TraceEmitted = r.trace.Emitted()
 		s.TraceDropped = r.trace.Dropped()
+	}
+	r.mu.Lock()
+	collectors := r.collectors
+	r.mu.Unlock()
+	for _, c := range collectors {
+		now := reported(c.report)
+		for i := range s.Counters {
+			s.Counters[i] += now.Counters[i] - c.base.Counters[i]
+		}
+		for i := range s.Gauges {
+			s.Gauges[i] += now.Gauges[i] - c.base.Gauges[i]
+		}
 	}
 	return s
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"quorumkit/internal/obs"
 	"quorumkit/internal/quorum"
 )
 
@@ -85,8 +84,9 @@ var (
 // makes replay order-independent.
 type State = quorum.Copy
 
-// Counters are the store's own metrics, mirrored into obs when a registry
-// is attached.
+// Counters are the store's own metrics, and the only place they are
+// counted: an obs registry attached to the runtime collects them when it
+// snapshots.
 type Counters struct {
 	Appends           int64 // log records written
 	Syncs             int64 // non-empty sync barriers (log flush + seal)
@@ -101,7 +101,6 @@ type Counters struct {
 // also covers the disk the store was opened on, which the store owns.
 type NodeStore struct {
 	disk      Disk
-	reg       *obs.Registry
 	snapEvery int
 
 	log  File
@@ -136,11 +135,6 @@ func Open(disk Disk, snapEvery int) *NodeStore {
 	s.log = disk.Open(logName)
 	s.seal = disk.Open(sealName)
 	return s
-}
-
-// SetObserver attaches (or detaches, with nil) an obs registry.
-func (s *NodeStore) SetObserver(r *obs.Registry) {
-	s.reg = r
 }
 
 // SetDisk swaps the underlying disk — used to interpose FaultDisk over the
@@ -196,7 +190,6 @@ func (s *NodeStore) endRecord(rec []byte) {
 	s.dirty = true
 	s.appends++
 	s.counters.Appends++
-	s.reg.Inc(obs.CStoreAppend)
 }
 
 // Sync is the durability barrier: flush the log, then seal the flushed
@@ -214,7 +207,6 @@ func (s *NodeStore) Sync() {
 	s.seal.Sync()
 	s.dirty = false
 	s.counters.Syncs++
-	s.reg.Inc(obs.CStoreSync)
 	if s.appends >= s.snapEvery {
 		s.compact()
 	}
@@ -227,7 +219,6 @@ func (s *NodeStore) Sync() {
 func (s *NodeStore) compact() {
 	s.writeSnap(s.gen + 1)
 	s.counters.Snapshots++
-	s.reg.Inc(obs.CStoreSnapshot)
 }
 
 // writeSnap installs a snapshot of (s.cur, s.hist) as generation gen
@@ -353,7 +344,6 @@ func (s *NodeStore) resetSeal() {
 
 func (s *NodeStore) corrupt(cause error) error {
 	s.counters.CorruptRecoveries++
-	s.reg.Inc(obs.CStoreCorrupt)
 	if cause == nil || errors.Is(cause, ErrCorrupt) {
 		return ErrCorrupt
 	}
@@ -362,7 +352,6 @@ func (s *NodeStore) corrupt(cause error) error {
 
 func (s *NodeStore) repair(n int) {
 	s.counters.TruncateRepairs += int64(n)
-	s.reg.Add(obs.CStoreTruncRepair, int64(n))
 }
 
 // foldLog parses records from b, folding each into st/hist. In strict mode
