@@ -61,11 +61,14 @@ func (k OpKind) String() string {
 // below, keyed by the wire tag byte (wire.go), with tag 0 meaning "no
 // message" — a replica's abstention, a pure barrier. There is no second
 // representation: the replica reads it, the codec encodes it and the
-// transports carry it. It is kept to 80 bytes (the counts have the int32
-// widths the wire already uses). Cluster stores a round's request once, as
-// one body that every queued delivery refers to, and handles it by pointer from
-// there: passed and returned by value through every layer, a fatter union
-// spent 43% of the serving profile in duffcopy/duffzero (DESIGN §18).
+// transports carry it. It is kept to 64 bytes, one cache line and the
+// largest value Go copies and zeroes inline rather than through
+// runtime.duffcopy/duffzero: the counts have the int32 widths the wire
+// already uses, and a histReply's row is held by reference. Cluster stores a
+// round's request once, as one body that every queued delivery refers to,
+// and handles it by pointer from there: passed and returned by value through
+// every layer, a fatter union spent 43% of the serving profile in
+// duffcopy/duffzero (DESIGN §18).
 //
 // Fields each kind carries (everything else stays zero):
 //
@@ -91,7 +94,8 @@ func (k OpKind) String() string {
 //	              the current value (the refresh that makes extreme
 //	              reassignments safe)
 //	histRequest   (nothing) — asks a peer for its observation histogram
-//	histReply     from weights — the peer's histogram row
+//	histReply     from weights — the peer's histogram row, by reference (nil:
+//	              no observations)
 //	heartbeat     from seq — a failure-detector probe
 //	heartbeatAck  from seq votes version — the peer's votes (the quorum-probe
 //	              half) and assignment version (the convergence-check half)
@@ -107,7 +111,15 @@ type msg struct {
 	stamp     int64
 	version   int64
 	seq       int64
-	weights   []float64
+	weights   *[]float64
+}
+
+// row is the histogram a histReply carries, nil when it carries none.
+func (m *msg) row() []float64 {
+	if m.weights == nil {
+		return nil
+	}
+	return *m.weights
 }
 
 // copy is the copy state a message carries.

@@ -49,7 +49,7 @@ func (k *coordinator) gossipEstimates(x int) (*core.Estimator, error) {
 	k.tr.unlock(x)
 	replies, _ := k.tr.exchange(x, k.all, msg{tag: tagHistRequest})
 	for _, r := range k.dedup(replies) { // each site contributes once
-		for v, w := range r.weights {
+		for v, w := range r.row() {
 			if w > 0 && v <= T {
 				est.ObserveFor(int(r.from), v, w)
 			}

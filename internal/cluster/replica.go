@@ -73,7 +73,7 @@ func (r *replica) receive(m, reply *msg) {
 		reply.tag, reply.from = tagHistReply, int32(r.id)
 		if r.hist != nil {
 			r.row = append(r.row[:0], r.hist...)
-			reply.weights = r.row
+			reply.weights = &r.row
 		}
 	case tagHeartbeat:
 		if r.amnesiac {

@@ -47,7 +47,7 @@ func TestReplicaReceive(t *testing.T) {
 		{name: "installAssign", in: msg{tag: tagInstallAssign, qr: 1, qw: 5, version: 3, value: 20, stamp: 4},
 			after: pushed, appends: 1},
 		{name: "histRequest", in: msg{tag: tagHistRequest},
-			full:  msg{tag: tagHistReply, from: 1, weights: []float64{0, 0, 0, 0, 0, 1}},
+			full:  msg{tag: tagHistReply, from: 1, weights: &[]float64{0, 0, 0, 0, 0, 1}},
 			after: start},
 		{name: "heartbeat", in: msg{tag: tagHeartbeat, from: 0, seq: 7},
 			full:  msg{tag: tagHeartbeatAck, from: 1, seq: 7, votes: 2, version: 2},
@@ -67,7 +67,7 @@ func TestReplicaReceive(t *testing.T) {
 				r.amnesiac = amnesiac
 				before, bytesBefore := r.store.Counters(), disk.Dump()
 
-				got := msg{tag: tagVoteReply, votes: 9, weights: []float64{1}} // a reused slot
+				got := msg{tag: tagVoteReply, votes: 9, weights: &[]float64{1}} // a reused slot
 				if r.receive(&tc.in, &got); !reflect.DeepEqual(got, want) {
 					t.Fatalf("reply %#v, want %#v", got, want)
 				}

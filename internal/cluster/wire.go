@@ -98,8 +98,9 @@ func appendMsg(buf []byte, m *msg) ([]byte, error) {
 	case tagHistRequest:
 	case tagHistReply:
 		buf = le.AppendUint32(buf, uint32(m.from))
-		buf = le.AppendUint32(buf, uint32(len(m.weights)))
-		for _, w := range m.weights {
+		row := m.row()
+		buf = le.AppendUint32(buf, uint32(len(row)))
+		for _, w := range row {
 			buf = le.AppendUint64(buf, math.Float64bits(w))
 		}
 	case tagApplyWrite:
@@ -142,12 +143,12 @@ var errShortBuffer = errors.New("short buffer")
 // any field is read; a short or oversized buffer yields a wrapped error
 // naming the message kind, never a panic. Decoding is canonical: a buffer
 // that decodes successfully re-encodes to the same bytes. The histogram of a
-// histReply is copied out of data, which the caller may reuse, into the
-// backing array m.weights held on entry when it has room, else into a new
-// one: decoding a message in place, as Cluster.roundTrip does, allocates
-// nothing.
+// histReply is copied out of data, which the caller may reuse, into the row
+// m.weights referred to on entry (its backing array when it has room), so
+// decoding a message in place, as Cluster.roundTrip does, allocates
+// nothing; only a message that held no row gets a new one.
 func decodeMsg(data []byte, m *msg) error {
-	row := m.weights[:0]
+	row := m.weights
 	*m = msg{}
 	if len(data) == 0 {
 		return errors.New("cluster: empty message")
@@ -188,13 +189,17 @@ func decodeMsg(data []byte, m *msg) error {
 			return fail(errShortBuffer)
 		}
 		if count > 0 {
-			if cap(row) < int(count) {
-				row = make([]float64, count)
+			if row == nil {
+				row = new([]float64)
 			}
-			m.weights = row[:count]
-			for i := range m.weights {
-				m.weights[i] = math.Float64frombits(le.Uint64(b[8+8*i:]))
+			if cap(*row) < int(count) {
+				*row = make([]float64, count)
 			}
+			w := (*row)[:count]
+			for i := range w {
+				w[i] = math.Float64frombits(le.Uint64(b[8+8*i:]))
+			}
+			*row, m.weights = w, row
 		}
 	case tagApplyWrite:
 		m.value, m.stamp = int64(le.Uint64(b)), int64(le.Uint64(b[8:]))

@@ -24,7 +24,7 @@ func TestCodecRoundTripAll(t *testing.T) {
 		{tag: tagApplyAck, from: 6, stamp: 1<<40 + 3},
 		{tag: tagInstallAssign, qr: 50, qw: 52, version: 9, value: 4, stamp: 8},
 		{tag: tagHistRequest},
-		{tag: tagHistReply, from: 3, weights: []float64{0, 1.5, 0, 2.25}},
+		{tag: tagHistReply, from: 3, weights: &[]float64{0, 1.5, 0, 2.25}},
 		{tag: tagHistReply, from: 5}, // empty histogram
 		{tag: tagHeartbeat, from: 4, seq: 1<<40 + 7},
 		{tag: tagHeartbeatAck, from: 8, seq: 1<<40 + 7, votes: 3, version: 12},
@@ -34,6 +34,47 @@ func TestCodecRoundTripAll(t *testing.T) {
 		if !reflect.DeepEqual(got, p) {
 			t.Fatalf("round trip changed %#v to %#v", p, got)
 		}
+	}
+}
+
+// TestDecodeHistReplyInPlace: in wire mode a histReply is decoded into the
+// row the message already refers to — the replying replica's reused copy of
+// its histogram — so the round trip keeps the reference and the backing
+// array and allocates nothing. Only a message that holds no row gets a new
+// one, and a held row too short for the bins a new backing array.
+func TestDecodeHistReplyInPlace(t *testing.T) {
+	c := &Cluster{}
+	row := []float64{0, 1.5, 2.25}
+	m := msg{tag: tagHistReply, from: 3, weights: &row}
+	first := &row[0]
+	if n := testing.AllocsPerRun(100, func() { c.roundTrip(&m) }); n != 0 {
+		t.Fatalf("an in-place histReply round trip allocates %.1f objects", n)
+	}
+	if m.weights != &row || &m.row()[0] != first || !reflect.DeepEqual(row, []float64{0, 1.5, 2.25}) {
+		t.Fatalf("round trip moved or changed the held row: %v at %p", m.row(), m.weights)
+	}
+	// Other bytes of the same length land in the same array.
+	if err := decodeMsg(mustMarshal(msg{tag: tagHistReply, from: 4, weights: &[]float64{7, 8, 9}}), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.from != 4 || m.weights != &row || &row[0] != first || !reflect.DeepEqual(row, []float64{7, 8, 9}) {
+		t.Fatalf("decode did not reuse the held row: from %d, %v at %p", m.from, m.row(), m.weights)
+	}
+	// A longer row outgrows the array; a fresh struct gets a row of its own.
+	long := mustMarshal(msg{tag: tagHistReply, from: 5, weights: &[]float64{1, 2, 3, 4, 5}})
+	if err := decodeMsg(long, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.weights != &row || len(row) != 5 || row[4] != 5 {
+		t.Fatalf("decode did not grow the held row: %v", row)
+	}
+	var fresh msg
+	if err := decodeMsg(long, &fresh); err != nil || fresh.weights == nil || len(fresh.row()) != 5 {
+		t.Fatalf("fresh decode: %v, row %v", err, fresh.row())
+	}
+	// A kind without a row drops the reference.
+	if err := decodeMsg(mustMarshal(msg{tag: tagHistRequest}), &m); err != nil || m.weights != nil {
+		t.Fatalf("histRequest kept a row: %v, %p", err, m.weights)
 	}
 }
 
@@ -74,7 +115,7 @@ func TestWireFormatPinned(t *testing.T) {
 		{msg{tag: tagInstallAssign, qr: 50, qw: 52, version: 9, value: 4, stamp: 8},
 			"053200000034000000090000000000000004000000000000000800000000000000"},
 		{msg{tag: tagHistRequest}, "06"},
-		{msg{tag: tagHistReply, from: 3, weights: []float64{0, 1.5, 2.25}},
+		{msg{tag: tagHistReply, from: 3, weights: &[]float64{0, 1.5, 2.25}},
 			"0703000000030000000000000000000000000000000000f83f0000000000000240"},
 		{msg{tag: tagApplyAck, from: 6, stamp: 1<<40 + 3}, "08060000000300000000010000"},
 		{msg{tag: tagHeartbeat, from: 4, seq: 1<<40 + 7}, "09040000000700000000010000"},
@@ -93,7 +134,7 @@ func TestWireFormatPinned(t *testing.T) {
 		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
 			t.Errorf("%s encodes as %x, want %s", kinds[tc.m.tag].name, got[1:], tc.hex)
 		}
-		if len(want) != 1+kinds[tc.m.tag].size+8*len(tc.m.weights) {
+		if len(want) != 1+kinds[tc.m.tag].size+8*len(tc.m.row()) {
 			t.Errorf("%s: the kinds table says %d body bytes, the wire has %d",
 				kinds[tc.m.tag].name, kinds[tc.m.tag].size, len(want)-1)
 		}
@@ -320,7 +361,7 @@ func FuzzUnmarshalPayload(f *testing.F) {
 		{tag: tagApplyAck, from: 3, stamp: 17},
 		{tag: tagInstallAssign, qr: 3, qw: 5, version: 2, value: 1, stamp: 6},
 		{tag: tagHistRequest},
-		{tag: tagHistReply, from: 2, weights: []float64{0, 1.5, 2.25}},
+		{tag: tagHistReply, from: 2, weights: &[]float64{0, 1.5, 2.25}},
 		{tag: tagHeartbeat, from: 5, seq: 42},
 		{tag: tagHeartbeatAck, from: 6, seq: 42, votes: 2, version: 9},
 	}

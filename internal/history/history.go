@@ -77,35 +77,43 @@ func (v Violation) Error() string {
 		v.Op.Seq, v.Op.Kind, v.Op.Site, v.Op.Time, v.Reason)
 }
 
-// Log accumulates a totally-ordered history.
+// chunkOps is the number of operations one chunk of a Log holds.
+const chunkOps = 1024
+
+// Log accumulates a totally-ordered history. It stores the operations in
+// fixed-size chunks, filled in order, so a long history is appended without
+// ever copying what it already holds.
 type Log struct {
-	ops []Op
+	chunks [][]Op // every chunk but the last holds chunkOps operations
+	n      int
+}
+
+// add appends op as the next operation in the total order.
+func (l *Log) add(op Op) {
+	if l.n%chunkOps == 0 {
+		l.chunks = append(l.chunks, make([]Op, 0, chunkOps))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	op.Seq = l.n
+	*last = append(*last, op)
+	l.n++
 }
 
 // RecordRead appends a read operation.
 func (l *Log) RecordRead(site int, granted bool, value, stamp int64, t float64) {
-	l.ops = append(l.ops, Op{
-		Seq: len(l.ops), Kind: Read, Site: site,
-		Granted: granted, Value: value, Stamp: stamp, Time: t,
-	})
+	l.add(Op{Kind: Read, Site: site, Granted: granted, Value: value, Stamp: stamp, Time: t})
 }
 
 // RecordWrite appends a write operation.
 func (l *Log) RecordWrite(site int, granted bool, value, stamp int64, t float64) {
-	l.ops = append(l.ops, Op{
-		Seq: len(l.ops), Kind: Write, Site: site,
-		Granted: granted, Value: value, Stamp: stamp, Time: t,
-	})
+	l.add(Op{Kind: Write, Site: site, Granted: granted, Value: value, Stamp: stamp, Time: t})
 }
 
 // RecordIndeterminateWrite appends a write that neither succeeded nor
 // cleanly failed: the value reached some copies (stamp must be the unique
 // stamp the attempt issued) and may surface in a later read.
 func (l *Log) RecordIndeterminateWrite(site int, value, stamp int64, t float64) {
-	l.ops = append(l.ops, Op{
-		Seq: len(l.ops), Kind: Write, Site: site,
-		Granted: false, Indeterminate: true, Value: value, Stamp: stamp, Time: t,
-	})
+	l.add(Op{Kind: Write, Site: site, Indeterminate: true, Value: value, Stamp: stamp, Time: t})
 }
 
 // RecordWriteLoss appends an event retiring the indeterminate write with
@@ -117,13 +125,11 @@ func (l *Log) RecordIndeterminateWrite(site int, value, stamp int64, t float64) 
 // legitimately be reissued: the amnesiac coordinator has forgotten it ever
 // used it, and no surviving copy pins the old value to it.
 func (l *Log) RecordWriteLoss(site int, stamp int64, t float64) {
-	l.ops = append(l.ops, Op{
-		Seq: len(l.ops), Kind: Loss, Site: site, Stamp: stamp, Time: t,
-	})
+	l.add(Op{Kind: Loss, Site: site, Stamp: stamp, Time: t})
 }
 
 // Len returns the number of recorded operations.
-func (l *Log) Len() int { return len(l.ops) }
+func (l *Log) Len() int { return l.n }
 
 // checker is the state machine behind Check. It tracks
 // the committed (stamp, value) — the state every later granted operation
@@ -226,9 +232,11 @@ func (c *checker) commit(stamp, value int64) {
 // returns the first violation, or nil.
 func (l *Log) Check() error {
 	var c checker
-	for _, op := range l.ops {
-		if reason := c.step(op); reason != "" {
-			return Violation{Op: op, Reason: reason}
+	for _, chunk := range l.chunks {
+		for _, op := range chunk {
+			if reason := c.step(op); reason != "" {
+				return Violation{Op: op, Reason: reason}
+			}
 		}
 	}
 	return nil

@@ -135,7 +135,7 @@ func TestReplicaHistoryClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	granted := map[Kind]int{}
-	for _, op := range l.ops {
+	for _, op := range opsOf(&l) {
 		if op.Granted {
 			granted[op.Kind]++
 		}
@@ -181,8 +181,59 @@ func errAs(err error, target *Violation) bool {
 func TestOpsExposesRecords(t *testing.T) {
 	var l Log
 	l.RecordWrite(3, true, 9, 1, 0.25)
-	ops := l.ops
+	ops := opsOf(&l)
 	if len(ops) != 1 || ops[0].Site != 3 || ops[0].Kind != Write || ops[0].Time != 0.25 {
 		t.Fatalf("ops %+v", ops)
+	}
+}
+
+// opsOf returns every recorded operation in order, its chunks joined.
+func opsOf(l *Log) []Op {
+	var ops []Op
+	for _, chunk := range l.chunks {
+		ops = append(ops, chunk...)
+	}
+	return ops
+}
+
+// TestLogSpansChunks: a history longer than one chunk keeps its total
+// order and Seq numbering across the chunk boundaries, and Check sees every
+// operation — a violation in the third chunk is found and named.
+func TestLogSpansChunks(t *testing.T) {
+	var l Log
+	n := 2*chunkOps + 10
+	for i := 1; i < n; i++ {
+		l.RecordWrite(i%5, true, int64(i), int64(i), float64(i))
+	}
+	l.RecordRead(2, true, 7, 7, float64(n)) // stale: the last write has stamp n-1
+	ops := opsOf(&l)
+	if l.Len() != n || len(ops) != n || len(l.chunks) != 3 {
+		t.Fatalf("%d ops (%d joined) in %d chunks, want %d in 3", l.Len(), len(ops), len(l.chunks), n)
+	}
+	for i, op := range ops {
+		if op.Seq != i {
+			t.Fatalf("op %d carries Seq %d", i, op.Seq)
+		}
+	}
+	var v Violation
+	if err := l.Check(); !errAs(err, &v) || v.Op.Seq != n-1 {
+		t.Fatalf("Check = %v, want the stale read at Seq %d", err, n-1)
+	}
+}
+
+// BenchmarkLogRecord records 1,000 operations into a new Log per
+// iteration: the cost every serving workload's warm-up and every chaos or
+// adversary history pays on the set-up side.
+func BenchmarkLogRecord(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var l Log
+		for k := 0; k < 1000; k++ {
+			if k%4 == 0 {
+				l.RecordWrite(k%9, true, int64(k), int64(k), float64(k))
+			} else {
+				l.RecordRead(k%9, true, int64(k), int64(k), float64(k))
+			}
+		}
 	}
 }

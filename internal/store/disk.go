@@ -58,11 +58,18 @@ type File interface {
 // sorted name order wherever order matters, so injected byte-offset faults
 // are reproducible.
 //
+// Rename keeps the file it replaces as one spare, emptied but with its
+// buffer: the next Open of an absent name takes it, so the compaction cycle
+// (snap.tmp created, renamed over snap) reuses the old snapshot's file and
+// allocates nothing. The spare is no file — Dump, Crash, Wipe and FaultDisk
+// never see it — and a handle to a replaced file must not be used again.
+//
 // A MemDisk belongs to the one NodeStore opened on it and is guarded by
 // whatever serializes that store's calls. Tests may read it directly (Dump,
 // clone) only while the runtime driving the store is quiescent.
 type MemDisk struct {
 	files map[string]*memFile
+	spare *memFile
 }
 
 type memFile struct {
@@ -79,18 +86,25 @@ func NewMemDisk() *MemDisk {
 func (d *MemDisk) Open(name string) File {
 	f, ok := d.files[name]
 	if !ok {
-		f = &memFile{}
+		f, d.spare = d.spare, nil
+		if f == nil {
+			f = &memFile{}
+		}
 		d.files[name] = f
 	}
 	return f
 }
 
-// Rename moves oldName over newName, replacing it. No-op if oldName does
-// not exist.
+// Rename moves oldName over newName, replacing it; the replaced file,
+// emptied, becomes the spare. No-op if oldName does not exist.
 func (d *MemDisk) Rename(oldName, newName string) {
 	f, ok := d.files[oldName]
 	if !ok {
 		return
+	}
+	if old := d.files[newName]; old != nil && old != f {
+		old.data, old.synced = old.data[:0], 0
+		d.spare = old
 	}
 	delete(d.files, oldName)
 	d.files[newName] = f

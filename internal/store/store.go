@@ -222,8 +222,9 @@ func (s *NodeStore) compact() {
 }
 
 // writeSnap installs a snapshot of (s.cur, s.hist) as generation gen
-// and resets log and seal. Both are framed in the scratch buffer, so what
-// a compaction allocates is only the snap.tmp file the disk creates.
+// and resets log and seal. Both are framed in the scratch buffer, and on a
+// MemDisk snap.tmp reopens the file the previous rename replaced, so a
+// steady-state compaction allocates nothing.
 func (s *NodeStore) writeSnap(gen uint64) {
 	s.disk.Remove(snapTmpName)
 	tmp := s.disk.Open(snapTmpName)

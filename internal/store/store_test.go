@@ -623,11 +623,11 @@ func TestObservationBoundSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestDurableWriteAllocs holds the durable write path to its allocation
-// budget: none per write between compactions (records and seals are framed
-// in the store's scratch buffer and the disk appends in place), and at most
-// two per compaction cycle (the snap.tmp file the disk creates, and its
-// buffer).
+// TestDurableWriteAllocs holds the durable write path to zero allocations:
+// none per write between compactions (records and seals are framed in the
+// store's scratch buffer and the disk appends in place), and none per
+// compaction cycle (snap.tmp reopens the spare the previous rename left,
+// the old snapshot's file and buffer).
 func TestDurableWriteAllocs(t *testing.T) {
 	const snapEvery = 64 // two appends a write: one compaction per 32 writes
 	s := Open(NewMemDisk(), snapEvery)
@@ -657,11 +657,58 @@ func TestDurableWriteAllocs(t *testing.T) {
 			write()
 		}
 	}
-	if n := testing.AllocsPerRun(10, cycle); n > 2 {
-		t.Errorf("a compaction cycle allocates %.1f objects, want at most 2", n)
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Errorf("a compaction cycle allocates %.1f objects, want 0", n)
 	}
 	if got := s.Counters().Snapshots - snaps; got != 11 {
 		t.Fatalf("%d compactions in 11 cycles", got)
+	}
+}
+
+// freshDisk is a MemDisk that never reuses a file: it removes a rename's
+// target first, so the replaced file is dropped rather than kept as the
+// spare, as MemDisk did before it kept one.
+type freshDisk struct{ *MemDisk }
+
+func (d freshDisk) Rename(oldName, newName string) {
+	if _, ok := d.files[oldName]; ok && oldName != newName {
+		d.Remove(newName)
+	}
+	d.MemDisk.Rename(oldName, newName)
+}
+
+// TestSpareFileIsInvisible: many compactions, crashes and recoveries on a
+// MemDisk that reuses the replaced snapshot's file leave Dump byte for byte
+// what a disk that never reuses one leaves, after every step.
+func TestSpareFileIsInvisible(t *testing.T) {
+	reuse, fresh := NewMemDisk(), freshDisk{NewMemDisk()}
+	a, b := Open(reuse, 5), Open(fresh, 5)
+	a.Reset(State{Version: 1, QR: 2, QW: 2}, []float64{1, 2})
+	b.Reset(State{Version: 1, QR: 2, QW: 2}, []float64{1, 2})
+	reused := 0
+	for i := 1; i <= 200; i++ {
+		for _, s := range []*NodeStore{a, b} {
+			s.PutState(State{Value: int64(i), Stamp: int64(i) << 10, Version: 1 + int64(i/50), QR: 2, QW: 2})
+			s.PutObservation(i % 4)
+			if i%3 != 0 {
+				s.Sync()
+			}
+			if i%17 == 0 {
+				s.Crash()
+				if _, _, err := s.Recover(); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+			}
+		}
+		if reuse.spare != nil {
+			reused++
+		}
+		if !reflect.DeepEqual(reuse.Dump(), fresh.Dump()) {
+			t.Fatalf("write %d: Dump %v, never-reusing disk %v", i, reuse.Dump(), fresh.Dump())
+		}
+	}
+	if c := a.Counters(); c.Snapshots < 30 || reused == 0 || fresh.spare != nil {
+		t.Fatalf("%d compactions, spare held after %d writes, fresh spare %v", c.Snapshots, reused, fresh.spare)
 	}
 }
 
